@@ -179,12 +179,6 @@ fn geomean(xs: &[f64]) -> f64 {
 fn bench_rows(runs: usize) -> Vec<Value> {
     let mut rows = Vec::new();
     for cs in all_case_studies() {
-        // The i8051 datapath's memory blast dominates everything else;
-        // its scheduling behaviour is identical, so keep the artifact
-        // cheap to regenerate.
-        if cs.name == "Datapath" {
-            continue;
-        }
         eprintln!("benchmarking {} ...", cs.name);
         let (sequential_s, seq_report) = best_run(&cs, 1, runs, true);
         let (pooled_s, pooled_report) = best_run(&cs, POOL_JOBS, runs, true);

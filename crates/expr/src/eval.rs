@@ -176,7 +176,10 @@ pub(crate) fn apply(op: Op, args: &[&Value]) -> Value {
                 args[2].clone()
             }
         }
-        Eq => Value::Bool(args[0] == args[1]),
+        Eq => Value::Bool(match (args[0], args[1]) {
+            (Value::Mem(a), Value::Mem(b)) => a.same_contents(b),
+            (a, b) => a == b,
+        }),
         BvNot => Value::Bv(args[0].as_bv().not()),
         BvNeg => Value::Bv(args[0].as_bv().neg()),
         BvAnd => Value::Bv(args[0].as_bv().and(args[1].as_bv())),

@@ -683,6 +683,35 @@ impl MemValue {
     pub fn default_word(&self) -> &BitVecValue {
         &self.default
     }
+
+    /// Extensional equality: same widths and the same word at every
+    /// address. Unlike `==`, which compares representations, this holds
+    /// for memories that store the same words in different ways (an
+    /// explicit entry equal to the default, or different defaults under
+    /// a fully written address space).
+    pub fn same_contents(&self, other: &MemValue) -> bool {
+        if (self.addr_width, self.data_width) != (other.addr_width, other.data_width) {
+            return false;
+        }
+        let mut covered = 0u64;
+        for &a in self.written.keys() {
+            if self.read_word(a) != other.read_word(a) {
+                return false;
+            }
+            covered += 1;
+        }
+        for &a in other.written.keys() {
+            if self.written.contains_key(&a) {
+                continue;
+            }
+            if self.read_word(a) != other.read_word(a) {
+                return false;
+            }
+            covered += 1;
+        }
+        // Addresses neither side wrote read the two defaults.
+        covered >= 1u64 << self.addr_width || self.default == other.default
+    }
 }
 
 /// A concrete value of any sort.
@@ -879,6 +908,21 @@ mod tests {
         assert_eq!(m2.read(&bv(4, 4)), bv(0, 8));
         // original untouched (persistent semantics)
         assert_eq!(m.read(&bv(3, 4)), bv(0, 8));
+    }
+
+    #[test]
+    fn mem_same_contents_is_extensional() {
+        let m = MemValue::zeroed(1, 8);
+        // An explicit entry equal to the default.
+        let explicit = m.write(&bv(1, 1), &bv(0, 8));
+        assert_ne!(m, explicit);
+        assert!(m.same_contents(&explicit));
+        // Different defaults under a fully written address space.
+        let full_a = m.write(&bv(0, 1), &bv(7, 8)).write(&bv(1, 1), &bv(9, 8));
+        let full_b = MemValue::filled(1, 8, bv(7, 8)).write(&bv(1, 1), &bv(9, 8));
+        assert!(full_a.same_contents(&full_b));
+        assert!(!full_a.same_contents(&m));
+        assert!(!MemValue::zeroed(2, 8).same_contents(&m));
     }
 
     #[test]

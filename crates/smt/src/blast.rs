@@ -2,8 +2,14 @@
 
 use std::collections::HashMap;
 
-use gila_expr::{BitVecValue, ExprCtx, ExprNode, ExprRef, MemValue, Op, Value};
-use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolveResult, Solver};
+use gila_expr::{BitVecValue, ExprCtx, ExprNode, ExprRef, Op, Value};
+use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolveResult, Solver, SolverStats};
+
+mod array;
+#[cfg(test)]
+mod eager;
+
+use array::{Arrays, MemId};
 
 /// The bit-level representation of an expression.
 #[derive(Clone, Debug)]
@@ -11,8 +17,8 @@ enum Repr {
     Bool(Lit),
     /// Bits, least-significant first.
     Bv(Vec<Lit>),
-    /// One word (LSB-first bits) per address, `2^addr_width` words.
-    Mem(Vec<Vec<Lit>>),
+    /// A symbolic memory term (see the `array` module).
+    Mem(MemId),
 }
 
 /// Outcome of a satisfiability check, with a model on the SAT side.
@@ -132,8 +138,14 @@ pub struct SmtSolver {
     /// solver.
     activation_vars: std::collections::HashSet<usize>,
     /// CNF grown by the most recent `check`/`check_assuming` call
-    /// (blasting assumptions can add variables and clauses).
+    /// (blasting assumptions and array lemmas can add variables and
+    /// clauses).
     last_check_cnf: BlastStats,
+    /// SAT effort of the most recent `check`/`check_assuming` call,
+    /// summed over its array-lemma rounds.
+    last_check_effort: SolverStats,
+    /// Memory terms, their reads and the array lemmas added so far.
+    arrays: Arrays,
 }
 
 impl SmtSolver {
@@ -153,9 +165,10 @@ impl SmtSolver {
     }
 
     /// Solver effort spent by the most recent `check`/`check_assuming`
-    /// call alone (counters are per-call deltas).
+    /// call alone (counters are per-call deltas, summed over the SAT
+    /// calls of its array-lemma rounds).
     pub fn last_check_effort(&self) -> gila_sat::SolverStats {
-        self.solver.last_solve_stats()
+        self.last_check_effort
     }
 
     /// Installs per-check resource limits on the underlying SAT solver;
@@ -485,16 +498,6 @@ impl SmtSolver {
         (q, r)
     }
 
-    fn addr_select(&mut self, addr: &[Lit], value: usize) -> Lit {
-        let mut sel = self.tt();
-        for (i, &ab) in addr.iter().enumerate() {
-            let want = (value >> i) & 1 == 1;
-            let bit = if want { ab } else { !ab };
-            sel = self.gate_and(sel, bit);
-        }
-        sel
-    }
-
     // ------------------------------------------------------------------
     // Blasting
     // ------------------------------------------------------------------
@@ -508,16 +511,6 @@ impl SmtSolver {
             .collect()
     }
 
-    fn mem_const_words(&mut self, m: &MemValue) -> Vec<Vec<Lit>> {
-        let n = 1usize << m.addr_width();
-        (0..n)
-            .map(|a| {
-                let word = m.read(&BitVecValue::from_u64(a as u64, m.addr_width()));
-                self.bv_const_bits(&word)
-            })
-            .collect()
-    }
-
     fn blast(&mut self, ctx: &ExprCtx, root: ExprRef) -> Repr {
         let order = ctx.post_order(&[root]);
         for e in order {
@@ -527,7 +520,7 @@ impl SmtSolver {
             let repr = match ctx.node(e).clone() {
                 ExprNode::BoolConst(b) => Repr::Bool(self.lit_of_bool(b)),
                 ExprNode::BvConst(v) => Repr::Bv(self.bv_const_bits(&v)),
-                ExprNode::MemConst(m) => Repr::Mem(self.mem_const_words(&m)),
+                ExprNode::MemConst(m) => Repr::Mem(self.mem_const(&m)),
                 ExprNode::Var { sort, .. } => match sort {
                     gila_expr::Sort::Bool => Repr::Bool(self.fresh()),
                     gila_expr::Sort::Bv(w) => {
@@ -536,14 +529,7 @@ impl SmtSolver {
                     gila_expr::Sort::Mem {
                         addr_width,
                         data_width,
-                    } => {
-                        let n = 1usize << addr_width;
-                        Repr::Mem(
-                            (0..n)
-                                .map(|_| (0..data_width).map(|_| self.fresh()).collect())
-                                .collect(),
-                        )
-                    }
+                    } => Repr::Mem(self.mem_var(addr_width, data_width)),
                 },
                 ExprNode::App { op, args, .. } => self.blast_app(op, &args),
             };
@@ -566,9 +552,9 @@ impl SmtSolver {
         }
     }
 
-    fn mem_arg(&self, e: ExprRef) -> Vec<Vec<Lit>> {
+    fn mem_arg(&self, e: ExprRef) -> MemId {
         match &self.cache[&e] {
-            Repr::Mem(words) => words.clone(),
+            Repr::Mem(m) => *m,
             other => panic!("expected mem repr, got {other:?}"),
         }
     }
@@ -614,12 +600,7 @@ impl SmtSolver {
                     }
                     Repr::Mem(t) => {
                         let e = self.mem_arg(args[2]);
-                        let words = t
-                            .iter()
-                            .zip(&e)
-                            .map(|(tw, ew)| self.mux_bv(c, tw, ew))
-                            .collect();
-                        Repr::Mem(words)
+                        Repr::Mem(self.mem_ite(c, t, e))
                     }
                 }
             }
@@ -634,12 +615,7 @@ impl SmtSolver {
                 }
                 Repr::Mem(a) => {
                     let b = self.mem_arg(args[1]);
-                    let mut res = self.tt();
-                    for (wa, wb) in a.iter().zip(&b) {
-                        let we = self.eq_bv(wa, wb);
-                        res = self.gate_and(res, we);
-                    }
-                    Repr::Bool(res)
+                    Repr::Bool(self.mem_eq(a, b))
                 }
             },
             BvNot => {
@@ -753,28 +729,15 @@ impl SmtSolver {
                 Repr::Bool(!gt)
             }
             MemRead => {
-                let words = self.mem_arg(args[0]);
+                let mem = self.mem_arg(args[0]);
                 let addr = self.bv_arg(args[1]);
-                let mut result = words[0].clone();
-                for (a, word) in words.iter().enumerate().skip(1) {
-                    let sel = self.addr_select(&addr, a);
-                    result = self.mux_bv(sel, word, &result);
-                }
-                Repr::Bv(result)
+                Repr::Bv(self.mem_read(mem, addr))
             }
             MemWrite => {
-                let words = self.mem_arg(args[0]);
+                let mem = self.mem_arg(args[0]);
                 let addr = self.bv_arg(args[1]);
                 let data = self.bv_arg(args[2]);
-                let new_words = words
-                    .iter()
-                    .enumerate()
-                    .map(|(a, word)| {
-                        let sel = self.addr_select(&addr, a);
-                        self.mux_bv(sel, &data, word)
-                    })
-                    .collect();
-                Repr::Mem(new_words)
+                Repr::Mem(self.mem_write(mem, addr, data))
             }
             BoolToBv => {
                 let a = self.bool_arg(args[0]);
@@ -922,13 +885,38 @@ impl SmtSolver {
 
     /// Checks satisfiability of all assertions so far.
     pub fn check(&mut self) -> SmtResult {
-        self.last_check_cnf = BlastStats::default();
-        if self.scopes.is_empty() {
-            self.solver.solve().into()
-        } else {
-            let scopes = self.scopes.clone();
-            self.solver.solve_with_assumptions(&scopes).into()
-        }
+        let before = self.stats;
+        let scopes = self.scopes.clone();
+        let result = self.solve_with_array_lemmas(&scopes);
+        self.last_check_cnf = self.stats.since(before);
+        result
+    }
+
+    /// Solves under `assumptions`, then checks each SAT model against
+    /// the theory of arrays: violated array lemmas are added as
+    /// permanent clauses and the solver re-solves, until the model is
+    /// consistent or the answer is UNSAT/unknown. Resource limits cover
+    /// the whole loop, not each round.
+    fn solve_with_array_lemmas(&mut self, assumptions: &[Lit]) -> SmtResult {
+        let start = self.solver.stats();
+        let limits = self.solver.limits();
+        let result = loop {
+            let r = self.solver.solve_with_assumptions(assumptions);
+            if !r.is_sat() || !self.add_array_lemmas() {
+                break r;
+            }
+            let spent = self.solver.stats().since(start);
+            self.solver.set_limits(SolveLimits {
+                conflicts: limits.conflicts.map(|c| c.saturating_sub(spent.conflicts)),
+                propagations: limits
+                    .propagations
+                    .map(|p| p.saturating_sub(spent.propagations)),
+                deadline: limits.deadline,
+            });
+        };
+        self.solver.set_limits(limits);
+        self.last_check_effort = self.solver.stats().since(start);
+        result.into()
     }
 
     /// Checks satisfiability of the assertions *plus* the given boolean
@@ -947,7 +935,9 @@ impl SmtSolver {
         // between properties, not just mid-search.
         if self.solver.resources_exhausted().is_some() {
             self.last_check_cnf = BlastStats::default();
-            return self.solver.solve_with_assumptions(&self.scopes.clone()).into();
+            let r = self.solver.solve_with_assumptions(&self.scopes.clone());
+            self.last_check_effort = self.solver.last_solve_stats();
+            return r.into();
         }
         let before = self.stats;
         let mut lits: Vec<Lit> = assumptions
@@ -965,8 +955,9 @@ impl SmtSolver {
             })
             .collect();
         lits.extend_from_slice(&self.scopes);
+        let result = self.solve_with_array_lemmas(&lits);
         self.last_check_cnf = self.stats.since(before);
-        self.solver.solve_with_assumptions(&lits).into()
+        result
     }
 
     /// Reads the value of an expression from the most recent model.
@@ -995,19 +986,7 @@ impl SmtSolver {
                 let bools: Vec<bool> = bits.iter().map(|&l| bit(l)).collect();
                 Value::Bv(BitVecValue::from_bits(&bools))
             }
-            Repr::Mem(words) => {
-                let addr_width = words.len().trailing_zeros();
-                let data_width = words[0].len() as u32;
-                let mut m = MemValue::zeroed(addr_width, data_width);
-                for (a, word) in words.iter().enumerate() {
-                    let bools: Vec<bool> = word.iter().map(|&l| bit(l)).collect();
-                    m = m.write(
-                        &BitVecValue::from_u64(a as u64, addr_width),
-                        &BitVecValue::from_bits(&bools),
-                    );
-                }
-                Value::Mem(m)
-            }
+            Repr::Mem(m) => Value::Mem(self.mem_model_value(*m)),
         })
     }
 }
@@ -1039,7 +1018,7 @@ pub fn prove_equiv(ctx: &mut ExprCtx, a: ExprRef, b: ExprRef) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gila_expr::Sort;
+    use gila_expr::{MemValue, Sort};
 
     fn check_valid(ctx: &mut ExprCtx, prop: ExprRef) -> bool {
         let neg = ctx.not(prop);
@@ -1378,6 +1357,199 @@ mod tests {
             smt2.assert(&ctx, neq);
             assert!(!smt2.check().is_sat(), "round {round}: blast disagrees with eval (neq SAT)");
         }
+        for round in 0..150 {
+            memory_round(&mut rng, round);
+        }
+    }
+
+    /// A random formula over two memory variables, two addresses, a
+    /// data word and a boolean, built from reads, writes, `ite` and
+    /// equality over memories and constant memories. Returns the
+    /// formula and the variables it may mention.
+    fn random_memory_formula(
+        rng: &mut impl rand::Rng,
+        ctx: &mut ExprCtx,
+    ) -> (ExprRef, Vec<ExprRef>) {
+        let aw = rng.gen_range(1..=3u32);
+        let dw = rng.gen_range(1..=3u32);
+        let sort = Sort::Mem {
+            addr_width: aw,
+            data_width: dw,
+        };
+        let m1 = ctx.var("m1", sort);
+        let m2 = ctx.var("m2", sort);
+        let i = ctx.var("i", Sort::Bv(aw));
+        let j = ctx.var("j", Sort::Bv(aw));
+        let d = ctx.var("d", Sort::Bv(dw));
+        let b = ctx.var("b", Sort::Bool);
+        let vars = vec![m1, m2, i, j, d, b];
+        let c = ctx.bv_u64(rng.gen_range(0..1u64 << aw), aw);
+        let mut mems = vec![m1, m2];
+        let (addrs, mut data, mut bools) = ([i, j, c], vec![d], vec![b]);
+        let mut mem_eqs = Vec::new();
+        for _ in 0..12 {
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    let (m, a, v) = (pick(rng, &mems), pick(rng, &addrs), pick(rng, &data));
+                    mems.push(ctx.mem_write(m, a, v));
+                }
+                2 => {
+                    let (c, t, e) = (pick(rng, &bools), pick(rng, &mems), pick(rng, &mems));
+                    mems.push(ctx.ite(c, t, e));
+                }
+                3 => {
+                    let v = random_mem_value(rng, aw, dw);
+                    mems.push(ctx.mem_const(v));
+                }
+                4 => {
+                    let (m, a) = (pick(rng, &mems), pick(rng, &addrs));
+                    data.push(ctx.mem_read(m, a));
+                }
+                5 | 6 => {
+                    let (x, y) = (pick(rng, &mems), pick(rng, &mems));
+                    let e = ctx.eq(x, y);
+                    mem_eqs.push(e);
+                    bools.push(e);
+                }
+                _ => {
+                    let (x, y) = (pick(rng, &data), pick(rng, &data));
+                    bools.push(ctx.eq(x, y));
+                }
+            }
+        }
+        // Combine a memory equality with the latest facts, so every
+        // formula exercises the array encoding.
+        let mut root = match mem_eqs.last() {
+            Some(&e) => e,
+            None => {
+                let (x, y) = (pick(rng, &mems), pick(rng, &mems));
+                ctx.eq(x, y)
+            }
+        };
+        for &other in bools.iter().rev().take(3) {
+            root = match rng.gen_range(0..3) {
+                0 => ctx.and(root, other),
+                1 => ctx.or(root, other),
+                _ => {
+                    let n = ctx.not(other);
+                    ctx.and(root, n)
+                }
+            };
+        }
+        (root, vars)
+    }
+
+    fn pick(rng: &mut impl rand::Rng, pool: &[ExprRef]) -> ExprRef {
+        pool[rng.gen_range(0..pool.len())]
+    }
+
+    fn random_mem_value(rng: &mut impl rand::Rng, aw: u32, dw: u32) -> MemValue {
+        let mask = (1u64 << dw) - 1;
+        let mut v = MemValue::filled(aw, dw, BitVecValue::from_u64(rng.gen::<u64>() & mask, dw));
+        for _ in 0..rng.gen_range(0..=(1usize << aw)) {
+            let a = rng.gen_range(0..1u64 << aw);
+            v = v.write_word(a, BitVecValue::from_u64(rng.gen::<u64>() & mask, dw));
+        }
+        v
+    }
+
+    /// The eager-oracle verdict on `formula`.
+    fn eager_verdict(ctx: &mut ExprCtx, formula: ExprRef) -> bool {
+        let flat = eager::expand(ctx, formula);
+        let mut smt = SmtSolver::new();
+        smt.assert(ctx, flat);
+        smt.check().is_sat()
+    }
+
+    /// On SAT, the model value of every variable of `formula` satisfies
+    /// it under the concrete evaluator.
+    fn assert_model_satisfies(smt: &SmtSolver, ctx: &ExprCtx, formula: ExprRef, what: &str) {
+        use gila_expr::{eval, Env};
+        let mut env = Env::new();
+        for v in ctx.vars_of(&[formula]) {
+            env.bind(v, smt.model_value(ctx, v));
+        }
+        let value = eval(ctx, formula, &env).expect("all variables bound");
+        assert!(value.as_bool(), "{what}: the model does not satisfy the formula");
+    }
+
+    fn memory_round(rng: &mut impl rand::Rng, round: usize) {
+        use gila_expr::{eval, Env};
+        let mut ctx = ExprCtx::new();
+        let (root, vars) = random_memory_formula(rng, &mut ctx);
+        let neg = ctx.not(root);
+        let want = [
+            (root, eager_verdict(&mut ctx, root)),
+            (neg, eager_verdict(&mut ctx, neg)),
+        ];
+        assert!(want[0].1 || want[1].1, "round {round}: a formula or its negation is SAT");
+
+        // Asserted outright, asserted inside a scope, and assumed.
+        let mut scoped = SmtSolver::new();
+        let mut assuming = SmtSolver::new();
+        for &(f, sat) in &want {
+            let mut plain = SmtSolver::new();
+            plain.assert(&ctx, f);
+            assert_eq!(plain.check().is_sat(), sat, "round {round}: assert vs eager oracle");
+            if sat {
+                assert_model_satisfies(&plain, &ctx, f, &format!("round {round} assert"));
+            }
+            scoped.push_scope();
+            scoped.assert(&ctx, f);
+            assert_eq!(scoped.check().is_sat(), sat, "round {round}: scoped vs eager oracle");
+            if sat {
+                assert_model_satisfies(&scoped, &ctx, f, &format!("round {round} scoped"));
+            }
+            scoped.pop_scope();
+            assert_eq!(
+                assuming.check_assuming(&ctx, &[f]).is_sat(),
+                sat,
+                "round {round}: check_assuming vs eager oracle"
+            );
+            if sat {
+                assert_model_satisfies(&assuming, &ctx, f, &format!("round {round} assuming"));
+            }
+        }
+
+        // Pinned to a random concrete assignment, the verdict is the
+        // evaluator's value of the formula.
+        let mut env = Env::new();
+        let mut pins = Vec::new();
+        for &v in &vars {
+            let value = match ctx.sort_of(v) {
+                Sort::Bool => Value::Bool(rng.gen_bool(0.5)),
+                Sort::Bv(w) => Value::Bv(BitVecValue::from_u64(rng.gen_range(0..1u64 << w), w)),
+                Sort::Mem {
+                    addr_width,
+                    data_width,
+                } => Value::Mem(random_mem_value(rng, addr_width, data_width)),
+            };
+            let c = match &value {
+                Value::Bool(b) => ctx.bool_const(*b),
+                Value::Bv(x) => ctx.bv(x.clone()),
+                Value::Mem(m) => ctx.mem_const(m.clone()),
+            };
+            pins.push(ctx.eq(v, c));
+            env.bind(v, value);
+        }
+        let expected = eval(&ctx, root, &env).expect("all variables bound").as_bool();
+        let mut pinned = SmtSolver::new();
+        for &p in &pins {
+            pinned.assert(&ctx, p);
+        }
+        assert_eq!(
+            pinned.check_assuming(&ctx, &[root]).is_sat(),
+            expected,
+            "round {round}: pinned verdict vs eval"
+        );
+        assert_eq!(
+            pinned.check_assuming(&ctx, &[neg]).is_sat(),
+            !expected,
+            "round {round}: pinned negation vs eval"
+        );
+        let pinned_all = ctx.and_many(&pins);
+        let with_root = ctx.and(pinned_all, root);
+        assert_eq!(eager_verdict(&mut ctx, with_root), expected, "round {round}: eager vs eval");
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! checker used in the original DATE 2021 evaluation.
 //!
 //! Encodings: ripple-carry adders, shift-add multipliers, restoring
-//! dividers, logarithmic barrel shifters, comparison chains, word-vector
-//! memories with one-hot address selection. All encodings are validated
+//! dividers, logarithmic barrel shifters, comparison chains. Memories
+//! stay word-level: reads resolve through writes and `ite`s to one
+//! fresh word per read of a memory variable, a memory disequality uses
+//! one witness index, and read-congruence and equality lemmas are added
+//! only when a SAT model violates them. All encodings are validated
 //! against the concrete evaluator by randomized tests.
 //!
 //! # Examples

@@ -5,8 +5,12 @@
 //! 256-byte internal RAM verified as a 16-byte memory (176 s -> 9.5 s in
 //! the paper) and the store buffer's 64-byte array as 16 bytes
 //! (78 s -> 1.3 s). Addresses are truncated to the new width, so the
-//! abstraction preserves all address-independent behaviour while
-//! shrinking the bit-blasted memory representation 16x.
+//! abstraction preserves all address-independent behaviour.
+//!
+//! Here the abstraction no longer changes the cost of a proof:
+//! `gila-smt` encodes memories at word level, so a proof pays for the
+//! memory's reads, not its size. The transform stays as the paper's
+//! ablation.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -352,8 +356,14 @@ endmodule
         let report =
             verify_port(&a_port, &a_rtl, &scratch_map(), &VerifyOptions::default()).unwrap();
         assert!(report.all_hold(), "{report:#?}");
-        // The abstraction shrinks the CNF dramatically.
-        assert!(report.peak_stats.clauses * 4 < full_stats.clauses);
+        // Memories are encoded per read, not per word, so the full-size
+        // CNF stays within a small factor of the abstracted one.
+        assert!(
+            full_stats.clauses <= 2 * report.peak_stats.clauses,
+            "full {} vs abstracted {} clauses",
+            full_stats.clauses,
+            report.peak_stats.clauses
+        );
     }
 
     #[test]

@@ -1719,10 +1719,12 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
 /// [`VerifyOptions::par_threshold`] to route small modules to the
 /// persistent sequential engine.
 ///
-/// The weights mirror `gila_smt::Blaster`: linear bit-vector ops cost
-/// one clause group per output bit, multiplication and division build
-/// a width-squared shift-add/restoring network, shifts a barrel of
-/// `w log w` muxes, and memory ops touch all `2^addr_width` words.
+/// The weights follow `gila_smt`'s encodings: linear bit-vector ops
+/// cost one clause group per output bit, multiplication and division
+/// build a width-squared shift-add/restoring network, and shifts a
+/// barrel of `w log w` muxes. Memory ops are still priced at all
+/// `2^addr_width` words, the cost of an eager memory encoding; the
+/// word-level encoding pays per read, so this over-prices memory ports.
 pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> u64 {
     let ctx = ts.ctx();
     let mut roots: Vec<ExprRef> = Vec::new();

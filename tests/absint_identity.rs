@@ -128,12 +128,6 @@ fn verify_with(name: &str, absint: bool, jobs: usize, buggy: bool) -> ModuleRepo
 #[test]
 fn verify_verdicts_identical_with_and_without_absint() {
     for cs in all_case_studies() {
-        // The full-memory Datapath run is covered by the sequential
-        // pass below; its pooled run is skipped here for the same cost
-        // reason the end-to-end suite skips it.
-        if cs.name == "Datapath" {
-            continue;
-        }
         for jobs in [1usize, 4] {
             let on = verify_with(cs.name, true, jobs, false);
             let off = verify_with(cs.name, false, jobs, false);
@@ -156,18 +150,4 @@ fn verify_verdicts_identical_with_and_without_absint() {
             );
         }
     }
-}
-
-/// The sequential Datapath pass: one on/off pair at `jobs = 1` keeps
-/// the full-memory design covered without paying for a pooled rerun.
-#[test]
-fn verify_verdicts_identical_on_datapath_sequential() {
-    let on = verify_with("Datapath", true, 1, false);
-    let off = verify_with("Datapath", false, 1, false);
-    assert!(on.all_hold(), "Datapath: {on:#?}");
-    assert_eq!(
-        verdict_shape(&on),
-        verdict_shape(&off),
-        "Datapath: absint changed a verdict"
-    );
 }

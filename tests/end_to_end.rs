@@ -31,11 +31,6 @@ fn all_eight_case_studies_reproduce() {
             "{}: instruction count drifted from Table I",
             cs.name
         );
-        // Skip the slowest full-memory run here (covered by the benches
-        // and the dedicated ablation test below).
-        if cs.name == "Datapath" {
-            continue;
-        }
         let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &VerifyOptions::default())
             .unwrap_or_else(|e| panic!("{}: setup error {e}", cs.name));
         assert!(report.all_hold(), "{}: {report:#?}", cs.name);
@@ -87,10 +82,11 @@ fn bugs_are_found_where_the_paper_reports_them() {
     }
 }
 
-/// The datapath ablation: both sizes verify and the abstraction shrinks
-/// the CNF dramatically (the paper's 176 s -> 9.5 s effect).
+/// The datapath ablation: both sizes verify, and with word-level
+/// memories the full 256-byte RAM costs about what the 16-byte
+/// abstraction costs — the encoding pays for reads, not for size.
 #[test]
-fn datapath_memory_abstraction_preserves_verdict_and_shrinks_cnf() {
+fn datapath_memory_abstraction_preserves_verdict_and_full_size_stays_small() {
     use gila::designs::i8051::datapath;
     let maps = datapath::refinement_maps();
     let opts = VerifyOptions::default();
@@ -105,12 +101,11 @@ fn datapath_memory_abstraction_preserves_verdict_and_shrinks_cnf() {
     .expect("setup");
     assert!(abst.all_hold());
     assert!(
-        abst.peak_stats().clauses * 4 < full.peak_stats().clauses,
-        "abstraction should shrink the encoding at least 4x: {} vs {}",
-        abst.peak_stats().clauses,
-        full.peak_stats().clauses
+        full.peak_stats().clauses <= 2 * abst.peak_stats().clauses,
+        "the full-size RAM should cost at most 2x the abstraction's clauses: {} vs {}",
+        full.peak_stats().clauses,
+        abst.peak_stats().clauses
     );
-    assert!(abst.total_time() < full.total_time());
 }
 
 /// Refinement maps survive a JSON round trip and drive verification
