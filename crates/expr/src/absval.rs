@@ -197,25 +197,27 @@ fn umax(a: &BitVecValue, b: &BitVecValue) -> BitVecValue {
 /// Number of significant bits of `v` (position of the highest set bit
 /// plus one; 0 for the zero value).
 fn sig_bits(v: &BitVecValue) -> u32 {
-    (0..v.width()).rev().find(|&i| v.bit(i)).map_or(0, |i| i + 1)
+    v.width() - v.leading_zeros()
 }
 
 /// Shifts mask bits left by `s`, filling vacated low positions with `fill`.
 fn mask_shl(v: &BitVecValue, s: u32, fill: bool) -> BitVecValue {
-    let w = v.width();
-    let bits: Vec<bool> = (0..w)
-        .map(|i| if i < s { fill } else { v.bit(i - s) })
-        .collect();
-    BitVecValue::from_bits(&bits)
+    let shifted = v.shl_amount(s);
+    if fill {
+        shifted.or(&BitVecValue::ones(v.width()).lshr_amount(v.width() - s))
+    } else {
+        shifted
+    }
 }
 
 /// Shifts mask bits right by `s`, filling vacated high positions with `fill`.
 fn mask_lshr(v: &BitVecValue, s: u32, fill: bool) -> BitVecValue {
-    let w = v.width();
-    let bits: Vec<bool> = (0..w)
-        .map(|i| if i + s < w { v.bit(i + s) } else { fill })
-        .collect();
-    BitVecValue::from_bits(&bits)
+    let shifted = v.lshr_amount(s);
+    if fill {
+        shifted.or(&BitVecValue::ones(v.width()).shl_amount(v.width() - s))
+    } else {
+        shifted
+    }
 }
 
 impl AbsBv {
@@ -396,8 +398,7 @@ impl AbsBv {
             let diff = self.lo.xor(&self.hi);
             let split = sig_bits(&diff);
             if split < self.width {
-                let lead: Vec<bool> = (0..self.width).map(|i| i >= split).collect();
-                let lead = BitVecValue::from_bits(&lead);
+                let lead = BitVecValue::ones(self.width).shl_amount(split);
                 self.known_one = self.known_one.or(&self.lo.and(&lead));
                 self.known_zero = self.known_zero.or(&self.lo.not().and(&lead));
             }
@@ -1145,6 +1146,61 @@ mod tests {
         let mut aenv = AbsEnv::new();
         aenv.bind(x, AbsValue::Bv(AbsBv::bottom(8)));
         assert!(abs_eval(&ctx, e, &aenv).is_bottom());
+    }
+
+    // Bit-serial versions of the mask helpers, as differential references.
+
+    fn sig_bits_ref(v: &BitVecValue) -> u32 {
+        (0..v.width())
+            .rev()
+            .find(|&i| v.bit(i))
+            .map_or(0, |i| i + 1)
+    }
+
+    fn mask_shl_ref(v: &BitVecValue, s: u32, fill: bool) -> BitVecValue {
+        let bits: Vec<bool> = (0..v.width())
+            .map(|i| if i < s { fill } else { v.bit(i - s) })
+            .collect();
+        BitVecValue::from_bits(&bits)
+    }
+
+    fn mask_lshr_ref(v: &BitVecValue, s: u32, fill: bool) -> BitVecValue {
+        let w = v.width();
+        let bits: Vec<bool> = (0..w)
+            .map(|i| if i + s < w { v.bit(i + s) } else { fill })
+            .collect();
+        BitVecValue::from_bits(&bits)
+    }
+
+    #[test]
+    fn mask_helpers_match_bit_serial_references() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xab5);
+        for w in 1..=130u32 {
+            for sparse in [false, true] {
+                let bits: Vec<bool> = (0..w)
+                    .map(|_| rng.gen::<bool>() && (!sparse || rng.gen_range(0..w) == 0))
+                    .collect();
+                let v = BitVecValue::from_bits(&bits);
+                assert_eq!(sig_bits(&v), sig_bits_ref(&v), "{v:?}");
+                for s in 0..w {
+                    for fill in [false, true] {
+                        assert_eq!(
+                            mask_shl(&v, s, fill),
+                            mask_shl_ref(&v, s, fill),
+                            "{v:?} << {s}"
+                        );
+                        assert_eq!(
+                            mask_lshr(&v, s, fill),
+                            mask_lshr_ref(&v, s, fill),
+                            "{v:?} >> {s}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(sig_bits(&BitVecValue::zero(w)), 0);
+            assert_eq!(sig_bits(&BitVecValue::ones(w)), w);
+        }
     }
 
     #[test]

@@ -4,11 +4,28 @@
 //! two's-complement bit string of a fixed width `w >= 1`, stored as
 //! little-endian 64-bit limbs. All operations keep the value *normalized*
 //! (bits above `w` are zero), so `==` is semantic equality.
+//!
+//! Widths up to 64 bits — every registry signal — keep their one limb
+//! inline, so creating, copying and combining them never allocates;
+//! wider values keep their limbs in a heap slice. The kernels work on
+//! whole limbs at any width.
 
-use std::fmt;
+use std::cmp::Ordering;
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 
 /// Number of bits per storage limb.
 const LIMB_BITS: u32 = 64;
+
+/// Limb storage. The variant is a function of the width: `Word` exactly
+/// when `width <= LIMB_BITS`.
+#[derive(Clone)]
+enum Limbs {
+    /// The single limb of a value at most 64 bits wide.
+    Word(u64),
+    /// The `limbs_for(width)` limbs of a wider value.
+    Wide(Box<[u64]>),
+}
 
 /// A fixed-width bit-vector value.
 ///
@@ -22,46 +39,105 @@ const LIMB_BITS: u32 = 64;
 /// assert_eq!(a.add(&b).to_u64(), 0xAC);
 /// assert_eq!(a.concat(&b).width(), 16);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct BitVecValue {
     width: u32,
-    limbs: Vec<u64>,
+    limbs: Limbs,
 }
 
 fn limbs_for(width: u32) -> usize {
     width.div_ceil(LIMB_BITS) as usize
 }
 
+/// Limb `i` of `limbs`, zero past the end.
+fn limb(limbs: &[u64], i: usize) -> u64 {
+    limbs.get(i).copied().unwrap_or(0)
+}
+
+/// Limb `i` of `limbs` shifted right by `n` bits.
+fn shr_limb(limbs: &[u64], n: u32, i: usize) -> u64 {
+    let j = i + (n / LIMB_BITS) as usize;
+    match n % LIMB_BITS {
+        0 => limb(limbs, j),
+        r => (limb(limbs, j) >> r) | (limb(limbs, j + 1) << (LIMB_BITS - r)),
+    }
+}
+
+/// Limb `i` of `limbs` shifted left by `n` bits.
+fn shl_limb(limbs: &[u64], n: u32, i: usize) -> u64 {
+    let Some(j) = i.checked_sub((n / LIMB_BITS) as usize) else {
+        return 0;
+    };
+    match n % LIMB_BITS {
+        0 => limb(limbs, j),
+        r => {
+            let carry_in = j
+                .checked_sub(1)
+                .map_or(0, |k| limb(limbs, k) >> (LIMB_BITS - r));
+            (limb(limbs, j) << r) | carry_in
+        }
+    }
+}
+
+/// Limb `i` of the mask whose bits at positions `>= from` are set.
+fn mask_from_limb(from: u32, i: usize) -> u64 {
+    let base = i as u64 * LIMB_BITS as u64;
+    let from = from as u64;
+    if base >= from {
+        u64::MAX
+    } else if base + LIMB_BITS as u64 <= from {
+        0
+    } else {
+        u64::MAX << (from - base)
+    }
+}
+
 impl BitVecValue {
+    /// Builds a `width`-bit value from its limbs, `limb(i)` for each
+    /// limb index in ascending order, and normalizes it.
+    fn from_fn(width: u32, mut limb: impl FnMut(usize) -> u64) -> Self {
+        assert!(width > 0, "bit-vector width must be positive");
+        let limbs = if width <= LIMB_BITS {
+            Limbs::Word(limb(0))
+        } else {
+            Limbs::Wide((0..limbs_for(width)).map(limb).collect())
+        };
+        let mut v = BitVecValue { width, limbs };
+        v.normalize();
+        v
+    }
+
+    fn limbs(&self) -> &[u64] {
+        match &self.limbs {
+            Limbs::Word(w) => std::slice::from_ref(w),
+            Limbs::Wide(ls) => ls,
+        }
+    }
+
+    fn limbs_mut(&mut self) -> &mut [u64] {
+        match &mut self.limbs {
+            Limbs::Word(w) => std::slice::from_mut(w),
+            Limbs::Wide(ls) => ls,
+        }
+    }
+
     /// Creates a zero value of the given width.
     ///
     /// # Panics
     ///
     /// Panics if `width == 0`.
     pub fn zero(width: u32) -> Self {
-        assert!(width > 0, "bit-vector width must be positive");
-        BitVecValue {
-            width,
-            limbs: vec![0; limbs_for(width)],
-        }
+        Self::from_fn(width, |_| 0)
     }
 
     /// Creates the value 1 of the given width.
     pub fn one(width: u32) -> Self {
-        let mut v = Self::zero(width);
-        v.limbs[0] = 1;
-        v.normalize();
-        v
+        Self::from_u64(1, width)
     }
 
     /// Creates the all-ones value of the given width.
     pub fn ones(width: u32) -> Self {
-        let mut v = Self::zero(width);
-        for l in &mut v.limbs {
-            *l = u64::MAX;
-        }
-        v.normalize();
-        v
+        Self::from_fn(width, |_| u64::MAX)
     }
 
     /// Creates a value from the low bits of `x`, truncating to `width`.
@@ -70,10 +146,7 @@ impl BitVecValue {
     ///
     /// Panics if `width == 0`.
     pub fn from_u64(x: u64, width: u32) -> Self {
-        let mut v = Self::zero(width);
-        v.limbs[0] = x;
-        v.normalize();
-        v
+        Self::from_fn(width, |i| if i == 0 { x } else { 0 })
     }
 
     /// Creates a 1-bit value from a boolean.
@@ -85,11 +158,10 @@ impl BitVecValue {
     /// the limb counts match (the common case for same-width copies).
     fn clone_bits_from(&mut self, src: &BitVecValue) {
         self.width = src.width;
-        if self.limbs.len() == src.limbs.len() {
-            self.limbs.copy_from_slice(&src.limbs);
-        } else {
-            self.limbs.clear();
-            self.limbs.extend_from_slice(&src.limbs);
+        match (&mut self.limbs, &src.limbs) {
+            (Limbs::Word(dst), Limbs::Word(s)) => *dst = *s,
+            (Limbs::Wide(dst), Limbs::Wide(s)) if dst.len() == s.len() => dst.copy_from_slice(s),
+            (dst, s) => *dst = s.clone(),
         }
     }
 
@@ -100,13 +172,33 @@ impl BitVecValue {
     /// Panics if `bits` is empty.
     pub fn from_bits(bits: &[bool]) -> Self {
         assert!(!bits.is_empty(), "bit-vector width must be positive");
-        let mut v = Self::zero(bits.len() as u32);
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.limbs[i / LIMB_BITS as usize] |= 1u64 << (i as u32 % LIMB_BITS);
-            }
+        let mut chunks = bits.chunks(LIMB_BITS as usize);
+        Self::from_fn(bits.len() as u32, |_| {
+            let chunk = chunks.next().unwrap_or_default();
+            chunk.iter().rev().fold(0, |acc, &b| (acc << 1) | b as u64)
+        })
+    }
+
+    /// Builds a value of `digits * digit_bits` bits from the digits of
+    /// `s` (most-significant first, underscores ignored), each mapped by
+    /// `digit`. `digit_bits` divides 64, so no digit straddles limbs.
+    fn parse_digits(s: &str, digit_bits: u32, digit: impl Fn(char) -> Option<u64>) -> Option<Self> {
+        let digits = || s.chars().rev().filter(|c| *c != '_');
+        let mut count = 0u32;
+        for c in digits() {
+            digit(c)?;
+            count = count.checked_add(1)?;
         }
-        v
+        if count == 0 {
+            return None;
+        }
+        let mut v = Self::zero(count.checked_mul(digit_bits)?);
+        let limbs = v.limbs_mut();
+        for (k, c) in digits().enumerate() {
+            let bit = k as u32 * digit_bits;
+            limbs[(bit / LIMB_BITS) as usize] |= digit(c)? << (bit % LIMB_BITS);
+        }
+        Some(v)
     }
 
     /// Parses a binary string like `"1010"` (most-significant bit first).
@@ -114,36 +206,16 @@ impl BitVecValue {
     /// Returns `None` on empty input or non-binary characters
     /// (underscores are ignored).
     pub fn parse_binary(s: &str) -> Option<Self> {
-        let digits: Vec<bool> = s
-            .chars()
-            .filter(|c| *c != '_')
-            .map(|c| match c {
-                '0' => Some(false),
-                '1' => Some(true),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        if digits.is_empty() {
-            return None;
-        }
-        let lsb_first: Vec<bool> = digits.into_iter().rev().collect();
-        Some(Self::from_bits(&lsb_first))
+        Self::parse_digits(s, 1, |c| match c {
+            '0' => Some(0),
+            '1' => Some(1),
+            _ => None,
+        })
     }
 
     /// Parses a hexadecimal string like `"dead_beef"`; width is 4 bits per digit.
     pub fn parse_hex(s: &str) -> Option<Self> {
-        let mut bits = Vec::new();
-        for c in s.chars().filter(|c| *c != '_') {
-            let d = c.to_digit(16)? as u64;
-            for i in (0..4).rev() {
-                bits.push((d >> i) & 1 == 1);
-            }
-        }
-        if bits.is_empty() {
-            return None;
-        }
-        let lsb_first: Vec<bool> = bits.into_iter().rev().collect();
-        Some(Self::from_bits(&lsb_first))
+        Self::parse_digits(s, 4, |c| c.to_digit(16).map(u64::from))
     }
 
     /// The width in bits.
@@ -158,7 +230,7 @@ impl BitVecValue {
     /// Panics if `i >= self.width()`.
     pub fn bit(&self, i: u32) -> bool {
         assert!(i < self.width, "bit index {i} out of range for width {}", self.width);
-        (self.limbs[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS)) & 1 == 1
+        (self.limbs()[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS)) & 1 == 1
     }
 
     /// Returns the bits, least-significant first.
@@ -168,26 +240,24 @@ impl BitVecValue {
 
     /// Returns the value as `u64`, truncating high bits if the width exceeds 64.
     pub fn to_u64(&self) -> u64 {
-        self.limbs[0]
+        self.limbs()[0]
     }
 
     /// Returns the value as `u64` if it fits losslessly, else `None`.
     pub fn try_to_u64(&self) -> Option<u64> {
-        if self.limbs[1..].iter().all(|&l| l == 0) {
-            Some(self.limbs[0])
-        } else {
-            None
-        }
+        let limbs = self.limbs();
+        limbs[1..].iter().all(|&l| l == 0).then_some(limbs[0])
     }
 
     /// True if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
+        self.limbs().iter().all(|&l| l == 0)
     }
 
     /// True if every bit is one.
     pub fn is_ones(&self) -> bool {
-        *self == Self::ones(self.width)
+        let (top, rest) = self.limbs().split_last().expect("at least one limb");
+        *top == Self::top_mask(self.width) && rest.iter().all(|&l| l == u64::MAX)
     }
 
     /// The sign (most-significant) bit.
@@ -195,12 +265,29 @@ impl BitVecValue {
         self.bit(self.width - 1)
     }
 
-    fn normalize(&mut self) {
-        let rem = self.width % LIMB_BITS;
-        if rem != 0 {
-            let last = self.limbs.len() - 1;
-            self.limbs[last] &= (1u64 << rem) - 1;
+    /// Number of zero bits above the most-significant set bit (the
+    /// width, for zero).
+    pub(crate) fn leading_zeros(&self) -> u32 {
+        let limbs = self.limbs();
+        let pad = limbs.len() as u32 * LIMB_BITS - self.width;
+        match limbs.iter().rposition(|&l| l != 0) {
+            Some(i) => (limbs.len() - 1 - i) as u32 * LIMB_BITS + limbs[i].leading_zeros() - pad,
+            None => self.width,
         }
+    }
+
+    /// Mask of the valid bits in the top limb of a `width`-bit value.
+    fn top_mask(width: u32) -> u64 {
+        match width % LIMB_BITS {
+            0 => u64::MAX,
+            rem => (1u64 << rem) - 1,
+        }
+    }
+
+    fn normalize(&mut self) {
+        let mask = Self::top_mask(self.width);
+        let limbs = self.limbs_mut();
+        limbs[limbs.len() - 1] &= mask;
     }
 
     fn check_same_width(&self, other: &Self, op: &str) {
@@ -211,93 +298,86 @@ impl BitVecValue {
         );
     }
 
+    /// Limb-wise combination of two same-width values, least-significant
+    /// limb first (so `f` may carry state upward).
+    fn zip_with(&self, other: &Self, op: &str, mut f: impl FnMut(u64, u64) -> u64) -> Self {
+        self.check_same_width(other, op);
+        let (a, b) = (self.limbs(), other.limbs());
+        Self::from_fn(self.width, |i| f(a[i], b[i]))
+    }
+
     /// Bitwise NOT.
     pub fn not(&self) -> Self {
-        let mut out = self.clone();
-        for l in &mut out.limbs {
-            *l = !*l;
-        }
-        out.normalize();
-        out
+        let a = self.limbs();
+        Self::from_fn(self.width, |i| !a[i])
     }
 
     /// Bitwise AND. Panics on width mismatch.
     pub fn and(&self, other: &Self) -> Self {
-        self.check_same_width(other, "and");
-        let mut out = self.clone();
-        for (a, b) in out.limbs.iter_mut().zip(&other.limbs) {
-            *a &= *b;
-        }
-        out
+        self.zip_with(other, "and", |a, b| a & b)
     }
 
     /// Bitwise OR. Panics on width mismatch.
     pub fn or(&self, other: &Self) -> Self {
-        self.check_same_width(other, "or");
-        let mut out = self.clone();
-        for (a, b) in out.limbs.iter_mut().zip(&other.limbs) {
-            *a |= *b;
-        }
-        out
+        self.zip_with(other, "or", |a, b| a | b)
     }
 
     /// Bitwise XOR. Panics on width mismatch.
     pub fn xor(&self, other: &Self) -> Self {
-        self.check_same_width(other, "xor");
-        let mut out = self.clone();
-        for (a, b) in out.limbs.iter_mut().zip(&other.limbs) {
-            *a ^= *b;
-        }
-        out
+        self.zip_with(other, "xor", |a, b| a ^ b)
     }
 
     /// Wrapping addition. Panics on width mismatch.
     pub fn add(&self, other: &Self) -> Self {
-        self.check_same_width(other, "add");
-        let mut out = Self::zero(self.width);
-        let mut carry = 0u64;
-        for i in 0..self.limbs.len() {
-            let (s1, c1) = self.limbs[i].overflowing_add(other.limbs[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.limbs[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        out.normalize();
-        out
+        let mut carry = false;
+        self.zip_with(other, "add", |a, b| {
+            let (s1, c1) = a.overflowing_add(b);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
+            carry = c1 || c2;
+            s2
+        })
     }
 
     /// Wrapping subtraction. Panics on width mismatch.
     pub fn sub(&self, other: &Self) -> Self {
-        self.add(&other.neg())
+        let mut borrow = false;
+        self.zip_with(other, "sub", |a, b| {
+            let (d1, b1) = a.overflowing_sub(b);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            borrow = b1 || b2;
+            d2
+        })
     }
 
     /// Two's-complement negation.
     pub fn neg(&self) -> Self {
-        self.not().add(&Self::one(self.width))
+        let a = self.limbs();
+        let mut carry = true;
+        Self::from_fn(self.width, |i| {
+            let (s, c) = (!a[i]).overflowing_add(carry as u64);
+            carry = c;
+            s
+        })
     }
 
     /// Wrapping multiplication. Panics on width mismatch.
     pub fn mul(&self, other: &Self) -> Self {
         self.check_same_width(other, "mul");
-        let n = self.limbs.len();
-        let mut acc = vec![0u64; n];
+        let (a, b) = (self.limbs(), other.limbs());
+        let mut out = Self::zero(self.width);
+        let acc = out.limbs_mut();
+        let n = acc.len();
         for i in 0..n {
-            let mut carry: u128 = 0;
-            if self.limbs[i] == 0 {
+            if a[i] == 0 {
                 continue;
             }
+            let mut carry: u128 = 0;
             for j in 0..n - i {
-                let cur = acc[i + j] as u128
-                    + (self.limbs[i] as u128) * (other.limbs[j] as u128)
-                    + carry;
+                let cur = acc[i + j] as u128 + (a[i] as u128) * (b[j] as u128) + carry;
                 acc[i + j] = cur as u64;
                 carry = cur >> 64;
             }
         }
-        let mut out = BitVecValue {
-            width: self.width,
-            limbs: acc,
-        };
         out.normalize();
         out
     }
@@ -320,41 +400,45 @@ impl BitVecValue {
         self.udivrem(other).1
     }
 
+    /// Quotient and remainder by a nonzero divisor: native division up
+    /// to 64 bits, long division above.
     fn udivrem(&self, other: &Self) -> (Self, Self) {
-        // Simple bit-serial long division; widths here are small (<= a few hundred bits).
+        match (&self.limbs, &other.limbs) {
+            (Limbs::Word(a), Limbs::Word(b)) => (
+                Self::from_u64(a / b, self.width),
+                Self::from_u64(a % b, self.width),
+            ),
+            _ => self.long_divrem(other),
+        }
+    }
+
+    /// Shift-subtract long division, one quotient bit per step.
+    fn long_divrem(&self, other: &Self) -> (Self, Self) {
         let mut q = Self::zero(self.width);
         let mut r = Self::zero(self.width);
         for i in (0..self.width).rev() {
             r = r.shl_amount(1);
             if self.bit(i) {
-                r.limbs[0] |= 1;
+                r.limbs_mut()[0] |= 1;
             }
             if r.uge(other) {
                 r = r.sub(other);
-                q.limbs[(i / LIMB_BITS) as usize] |= 1u64 << (i % LIMB_BITS);
+                q.limbs_mut()[(i / LIMB_BITS) as usize] |= 1u64 << (i % LIMB_BITS);
             }
         }
         (q, r)
     }
 
-    fn shl_amount(&self, amount: u32) -> Self {
-        let mut out = Self::zero(self.width);
-        for i in 0..self.width {
-            if i >= amount && self.bit(i - amount) {
-                out.limbs[(i / LIMB_BITS) as usize] |= 1u64 << (i % LIMB_BITS);
-            }
-        }
-        out
+    /// Logical left shift by a plain amount (zero when `amount >= width`).
+    pub(crate) fn shl_amount(&self, amount: u32) -> Self {
+        let a = self.limbs();
+        Self::from_fn(self.width, |i| shl_limb(a, amount, i))
     }
 
-    fn lshr_amount(&self, amount: u32) -> Self {
-        let mut out = Self::zero(self.width);
-        for i in 0..self.width {
-            if i + amount < self.width && self.bit(i + amount) {
-                out.limbs[(i / LIMB_BITS) as usize] |= 1u64 << (i % LIMB_BITS);
-            }
-        }
-        out
+    /// Logical right shift by a plain amount (zero when `amount >= width`).
+    pub(crate) fn lshr_amount(&self, amount: u32) -> Self {
+        let a = self.limbs();
+        Self::from_fn(self.width, |i| shr_limb(a, amount, i))
     }
 
     /// Logical left shift; the shift amount is the unsigned value of `other`.
@@ -375,32 +459,29 @@ impl BitVecValue {
 
     /// Arithmetic right shift (sign-extending).
     pub fn ashr(&self, other: &Self) -> Self {
-        let sign = self.msb();
-        let fill = if sign {
-            Self::ones(self.width)
-        } else {
-            Self::zero(self.width)
-        };
-        match other.try_to_u64() {
-            Some(n) if n < self.width as u64 => {
-                let n = n as u32;
-                let shifted = self.lshr_amount(n);
-                if sign && n > 0 {
-                    let high = Self::ones(self.width).shl_amount(self.width - n);
-                    shifted.or(&high)
-                } else {
-                    shifted
-                }
-            }
-            _ => fill,
-        }
+        // Shifting by `width - 1` already leaves only sign bits, so an
+        // over-shift clamps to it.
+        let max = self.width as u64 - 1;
+        let n = other.try_to_u64().map_or(max, |n| n.min(max)) as u32;
+        let (a, sign) = (self.limbs(), self.msb());
+        let fill_from = self.width - n;
+        Self::from_fn(self.width, |i| {
+            let fill = if sign {
+                mask_from_limb(fill_from, i)
+            } else {
+                0
+            };
+            shr_limb(a, n, i) | fill
+        })
     }
 
     /// Concatenation: `self` provides the high bits, `other` the low bits.
     pub fn concat(&self, other: &Self) -> Self {
-        let mut bits = other.to_bits();
-        bits.extend(self.to_bits());
-        Self::from_bits(&bits)
+        let (hi, lo) = (self.limbs(), other.limbs());
+        let lo_width = other.width;
+        Self::from_fn(self.width + lo_width, |i| {
+            limb(lo, i) | shl_limb(hi, lo_width, i)
+        })
     }
 
     /// Extracts bits `hi..=lo` (inclusive, little-endian indices).
@@ -411,8 +492,8 @@ impl BitVecValue {
     pub fn extract(&self, hi: u32, lo: u32) -> Self {
         assert!(hi >= lo, "extract hi {hi} < lo {lo}");
         assert!(hi < self.width, "extract hi {hi} out of range for width {}", self.width);
-        let bits: Vec<bool> = (lo..=hi).map(|i| self.bit(i)).collect();
-        Self::from_bits(&bits)
+        let a = self.limbs();
+        Self::from_fn(hi - lo + 1, |i| shr_limb(a, lo, i))
     }
 
     /// Zero-extends to `to` bits.
@@ -422,11 +503,8 @@ impl BitVecValue {
     /// Panics if `to < self.width()`.
     pub fn zext(&self, to: u32) -> Self {
         assert!(to >= self.width, "zext target {to} narrower than width {}", self.width);
-        let mut out = Self::zero(to);
-        for (i, l) in self.limbs.iter().enumerate() {
-            out.limbs[i] = *l;
-        }
-        out
+        let a = self.limbs();
+        Self::from_fn(to, |i| limb(a, i))
     }
 
     /// Sign-extends to `to` bits.
@@ -436,24 +514,25 @@ impl BitVecValue {
     /// Panics if `to < self.width()`.
     pub fn sext(&self, to: u32) -> Self {
         assert!(to >= self.width, "sext target {to} narrower than width {}", self.width);
-        let mut out = self.zext(to);
-        if self.msb() {
-            for i in self.width..to {
-                out.limbs[(i / LIMB_BITS) as usize] |= 1u64 << (i % LIMB_BITS);
-            }
-        }
-        out
+        let (a, sign) = (self.limbs(), self.msb());
+        Self::from_fn(to, |i| {
+            let fill = if sign {
+                mask_from_limb(self.width, i)
+            } else {
+                0
+            };
+            limb(a, i) | fill
+        })
     }
 
     /// Unsigned less-than.
     pub fn ult(&self, other: &Self) -> bool {
         self.check_same_width(other, "ult");
-        for i in (0..self.limbs.len()).rev() {
-            if self.limbs[i] != other.limbs[i] {
-                return self.limbs[i] < other.limbs[i];
-            }
+        let (a, b) = (self.limbs(), other.limbs());
+        match (0..a.len()).rev().find(|&i| a[i] != b[i]) {
+            Some(i) => a[i] < b[i],
+            None => false,
         }
-        false
     }
 
     /// Unsigned less-or-equal.
@@ -487,6 +566,38 @@ impl BitVecValue {
     }
 }
 
+// Equality, order and hashing are those of `(width, limb slice)` — what
+// the derived impls over `Vec<u64>` limbs produced. Interning in
+// `ExprCtx`, `BTreeMap` iteration order and every golden rely on them,
+// whichever storage a width uses.
+
+impl PartialEq for BitVecValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.limbs() == other.limbs()
+    }
+}
+
+impl Eq for BitVecValue {}
+
+impl Ord for BitVecValue {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.width, self.limbs()).cmp(&(other.width, other.limbs()))
+    }
+}
+
+impl PartialOrd for BitVecValue {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for BitVecValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.width.hash(state);
+        self.limbs().hash(state);
+    }
+}
+
 impl fmt::Debug for BitVecValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}'h{:x}", self.width, self)
@@ -501,15 +612,13 @@ impl fmt::Display for BitVecValue {
 
 impl fmt::LowerHex for BitVecValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let digits = self.width.div_ceil(4);
-        let mut s = String::with_capacity(digits as usize);
-        for d in (0..digits).rev() {
-            let lo = d * 4;
-            let hi = (lo + 3).min(self.width - 1);
-            let nib = self.extract(hi, lo).to_u64();
-            s.push(char::from_digit(nib as u32, 16).expect("nibble"));
+        let limbs = self.limbs();
+        for d in (0..self.width.div_ceil(4)).rev() {
+            let bit = d * 4;
+            let nib = (limbs[(bit / LIMB_BITS) as usize] >> (bit % LIMB_BITS)) & 0xF;
+            f.write_char(char::from_digit(nib as u32, 16).expect("nibble"))?;
         }
-        f.write_str(&s)
+        Ok(())
     }
 }
 
@@ -654,7 +763,9 @@ impl MemValue {
             data & ((1u64 << self.data_width) - 1)
         };
         match self.written.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().limbs[0] = masked,
+            std::collections::btree_map::Entry::Occupied(mut e) => {
+                e.get_mut().limbs_mut()[0] = masked
+            }
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(BitVecValue::from_u64(masked, self.data_width));
             }
@@ -796,6 +907,8 @@ impl From<MemValue> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn bv(x: u64, w: u32) -> BitVecValue {
         BitVecValue::from_u64(x, w)
@@ -935,5 +1048,133 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn width_mismatch_panics() {
         let _ = bv(1, 8).add(&bv(1, 9));
+    }
+
+    /// The bit-serial kernels the limb-wise ones replaced, kept as
+    /// differential references: each builds its result one bit at a time
+    /// from `bit()`.
+    mod reference {
+        use super::BitVecValue;
+
+        pub fn from_bits(bits: &[bool]) -> BitVecValue {
+            let mut v = BitVecValue::zero(bits.len() as u32);
+            for (i, &b) in bits.iter().enumerate() {
+                if b {
+                    v.limbs_mut()[i / 64] |= 1u64 << (i % 64);
+                }
+            }
+            v
+        }
+
+        pub fn shl_amount(v: &BitVecValue, n: u32) -> BitVecValue {
+            let bits: Vec<bool> = (0..v.width()).map(|i| i >= n && v.bit(i - n)).collect();
+            from_bits(&bits)
+        }
+
+        pub fn lshr_amount(v: &BitVecValue, n: u32) -> BitVecValue {
+            let w = v.width();
+            let bits: Vec<bool> = (0..w).map(|i| i + n < w && v.bit(i + n)).collect();
+            from_bits(&bits)
+        }
+
+        pub fn extract(v: &BitVecValue, hi: u32, lo: u32) -> BitVecValue {
+            let bits: Vec<bool> = (lo..=hi).map(|i| v.bit(i)).collect();
+            from_bits(&bits)
+        }
+
+        pub fn concat(hi: &BitVecValue, lo: &BitVecValue) -> BitVecValue {
+            let mut bits = lo.to_bits();
+            bits.extend(hi.to_bits());
+            from_bits(&bits)
+        }
+
+        pub fn leading_zeros(v: &BitVecValue) -> u32 {
+            (0..v.width()).rev().take_while(|&i| !v.bit(i)).count() as u32
+        }
+
+        pub fn lower_hex(v: &BitVecValue) -> String {
+            (0..v.width().div_ceil(4))
+                .rev()
+                .map(|d| {
+                    let hi = (d * 4 + 3).min(v.width() - 1);
+                    let nib = extract(v, hi, d * 4).to_u64();
+                    char::from_digit(nib as u32, 16).expect("nibble")
+                })
+                .collect()
+        }
+    }
+
+    /// Random values with long runs of equal bits as well as noise, so
+    /// carries, borrows and sign fills cross limb boundaries.
+    fn random_value(rng: &mut impl Rng, width: u32) -> BitVecValue {
+        let mode = rng.gen_range(0..4u32);
+        BitVecValue::from_fn(width, |_| match mode {
+            0 => rng.gen(),
+            1 => 0,
+            2 => u64::MAX,
+            _ => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+        })
+    }
+
+    #[test]
+    fn limb_kernels_match_bit_serial_references() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for w in 1..=200u32 {
+            for _ in 0..4 {
+                let v = random_value(&mut rng, w);
+                let uw = rng.gen_range(1..=130u32);
+                let u = random_value(&mut rng, uw);
+                assert_eq!(reference::from_bits(&v.to_bits()), v, "from_bits w={w}");
+                assert_eq!(BitVecValue::from_bits(&v.to_bits()), v, "from_bits w={w}");
+                assert_eq!(v.leading_zeros(), reference::leading_zeros(&v), "{v:?}");
+                assert_eq!(format!("{v:x}"), reference::lower_hex(&v), "hex w={w}");
+                assert_eq!(v.concat(&u), reference::concat(&v, &u), "{v:?} ++ {u:?}");
+                for n in [0, 1, w - 1, w, w + 1, 63, 64, 65, rng.gen_range(0..=w)] {
+                    assert_eq!(
+                        v.shl_amount(n),
+                        reference::shl_amount(&v, n),
+                        "{v:?} << {n}"
+                    );
+                    assert_eq!(
+                        v.lshr_amount(n),
+                        reference::lshr_amount(&v, n),
+                        "{v:?} >> {n}"
+                    );
+                }
+                let lo = rng.gen_range(0..w);
+                let hi = rng.gen_range(lo..w);
+                assert_eq!(
+                    v.extract(hi, lo),
+                    reference::extract(&v, hi, lo),
+                    "{v:?}[{hi}:{lo}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn long_division_matches_native_division() {
+        let mut rng = StdRng::seed_from_u64(0xd1f);
+        for w in 1..=64u32 {
+            for _ in 0..16 {
+                let a = random_value(&mut rng, w);
+                let b = random_value(&mut rng, w);
+                if b.is_zero() {
+                    continue;
+                }
+                assert_eq!(a.long_divrem(&b), a.udivrem(&b), "{a:?} / {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_values_are_inline() {
+        assert!(matches!(bv(5, 64).limbs, Limbs::Word(5)));
+        assert!(matches!(BitVecValue::ones(65).limbs, Limbs::Wide(ref l) if l.len() == 2));
+        assert!(matches!(
+            BitVecValue::ones(96).extract(63, 0).limbs,
+            Limbs::Word(u64::MAX)
+        ));
+        assert!(matches!(bv(1, 8).zext(129).limbs, Limbs::Wide(ref l) if l.len() == 3));
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the platform's core invariants:
-//! bit-vector arithmetic against a `u128` reference model, the
-//! simplifier and bit-blaster against the concrete evaluator, the SAT
-//! solver against brute force, and composition/integration invariants.
+//! bit-vector arithmetic against a `u128` reference model and, across
+//! limb boundaries, a bit-serial one; the simplifier and bit-blaster
+//! against the concrete evaluator; the SAT solver against brute force;
+//! and composition/integration invariants.
 
 use std::collections::BTreeMap;
 
@@ -101,6 +102,268 @@ proptest! {
         let s = format!("{v:x}");
         let back = BitVecValue::parse_hex(&s).expect("valid hex");
         prop_assert_eq!(back, v);
+    }
+}
+
+// ---------------------------------------------------------------------
+// BitVecValue vs a bit-serial reference across limb boundaries
+// ---------------------------------------------------------------------
+//
+// The `u128` model above stops at 64 bits, exactly where multi-limb
+// storage starts. Here every kernel is checked against a `Vec<bool>`
+// model (least-significant bit first) at widths 1..=200, with the limb
+// edges 63/64/65 and 127/128/129 forced.
+
+type Bits = Vec<bool>;
+
+fn bv_width() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        1u32..=200,
+        prop_oneof![
+            Just(63u32),
+            Just(64),
+            Just(65),
+            Just(127),
+            Just(128),
+            Just(129)
+        ],
+    ]
+}
+
+/// Four random words (biased toward 0, 1 and all-ones, so long runs of
+/// equal bits cross limb boundaries).
+fn bv_words() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), 4)
+}
+
+fn bits_of(words: &[u64], w: u32) -> Bits {
+    (0..w as usize)
+        .map(|i| (words[i / 64] >> (i % 64)) & 1 == 1)
+        .collect()
+}
+
+fn val(bits: &[bool]) -> BitVecValue {
+    BitVecValue::from_bits(bits)
+}
+
+fn ref_not(a: &[bool]) -> Bits {
+    a.iter().map(|b| !b).collect()
+}
+
+fn ref_add(a: &[bool], b: &[bool], carry_in: bool) -> Bits {
+    let mut carry = carry_in;
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            let s = x ^ y ^ carry;
+            carry = (x && y) || (carry && (x ^ y));
+            s
+        })
+        .collect()
+}
+
+fn ref_sub(a: &[bool], b: &[bool]) -> Bits {
+    ref_add(a, &ref_not(b), true)
+}
+
+/// Shift left by `n` (any amount; beyond the width yields zero).
+fn ref_shl(a: &[bool], n: u64) -> Bits {
+    (0..a.len() as u64)
+        .map(|i| i >= n && a[(i - n) as usize])
+        .collect()
+}
+
+/// Shift right by `n`, filling vacated bits with `fill`.
+fn ref_shr(a: &[bool], n: u64, fill: bool) -> Bits {
+    (0..a.len() as u64)
+        .map(|i| match i.checked_add(n) {
+            Some(j) if j < a.len() as u64 => a[j as usize],
+            _ => fill,
+        })
+        .collect()
+}
+
+fn ref_mul(a: &[bool], b: &[bool]) -> Bits {
+    let mut acc = vec![false; a.len()];
+    for (i, &bit) in b.iter().enumerate() {
+        if bit {
+            acc = ref_add(&acc, &ref_shl(a, i as u64), false);
+        }
+    }
+    acc
+}
+
+fn ref_ult(a: &[bool], b: &[bool]) -> bool {
+    (0..a.len())
+        .rev()
+        .find(|&i| a[i] != b[i])
+        .is_some_and(|i| b[i])
+}
+
+fn ref_slt(a: &[bool], b: &[bool]) -> bool {
+    let top = a.len() - 1;
+    match (a[top], b[top]) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => ref_ult(a, b),
+    }
+}
+
+/// SMT-LIB unsigned division and remainder (x/0 = ones, x%0 = x).
+fn ref_divrem(a: &[bool], b: &[bool]) -> (Bits, Bits) {
+    if b.iter().all(|&x| !x) {
+        return (vec![true; a.len()], a.to_vec());
+    }
+    let mut q = vec![false; a.len()];
+    let mut r = vec![false; a.len()];
+    for i in (0..a.len()).rev() {
+        r = ref_shl(&r, 1);
+        r[0] = a[i];
+        if !ref_ult(&r, b) {
+            r = ref_sub(&r, b);
+            q[i] = true;
+        }
+    }
+    (q, r)
+}
+
+/// The unsigned value of `a`, saturating at `u64::MAX`.
+fn ref_amount(a: &[bool]) -> u64 {
+    if a.iter().skip(64).any(|&b| b) {
+        return u64::MAX;
+    }
+    a.iter()
+        .take(64)
+        .rev()
+        .fold(0, |acc, &b| (acc << 1) | b as u64)
+}
+
+/// The limbs the value was stored as before inline storage: 64-bit
+/// little-endian words.
+fn ref_limbs(a: &[bool]) -> Vec<u64> {
+    a.chunks(64)
+        .map(|c| c.iter().rev().fold(0, |acc, &b| (acc << 1) | b as u64))
+        .collect()
+}
+
+fn ref_hex(a: &[bool]) -> String {
+    a.chunks(4)
+        .rev()
+        .map(|c| {
+            let nib = c.iter().rev().fold(0, |acc, &b| (acc << 1) | b as u32);
+            char::from_digit(nib, 16).unwrap()
+        })
+        .collect()
+}
+
+/// What `#[derive(Hash, PartialOrd, Ord)]` over `Vec<u64>` limbs hashed
+/// and ordered: the order of `BTreeMap`s and hash-consing tables.
+#[derive(Hash, PartialEq, Eq, PartialOrd, Ord)]
+struct LimbVecRepr {
+    width: u32,
+    limbs: Vec<u64>,
+}
+
+fn std_hash(x: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn bv_wide_arith_matches_bit_serial_reference(
+        w in bv_width(), aw in bv_words(), bw in bv_words(),
+        pick in 0u32..6, r in any::<u64>(),
+    ) {
+        let (a, b) = (bits_of(&aw, w), bits_of(&bw, w));
+        let (av, bv) = (val(&a), val(&b));
+        prop_assert_eq!(av.to_bits(), a.clone());
+        prop_assert_eq!(av.add(&bv).to_bits(), ref_add(&a, &b, false));
+        prop_assert_eq!(av.sub(&bv).to_bits(), ref_sub(&a, &b));
+        prop_assert_eq!(av.neg().to_bits(), ref_sub(&vec![false; a.len()], &a));
+        prop_assert_eq!(av.not().to_bits(), ref_not(&a));
+        prop_assert_eq!(av.mul(&bv).to_bits(), ref_mul(&a, &b));
+        let (q, rem) = ref_divrem(&a, &b);
+        prop_assert_eq!(av.udiv(&bv).to_bits(), q);
+        prop_assert_eq!(av.urem(&bv).to_bits(), rem);
+        prop_assert_eq!(av.ult(&bv), ref_ult(&a, &b));
+        prop_assert_eq!(av.slt(&bv), ref_slt(&a, &b));
+        prop_assert_eq!(av.is_ones(), a.iter().all(|&x| x));
+        prop_assert_eq!(av.is_zero(), a.iter().all(|&x| !x));
+        let fits = a.iter().skip(64).all(|&x| !x);
+        prop_assert_eq!(av.try_to_u64(), fits.then(|| ref_amount(&a)));
+
+        // Shift amounts below, at and beyond the width, or all-random.
+        let amount = match pick {
+            0 => w as u64 - 1,
+            1 => w as u64,
+            2 => w as u64 + 1,
+            3 => r % w as u64,
+            4 => 64,
+            _ => r,
+        };
+        let s = if pick == 5 { b.clone() } else { bits_of(&[amount, 0, 0, 0], w) };
+        let (n, sv) = (ref_amount(&s), val(&s));
+        let sign = a[a.len() - 1];
+        prop_assert_eq!(av.shl(&sv).to_bits(), ref_shl(&a, n));
+        prop_assert_eq!(av.lshr(&sv).to_bits(), ref_shr(&a, n, false));
+        prop_assert_eq!(av.ashr(&sv).to_bits(), ref_shr(&a, n, sign));
+    }
+
+    #[test]
+    fn bv_wide_layout_matches_bit_serial_reference(
+        w in bv_width(), wb in bv_width(), aw in bv_words(), bw in bv_words(),
+        cut in any::<u64>(), grow in 0u32..140,
+    ) {
+        let (a, b) = (bits_of(&aw, w), bits_of(&bw, wb));
+        let (av, bv) = (val(&a), val(&b));
+        let joined: Bits = b.iter().chain(&a).copied().collect();
+        prop_assert_eq!(av.concat(&bv).to_bits(), joined);
+        let lo = (cut % w as u64) as u32;
+        let hi = lo + ((cut >> 32) % (w - lo) as u64) as u32;
+        prop_assert_eq!(av.extract(hi, lo).to_bits(), a[lo as usize..=hi as usize].to_vec());
+        let to = w + grow;
+        let sign = a[a.len() - 1];
+        let zext: Bits = a.iter().copied().chain(std::iter::repeat(false)).take(to as usize).collect();
+        let sext: Bits = a.iter().copied().chain(std::iter::repeat(sign)).take(to as usize).collect();
+        prop_assert_eq!(av.zext(to).to_bits(), zext);
+        prop_assert_eq!(av.sext(to).to_bits(), sext);
+
+        // Parsing and formatting.
+        let binary: String = a.iter().rev().map(|&x| if x { '1' } else { '0' }).collect();
+        prop_assert_eq!(BitVecValue::parse_binary(&binary), Some(av.clone()));
+        prop_assert_eq!(format!("{av:b}"), binary);
+        let hex = ref_hex(&a);
+        prop_assert_eq!(format!("{av:x}"), hex.clone());
+        prop_assert_eq!(format!("{av:?}"), format!("{w}'h{hex}"));
+        prop_assert_eq!(format!("{av}"), format!("{w}'h{hex}"));
+        let padded = av.zext(w.div_ceil(4) * 4);
+        prop_assert_eq!(BitVecValue::parse_hex(&hex), Some(padded));
+    }
+
+    #[test]
+    fn bv_identity_is_width_and_limbs(
+        w in bv_width(), wb in bv_width(), aw in bv_words(), bw in bv_words(), same in any::<bool>(),
+    ) {
+        // Half the cases compare values of equal width, a quarter equal values.
+        let wb = if same { w } else { wb };
+        let bw = if same && aw[0] & 1 == 0 { aw.clone() } else { bw };
+        let (a, b) = (bits_of(&aw, w), bits_of(&bw, wb));
+        let (av, bv) = (val(&a), val(&b));
+        let (ar, br) = (
+            LimbVecRepr { width: w, limbs: ref_limbs(&a) },
+            LimbVecRepr { width: wb, limbs: ref_limbs(&b) },
+        );
+        prop_assert_eq!(av == bv, (w, &a) == (wb, &b));
+        prop_assert_eq!(av.cmp(&bv), ar.cmp(&br));
+        prop_assert_eq!(std_hash(&av), std_hash(&ar));
+        if av == bv {
+            prop_assert_eq!(std_hash(&av), std_hash(&bv));
+        }
     }
 }
 
