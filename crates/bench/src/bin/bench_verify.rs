@@ -52,7 +52,12 @@ const COSIM_COMPILED_CYCLES: usize = 100_000;
 /// factor in geomean across designs; see [`check_artifact`].
 const COSIM_GATE: f64 = 100.0;
 
-fn best_run_with(cs: &CaseStudy, opts: &VerifyOptions, runs: usize) -> (f64, ModuleReport) {
+fn best_run(cs: &CaseStudy, jobs: usize, runs: usize, preprocess: bool) -> (f64, ModuleReport) {
+    let opts = &VerifyOptions {
+        jobs: Some(jobs),
+        preprocess,
+        ..Default::default()
+    };
     // One untimed warm-up run first: it pays the one-off costs (thread
     // pool spin-up, allocator growth, cold caches) that otherwise
     // dominate sub-millisecond designs and made tiny pooled runs look
@@ -72,15 +77,6 @@ fn best_run_with(cs: &CaseStudy, opts: &VerifyOptions, runs: usize) -> (f64, Mod
         }
     }
     (best_s, best_report.expect("runs >= 1"))
-}
-
-fn best_run(cs: &CaseStudy, jobs: usize, runs: usize, preprocess: bool) -> (f64, ModuleReport) {
-    let opts = VerifyOptions {
-        jobs: Some(jobs),
-        preprocess,
-        ..Default::default()
-    };
-    best_run_with(cs, &opts, runs)
 }
 
 /// Best-of-`runs` co-simulation throughput of both backends, in cycles
@@ -182,20 +178,6 @@ fn bench_rows(runs: usize) -> Vec<Value> {
         eprintln!("benchmarking {} ...", cs.name);
         let (sequential_s, seq_report) = best_run(&cs, 1, runs, true);
         let (pooled_s, pooled_report) = best_run(&cs, POOL_JOBS, runs, true);
-        // The clause-sharing leg: same pool, short learnt clauses
-        // exchanged between workers of a port. Its wall time rides
-        // along for the diff; the exchange counters prove the wiring
-        // is live on designs the adaptive threshold routes to the pool
-        // (designs below the threshold fall back and report zeros).
-        let (pooled_share_s, share_report) = best_run_with(
-            &cs,
-            &VerifyOptions {
-                jobs: Some(POOL_JOBS),
-                share_clauses: true,
-                ..Default::default()
-            },
-            runs,
-        );
         // The preprocessing A/B leg: CNF counters are deterministic, so
         // one --no-preprocess run is enough for the "pre" columns.
         let (_, pre_report) = best_run(&cs, 1, 1, false);
@@ -247,19 +229,6 @@ fn bench_rows(runs: usize) -> Vec<Value> {
             // job batches the scheduler cut (0 = the adaptive
             // threshold routed this design to the sequential engine).
             ("batch_count".into(), pooled_report.telemetry.batches.into()),
-            ("pooled_share_s".into(), pooled_share_s.into()),
-            (
-                "clauses_exported".into(),
-                share_report.telemetry.clauses_exported.into(),
-            ),
-            (
-                "clauses_imported".into(),
-                share_report.telemetry.clauses_imported.into(),
-            ),
-            (
-                "clauses_deduped".into(),
-                share_report.telemetry.clauses_deduped.into(),
-            ),
             ("lint_s".into(), lint_s.into()),
             ("absint_s".into(), absint_s.into()),
             ("absint_discharged".into(), absint_discharged.into()),
@@ -428,20 +397,15 @@ fn check_artifact(doc: &Value) -> Result<(), String> {
         row.get("instructions")
             .and_then(Value::as_u64)
             .ok_or_else(|| ctx("instructions"))?;
-        for key in ["sequential_s", "pooled_s", "speedup", "pooled_share_s", "lint_s"] {
+        for key in ["sequential_s", "pooled_s", "speedup", "lint_s"] {
             let v = row.get(key).and_then(Value::as_f64).ok_or_else(|| ctx(key))?;
             if !(v.is_finite() && v > 0.0) {
                 return Err(format!("{design}: {key} = {v} is not a positive time"));
             }
         }
-        for key in [
-            "batch_count",
-            "clauses_exported",
-            "clauses_imported",
-            "clauses_deduped",
-        ] {
-            row.get(key).and_then(Value::as_u64).ok_or_else(|| ctx(key))?;
-        }
+        row.get("batch_count")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| ctx("batch_count"))?;
         // The static-analysis pass must stay sub-second per design.
         let lint_s = row.get("lint_s").and_then(Value::as_f64).expect("checked");
         if lint_s >= 1.0 {

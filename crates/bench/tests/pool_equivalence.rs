@@ -1,8 +1,8 @@
 //! Scheduler-configuration equivalence on the real case studies.
 //!
-//! Every way of running the verifier — sequential, pooled, pooled with
-//! per-port batching disabled, pooled with learnt-clause sharing — must
-//! produce the same verdicts and the same telemetry span set. The span
+//! Every way of running the verifier — sequential, a forced pool, and a
+//! pool with the adaptive sequential fallback — must produce the same
+//! verdicts and the same telemetry span set. The span
 //! comparison uses [`gila_trace::span_set`], which ignores ordering and
 //! volatile timing fields but catches missing or extra work (a port
 //! that was never sliced, an instruction that was never solved).
@@ -43,17 +43,15 @@ fn pool_variants() -> Vec<(&'static str, VerifyOptions)> {
     // `par_threshold: 0` forces the pool even on designs the adaptive
     // default would route to the sequential fallback — these tests are
     // about the pool itself.
-    let pool = |batch_ports: bool, share_clauses: bool| VerifyOptions {
-        jobs: Some(4),
-        batch_ports,
-        share_clauses,
-        par_threshold: 0,
-        ..Default::default()
-    };
     vec![
-        ("jobs=4", pool(true, false)),
-        ("jobs=4 --no-batch-ports", pool(false, false)),
-        ("jobs=4 --share-clauses", pool(true, true)),
+        (
+            "jobs=4",
+            VerifyOptions {
+                jobs: Some(4),
+                par_threshold: 0,
+                ..Default::default()
+            },
+        ),
         // And once with the tuned default, so the adaptive fallback
         // itself is also proved verdict- and span-preserving.
         (

@@ -13,17 +13,18 @@ use gila_rtl::{parse_verilog, RtlModule};
 use gila_trace::Tracer;
 use gila_verify::{
     cex_to_vcd, identity_refmaps, render_all_properties, synthesize_module, validate_invariants,
-    verify_module, CheckResult, FaultPlan, ModuleReport, RefinementMap, SolveBudget,
-    VerifyError, VerifyOptions,
+    verify_module, CacheConfig, CheckResult, FaultPlan, ModuleReport, ProofCache, RefinementMap,
+    SolveBudget, VerifyError, VerifyOptions,
 };
 
 /// Commands return the process exit code; `Err` means a usage or input
 /// error (exit 2, mapped in `main`).
 pub(crate) type CmdResult = Result<u8, Box<dyn Error>>;
 
-/// Exit code for internal faults: a panicked verification job or a
-/// checkpoint/scheduler failure. Distinct from "property failed" so
-/// scripts can tell a refuted design from a broken run.
+/// Exit code for internal faults: a panicked verification job, a
+/// checkpoint journal that cannot be opened, or a scheduler failure.
+/// Distinct from "property failed" so scripts can tell a refuted design
+/// from a broken run.
 pub(crate) const EXIT_INTERNAL: u8 = 4;
 /// Exit code when at least one verdict is Unknown (budget exhausted).
 pub(crate) const EXIT_UNKNOWN: u8 = 3;
@@ -77,6 +78,14 @@ fn load_maps(flags: &[(String, String)]) -> Result<Vec<RefinementMap>, Box<dyn E
 /// the spec is checked against its own synthesized RTL with identity
 /// refinement maps (a self-check that exercises the whole pipeline).
 pub fn verify(flags: &[(String, String)]) -> CmdResult {
+    const KNOWN: &[&str] = &[
+        "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
+        "timeout-ms", "retries", "checkpoint", "no-preprocess", "no-absint", "par-threshold",
+        "vcd", "trace", "stats",
+    ];
+    if let Some((name, _)) = flags.iter().find(|(n, _)| !KNOWN.contains(&n.as_str())) {
+        return Err(format!("gila verify has no flag --{name} (see `gila help`)").into());
+    }
     let ila_path = flag(flags, "ila")
         .or_else(|| flag(flags, "spec"))
         .ok_or("missing required flag --ila (or --spec)")?;
@@ -121,31 +130,43 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         .map_err(|e| format!("GILA_FAULT_PLAN: {e}"))?
         .map(Arc::new);
     let defaults = VerifyOptions::default();
-    if flag(flags, "batch-ports").is_some() && flag(flags, "no-batch-ports").is_some() {
-        return Err("--batch-ports conflicts with --no-batch-ports".into());
-    }
     let par_threshold = parse_u64("par-threshold")?.unwrap_or(defaults.par_threshold);
+    let journal = match flag(flags, "checkpoint") {
+        Some(path) => {
+            let cfg = CacheConfig {
+                path: Some(PathBuf::from(path)),
+                ..CacheConfig::default()
+            };
+            match ProofCache::open(cfg) {
+                Ok(journal) => {
+                    let r = journal.recovery();
+                    eprintln!("journal: {} recovered, {} dropped", r.recovered, r.dropped);
+                    Some(Arc::new(journal))
+                }
+                Err(e) => {
+                    eprintln!("error: checkpoint {path}: {e}");
+                    return Ok(EXIT_INTERNAL);
+                }
+            }
+        }
+        None => None,
+    };
     let opts = VerifyOptions {
         stop_at_first_cex: flag(flags, "stop-at-first-cex").is_some(),
-        parallel: flag(flags, "parallel").is_some(),
-        incremental: flag(flags, "incremental").is_some(),
         jobs,
         tracer,
         budget,
         retries,
         fault_plan,
-        checkpoint: flag(flags, "checkpoint").map(PathBuf::from),
-        resume: flag(flags, "resume").map(PathBuf::from),
+        journal,
         preprocess: flag(flags, "no-preprocess").is_none(),
-        batch_ports: flag(flags, "no-batch-ports").is_none(),
         par_threshold,
-        share_clauses: flag(flags, "share-clauses").is_some(),
         absint: flag(flags, "no-absint").is_none(),
-        ..VerifyOptions::default()
+        ..defaults
     };
     let report = match verify_module(&ila, &rtl, &maps, &opts) {
         Ok(report) => report,
-        Err(e @ (VerifyError::Internal { .. } | VerifyError::Checkpoint { .. })) => {
+        Err(e @ VerifyError::Internal { .. }) => {
             eprintln!("error: {e}");
             return Ok(EXIT_INTERNAL);
         }
@@ -218,7 +239,7 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     } else if counts.unknown > 0 {
         println!(
             "RESULT: UNDECIDED ({} instruction(s) ran out of budget; \
-             raise --conflict-budget/--timeout-ms/--retries or --resume a checkpoint)",
+             raise --conflict-budget/--timeout-ms/--retries; with --checkpoint only they rerun)",
             counts.unknown
         );
         Ok(EXIT_UNKNOWN)
@@ -265,11 +286,14 @@ fn print_stats_table(report: &ModuleReport) {
     );
     if report.telemetry.batches > 0 {
         println!(
-            "  avg batch size: {:.1}   clauses shared: {} exported / {} imported / {} deduped",
-            report.telemetry.instructions as f64 / report.telemetry.batches as f64,
-            report.telemetry.clauses_exported,
-            report.telemetry.clauses_imported,
-            report.telemetry.clauses_deduped
+            "  avg batch size: {:.1}",
+            report.telemetry.instructions as f64 / report.telemetry.batches as f64
+        );
+    }
+    if report.telemetry.cache_hits + report.telemetry.cache_misses > 0 {
+        println!(
+            "  journal: {} hit(s) replayed, {} miss(es) verified",
+            report.telemetry.cache_hits, report.telemetry.cache_misses
         );
     }
     println!(

@@ -19,11 +19,10 @@ fn usage() -> ! {
 
 USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
-                 [--stop-at-first-cex] [--parallel] [--incremental] [--jobs N]
-                 [--conflict-budget N] [--timeout-ms N] [--retries N]
-                 [--checkpoint FILE] [--resume FILE] [--no-preprocess]
-                 [--no-absint] [--no-batch-ports] [--par-threshold N]
-                 [--share-clauses] [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
+                 [--stop-at-first-cex] [--jobs N] [--conflict-budget N]
+                 [--timeout-ms N] [--retries N] [--checkpoint FILE]
+                 [--no-preprocess] [--no-absint] [--par-threshold N]
+                 [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
   gila check-inv --rtl IMPL.v --invariant EXPR [--invariant EXPR ...] [--depth K]
@@ -50,8 +49,9 @@ EXIT CODES:
      error-class or --deny'ed diagnostic
   2  usage or input error
   3  undecided: at least one verdict is UNKNOWN (solve budget exhausted)
-  4  internal error (a verification job panicked, or a checkpoint/
-     scheduler failure); 4 beats 1 beats 3 when a run mixes outcomes
+  4  internal error (a verification job panicked, the checkpoint
+     journal could not be opened, or a scheduler failure); 4 beats 1
+     beats 3 when a run mixes outcomes
   5  (serve only) the drain budget expired with work still in flight;
      stragglers were cancelled, the cache journal stayed consistent
 
@@ -126,8 +126,7 @@ LINT OPTIONS:
 VERIFY OPTIONS:
   --jobs N             check instructions on a work-stealing pool of N
                        workers, each with a persistent incremental solver
-                       (0 = one per CPU, 1 = sequential); conflicts with
-                       --parallel
+                       (0 = one per CPU; 1, the default, = sequential)
   --spec SPEC.ila      alias for --ila; without --rtl/--map the spec is
                        checked against its own synthesized RTL (self-check)
   --conflict-budget N  give up on a solve after N SAT conflicts and report
@@ -135,11 +134,13 @@ VERIFY OPTIONS:
   --timeout-ms N       wall-clock budget per solve attempt, milliseconds
   --retries N          re-attempt exhausted instructions up to N times,
                        quadrupling the budget each attempt (default 0)
-  --checkpoint FILE    stream every decided verdict to FILE (JSONL), one
-                       flushed line per instruction, crash-safe
-  --resume FILE        replay decided verdicts from FILE and re-verify
-                       only undecided (unknown/panicked/missing) jobs;
-                       combine with --checkpoint to keep extending FILE
+  --checkpoint FILE    journal verdicts in FILE, the proof-cache format:
+                       properties FILE already answers (matched by
+                       content hash, so an edited spec or RTL never
+                       replays a stale verdict) are not re-solved, and
+                       every newly decided verdict is appended as one
+                       flushed line; prints 'journal: N recovered, M
+                       dropped' (torn or stale lines) to stderr
   --no-preprocess      disable the formula preprocessing pipeline
                        (cone-of-influence slicing, cached simplification,
                        SAT inprocessing) for A/B comparison; preprocessing
@@ -147,16 +148,9 @@ VERIFY OPTIONS:
   --no-absint          skip the abstract-interpretation fixpoint and the
                        invariant lemmas it asserts before BMC; on by
                        default, proven-sound, and verdict-preserving
-  --batch-ports        batch pool jobs per port so one worker amortizes a
-                       single unrolling + blast across the whole port;
-                       on by default, --no-batch-ports reverts to one job
-                       per instruction for A/B comparison
   --par-threshold N    route a pooled run to the persistent sequential
                        engine when its estimated blast work is below N
                        (0 = always pool; default tuned from bench data)
-  --share-clauses      exchange short learnt clauses between pool workers
-                       serving chunks of the same port; changes solver
-                       effort but never verdicts (off by default)
   --trace OUT          write a JSONL telemetry trace: one span per port,
                        instruction, SAT solve, CNF blast, and unroll event
   --stats              print a per-port solver/CNF/scheduling summary table"
@@ -177,8 +171,6 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
             if matches!(
                 name,
                 "stop-at-first-cex"
-                    | "parallel"
-                    | "incremental"
                     | "stats"
                     | "json"
                     | "all-designs"
@@ -186,9 +178,6 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
                     | "no-shrink"
                     | "no-preprocess"
                     | "no-absint"
-                    | "batch-ports"
-                    | "no-batch-ports"
-                    | "share-clauses"
                     | "no-cache"
                     | "shutdown"
                     | "ping"

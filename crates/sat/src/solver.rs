@@ -307,10 +307,6 @@ impl Solver {
     ///
     /// Clauses may be added between `solve` calls (incremental use).
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
-        self.add_clause_with(lits, false)
-    }
-
-    fn add_clause_with(&mut self, lits: impl IntoIterator<Item = Lit>, learnt: bool) -> bool {
         if !self.ok {
             return false;
         }
@@ -345,65 +341,10 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let len = simplified.len();
-                let cref = self.attach_new_clause(simplified, learnt);
-                if learnt {
-                    // Imported/redundant clauses must stay deletable:
-                    // a pessimistic literal-count LBD keeps them behind
-                    // the solver's own glue clauses in `reduce_db`.
-                    self.clauses[cref.0 as usize].lbd = len as u32;
-                    self.stats.learnt_clauses = self.learnt_count as u64;
-                }
+                self.attach_new_clause(simplified, false);
                 true
             }
         }
-    }
-
-    /// Copies out the learnt clauses currently in the database whose
-    /// length is at most `len_cap`, literals verbatim (deleted clauses
-    /// are skipped). Intended for clause sharing between solvers working
-    /// on the same CNF: short learnt clauses are the high-value ones,
-    /// and the cap bounds the copy.
-    pub fn export_learnts(&self, len_cap: usize) -> Vec<Vec<Lit>> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted && c.lits.len() <= len_cap)
-            .map(|c| c.lits.clone())
-            .collect()
-    }
-
-    /// Imports clauses previously exported from another solver over the
-    /// same variable numbering (see [`Solver::export_learnts`]). Each
-    /// clause is added as a *learnt* (redundant) clause, so the clause-DB
-    /// reduction policy may later drop it again. Clauses mentioning a
-    /// variable this solver has not allocated are skipped — they cannot
-    /// refer to anything here. Returns the number of clauses accepted.
-    ///
-    /// # Soundness
-    ///
-    /// The caller must guarantee every imported clause is implied by this
-    /// solver's own clause set (e.g. both solvers extend one shared CNF
-    /// prefix and the clause was learnt from — and only mentions — that
-    /// prefix). Importing an unimplied clause makes results meaningless.
-    pub fn import_clauses<'a, I>(&mut self, clauses: I) -> usize
-    where
-        I: IntoIterator<Item = &'a [Lit]>,
-    {
-        let mut imported = 0;
-        for clause in clauses {
-            if !self.ok {
-                break;
-            }
-            if clause
-                .iter()
-                .any(|l| l.var().index() >= self.assigns.len())
-            {
-                continue;
-            }
-            self.add_clause_with(clause.iter().copied(), true);
-            imported += 1;
-        }
-        imported
     }
 
     fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
@@ -1254,131 +1195,6 @@ mod tests {
 
     fn lits(s: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| s.new_var().positive()).collect()
-    }
-
-    #[test]
-    fn export_learnts_respects_len_cap_and_import_is_learnt() {
-        // PHP(4,3) forces conflicts, so the solver learns clauses.
-        let n = 4;
-        let m = 3;
-        let mut s = Solver::new();
-        let mut p = vec![vec![Lit(0); m]; n];
-        for row in p.iter_mut() {
-            for cell in row.iter_mut() {
-                *cell = s.new_var().positive();
-            }
-        }
-        for row in &p {
-            s.add_clause(row.iter().copied());
-        }
-        for j in 0..m {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    s.add_clause([!p[a][j], !p[b][j]]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let all = s.export_learnts(usize::MAX);
-        assert!(!all.is_empty(), "PHP(4,3) must learn clauses");
-        let capped = s.export_learnts(3);
-        assert!(capped.iter().all(|c| c.len() <= 3));
-        assert!(capped.len() <= all.len());
-
-        // Importing into a compatible solver keeps it consistent and the
-        // clauses land as learnt (re-exportable).
-        let mut t = Solver::new();
-        for _ in 0..(n * m) {
-            t.new_var();
-        }
-        for row in &p {
-            t.add_clause(row.iter().copied());
-        }
-        for j in 0..m {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    t.add_clause([!p[a][j], !p[b][j]]);
-                }
-            }
-        }
-        let imported = t.import_clauses(capped.iter().map(Vec::as_slice));
-        assert_eq!(imported, capped.len());
-        assert_eq!(t.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn import_skips_clauses_over_unallocated_vars() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause([v[0], v[1]]);
-        let alien = vec![Lit::new(Var(7), true)];
-        let ok = vec![!v[0], !v[1]];
-        let n = s.import_clauses([alien.as_slice(), ok.as_slice()]);
-        assert_eq!(n, 1);
-        assert!(s.solve().is_sat());
-    }
-
-    mod share_properties {
-        use super::super::*;
-        use proptest::prelude::*;
-
-        /// Non-tautological clauses of 2..=4 distinct variables out of 8:
-        /// consecutive variables (mod 8) starting anywhere, so the
-        /// literals are distinct by construction.
-        fn shareable_clause() -> impl Strategy<Value = Vec<Lit>> {
-            (
-                0u32..8,
-                2usize..=4,
-                proptest::collection::vec(any::<bool>(), 4),
-            )
-                .prop_map(|(start, len, signs)| {
-                    (0..len)
-                        .map(|i| Lit::new(Var((start + i as u32) % 8), signs[i]))
-                        .collect()
-                })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            /// Importing exported clauses into a fresh solver over the
-            /// same variables and re-exporting under the cap returns the
-            /// clause set verbatim (as stored: sorted, deduped), and a
-            /// tighter cap returns exactly the short subset.
-            #[test]
-            fn export_import_roundtrip_under_len_cap(
-                clauses in proptest::collection::vec(shareable_clause(), 1..12),
-            ) {
-                let mut s = Solver::new();
-                for _ in 0..8 {
-                    s.new_var();
-                }
-                let n = s.import_clauses(clauses.iter().map(Vec::as_slice));
-                prop_assert_eq!(n, clauses.len());
-                let mut expect: Vec<Vec<Lit>> = clauses
-                    .iter()
-                    .map(|c| {
-                        let mut c = c.clone();
-                        c.sort_unstable();
-                        c.dedup();
-                        c
-                    })
-                    .collect();
-                let mut got = s.export_learnts(4);
-                expect.sort();
-                got.sort();
-                prop_assert_eq!(got, expect.clone());
-                let mut short: Vec<Vec<Lit>> = expect
-                    .iter()
-                    .filter(|c| c.len() <= 2)
-                    .cloned()
-                    .collect();
-                let mut got2 = s.export_learnts(2);
-                short.sort();
-                got2.sort();
-                prop_assert_eq!(got2, short);
-            }
-        }
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!
 //! - [`protocol`] — byte- and depth-capped framing; socket-level
 //!   fault injection for tests rides the same write path.
-//! - [`cache`] — the proof cache: append-only JSONL journal in the
-//!   checkpoint format, torn-tail-tolerant recovery, LRU + byte
-//!   budget eviction, crash-safe compaction.
-//! - [`service`] — op dispatch and the cache seam into
-//!   `gila-verify`'s resume machinery.
+//! - the proof cache, [`ProofCache`] — `gila-verify`'s verdict journal
+//!   (append-only JSONL, torn-tail-tolerant recovery, LRU + byte budget
+//!   eviction, crash-safe compaction), re-exported here; the daemon and
+//!   `gila verify --checkpoint` share the one implementation.
+//! - [`service`] — op dispatch; a `verify` request hands the cache to
+//!   the engine as its journal.
 //! - [`server`] — admission control (bounded queue, load shedding
 //!   with retry hints), per-request deadlines and cancellation,
 //!   deadline watchdog with worker recycling, graceful drain.
@@ -29,13 +30,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use cache::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
+pub use gila_verify::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
 pub use client::{Client, ClientConfig, ClientError, Endpoint};
 pub use protocol::{Request, MAX_FRAME_BYTES, MAX_FRAME_DEPTH, PROTOCOL_VERSION};
 pub use server::{DrainOutcome, Listen, ServeConfig, Server, ServerHandle};

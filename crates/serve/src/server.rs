@@ -41,7 +41,7 @@ use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
 use gila_verify::FaultPlan;
 
-use crate::cache::{CacheConfig, ProofCache};
+use gila_verify::{CacheConfig, ProofCache};
 use crate::protocol::{
     parse_frame, parse_request, read_frame, response_error, response_ok, response_overloaded,
     response_shutting_down, write_frame, FrameCounter, Request, Stream,

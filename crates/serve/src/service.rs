@@ -1,18 +1,15 @@
-//! Request execution: design resolution, the cache seam, and the
-//! bridge into `gila-verify`.
+//! Request execution: design resolution and the bridge into
+//! `gila-verify`.
 //!
-//! The cache seam is deliberately thin. A `verify` request is keyed
-//! per instruction by [`gila_verify::slice_keys`]; hits are injected
-//! into [`VerifyOptions::decided`], which the engine's resume
-//! machinery treats exactly like checkpointed verdicts — the jobs are
+//! The cache seam is one field: a `verify` request hands the proof
+//! cache to the engine as its [`VerifyOptions::journal`]. The engine
+//! keys every instruction by [`gila_verify::slice_keys`]; hits are
 //! *never scheduled*, so a fully-warm request performs zero solver
-//! work (provable from telemetry: `solves == 0`). Misses run
-//! normally and their decided verdicts are journaled on the way out.
-//! Undecided outcomes (`unknown`, `panicked`) are never cached: "the
-//! budget was too small" is a property of the request, not of the
-//! design.
+//! work (provable from telemetry: `solves == 0`), and misses are
+//! journaled as they are decided. Undecided outcomes (`unknown`,
+//! `panicked`) are never cached: "the budget was too small" is a
+//! property of the request, not of the design.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,11 +19,8 @@ use gila_json::Value;
 use gila_rtl::RtlModule;
 use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
-use gila_verify::{
-    slice_keys, verify_module, FaultPlan, InstrVerdict, ModuleReport, RefinementMap, VerifyOptions,
-};
+use gila_verify::{verify_module, FaultPlan, ModuleReport, ProofCache, RefinementMap, VerifyOptions};
 
-use crate::cache::ProofCache;
 use crate::protocol::{response_error, response_ok, Request};
 
 /// The op-dispatch layer shared by the daemon and in-process callers
@@ -155,63 +149,11 @@ impl Service {
             .and_then(Value::as_bool)
             .unwrap_or(false);
 
-        // Content-address every (port, instruction) slice up front.
-        let keys = slice_keys(&module, &rtl, &maps).map_err(|e| e.to_string())?;
-        let mut key_of: HashMap<(String, String), String> = HashMap::new();
-        let mut decided: HashMap<(String, String), InstrVerdict> = HashMap::new();
-        let mut cache_hits = 0u64;
-        for sk in &keys {
-            key_of.insert((sk.port.clone(), sk.instruction.clone()), sk.key.clone());
-            if !use_cache {
-                continue;
-            }
-            if let Some((_, mut verdict)) = self.cache.lookup(&sk.key) {
-                // The key is semantic: a verdict cached under another
-                // name answers this instruction too. Re-label it, and
-                // zero the recorded effort: telemetry must describe
-                // *this run*, where the hit cost no solver work — the
-                // warm-path invariant `solves == 0` is load-bearing
-                // for tests and the bench.
-                verdict.instruction = sk.instruction.clone();
-                verdict.solves = 0;
-                verdict.retries = 0;
-                verdict.time = Duration::ZERO;
-                verdict.stats = Default::default();
-                verdict.cnf_growth = Default::default();
-                verdict.effort = Default::default();
-                verdict.queue_ns = 0;
-                verdict.batch_id = None;
-                verdict.batch_size = 0;
-                verdict.stolen = false;
-                verdict.worker = None;
-                verdict.clauses_exported = 0;
-                verdict.clauses_imported = 0;
-                verdict.clauses_deduped = 0;
-                verdict.inprocess = Default::default();
-                decided.insert((sk.port.clone(), sk.instruction.clone()), verdict);
-                cache_hits += 1;
-                self.tracer.record(|| {
-                    Event::new(SpanKind::CacheHit)
-                        .port(&sk.port)
-                        .instruction(&sk.instruction)
-                        .field("id", req.id)
-                });
-            } else {
-                self.tracer.record(|| {
-                    Event::new(SpanKind::CacheMiss)
-                        .port(&sk.port)
-                        .instruction(&sk.instruction)
-                        .field("id", req.id)
-                });
-            }
-        }
-        let cache_misses = keys.len() as u64 - cache_hits;
-
         let mut opts = VerifyOptions {
             jobs: self.jobs,
             tracer: self.tracer.clone(),
             cancel: Some(cancel),
-            decided,
+            journal: use_cache.then(|| Arc::clone(&self.cache)),
             fault_plan: self.fault_plan.clone(),
             ..VerifyOptions::default()
         };
@@ -224,32 +166,12 @@ impl Service {
         }
 
         let report = verify_module(&module, &rtl, &maps, &opts).map_err(|e| e.to_string())?;
-
-        // Journal freshly decided verdicts (misses only; hits were
-        // seeded and came back verbatim).
-        if use_cache {
-            for port in &report.ports {
-                for v in &port.verdicts {
-                    let pair = (port.port.clone(), v.instruction.clone());
-                    if opts.decided.contains_key(&pair) {
-                        continue;
-                    }
-                    let decided_result = matches!(
-                        v.result,
-                        gila_verify::CheckResult::Holds
-                            | gila_verify::CheckResult::CounterExample(_)
-                            | gila_verify::CheckResult::FinishNotReached { .. }
-                    );
-                    if !decided_result {
-                        continue;
-                    }
-                    if let Some(key) = key_of.get(&pair) {
-                        self.cache.insert(key, &port.port, v);
-                    }
-                }
-            }
-        }
-
+        let t = &report.telemetry;
+        let (cache_hits, cache_misses) = if use_cache {
+            (t.cache_hits, t.cache_misses)
+        } else {
+            (0, report.instructions_checked() as u64)
+        };
         Ok(report_to_json(
             &report,
             cache_hits,

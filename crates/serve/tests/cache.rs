@@ -348,6 +348,38 @@ fn warm_verify_does_zero_solver_work_and_edits_reprove_only_changed_slices() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// `gila verify --checkpoint` and the daemon share one journal
+/// implementation and one format: a journal written by a direct
+/// `verify_module` run warms a daemon opened on the same file.
+#[test]
+fn verify_module_journal_warms_a_service_on_the_same_file() {
+    let path = tmp_path("shared");
+    let (ila, rtl, maps) = parsed();
+    let journal = Arc::new(reopen(&path));
+    let opts = gila_verify::VerifyOptions {
+        journal: Some(Arc::clone(&journal)),
+        ..Default::default()
+    };
+    let report = gila_verify::verify_module(&ila, &rtl, &maps, &opts).unwrap();
+    assert!(report.all_hold());
+    assert!(report.telemetry.solves > 0);
+    assert_eq!(report.telemetry.cache_misses, 2);
+    drop((opts, journal));
+
+    let cache = Arc::new(reopen(&path));
+    assert_eq!(cache.recovery().recovered, 2);
+    assert_eq!(cache.recovery().dropped, 0);
+    let service = Service::new(Arc::clone(&cache), Tracer::disabled(), None, None);
+    let resp = service.execute(&inline_verify_request(1), CancelToken::new(), None);
+    let result = resp.get("result").unwrap();
+    let field = |name: &str| result.get(name).and_then(Value::as_u64).unwrap();
+    assert_eq!(field("solves"), 0, "the journal answers every slice");
+    assert_eq!(field("cache_hits"), 2);
+    assert_eq!(field("cache_misses"), 0);
+    assert_eq!(result.get("all_hold").and_then(Value::as_bool), Some(true));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn cancelled_request_reports_unknown_not_wrong_answers() {
     let cache = Arc::new(ProofCache::open(CacheConfig::default()).unwrap());

@@ -130,13 +130,6 @@ pub struct SmtSolver {
     /// retracted (by a permanent unit clause on the negation) when the
     /// scope pops; the blasted definitions stay shared across scopes.
     scopes: Vec<Lit>,
-    /// Variable index of *every* activation literal this solver ever
-    /// created, open or popped. Clause export must filter on this full
-    /// history, not just `scopes`: a learnt clause can mention the
-    /// activation variable of a long-popped scope, and that variable
-    /// means something entirely different (or nothing) in another
-    /// solver.
-    activation_vars: std::collections::HashSet<usize>,
     /// CNF grown by the most recent `check`/`check_assuming` call
     /// (blasting assumptions and array lemmas can add variables and
     /// clauses).
@@ -790,7 +783,6 @@ impl SmtSolver {
     /// all open scopes.
     pub fn push_scope(&mut self) -> usize {
         let activation = self.fresh();
-        self.activation_vars.insert(activation.var().index());
         self.scopes.push(activation);
         self.scopes.len()
     }
@@ -810,77 +802,6 @@ impl SmtSolver {
     /// Number of currently open assertion scopes.
     pub fn scope_depth(&self) -> usize {
         self.scopes.len()
-    }
-
-    /// Number of CNF variables allocated so far. Two solvers that
-    /// performed the same construction steps (same [`SmtSolver::encode`]
-    /// / [`SmtSolver::assert`] calls in the same order, from fresh) have
-    /// identical variable numbering up to this mark — the
-    /// `prefix_vars` bound for [`SmtSolver::export_shared_learnts`].
-    pub fn cnf_vars(&self) -> usize {
-        self.solver.num_vars()
-    }
-
-    /// Blasts `e` into the CNF cache — allocating variables and the
-    /// Tseitin definitional clauses — *without asserting it*. Used to
-    /// build a deterministic shared CNF prefix across solvers: the
-    /// definitions constrain nothing on their own (every assignment of
-    /// the original variables extends to the defined ones), so encoding
-    /// is always sound.
-    pub fn encode(&mut self, ctx: &ExprCtx, e: ExprRef) {
-        let _ = self.blast(ctx, e);
-    }
-
-    /// Raw pass-through to [`gila_sat::Solver::export_learnts`]: the
-    /// learnt clauses of length at most `len_cap`, with **no** safety
-    /// filtering. Prefer [`SmtSolver::export_shared_learnts`] for
-    /// anything that crosses solver boundaries.
-    pub fn export_learnts(&self, len_cap: usize) -> Vec<Vec<Lit>> {
-        self.solver.export_learnts(len_cap)
-    }
-
-    /// Learnt clauses of length at most `len_cap` that are safe to
-    /// import into another solver sharing this solver's first
-    /// `prefix_vars` CNF variables (see [`SmtSolver::cnf_vars`]).
-    ///
-    /// Two filters make the export sound:
-    ///
-    /// * **No activation literals** — a clause mentioning any activation
-    ///   variable this solver *ever* created (open or popped scope) is
-    ///   dropped. Such clauses are only implied relative to this
-    ///   solver's scope bookkeeping; imported elsewhere, a stale
-    ///   activation literal could silently disable (or re-enable) the
-    ///   importer's own scopes and flip verdicts.
-    /// * **Prefix variables only** — every literal must lie below
-    ///   `prefix_vars`. A clause over shared-prefix variables that
-    ///   contains no activation literal is implied by the prefix's
-    ///   definitional clauses alone (scoped asserts all carry an
-    ///   activation literal, and definitions added later are
-    ///   conservative extensions), so any solver with the same prefix
-    ///   may add it.
-    pub fn export_shared_learnts(&self, len_cap: usize, prefix_vars: usize) -> Vec<Vec<Lit>> {
-        self.solver
-            .export_learnts(len_cap)
-            .into_iter()
-            .filter(|clause| {
-                clause.iter().all(|l| {
-                    let v = l.var().index();
-                    v < prefix_vars && !self.activation_vars.contains(&v)
-                })
-            })
-            .collect()
-    }
-
-    /// Imports clauses produced by another solver's
-    /// [`SmtSolver::export_shared_learnts`] over an identical CNF
-    /// prefix. Returns the number of clauses accepted (they are added as
-    /// redundant/learnt clauses, so the clause-DB policy may drop them
-    /// again later).
-    pub fn import_shared_clauses<'a, I>(&mut self, clauses: I) -> usize
-    where
-        I: IntoIterator<Item = &'a [Lit]>,
-    {
-        self.solver.import_clauses(clauses)
     }
 
     /// Checks satisfiability of all assertions so far.
@@ -1734,133 +1655,5 @@ mod tests {
     #[should_panic(expected = "pop_scope without open scope")]
     fn pop_without_push_panics() {
         SmtSolver::new().pop_scope();
-    }
-
-    /// Demonstrates *why* activation literals must be filtered on export:
-    /// a stale `¬a` unit smuggled into another solver disables that
-    /// solver's open scope and flips an UNSAT verdict to SAT.
-    #[test]
-    fn stale_activation_clause_flips_verdict_without_filtering() {
-        let mut ctx = ExprCtx::new();
-        let x = ctx.var("x", Sort::Bool);
-
-        // Victim solver: encode x first so the activation literal of the
-        // scope opened next has a *known* variable index (= cnf_vars()
-        // right before push_scope).
-        let mut victim = SmtSolver::new();
-        victim.encode(&ctx, x);
-        let activation_var = victim.cnf_vars();
-        victim.push_scope();
-        victim.assert(&ctx, x);
-        // The scope is consistent: x itself is clearly satisfiable.
-        assert!(victim.check_assuming(&ctx, &[x]).is_sat());
-
-        // A "learnt" unit clause ¬a over the victim's *open* activation
-        // variable — exactly what another worker's raw export could
-        // contain after popping a scope with the same variable numbering
-        // (pop_scope records the permanent unit ¬a, and anything learnt
-        // from it). The raw import API performs no activation filtering
-        // by design.
-        let stale = vec![Lit::from_index(2 * activation_var)];
-        assert_eq!(victim.import_shared_clauses([stale.as_slice()]), 1);
-
-        // Every check assumes the open scope's activation literal `a`;
-        // the imported unit ¬a contradicts the assumption at the root,
-        // so a satisfiable query now reports UNSAT — a bogus proof.
-        assert!(
-            !victim.check_assuming(&ctx, &[x]).is_sat(),
-            "stale activation unit should have poisoned the open scope"
-        );
-    }
-
-    /// The shared-export filter drops every clause touching an
-    /// activation variable (open *or popped*) or a variable above the
-    /// shared-prefix mark, so the flip above cannot happen between
-    /// workers using `export_shared_learnts`.
-    #[test]
-    fn shared_export_filters_activation_and_out_of_prefix_vars() {
-        let mut ctx = ExprCtx::new();
-        let p = ctx.var("p", Sort::Bv(6));
-        let q = ctx.var("q", Sort::Bv(6));
-        let sum = ctx.bvadd(p, q);
-
-        let mut smt = SmtSolver::new();
-        // Deterministic shared prefix: definitional CNF only.
-        smt.encode(&ctx, sum);
-        let mark = smt.cnf_vars();
-
-        // A scoped multiplication-commutativity disequality is UNSAT
-        // only after real search, so the solver learns clauses over the
-        // scope's fresh (post-prefix) variables; pop afterwards so the
-        // activation variable also enters the popped history.
-        smt.push_scope();
-        let l = ctx.bvmul(p, q);
-        let r = ctx.bvmul(q, p);
-        let ne = ctx.ne(l, r);
-        smt.assert(&ctx, ne);
-        assert!(!smt.check().is_sat());
-        smt.pop_scope();
-
-        let raw = smt.export_learnts(usize::MAX);
-        assert!(
-            !raw.is_empty(),
-            "a search-heavy UNSAT must leave learnt clauses behind"
-        );
-
-        let shared = smt.export_shared_learnts(usize::MAX, mark);
-        for clause in &shared {
-            for lit in clause {
-                let v = lit.var().index();
-                assert!(v < mark, "shared clause escapes the prefix: var {v}");
-            }
-        }
-        // The raw export is a strict superset in this setup: conflicts
-        // were driven by the scoped disequality, so unfiltered learnts
-        // mention activation or post-prefix variables.
-        assert!(
-            raw.len() > shared.len(),
-            "expected raw export ({}) to contain clauses the shared filter drops ({})",
-            raw.len(),
-            shared.len()
-        );
-    }
-
-    /// Clauses that do pass the shared filter are sound to import: the
-    /// importer's verdicts are unchanged on both SAT and UNSAT queries.
-    #[test]
-    fn shared_import_preserves_verdicts() {
-        let mut ctx = ExprCtx::new();
-        let p = ctx.var("p", Sort::Bv(6));
-        let q = ctx.var("q", Sort::Bv(6));
-        let sum = ctx.bvadd(p, q);
-
-        // Exporter and importer run the identical prefix construction.
-        let mut exporter = SmtSolver::new();
-        exporter.encode(&ctx, sum);
-        let mark = exporter.cnf_vars();
-        let mut importer = SmtSolver::new();
-        importer.encode(&ctx, sum);
-        assert_eq!(importer.cnf_vars(), mark, "prefixes must align");
-
-        for target in [3u64, 17, 40] {
-            exporter.push_scope();
-            let eq_t = ctx.eq_u64(sum, target);
-            exporter.assert(&ctx, eq_t);
-            let _ = exporter.check();
-            exporter.pop_scope();
-        }
-        let shared = exporter.export_shared_learnts(8, mark);
-        let imported = importer.import_shared_clauses(shared.iter().map(Vec::as_slice));
-        assert_eq!(imported, shared.len());
-
-        // UNSAT query stays UNSAT, SAT query stays SAT with a correct model.
-        let contradiction = ctx.ne(sum, sum);
-        assert!(!importer.check_assuming(&ctx, &[contradiction]).is_sat());
-        importer.push_scope();
-        let eq = ctx.eq_u64(sum, 21);
-        importer.assert(&ctx, eq);
-        assert!(importer.check().is_sat());
-        assert_eq!(importer.model_value(&ctx, sum).as_bv().to_u64(), 21);
-        importer.pop_scope();
     }
 }

@@ -361,13 +361,12 @@ pub struct Telemetry {
     /// Distinct scheduler batches (pooled runs; 0 on the sequential
     /// path, where the notion of a batch does not exist).
     pub batches: u64,
-    /// Learnt clauses published to the shared pool across all workers.
-    pub clauses_exported: u64,
-    /// Shared-pool clauses imported into worker solvers.
-    pub clauses_imported: u64,
-    /// Shared-pool clauses skipped by per-worker dedup (already seen or
-    /// self-published).
-    pub clauses_deduped: u64,
+    /// Instructions answered from the verdict journal without solving
+    /// (0 when the run has no journal).
+    pub cache_hits: u64,
+    /// Instructions the verdict journal could not answer, so they were
+    /// scheduled for solving (0 when the run has no journal).
+    pub cache_misses: u64,
     /// Inductive invariants proved by the abstract interpreter and
     /// asserted as solver-level lemmas (summed over port plans).
     pub invariants_proved: u64,
@@ -407,9 +406,8 @@ impl Telemetry {
             inprocess_failed_literals: self.inprocess_failed_literals
                 + other.inprocess_failed_literals,
             batches: self.batches + other.batches,
-            clauses_exported: self.clauses_exported + other.clauses_exported,
-            clauses_imported: self.clauses_imported + other.clauses_imported,
-            clauses_deduped: self.clauses_deduped + other.clauses_deduped,
+            cache_hits: self.cache_hits + other.cache_hits,
+            cache_misses: self.cache_misses + other.cache_misses,
             invariants_proved: self.invariants_proved + other.invariants_proved,
             lints_discharged_static: self.lints_discharged_static
                 + other.lints_discharged_static,
@@ -453,9 +451,8 @@ impl Telemetry {
                 self.inprocess_failed_literals.into(),
             ),
             ("batches".into(), self.batches.into()),
-            ("clauses_exported".into(), self.clauses_exported.into()),
-            ("clauses_imported".into(), self.clauses_imported.into()),
-            ("clauses_deduped".into(), self.clauses_deduped.into()),
+            ("cache_hits".into(), self.cache_hits.into()),
+            ("cache_misses".into(), self.cache_misses.into()),
             ("invariants_proved".into(), self.invariants_proved.into()),
             (
                 "lints_discharged_static".into(),

@@ -8,16 +8,19 @@
 //! (bound, finish condition, strengthening, input policy, invariants).
 //! Two specs that differ only outside a property's cone — comments,
 //! unrelated ports, renamed instructions, logic sliced away — produce
-//! the same key, which is what makes the `gila serve` proof cache an
-//! *incremental re-verification* mechanism: edit one instruction and
-//! only the keys whose slice actually changed miss the cache.
+//! the same key, which is what makes the proof cache
+//! ([`crate::ProofCache`], behind both `gila serve` and `gila verify
+//! --checkpoint`) an *incremental re-verification* mechanism: edit one
+//! instruction and only the keys whose slice actually changed miss the
+//! cache.
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
-//! Scheduling (`jobs`, `batch_ports`, `par_threshold`, `share_clauses`),
-//! preprocessing, and telemetry change solver effort, never answers;
-//! budgets (`budget`, `retries`) change only *decidability*, and
-//! undecided verdicts (`unknown`, `panicked`) are never cached. If an
+//! Scheduling (`jobs`, `par_threshold`), preprocessing (`preprocess`,
+//! `absint`), and telemetry change solver effort, never answers;
+//! budgets (`budget`, `retries`) and cancellation change only
+//! *decidability*, and undecided verdicts (`unknown`, `panicked`) are
+//! never journaled. If an
 //! option that can change a decided verdict is ever added (say, an
 //! approximation mode), it must be folded into [`CACHE_KEY_VERSION`]'s
 //! material — see the "Serving" section of DESIGN.md.
@@ -36,7 +39,7 @@ use gila_expr::{ExprCtx, ExprNode, ExprRef};
 use gila_mc::{coi_slice, support, TransitionSystem};
 use gila_rtl::RtlModule;
 
-use crate::engine::{rtl_to_ts, PortPlan, VerifyError};
+use crate::engine::{map_for, rtl_to_ts, PortPlan, VerifyError};
 use crate::refmap::RefinementMap;
 
 /// Version tag folded into every key. Bump whenever the key material or
@@ -75,19 +78,23 @@ pub fn slice_keys(
     rtl: &RtlModule,
     maps: &[RefinementMap],
 ) -> Result<Vec<SliceKey>, VerifyError> {
-    let map_for = |port: &PortIla| -> Result<&RefinementMap, VerifyError> {
-        maps.iter()
-            .find(|m| m.name == port.name())
-            .or_else(|| maps.iter().find(|m| m.name == "*"))
-            .ok_or_else(|| VerifyError::UnknownRtlSignal {
-                signal: port.name().to_string(),
-                context: "no refinement map for port".to_string(),
-            })
-    };
+    let targets = module
+        .ports()
+        .iter()
+        .map(|port| Ok((port, map_for(maps, port)?)))
+        .collect::<Result<Vec<_>, VerifyError>>()?;
+    keys_of(&targets, rtl)
+}
+
+/// The keys of every instruction of `targets`, each port paired with
+/// its refinement map, in declaration order.
+pub(crate) fn keys_of(
+    targets: &[(&PortIla, &RefinementMap)],
+    rtl: &RtlModule,
+) -> Result<Vec<SliceKey>, VerifyError> {
     let (ts, ts_signals) = rtl_to_ts(rtl)?;
     let mut keys = Vec::new();
-    for port in module.ports() {
-        let map = map_for(port)?;
+    for &(port, map) in targets {
         let plan = PortPlan::build(port, rtl, map, &ts_signals)?;
         // Memo tables survive across this port's instructions: the
         // hash-consed contexts only grow, so shared subgraphs hash once.

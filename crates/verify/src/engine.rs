@@ -15,11 +15,14 @@
 //! on the work-stealing pool in [`crate::scheduler`], where each worker
 //! owns a persistent unrolling and incremental solver so the blasted
 //! transition relation and learned clauses are paid once per worker.
+//! With a [`VerifyOptions::journal`], properties whose content key
+//! ([`crate::SliceKey`]) the journal already answers are never
+//! scheduled, and every freshly decided verdict is journaled as it
+//! lands.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,8 +36,9 @@ use gila_smt::{
 };
 use gila_trace::{Event, SpanKind, Telemetry, Tracer};
 
-use crate::checkpoint::CheckpointWriter;
+use crate::cache_key::keys_of;
 use crate::fault::{FaultAction, FaultPlan};
+use crate::journal::ProofCache;
 use crate::refmap::{FinishCondition, InputPolicy, RefinementMap};
 
 /// An error in the verification setup (not a property failure).
@@ -73,24 +77,11 @@ pub enum VerifyError {
     ),
     /// A finish bound of zero cycles was requested.
     BadBound,
-    /// The [`VerifyOptions`] combine settings that contradict each other
-    /// (e.g. the legacy `parallel` flag with `stop_at_first_cex`).
-    BadOptions {
-        /// Which combination is rejected and what to use instead.
-        reason: String,
-    },
     /// The RTL module is internally inconsistent (e.g. an init value
     /// whose sort does not match its register, or a next-state function
     /// for an undeclared signal).
     MalformedRtl {
         /// What was inconsistent.
-        reason: String,
-    },
-    /// A checkpoint file could not be written, read, or parsed.
-    Checkpoint {
-        /// The offending file.
-        path: String,
-        /// The underlying problem.
         reason: String,
     },
     /// An internal engine failure (e.g. the worker pool could not be
@@ -122,11 +113,7 @@ impl fmt::Display for VerifyError {
             ),
             VerifyError::Verilog(e) => write!(f, "{e}"),
             VerifyError::BadBound => write!(f, "finish condition must allow at least one cycle"),
-            VerifyError::BadOptions { reason } => write!(f, "conflicting options: {reason}"),
             VerifyError::MalformedRtl { reason } => write!(f, "malformed RTL: {reason}"),
-            VerifyError::Checkpoint { path, reason } => {
-                write!(f, "checkpoint {path}: {reason}")
-            }
             VerifyError::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }
@@ -261,7 +248,7 @@ impl CheckResult {
         matches!(self, CheckResult::JobPanicked { .. })
     }
 
-    /// Stable lowercase tag, used in trace spans and checkpoints.
+    /// Stable lowercase tag, used in trace spans and the journal.
     pub fn tag(&self) -> &'static str {
         match self {
             CheckResult::Holds => "holds",
@@ -322,19 +309,34 @@ pub struct InstrVerdict {
     /// rather than taken from the worker's own queue or the global
     /// injector. Shared by every verdict of the batch.
     pub stolen: bool,
-    /// Learnt clauses this instruction's worker published to the shared
-    /// clause pool after the check (0 unless `--share-clauses`).
-    pub clauses_exported: u64,
-    /// Shared-pool clauses imported into the worker's solver after the
-    /// check (0 unless `--share-clauses`).
-    pub clauses_imported: u64,
-    /// Shared-pool clauses skipped by the worker's dedup filter —
-    /// already imported earlier or published by the worker itself.
-    pub clauses_deduped: u64,
     /// What the inprocessing pass run after this job reclaimed from the
     /// shared clause database (all-zero when preprocessing is off or
     /// the pass found nothing).
     pub inprocess: InprocessStats,
+}
+
+impl InstrVerdict {
+    /// A verdict that cost this run nothing: every effort, size and
+    /// scheduling field is zero. This is how a journal replays a verdict
+    /// it answers by content key.
+    pub(crate) fn replayed(instruction: String, result: CheckResult) -> InstrVerdict {
+        InstrVerdict {
+            instruction,
+            result,
+            time: Duration::ZERO,
+            stats: BlastStats::default(),
+            cnf_growth: BlastStats::default(),
+            effort: SolverStats::default(),
+            solves: 0,
+            retries: 0,
+            worker: None,
+            batch_id: None,
+            batch_size: 0,
+            queue_ns: 0,
+            stolen: false,
+            inprocess: InprocessStats::default(),
+        }
+    }
 }
 
 /// The verification report for one port.
@@ -484,23 +486,18 @@ pub struct VerifyOptions {
     /// "Time (bug)" measurement). Under a worker pool (`jobs`) this
     /// cancels outstanding work as soon as any worker finds one.
     pub stop_at_first_cex: bool,
-    /// Legacy flag: check a port's instructions on parallel threads.
-    /// Now served by a bounded worker pool; conflicts with
-    /// `stop_at_first_cex`, `incremental`, and `jobs` (a
-    /// [`VerifyError::BadOptions`] error). Prefer `jobs`.
-    pub parallel: bool,
-    /// Share one incremental SAT solver (and one unrolling) across all
-    /// of a port's instructions, discharging each property under
-    /// assumptions so learned clauses and the blasted transition
-    /// relation are reused. Pool workers (`jobs` ≥ 2) are always
-    /// incremental in this sense; with `jobs = Some(1)` this picks the
-    /// shared-engine sequential path.
-    pub incremental: bool,
-    /// Size of the work-stealing verification pool:
-    /// `None` — legacy behavior (sequential, or `parallel`/`incremental`
-    /// if set); `Some(0)` — one worker per available CPU;
-    /// `Some(1)` — sequential; `Some(n)` — a pool of exactly `n`
-    /// workers, each owning a persistent unrolling + incremental solver.
+    /// How the run executes — the one execution policy:
+    ///
+    /// - `None` or `Some(1)`: sequentially, in declaration order, on one
+    ///   persistent engine per port (throwaway per-instruction engines
+    ///   when `preprocess` is off);
+    /// - `Some(0)`: a work-stealing pool of one worker per available CPU;
+    /// - `Some(n)`: a pool of `n` workers.
+    ///
+    /// A pool batches each port's instructions into contiguous chunks,
+    /// and every worker owns a persistent unrolling and incremental
+    /// solver. A pooled run whose estimated blast work is below
+    /// `par_threshold` falls back to the sequential engine.
     pub jobs: Option<usize>,
     /// Telemetry tracer; every unroll/blast/solve/instruction/port
     /// event of the run is emitted through it. Defaults to the
@@ -517,28 +514,19 @@ pub struct VerifyOptions {
     /// Test-only fault injection: panics, forced unknowns, and delays
     /// per (port, instruction). `None` (the default) injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Stream every decided verdict to this JSONL checkpoint file
-    /// (created fresh, replacing any previous content).
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from a checkpoint written by a previous run: jobs already
-    /// decided there (holds / cex / unreached) are not re-verified, and
-    /// newly decided verdicts are appended to the same file. `unknown`
-    /// and `panicked` entries are re-verified.
-    pub resume: Option<PathBuf>,
+    /// The verdict journal ([`ProofCache`]). Every property is keyed by
+    /// its content ([`crate::slice_keys`]); properties the journal
+    /// answers are credited without solving (relabelled to the current
+    /// instruction name, with zero effort), and every freshly decided
+    /// verdict is journaled as it lands. Undecided outcomes are never
+    /// journaled. `None` (the default) solves everything.
+    pub journal: Option<Arc<ProofCache>>,
     /// Formula preprocessing (on by default; `--no-preprocess` for A/B
     /// comparisons): cone-of-influence slicing of the transition system
     /// per port plan, cached expression simplification before blasting,
     /// persistent per-port solver reuse on the sequential path, and a
     /// bounded SAT inprocessing pass between instructions.
     pub preprocess: bool,
-    /// Batch pool jobs per port (on by default; `--no-batch-ports` for
-    /// A/B comparisons): one work item carries a whole `PortPlan` — or
-    /// a chunk of one when the port has more instructions than the
-    /// pool can otherwise keep busy — so a single worker amortizes one
-    /// unrolling + blast across the port instead of paying it per
-    /// instruction. Off, the pool reverts to one job per
-    /// `(port, instruction)` pair.
-    pub batch_ports: bool,
     /// Adaptive sequential fallback: a pooled run whose estimated blast
     /// work ([`ctx.dag_size`](gila_expr::ExprCtx::dag_size) of each
     /// port's sliced frame logic times its unroll depth) falls below
@@ -546,24 +534,12 @@ pub struct VerifyOptions {
     /// instead, so small designs never pay pool overhead. `0` disables
     /// the fallback (always pool when `jobs` asks for one).
     pub par_threshold: u64,
-    /// Exchange short learnt clauses between pool workers serving the
-    /// same port (off by default): workers publish activation-free
-    /// learnt clauses over the port's shared CNF prefix to a
-    /// lock-striped pool between instructions and import what peers
-    /// published. Changes solver effort, never verdicts.
-    pub share_clauses: bool,
     /// External cancellation: when this token is cancelled (by a
     /// disconnecting client, a watchdog, or any other supervisor), every
     /// engine of the run fast-fails its remaining solves with
     /// [`CheckResult::Unknown`] (`reason: cancelled`). `None` (the
     /// default) leaves cancellation to the run's internal token.
     pub cancel: Option<CancelToken>,
-    /// Externally decided verdicts keyed by `(port, instruction)` — the
-    /// proof cache's seam. Jobs found here are not re-verified; they are
-    /// merged with `resume` entries (and win over them) and flow into
-    /// reports exactly like resumed checkpoint verdicts, with zero
-    /// solver work.
-    pub decided: HashMap<(String, String), InstrVerdict>,
     /// Abstract interpretation (on by default; `--no-absint` for A/B
     /// comparisons): run the `gila-absint` widening fixpoint over each
     /// port's sliced transition system and assert every proven
@@ -580,21 +556,15 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             stop_at_first_cex: false,
-            parallel: false,
-            incremental: false,
             jobs: None,
             tracer: Tracer::default(),
             budget: SolveBudget::default(),
             retries: 0,
             fault_plan: None,
-            checkpoint: None,
-            resume: None,
+            journal: None,
             preprocess: true,
-            batch_ports: true,
             par_threshold: DEFAULT_PAR_THRESHOLD,
-            share_clauses: false,
             cancel: None,
-            decided: HashMap::new(),
             absint: true,
         }
     }
@@ -626,45 +596,39 @@ pub(crate) struct JobPolicy {
     pub(crate) cancel: Option<CancelToken>,
 }
 
-/// Shared run state: job policy, checkpoint sink, and verdicts resumed
-/// from a previous run's checkpoint, keyed by `(port, instruction)`.
+/// Shared run state: job policy, tracer, and the run's view of the
+/// verdict journal — the content key of every property and the
+/// verdicts the journal answered, both keyed by `(port, instruction)`.
 pub(crate) struct RunCtx<'t> {
     pub(crate) policy: JobPolicy,
     pub(crate) tracer: &'t Tracer,
-    pub(crate) checkpoint: Option<Arc<CheckpointWriter>>,
-    pub(crate) resumed: HashMap<(String, String), InstrVerdict>,
+    journal: Option<&'t ProofCache>,
+    keys: HashMap<(String, String), String>,
+    replayed: HashMap<(String, String), InstrVerdict>,
 }
 
 impl<'t> RunCtx<'t> {
-    /// A plain context with no budget, faults, or checkpointing.
+    /// A plain context with no budget, faults, or journal.
     #[cfg(test)]
     pub(crate) fn plain(tracer: &'t Tracer) -> Self {
         RunCtx {
             policy: JobPolicy::default(),
             tracer,
-            checkpoint: None,
-            resumed: HashMap::new(),
+            journal: None,
+            keys: HashMap::new(),
+            replayed: HashMap::new(),
         }
     }
 
-    fn from_opts(opts: &'t VerifyOptions) -> Result<Self, VerifyError> {
-        let mut resumed = match &opts.resume {
-            Some(path) => crate::checkpoint::load_resume(path)?,
-            None => HashMap::new(),
-        };
-        // Externally decided verdicts (the proof cache) win over resumed
-        // checkpoint entries: the cache key covers the property content,
-        // a checkpoint file only its name.
-        resumed.extend(opts.decided.clone());
-        // `--checkpoint` starts a fresh file; `--resume` alone keeps
-        // appending to the file it read, so an interrupted resumed run
-        // can itself be resumed.
-        let checkpoint = match (&opts.checkpoint, &opts.resume) {
-            (Some(path), _) => Some(Arc::new(CheckpointWriter::create(path)?)),
-            (None, Some(path)) => Some(Arc::new(CheckpointWriter::append(path)?)),
-            (None, None) => None,
-        };
-        Ok(RunCtx {
+    /// The run context for `targets`. With a journal, every property is
+    /// keyed once up front and looked up, emitting one `cache_hit` or
+    /// `cache_miss` event per property.
+    fn new(
+        opts: &'t VerifyOptions,
+        targets: &[(&PortIla, &RefinementMap)],
+        rtl: &RtlModule,
+    ) -> Result<Self, VerifyError> {
+        let mut ctx = RunCtx {
             policy: JobPolicy {
                 budget: opts.budget,
                 retries: opts.retries,
@@ -673,25 +637,59 @@ impl<'t> RunCtx<'t> {
                 cancel: opts.cancel.clone(),
             },
             tracer: &opts.tracer,
-            checkpoint,
-            resumed,
-        })
+            journal: opts.journal.as_deref(),
+            keys: HashMap::new(),
+            replayed: HashMap::new(),
+        };
+        let Some(journal) = ctx.journal else {
+            return Ok(ctx);
+        };
+        for sk in keys_of(targets, rtl)? {
+            let hit = journal.lookup(&sk.key);
+            ctx.tracer.record(|| {
+                let kind = if hit.is_some() {
+                    SpanKind::CacheHit
+                } else {
+                    SpanKind::CacheMiss
+                };
+                Event::new(kind).port(&sk.port).instruction(&sk.instruction)
+            });
+            let pair = (sk.port, sk.instruction);
+            if let Some((_, v)) = hit {
+                // The key is semantic: a verdict journaled under another
+                // name answers this instruction too.
+                let v = InstrVerdict::replayed(pair.1.clone(), v.result);
+                ctx.replayed.insert(pair.clone(), v);
+            }
+            ctx.keys.insert(pair, sk.key);
+        }
+        Ok(ctx)
     }
 
-    /// The resumed verdict for a job, if its checkpoint entry decided it.
-    pub(crate) fn resumed_verdict(&self, port: &str, instr: &str) -> Option<InstrVerdict> {
-        self.resumed
+    /// The journal's verdict for a job, if it answered the job's key.
+    pub(crate) fn replayed(&self, port: &str, instr: &str) -> Option<InstrVerdict> {
+        self.replayed
             .get(&(port.to_string(), instr.to_string()))
             .cloned()
     }
 
-    /// Streams a decided verdict to the checkpoint, if one is open.
-    /// Write failures are swallowed: a broken checkpoint must not take
-    /// down an otherwise healthy verification run.
-    pub(crate) fn record_checkpoint(&self, port: &str, verdict: &InstrVerdict) {
-        if let Some(w) = &self.checkpoint {
-            w.record(port, verdict);
+    /// Journals a freshly decided verdict under its content key (the
+    /// journal ignores undecided ones).
+    pub(crate) fn record(&self, port: &str, verdict: &InstrVerdict) {
+        let Some(journal) = self.journal else {
+            return;
+        };
+        if let Some(key) = self.keys.get(&(port.to_string(), verdict.instruction.clone())) {
+            journal.insert(key, port, verdict);
         }
+    }
+
+    /// Adds `port`'s journal lookups to its telemetry.
+    fn add_cache_telemetry(&self, port: &str, t: &mut Telemetry) {
+        let keyed = self.keys.keys().filter(|(p, _)| p == port).count() as u64;
+        let hits = self.replayed.keys().filter(|(p, _)| p == port).count() as u64;
+        t.cache_hits += hits;
+        t.cache_misses += keyed - hits;
     }
 }
 
@@ -1112,9 +1110,6 @@ pub(crate) fn check_instruction_planned(
         batch_size: meta.batch_size,
         queue_ns: meta.queue_ns,
         stolen: meta.stolen,
-        clauses_exported: 0,
-        clauses_imported: 0,
-        clauses_deduped: 0,
         inprocess: InprocessStats::default(),
     })
 }
@@ -1202,9 +1197,6 @@ pub(crate) fn run_job_guarded(
                 batch_size: meta.batch_size,
                 queue_ns: meta.queue_ns,
                 stolen: meta.stolen,
-                clauses_exported: 0,
-                clauses_imported: 0,
-                clauses_deduped: 0,
                 inprocess: InprocessStats::default(),
             })
         }
@@ -1525,75 +1517,29 @@ fn record_solve(
     });
 }
 
-/// How a run executes after option validation.
-enum ExecMode {
-    Sequential { incremental: bool },
-    Pool { workers: usize },
-}
-
-fn validate_options(opts: &VerifyOptions) -> Result<(), VerifyError> {
-    let bad = |reason: &str| {
-        Err(VerifyError::BadOptions {
-            reason: reason.to_string(),
-        })
-    };
-    if opts.parallel && opts.stop_at_first_cex {
-        return bad(
-            "`parallel` with `stop_at_first_cex` — first-cex timing needs declaration \
-             order; use `jobs` for a pool that cancels on the first counterexample",
-        );
-    }
-    if opts.parallel && opts.incremental {
-        return bad(
-            "`parallel` with `incremental` — the legacy mode cannot share a solver \
-             across threads; use `jobs`, whose workers are incremental by construction",
-        );
-    }
-    if opts.parallel && opts.jobs.is_some() {
-        return bad("`parallel` with `jobs` — `jobs` supersedes `parallel`; set only `jobs`");
-    }
-    if opts.incremental && matches!(opts.jobs, Some(n) if n != 1) {
-        return bad(
-            "`incremental` with a multi-worker `jobs` pool — pool workers are already \
-             incremental by construction; drop `incremental` or set `jobs` to 1",
-        );
-    }
-    Ok(())
-}
-
-fn resolve_mode(opts: &VerifyOptions, total_jobs: usize) -> ExecMode {
-    match opts.jobs {
-        Some(1) => ExecMode::Sequential {
-            incremental: opts.incremental,
-        },
-        Some(0) => ExecMode::Pool {
-            workers: default_workers(),
-        },
-        Some(n) => ExecMode::Pool { workers: n },
-        None if opts.parallel && total_jobs > 1 => ExecMode::Pool {
-            workers: default_workers(),
-        },
-        None => ExecMode::Sequential {
-            incremental: opts.incremental,
-        },
+/// The pool size [`VerifyOptions::jobs`] asks for, or `None` for the
+/// sequential engine.
+fn pool_size(jobs: Option<usize>) -> Option<usize> {
+    match jobs {
+        None | Some(1) => None,
+        Some(0) => Some(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        ),
+        Some(n) => Some(n),
     }
 }
 
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs a port's instructions in declaration order: one throwaway
-/// engine per instruction, or (incremental) one engine for all of them.
-/// Jobs decided by a resumed checkpoint are not re-run; a panicking job
-/// is isolated ([`run_job_guarded`]) and, in incremental mode, costs
-/// only a rebuild of the shared engine.
+/// Runs a port's instructions in declaration order: one persistent
+/// engine for all of them when preprocessing is on, one throwaway
+/// engine per instruction when it is off (the `--no-preprocess`
+/// baseline). Jobs the journal answered are not re-run; a panicking
+/// job is isolated ([`run_job_guarded`]) and costs only a rebuild of
+/// the engine.
 fn run_port_sequential(
     plan: &PortPlan<'_>,
     ts: &TransitionSystem,
-    incremental: bool,
     stop_at_first_cex: bool,
     ctx: &RunCtx<'_>,
 ) -> Result<Vec<InstrVerdict>, VerifyError> {
@@ -1601,14 +1547,11 @@ fn run_port_sequential(
     let mut verdicts = Vec::new();
     for idx in 0..plan.instrs.len() {
         let instr_name = &plan.port.instructions()[idx].name;
-        let v = match ctx.resumed_verdict(plan.port.name(), instr_name) {
+        let v = match ctx.replayed(plan.port.name(), instr_name) {
             Some(v) => v,
             None => {
                 let mut own = None;
-                // Preprocessing implies the shared persistent engine:
-                // structural CNF sharing across a port's instructions
-                // is the point of keeping one solver alive.
-                let slot = if incremental || ctx.policy.preprocess {
+                let slot = if ctx.policy.preprocess {
                     &mut shared
                 } else {
                     &mut own
@@ -1628,7 +1571,7 @@ fn run_port_sequential(
                     JobMeta::default(),
                     &ctx.policy,
                 )?;
-                ctx.record_checkpoint(plan.port.name(), &v);
+                ctx.record(plan.port.name(), &v);
                 v
             }
         };
@@ -1674,9 +1617,6 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
             t.queue_ns += v.queue_ns;
             t.steals += v.stolen as u64;
         }
-        t.clauses_exported += v.clauses_exported;
-        t.clauses_imported += v.clauses_imported;
-        t.clauses_deduped += v.clauses_deduped;
         t.instructions += 1;
         t.solves += v.solves;
         t.decisions += v.effort.decisions;
@@ -1892,9 +1832,26 @@ fn add_coi_telemetry(t: &mut Telemetry, coi: Option<CoiStats>) {
     }
 }
 
-/// Emits the per-port summary span once a port's verdicts are in.
-fn record_port_span(tracer: &Tracer, report: &PortReport) {
-    tracer.record(|| {
+/// Folds a port's verdicts into its report — telemetry, the proven
+/// invariant count and the journal lookups — and emits the per-port
+/// summary span.
+fn port_report(
+    plan: &PortPlan<'_>,
+    verdicts: Vec<InstrVerdict>,
+    total_time: Duration,
+    ctx: &RunCtx<'_>,
+) -> PortReport {
+    let mut telemetry = telemetry_of(&verdicts);
+    telemetry.invariants_proved += plan.invariants_proved;
+    ctx.add_cache_telemetry(plan.port.name(), &mut telemetry);
+    let report = PortReport {
+        port: plan.port.name().to_string(),
+        peak_stats: peak_of(&verdicts),
+        telemetry,
+        verdicts,
+        total_time,
+    };
+    ctx.tracer.record(|| {
         Event::new(SpanKind::Port)
             .port(&report.port)
             .label(if report.all_hold() { "holds" } else { "fails" })
@@ -1903,28 +1860,45 @@ fn record_port_span(tracer: &Tracer, report: &PortReport) {
             .field("conflicts", report.telemetry.conflicts)
             .field("wall_ns", report.total_time.as_nanos() as u64)
     });
+    report
+}
+
+/// The refinement map for `port`: the one with the port's name,
+/// falling back to a map named `"*"`.
+pub(crate) fn map_for<'m>(
+    maps: &'m [RefinementMap],
+    port: &PortIla,
+) -> Result<&'m RefinementMap, VerifyError> {
+    maps.iter()
+        .find(|m| m.name == port.name())
+        .or_else(|| maps.iter().find(|m| m.name == "*"))
+        .ok_or_else(|| VerifyError::UnknownRtlSignal {
+            signal: port.name().to_string(),
+            context: "no refinement map for port".to_string(),
+        })
 }
 
 /// Verifies one port-ILA against an RTL implementation.
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyError`] for malformed refinement maps or
-/// conflicting options; property *failures* are reported in the
-/// [`PortReport`], not as errors.
+/// Returns a [`VerifyError`] for malformed refinement maps or RTL;
+/// property *failures* are reported in the [`PortReport`], not as
+/// errors.
 pub fn verify_port(
     port: &PortIla,
     rtl: &RtlModule,
     map: &RefinementMap,
     opts: &VerifyOptions,
 ) -> Result<PortReport, VerifyError> {
-    validate_options(opts)?;
-    let ctx = RunCtx::from_opts(opts)?;
-    verify_port_with(port, rtl, map, opts, &ctx)
+    let ctx = RunCtx::new(opts, &[(port, map)], rtl)?;
+    let report = verify_port_with(port, rtl, map, opts, &ctx)?;
+    opts.tracer.flush();
+    Ok(report)
 }
 
 /// [`verify_port`] against an existing run context, so a module run
-/// shares one checkpoint writer and resume set across its ports.
+/// shares one journal view across its ports.
 fn verify_port_with(
     port: &PortIla,
     rtl: &RtlModule,
@@ -1944,29 +1918,21 @@ fn verify_port_with(
         &opts.tracer,
     );
     absint_preprocess(&mut plan, &mut ts, opts.absint, &opts.tracer);
-    let verdicts = match resolve_mode(opts, plan.instrs.len()) {
-        ExecMode::Sequential { incremental } => {
-            run_port_sequential(&plan, &ts, incremental, opts.stop_at_first_cex, ctx)?
-        }
+    let verdicts = match pool_size(opts.jobs) {
         // Adaptive fallback: a port whose estimated blast work is below
         // the threshold runs on the persistent sequential engine — the
         // pool cannot win back its spawn + duplicate-blast overhead on
         // designs this small.
-        ExecMode::Pool { .. }
-            if opts.par_threshold > 0
-                && estimate_port_work(&plan, &ts) < opts.par_threshold =>
+        Some(workers)
+            if opts.par_threshold == 0
+                || estimate_port_work(&plan, &ts) >= opts.par_threshold =>
         {
-            run_port_sequential(&plan, &ts, true, opts.stop_at_first_cex, ctx)?
-        }
-        ExecMode::Pool { workers } => {
             let outcome = crate::scheduler::run_pool(
                 std::slice::from_ref(&plan),
                 std::slice::from_ref(&ts),
                 crate::scheduler::PoolConfig {
                     workers,
                     stop_at_first_cex: opts.stop_at_first_cex,
-                    batch_ports: opts.batch_ports,
-                    share_clauses: opts.share_clauses,
                 },
                 ctx,
             )?;
@@ -1977,19 +1943,10 @@ fn verify_port_with(
             })?;
             port_result.verdicts.into_iter().map(|(_, v)| v).collect()
         }
+        _ => run_port_sequential(&plan, &ts, opts.stop_at_first_cex, ctx)?,
     };
-    let mut telemetry = telemetry_of(&verdicts);
-    add_coi_telemetry(&mut telemetry, coi);
-    telemetry.invariants_proved += plan.invariants_proved;
-    let report = PortReport {
-        port: port.name().to_string(),
-        peak_stats: peak_of(&verdicts),
-        telemetry,
-        verdicts,
-        total_time: start_all.elapsed(),
-    };
-    record_port_span(&opts.tracer, &report);
-    opts.tracer.flush();
+    let mut report = port_report(&plan, verdicts, start_all.elapsed(), ctx);
+    add_coi_telemetry(&mut report.telemetry, coi);
     Ok(report)
 }
 
@@ -2003,33 +1960,27 @@ fn verify_port_with(
 ///
 /// # Errors
 ///
-/// Returns a [`VerifyError`] if a port has no refinement map, a map is
-/// malformed, or the options conflict.
+/// Returns a [`VerifyError`] if a port has no refinement map, or a map
+/// or the RTL is malformed.
 pub fn verify_module(
     module: &ModuleIla,
     rtl: &RtlModule,
     maps: &[RefinementMap],
     opts: &VerifyOptions,
 ) -> Result<ModuleReport, VerifyError> {
-    validate_options(opts)?;
-    let map_for = |port: &PortIla| -> Result<&RefinementMap, VerifyError> {
-        maps.iter()
-            .find(|m| m.name == port.name())
-            .or_else(|| maps.iter().find(|m| m.name == "*"))
-            .ok_or_else(|| VerifyError::UnknownRtlSignal {
-                signal: port.name().to_string(),
-                context: "no refinement map for port".to_string(),
-            })
-    };
-    let total_jobs: usize = module.ports().iter().map(|p| p.instructions().len()).sum();
-    let ctx = RunCtx::from_opts(opts)?;
+    let targets = module
+        .ports()
+        .iter()
+        .map(|port| Ok((port, map_for(maps, port)?)))
+        .collect::<Result<Vec<_>, VerifyError>>()?;
+    let ctx = RunCtx::new(opts, &targets, rtl)?;
     let mut pool_workers = None;
     let mut module_coi: Vec<Option<CoiStats>> = Vec::new();
-    let ports = match resolve_mode(opts, total_jobs) {
-        ExecMode::Sequential { .. } => {
+    let ports = match pool_size(opts.jobs) {
+        None => {
             let mut ports = Vec::new();
-            for port in module.ports() {
-                let report = verify_port_with(port, rtl, map_for(port)?, opts, &ctx)?;
+            for &(port, map) in &targets {
+                let report = verify_port_with(port, rtl, map, opts, &ctx)?;
                 let has_cex = report.first_counterexample().is_some();
                 ports.push(report);
                 if has_cex && opts.stop_at_first_cex {
@@ -2038,11 +1989,11 @@ pub fn verify_module(
             }
             ports
         }
-        ExecMode::Pool { workers } => {
+        Some(workers) => {
             let (ts, ts_signals) = rtl_to_ts(rtl)?;
             let mut plans = Vec::new();
-            for port in module.ports() {
-                plans.push(PortPlan::build(port, rtl, map_for(port)?, &ts_signals)?);
+            for &(port, map) in &targets {
+                plans.push(PortPlan::build(port, rtl, map, &ts_signals)?);
             }
             // Slice per port — the same tight cones the sequential path
             // gets — so a worker serving a port blasts only that port's
@@ -2068,28 +2019,14 @@ pub fn verify_module(
                 .sum();
             if opts.par_threshold > 0 && estimate < opts.par_threshold {
                 // Adaptive fallback: too small for the pool to win back
-                // its spawn + duplicate-blast overhead. One persistent
-                // sequential engine per port, ports in declaration order.
+                // its spawn + duplicate-blast overhead. The sequential
+                // engine runs each port, ports in declaration order.
                 let mut ports = Vec::new();
                 for (plan, pts) in plans.iter().zip(&tss) {
                     let t0 = Instant::now();
-                    let verdicts = run_port_sequential(
-                        plan,
-                        pts,
-                        true,
-                        opts.stop_at_first_cex,
-                        &ctx,
-                    )?;
-                    let mut telemetry = telemetry_of(&verdicts);
-                    telemetry.invariants_proved += plan.invariants_proved;
-                    let report = PortReport {
-                        port: plan.port.name().to_string(),
-                        peak_stats: peak_of(&verdicts),
-                        telemetry,
-                        verdicts,
-                        total_time: t0.elapsed(),
-                    };
-                    record_port_span(&opts.tracer, &report);
+                    let verdicts =
+                        run_port_sequential(plan, pts, opts.stop_at_first_cex, &ctx)?;
+                    let report = port_report(plan, verdicts, t0.elapsed(), &ctx);
                     let has_cex = report.first_counterexample().is_some();
                     ports.push(report);
                     if has_cex && opts.stop_at_first_cex {
@@ -2104,31 +2041,16 @@ pub fn verify_module(
                     crate::scheduler::PoolConfig {
                         workers,
                         stop_at_first_cex: opts.stop_at_first_cex,
-                        batch_ports: opts.batch_ports,
-                        share_clauses: opts.share_clauses,
                     },
                     &ctx,
                 )?;
                 pool_workers = Some(outcome.workers_spawned as u64);
-                module
-                    .ports()
+                plans
                     .iter()
                     .zip(outcome.ports)
-                    .zip(&plans)
-                    .map(|((port, pr), plan)| {
-                        let verdicts: Vec<InstrVerdict> =
-                            pr.verdicts.into_iter().map(|(_, v)| v).collect();
-                        let mut telemetry = telemetry_of(&verdicts);
-                        telemetry.invariants_proved += plan.invariants_proved;
-                        let report = PortReport {
-                            port: port.name().to_string(),
-                            peak_stats: peak_of(&verdicts),
-                            telemetry,
-                            verdicts,
-                            total_time: pr.last_done,
-                        };
-                        record_port_span(&opts.tracer, &report);
-                        report
+                    .map(|(plan, pr)| {
+                        let verdicts = pr.verdicts.into_iter().map(|(_, v)| v).collect();
+                        port_report(plan, verdicts, pr.last_done, &ctx)
                     })
                     .collect()
             }
@@ -2381,10 +2303,19 @@ endmodule
     }
 
     #[test]
-    fn checkpoint_resume_reverifies_only_undecided_jobs() {
-        let dir = std::env::temp_dir().join("gila_engine_resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.jsonl");
+    fn journal_reverifies_only_undecided_jobs() {
+        let path = std::env::temp_dir().join(format!(
+            "gila_engine_journal_{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let journal = || {
+            let cfg = crate::CacheConfig {
+                path: Some(path.clone()),
+                ..Default::default()
+            };
+            Some(Arc::new(ProofCache::open(cfg).unwrap()))
+        };
         // First run: `inc` is forced Unknown (once), `hold` decides.
         let fault = FaultPlan::new().inject("counter", "inc", FaultAction::ForceUnknown, Some(1));
         let first = verify_port(
@@ -2393,21 +2324,22 @@ endmodule
             &counter_map(),
             &VerifyOptions {
                 fault_plan: Some(Arc::new(fault)),
-                checkpoint: Some(path.clone()),
+                journal: journal(),
                 ..Default::default()
             },
         )
         .unwrap();
         assert_eq!(first.counts().unknown, 1);
         assert_eq!(first.counts().holds, 1);
-        // Resumed run: `hold` is replayed from the checkpoint (zero
+        assert_eq!((first.telemetry.cache_hits, first.telemetry.cache_misses), (0, 2));
+        // Second run on the reopened journal: `hold` is replayed (zero
         // solves), `inc` is re-verified for real and now holds.
         let second = verify_port(
             &counter_ila(),
             &counter_rtl(false),
             &counter_map(),
             &VerifyOptions {
-                resume: Some(path.clone()),
+                journal: journal(),
                 ..Default::default()
             },
         )
@@ -2417,14 +2349,14 @@ endmodule
         let hold = &second.verdicts[1];
         assert!(inc.solves > 0, "undecided job must be re-verified");
         assert_eq!(hold.solves, 0, "decided job must be replayed, not re-solved");
-        // The resumed run appended its new verdicts: resuming again
-        // re-solves nothing.
+        assert_eq!((second.telemetry.cache_hits, second.telemetry.cache_misses), (1, 1));
+        // The second run journaled `inc`: a third re-solves nothing.
         let third = verify_port(
             &counter_ila(),
             &counter_rtl(false),
             &counter_map(),
             &VerifyOptions {
-                resume: Some(path.clone()),
+                journal: journal(),
                 ..Default::default()
             },
         )
@@ -2492,116 +2424,6 @@ endmodule
         );
         // `hold` still verifies.
         assert!(report.verdicts.iter().any(|v| v.instruction == "hold" && v.result.holds()));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let port = counter_ila();
-        let rtl = counter_rtl(false);
-        let seq = verify_port(&port, &rtl, &counter_map(), &VerifyOptions::default()).unwrap();
-        let par = verify_port(
-            &port,
-            &rtl,
-            &counter_map(),
-            &VerifyOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(seq.all_hold() && par.all_hold());
-        let names = |r: &PortReport| -> Vec<String> {
-            r.verdicts.iter().map(|v| v.instruction.clone()).collect()
-        };
-        assert_eq!(names(&seq), names(&par));
-        // And on a buggy design both find the same failing instruction.
-        let buggy = counter_rtl(true);
-        let par = verify_port(
-            &port,
-            &buggy,
-            &counter_map(),
-            &VerifyOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            par.first_counterexample().unwrap().instruction,
-            "inc"
-        );
-    }
-
-    #[test]
-    fn incremental_matches_isolated() {
-        let port = counter_ila();
-        for buggy in [false, true] {
-            let rtl = counter_rtl(buggy);
-            let base =
-                verify_port(&port, &rtl, &counter_map(), &VerifyOptions::default()).unwrap();
-            let inc = verify_port(
-                &port,
-                &rtl,
-                &counter_map(),
-                &VerifyOptions {
-                    incremental: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(base.all_hold(), inc.all_hold(), "buggy={buggy}");
-            for (a, b) in base.verdicts.iter().zip(&inc.verdicts) {
-                assert_eq!(a.instruction, b.instruction);
-                assert_eq!(a.result.holds(), b.result.holds(), "{}", a.instruction);
-            }
-        }
-    }
-
-    #[test]
-    fn conflicting_options_are_rejected() {
-        let port = counter_ila();
-        let rtl = counter_rtl(false);
-        let map = counter_map();
-        let combos = [
-            VerifyOptions {
-                parallel: true,
-                stop_at_first_cex: true,
-                ..Default::default()
-            },
-            VerifyOptions {
-                parallel: true,
-                incremental: true,
-                ..Default::default()
-            },
-            VerifyOptions {
-                parallel: true,
-                jobs: Some(4),
-                ..Default::default()
-            },
-            VerifyOptions {
-                incremental: true,
-                jobs: Some(4),
-                ..Default::default()
-            },
-        ];
-        for opts in combos {
-            let err = verify_port(&port, &rtl, &map, &opts).unwrap_err();
-            assert!(matches!(err, VerifyError::BadOptions { .. }), "{opts:?}");
-        }
-        // `jobs` composes with the non-legacy flags.
-        let ok = VerifyOptions {
-            jobs: Some(2),
-            stop_at_first_cex: true,
-            ..Default::default()
-        };
-        verify_port(&port, &rtl, &map, &ok).unwrap();
-        // `jobs = 1` + `incremental` is the shared sequential engine.
-        let ok = VerifyOptions {
-            jobs: Some(1),
-            incremental: true,
-            ..Default::default()
-        };
-        verify_port(&port, &rtl, &map, &ok).unwrap();
     }
 
     #[test]

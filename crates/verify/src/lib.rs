@@ -16,6 +16,10 @@
 //! Because every instruction of every port is checked, the property set
 //! is *complete* for the module's functional (non-timing) behaviour.
 //!
+//! A run can keep a verdict journal ([`ProofCache`], set as
+//! [`VerifyOptions::journal`]): properties whose content key
+//! ([`slice_keys`]) the journal already answers are not re-solved.
+//!
 //! The crate also provides the paper's small-memory abstraction
 //! ([`abstract_port_memory`] / [`abstract_rtl_memory`]) and Fig. 5-style
 //! property rendering ([`render_property`]).
@@ -61,7 +65,6 @@
 
 mod abstraction;
 mod cache_key;
-mod checkpoint;
 mod compiled;
 mod cosim;
 mod engine;
@@ -69,6 +72,7 @@ mod equiv;
 mod fault;
 mod hunt;
 mod invariants;
+mod journal;
 mod mutation;
 mod property;
 mod refmap;
@@ -79,12 +83,12 @@ mod vcd;
 
 pub use abstraction::{abstract_port_memory, abstract_rtl_memory, AbstractError};
 pub use cache_key::{slice_keys, SliceKey, CACHE_KEY_VERSION};
-pub use checkpoint::{parse_journal_entry, verdict_to_json, CheckpointWriter, JournalEntry};
 pub use engine::{
     rtl_to_ts, verify_module, verify_port, BudgetSpent, CheckResult, InstrVerdict, ModuleReport,
     PortReport, RefinementCex, SolveBudget, VerdictCounts, VerifyError, VerifyOptions,
 };
 pub use fault::{FaultAction, FaultPlan, FaultPlanError, SocketFault};
+pub use journal::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
 /// Re-exported so budget consumers can name the resource that ran out
 /// without depending on `gila-smt` directly.
 pub use gila_smt::ResourceOut;

@@ -1,5 +1,4 @@
-//! Work-stealing verification scheduler with per-port job batching and
-//! optional learnt-clause sharing.
+//! Work-stealing verification scheduler with per-port job batching.
 //!
 //! Work is batched per port: one job carries a whole [`PortPlan`]'s
 //! instruction list — or a contiguous chunk of it when the port has
@@ -12,30 +11,18 @@
 //! per-port engines, so stealing a second chunk of a port they already
 //! served costs no new blast.
 //!
-//! With clause sharing enabled, the workers serving chunks of the same
-//! port exchange short learnt clauses through a per-port lock-striped
-//! pool. Every engine of a shared port is warmed up with an identical
-//! deterministic encoding of the port's frame logic, which makes the
-//! CNF variable numbering below the warm-up mark line up across
-//! engines; only activation-free clauses over that shared prefix are
-//! exported (see [`SmtSolver::export_shared_learnts`] for the
-//! soundness argument), so imports can change solver effort but never
-//! verdicts.
-//!
 //! Scheduling is deterministic in its *results* but not its order:
 //! workers pull from their local deque first, refill in batches from
 //! the global injector, and steal from peers when both are empty.
 //! Verdicts are reassembled into declaration order afterwards, so a
 //! pooled run reports exactly what a sequential run would.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use gila_mc::TransitionSystem;
-use gila_smt::{Lit, SmtSolver};
 
 use crate::engine::{
     run_job_guarded, CheckResult, InstrVerdict, JobMeta, PortPlan, RunCtx, VerifyError,
@@ -59,10 +46,6 @@ pub(crate) struct PoolConfig {
     pub(crate) workers: usize,
     /// Cancel all outstanding work on the first counterexample.
     pub(crate) stop_at_first_cex: bool,
-    /// Batch jobs per port (chunked); off = one job per instruction.
-    pub(crate) batch_ports: bool,
-    /// Exchange learnt clauses between workers serving the same port.
-    pub(crate) share_clauses: bool,
 }
 
 /// A port's share of a pool run.
@@ -92,11 +75,6 @@ pub(crate) struct PoolOutcome {
 /// serving a third port evicts the least recently used engine.
 const ENGINE_CACHE: usize = 2;
 
-/// Maximum literal count of a shared learnt clause. Short clauses
-/// prune the most search per byte; long ones mostly burn import time
-/// and clause-database space.
-const SHARE_LEN_CAP: usize = 8;
-
 /// Runs every instruction of every plan on a pool of at most
 /// `cfg.workers` threads. `tss` holds one transition system per plan
 /// (typically per-port COI slices of the same module); a job for plan
@@ -107,8 +85,8 @@ const SHARE_LEN_CAP: usize = 8;
 /// through the workers' [`CancelToken`]s; an interrupted job reports
 /// `Unknown(Cancelled)`.
 ///
-/// Jobs already decided by the context's resumed checkpoint are never
-/// scheduled; their stored verdicts are merged into the result. A job
+/// Jobs the context's journal answered are never scheduled; their
+/// replayed verdicts are merged into the result. A job
 /// that panics is isolated into a [`CheckResult::JobPanicked`] verdict
 /// ([`run_job_guarded`]) and the pool keeps draining; the rest of the
 /// panicking batch continues on a rebuilt engine.
@@ -125,37 +103,21 @@ pub(crate) fn run_pool(
 ) -> Result<PoolOutcome, VerifyError> {
     assert_eq!(plans.len(), tss.len(), "one transition system per plan");
     let tracer = ctx.tracer;
-    let mut resumed: Vec<((usize, usize), InstrVerdict)> = Vec::new();
+    let mut replayed: Vec<((usize, usize), InstrVerdict)> = Vec::new();
     let mut pending: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (port, plan) in plans.iter().enumerate() {
         let mut todo = Vec::new();
         for instr in 0..plan.instrs.len() {
             let name = &plan.port.instructions()[instr].name;
-            match ctx.resumed_verdict(plan.port.name(), name) {
-                Some(v) => resumed.push(((port, instr), v)),
+            match ctx.replayed(plan.port.name(), name) {
+                Some(v) => replayed.push(((port, instr), v)),
                 None => todo.push(instr),
             }
         }
         pending.push(todo);
     }
     let total: usize = pending.iter().map(Vec::len).sum();
-    let jobs = make_jobs(&pending, cfg.workers, cfg.batch_ports);
-
-    // A port's clause stripe only activates when its instructions are
-    // split across at least two batches — with a single batch there is
-    // no peer to share with, and the warm-up encoding would be pure
-    // overhead.
-    let mut batches_of_port = vec![0usize; plans.len()];
-    for job in &jobs {
-        batches_of_port[job.port] += 1;
-    }
-    let stripes: Vec<ShareStripe> = batches_of_port
-        .iter()
-        .map(|&n| ShareStripe {
-            active: cfg.share_clauses && n >= 2,
-            clauses: Mutex::new(Vec::new()),
-        })
-        .collect();
+    let jobs = make_jobs(&pending, cfg.workers);
 
     let workers_spawned = cfg.workers.clamp(1, jobs.len().max(1));
     let injector = Injector::new();
@@ -186,15 +148,9 @@ pub(crate) fn run_pool(
         for (worker_id, local) in locals.into_iter().enumerate() {
             let (injector, stealers, cancel) = (&injector, &stealers, &cancel);
             let (engines_created, results, ctx) = (&engines_created, &results, &ctx);
-            let (tss, stripes) = (&tss, &stripes);
             scope.spawn(move |_| {
-                // Per-port persistent engines, with the CNF-prefix mark
-                // of each (0 when its port's stripe is inactive).
-                let mut cache: Vec<(usize, WorkerEngine, usize)> = Vec::new();
-                // Per-port clause-sharing state: what this worker has
-                // already published or imported, and how far into the
-                // stripe it has read.
-                let mut share_local: HashMap<usize, ShareLocal> = HashMap::new();
+                // Per-port persistent engines.
+                let mut cache: Vec<(usize, WorkerEngine)> = Vec::new();
                 while !cancel.is_cancelled() {
                     let Some((job, stolen)) = find_job(&local, injector, stealers) else {
                         break;
@@ -202,8 +158,7 @@ pub(crate) fn run_pool(
                     let queue_ns = t0.elapsed().as_nanos() as u64;
                     let plan = &plans[job.port];
                     let ts = &tss[job.port];
-                    let stripe = &stripes[job.port];
-                    let (mut slot, mut mark) = cache_take(&mut cache, job.port);
+                    let mut slot = cache_take(&mut cache, job.port);
                     for &idx in &job.instrs {
                         if cancel.is_cancelled() {
                             break;
@@ -215,9 +170,7 @@ pub(crate) fn run_pool(
                             batch_id: Some(job.batch_id),
                             batch_size: job.instrs.len() as u64,
                         };
-                        let had_engine = slot.is_some();
-                        let mark_cell = std::cell::Cell::new(0usize);
-                        let mut res = run_job_guarded(
+                        let res = run_job_guarded(
                             plan,
                             idx,
                             &mut slot,
@@ -227,36 +180,16 @@ pub(crate) fn run_pool(
                                 // Cancellation interrupts this worker's
                                 // solver mid-search, not just job pickup.
                                 e.smt.set_cancel(cancel.clone());
-                                if stripe.active {
-                                    mark_cell.set(warm_engine(&mut e, plan, ts));
-                                }
                                 e
                             },
                             tracer,
                             meta,
                             &ctx.policy,
                         );
-                        if !had_engine && slot.is_some() {
-                            mark = mark_cell.get();
-                        }
-                        if slot.is_none() {
-                            // The job panicked and wiped the engine. A
-                            // rebuilt engine starts from a clean solver,
-                            // so forget this worker's sharing history:
-                            // the fresh solver may re-import everything.
-                            share_local.remove(&job.port);
-                            mark = 0;
-                        }
-                        if stripe.active {
-                            if let (Ok(v), Some(engine)) = (&mut res, slot.as_mut()) {
-                                let sl = share_local.entry(job.port).or_default();
-                                exchange_clauses(&mut engine.smt, mark, stripe, sl, v);
-                            }
-                        }
                         let done_at = t0.elapsed();
                         let abort = match &res {
                             Ok(v) => {
-                                ctx.record_checkpoint(plan.port.name(), v);
+                                ctx.record(plan.port.name(), v);
                                 cfg.stop_at_first_cex
                                     && matches!(v.result, CheckResult::CounterExample(_))
                             }
@@ -272,7 +205,7 @@ pub(crate) fn run_pool(
                             break;
                         }
                     }
-                    cache_store(&mut cache, job.port, slot, mark);
+                    cache_store(&mut cache, job.port, slot);
                 }
             });
         }
@@ -289,7 +222,7 @@ pub(crate) fn run_pool(
     let mut records = results
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    records.extend(resumed.into_iter().map(|(key, v)| (key, Ok(v), Duration::ZERO)));
+    records.extend(replayed.into_iter().map(|(key, v)| (key, Ok(v), Duration::ZERO)));
     records.sort_by_key(|(key, _, _)| *key);
     let mut ports: Vec<PoolPortResult> = plans
         .iter()
@@ -311,16 +244,13 @@ pub(crate) fn run_pool(
     })
 }
 
-/// Splits each port's pending instruction indices into batches.
-///
-/// With batching on, a port is split into a number of contiguous chunks
-/// proportional to its share of the total instruction count (rounded,
-/// at least 1, at most one chunk per instruction), targeting `workers`
-/// chunks overall: one heavyweight port is chunked so every worker gets
-/// a piece, while a pile of small ports still costs one unrolling
-/// each. Off, every instruction is its own single-element batch — the
-/// pre-batching granularity, kept for A/B comparison.
-fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<Job> {
+/// Splits each port's pending instruction indices into batches: a port
+/// is split into a number of contiguous chunks proportional to its
+/// share of the total instruction count (rounded, at least 1, at most
+/// one chunk per instruction), targeting `workers` chunks overall. One
+/// heavyweight port is chunked so every worker gets a piece, while a
+/// pile of small ports still costs one unrolling each.
+fn make_jobs(pending: &[Vec<usize>], workers: usize) -> Vec<Job> {
     let total: usize = pending.iter().map(Vec::len).sum();
     let mut jobs = Vec::new();
     let mut batch_id = 0u64;
@@ -329,11 +259,7 @@ fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<J
         if n == 0 {
             continue;
         }
-        let chunks = if batch_ports {
-            ((n * workers + total / 2) / total.max(1)).clamp(1, n)
-        } else {
-            n
-        };
+        let chunks = ((n * workers + total / 2) / total.max(1)).clamp(1, n);
         let base = n / chunks;
         let extra = n % chunks;
         let mut off = 0;
@@ -352,121 +278,21 @@ fn make_jobs(pending: &[Vec<usize>], workers: usize, batch_ports: bool) -> Vec<J
 }
 
 /// Takes the cached engine for `port` out of the worker's cache, if
-/// present, along with its warm-up mark.
-fn cache_take(
-    cache: &mut Vec<(usize, WorkerEngine, usize)>,
-    port: usize,
-) -> (Option<WorkerEngine>, usize) {
-    match cache.iter().position(|(p, _, _)| *p == port) {
-        Some(pos) => {
-            let (_, engine, mark) = cache.remove(pos);
-            (Some(engine), mark)
-        }
-        None => (None, 0),
-    }
+/// present.
+fn cache_take(cache: &mut Vec<(usize, WorkerEngine)>, port: usize) -> Option<WorkerEngine> {
+    let pos = cache.iter().position(|(p, _)| *p == port)?;
+    Some(cache.remove(pos).1)
 }
 
 /// Returns an engine to the cache (most recently used at the back),
 /// evicting the least recently used entry past [`ENGINE_CACHE`].
-fn cache_store(
-    cache: &mut Vec<(usize, WorkerEngine, usize)>,
-    port: usize,
-    engine: Option<WorkerEngine>,
-    mark: usize,
-) {
+fn cache_store(cache: &mut Vec<(usize, WorkerEngine)>, port: usize, engine: Option<WorkerEngine>) {
     if let Some(e) = engine {
-        cache.push((port, e, mark));
+        cache.push((port, e));
         if cache.len() > ENGINE_CACHE {
             cache.remove(0);
         }
     }
-}
-
-/// The per-port shared clause pool. One mutex per port (lock striping):
-/// workers serving different ports never contend, and workers of the
-/// same port only touch the lock once per instruction.
-struct ShareStripe {
-    /// Sharing only pays when ≥ 2 batches of the port exist.
-    active: bool,
-    /// Published clauses, in canonical (sorted-literal) form. Append
-    /// only; per-worker cursors track what each worker has read.
-    clauses: Mutex<Vec<Vec<Lit>>>,
-}
-
-/// One worker's view of one port's stripe.
-#[derive(Default)]
-struct ShareLocal {
-    /// Canonical clauses this worker has already published or imported
-    /// — its own solver already knows them, so they are never imported
-    /// (and never re-published).
-    seen: HashSet<Vec<Lit>>,
-    /// How far into the stripe this worker has read.
-    cursor: usize,
-}
-
-/// Builds the deterministic shared CNF prefix of a port's engine: every
-/// state, input, and invariant constraint of the sliced system, mapped
-/// over every frame up to the port's deepest instruction bound, encoded
-/// (not asserted — definitional clauses only). Any two engines of the
-/// same port run this identical sequence from a fresh solver, so their
-/// variable numbering agrees below the returned mark and activation-free
-/// clauses over the prefix transfer soundly between them.
-fn warm_engine(engine: &mut WorkerEngine, plan: &PortPlan<'_>, ts: &TransitionSystem) -> usize {
-    let max_bound = plan.instrs.iter().map(|ip| ip.bound).max().unwrap_or(0);
-    let WorkerEngine { u, smt, .. } = engine;
-    u.extend_to(max_bound);
-    for k in 0..=max_bound {
-        for v in ts.states().iter().chain(ts.inputs().iter()) {
-            let e = u.map_expr(k, v.var);
-            smt.encode(u.ctx(), e);
-        }
-        for &c in ts.constraints() {
-            let e = u.map_expr(k, c);
-            smt.encode(u.ctx(), e);
-        }
-    }
-    smt.cnf_vars()
-}
-
-/// One publish/import round against a port's stripe, run after each
-/// instruction (outside its effort window, like inprocessing). Exports
-/// go through the activation- and prefix-filtered
-/// [`SmtSolver::export_shared_learnts`]; canonicalization (sorted
-/// literals) makes the dedup set order-insensitive. Counters land on
-/// the instruction's verdict.
-fn exchange_clauses(
-    smt: &mut SmtSolver,
-    mark: usize,
-    stripe: &ShareStripe,
-    local: &mut ShareLocal,
-    v: &mut InstrVerdict,
-) {
-    let mut fresh: Vec<Vec<Lit>> = Vec::new();
-    for mut clause in smt.export_shared_learnts(SHARE_LEN_CAP, mark) {
-        clause.sort_unstable();
-        if local.seen.insert(clause.clone()) {
-            fresh.push(clause);
-        }
-    }
-    v.clauses_exported += fresh.len() as u64;
-    let incoming: Vec<Vec<Lit>> = {
-        let mut pool = stripe.clauses.lock().unwrap_or_else(|p| p.into_inner());
-        // Read the peers' clauses since the last visit *before*
-        // appending our own, so we never re-import what we publish.
-        let incoming = pool[local.cursor..].to_vec();
-        pool.extend(fresh);
-        local.cursor = pool.len();
-        incoming
-    };
-    let mut accept: Vec<Vec<Lit>> = Vec::new();
-    for clause in incoming {
-        if local.seen.insert(clause.clone()) {
-            accept.push(clause);
-        } else {
-            v.clauses_deduped += 1;
-        }
-    }
-    v.clauses_imported += smt.import_shared_clauses(accept.iter().map(Vec::as_slice)) as u64;
 }
 
 /// Local deque first, then a batch refill from the global injector,
@@ -502,8 +328,6 @@ mod tests {
         PoolConfig {
             workers,
             stop_at_first_cex,
-            batch_ports: true,
-            share_clauses: false,
         }
     }
 
@@ -592,48 +416,6 @@ mod tests {
         assert_eq!(second.batch_size, 2);
         assert_eq!(first.queue_ns, second.queue_ns, "queue latency is per-batch");
         assert_eq!(first.stolen, second.stolen);
-    }
-
-    #[test]
-    fn batching_off_restores_per_instruction_jobs() {
-        let cfg = PoolConfig {
-            workers: 8,
-            stop_at_first_cex: false,
-            batch_ports: false,
-            share_clauses: false,
-        };
-        let outcome = run_counter_pool_with(false, cfg, None);
-        let verdicts = &outcome.ports[0].verdicts;
-        assert_eq!(verdicts.len(), 2);
-        let ids: Vec<_> = verdicts.iter().map(|(_, v)| v.batch_id).collect();
-        assert_eq!(ids, vec![Some(0), Some(1)], "one batch per instruction");
-        assert!(verdicts.iter().all(|(_, v)| v.batch_size == 1));
-    }
-
-    #[test]
-    fn clause_sharing_preserves_verdicts() {
-        for buggy in [false, true] {
-            let baseline = run_counter_pool(buggy, 2, false);
-            let cfg = PoolConfig {
-                workers: 2,
-                stop_at_first_cex: false,
-                batch_ports: true,
-                share_clauses: true,
-            };
-            let shared = run_counter_pool_with(buggy, cfg, None);
-            let b = &baseline.ports[0].verdicts;
-            let s = &shared.ports[0].verdicts;
-            assert_eq!(b.len(), s.len(), "buggy={buggy}");
-            for ((_, want), (_, got)) in b.iter().zip(s) {
-                assert_eq!(want.instruction, got.instruction);
-                assert_eq!(
-                    want.result.holds(),
-                    got.result.holds(),
-                    "sharing flipped a verdict on {}",
-                    got.instruction
-                );
-            }
-        }
     }
 
     #[test]
@@ -750,7 +532,7 @@ mod tests {
         // One port of 4 and one of 2, 4 workers: the big port gets 3
         // chunks, the small one 1, totalling the worker count.
         let pending = vec![vec![0, 1, 2, 3], vec![0, 1]];
-        let jobs = make_jobs(&pending, 4, true);
+        let jobs = make_jobs(&pending, 4);
         assert_eq!(jobs.len(), 4);
         let sizes: Vec<usize> = jobs.iter().map(|j| j.instrs.len()).collect();
         assert_eq!(sizes, vec![2, 1, 1, 2]);
@@ -762,7 +544,7 @@ mod tests {
         let ids: Vec<u64> = jobs.iter().map(|j| j.batch_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
         // One worker: one batch per port regardless of size.
-        let jobs = make_jobs(&pending, 1, true);
+        let jobs = make_jobs(&pending, 1);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].instrs.len(), 4);
         assert_eq!(jobs[1].instrs.len(), 2);

@@ -1,18 +1,21 @@
 //! Fault-injection integration tests: the acceptance criteria of the
 //! robustness layer. An injected panic or an exhausted budget must never
 //! abort a module run — every other instruction still gets the verdict
-//! it would get in a clean run — and `resume` must re-verify only the
-//! jobs a previous run left undecided. Everything is exercised at both
-//! `jobs = 1` (sequential engine) and `jobs = 4` (work-stealing pool).
+//! it would get in a clean run — and a run against a verdict journal
+//! must re-verify only the jobs a previous run left undecided, and
+//! never credit a journaled verdict to a changed design. Everything is
+//! exercised at both `jobs = 1` (sequential engine) and `jobs = 4`
+//! (work-stealing pool).
 
+use std::path::Path;
 use std::sync::Arc;
 
 use gila::core::ModuleIla;
 use gila::designs::all_case_studies;
 use gila::rtl::RtlModule;
 use gila::verify::{
-    identity_refmaps, synthesize_module, verify_module, CheckResult, FaultAction, FaultPlan,
-    ModuleReport, RefinementMap, ResourceOut, SolveBudget, VerifyOptions,
+    identity_refmaps, synthesize_module, verify_module, CacheConfig, CheckResult, FaultAction,
+    FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget, VerifyOptions,
 };
 use proptest::prelude::*;
 
@@ -42,6 +45,15 @@ fn shape(report: &ModuleReport) -> Vec<(String, String, &'static str)> {
                 .map(|v| (p.port.clone(), v.instruction.clone(), v.result.tag()))
         })
         .collect()
+}
+
+/// Opens (or reopens) the verdict journal at `path`.
+fn journal(path: &Path) -> Option<Arc<ProofCache>> {
+    let cfg = CacheConfig {
+        path: Some(path.to_path_buf()),
+        ..CacheConfig::default()
+    };
+    Some(Arc::new(ProofCache::open(cfg).expect("journal opens")))
 }
 
 fn with_jobs(jobs: usize) -> VerifyOptions {
@@ -130,7 +142,7 @@ fn resume_reverifies_only_undecided_jobs() {
     for jobs in [1usize, 4] {
         let ckpt = dir.join(format!("jobs{jobs}.jsonl"));
         // First run: the target instruction is forced Unknown (once),
-        // every verdict streams to the checkpoint.
+        // every decided verdict streams to the journal.
         let fault = FaultPlan::new().inject(&port, &instr, FaultAction::ForceUnknown, Some(1));
         let first = verify_module(
             &ila,
@@ -138,20 +150,21 @@ fn resume_reverifies_only_undecided_jobs() {
             &maps,
             &VerifyOptions {
                 fault_plan: Some(Arc::new(fault)),
-                checkpoint: Some(ckpt.clone()),
+                journal: journal(&ckpt),
                 ..with_jobs(jobs)
             },
         )
         .unwrap();
         assert_eq!(first.counts().unknown, 1, "jobs={jobs}");
-        // Resumed run: decided verdicts replay with zero solver work,
-        // only the undecided instruction is re-verified.
+        // Rerun on the reopened journal: decided verdicts replay with
+        // zero solver work, only the undecided instruction is
+        // re-verified.
         let second = verify_module(
             &ila,
             &rtl,
             &maps,
             &VerifyOptions {
-                resume: Some(ckpt.clone()),
+                journal: journal(&ckpt),
                 ..with_jobs(jobs)
             },
         )
@@ -171,6 +184,60 @@ fn resume_reverifies_only_undecided_jobs() {
             }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal written for one RTL must never answer for another: the
+/// verdicts are keyed by the content of each sliced property, so the
+/// bug-injected variants re-prove exactly the slices the bug touches
+/// and report every counterexample a cold run reports.
+#[test]
+fn stale_journal_never_hides_a_bug() {
+    let dir = std::env::temp_dir().join(format!("gila_fault_stale_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut checked = Vec::new();
+    for cs in all_case_studies() {
+        let Some(buggy) = &cs.buggy_rtl else {
+            continue;
+        };
+        let path = dir.join(format!("{}.jsonl", cs.name.replace(' ', "_")));
+        let _ = std::fs::remove_file(&path);
+        let opts = |journal| VerifyOptions {
+            journal,
+            ..VerifyOptions::default()
+        };
+        let fixed = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts(journal(&path))).unwrap();
+        assert!(fixed.all_hold(), "{}", cs.name);
+        let cold = verify_module(&cs.ila, buggy, &cs.refmaps, &opts(None)).unwrap();
+        let stale = verify_module(&cs.ila, buggy, &cs.refmaps, &opts(journal(&path))).unwrap();
+        assert_eq!(
+            stale.counts(),
+            cold.counts(),
+            "{}: the journal changed the buggy run's verdicts",
+            cs.name
+        );
+        // Slices outside the bug's cone still replay for free (a design
+        // whose every slice observes the buggy logic replays none).
+        let replayed = stale
+            .ports
+            .iter()
+            .flat_map(|p| &p.verdicts)
+            .filter(|v| v.solves == 0)
+            .count() as u64;
+        assert_eq!(replayed, stale.telemetry.cache_hits, "{}", cs.name);
+        checked.push((cs.name, stale.counts().cex, replayed));
+    }
+    checked.sort();
+    let cex: Vec<(&str, usize)> = checked.iter().map(|&(n, c, _)| (n, c)).collect();
+    assert_eq!(
+        cex,
+        vec![("AXI Slave", 1), ("L2 Cache", 2), ("Store Buffer", 1)],
+        "every registry bug is found through a stale journal"
+    );
+    assert!(
+        checked.iter().any(|&(_, _, replayed)| replayed > 0),
+        "no slice outside a bug's cone replayed: {checked:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

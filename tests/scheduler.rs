@@ -186,16 +186,16 @@ fn pooled_budget_exhaustion_is_reported_not_fatal() {
 
 #[test]
 fn pooled_runs_reuse_worker_cnf() {
-    // With one worker the pool degenerates to a single persistent
-    // incremental engine: every instruction after the first must add
-    // far less CNF than the first (the transition relation is cached).
+    // With one job the run uses the sequential engine, which keeps one
+    // persistent incremental engine per port: every instruction after
+    // the first must add far less CNF than the first (the transition
+    // relation is cached).
     let cs = all_case_studies()
         .into_iter()
         .find(|c| c.name == "Decoder")
         .unwrap();
     let opts = VerifyOptions {
         jobs: Some(1),
-        incremental: true,
         ..Default::default()
     };
     let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts).unwrap();
