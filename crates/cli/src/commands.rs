@@ -638,69 +638,6 @@ fn num_flag<T: std::str::FromStr>(
     }
 }
 
-/// Parses a recorded command stream (`Divergence::command_stream`
-/// format): `# start name=value` lines pin the RTL start state, other
-/// `#` lines are comments, and every remaining line is one cycle of
-/// `pin=0xHEX` input assignments.
-fn parse_stream(
-    text: &str,
-    rtl: &RtlModule,
-) -> Result<
-    (
-        std::collections::BTreeMap<String, gila_expr::Value>,
-        Vec<std::collections::BTreeMap<String, gila_expr::BitVecValue>>,
-    ),
-    Box<dyn Error>,
-> {
-    use gila_expr::Sort;
-    let state_sort = |name: &str| -> Option<Sort> {
-        rtl.regs()
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| Sort::Bv(r.width))
-            .or_else(|| {
-                rtl.mems().iter().find(|m| m.name == name).map(|m| Sort::Mem {
-                    addr_width: m.addr_width,
-                    data_width: m.data_width,
-                })
-            })
-    };
-    let mut start = std::collections::BTreeMap::new();
-    let mut inputs = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("# start ") {
-            let (name, v) = rest
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: bad start entry {rest:?}", ln + 1))?;
-            let name = name.trim();
-            let sort = state_sort(name)
-                .ok_or_else(|| format!("line {}: unknown RTL state {name:?}", ln + 1))?;
-            let v = gila_verify::parse_value(v.trim(), sort)
-                .ok_or_else(|| format!("line {}: bad value for {name:?}", ln + 1))?;
-            start.insert(name.to_string(), v);
-        } else if t.is_empty() || t.starts_with('#') {
-            continue;
-        } else {
-            let mut vec = std::collections::BTreeMap::new();
-            for tok in t.split_whitespace() {
-                let (name, v) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad stimulus token {tok:?}", ln + 1))?;
-                let width = rtl
-                    .find_input(name)
-                    .map(|i| i.width)
-                    .ok_or_else(|| format!("line {}: unknown RTL input {name:?}", ln + 1))?;
-                let v = gila_verify::parse_bv(v, width)
-                    .ok_or_else(|| format!("line {}: bad literal in {tok:?}", ln + 1))?;
-                vec.insert(name.to_string(), v);
-            }
-            inputs.push(vec);
-        }
-    }
-    Ok((start, inputs))
-}
-
 /// `gila hunt`: mass randomized bug hunting on the compiled simulation
 /// backend, with auto-shrunk reproducers.
 ///
@@ -751,39 +688,31 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
         let rtl = pick_rtl(cs, buggy)
             .ok_or_else(|| format!("{} has no bug-injected RTL variant", cs.name))?;
         let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let (start, inputs) = parse_stream(&text, rtl)?;
+        let gila_verify::CommandStream { start, inputs } =
+            gila_verify::parse_command_stream(&text, rtl)?;
         for port in cs.ila.ports() {
             let Some(map) = cs.refmaps.iter().find(|m| m.name == port.name()) else {
                 continue;
             };
             // A stream recorded at another port may simply not decode
             // here; that is not an error for replay.
-            match gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
-                Ok(Some(d)) => {
-                    if json {
-                        let doc = gila_json::Value::object(vec![
-                            ("design".into(), cs.name.into()),
-                            ("port".into(), port.name().into()),
-                            ("cycle".into(), (d.cycle as u64).into()),
-                            ("instruction".into(), d.instruction.clone().into()),
-                            ("state".into(), d.state.clone().into()),
-                            (
-                                "ila".into(),
-                                gila_verify::render_value(&d.ila_value).into(),
-                            ),
-                            (
-                                "rtl".into(),
-                                gila_verify::render_value(&d.rtl_value).into(),
-                            ),
-                            ("command_stream".into(), d.command_stream().into()),
-                        ]);
-                        println!("{}", doc.pretty());
-                    } else {
-                        println!("[{}/{}] {d}", cs.name, port.name());
-                    }
-                    return Ok(1);
+            if let Ok(Some(d)) = gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
+                if json {
+                    let doc = gila_json::Value::object(vec![
+                        ("design".into(), cs.name.into()),
+                        ("port".into(), port.name().into()),
+                        ("cycle".into(), (d.cycle as u64).into()),
+                        ("instruction".into(), d.instruction.clone().into()),
+                        ("state".into(), d.state.clone().into()),
+                        ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
+                        ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
+                        ("command_stream".into(), d.command_stream().into()),
+                    ]);
+                    println!("{}", doc.pretty());
+                } else {
+                    println!("[{}/{}] {d}", cs.name, port.name());
                 }
-                Ok(None) | Err(_) => {}
+                return Ok(1);
             }
         }
         println!(

@@ -7,8 +7,8 @@
 //! change the property's truth value in any execution, so dropping
 //! them — together with their next-state functions and initial values
 //! — yields a smaller system with an identical verdict for that
-//! property. [`coi_slice`] computes the cone and returns the sliced
-//! system plus a [`CoiStats`] report.
+//! property. [`coi_cone`] computes the cone; [`coi_slice`] returns the
+//! sliced system plus a [`CoiStats`] report.
 //!
 //! Soundness sketch: seed the cone with the free variables of every
 //! root expression and every constraint, then close under
@@ -83,6 +83,37 @@ pub fn support(ctx: &ExprCtx, roots: &[ExprRef]) -> BTreeSet<String> {
     names
 }
 
+/// The cone of influence of `roots` in `ts`, as a set of state and
+/// input names.
+///
+/// One walk over the expression DAG with one `seen` bitmap: the walk
+/// starts at `roots` and every constraint, and a state's next-state
+/// expression joins it when the state first enters the cone. Each node
+/// is visited at most once, so the cost is linear in the cone's DAG
+/// rather than one support computation per state.
+pub fn coi_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
+    let ctx = ts.ctx();
+    let mut seen = vec![false; ctx.len()];
+    let mut stack: Vec<ExprRef> = roots.to_vec();
+    stack.extend(ts.constraints().iter().copied());
+    let mut cone = BTreeSet::new();
+    while let Some(e) = stack.pop() {
+        if std::mem::replace(&mut seen[e.index()], true) {
+            continue;
+        }
+        match ctx.node(e) {
+            ExprNode::Var { name, .. } => {
+                // Inputs and undeclared names have no next-state.
+                let entered = cone.insert(name.clone());
+                stack.extend(ts.next_of(name).filter(|_| entered));
+            }
+            ExprNode::App { args, .. } => stack.extend(args.iter().copied()),
+            _ => {}
+        }
+    }
+    cone
+}
+
 /// Slices `ts` to the cone of influence of `roots`.
 ///
 /// `roots` must contain every expression the caller will later
@@ -93,25 +124,7 @@ pub fn support(ctx: &ExprCtx, roots: &[ExprRef]) -> BTreeSet<String> {
 /// shared unchanged, so `ExprRef` handles into `ts.ctx()` stay valid
 /// for the sliced system.
 pub fn coi_slice(ts: &TransitionSystem, roots: &[ExprRef]) -> (TransitionSystem, CoiStats) {
-    let ctx = ts.ctx();
-    let mut seeds: Vec<ExprRef> = roots.to_vec();
-    seeds.extend(ts.constraints().iter().copied());
-    let mut cone = support(ctx, &seeds);
-
-    // Close under the next-state relation: a state in the cone pulls in
-    // the support of its next-state expression.
-    let mut worklist: Vec<String> = cone.iter().cloned().collect();
-    while let Some(name) = worklist.pop() {
-        let Some(next) = ts.next_of(&name) else {
-            continue; // inputs and undeclared names have no next-state
-        };
-        for dep in support(ctx, &[next]) {
-            if cone.insert(dep.clone()) {
-                worklist.push(dep);
-            }
-        }
-    }
-
+    let cone = coi_cone(ts, roots);
     let stats = CoiStats {
         states_kept: ts.states().iter().filter(|v| cone.contains(&v.name)).count(),
         states_dropped: ts.states().iter().filter(|v| !cone.contains(&v.name)).count(),
@@ -233,6 +246,123 @@ mod tests {
         assert_eq!(full.ctx().sort_of(pf), cut.ctx().sort_of(pc));
         // ...and the sliced context materializes fewer frame variables.
         assert!(cut.ctx().len() <= full.ctx().len());
+    }
+
+    /// The per-state support fixpoint `coi_slice` used before
+    /// [`coi_cone`]: seed with the support of the roots and the
+    /// constraints, then add the support of each cone state's
+    /// next-state expression until nothing changes. Kept as the
+    /// reference the one-pass walk must agree with.
+    fn reference_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
+        let ctx = ts.ctx();
+        let mut seeds: Vec<ExprRef> = roots.to_vec();
+        seeds.extend(ts.constraints().iter().copied());
+        let mut cone = support(ctx, &seeds);
+        let mut worklist: Vec<String> = cone.iter().cloned().collect();
+        while let Some(name) = worklist.pop() {
+            let Some(next) = ts.next_of(&name) else {
+                continue;
+            };
+            for dep in support(ctx, &[next]) {
+                if cone.insert(dep.clone()) {
+                    worklist.push(dep);
+                }
+            }
+        }
+        cone
+    }
+
+    /// A random 4-bit expression over `leaves`, at most `depth` deep.
+    fn random_expr(
+        ts: &mut TransitionSystem,
+        rng: &mut rand::rngs::StdRng,
+        leaves: &[ExprRef],
+        depth: u32,
+    ) -> ExprRef {
+        use rand::Rng;
+        if depth == 0 || rng.gen_bool(0.3) {
+            if rng.gen_bool(0.15) {
+                return ts.ctx_mut().bv_u64(rng.gen_range(0..16u64), 4);
+            }
+            return leaves[rng.gen_range(0..leaves.len())];
+        }
+        let a = random_expr(ts, rng, leaves, depth - 1);
+        let b = random_expr(ts, rng, leaves, depth - 1);
+        let ctx = ts.ctx_mut();
+        match rng.gen_range(0..3u32) {
+            0 => ctx.bvadd(a, b),
+            1 => ctx.bvxor(a, b),
+            _ => {
+                let c = ctx.ult(a, b);
+                ctx.ite(c, a, b)
+            }
+        }
+    }
+
+    /// A seeded random transition system: states whose next is the
+    /// hold default, explicit self-loops, states nothing reads, and
+    /// constraints over inputs no next-state function reads.
+    fn random_ts(seed: u64) -> (TransitionSystem, Vec<ExprRef>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ts = TransitionSystem::new("random");
+        let states: Vec<ExprRef> = (0..rng.gen_range(1..10usize))
+            .map(|i| ts.state(format!("s{i}"), Sort::Bv(4)))
+            .collect();
+        let inputs: Vec<ExprRef> = (0..rng.gen_range(1..6usize))
+            .map(|i| ts.input(format!("i{i}"), Sort::Bv(4)))
+            .collect();
+        // Dead inputs are read by no next-state function.
+        let live_inputs = &inputs[..rng.gen_range(0..=inputs.len())];
+        let mut leaves = states.clone();
+        leaves.extend_from_slice(live_inputs);
+        for (i, &s) in states.iter().enumerate() {
+            let name = format!("s{i}");
+            match rng.gen_range(0..4u32) {
+                0 => {} // hold default
+                1 => {
+                    let one = ts.ctx_mut().bv_u64(1, 4);
+                    let next = ts.ctx_mut().bvadd(s, one);
+                    ts.set_next(&name, next).unwrap();
+                }
+                _ => {
+                    let next = random_expr(&mut ts, &mut rng, &leaves, 3);
+                    ts.set_next(&name, next).unwrap();
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..3usize) {
+            let i = inputs[rng.gen_range(0..inputs.len())];
+            let c = ts.ctx_mut().eq_u64(i, rng.gen_range(0..16u64));
+            ts.add_constraint(c);
+        }
+        let mut all = states;
+        all.extend(inputs);
+        (ts, all)
+    }
+
+    #[test]
+    fn one_pass_cone_matches_support_fixpoint_on_random_systems() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE);
+        for seed in 0..300 {
+            let (mut ts, vars) = random_ts(seed);
+            for _ in 0..4 {
+                let mut roots = Vec::new();
+                for _ in 0..rng.gen_range(0..4usize) {
+                    roots.push(if rng.gen_bool(0.5) {
+                        vars[rng.gen_range(0..vars.len())]
+                    } else {
+                        random_expr(&mut ts, &mut rng, &vars, 2)
+                    });
+                }
+                assert_eq!(
+                    coi_cone(&ts, &roots),
+                    reference_cone(&ts, &roots),
+                    "seed {seed}, roots {roots:?}"
+                );
+            }
+        }
     }
 
     #[test]

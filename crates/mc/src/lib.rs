@@ -41,7 +41,7 @@ pub use bmc::{
     Counterexample, InductionOutcome, TraceStep,
 };
 pub use btor2::{to_btor2, Btor2Error};
-pub use coi::{coi_slice, support, CoiStats};
+pub use coi::{coi_cone, coi_slice, support, CoiStats};
 pub use liveness::{check_justice, liveness_to_safety, LivenessOutcome};
 pub use ts::{TransitionSystem, TsError, TsVar};
 pub use unroll::{Frame, Unrolling, UnrollingSnapshot};

@@ -21,7 +21,8 @@
 //!   eviction, crash-safe compaction), re-exported here; the daemon and
 //!   `gila verify --checkpoint` share the one implementation.
 //! - [`service`] — op dispatch; a `verify` request hands the cache to
-//!   the engine as its journal.
+//!   the engine as its journal, and inline sources go through a
+//!   content memo of parsed texts and lint reports.
 //! - [`server`] — admission control (bounded queue, load shedding
 //!   with retry hints), per-request deadlines and cancellation,
 //!   deadline watchdog with worker recycling, graceful drain.
@@ -39,4 +40,4 @@ pub use gila_verify::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
 pub use client::{Client, ClientConfig, ClientError, Endpoint};
 pub use protocol::{Request, MAX_FRAME_BYTES, MAX_FRAME_DEPTH, PROTOCOL_VERSION};
 pub use server::{DrainOutcome, Listen, ServeConfig, Server, ServerHandle};
-pub use service::Service;
+pub use service::{MemoStats, Service};

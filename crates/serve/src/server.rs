@@ -229,6 +229,7 @@ impl ServerInner {
     fn stats(&self) -> Value {
         let c = &self.counters;
         let cache = self.service.cache.stats();
+        let memo = self.service.memo_stats();
         Value::object(vec![
             ("requests".into(), (c.requests.load(Ordering::Relaxed) as f64).into()),
             ("responses".into(), (c.responses.load(Ordering::Relaxed) as f64).into()),
@@ -265,6 +266,9 @@ impl ServerInner {
                 "cache_recovery_dropped".into(),
                 (cache.recovery_dropped as f64).into(),
             ),
+            ("memo_entries".into(), (memo.entries as f64).into()),
+            ("memo_hits".into(), (memo.hits as f64).into()),
+            ("memo_misses".into(), (memo.misses as f64).into()),
         ])
     }
 

@@ -9,19 +9,160 @@
 //! journaled as they are decided. Undecided outcomes (`unknown`,
 //! `panicked`) are never cached: "the budget was too small" is a
 //! property of the request, not of the design.
+//!
+//! Below the proof cache sits a content memo keyed by the *exact text*
+//! of each inline `.ila` and Verilog source: the parse result (errors
+//! included) and, for `.ila` text, the module's lint report. Parsing
+//! and `lint_module` are pure functions of that text (lint options are
+//! fixed per service), so a hit returns exactly what a fresh parse or
+//! lint would. Both tables are small most-recently-used lists, bounded
+//! by [`ILA_MEMO_CAP`] and [`RTL_MEMO_CAP`].
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gila_core::ModuleIla;
 use gila_designs::CaseStudy;
 use gila_json::Value;
+use gila_lint::{lint_module, lint_rtl, LintOptions, LintReport};
 use gila_rtl::RtlModule;
 use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
-use gila_verify::{verify_module, FaultPlan, ModuleReport, ProofCache, RefinementMap, VerifyOptions};
+use gila_verify::{
+    verify_module, CommandStream, FaultPlan, ModuleReport, ProofCache, RefinementMap,
+    VerifyOptions,
+};
 
 use crate::protocol::{response_error, response_ok, Request};
+
+/// Distinct `.ila` texts the content memo keeps. An editing session
+/// touches a handful of specs; each entry holds a parsed module and its
+/// lint report.
+pub const ILA_MEMO_CAP: usize = 16;
+
+/// Distinct Verilog texts the content memo keeps: enough for the last
+/// few edits of several designs plus their originals, few enough that
+/// parsed modules stay a small share of the daemon's memory.
+pub const RTL_MEMO_CAP: usize = 16;
+
+/// A bounded most-recently-used table from exact source text to a
+/// value computed from it.
+struct TextMemo<T> {
+    cap: usize,
+    /// `(text, value)`, most recently used last.
+    entries: Vec<(String, Arc<T>)>,
+}
+
+impl<T> TextMemo<T> {
+    fn new(cap: usize) -> Self {
+        TextMemo {
+            cap,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The value memoized for `text`, marked most recently used.
+    fn get(&mut self, text: &str) -> Option<Arc<T>> {
+        let i = self.entries.iter().rposition(|(t, _)| t == text)?;
+        let entry = self.entries.remove(i);
+        let value = Arc::clone(&entry.1);
+        self.entries.push(entry);
+        Some(value)
+    }
+
+    /// Memoizes `value` for `text`, evicting the least recently used
+    /// entry at capacity. A value another request memoized meanwhile
+    /// wins, so equal texts always share one value.
+    fn insert(&mut self, text: &str, value: Arc<T>) -> Arc<T> {
+        if let Some(existing) = self.get(text) {
+            return existing;
+        }
+        if self.entries.len() == self.cap {
+            self.entries.remove(0);
+        }
+        self.entries.push((text.to_string(), Arc::clone(&value)));
+        value
+    }
+}
+
+/// A parsed `.ila` text and, once a `lint` request needs it, the
+/// module's lint report.
+struct IlaEntry {
+    module: Result<Arc<ModuleIla>, String>,
+    lint: OnceLock<LintReport>,
+}
+
+/// The content memo: one table per source language, with lookup
+/// counts over both.
+struct Memo {
+    ila: Mutex<TextMemo<IlaEntry>>,
+    rtl: Mutex<TextMemo<Result<Arc<RtlModule>, String>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl Memo {
+    fn new() -> Self {
+        Memo {
+            ila: Mutex::new(TextMemo::new(ILA_MEMO_CAP)),
+            rtl: Mutex::new(TextMemo::new(RTL_MEMO_CAP)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The memoized value for `text` in `table`, computing it with
+    /// `make` (outside the lock) on a miss.
+    fn lookup<T>(
+        &self,
+        table: &Mutex<TextMemo<T>>,
+        text: &str,
+        make: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        if let Some(hit) = table.lock().unwrap().get(text) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = Arc::new(make());
+        table.lock().unwrap().insert(text, value)
+    }
+
+    fn ila(&self, text: &str) -> Arc<IlaEntry> {
+        self.lookup(&self.ila, text, || IlaEntry {
+            module: gila_lang::parse_ila(text)
+                .map(Arc::new)
+                .map_err(|e| format!("ila: {e}")),
+            lint: OnceLock::new(),
+        })
+    }
+
+    fn rtl(&self, text: &str) -> Result<Arc<RtlModule>, String> {
+        let parsed = self.lookup(&self.rtl, text, || {
+            gila_rtl::parse_verilog(text)
+                .map(Arc::new)
+                .map_err(|e| format!("rtl: {e}"))
+        });
+        (*parsed).clone()
+    }
+}
+
+/// Content-memo counters, reported by the daemon's `stats` op. Entries
+/// and lookups are summed over the `.ila` and Verilog tables.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Texts currently memoized.
+    pub entries: u64,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that parsed their text.
+    pub misses: u64,
+}
+
+/// A resolved verification target: the module, its RTL and the
+/// refinement maps.
+type Target = (Arc<ModuleIla>, Arc<RtlModule>, Vec<RefinementMap>);
 
 /// The op-dispatch layer shared by the daemon and in-process callers
 /// (benches drive it directly to measure cache behavior without
@@ -38,6 +179,8 @@ pub struct Service {
     /// layer.
     pub fault_plan: Option<Arc<FaultPlan>>,
     designs: Vec<CaseStudy>,
+    lint_opts: LintOptions,
+    memo: Memo,
 }
 
 impl Service {
@@ -55,6 +198,22 @@ impl Service {
             jobs,
             fault_plan,
             designs: gila_designs::all_case_studies(),
+            lint_opts: LintOptions {
+                jobs: jobs.unwrap_or(1).max(1),
+                ..LintOptions::default()
+            },
+            memo: Memo::new(),
+        }
+    }
+
+    /// The content memo's size and lookup counts.
+    pub fn memo_stats(&self) -> MemoStats {
+        let ila = self.memo.ila.lock().unwrap().entries.len();
+        let rtl = self.memo.rtl.lock().unwrap().entries.len();
+        MemoStats {
+            entries: (ila + rtl) as u64,
+            hits: self.memo.hits.load(Ordering::Relaxed),
+            misses: self.memo.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -95,11 +254,9 @@ impl Service {
     }
 
     /// Resolves a request's verification target: a bundled design by
-    /// name, or inline `ila` / `rtl` / `maps` sources.
-    fn resolve(
-        &self,
-        req: &Request,
-    ) -> Result<(ModuleIla, RtlModule, Vec<RefinementMap>), String> {
+    /// name, or inline `ila` / `rtl` / `maps` sources (parsed through
+    /// the content memo).
+    fn resolve(&self, req: &Request) -> Result<Target, String> {
         if let Some(name) = req.str_field("design") {
             let cs = self.find_design(name)?;
             let rtl = if req.body.get("buggy").and_then(Value::as_bool).unwrap_or(false) {
@@ -109,12 +266,12 @@ impl Service {
             } else {
                 cs.rtl.clone()
             };
-            return Ok((cs.ila.clone(), rtl, cs.refmaps.clone()));
+            return Ok((Arc::new(cs.ila.clone()), Arc::new(rtl), cs.refmaps.clone()));
         }
         let ila_src = req.str_field("ila").ok_or("need \"design\" or inline \"ila\"")?;
         let rtl_src = req.str_field("rtl").ok_or("inline request needs \"rtl\"")?;
-        let module = gila_lang::parse_ila(ila_src).map_err(|e| format!("ila: {e}"))?;
-        let rtl = gila_rtl::parse_verilog(rtl_src).map_err(|e| format!("rtl: {e}"))?;
+        let module = self.memo.ila(ila_src).module.clone()?;
+        let rtl = self.memo.rtl(rtl_src)?;
         let maps_field = req
             .body
             .get("maps")
@@ -181,26 +338,25 @@ impl Service {
     }
 
     fn op_lint(&self, req: &Request) -> Result<Value, String> {
-        use gila_lint::{lint_module, lint_rtl, LintOptions};
-        let opts = LintOptions {
-            jobs: self.jobs.unwrap_or(1).max(1),
-            ..LintOptions::default()
-        };
-        let (target, module, rtl) = if let Some(name) = req.str_field("design") {
+        if let Some(name) = req.str_field("design") {
             let cs = self.find_design(name)?;
-            (cs.name.to_string(), cs.ila.clone(), Some(cs.rtl.clone()))
-        } else {
-            let src = req.str_field("ila").ok_or("need \"design\" or inline \"ila\"")?;
-            let module = gila_lang::parse_ila(src).map_err(|e| format!("ila: {e}"))?;
-            let rtl = match req.str_field("rtl") {
-                Some(text) => Some(gila_rtl::parse_verilog(text).map_err(|e| format!("rtl: {e}"))?),
-                None => None,
-            };
-            ("inline".to_string(), module, rtl)
+            let mut report = lint_module(cs.name, &cs.ila, &self.lint_opts, &self.tracer);
+            report.diagnostics.extend(lint_rtl(cs.name, &cs.rtl, &self.tracer));
+            return Ok(report.to_json());
+        }
+        let src = req.str_field("ila").ok_or("need \"design\" or inline \"ila\"")?;
+        let entry = self.memo.ila(src);
+        let module = entry.module.as_ref().map_err(String::clone)?;
+        let rtl = match req.str_field("rtl") {
+            Some(text) => Some(self.memo.rtl(text)?),
+            None => None,
         };
-        let mut report = lint_module(&target, &module, &opts, &self.tracer);
+        let mut report = entry
+            .lint
+            .get_or_init(|| lint_module("inline", module, &self.lint_opts, &self.tracer))
+            .clone();
         if let Some(rtl) = &rtl {
-            report.diagnostics.extend(lint_rtl(&target, rtl, &self.tracer));
+            report.diagnostics.extend(lint_rtl("inline", rtl, &self.tracer));
         }
         Ok(report.to_json())
     }
@@ -217,27 +373,25 @@ impl Service {
             &cs.rtl
         };
         let stim = req.str_field("stim").ok_or("hunt-replay needs \"stim\"")?;
-        let (start, inputs) = parse_stream(stim, rtl)?;
+        let CommandStream { start, inputs } =
+            gila_verify::parse_command_stream(stim, rtl).map_err(|e| e.to_string())?;
         for port in cs.ila.ports() {
             let Some(map) = cs.refmaps.iter().find(|m| m.name == port.name()) else {
                 continue;
             };
             // A stream recorded at another port may simply not decode
             // here; that is not an error for replay.
-            match gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
-                Ok(Some(d)) => {
-                    return Ok(Value::object(vec![
-                        ("reproduced".into(), Value::Bool(true)),
-                        ("design".into(), cs.name.into()),
-                        ("port".into(), port.name().into()),
-                        ("cycle".into(), (d.cycle as f64).into()),
-                        ("instruction".into(), d.instruction.clone().into()),
-                        ("state".into(), d.state.clone().into()),
-                        ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
-                        ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
-                    ]));
-                }
-                Ok(None) | Err(_) => {}
+            if let Ok(Some(d)) = gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
+                return Ok(Value::object(vec![
+                    ("reproduced".into(), Value::Bool(true)),
+                    ("design".into(), cs.name.into()),
+                    ("port".into(), port.name().into()),
+                    ("cycle".into(), (d.cycle as f64).into()),
+                    ("instruction".into(), d.instruction.clone().into()),
+                    ("state".into(), d.state.clone().into()),
+                    ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
+                    ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
+                ]));
             }
         }
         Ok(Value::object(vec![
@@ -301,66 +455,4 @@ fn report_to_json(
         ("cache_hit_rate".into(), hit_rate.into()),
         ("wall_ms".into(), (wall.as_millis() as f64).into()),
     ])
-}
-
-/// Parses the hunter's recorded command-stream format: `# start
-/// name=value` lines fix the RTL start state, every other non-comment
-/// line is one cycle of `input=value` tokens.
-fn parse_stream(
-    text: &str,
-    rtl: &RtlModule,
-) -> Result<
-    (
-        std::collections::BTreeMap<String, gila_expr::Value>,
-        Vec<std::collections::BTreeMap<String, gila_expr::BitVecValue>>,
-    ),
-    String,
-> {
-    use gila_expr::Sort;
-    let state_sort = |name: &str| -> Option<Sort> {
-        rtl.regs()
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| Sort::Bv(r.width))
-            .or_else(|| {
-                rtl.mems().iter().find(|m| m.name == name).map(|m| Sort::Mem {
-                    addr_width: m.addr_width,
-                    data_width: m.data_width,
-                })
-            })
-    };
-    let mut start = std::collections::BTreeMap::new();
-    let mut inputs = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("# start ") {
-            let (name, v) = rest
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: bad start entry {rest:?}", ln + 1))?;
-            let name = name.trim();
-            let sort = state_sort(name)
-                .ok_or_else(|| format!("line {}: unknown RTL state {name:?}", ln + 1))?;
-            let v = gila_verify::parse_value(v.trim(), sort)
-                .ok_or_else(|| format!("line {}: bad value for {name:?}", ln + 1))?;
-            start.insert(name.to_string(), v);
-        } else if t.is_empty() || t.starts_with('#') {
-            continue;
-        } else {
-            let mut vec = std::collections::BTreeMap::new();
-            for tok in t.split_whitespace() {
-                let (name, v) = tok
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad stimulus token {tok:?}", ln + 1))?;
-                let width = rtl
-                    .find_input(name)
-                    .map(|i| i.width)
-                    .ok_or_else(|| format!("line {}: unknown RTL input {name:?}", ln + 1))?;
-                let v = gila_verify::parse_bv(v, width)
-                    .ok_or_else(|| format!("line {}: bad literal in {tok:?}", ln + 1))?;
-                vec.insert(name.to_string(), v);
-            }
-            inputs.push(vec);
-        }
-    }
-    Ok((start, inputs))
 }

@@ -1,7 +1,8 @@
 //! Proof-cache behavior: content-key semantics, journal recovery
-//! edge cases, eviction, compaction, and the end-to-end warm-path
-//! invariant (`solves == 0`, incremental re-proving) driven through
-//! the [`gila_serve::Service`] layer in-process.
+//! edge cases, eviction, compaction, the end-to-end warm-path
+//! invariant (`solves == 0`, incremental re-proving), and the content
+//! memo's byte-identical lint answers, driven through the
+//! [`gila_serve::Service`] layer in-process.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -74,11 +75,13 @@ fn refmap_json() -> String {
     map.to_json()
 }
 
-fn parsed() -> (
+type Parsed = (
     gila_core::ModuleIla,
     gila_rtl::RtlModule,
     Vec<gila_verify::RefinementMap>,
-) {
+);
+
+fn parsed() -> Parsed {
     let ila = gila_lang::parse_ila(ILA).unwrap();
     let rtl = gila_rtl::parse_verilog(RTL).unwrap();
     let map = gila_verify::RefinementMap::from_json(&refmap_json()).unwrap();
@@ -246,10 +249,12 @@ fn stale_key_version_records_are_dropped() {
 /// is kept from skipping work it never proved.
 #[test]
 fn pre_absint_v1_journal_entries_are_dropped_on_recovery() {
-    assert!(
-        CACHE_KEY_VERSION >= 2,
-        "the absint lemma pipeline bumped the key version past 1"
-    );
+    const {
+        assert!(
+            CACHE_KEY_VERSION >= 2,
+            "the absint lemma pipeline bumped the key version past 1"
+        )
+    };
     let path = tmp_path("ckv-v1");
     let (lines, keys) = warm_journal(&path);
     let current = format!("\"ckv\":{CACHE_KEY_VERSION}");
@@ -396,4 +401,88 @@ fn cancelled_request_reports_unknown_not_wrong_answers() {
     );
     // Nothing undecided may have been journaled.
     assert_eq!(cache.stats().inserts, 0);
+}
+
+// ---------------------------------------------------------------
+// The content memo answers exactly what a cold service answers.
+
+fn fresh_service() -> Service {
+    let cache = Arc::new(ProofCache::open(CacheConfig::default()).unwrap());
+    Service::new(cache, Tracer::disabled(), None, None)
+}
+
+fn lint_request(ila: &str, rtl: &str) -> gila_serve::Request {
+    let frame = Value::object(vec![
+        ("gila".into(), 1.0.into()),
+        ("id".into(), 1.0.into()),
+        ("op".into(), "lint".into()),
+        ("ila".into(), ila.into()),
+        ("rtl".into(), rtl.into()),
+    ]);
+    gila_serve::protocol::parse_request(frame).unwrap()
+}
+
+/// One service lints every single-register mutant of the seven
+/// non-Datapath registry designs, sent as printed text; each answer
+/// must be byte-identical to a fresh service's answer to the same
+/// request, although the warm service parses and lints each design's
+/// `.ila` text only once.
+#[test]
+fn memoized_lint_matches_a_fresh_service_on_every_mutant() {
+    use gila_verify::{mutate_register, Mutation};
+    let warm = fresh_service();
+    let mut mutants = 0;
+    let mut texts = BTreeSet::new();
+    let registry = gila_designs::all_case_studies();
+    for cs in registry.iter().filter(|cs| cs.name != "Datapath") {
+        let ila = gila_lang::to_ila_text(&cs.ila).unwrap();
+        for reg in cs.rtl.regs() {
+            for m in Mutation::all() {
+                let rtl = mutate_register(&cs.rtl, &reg.name, m).unwrap().to_verilog().unwrap();
+                let req = lint_request(&ila, &rtl);
+                texts.insert(rtl);
+                let got = warm.execute(&req, CancelToken::new(), None).to_compact();
+                let cold = fresh_service().execute(&req, CancelToken::new(), None);
+                assert_eq!(
+                    cold.get("status").and_then(Value::as_str),
+                    Some("ok"),
+                    "{}/{}/{m}",
+                    cs.name,
+                    reg.name
+                );
+                assert_eq!(got, cold.to_compact(), "{}/{}/{m}", cs.name, reg.name);
+                mutants += 1;
+            }
+        }
+    }
+    assert_eq!(mutants, 246);
+    let memo = warm.memo_stats();
+    assert_eq!(memo.hits + memo.misses, 2 * 246, "one .ila and one Verilog lookup per lint");
+    assert_eq!(
+        memo.misses,
+        7 + texts.len() as u64,
+        "each design's .ila and each distinct mutant text parse once"
+    );
+}
+
+/// A malformed text's parse error is memoized too: asking twice gives
+/// the same error, not a success or a different message.
+#[test]
+fn malformed_text_answers_the_same_error_every_time() {
+    let service = fresh_service();
+    let bad_ila = lint_request("port broken {", RTL);
+    let first = service.execute(&bad_ila, CancelToken::new(), None);
+    let second = service.execute(&bad_ila, CancelToken::new(), None);
+    assert_eq!(first.get("status").and_then(Value::as_str), Some("error"));
+    assert_eq!(first.to_compact(), second.to_compact());
+    let cold = fresh_service().execute(&bad_ila, CancelToken::new(), None);
+    assert_eq!(first.to_compact(), cold.to_compact());
+
+    let bad_rtl = lint_request(ILA, "module broken(");
+    let first = service.execute(&bad_rtl, CancelToken::new(), None);
+    let second = service.execute(&bad_rtl, CancelToken::new(), None);
+    assert_eq!(first.get("status").and_then(Value::as_str), Some("error"));
+    assert_eq!(first.to_compact(), second.to_compact());
+    let memo = service.memo_stats();
+    assert_eq!((memo.entries, memo.hits, memo.misses), (3, 3, 3));
 }

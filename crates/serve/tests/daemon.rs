@@ -192,6 +192,70 @@ fn disconnecting_client_cancels_its_outstanding_work() {
     assert_eq!(server.shutdown_and_wait(), DrainOutcome::Clean);
 }
 
+const COUNTER_ILA: &str = r#"
+port counter {
+  input en : bv1
+  output state cnt : bv8 init 0
+
+  instr inc when en == 1 { cnt := cnt + 1 }
+  instr hold when en == 0 { }
+}
+"#;
+
+const COUNTER_RTL: &str = r#"
+module counter(clk, en_in);
+  input clk; input en_in;
+  reg [7:0] count;
+  always @(posedge clk) if (en_in) count <= count + 8'd1;
+endmodule
+"#;
+
+fn inline_fields(rtl: &str) -> Vec<(String, Value)> {
+    let mut map = gila_verify::RefinementMap::new("counter");
+    map.map_state("cnt", "count");
+    map.map_input("en", "en_in");
+    vec![
+        ("ila".to_string(), COUNTER_ILA.into()),
+        ("rtl".to_string(), rtl.into()),
+        ("maps".to_string(), Value::Array(vec![map.to_json().into()])),
+    ]
+}
+
+/// The `stats` op reports the content memo: a repeated text is a hit,
+/// and only distinct texts miss.
+#[test]
+fn stats_report_content_memo_hits_and_misses() {
+    let (server, addr) = start(base_cfg());
+    let mut client = client_for(&addr);
+    let memo = |client: &mut Client| {
+        let stats = client.request("stats", Vec::new()).unwrap();
+        let field = |name: &str| result_u64(&stats, name);
+        (field("memo_entries"), field("memo_hits"), field("memo_misses"))
+    };
+    assert_eq!(memo(&mut client), (0, 0, 0));
+
+    // Priming: the `.ila` and the Verilog text each miss once.
+    let cold = client.request("verify", inline_fields(COUNTER_RTL)).unwrap();
+    assert!(result_u64(&cold, "solves") > 0);
+    assert_eq!(memo(&mut client), (2, 0, 2));
+
+    // The same request again: both texts hit, nothing is parsed.
+    let warm = client.request("verify", inline_fields(COUNTER_RTL)).unwrap();
+    assert_eq!(result_u64(&warm, "solves"), 0);
+    let (entries, hits, misses) = memo(&mut client);
+    assert!(hits >= 1, "a repeated text must hit the memo");
+    assert_eq!((entries, misses), (2, 2), "misses count distinct texts");
+
+    // A lint of an edited RTL: the `.ila` hits, the new text misses.
+    let edited = COUNTER_RTL.replace("8'd1", "8'd2");
+    let lint = client.request("lint", inline_fields(&edited)).unwrap();
+    assert_eq!(lint.get("status").and_then(Value::as_str), Some("ok"));
+    assert_eq!(memo(&mut client), (3, hits + 1, 3));
+
+    server.handle().shutdown();
+    assert_eq!(server.shutdown_and_wait(), DrainOutcome::Clean);
+}
+
 #[test]
 fn expired_deadline_yields_unknown_verdicts_not_a_hang() {
     let (server, addr) = start(base_cfg());

@@ -36,10 +36,10 @@ use std::collections::{BTreeMap, HashMap};
 
 use gila_core::{ModuleIla, PortIla};
 use gila_expr::{ExprCtx, ExprNode, ExprRef};
-use gila_mc::{coi_slice, support, TransitionSystem};
+use gila_mc::{coi_cone, TransitionSystem};
 use gila_rtl::RtlModule;
 
-use crate::engine::{map_for, rtl_to_ts, PortPlan, VerifyError};
+use crate::engine::{coi_roots, map_for, rtl_to_ts, PortPlan, VerifyError};
 use crate::refmap::RefinementMap;
 
 /// Version tag folded into every key. Bump whenever the key material or
@@ -120,6 +120,35 @@ pub(crate) fn keys_of(
         }
     }
     Ok(keys)
+}
+
+/// Every cone-of-influence root set verification builds for this
+/// module, over the one transition system of `rtl`: per port, the
+/// union over its instructions (the engine's slice), then one per
+/// instruction (what that instruction's cache key hashes).
+///
+/// Exposed so tests can cross-check [`gila_mc::coi_cone`] against an
+/// independent fixpoint on real designs.
+///
+/// # Errors
+///
+/// The same [`VerifyError`]s as [`slice_keys`].
+#[doc(hidden)]
+pub fn coi_root_sets(
+    module: &ModuleIla,
+    rtl: &RtlModule,
+    maps: &[RefinementMap],
+) -> Result<(TransitionSystem, Vec<Vec<ExprRef>>), VerifyError> {
+    let (ts, ts_signals) = rtl_to_ts(rtl)?;
+    let mut sets = Vec::new();
+    for port in module.ports() {
+        let plan = PortPlan::build(port, rtl, map_for(maps, port)?, &ts_signals)?;
+        sets.push(coi_roots(&plan, &plan.instrs, &ts, &ts_signals));
+        for ip in &plan.instrs {
+            sets.push(coi_roots(&plan, std::slice::from_ref(ip), &ts, &ts_signals));
+        }
+    }
+    Ok((ts, sets))
 }
 
 /// Dual-lane FNV-1a/64. The second lane runs over tweaked bytes from a
@@ -212,8 +241,9 @@ fn expr_hash(ctx: &ExprCtx, e: ExprRef, memo: &mut HashMap<ExprRef, (u64, u64)>)
     memo[&e]
 }
 
-/// Hashes one instruction's property: the per-instruction COI slice of
-/// the transition system plus every ingredient of the refinement check.
+/// Hashes one instruction's property: the transition system restricted
+/// to the instruction's cone of influence, plus every ingredient of the
+/// refinement check.
 #[allow(clippy::too_many_arguments)]
 fn instruction_key(
     plan: &PortPlan<'_>,
@@ -230,50 +260,46 @@ fn instruction_key(
     // Root set: what *this instruction's* check can observe of the RTL —
     // the mapped correspondence plus the support of the conditions it
     // uses (invariants apply to every instruction of the port).
-    let mut roots: Vec<ExprRef> = Vec::new();
-    for (_, e, _) in &plan.mapped_states {
-        roots.push(*e);
-    }
-    for (_, e, _) in &plan.mapped_inputs {
-        roots.push(*e);
-    }
-    let mut cond_exprs: Vec<ExprRef> = plan.invariants.clone();
-    cond_exprs.extend(ip.finish_expr);
-    cond_exprs.extend(ip.strengthening);
-    for name in support(plan.cond_rtl.ctx(), &cond_exprs) {
-        if let Some(&e) = ts_signals.get(&name) {
-            roots.push(e);
-        } else if let Some(e) = ts.ctx().find_var(&name) {
-            roots.push(e);
-        }
-    }
-    let (sliced, _) = coi_slice(ts, &roots);
+    let roots = coi_roots(plan, std::slice::from_ref(ip), ts, ts_signals);
+    let cone = coi_cone(ts, &roots);
 
     let mut f = Fnv128::new();
     f.write_str("gila-cache-key");
     f.write_u64(CACHE_KEY_VERSION as u64);
 
-    // 1. The sliced transition system (slicing keeps the original
-    // context, so ts_memo stays valid). States sorted by name; the
-    // sorted-name iteration makes the serialization canonical.
+    // 1. The transition system restricted to the cone: what
+    // `coi_slice` would keep, read from the unsliced system (so
+    // ts_memo stays valid) with every constraint, since slicing keeps
+    // them all. States sorted by name; the sorted-name iteration makes
+    // the serialization canonical.
     let ts_ctx = ts.ctx();
-    let mut state_names: Vec<&str> = sliced.states().iter().map(|s| s.name.as_str()).collect();
+    let mut state_names: Vec<&str> = ts
+        .states()
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|name| cone.contains(*name))
+        .collect();
     state_names.sort_unstable();
     f.write_u64(state_names.len() as u64);
     for name in state_names {
         f.write_str(name);
-        let var = ts_ctx.find_var(name).expect("sliced state var exists");
+        let var = ts_ctx.find_var(name).expect("cone state var exists");
         f.write_str(&ts_ctx.sort_of(var).to_string());
-        match sliced.init_of(name) {
+        match ts.init_of(name) {
             Some(v) => f.write_str(&format!("{v:?}")),
             None => f.write_str("-"),
         }
-        match sliced.next_of(name) {
+        match ts.next_of(name) {
             Some(e) => f.write_hash(expr_hash(ts_ctx, e, ts_memo)),
             None => f.write_str("-"),
         }
     }
-    let mut input_names: Vec<&str> = sliced.inputs().iter().map(|i| i.name.as_str()).collect();
+    let mut input_names: Vec<&str> = ts
+        .inputs()
+        .iter()
+        .map(|i| i.name.as_str())
+        .filter(|name| cone.contains(*name))
+        .collect();
     input_names.sort_unstable();
     f.write_u64(input_names.len() as u64);
     for name in input_names {
@@ -282,7 +308,7 @@ fn instruction_key(
             f.write_str(&ts_ctx.sort_of(var).to_string());
         }
     }
-    let mut constraint_hashes: Vec<(u64, u64)> = sliced
+    let mut constraint_hashes: Vec<(u64, u64)> = ts
         .constraints()
         .iter()
         .map(|&c| expr_hash(ts_ctx, c, ts_memo))

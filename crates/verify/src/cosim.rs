@@ -138,6 +138,92 @@ pub fn parse_value(s: &str, sort: Sort) -> Option<Value> {
     }
 }
 
+/// A recorded command stream read back against an RTL module: the
+/// start state its `# start` lines pin, and one input vector per cycle.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CommandStream {
+    /// The RTL start state.
+    pub start: BTreeMap<String, Value>,
+    /// The RTL input vector of each cycle.
+    pub inputs: Vec<BTreeMap<String, BitVecValue>>,
+}
+
+/// Why a command stream did not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StreamError {
+    /// The 1-based line at fault.
+    pub line: usize,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl fmt::Display for StreamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.reason)
+    }
+}
+
+impl std::error::Error for StreamError {}
+
+/// Parses [`Divergence::command_stream`] text against `rtl`: `# start
+/// name=value` lines pin the RTL start state, other `#` lines are
+/// comments, and every remaining line is one cycle of `pin=0xHEX`
+/// input assignments. Inverse of [`Divergence::command_stream`].
+///
+/// # Errors
+///
+/// A [`StreamError`] for a malformed entry, an unknown RTL state or
+/// input, or a literal that does not parse at the signal's sort.
+pub fn parse_command_stream(text: &str, rtl: &RtlModule) -> Result<CommandStream, StreamError> {
+    let state_sort = |name: &str| -> Option<Sort> {
+        rtl.regs()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| Sort::Bv(r.width))
+            .or_else(|| {
+                rtl.mems().iter().find(|m| m.name == name).map(|m| Sort::Mem {
+                    addr_width: m.addr_width,
+                    data_width: m.data_width,
+                })
+            })
+    };
+    let mut stream = CommandStream::default();
+    for (ln, line) in text.lines().enumerate() {
+        let err = |reason: String| StreamError {
+            line: ln + 1,
+            reason,
+        };
+        let t = line.trim();
+        if let Some(rest) = t.strip_prefix("# start ") {
+            let (name, v) = rest
+                .split_once('=')
+                .ok_or_else(|| err(format!("bad start entry {rest:?}")))?;
+            let name = name.trim();
+            let sort = state_sort(name).ok_or_else(|| err(format!("unknown RTL state {name:?}")))?;
+            let v = parse_value(v.trim(), sort)
+                .ok_or_else(|| err(format!("bad value for {name:?}")))?;
+            stream.start.insert(name.to_string(), v);
+        } else if t.is_empty() || t.starts_with('#') {
+            continue;
+        } else {
+            let mut vec = BTreeMap::new();
+            for tok in t.split_whitespace() {
+                let (name, v) = tok
+                    .split_once('=')
+                    .ok_or_else(|| err(format!("bad stimulus token {tok:?}")))?;
+                let width = rtl
+                    .find_input(name)
+                    .map(|i| i.width)
+                    .ok_or_else(|| err(format!("unknown RTL input {name:?}")))?;
+                let v = parse_bv(v, width).ok_or_else(|| err(format!("bad literal in {tok:?}")))?;
+                vec.insert(name.to_string(), v);
+            }
+            stream.inputs.push(vec);
+        }
+    }
+    Ok(stream)
+}
+
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -519,6 +605,65 @@ endmodule
                 assert_eq!(back, v, "round-trip through {text:?}");
             }
         }
+    }
+
+    #[test]
+    fn command_stream_parses_back_to_its_divergence() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let rtl = parse_verilog(
+            r#"
+module m(clk, a, b);
+  input clk; input [7:0] a; input [99:0] b;
+  reg [15:0] r;
+  reg [7:0] ram [0:15];
+  always @(posedge clk) begin
+    r <= r + a;
+    ram[a[3:0]] <= b[7:0];
+  end
+endmodule
+"#,
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x57E);
+        for _ in 0..20 {
+            let mut start = BTreeMap::new();
+            start.insert("r".to_string(), random_value(&mut rng, Sort::Bv(16)));
+            let ram = Sort::Mem {
+                addr_width: 4,
+                data_width: 8,
+            };
+            start.insert("ram".to_string(), random_value(&mut rng, ram));
+            let inputs: Vec<BTreeMap<String, BitVecValue>> = (0..rng.gen_range(1..6usize))
+                .map(|_| {
+                    BTreeMap::from([
+                        ("a".to_string(), random_bv(&mut rng, 8)),
+                        ("b".to_string(), random_bv(&mut rng, 100)),
+                    ])
+                })
+                .collect();
+            let d = Divergence {
+                cycle: inputs.len() - 1,
+                instruction: "i".into(),
+                state: "s".into(),
+                ila_value: Value::Bool(false),
+                rtl_value: Value::Bool(true),
+                inputs: inputs.clone(),
+                start_state: start.clone(),
+            };
+            let text = d.command_stream();
+            let back = parse_command_stream(&text, &rtl).expect("parses back");
+            assert_eq!(back, CommandStream { start, inputs }, "through {text:?}");
+        }
+        // A real divergence replays from its own stream too.
+        let (p, rtl, map) = counter_setup(2);
+        let d = cosimulate(&p, &rtl, &map, 1, 500).unwrap().expect("must diverge");
+        let back = parse_command_stream(&d.command_stream(), &rtl).unwrap();
+        assert_eq!((back.start, back.inputs), (d.start_state, d.inputs));
+        // Errors name the line.
+        let e = parse_command_stream("# cycle 0\nen_in=0x1\nghost=0x0\n", &rtl).unwrap_err();
+        assert_eq!(e.to_string(), "line 3: unknown RTL input \"ghost\"");
+        let e = parse_command_stream("# start count=zz\n", &rtl).unwrap_err();
+        assert_eq!(e.to_string(), "line 1: bad value for \"count\"");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! With a [`VerifyOptions::journal`], properties whose content key
 //! ([`crate::SliceKey`]) the journal already answers are never
 //! scheduled, and every freshly decided verdict is journaled as it
-//! lands.
+//! lands. On the sequential path a port the journal answers in full
+//! skips its set-up too: no transition system, plan, slice or lemmas.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -671,6 +672,30 @@ impl<'t> RunCtx<'t> {
         self.replayed
             .get(&(port.to_string(), instr.to_string()))
             .cloned()
+    }
+
+    /// The journal's verdicts for `port` in declaration order, when it
+    /// answered every instruction of the port; cut after the first
+    /// counterexample under `stop_at_first_cex`, as
+    /// [`run_port_sequential`] does. Such a port needs no transition
+    /// system, plan, slice or lemmas: [`RunCtx::new`] already built
+    /// them once to key it, so malformed inputs have already errored.
+    fn replayed_port(&self, port: &PortIla, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
+        self.journal?;
+        let mut verdicts: Vec<InstrVerdict> = port
+            .instructions()
+            .iter()
+            .map(|instr| self.replayed(port.name(), &instr.name))
+            .collect::<Option<_>>()?;
+        if stop_at_first_cex {
+            let first_cex = verdicts
+                .iter()
+                .position(|v| matches!(v.result, CheckResult::CounterExample(_)));
+            if let Some(i) = first_cex {
+                verdicts.truncate(i + 1);
+            }
+        }
+        Some(verdicts)
     }
 
     /// Journals a freshly decided verdict under its content key (the
@@ -1716,8 +1741,9 @@ pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> 
         .saturating_mul(plan.instrs.len() as u64)
 }
 
-/// Every transition-system expression a port plan will instantiate
-/// over the unrolling — the root set for cone-of-influence slicing.
+/// Every transition-system expression the checks of `instrs` (all of a
+/// port plan's instructions, or one of them) will instantiate over the
+/// unrolling — the root set for cone-of-influence slicing.
 ///
 /// Mapped state/input expressions are roots directly. Conditions
 /// (invariants, strengthenings, finish conditions) are parsed in the
@@ -1725,8 +1751,9 @@ pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> 
 /// transition-system expressions by signal name; a name that resolves
 /// to a wire contributes that wire's defining expression, which keeps
 /// the whole cone of the condition.
-fn coi_roots(
+pub(crate) fn coi_roots(
     plan: &PortPlan<'_>,
+    instrs: &[InstrPlan],
     ts: &TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
 ) -> Vec<ExprRef> {
@@ -1738,7 +1765,7 @@ fn coi_roots(
         roots.push(*e);
     }
     let mut cond_exprs: Vec<ExprRef> = plan.invariants.clone();
-    for ip in &plan.instrs {
+    for ip in instrs {
         cond_exprs.extend(ip.finish_expr);
         cond_exprs.extend(ip.strengthening);
     }
@@ -1767,7 +1794,7 @@ fn coi_preprocess(
     }
     let mut roots = Vec::new();
     for plan in plans {
-        roots.extend(coi_roots(plan, &ts, ts_signals));
+        roots.extend(coi_roots(plan, &plan.instrs, &ts, ts_signals));
     }
     let (sliced, stats) = coi_slice(&ts, &roots);
     tracer.record(|| {
@@ -1836,16 +1863,17 @@ fn add_coi_telemetry(t: &mut Telemetry, coi: Option<CoiStats>) {
 /// invariant count and the journal lookups — and emits the per-port
 /// summary span.
 fn port_report(
-    plan: &PortPlan<'_>,
+    port: &PortIla,
+    invariants_proved: u64,
     verdicts: Vec<InstrVerdict>,
     total_time: Duration,
     ctx: &RunCtx<'_>,
 ) -> PortReport {
     let mut telemetry = telemetry_of(&verdicts);
-    telemetry.invariants_proved += plan.invariants_proved;
-    ctx.add_cache_telemetry(plan.port.name(), &mut telemetry);
+    telemetry.invariants_proved += invariants_proved;
+    ctx.add_cache_telemetry(port.name(), &mut telemetry);
     let report = PortReport {
-        port: plan.port.name().to_string(),
+        port: port.name().to_string(),
         peak_stats: peak_of(&verdicts),
         telemetry,
         verdicts,
@@ -1898,7 +1926,9 @@ pub fn verify_port(
 }
 
 /// [`verify_port`] against an existing run context, so a module run
-/// shares one journal view across its ports.
+/// shares one journal view across its ports. A port the journal
+/// answers in full is reported from its replays alone, with no `coi`
+/// or `absint` span and no slicing telemetry, since neither ran.
 fn verify_port_with(
     port: &PortIla,
     rtl: &RtlModule,
@@ -1907,6 +1937,9 @@ fn verify_port_with(
     ctx: &RunCtx<'_>,
 ) -> Result<PortReport, VerifyError> {
     let start_all = Instant::now();
+    if let Some(verdicts) = ctx.replayed_port(port, opts.stop_at_first_cex) {
+        return Ok(port_report(port, 0, verdicts, start_all.elapsed(), ctx));
+    }
     let (ts, ts_signals) = rtl_to_ts(rtl)?;
     let mut plan = PortPlan::build(port, rtl, map, &ts_signals)?;
     let (mut ts, coi) = coi_preprocess(
@@ -1945,7 +1978,13 @@ fn verify_port_with(
         }
         _ => run_port_sequential(&plan, &ts, opts.stop_at_first_cex, ctx)?,
     };
-    let mut report = port_report(&plan, verdicts, start_all.elapsed(), ctx);
+    let mut report = port_report(
+        port,
+        plan.invariants_proved,
+        verdicts,
+        start_all.elapsed(),
+        ctx,
+    );
     add_coi_telemetry(&mut report.telemetry, coi);
     Ok(report)
 }
@@ -2026,7 +2065,8 @@ pub fn verify_module(
                     let t0 = Instant::now();
                     let verdicts =
                         run_port_sequential(plan, pts, opts.stop_at_first_cex, &ctx)?;
-                    let report = port_report(plan, verdicts, t0.elapsed(), &ctx);
+                    let proved = plan.invariants_proved;
+                    let report = port_report(plan.port, proved, verdicts, t0.elapsed(), &ctx);
                     let has_cex = report.first_counterexample().is_some();
                     ports.push(report);
                     if has_cex && opts.stop_at_first_cex {
@@ -2050,7 +2090,7 @@ pub fn verify_module(
                     .zip(outcome.ports)
                     .map(|(plan, pr)| {
                         let verdicts = pr.verdicts.into_iter().map(|(_, v)| v).collect();
-                        port_report(plan, verdicts, pr.last_done, &ctx)
+                        port_report(plan.port, plan.invariants_proved, verdicts, pr.last_done, &ctx)
                     })
                     .collect()
             }

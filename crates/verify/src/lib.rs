@@ -82,7 +82,7 @@ mod synth;
 mod vcd;
 
 pub use abstraction::{abstract_port_memory, abstract_rtl_memory, AbstractError};
-pub use cache_key::{slice_keys, SliceKey, CACHE_KEY_VERSION};
+pub use cache_key::{coi_root_sets, slice_keys, SliceKey, CACHE_KEY_VERSION};
 pub use engine::{
     rtl_to_ts, verify_module, verify_port, BudgetSpent, CheckResult, InstrVerdict, ModuleReport,
     PortReport, RefinementCex, SolveBudget, VerdictCounts, VerifyError, VerifyOptions,
@@ -96,8 +96,8 @@ pub use property::{render_all_properties, render_property};
 pub use refmap::{FinishCondition, InputPolicy, InstructionMap, RefinementMap};
 pub use compiled::{cosim_differential, cosimulate_compiled, replay_compiled};
 pub use cosim::{
-    cosimulate, parse_bv, parse_value, random_bv, random_value, render_bv, render_value,
-    CosimError, Divergence,
+    cosimulate, parse_bv, parse_command_stream, parse_value, random_bv, random_value, render_bv,
+    render_value, CommandStream, CosimError, Divergence, StreamError,
 };
 pub use equiv::{check_rtl_equivalence, EquivError, EquivOutcome};
 pub use hunt::{hunt, HuntConfig, HuntFinding, HuntReport, HuntTarget};

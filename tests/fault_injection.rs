@@ -13,6 +13,7 @@ use std::sync::Arc;
 use gila::core::ModuleIla;
 use gila::designs::all_case_studies;
 use gila::rtl::RtlModule;
+use gila::trace::{Event, SpanKind, Tracer};
 use gila::verify::{
     identity_refmaps, synthesize_module, verify_module, CacheConfig, CheckResult, FaultAction,
     FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget, VerifyOptions,
@@ -238,6 +239,78 @@ fn stale_journal_never_hides_a_bug() {
         checked.iter().any(|&(_, _, replayed)| replayed > 0),
         "no slice outside a bug's cone replayed: {checked:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run whose journal answers every instruction of a port reports
+/// that port from its replays alone: no slice, no lemmas, no solves,
+/// yet the same verdicts, port spans and cache counts as the run that
+/// set every port up. Under `stop_at_first_cex` a journaled
+/// counterexample cuts the replayed list exactly where a cold run
+/// stops.
+#[test]
+fn wholly_replayed_ports_skip_setup() {
+    let dir = std::env::temp_dir().join(format!("gila_fault_replayed_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let count = |events: &[Event], kind: SpanKind| events.iter().filter(|e| e.kind == kind).count();
+    let port_spans = |events: &[Event]| -> Vec<(String, String, Option<u64>)> {
+        events
+            .iter()
+            .filter(|e| e.kind == SpanKind::Port)
+            .map(|e| (e.port.clone(), e.label.clone(), e.get("instructions")))
+            .collect()
+    };
+    let mut truncated = 0;
+    for cs in all_case_studies() {
+        let Some(buggy) = &cs.buggy_rtl else {
+            continue;
+        };
+        let path = dir.join(format!("{}.jsonl", cs.name.replace(' ', "_")));
+        let _ = std::fs::remove_file(&path);
+        let run = |journal, stop_at_first_cex| {
+            let (tracer, ring) = Tracer::ring(1 << 20);
+            let opts = VerifyOptions {
+                journal,
+                tracer,
+                stop_at_first_cex,
+                ..VerifyOptions::default()
+            };
+            let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+            (report, ring.events())
+        };
+
+        let (cold, cold_events) = run(journal(&path), false);
+        let (warm, warm_events) = run(journal(&path), false);
+        let keyed = cold.instructions_checked() as u64;
+        assert_eq!(shape(&warm), shape(&cold), "{}", cs.name);
+        assert_eq!(warm.telemetry.solves, 0, "{}", cs.name);
+        assert_eq!((cold.telemetry.cache_hits, cold.telemetry.cache_misses), (0, keyed));
+        assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
+        assert!(count(&cold_events, SpanKind::Coi) > 0, "{}", cs.name);
+        assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{}", cs.name);
+        assert_eq!(count(&warm_events, SpanKind::Absint), 0, "{}", cs.name);
+        assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{}", cs.name);
+        for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
+            assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));
+        }
+
+        let (cold_stop, _) = run(None, true);
+        let (warm_stop, stop_events) = run(journal(&path), true);
+        assert!(cold_stop.counts().cex >= 1, "{}", cs.name);
+        assert_eq!(shape(&warm_stop), shape(&cold_stop), "{}", cs.name);
+        assert_eq!(warm_stop.telemetry.solves, 0, "{}", cs.name);
+        assert_eq!(count(&stop_events, SpanKind::Coi), 0, "{}", cs.name);
+        // A port cut short by its first counterexample.
+        truncated += warm_stop
+            .ports
+            .iter()
+            .filter(|p| {
+                let port = cs.ila.ports().iter().find(|q| q.name() == p.port).unwrap();
+                p.verdicts.len() < port.instructions().len()
+            })
+            .count();
+    }
+    assert!(truncated > 0, "no replayed port was cut at a counterexample");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,11 +9,14 @@
 //! Regenerate with `GILA_REGEN_GOLDEN=1 cargo test --test slice_keys`
 //! only together with a `CACHE_KEY_VERSION` bump.
 
+use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::path::PathBuf;
 
 use gila::designs::all_case_studies;
-use gila::verify::{slice_keys, CACHE_KEY_VERSION};
+use gila::expr::ExprRef;
+use gila::mc::{coi_cone, support, TransitionSystem};
+use gila::verify::{coi_root_sets, slice_keys, CACHE_KEY_VERSION};
 
 fn render() -> String {
     let mut out = format!("# CACHE_KEY_VERSION {CACHE_KEY_VERSION}\n");
@@ -57,4 +60,49 @@ fn registry_slice_keys_match_golden() {
         actual.lines().count(),
         "slice key count drifted"
     );
+}
+
+/// The cone as a per-state support fixpoint: seed with the support of
+/// the roots and constraints, then add the support of each cone
+/// state's next-state expression until nothing changes.
+fn reference_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
+    let mut seeds = roots.to_vec();
+    seeds.extend(ts.constraints().iter().copied());
+    let mut cone = support(ts.ctx(), &seeds);
+    let mut worklist: Vec<String> = cone.iter().cloned().collect();
+    while let Some(name) = worklist.pop() {
+        if let Some(next) = ts.next_of(&name) {
+            for dep in support(ts.ctx(), &[next]) {
+                if cone.insert(dep.clone()) {
+                    worklist.push(dep);
+                }
+            }
+        }
+    }
+    cone
+}
+
+/// The one-pass cone that slicing and the cache keys use agrees with
+/// the fixpoint on every root set of every registry port and
+/// instruction, on the fixed and the bug-injected RTL.
+#[test]
+fn registry_cones_match_support_fixpoint() {
+    let (mut checked, mut closed) = (0, 0);
+    for cs in all_case_studies() {
+        let variants = std::iter::once(&cs.rtl).chain(cs.buggy_rtl.as_ref());
+        for rtl in variants {
+            let (ts, sets) = coi_root_sets(&cs.ila, rtl, &cs.refmaps)
+                .unwrap_or_else(|e| panic!("{}: {e}", cs.name));
+            for roots in &sets {
+                let cone = coi_cone(&ts, roots);
+                assert_eq!(cone, reference_cone(&ts, roots), "{}", cs.name);
+                let mut seeds = roots.clone();
+                seeds.extend(ts.constraints().iter().copied());
+                closed += usize::from(cone.len() > support(ts.ctx(), &seeds).len());
+            }
+            checked += sets.len();
+        }
+    }
+    assert!(checked > 100, "only {checked} root sets checked");
+    assert!(closed > 0, "no root set needed the next-state closure");
 }
