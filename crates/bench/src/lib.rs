@@ -1,7 +1,7 @@
 //! # gila-bench — Table I / figure regeneration harness
 //!
-//! Binaries and Criterion benches that reproduce the evaluation of the
-//! DATE 2021 paper:
+//! Binaries that regenerate the tables, figures and files of the DATE
+//! 2021 paper's evaluation:
 //!
 //! * `cargo run --release -p gila-bench --bin table1` prints the full
 //!   Table I reproduction (design stats, ILA stats, refinement-map
@@ -11,8 +11,13 @@
 //! * `cargo run --release -p gila-bench --bin figures -- fig1|fig2|fig3|fig5`
 //!   regenerates the paper's model sketches and the auto-generated
 //!   property example.
-//! * `cargo bench -p gila-bench` measures per-design verification and
-//!   the ablation with Criterion.
+//! * `cargo run --release -p gila-bench --bin artifacts` writes the
+//!   refinement maps, figures, emitted Verilog and rendered properties
+//!   to `artifacts/`.
+//!
+//! None of them is a timing harness: `perfbench/` is the one benchmark,
+//! and the registry's deterministic counters and wall-clock ratio gates
+//! live in the root `tests/registry_gates.rs`.
 
 #![warn(missing_docs)]
 

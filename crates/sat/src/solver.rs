@@ -1245,6 +1245,27 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
+    /// `n` pigeons into `n - 1` holes is UNSAT and exponential for
+    /// resolution: the solver's hard-instance calibration family.
+    #[test]
+    fn pigeonhole_6_to_8_unsat() {
+        for n in 6..=8 {
+            let mut s = Solver::new();
+            let grid: Vec<Vec<Lit>> = (0..n).map(|_| lits(&mut s, n - 1)).collect();
+            for row in &grid {
+                s.add_clause(row.iter().copied());
+            }
+            for j in 0..n - 1 {
+                for a in 0..n {
+                    for b in (a + 1)..n {
+                        s.add_clause([!grid[a][j], !grid[b][j]]);
+                    }
+                }
+            }
+            assert_eq!(s.solve(), SolveResult::Unsat, "{n} pigeons");
+        }
+    }
+
     #[test]
     fn assumptions_are_transient() {
         let mut s = Solver::new();

@@ -165,8 +165,8 @@ pub struct MemoStats {
 type Target = (Arc<ModuleIla>, Arc<RtlModule>, Vec<RefinementMap>);
 
 /// The op-dispatch layer shared by the daemon and in-process callers
-/// (benches drive it directly to measure cache behavior without
-/// socket noise).
+/// (tests drive it directly to check cache behavior without
+/// sockets).
 pub struct Service {
     /// The proof cache; shared with the server for stats reporting.
     pub cache: Arc<ProofCache>,

@@ -353,6 +353,48 @@ fn warm_verify_does_zero_solver_work_and_edits_reprove_only_changed_slices() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The warm-path invariant on the whole registry: one service verifies
+/// each of the eight designs by name, then again, and the second
+/// request is answered entirely from the proof cache.
+#[test]
+fn warm_verify_does_zero_solver_work_on_every_registry_design() {
+    let service = fresh_service();
+    let registry = gila_designs::all_case_studies();
+    assert_eq!(registry.len(), 8);
+    for (i, cs) in registry.iter().enumerate() {
+        let frame = Value::object(vec![
+            ("gila".into(), 1.0.into()),
+            ("id".into(), (i as f64).into()),
+            ("op".into(), "verify".into()),
+            ("design".into(), cs.name.into()),
+        ]);
+        let req = gila_serve::protocol::parse_request(frame).unwrap();
+        for leg in ["cold", "warm"] {
+            let resp = service.execute(&req, CancelToken::new(), None);
+            assert_eq!(
+                resp.get("status").and_then(Value::as_str),
+                Some("ok"),
+                "{} ({leg}): {}",
+                cs.name,
+                resp.to_compact()
+            );
+            let result = resp.get("result").unwrap();
+            assert_eq!(
+                result.get("all_hold").and_then(Value::as_bool),
+                Some(true),
+                "{} ({leg})",
+                cs.name
+            );
+            if leg == "warm" {
+                let solves = result.get("solves").and_then(Value::as_u64);
+                assert_eq!(solves, Some(0), "{}: warm run did solver work", cs.name);
+                let hit_rate = result.get("cache_hit_rate").and_then(Value::as_f64);
+                assert_eq!(hit_rate, Some(1.0), "{}: warm run missed", cs.name);
+            }
+        }
+    }
+}
+
 /// `gila verify --checkpoint` and the daemon share one journal
 /// implementation and one format: a journal written by a direct
 /// `verify_module` run warms a daemon opened on the same file.

@@ -1205,6 +1205,40 @@ mod tests {
         assert!(check_valid(&mut ctx, prop));
     }
 
+    /// Multiplication commutes at bv6. The proof cost climbs steeply
+    /// with width: bv8 takes over a second, bv10 minutes (above).
+    #[test]
+    fn mul_commutes_bv6() {
+        let mut ctx = ExprCtx::new();
+        let x = ctx.var("x", Sort::Bv(6));
+        let y = ctx.var("y", Sort::Bv(6));
+        let l = ctx.bvmul(x, y);
+        let r = ctx.bvmul(y, x);
+        let prop = ctx.eq(l, r);
+        assert!(check_valid(&mut ctx, prop));
+    }
+
+    /// Read-after-write at 2^4, 2^6 and 2^8 words of 8 bits.
+    #[test]
+    fn memory_read_after_write_up_to_256_words() {
+        for aw in [4, 6, 8] {
+            let mut ctx = ExprCtx::new();
+            let m = ctx.var(
+                "m",
+                Sort::Mem {
+                    addr_width: aw,
+                    data_width: 8,
+                },
+            );
+            let a = ctx.var("a", Sort::Bv(aw));
+            let d = ctx.var("d", Sort::Bv(8));
+            let w = ctx.mem_write(m, a, d);
+            let r = ctx.mem_read(w, a);
+            let prop = ctx.eq(r, d);
+            assert!(check_valid(&mut ctx, prop), "2^{aw} words");
+        }
+    }
+
     #[test]
     fn memory_equality() {
         let mut ctx = ExprCtx::new();

@@ -323,8 +323,8 @@ impl fmt::Debug for Tracer {
 }
 
 /// Aggregated totals over a set of instruction verdicts — the same
-/// numbers the CLI `--stats` table prints and `BENCH_verify.json`
-/// records.
+/// numbers the CLI `--stats` table prints and
+/// `tests/golden/registry_counters.txt` pins per registry design.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Telemetry {
     pub instructions: u64,

@@ -572,7 +572,8 @@ impl Default for VerifyOptions {
 }
 
 /// Default for [`VerifyOptions::par_threshold`], tuned on the bundled
-/// case studies (`BENCH_verify.json`): designs whose estimated blast
+/// case studies (`tests/registry_gates.rs`'s `pool_gate` holds the two
+/// slowest designs to it): designs whose estimated blast
 /// work sits below this run faster on the persistent sequential engine
 /// than on a pool, because their solve time is too small to amortize
 /// worker spawn + per-worker blast duplication. On the bundled designs
