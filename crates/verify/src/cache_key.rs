@@ -14,6 +14,11 @@
 //! instruction and only the keys whose slice actually changed miss the
 //! cache.
 //!
+//! Keying is not a separate pass. The keys are read from a run's one
+//! plan ([`Planned`]): the unsliced transition system and the
+//! [`PortPlan`]s the engine then slices and runs. [`slice_keys`] plans
+//! the same way, so a key names exactly what a run would check.
+//!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
 //! Scheduling (`jobs`, `par_threshold`), preprocessing (`preprocess`,
@@ -34,12 +39,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use gila_core::{ModuleIla, PortIla};
+use gila_core::ModuleIla;
 use gila_expr::{ExprCtx, ExprNode, ExprRef};
 use gila_mc::{coi_cone, TransitionSystem};
 use gila_rtl::RtlModule;
 
-use crate::engine::{coi_roots, map_for, rtl_to_ts, PortPlan, VerifyError};
+use crate::engine::{coi_roots, Planned, PortPlan, VerifyError};
 use crate::refmap::RefinementMap;
 
 /// Version tag folded into every key. Bump whenever the key material or
@@ -78,48 +83,37 @@ pub fn slice_keys(
     rtl: &RtlModule,
     maps: &[RefinementMap],
 ) -> Result<Vec<SliceKey>, VerifyError> {
-    let targets = module
-        .ports()
-        .iter()
-        .map(|port| Ok((port, map_for(maps, port)?)))
-        .collect::<Result<Vec<_>, VerifyError>>()?;
-    keys_of(&targets, rtl)
+    Ok(keys_of(&Planned::module(module, rtl, maps)?))
 }
 
-/// The keys of every instruction of `targets`, each port paired with
-/// its refinement map, in declaration order.
-pub(crate) fn keys_of(
-    targets: &[(&PortIla, &RefinementMap)],
-    rtl: &RtlModule,
-) -> Result<Vec<SliceKey>, VerifyError> {
-    let (ts, ts_signals) = rtl_to_ts(rtl)?;
+/// The keys of every instruction of `planned`, in declaration order.
+pub(crate) fn keys_of(planned: &Planned<'_>) -> Vec<SliceKey> {
     let mut keys = Vec::new();
-    for &(port, map) in targets {
-        let plan = PortPlan::build(port, rtl, map, &ts_signals)?;
+    for plan in &planned.plans {
         // Memo tables survive across this port's instructions: the
         // hash-consed contexts only grow, so shared subgraphs hash once.
         let mut ts_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
         let mut cond_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
         let mut ila_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
-        for (idx, instr) in port.instructions().iter().enumerate() {
+        for (idx, instr) in plan.port.instructions().iter().enumerate() {
             let key = instruction_key(
-                &plan,
+                plan,
                 idx,
                 instr,
-                &ts,
-                &ts_signals,
+                &planned.ts,
+                &planned.ts_signals,
                 &mut ts_memo,
                 &mut cond_memo,
                 &mut ila_memo,
             );
             keys.push(SliceKey {
-                port: port.name().to_string(),
+                port: plan.port.name().to_string(),
                 instruction: instr.name.clone(),
                 key,
             });
         }
     }
-    Ok(keys)
+    keys
 }
 
 /// Every cone-of-influence root set verification builds for this
@@ -139,13 +133,16 @@ pub fn coi_root_sets(
     rtl: &RtlModule,
     maps: &[RefinementMap],
 ) -> Result<(TransitionSystem, Vec<Vec<ExprRef>>), VerifyError> {
-    let (ts, ts_signals) = rtl_to_ts(rtl)?;
+    let Planned {
+        ts,
+        ts_signals,
+        plans,
+    } = Planned::module(module, rtl, maps)?;
     let mut sets = Vec::new();
-    for port in module.ports() {
-        let plan = PortPlan::build(port, rtl, map_for(maps, port)?, &ts_signals)?;
-        sets.push(coi_roots(&plan, &plan.instrs, &ts, &ts_signals));
+    for plan in &plans {
+        sets.push(coi_roots(plan, &plan.instrs, &ts, &ts_signals));
         for ip in &plan.instrs {
-            sets.push(coi_roots(&plan, std::slice::from_ref(ip), &ts, &ts_signals));
+            sets.push(coi_roots(plan, std::slice::from_ref(ip), &ts, &ts_signals));
         }
     }
     Ok((ts, sets))

@@ -10,16 +10,18 @@
 //! bit-blasting to SAT; a satisfying assignment is a counterexample
 //! trace, UNSAT is a proof for that instruction.
 //!
-//! Checks are planned per port ([`PortPlan`]: signal resolution and
-//! condition parsing happen once), then executed either sequentially or
-//! on the work-stealing pool in [`crate::scheduler`], where each worker
-//! owns a persistent unrolling and incremental solver so the blasted
-//! transition relation and learned clauses are paid once per worker.
-//! With a [`VerifyOptions::journal`], properties whose content key
-//! ([`crate::SliceKey`]) the journal already answers are never
-//! scheduled, and every freshly decided verdict is journaled as it
-//! lands. On the sequential path a port the journal answers in full
-//! skips its set-up too: no transition system, plan, slice or lemmas.
+//! Every call runs one pipeline. It plans its targets once: one
+//! transition system for the RTL ([`rtl_to_ts`]) and one [`PortPlan`]
+//! per port (signal resolution and condition parsing), so malformed
+//! input errors before anything is solved. With a
+//! [`VerifyOptions::journal`], every property is keyed from those plans
+//! ([`crate::SliceKey`]); a port the journal answers in full is reported
+//! from its replays alone, with no slice, lemmas or estimate. The other
+//! ports run either sequentially or on the work-stealing pool in
+//! [`crate::scheduler`], where each worker owns a persistent unrolling
+//! and incremental solver so the blasted transition relation and
+//! learned clauses are paid once per worker. Every freshly decided
+//! verdict is journaled as it lands.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -41,6 +43,7 @@ use crate::cache_key::keys_of;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::journal::ProofCache;
 use crate::refmap::{FinishCondition, InputPolicy, RefinementMap};
+use crate::scheduler::{run_pool, PoolConfig};
 
 /// An error in the verification setup (not a property failure).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -495,10 +498,14 @@ pub struct VerifyOptions {
     /// - `Some(0)`: a work-stealing pool of one worker per available CPU;
     /// - `Some(n)`: a pool of `n` workers.
     ///
-    /// A pool batches each port's instructions into contiguous chunks,
-    /// and every worker owns a persistent unrolling and incremental
-    /// solver. A pooled run whose estimated blast work is below
-    /// `par_threshold` falls back to the sequential engine.
+    /// Every policy runs the same pipeline: each port is planned once
+    /// before anything is solved, and a port the journal answers in full
+    /// is reported from its replays alone. The sequential engine slices
+    /// each remaining port just before running it; a pool slices them all
+    /// before dispatch, batches each port's instructions into contiguous
+    /// chunks, and gives every worker a persistent unrolling and
+    /// incremental solver. A pooled run whose estimated blast work is
+    /// below `par_threshold` falls back to the sequential engine.
     pub jobs: Option<usize>,
     /// Telemetry tracer; every unroll/blast/solve/instruction/port
     /// event of the run is emitted through it. Defaults to the
@@ -529,11 +536,13 @@ pub struct VerifyOptions {
     /// bounded SAT inprocessing pass between instructions.
     pub preprocess: bool,
     /// Adaptive sequential fallback: a pooled run whose estimated blast
-    /// work ([`ctx.dag_size`](gila_expr::ExprCtx::dag_size) of each
-    /// port's sliced frame logic times its unroll depth) falls below
-    /// this threshold routes to the persistent sequential engine
-    /// instead, so small designs never pay pool overhead. `0` disables
-    /// the fallback (always pool when `jobs` asks for one).
+    /// work falls below this threshold routes to the persistent
+    /// sequential engine instead, so small designs never pay pool
+    /// overhead. The estimate is summed over the ports left to run once
+    /// the journal has answered what it can: each port's sliced frame
+    /// logic, weighted by its clause cost, times its unroll depth and
+    /// instruction count. `0` disables the fallback (always pool when
+    /// `jobs` asks for one).
     pub par_threshold: u64,
     /// External cancellation: when this token is cancelled (by a
     /// disconnecting client, a watchdog, or any other supervisor), every
@@ -622,14 +631,10 @@ impl<'t> RunCtx<'t> {
         }
     }
 
-    /// The run context for `targets`. With a journal, every property is
-    /// keyed once up front and looked up, emitting one `cache_hit` or
-    /// `cache_miss` event per property.
-    fn new(
-        opts: &'t VerifyOptions,
-        targets: &[(&PortIla, &RefinementMap)],
-        rtl: &RtlModule,
-    ) -> Result<Self, VerifyError> {
+    /// The run context for `planned`. With a journal, every property is
+    /// keyed once from the plans and looked up, emitting one `cache_hit`
+    /// or `cache_miss` event per property.
+    fn new(opts: &'t VerifyOptions, planned: &Planned<'_>) -> Self {
         let mut ctx = RunCtx {
             policy: JobPolicy {
                 budget: opts.budget,
@@ -644,9 +649,9 @@ impl<'t> RunCtx<'t> {
             replayed: HashMap::new(),
         };
         let Some(journal) = ctx.journal else {
-            return Ok(ctx);
+            return ctx;
         };
-        for sk in keys_of(targets, rtl)? {
+        for sk in keys_of(planned) {
             let hit = journal.lookup(&sk.key);
             ctx.tracer.record(|| {
                 let kind = if hit.is_some() {
@@ -665,7 +670,7 @@ impl<'t> RunCtx<'t> {
             }
             ctx.keys.insert(pair, sk.key);
         }
-        Ok(ctx)
+        ctx
     }
 
     /// The journal's verdict for a job, if it answered the job's key.
@@ -678,9 +683,8 @@ impl<'t> RunCtx<'t> {
     /// The journal's verdicts for `port` in declaration order, when it
     /// answered every instruction of the port; cut after the first
     /// counterexample under `stop_at_first_cex`, as
-    /// [`run_port_sequential`] does. Such a port needs no transition
-    /// system, plan, slice or lemmas: [`RunCtx::new`] already built
-    /// them once to key it, so malformed inputs have already errored.
+    /// [`run_port_sequential`] does. Such a port needs no slice, lemmas
+    /// or work estimate.
     fn replayed_port(&self, port: &PortIla, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
         self.journal?;
         let mut verdicts: Vec<InstrVerdict> = port
@@ -875,11 +879,14 @@ pub(crate) struct PortPlan<'a> {
     pub(crate) instrs: Vec<InstrPlan>,
     /// Conjunction of every invariant the abstract interpreter proved
     /// over the port's (sliced) transition system, interned in that
-    /// system's context — `None` until [`absint_preprocess`] runs, or
+    /// system's context — `None` until [`prepare`] runs the analysis, or
     /// when it proves nothing.
     pub(crate) absint_lemma: Option<ExprRef>,
     /// How many individual invariants the lemma conjoins.
     pub(crate) invariants_proved: u64,
+    /// What slicing the port dropped — `None` until it is sliced, or
+    /// with preprocessing off.
+    pub(crate) coi: Option<CoiStats>,
 }
 
 impl<'a> PortPlan<'a> {
@@ -973,7 +980,53 @@ impl<'a> PortPlan<'a> {
             instrs,
             absint_lemma: None,
             invariants_proved: 0,
+            coi: None,
         })
+    }
+}
+
+/// Every target of a call, planned once: the RTL's one transition system
+/// and one [`PortPlan`] per `(port, map)` target, in declaration order.
+/// Journal keys, slices and dispatch all read these; nothing else on
+/// the verification path builds a transition system or a plan.
+pub(crate) struct Planned<'a> {
+    /// The unsliced system of the RTL ([`rtl_to_ts`]).
+    pub(crate) ts: TransitionSystem,
+    /// Every named RTL signal's expression in `ts`.
+    pub(crate) ts_signals: BTreeMap<String, ExprRef>,
+    pub(crate) plans: Vec<PortPlan<'a>>,
+}
+
+impl<'a> Planned<'a> {
+    /// Plans `targets` against `rtl`.
+    pub(crate) fn new(
+        targets: &[(&'a PortIla, &'a RefinementMap)],
+        rtl: &RtlModule,
+    ) -> Result<Self, VerifyError> {
+        let (ts, ts_signals) = rtl_to_ts(rtl)?;
+        let plans = targets
+            .iter()
+            .map(|&(port, map)| PortPlan::build(port, rtl, map, &ts_signals))
+            .collect::<Result<_, _>>()?;
+        Ok(Planned {
+            ts,
+            ts_signals,
+            plans,
+        })
+    }
+
+    /// Plans every port of `module`, each with its map ([`map_for`]).
+    pub(crate) fn module(
+        module: &'a ModuleIla,
+        rtl: &RtlModule,
+        maps: &'a [RefinementMap],
+    ) -> Result<Self, VerifyError> {
+        let targets = module
+            .ports()
+            .iter()
+            .map(|port| Ok((port, map_for(maps, port)?)))
+            .collect::<Result<Vec<_>, VerifyError>>()?;
+        Planned::new(&targets, rtl)
     }
 }
 
@@ -1780,35 +1833,6 @@ pub(crate) fn coi_roots(
     roots
 }
 
-/// Slices `ts` to the union cone of `plans` and emits a `coi` span.
-/// Returns the system unchanged when `preprocess` is off.
-fn coi_preprocess(
-    ts: TransitionSystem,
-    ts_signals: &BTreeMap<String, ExprRef>,
-    plans: &[&PortPlan<'_>],
-    scope: &str,
-    preprocess: bool,
-    tracer: &Tracer,
-) -> (TransitionSystem, Option<CoiStats>) {
-    if !preprocess {
-        return (ts, None);
-    }
-    let mut roots = Vec::new();
-    for plan in plans {
-        roots.extend(coi_roots(plan, &plan.instrs, &ts, ts_signals));
-    }
-    let (sliced, stats) = coi_slice(&ts, &roots);
-    tracer.record(|| {
-        Event::new(SpanKind::Coi)
-            .port(scope)
-            .field("states_kept", stats.states_kept as u64)
-            .field("states_dropped", stats.states_dropped as u64)
-            .field("inputs_kept", stats.inputs_kept as u64)
-            .field("inputs_dropped", stats.inputs_dropped as u64)
-    });
-    (sliced, Some(stats))
-}
-
 /// Minimum [`estimate_port_work`] before the invariant-lemma pass is
 /// worth running: on millisecond-scale ports the whole verification
 /// finishes in less time than the fixpoint, so the lemmas can never
@@ -1820,58 +1844,83 @@ fn coi_preprocess(
 /// transition relation, so verdicts are identical either way.
 const ABSINT_WORK_THRESHOLD: u64 = DEFAULT_PAR_THRESHOLD;
 
-/// Runs the `gila-absint` widening fixpoint over a port's (sliced)
-/// transition system and attaches the proven invariants to the plan as
-/// one lemma conjunction, interned in the system's own context so
-/// [`Unrolling::map_expr`] can instantiate it per frame. Emits an
-/// `absint` span; a no-op when `enabled` is off or the port's
-/// estimated solver work is too small to repay the fixpoint
-/// ([`ABSINT_WORK_THRESHOLD`]).
-fn absint_preprocess(
+/// A port of a run, in declaration order.
+enum Stage<'a> {
+    /// Answered in full by the journal: reported from its replays alone.
+    Replayed(&'a PortIla, Vec<InstrVerdict>),
+    /// Left to run: an index into the run's ports to run.
+    Run(usize),
+}
+
+/// Prepares a port to run, and returns its sliced system and work
+/// estimate. The port's cone of influence is sliced out of the run's
+/// system `ts` (a `coi` span) and the slice's work estimated once
+/// ([`estimate_port_work`]). When that clears [`ABSINT_WORK_THRESHOLD`],
+/// the `gila-absint` widening fixpoint runs over the slice (an `absint`
+/// span); its proven invariants attach to the plan as one lemma
+/// conjunction, interned in the slice's own context so
+/// [`Unrolling::map_expr`] can instantiate it per frame.
+fn prepare(
     plan: &mut PortPlan<'_>,
-    ts: &mut TransitionSystem,
-    enabled: bool,
-    tracer: &Tracer,
-) {
-    if !enabled || estimate_port_work(plan, ts) < ABSINT_WORK_THRESHOLD {
-        return;
+    ts: &TransitionSystem,
+    ts_signals: &BTreeMap<String, ExprRef>,
+    opts: &VerifyOptions,
+) -> (TransitionSystem, u64) {
+    let tracer = &opts.tracer;
+    let mut sliced = if opts.preprocess {
+        let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
+        tracer.record(|| {
+            Event::new(SpanKind::Coi)
+                .port(plan.port.name())
+                .field("states_kept", stats.states_kept as u64)
+                .field("states_dropped", stats.states_dropped as u64)
+                .field("inputs_kept", stats.inputs_kept as u64)
+                .field("inputs_dropped", stats.inputs_dropped as u64)
+        });
+        plan.coi = Some(stats);
+        sliced
+    } else {
+        ts.clone()
+    };
+    let work = estimate_port_work(plan, &sliced);
+    if opts.absint && work >= ABSINT_WORK_THRESHOLD {
+        let t0 = Instant::now();
+        let analysis = gila_absint::analyze_ts(&mut sliced);
+        let exprs: Vec<ExprRef> = analysis.invariants.iter().map(|i| i.expr).collect();
+        if !exprs.is_empty() {
+            plan.absint_lemma = Some(sliced.ctx_mut().and_many(&exprs));
+            plan.invariants_proved = exprs.len() as u64;
+        }
+        tracer.record(|| {
+            Event::new(SpanKind::Absint)
+                .port(plan.port.name())
+                .field("invariants", exprs.len() as u64)
+                .field("iterations", analysis.iterations as u64)
+                .field("wall_ns", t0.elapsed().as_nanos() as u64)
+        });
     }
-    let t0 = Instant::now();
-    let analysis = gila_absint::analyze_ts(ts);
-    let exprs: Vec<ExprRef> = analysis.invariants.iter().map(|i| i.expr).collect();
-    if !exprs.is_empty() {
-        plan.absint_lemma = Some(ts.ctx_mut().and_many(&exprs));
-        plan.invariants_proved = exprs.len() as u64;
-    }
-    tracer.record(|| {
-        Event::new(SpanKind::Absint)
-            .port(plan.port.name())
-            .field("invariants", exprs.len() as u64)
-            .field("iterations", analysis.iterations as u64)
-            .field("wall_ns", t0.elapsed().as_nanos() as u64)
-    });
+    (sliced, work)
 }
 
-/// Folds a slicing report into a run's telemetry totals.
-fn add_coi_telemetry(t: &mut Telemetry, coi: Option<CoiStats>) {
-    if let Some(s) = coi {
-        t.coi_states_dropped += s.states_dropped as u64;
-        t.coi_inputs_dropped += s.inputs_dropped as u64;
-    }
-}
-
-/// Folds a port's verdicts into its report — telemetry, the proven
-/// invariant count and the journal lookups — and emits the per-port
-/// summary span.
+/// Folds a port's verdicts into its report — telemetry, the journal
+/// lookups and, for a port that ran, its plan's slicing counts and
+/// proven invariants — and emits the per-port summary span. Every path
+/// reports its ports here.
 fn port_report(
     port: &PortIla,
-    invariants_proved: u64,
+    ran: Option<&PortPlan<'_>>,
     verdicts: Vec<InstrVerdict>,
     total_time: Duration,
     ctx: &RunCtx<'_>,
 ) -> PortReport {
     let mut telemetry = telemetry_of(&verdicts);
-    telemetry.invariants_proved += invariants_proved;
+    if let Some(plan) = ran {
+        telemetry.invariants_proved += plan.invariants_proved;
+        if let Some(s) = plan.coi {
+            telemetry.coi_states_dropped += s.states_dropped as u64;
+            telemetry.coi_inputs_dropped += s.inputs_dropped as u64;
+        }
+    }
     ctx.add_cache_telemetry(port.name(), &mut telemetry);
     let report = PortReport {
         port: port.name().to_string(),
@@ -1890,6 +1939,106 @@ fn port_report(
             .field("wall_ns", report.total_time.as_nanos() as u64)
     });
     report
+}
+
+/// The one orchestration path behind [`verify_port`] and
+/// [`verify_module`]. It keys `planned` against the journal, sets aside
+/// the ports the journal answers in full, runs the rest on the pool or
+/// the sequential engine, and reports every port the same way. Returns
+/// the port reports in declaration order, and the pool's worker count
+/// when a pool ran.
+fn run(
+    planned: Planned<'_>,
+    opts: &VerifyOptions,
+) -> Result<(Vec<PortReport>, Option<u64>), VerifyError> {
+    let ctx = RunCtx::new(opts, &planned);
+    let Planned {
+        ts,
+        ts_signals,
+        plans,
+    } = planned;
+    let stop = opts.stop_at_first_cex;
+    let mut stages = Vec::with_capacity(plans.len());
+    // The ports left to run, and the sliced systems of the first
+    // `tss.len()` of them.
+    let (mut to_run, mut tss) = (Vec::new(), Vec::new());
+    for plan in plans {
+        let Some(verdicts) = ctx.replayed_port(plan.port, stop) else {
+            stages.push(Stage::Run(to_run.len()));
+            to_run.push(plan);
+            continue;
+        };
+        // A replayed counterexample ends a stopping run, on the pool as
+        // in the sequential loop.
+        let ends_run = stop
+            && verdicts
+                .iter()
+                .any(|v| matches!(v.result, CheckResult::CounterExample(_)));
+        stages.push(Stage::Replayed(plan.port, verdicts));
+        if ends_run {
+            break;
+        }
+    }
+    let mut workers = pool_size(opts.jobs);
+    if workers.is_some() {
+        // The pool prepares every port it would run, for the estimate.
+        let mut work = 0u64;
+        for plan in &mut to_run {
+            let (sliced, port_work) = prepare(plan, &ts, &ts_signals, opts);
+            tss.push(sliced);
+            work += port_work;
+        }
+        // Adaptive fallback: too little work for the pool to win back
+        // its spawn + duplicate-blast overhead.
+        if opts.par_threshold > 0 && work < opts.par_threshold {
+            workers = None;
+        }
+    }
+    let mut pooled = workers
+        .map(|workers| {
+            let cfg = PoolConfig {
+                workers,
+                stop_at_first_cex: stop,
+            };
+            run_pool(&to_run, &tss, cfg, &ctx)
+        })
+        .transpose()?;
+    let mut reports = Vec::new();
+    for stage in stages {
+        let report = match (stage, &mut pooled) {
+            (Stage::Replayed(port, verdicts), _) => {
+                port_report(port, None, verdicts, Duration::ZERO, &ctx)
+            }
+            (Stage::Run(i), Some(outcome)) => {
+                let result = &mut outcome.ports[i];
+                let verdicts: Vec<_> = result.verdicts.drain(..).map(|(_, v)| v).collect();
+                // A port the pool stopped before it produced a verdict is
+                // left out, as the sequential loop leaves out the ports
+                // it never reaches.
+                if stop && verdicts.is_empty() && !to_run[i].instrs.is_empty() {
+                    continue;
+                }
+                port_report(to_run[i].port, Some(&to_run[i]), verdicts, result.last_done, &ctx)
+            }
+            (Stage::Run(i), None) => {
+                let t0 = Instant::now();
+                // Prepared just before it runs, so a stopped run never
+                // slices a port it does not reach.
+                if i == tss.len() {
+                    tss.push(prepare(&mut to_run[i], &ts, &ts_signals, opts).0);
+                }
+                let verdicts = run_port_sequential(&to_run[i], &tss[i], stop, &ctx)?;
+                port_report(to_run[i].port, Some(&to_run[i]), verdicts, t0.elapsed(), &ctx)
+            }
+        };
+        let ends_run = stop && pooled.is_none() && report.first_counterexample().is_some();
+        reports.push(report);
+        if ends_run {
+            break;
+        }
+    }
+    opts.tracer.flush();
+    Ok((reports, pooled.map(|o| o.workers_spawned as u64)))
 }
 
 /// The refinement map for `port`: the one with the port's name,
@@ -1920,74 +2069,10 @@ pub fn verify_port(
     map: &RefinementMap,
     opts: &VerifyOptions,
 ) -> Result<PortReport, VerifyError> {
-    let ctx = RunCtx::new(opts, &[(port, map)], rtl)?;
-    let report = verify_port_with(port, rtl, map, opts, &ctx)?;
-    opts.tracer.flush();
-    Ok(report)
-}
-
-/// [`verify_port`] against an existing run context, so a module run
-/// shares one journal view across its ports. A port the journal
-/// answers in full is reported from its replays alone, with no `coi`
-/// or `absint` span and no slicing telemetry, since neither ran.
-fn verify_port_with(
-    port: &PortIla,
-    rtl: &RtlModule,
-    map: &RefinementMap,
-    opts: &VerifyOptions,
-    ctx: &RunCtx<'_>,
-) -> Result<PortReport, VerifyError> {
-    let start_all = Instant::now();
-    if let Some(verdicts) = ctx.replayed_port(port, opts.stop_at_first_cex) {
-        return Ok(port_report(port, 0, verdicts, start_all.elapsed(), ctx));
-    }
-    let (ts, ts_signals) = rtl_to_ts(rtl)?;
-    let mut plan = PortPlan::build(port, rtl, map, &ts_signals)?;
-    let (mut ts, coi) = coi_preprocess(
-        ts,
-        &ts_signals,
-        &[&plan],
-        port.name(),
-        opts.preprocess,
-        &opts.tracer,
-    );
-    absint_preprocess(&mut plan, &mut ts, opts.absint, &opts.tracer);
-    let verdicts = match pool_size(opts.jobs) {
-        // Adaptive fallback: a port whose estimated blast work is below
-        // the threshold runs on the persistent sequential engine — the
-        // pool cannot win back its spawn + duplicate-blast overhead on
-        // designs this small.
-        Some(workers)
-            if opts.par_threshold == 0
-                || estimate_port_work(&plan, &ts) >= opts.par_threshold =>
-        {
-            let outcome = crate::scheduler::run_pool(
-                std::slice::from_ref(&plan),
-                std::slice::from_ref(&ts),
-                crate::scheduler::PoolConfig {
-                    workers,
-                    stop_at_first_cex: opts.stop_at_first_cex,
-                },
-                ctx,
-            )?;
-            let port_result = outcome.ports.into_iter().next().ok_or_else(|| {
-                VerifyError::Internal {
-                    reason: "pool returned no result for the submitted plan".to_string(),
-                }
-            })?;
-            port_result.verdicts.into_iter().map(|(_, v)| v).collect()
-        }
-        _ => run_port_sequential(&plan, &ts, opts.stop_at_first_cex, ctx)?,
-    };
-    let mut report = port_report(
-        port,
-        plan.invariants_proved,
-        verdicts,
-        start_all.elapsed(),
-        ctx,
-    );
-    add_coi_telemetry(&mut report.telemetry, coi);
-    Ok(report)
+    let (ports, _) = run(Planned::new(&[(port, map)], rtl)?, opts)?;
+    ports.into_iter().next().ok_or_else(|| VerifyError::Internal {
+        reason: "the run reported no result for the port".to_string(),
+    })
 }
 
 /// Verifies a whole module-ILA: each port against the same RTL, using
@@ -2008,105 +2093,13 @@ pub fn verify_module(
     maps: &[RefinementMap],
     opts: &VerifyOptions,
 ) -> Result<ModuleReport, VerifyError> {
-    let targets = module
-        .ports()
-        .iter()
-        .map(|port| Ok((port, map_for(maps, port)?)))
-        .collect::<Result<Vec<_>, VerifyError>>()?;
-    let ctx = RunCtx::new(opts, &targets, rtl)?;
-    let mut pool_workers = None;
-    let mut module_coi: Vec<Option<CoiStats>> = Vec::new();
-    let ports = match pool_size(opts.jobs) {
-        None => {
-            let mut ports = Vec::new();
-            for &(port, map) in &targets {
-                let report = verify_port_with(port, rtl, map, opts, &ctx)?;
-                let has_cex = report.first_counterexample().is_some();
-                ports.push(report);
-                if has_cex && opts.stop_at_first_cex {
-                    break;
-                }
-            }
-            ports
-        }
-        Some(workers) => {
-            let (ts, ts_signals) = rtl_to_ts(rtl)?;
-            let mut plans = Vec::new();
-            for &(port, map) in &targets {
-                plans.push(PortPlan::build(port, rtl, map, &ts_signals)?);
-            }
-            // Slice per port — the same tight cones the sequential path
-            // gets — so a worker serving a port blasts only that port's
-            // logic instead of the union cone of the whole module.
-            let mut tss = Vec::with_capacity(plans.len());
-            for plan in plans.iter_mut() {
-                let (mut sliced, coi) = coi_preprocess(
-                    ts.clone(),
-                    &ts_signals,
-                    &[&*plan],
-                    plan.port.name(),
-                    opts.preprocess,
-                    &opts.tracer,
-                );
-                absint_preprocess(plan, &mut sliced, opts.absint, &opts.tracer);
-                tss.push(sliced);
-                module_coi.push(coi);
-            }
-            let estimate: u64 = plans
-                .iter()
-                .zip(&tss)
-                .map(|(p, t)| estimate_port_work(p, t))
-                .sum();
-            if opts.par_threshold > 0 && estimate < opts.par_threshold {
-                // Adaptive fallback: too small for the pool to win back
-                // its spawn + duplicate-blast overhead. The sequential
-                // engine runs each port, ports in declaration order.
-                let mut ports = Vec::new();
-                for (plan, pts) in plans.iter().zip(&tss) {
-                    let t0 = Instant::now();
-                    let verdicts =
-                        run_port_sequential(plan, pts, opts.stop_at_first_cex, &ctx)?;
-                    let proved = plan.invariants_proved;
-                    let report = port_report(plan.port, proved, verdicts, t0.elapsed(), &ctx);
-                    let has_cex = report.first_counterexample().is_some();
-                    ports.push(report);
-                    if has_cex && opts.stop_at_first_cex {
-                        break;
-                    }
-                }
-                ports
-            } else {
-                let outcome = crate::scheduler::run_pool(
-                    &plans,
-                    &tss,
-                    crate::scheduler::PoolConfig {
-                        workers,
-                        stop_at_first_cex: opts.stop_at_first_cex,
-                    },
-                    &ctx,
-                )?;
-                pool_workers = Some(outcome.workers_spawned as u64);
-                plans
-                    .iter()
-                    .zip(outcome.ports)
-                    .map(|(plan, pr)| {
-                        let verdicts = pr.verdicts.into_iter().map(|(_, v)| v).collect();
-                        port_report(plan.port, plan.invariants_proved, verdicts, pr.last_done, &ctx)
-                    })
-                    .collect()
-            }
-        }
-    };
+    let (ports, workers) = run(Planned::module(module, rtl, maps)?, opts)?;
     let mut telemetry = ports
         .iter()
         .fold(Telemetry::default(), |acc, p| acc.merge(&p.telemetry));
-    for coi in module_coi {
-        add_coi_telemetry(&mut telemetry, coi);
-    }
-    if let Some(w) = pool_workers {
+    if let Some(w) = workers {
         telemetry.workers = w;
     }
-    opts.tracer.flush();
     Ok(ModuleReport {
         module: module.name().to_string(),
         ports,

@@ -321,7 +321,7 @@ fn find_job(
 mod tests {
     use super::*;
     use crate::engine::testutil::{counter_ila, counter_map, counter_rtl};
-    use crate::engine::{rtl_to_ts, verify_port, VerifyOptions};
+    use crate::engine::{verify_port, Planned, VerifyOptions};
     use crate::fault::{FaultAction, FaultPlan};
 
     fn counter_cfg(workers: usize, stop_at_first_cex: bool) -> PoolConfig {
@@ -347,18 +347,11 @@ mod tests {
         let port = counter_ila();
         let rtl = counter_rtl(buggy);
         let map = counter_map();
-        let (ts, ts_signals) = rtl_to_ts(&rtl).unwrap();
-        let plan = PortPlan::build(&port, &rtl, &map, &ts_signals).unwrap();
+        let planned = Planned::new(&[(&port, &map)], &rtl).unwrap();
         let tracer = gila_trace::Tracer::disabled();
         let mut ctx = RunCtx::plain(&tracer);
         ctx.policy.fault = fault.map(std::sync::Arc::new);
-        run_pool(
-            std::slice::from_ref(&plan),
-            std::slice::from_ref(&ts),
-            cfg,
-            &ctx,
-        )
-        .unwrap()
+        run_pool(&planned.plans, std::slice::from_ref(&planned.ts), cfg, &ctx).unwrap()
     }
 
     #[test]
@@ -467,8 +460,6 @@ mod tests {
 
     #[test]
     fn empty_plan_set_yields_empty_outcome() {
-        let rtl = counter_rtl(false);
-        let (_ts, _) = rtl_to_ts(&rtl).unwrap();
         let tracer = gila_trace::Tracer::disabled();
         let outcome = run_pool(&[], &[], counter_cfg(4, false), &RunCtx::plain(&tracer)).unwrap();
         assert!(outcome.ports.is_empty());

@@ -16,7 +16,8 @@ use gila::rtl::RtlModule;
 use gila::trace::{Event, SpanKind, Tracer};
 use gila::verify::{
     identity_refmaps, synthesize_module, verify_module, CacheConfig, CheckResult, FaultAction,
-    FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget, VerifyOptions,
+    FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget, VerifyError,
+    VerifyOptions,
 };
 use proptest::prelude::*;
 
@@ -247,7 +248,8 @@ fn stale_journal_never_hides_a_bug() {
 /// yet the same verdicts, port spans and cache counts as the run that
 /// set every port up. Under `stop_at_first_cex` a journaled
 /// counterexample cuts the replayed list exactly where a cold run
-/// stops.
+/// stops. Both hold on the sequential engine and on a forced pool, and
+/// a fully warm stopped run reports the same on both: it runs no job.
 #[test]
 fn wholly_replayed_ports_skip_setup() {
     let dir = std::env::temp_dir().join(format!("gila_fault_replayed_{}", std::process::id()));
@@ -260,58 +262,114 @@ fn wholly_replayed_ports_skip_setup() {
             .map(|e| (e.port.clone(), e.label.clone(), e.get("instructions")))
             .collect()
     };
+    let configs = [
+        ("jobs=1", with_jobs(1)),
+        (
+            "jobs=4 par_threshold=0",
+            VerifyOptions {
+                par_threshold: 0,
+                ..with_jobs(4)
+            },
+        ),
+    ];
     let mut truncated = 0;
     for cs in all_case_studies() {
         let Some(buggy) = &cs.buggy_rtl else {
             continue;
         };
-        let path = dir.join(format!("{}.jsonl", cs.name.replace(' ', "_")));
-        let _ = std::fs::remove_file(&path);
-        let run = |journal, stop_at_first_cex| {
-            let (tracer, ring) = Tracer::ring(1 << 20);
-            let opts = VerifyOptions {
-                journal,
-                tracer,
-                stop_at_first_cex,
-                ..VerifyOptions::default()
-            };
-            let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
-            (report, ring.events())
+        // The cold stopped run is the sequential one: a pool's stopped
+        // run depends on which worker finds a bug first.
+        let stop = VerifyOptions {
+            stop_at_first_cex: true,
+            ..with_jobs(1)
         };
-
-        let (cold, cold_events) = run(journal(&path), false);
-        let (warm, warm_events) = run(journal(&path), false);
-        let keyed = cold.instructions_checked() as u64;
-        assert_eq!(shape(&warm), shape(&cold), "{}", cs.name);
-        assert_eq!(warm.telemetry.solves, 0, "{}", cs.name);
-        assert_eq!((cold.telemetry.cache_hits, cold.telemetry.cache_misses), (0, keyed));
-        assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
-        assert!(count(&cold_events, SpanKind::Coi) > 0, "{}", cs.name);
-        assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{}", cs.name);
-        assert_eq!(count(&warm_events, SpanKind::Absint), 0, "{}", cs.name);
-        assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{}", cs.name);
-        for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
-            assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));
-        }
-
-        let (cold_stop, _) = run(None, true);
-        let (warm_stop, stop_events) = run(journal(&path), true);
+        let cold_stop = verify_module(&cs.ila, buggy, &cs.refmaps, &stop).unwrap();
         assert!(cold_stop.counts().cex >= 1, "{}", cs.name);
-        assert_eq!(shape(&warm_stop), shape(&cold_stop), "{}", cs.name);
-        assert_eq!(warm_stop.telemetry.solves, 0, "{}", cs.name);
-        assert_eq!(count(&stop_events, SpanKind::Coi), 0, "{}", cs.name);
-        // A port cut short by its first counterexample.
-        truncated += warm_stop
-            .ports
-            .iter()
-            .filter(|p| {
-                let port = cs.ila.ports().iter().find(|q| q.name() == p.port).unwrap();
-                p.verdicts.len() < port.instructions().len()
-            })
-            .count();
+        let mut warm_stops = Vec::new();
+        for (label, base) in &configs {
+            let name = format!("{} {label}", cs.name);
+            let path = dir.join(format!("{}.jsonl", name.replace([' ', '='], "_")));
+            let _ = std::fs::remove_file(&path);
+            let run = |journal, stop_at_first_cex| {
+                let (tracer, ring) = Tracer::ring(1 << 20);
+                let opts = VerifyOptions {
+                    journal,
+                    tracer,
+                    stop_at_first_cex,
+                    ..base.clone()
+                };
+                let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+                (report, ring.events())
+            };
+
+            let (cold, cold_events) = run(journal(&path), false);
+            let (warm, warm_events) = run(journal(&path), false);
+            let keyed = cold.instructions_checked() as u64;
+            assert_eq!(shape(&warm), shape(&cold), "{name}");
+            assert_eq!(warm.telemetry.solves, 0, "{name}");
+            assert_eq!((cold.telemetry.cache_hits, cold.telemetry.cache_misses), (0, keyed));
+            assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
+            assert!(count(&cold_events, SpanKind::Coi) > 0, "{name}");
+            assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{name}");
+            assert_eq!(count(&warm_events, SpanKind::Absint), 0, "{name}");
+            assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{name}");
+            for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
+                assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));
+            }
+
+            let (warm_stop, stop_events) = run(journal(&path), true);
+            assert_eq!(shape(&warm_stop), shape(&cold_stop), "{name}");
+            assert_eq!(warm_stop.telemetry.solves, 0, "{name}");
+            assert_eq!(count(&stop_events, SpanKind::Coi), 0, "{name}");
+            assert_eq!(count(&stop_events, SpanKind::Instruction), 0, "{name}");
+            // A port cut short by its first counterexample.
+            truncated += warm_stop
+                .ports
+                .iter()
+                .filter(|p| {
+                    let port = cs.ila.ports().iter().find(|q| q.name() == p.port).unwrap();
+                    p.verdicts.len() < port.instructions().len()
+                })
+                .count();
+            warm_stops.push((shape(&warm_stop), warm_stop.telemetry));
+        }
+        assert_eq!(warm_stops[0], warm_stops[1], "{}: warm stopped runs differ", cs.name);
     }
     assert!(truncated > 0, "no replayed port was cut at a counterexample");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Malformed input errors before anything is solved, whatever the
+/// execution policy: in a two-port module whose second refinement map
+/// names an RTL signal that does not exist, the first port never runs.
+#[test]
+fn malformed_second_map_errors_before_any_solve() {
+    let ila = gila::lang::parse_ila(include_str!("../specs/axi_slave.ila")).unwrap();
+    let rtl = synthesize_module(&ila).unwrap();
+    let mut maps = identity_refmaps(&ila);
+    assert_eq!(maps.len(), 2, "a two-port module");
+    let state = ila.ports()[1].states()[0].name.clone();
+    maps[1].map_state(&state, "ghost");
+    let expected = VerifyError::UnknownRtlSignal {
+        signal: "ghost".to_string(),
+        context: "state map".to_string(),
+    };
+    for jobs in [1usize, 4] {
+        for journaled in [false, true] {
+            let (tracer, ring) = Tracer::ring(1 << 16);
+            let journal = journaled
+                .then(|| Arc::new(ProofCache::open(CacheConfig::default()).unwrap()));
+            let opts = VerifyOptions {
+                tracer,
+                journal,
+                ..with_jobs(jobs)
+            };
+            let err = verify_module(&ila, &rtl, &maps, &opts).unwrap_err();
+            assert_eq!(err, expected, "jobs={jobs} journaled={journaled}");
+            let solves = ring.events().iter().filter(|e| e.kind == SpanKind::Solve).count();
+            assert_eq!(solves, 0, "jobs={jobs} journaled={journaled}");
+        }
+    }
 }
 
 #[test]

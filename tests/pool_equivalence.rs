@@ -2,10 +2,11 @@
 //!
 //! Every way of running the verifier — sequential, a forced pool, and a
 //! pool with the adaptive sequential fallback — must produce the same
-//! verdicts and the same telemetry span set. The span
-//! comparison uses [`gila::trace::span_set`], which ignores ordering and
-//! volatile timing fields but catches missing or extra work (a port
-//! that was never sliced, an instruction that was never solved).
+//! verdicts, the same per-port work counts and the same telemetry span
+//! set. The span comparison uses [`gila::trace::span_set`], which
+//! ignores ordering and volatile timing fields but catches missing or
+//! extra work (a port that was never sliced, an instruction that was
+//! never solved).
 
 use std::collections::BTreeSet;
 
@@ -14,9 +15,17 @@ use gila::rtl::RtlModule;
 use gila::trace::{span_set, Tracer};
 use gila::verify::{verify_module, VerifyOptions};
 
-/// (port, instruction, holds) triple per verdict, plus the span set of
-/// the run's telemetry trace.
-type RunShape = (Vec<(String, String, bool)>, BTreeSet<(String, String, String, String)>);
+/// `(port, instructions, coi_states_dropped, coi_inputs_dropped,
+/// invariants_proved, cache_hits, cache_misses)` of one port report.
+type PortShape = (String, u64, u64, u64, u64, u64, u64);
+
+/// (port, instruction, holds) triple per verdict, one [`PortShape`] per
+/// port, and the span set of the run's telemetry trace.
+type RunShape = (
+    Vec<(String, String, bool)>,
+    Vec<PortShape>,
+    BTreeSet<(String, String, String, String)>,
+);
 
 fn run_shape(cs: &CaseStudy, rtl: &RtlModule, opts: VerifyOptions) -> RunShape {
     let (tracer, ring) = Tracer::ring(1 << 16);
@@ -29,12 +38,28 @@ fn run_shape(cs: &CaseStudy, rtl: &RtlModule, opts: VerifyOptions) -> RunShape {
         }
     }
     verdicts.sort();
+    let ports = report
+        .ports
+        .iter()
+        .map(|p| {
+            let t = &p.telemetry;
+            (
+                p.port.clone(),
+                t.instructions,
+                t.coi_states_dropped,
+                t.coi_inputs_dropped,
+                t.invariants_proved,
+                t.cache_hits,
+                t.cache_misses,
+            )
+        })
+        .collect();
     let jsonl: String = ring
         .events()
         .iter()
         .map(|e| e.to_json_line() + "\n")
         .collect();
-    (verdicts, span_set(&jsonl).expect("trace is well-formed JSONL"))
+    (verdicts, ports, span_set(&jsonl).expect("trace is well-formed JSONL"))
 }
 
 /// The pool configurations that must be indistinguishable from the
@@ -82,6 +107,11 @@ fn assert_equivalent(cs: &CaseStudy, rtl: &RtlModule, tag: &str) {
         );
         assert_eq!(
             sequential.1, pooled.1,
+            "{} ({tag}): {label} changed a port's work counts",
+            cs.name
+        );
+        assert_eq!(
+            sequential.2, pooled.2,
             "{} ({tag}): {label} changed the span set",
             cs.name
         );

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use gila::designs::all_case_studies;
+use gila::trace::Telemetry;
 use gila::verify::{
     verify_module, CheckResult, FaultAction, FaultPlan, SolveBudget, VerifyOptions,
 };
@@ -96,6 +97,62 @@ fn pooled_stop_at_first_cex_finds_the_documented_bug() {
         cex.contains(&"RD_DATA_PREPARE"),
         "documented bug not among counterexamples: {cex:?}"
     );
+}
+
+/// A run stopped at its first counterexample reports only ports that
+/// ran, and its module totals are exactly the fold of those ports, on
+/// the sequential engine, under the adaptive fallback and on a forced
+/// pool alike.
+#[test]
+fn stopped_runs_report_only_ports_that_ran() {
+    let configs = [
+        ("jobs=1", with_jobs(1)),
+        ("jobs=4", with_jobs(4)),
+        (
+            "jobs=4 par_threshold=0",
+            VerifyOptions {
+                par_threshold: 0,
+                ..with_jobs(4)
+            },
+        ),
+    ];
+    let mut checked = 0;
+    for cs in all_case_studies() {
+        let Some(buggy) = &cs.buggy_rtl else {
+            continue;
+        };
+        for (label, opts) in &configs {
+            let opts = VerifyOptions {
+                stop_at_first_cex: true,
+                ..opts.clone()
+            };
+            let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+            assert!(report.counts().cex >= 1, "{} {label}", cs.name);
+            for p in &report.ports {
+                assert!(
+                    !p.verdicts.is_empty(),
+                    "{} {label}: port {} never ran but is reported",
+                    cs.name,
+                    p.port
+                );
+            }
+            let fold = report
+                .ports
+                .iter()
+                .fold(Telemetry::default(), |acc, p| acc.merge(&p.telemetry));
+            assert_eq!(
+                Telemetry {
+                    workers: 0,
+                    ..report.telemetry.clone()
+                },
+                Telemetry { workers: 0, ..fold },
+                "{} {label}: module totals are not the fold of its ports",
+                cs.name
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 9, "three buggy designs under three configurations");
 }
 
 #[test]
