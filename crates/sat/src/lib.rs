@@ -14,6 +14,15 @@
 //! inprocessing ([`Solver::inprocess`]) that shrinks the permanent
 //! clause database between solve calls without breaking incrementality.
 //!
+//! Layout: clauses live inline in one flat arena of words, compacted in
+//! creation order once half of it is garbage; assignments are a
+//! per-literal value array; the VSIDS heap sifts through a hole; conflict
+//! analysis allocates nothing. The layout never steers the search: the
+//! decisions, propagations, conflicts, learnt clauses, restarts and
+//! models of every solve are pinned by `tests/golden/sat_trajectory.txt`
+//! and `tests/golden/registry_counters.txt` at the repository root. The
+//! crate contains no `unsafe` code.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,6 +37,7 @@
 //! assert_eq!(s.value(b), Some(true));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dimacs;

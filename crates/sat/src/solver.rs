@@ -3,6 +3,14 @@
 //! The architecture follows MiniSat: two-watched-literal propagation,
 //! first-UIP conflict analysis, VSIDS branching with phase saving, Luby
 //! restarts, and activity/LBD-guided learnt-clause database reduction.
+//!
+//! Clauses live in one flat [`ClauseArena`] of `u32` words, assignments
+//! in a per-literal value array, and the decision heap sifts through a
+//! hole. Where a clause sits in memory never steers the search: every
+//! pass over the clause database walks the arena's creation-order list,
+//! and garbage collection relocates watchers and reasons in place,
+//! keeping watch-list order. `tests/golden/sat_trajectory.txt` at the
+//! repository root pins the search step for step.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,17 +20,158 @@ use crate::heap::VarHeap;
 use crate::inprocess::{InprocessConfig, InprocessStats};
 use crate::lit::{LBool, Lit, Var};
 
-/// Reference to a clause in the solver's arena.
+/// Reference to a clause: the offset of its header in the arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct ClauseRef(u32);
 
-#[derive(Clone, Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-    lbd: u32,
+/// Header words before a clause's literals: length and flags, LBD, and
+/// the activity as two halves of an `f64`.
+const HEADER: usize = 4;
+/// Header word holding `len << FLAG_BITS | flags`.
+const H_LEN: usize = 0;
+/// Header word holding the LBD; during garbage collection it holds the
+/// clause's new offset instead.
+const H_LBD: usize = 1;
+/// First of the two header words holding the activity.
+const H_ACT: usize = 2;
+const FLAG_BITS: u32 = 2;
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+
+/// Every clause in one vector of words: a [`HEADER`] followed by the
+/// literals inline.
+///
+/// `list` holds the clause refs in creation order; every pass that walks
+/// the database (`reduce_db`, inprocessing, watch rebuilding) walks it,
+/// so their order is creation order whatever the offsets are. Deleted
+/// clauses keep their words, flagged, until [`ClauseArena::compact`]
+/// drops them.
+#[derive(Clone, Debug, Default)]
+struct ClauseArena {
+    words: Vec<u32>,
+    list: Vec<ClauseRef>,
+    /// Words of deleted clauses and of literals removed by
+    /// strengthening.
+    wasted: usize,
+    /// Clauses not deleted.
+    live: usize,
+}
+
+impl ClauseArena {
+    fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
+        let cref = ClauseRef(u32::try_from(self.words.len()).expect("arena below 2^32 words"));
+        // LBD 0 and activity 0.0, whose bits are all zero.
+        self.words
+            .extend([(lits.len() as u32) << FLAG_BITS | learnt as u32, 0, 0, 0]);
+        self.words.extend(lits.iter().map(|l| l.0));
+        self.list.push(cref);
+        self.live += 1;
+        cref
+    }
+
+    fn len(&self, c: ClauseRef) -> usize {
+        (self.words[c.0 as usize + H_LEN] >> FLAG_BITS) as usize
+    }
+
+    fn is_learnt(&self, c: ClauseRef) -> bool {
+        self.words[c.0 as usize + H_LEN] & LEARNT != 0
+    }
+
+    fn is_deleted(&self, c: ClauseRef) -> bool {
+        self.words[c.0 as usize + H_LEN] & DELETED != 0
+    }
+
+    fn set_original(&mut self, c: ClauseRef) {
+        self.words[c.0 as usize + H_LEN] &= !LEARNT;
+    }
+
+    fn lbd(&self, c: ClauseRef) -> u32 {
+        self.words[c.0 as usize + H_LBD]
+    }
+
+    fn set_lbd(&mut self, c: ClauseRef, lbd: u32) {
+        self.words[c.0 as usize + H_LBD] = lbd;
+    }
+
+    fn activity(&self, c: ClauseRef) -> f64 {
+        let at = c.0 as usize + H_ACT;
+        f64::from_bits(self.words[at] as u64 | (self.words[at + 1] as u64) << 32)
+    }
+
+    fn set_activity(&mut self, c: ClauseRef, a: f64) {
+        let at = c.0 as usize + H_ACT;
+        let bits = a.to_bits();
+        self.words[at] = bits as u32;
+        self.words[at + 1] = (bits >> 32) as u32;
+    }
+
+    /// The clause's literals as raw literal codes.
+    fn lits(&self, c: ClauseRef) -> &[u32] {
+        let at = c.0 as usize + HEADER;
+        &self.words[at..at + self.len(c)]
+    }
+
+    fn lits_mut(&mut self, c: ClauseRef) -> &mut [u32] {
+        let at = c.0 as usize + HEADER;
+        let len = self.len(c);
+        &mut self.words[at..at + len]
+    }
+
+    fn lit(&self, c: ClauseRef, k: usize) -> Lit {
+        Lit(self.words[c.0 as usize + HEADER + k])
+    }
+
+    /// Cuts the clause to its first `len` literals.
+    fn shrink(&mut self, c: ClauseRef, len: usize) {
+        let h = &mut self.words[c.0 as usize + H_LEN];
+        self.wasted += (*h >> FLAG_BITS) as usize - len;
+        *h = (len as u32) << FLAG_BITS | (*h & (LEARNT | DELETED));
+    }
+
+    fn delete(&mut self, c: ClauseRef) {
+        debug_assert!(!self.is_deleted(c));
+        self.words[c.0 as usize + H_LEN] |= DELETED;
+        self.wasted += HEADER + self.len(c);
+        self.live -= 1;
+    }
+
+    /// Words held by live clauses.
+    fn live_words(&self) -> usize {
+        self.words.len() - self.wasted
+    }
+
+    /// True once deleted words pass half of the arena.
+    fn needs_compaction(&self) -> bool {
+        2 * self.wasted > self.words.len()
+    }
+
+    /// Copies the live clauses, in creation order, into a fresh word
+    /// vector. Returns the old one, in which every live clause's
+    /// [`H_LBD`] word now holds its new offset (see
+    /// [`ClauseArena::forward`]).
+    fn compact(&mut self) -> Vec<u32> {
+        let mut words = Vec::with_capacity(self.live_words());
+        let mut list = Vec::with_capacity(self.live);
+        for &c in &self.list {
+            if self.is_deleted(c) {
+                continue;
+            }
+            let at = c.0 as usize;
+            let moved = ClauseRef(words.len() as u32);
+            words.extend_from_slice(&self.words[at..at + HEADER + self.len(c)]);
+            self.words[at + H_LBD] = moved.0;
+            list.push(moved);
+        }
+        self.list = list;
+        self.wasted = 0;
+        std::mem::replace(&mut self.words, words)
+    }
+
+    /// Where `compact` moved the live clause `c`, read from the word
+    /// vector it returned.
+    fn forward(old: &[u32], c: ClauseRef) -> ClauseRef {
+        ClauseRef(old[c.0 as usize + H_LBD])
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -150,7 +299,8 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnt_clauses: u64,
-    /// Peak number of clauses (original + learnt) ever held.
+    /// Peak number of clauses (original + learnt) held at once; deleted
+    /// clauses do not count.
     pub peak_clauses: u64,
 }
 
@@ -190,9 +340,11 @@ impl SolverStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    ca: ClauseArena,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// The value of every literal, indexed by [`Lit::index`]: a literal
+    /// and its negation always hold opposite values (or both `Undef`).
+    vals: Vec<LBool>,
     polarity: Vec<bool>,
     level: Vec<u32>,
     reason: Vec<Option<ClauseRef>>,
@@ -204,6 +356,7 @@ pub struct Solver {
     ok: bool,
     var_inc: f64,
     cla_inc: f64,
+    /// `vals` as of the last `Sat` answer; empty after any other answer.
     model: Vec<LBool>,
     stats: SolverStats,
     last_solve_mark: SolverStats,
@@ -212,6 +365,14 @@ pub struct Solver {
     max_learnts: f64,
     limits: SolveLimits,
     cancel: Option<CancelToken>,
+    /// Scratch buffers reused across calls: the clause being learnt,
+    /// the literals whose `seen` flag `analyze` must clear, the clause
+    /// being added, and per-level stamps for LBD counting.
+    learnt_buf: Vec<Lit>,
+    to_clear: Vec<Lit>,
+    add_buf: Vec<Lit>,
+    level_stamp: Vec<u64>,
+    stamp: u64,
 }
 
 impl Default for Solver {
@@ -224,9 +385,9 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            ca: ClauseArena::default(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -246,6 +407,11 @@ impl Solver {
             max_learnts: 4000.0,
             limits: SolveLimits::default(),
             cancel: None,
+            learnt_buf: Vec::new(),
+            to_clear: Vec::new(),
+            add_buf: Vec::new(),
+            level_stamp: Vec::new(),
+            stamp: 0,
         }
     }
 
@@ -267,8 +433,8 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.extend([LBool::Undef, LBool::Undef]);
         self.polarity.push(false);
         self.level.push(0);
         self.reason.push(None);
@@ -276,18 +442,19 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.grow(v.index() + 1);
         self.order.insert(v, &self.activity);
         v
     }
 
     /// Number of variables created.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of clauses (original + learnt, excluding deleted).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.ca.live
     }
 
     /// Effort counters.
@@ -311,45 +478,60 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        lits.sort_unstable();
-        lits.dedup();
+        let mut buf = std::mem::take(&mut self.add_buf);
+        buf.clear();
+        buf.extend(lits);
+        buf.sort_unstable();
+        buf.dedup();
+        let added = self.add_sorted_clause(&mut buf);
+        self.add_buf = buf;
+        added
+    }
+
+    /// [`Solver::add_clause`] on sorted, duplicate-free literals, which
+    /// it simplifies in place.
+    fn add_sorted_clause(&mut self, lits: &mut Vec<Lit>) -> bool {
         // Tautology / level-0 simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
+        let mut kept = 0;
         let mut prev: Option<Lit> = None;
-        for &l in &lits {
+        for i in 0..lits.len() {
+            let l = lits[i];
             if prev == Some(!l) {
                 return true; // tautology: contains l and !l (sorted adjacently)
             }
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => simplified.push(l),
+                LBool::Undef => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
             prev = Some(l);
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                self.unchecked_enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_new_clause(simplified, false);
+                self.attach_new_clause(lits, false);
                 true
             }
         }
     }
 
-    fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_new_clause(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = ClauseRef(self.clauses.len() as u32);
+        let cref = self.ca.alloc(lits, learnt);
         let w0 = Watcher {
             cref,
             blocker: lits[1],
@@ -363,24 +545,16 @@ impl Solver {
         if learnt {
             self.learnt_count += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-        });
-        self.stats.peak_clauses = self.stats.peak_clauses.max(self.clauses.len() as u64);
+        self.stats.peak_clauses = self.stats.peak_clauses.max(self.ca.live as u64);
         cref
     }
 
     fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.vals[l.index()]
+    }
+
+    fn var_value(&self, v: usize) -> LBool {
+        self.vals[2 * v + 1]
     }
 
     fn decision_level(&self) -> u32 {
@@ -393,11 +567,12 @@ impl Solver {
 
     fn unchecked_enqueue(&mut self, l: Lit, from: Option<ClauseRef>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
-        let v = l.var();
-        self.assigns[v.index()] = LBool::from_bool(l.is_positive());
-        self.polarity[v.index()] = l.is_positive();
-        self.level[v.index()] = self.decision_level();
-        self.reason[v.index()] = from;
+        let v = l.var().index();
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
+        self.polarity[v] = l.is_positive();
+        self.level[v] = self.decision_level();
+        self.reason[v] = from;
         self.trail.push(l);
     }
 
@@ -407,8 +582,10 @@ impl Solver {
         }
         let keep = self.trail_lim[level as usize];
         for i in (keep..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.assigns[v.index()] = LBool::Undef;
+            let l = self.trail[i];
+            let v = l.var();
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.reason[v.index()] = None;
             self.order.insert(v, &self.activity);
         }
@@ -423,66 +600,63 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let mut i = 0;
-            let mut j = 0;
+            let false_lit = !p;
             // take the watch list to satisfy the borrow checker
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let n = ws.len();
+            let mut i = 0;
+            let mut j = 0;
             let mut conflict: Option<ClauseRef> = None;
-            'watches: while i < ws.len() {
+            'watches: while i < n {
                 let w = ws[i];
+                i += 1;
                 // Blocker check: if the blocker is true the clause is satisfied.
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.vals[w.blocker.index()] == LBool::True {
                     ws[j] = w;
-                    i += 1;
                     j += 1;
                     continue;
                 }
-                let cref = w.cref;
                 // Make sure the false literal is lits[1].
-                let false_lit = !p;
-                {
-                    let c = &mut self.clauses[cref.0 as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let lits = self.ca.lits_mut(w.cref);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cref.0 as usize].lits[0];
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                let first_value = self.vals[first.index()];
                 let new_w = Watcher {
-                    cref,
+                    cref: w.cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                // (The blocker was not true, so neither is `first` when
+                // the two are the same literal.)
+                if first_value == LBool::True {
                     ws[j] = new_w;
-                    i += 1;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref.0 as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref.0 as usize].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[cref.0 as usize].lits.swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = Lit(lits[k]);
+                    if self.vals[lk.index()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).index()].push(new_w);
-                        i += 1;
                         continue 'watches;
                     }
                 }
                 // No new watch: clause is unit or conflicting.
                 ws[j] = new_w;
-                i += 1;
                 j += 1;
-                if self.lit_value(first) == LBool::False {
+                if first_value == LBool::False {
                     // Conflict: copy the rest of the watchers back.
-                    while i < ws.len() {
+                    while i < n {
                         ws[j] = ws[i];
                         i += 1;
                         j += 1;
                     }
-                    conflict = Some(cref);
+                    conflict = Some(w.cref);
                 } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    self.unchecked_enqueue(first, Some(w.cref));
                 }
             }
             ws.truncate(j);
@@ -507,11 +681,15 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.0 as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+        let a = self.ca.activity(cref) + self.cla_inc;
+        self.ca.set_activity(cref, a);
+        if a > 1e20 {
+            for k in 0..self.ca.list.len() {
+                let c = self.ca.list[k];
+                if !self.ca.is_deleted(c) {
+                    let scaled = self.ca.activity(c) * 1e-20;
+                    self.ca.set_activity(c, scaled);
+                }
             }
             self.cla_inc *= 1e-20;
         }
@@ -520,24 +698,27 @@ impl Solver {
     /// First-UIP conflict analysis.
     ///
     /// Returns the learnt clause (asserting literal first) and the level
-    /// to backtrack to.
+    /// to backtrack to. The clause is `learnt_buf`, taken; the caller
+    /// hands it back once it has been attached.
     fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the asserting literal
+        let mut learnt = std::mem::take(&mut self.learnt_buf);
+        learnt.clear();
+        learnt.push(Lit(0)); // placeholder for the asserting literal
         let mut counter = 0u32;
-        let mut p: Option<Lit> = None;
+        let mut start = 0;
         let mut idx = self.trail.len();
+        let conflict_level = self.decision_level();
         loop {
-            if self.clauses[confl.0 as usize].learnt {
+            if self.ca.is_learnt(confl) {
                 self.bump_clause(confl);
             }
-            let start = if p.is_some() { 1 } else { 0 };
-            let lits = self.clauses[confl.0 as usize].lits.clone();
-            for &q in &lits[start..] {
+            for k in start..self.ca.len(confl) {
+                let q = self.ca.lit(confl, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     self.bump_var(v);
-                    if self.level[v.index()] >= self.decision_level() {
+                    if self.level[v.index()] >= conflict_level {
                         counter += 1;
                     } else {
                         learnt.push(q);
@@ -558,24 +739,25 @@ impl Solver {
                 learnt[0] = !pl;
                 break;
             }
-            p = Some(pl);
+            // A reason clause's first literal is the one it implied.
+            start = 1;
             confl = self.reason[pl.var().index()].expect("non-decision literal has a reason");
         }
+        // Exactly the variables of learnt[1..] are still marked seen.
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(&learnt[1..]);
         // Conflict-clause minimization: drop literals implied by the rest.
-        let mut minimized = vec![learnt[0]];
-        for &l in &learnt[1..] {
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
             if !self.is_redundant(l) {
-                minimized.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        let mut learnt = minimized;
-        // Clear seen flags.
-        for &l in &learnt {
+        learnt.truncate(kept);
+        for &l in &self.to_clear {
             self.seen[l.var().index()] = false;
-        }
-        // (Some seen flags may remain set from dropped literals; clear via trail scan.)
-        for i in 0..self.trail.len() {
-            self.seen[self.trail[i].var().index()] = false;
         }
         // Find backtrack level: highest level among learnt[1..].
         let bt_level = if learnt.len() == 1 {
@@ -598,22 +780,33 @@ impl Solver {
     fn is_redundant(&self, l: Lit) -> bool {
         match self.reason[l.var().index()] {
             None => false,
-            Some(cref) => self.clauses[cref.0 as usize].lits[1..].iter().all(|&q| {
-                self.seen[q.var().index()] || self.level[q.var().index()] == 0
+            Some(cref) => self.ca.lits(cref)[1..].iter().all(|&q| {
+                let v = Lit(q).var().index();
+                self.seen[v] || self.level[v] == 0
             }),
         }
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// The number of distinct decision levels among `lits`.
+    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
+        self.stamp += 1;
+        let mut lbd = 0;
+        for l in lits {
+            let level = self.level[l.var().index()] as usize;
+            if level >= self.level_stamp.len() {
+                self.level_stamp.resize(level + 1, 0);
+            }
+            if self.level_stamp[level] != self.stamp {
+                self.level_stamp[level] = self.stamp;
+                lbd += 1;
+            }
+        }
+        lbd
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.var_value(v.index()) == LBool::Undef {
                 return Some(Lit::new(v, self.polarity[v.index()]));
             }
         }
@@ -623,42 +816,61 @@ impl Solver {
     fn reduce_db(&mut self) {
         // Collect learnt, non-reason clauses, sort worst-first, delete half.
         let mut candidates: Vec<ClauseRef> = Vec::new();
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.learnt || c.deleted || c.lits.len() <= 2 {
+        for &cref in &self.ca.list {
+            if !self.ca.is_learnt(cref) || self.ca.is_deleted(cref) || self.ca.len(cref) <= 2 {
                 continue;
             }
-            let cref = ClauseRef(i as u32);
-            let locked = self.reason[c.lits[0].var().index()] == Some(cref)
-                && self.lit_value(c.lits[0]) == LBool::True;
+            let l0 = self.ca.lit(cref, 0);
+            let locked =
+                self.reason[l0.var().index()] == Some(cref) && self.lit_value(l0) == LBool::True;
             if !locked {
                 candidates.push(cref);
             }
         }
         candidates.sort_by(|&a, &b| {
-            let ca = &self.clauses[a.0 as usize];
-            let cb = &self.clauses[b.0 as usize];
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.partial_cmp(&cb.activity).unwrap_or(std::cmp::Ordering::Equal))
+            self.ca.lbd(b).cmp(&self.ca.lbd(a)).then(
+                self.ca
+                    .activity(a)
+                    .partial_cmp(&self.ca.activity(b))
+                    .unwrap_or(std::cmp::Ordering::Equal),
+            )
         });
         let n_delete = candidates.len() / 2;
         for &cref in candidates.iter().take(n_delete) {
             self.delete_clause(cref);
         }
+        self.collect_garbage();
     }
 
     fn delete_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = &self.clauses[cref.0 as usize];
-            (c.lits[0], c.lits[1])
-        };
+        let (l0, l1) = (self.ca.lit(cref, 0), self.ca.lit(cref, 1));
         self.watches[(!l0).index()].retain(|w| w.cref != cref);
         self.watches[(!l1).index()].retain(|w| w.cref != cref);
-        let c = &mut self.clauses[cref.0 as usize];
-        c.deleted = true;
-        c.lits.clear();
-        c.lits.shrink_to_fit();
+        self.ca.delete(cref);
         self.learnt_count -= 1;
+    }
+
+    /// Compacts the arena once deleted words pass half of it, moving
+    /// every watcher and reason to its clause's new offset. Watch lists
+    /// keep their order, so propagation visits clauses exactly as
+    /// before. Called only where no watcher or reason names a deleted
+    /// clause.
+    fn collect_garbage(&mut self) {
+        if !self.ca.needs_compaction() {
+            return;
+        }
+        let old = self.ca.compact();
+        for ws in &mut self.watches {
+            for w in ws.iter_mut() {
+                w.cref = ClauseArena::forward(&old, w.cref);
+            }
+        }
+        for l in &self.trail {
+            let r = &mut self.reason[l.var().index()];
+            if let Some(c) = *r {
+                *r = Some(ClauseArena::forward(&old, c));
+            }
+        }
     }
 
     /// Solves the current formula.
@@ -693,6 +905,11 @@ impl Solver {
         None
     }
 
+    /// Conflicts spent by the current call so far.
+    fn call_conflicts(&self) -> u64 {
+        self.stats.conflicts - self.last_solve_mark.conflicts
+    }
+
     /// The limit violated by this call's effort so far, if any.
     /// `check_clock` gates the (comparatively costly) deadline read.
     fn budget_exceeded(&self, check_clock: bool) -> Option<ResourceOut> {
@@ -701,14 +918,13 @@ impl Solver {
                 return Some(ResourceOut::Cancelled);
             }
         }
-        let spent = self.stats.since(self.last_solve_mark);
         if let Some(max) = self.limits.conflicts {
-            if spent.conflicts > max {
+            if self.call_conflicts() > max {
                 return Some(ResourceOut::Conflicts);
             }
         }
         if let Some(max) = self.limits.propagations {
-            if spent.propagations > max {
+            if self.stats.propagations - self.last_solve_mark.propagations > max {
                 return Some(ResourceOut::Propagations);
             }
         }
@@ -724,7 +940,16 @@ impl Solver {
 
     /// Solves under the given assumption literals. The assumptions hold
     /// only for this call; learned clauses are kept for later calls.
+    /// Only a `Sat` answer leaves a model behind.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let result = self.search(assumptions);
+        if !result.is_sat() {
+            self.model.clear();
+        }
+        result
+    }
+
+    fn search(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.last_solve_mark = self.stats;
         if !self.ok {
             return SolveResult::Unsat;
@@ -760,7 +985,7 @@ impl Solver {
                     return SolveResult::Unsat;
                 }
                 if let Some(max) = self.limits.conflicts {
-                    if self.stats.since(self.last_solve_mark).conflicts > max {
+                    if self.call_conflicts() > max {
                         return self.give_up(ResourceOut::Conflicts);
                     }
                 }
@@ -777,15 +1002,14 @@ impl Solver {
                     }
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
-                    let lbd = self.compute_lbd(&learnt);
                     let asserting = learnt[0];
-                    let cref = self.attach_new_clause(learnt, true);
-                    self.clauses[cref.0 as usize].lbd = lbd;
+                    let cref = self.attach_learnt(&learnt);
                     if self.lit_value(asserting) != LBool::Undef {
                         return SolveResult::Unsat;
                     }
                     self.unchecked_enqueue(asserting, Some(cref));
                 }
+                self.learnt_buf = learnt;
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
                 if self.learnt_count as f64 > self.max_learnts {
@@ -824,7 +1048,7 @@ impl Solver {
                             p
                         }
                         None => {
-                            self.model = self.assigns.clone();
+                            self.model.clone_from(&self.vals);
                             self.stats.learnt_clauses = self.learnt_count as u64;
                             self.cancel_until(0);
                             return SolveResult::Sat;
@@ -835,6 +1059,14 @@ impl Solver {
                 self.unchecked_enqueue(next, None);
             }
         }
+    }
+
+    /// Attaches a learnt clause of two or more literals with its LBD.
+    fn attach_learnt(&mut self, learnt: &[Lit]) -> ClauseRef {
+        let lbd = self.compute_lbd(learnt);
+        let cref = self.attach_new_clause(learnt, true);
+        self.ca.set_lbd(cref, lbd);
+        cref
     }
 
     /// Runs one bounded inprocessing pass over the permanent clause
@@ -898,6 +1130,7 @@ impl Solver {
         }
         self.inprocess_probe(cfg, &mut st);
         self.stats.learnt_clauses = self.learnt_count as u64;
+        self.collect_garbage();
         st
     }
 
@@ -918,46 +1151,46 @@ impl Solver {
 
     /// Marks a clause deleted without touching the watch lists (the
     /// caller rebuilds them); adjusts the learnt count.
-    fn inprocess_delete(&mut self, i: usize) {
-        let c = &mut self.clauses[i];
-        debug_assert!(!c.deleted);
-        if c.learnt {
+    fn inprocess_delete(&mut self, cref: ClauseRef) {
+        if self.ca.is_learnt(cref) {
             self.learnt_count -= 1;
         }
-        c.deleted = true;
-        c.lits.clear();
-        c.lits.shrink_to_fit();
+        self.ca.delete(cref);
     }
 
     /// Phase 1: delete level-0-satisfied clauses, strip level-0 false
     /// literals, and collect clauses that became unit.
     fn inprocess_cleanup(&mut self, st: &mut InprocessStats) -> Vec<Lit> {
         let mut units = Vec::new();
-        for i in 0..self.clauses.len() {
-            if self.clauses[i].deleted {
+        for i in 0..self.ca.list.len() {
+            let cref = self.ca.list[i];
+            if self.ca.is_deleted(cref) {
                 continue;
             }
-            let satisfied = self.clauses[i]
-                .lits
+            let satisfied = self
+                .ca
+                .lits(cref)
                 .iter()
-                .any(|&l| self.lit_value(l) == LBool::True);
+                .any(|&l| self.vals[l as usize] == LBool::True);
             if satisfied {
                 st.clauses_satisfied += 1;
-                self.inprocess_delete(i);
+                self.inprocess_delete(cref);
                 continue;
             }
-            let before = self.clauses[i].lits.len();
-            let kept: Vec<Lit> = self.clauses[i]
-                .lits
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
-                .collect();
-            if kept.len() != before {
-                st.lits_removed += (before - kept.len()) as u64;
-                self.clauses[i].lits = kept;
+            let lits = self.ca.lits_mut(cref);
+            let before = lits.len();
+            let mut kept = 0;
+            for k in 0..before {
+                if self.vals[lits[k] as usize] != LBool::False {
+                    lits[kept] = lits[k];
+                    kept += 1;
+                }
             }
-            match self.clauses[i].lits.len() {
+            if kept != before {
+                st.lits_removed += (before - kept) as u64;
+                self.ca.shrink(cref, kept);
+            }
+            match kept {
                 0 => {
                     // Every literal false at level 0: the formula is
                     // unsatisfiable.
@@ -965,8 +1198,8 @@ impl Solver {
                     return units;
                 }
                 1 => {
-                    units.push(self.clauses[i].lits[0]);
-                    self.inprocess_delete(i);
+                    units.push(self.ca.lit(cref, 0));
+                    self.inprocess_delete(cref);
                 }
                 _ => {}
             }
@@ -975,7 +1208,8 @@ impl Solver {
     }
 
     /// Phase 2: bounded subsumption and self-subsuming resolution over
-    /// occurrence lists.
+    /// occurrence lists. Clauses are named by their position in the
+    /// creation-order list.
     fn inprocess_subsume(
         &mut self,
         cfg: &InprocessConfig,
@@ -985,47 +1219,59 @@ impl Solver {
         // Sorted literal lists make subset checks binary searches. The
         // watch order of the first two literals is destroyed — fine,
         // the caller rebuilds all watches.
-        for c in &mut self.clauses {
-            if !c.deleted {
-                c.lits.sort_unstable();
+        let n_clauses = self.ca.list.len();
+        for i in 0..n_clauses {
+            let cref = self.ca.list[i];
+            if !self.ca.is_deleted(cref) {
+                self.ca.lits_mut(cref).sort_unstable();
             }
         }
         let n_lit_slots = self.watches.len();
         let mut occ: Vec<Vec<u32>> = vec![Vec::new(); n_lit_slots];
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted {
+        for (i, &cref) in self.ca.list.iter().enumerate() {
+            if self.ca.is_deleted(cref) {
                 continue;
             }
-            for &l in &c.lits {
-                occ[l.index()].push(i as u32);
+            for &l in self.ca.lits(cref) {
+                occ[l as usize].push(i as u32);
             }
         }
-        let var_sig = |lits: &[Lit]| -> u64 {
+        let var_sig = |lits: &[u32]| -> u64 {
             lits.iter()
-                .fold(0u64, |s, l| s | 1u64 << (l.var().index() % 64))
+                .fold(0u64, |s, &l| s | 1u64 << (Lit(l).var().index() % 64))
         };
         let mut sigs: Vec<u64> = self
-            .clauses
+            .ca
+            .list
             .iter()
-            .map(|c| if c.deleted { 0 } else { var_sig(&c.lits) })
+            .map(|&c| {
+                if self.ca.is_deleted(c) {
+                    0
+                } else {
+                    var_sig(self.ca.lits(c))
+                }
+            })
             .collect();
         // `sub` subsumes `sup` (both sorted); with `flip = Some(p)`,
         // checks the self-subsumption condition sub \ {p} ⊆ sup \ {¬p}
         // by looking for ¬p in sup instead of p.
-        let subset = |sub: &[Lit], sup: &[Lit], flip: Option<Lit>| -> bool {
+        let subset = |sub: &[Lit], sup: &[u32], flip: Option<Lit>| -> bool {
             sub.iter().all(|&l| {
                 let want = if Some(l) == flip { !l } else { l };
-                sup.binary_search(&want).is_ok()
+                sup.binary_search(&want.0).is_ok()
             })
         };
-        'clauses: for i in 0..self.clauses.len() {
+        let mut lits_i: Vec<Lit> = Vec::new();
+        'clauses: for i in 0..n_clauses {
             if st.subsumption_checks >= cfg.subsumption_checks {
                 break;
             }
-            if self.clauses[i].deleted || self.clauses[i].lits.len() > cfg.max_subsuming_len {
+            let ci = self.ca.list[i];
+            if self.ca.is_deleted(ci) || self.ca.len(ci) > cfg.max_subsuming_len {
                 continue;
             }
-            let lits_i = self.clauses[i].lits.clone();
+            lits_i.clear();
+            lits_i.extend(self.ca.lits(ci).iter().map(|&l| Lit(l)));
             let sig_i = sigs[i];
             // Backward subsumption: scan the occurrence list of the
             // rarest literal of C for clauses D ⊇ C.
@@ -1039,24 +1285,25 @@ impl Solver {
                     continue 'clauses;
                 }
                 let j = cand as usize;
+                let cj = self.ca.list[j];
                 if j == i
-                    || self.clauses[j].deleted
-                    || self.clauses[j].lits.len() < lits_i.len()
+                    || self.ca.is_deleted(cj)
+                    || self.ca.len(cj) < lits_i.len()
                     || sig_i & !sigs[j] != 0
                 {
                     continue;
                 }
                 st.subsumption_checks += 1;
-                if subset(&lits_i, &self.clauses[j].lits, None) {
+                if subset(&lits_i, self.ca.lits(cj), None) {
                     // If a learnt clause subsumes an original one, the
                     // original's constraint must survive future
                     // learnt-database reductions: promote the subsumer.
-                    if self.clauses[i].learnt && !self.clauses[j].learnt {
-                        self.clauses[i].learnt = false;
+                    if self.ca.is_learnt(ci) && !self.ca.is_learnt(cj) {
+                        self.ca.set_original(ci);
                         self.learnt_count -= 1;
                     }
                     st.clauses_subsumed += 1;
-                    self.inprocess_delete(j);
+                    self.inprocess_delete(cj);
                 }
             }
             // Self-subsuming resolution: C strengthens D on p when
@@ -1067,25 +1314,26 @@ impl Solver {
                         continue 'clauses;
                     }
                     let j = cand as usize;
+                    let cj = self.ca.list[j];
                     if j == i
-                        || self.clauses[j].deleted
-                        || self.clauses[j].lits.len() < lits_i.len()
+                        || self.ca.is_deleted(cj)
+                        || self.ca.len(cj) < lits_i.len()
                         || sig_i & !sigs[j] != 0
                     {
                         continue;
                     }
                     st.subsumption_checks += 1;
-                    if subset(&lits_i, &self.clauses[j].lits, Some(p)) {
-                        let pos = self.clauses[j]
-                            .lits
-                            .binary_search(&!p)
-                            .expect("subset check found ¬p");
-                        self.clauses[j].lits.remove(pos);
+                    if subset(&lits_i, self.ca.lits(cj), Some(p)) {
+                        let lits = self.ca.lits_mut(cj);
+                        let pos = lits.binary_search(&(!p).0).expect("subset check found ¬p");
+                        let len = lits.len();
+                        lits.copy_within(pos + 1.., pos);
+                        self.ca.shrink(cj, len - 1);
                         st.lits_removed += 1;
-                        sigs[j] = var_sig(&self.clauses[j].lits);
-                        if self.clauses[j].lits.len() == 1 {
-                            units.push(self.clauses[j].lits[0]);
-                            self.inprocess_delete(j);
+                        sigs[j] = var_sig(self.ca.lits(cj));
+                        if len - 1 == 1 {
+                            units.push(self.ca.lit(cj, 0));
+                            self.inprocess_delete(cj);
                         }
                     }
                 }
@@ -1107,12 +1355,12 @@ impl Solver {
             if st.probes.is_multiple_of(16) && self.inprocess_interrupted() {
                 break;
             }
-            if self.assigns[vi] != LBool::Undef {
+            if self.var_value(vi) != LBool::Undef {
                 continue;
             }
             let v = Var(vi as u32);
             for phase in [self.polarity[vi], !self.polarity[vi]] {
-                if st.probes >= cfg.probes || self.assigns[vi] != LBool::Undef {
+                if st.probes >= cfg.probes || self.var_value(vi) != LBool::Undef {
                     break;
                 }
                 st.probes += 1;
@@ -1139,33 +1387,29 @@ impl Solver {
         for w in &mut self.watches {
             w.clear();
         }
-        for i in 0..self.clauses.len() {
-            let (deleted, len) = {
-                let c = &self.clauses[i];
-                (c.deleted, c.lits.len())
-            };
-            if deleted || len < 2 {
+        for &cref in &self.ca.list {
+            if self.ca.is_deleted(cref) || self.ca.len(cref) < 2 {
                 continue;
             }
-            let cref = ClauseRef(i as u32);
-            let (l0, l1) = (self.clauses[i].lits[0], self.clauses[i].lits[1]);
+            let (l0, l1) = (self.ca.lit(cref, 0), self.ca.lit(cref, 1));
             self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
             self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
         }
     }
 
-    /// The value of `v` in the most recent satisfying model.
+    /// The value of `v` in the model of the most recent solve call.
     ///
-    /// Returns `None` if no model is available or the variable was left
-    /// unconstrained (callers may treat that as either polarity).
+    /// Returns `None` if that call did not answer `Sat` (so no model is
+    /// available) or the variable was left unconstrained (callers may
+    /// treat that as either polarity).
     pub fn value(&self, v: Var) -> Option<bool> {
-        self.model.get(v.index()).and_then(|b| b.to_bool())
+        self.lit_model_value(v.positive())
     }
 
-    /// The value of a literal in the most recent model.
+    /// The value of a literal in the model of the most recent solve
+    /// call; `None` as for [`Solver::value`].
     pub fn lit_model_value(&self, l: Lit) -> Option<bool> {
-        self.value(l.var())
-            .map(|b| if l.is_positive() { b } else { !b })
+        self.model.get(l.index()).and_then(|b| b.to_bool())
     }
 }
 
@@ -1595,6 +1839,118 @@ mod tests {
         assert_eq!(s.solve_with_assumptions(&[!v[0]]), SolveResult::Unsat);
         assert!(s.solve().is_sat());
         assert_eq!(s.value(v[0].var()), Some(true));
+    }
+
+    #[test]
+    fn model_is_cleared_by_every_answer_but_sat() {
+        let (mut s, sel) = guarded_php(4, 3);
+        assert!(s.solve_with_assumptions(&[!sel]).is_sat());
+        assert_eq!(s.lit_model_value(sel), Some(false));
+        assert_eq!(s.solve_with_assumptions(&[sel]), SolveResult::Unsat);
+        assert_eq!(s.value(sel.var()), None);
+        assert_eq!(s.lit_model_value(sel), None);
+
+        let (mut t, sel) = guarded_php(5, 4);
+        assert!(t.solve_with_assumptions(&[!sel]).is_sat());
+        assert_eq!(t.value(sel.var()), Some(false));
+        t.set_limits(SolveLimits {
+            conflicts: Some(0),
+            ..Default::default()
+        });
+        assert!(t.solve_with_assumptions(&[sel]).is_unknown());
+        assert_eq!(t.value(sel.var()), None);
+    }
+
+    /// `n` random 3-literal clauses over `vars` (distinct variables per
+    /// clause).
+    fn random_3cnf(s: &mut Solver, vars: &[Var], n: usize, seed: u64) -> Vec<Vec<Lit>> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut clauses = Vec::new();
+        while clauses.len() < n {
+            let mut c: Vec<Lit> = Vec::new();
+            while c.len() < 3 {
+                let v = vars[rng.gen_range(0..vars.len())];
+                if c.iter().all(|l| l.var() != v) {
+                    c.push(Lit::new(v, rng.gen_bool(0.5)));
+                }
+            }
+            s.add_clause(c.iter().copied());
+            clauses.push(c);
+        }
+        clauses
+    }
+
+    #[test]
+    fn peak_clauses_counts_live_clauses_only() {
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..40).map(|_| s.new_var()).collect();
+        random_3cnf(&mut s, &vars, 10, 7);
+        let learn = |s: &mut Solver, n: usize, from: usize| {
+            for k in from..from + n {
+                let c = [0, 13, 27].map(|o| Lit::new(vars[(k + o) % vars.len()], k % 2 == 0));
+                let cref = s.attach_new_clause(&c, true);
+                s.ca.set_lbd(cref, 3);
+            }
+        };
+        learn(&mut s, 20, 0);
+        assert_eq!((s.num_clauses(), s.stats().peak_clauses), (30, 30));
+        s.reduce_db();
+        assert_eq!((s.num_clauses(), s.stats().peak_clauses), (20, 30));
+        learn(&mut s, 5, 20);
+        assert_eq!((s.num_clauses(), s.stats().peak_clauses), (25, 30));
+        learn(&mut s, 15, 25);
+        assert_eq!((s.num_clauses(), s.stats().peak_clauses), (40, 40));
+        assert!(s.solve().is_sat());
+    }
+
+    #[test]
+    fn arena_stays_within_twice_its_live_words_across_reductions() {
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..150).map(|_| s.new_var()).collect();
+        let clauses = random_3cnf(&mut s, &vars, 640, 0xA7E4A);
+        // A tiny learnt limit makes the search reduce the database every
+        // few dozen conflicts.
+        s.max_learnts = 60.0;
+        s.set_limits(SolveLimits {
+            conflicts: Some(150),
+            ..Default::default()
+        });
+        let mut compactions = 0;
+        let mut result = SolveResult::Unknown(ResourceOut::Conflicts);
+        for _ in 0..200 {
+            let words_before = s.ca.words.len();
+            result = s.solve();
+            assert!(
+                s.ca.words.len() <= 2 * s.ca.live_words(),
+                "arena {} words, {} live",
+                s.ca.words.len(),
+                s.ca.live_words()
+            );
+            compactions += (s.ca.words.len() < words_before) as usize;
+            if !result.is_unknown() {
+                break;
+            }
+        }
+        assert!(compactions >= 3, "only {compactions} compactions");
+        assert!(s.max_learnts > 60.0 * 1.3 * 1.3 * 1.3, "too few reductions");
+        let mut fresh = Solver::new();
+        let fresh_vars: Vec<Var> = (0..150).map(|_| fresh.new_var()).collect();
+        random_3cnf(&mut fresh, &fresh_vars, 640, 0xA7E4A);
+        assert_eq!(
+            result,
+            fresh.solve(),
+            "verdict differs from a solver with the default learnt limit"
+        );
+        match result {
+            SolveResult::Sat => {
+                for c in &clauses {
+                    assert!(c.iter().any(|&l| s.lit_model_value(l) == Some(true)));
+                }
+            }
+            SolveResult::Unsat => {}
+            SolveResult::Unknown(_) => panic!("no verdict after 200 budgeted calls"),
+        }
     }
 
     #[test]

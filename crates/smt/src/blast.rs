@@ -1,6 +1,7 @@
 //! Tseitin bit-blasting of expression DAGs into CNF.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use gila_expr::{BitVecValue, ExprCtx, ExprNode, ExprRef, Op, Value};
 use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolveResult, Solver, SolverStats};
@@ -137,6 +138,9 @@ pub struct SmtSolver {
     /// SAT effort of the most recent `check`/`check_assuming` call,
     /// summed over its array-lemma rounds.
     last_check_effort: SolverStats,
+    /// Wall time of the most recent check's SAT calls and array-lemma
+    /// rounds (blasting its assumptions excluded).
+    last_check_wall: Duration,
     /// Memory terms, their reads and the array lemmas added so far.
     arrays: Arrays,
 }
@@ -162,6 +166,12 @@ impl SmtSolver {
     /// calls of its array-lemma rounds).
     pub fn last_check_effort(&self) -> gila_sat::SolverStats {
         self.last_check_effort
+    }
+
+    /// Wall time the most recent `check`/`check_assuming` call spent in
+    /// its SAT calls and array-lemma rounds.
+    pub fn last_check_wall(&self) -> Duration {
+        self.last_check_wall
     }
 
     /// Installs per-check resource limits on the underlying SAT solver;
@@ -819,6 +829,7 @@ impl SmtSolver {
     /// consistent or the answer is UNSAT/unknown. Resource limits cover
     /// the whole loop, not each round.
     fn solve_with_array_lemmas(&mut self, assumptions: &[Lit]) -> SmtResult {
+        let t0 = Instant::now();
         let start = self.solver.stats();
         let limits = self.solver.limits();
         let result = loop {
@@ -837,6 +848,7 @@ impl SmtSolver {
         };
         self.solver.set_limits(limits);
         self.last_check_effort = self.solver.stats().since(start);
+        self.last_check_wall = t0.elapsed();
         result.into()
     }
 
@@ -856,8 +868,10 @@ impl SmtSolver {
         // between properties, not just mid-search.
         if self.solver.resources_exhausted().is_some() {
             self.last_check_cnf = BlastStats::default();
+            let t0 = Instant::now();
             let r = self.solver.solve_with_assumptions(&self.scopes.clone());
             self.last_check_effort = self.solver.last_solve_stats();
+            self.last_check_wall = t0.elapsed();
             return r.into();
         }
         let before = self.stats;

@@ -1565,8 +1565,9 @@ fn check_instruction_inner(
 }
 
 /// Emits one `solve` span for a completed SAT check: its per-call
-/// solver effort and incremental CNF delta. The closure only runs when
-/// tracing is enabled.
+/// solver effort, incremental CNF delta, and the wall time of its SAT
+/// calls and array-lemma rounds. The closure only runs when tracing is
+/// enabled.
 #[allow(clippy::too_many_arguments)]
 fn record_solve(
     smt: &SmtSolver,
@@ -1593,6 +1594,7 @@ fn record_solve(
             .field("conflicts", effort.conflicts)
             .field("cnf_vars", cnf.variables)
             .field("cnf_clauses", cnf.clauses)
+            .field("wall_ns", smt.last_check_wall().as_nanos() as u64)
     });
 }
 

@@ -149,6 +149,33 @@ fn every_instruction_gets_a_span_with_counters() {
     }
 }
 
+/// Every `solve` span is timed: `wall_ns` covers its SAT calls and
+/// array-lemma rounds, and it is a volatile key, so the goldens above
+/// never see it.
+#[test]
+fn every_solve_span_carries_its_wall_time() {
+    for name in ["counter", "Decoder", "Store Buffer"] {
+        let (report, jsonl) = traced_run(name, 1);
+        let mut solves = 0;
+        for line in jsonl.lines() {
+            let e = gila::json::parse(line).unwrap();
+            if e.get("kind").and_then(|v| v.as_str()) != Some("solve") {
+                continue;
+            }
+            solves += 1;
+            assert!(
+                e.get("wall_ns").and_then(|v| v.as_u64()).is_some(),
+                "{name}: solve span without wall_ns: {line}"
+            );
+        }
+        assert_eq!(
+            solves, report.telemetry.solves,
+            "{name}: one span per SAT check"
+        );
+        assert!(gila::trace::VOLATILE_KEYS.contains(&"wall_ns"));
+    }
+}
+
 #[test]
 fn report_telemetry_sums_verdicts() {
     let (report, _) = traced_run("Decoder", 1);
