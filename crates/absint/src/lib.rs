@@ -6,25 +6,18 @@
 //! of [`gila_expr::AbsValue`] (known bits, unsigned intervals, and the
 //! flat constant lattice, as a reduced product).
 //!
-//! Three consumers:
-//!
-//! * **`gila-verify`** takes [`analyze_ts`]'s *proven inductive
-//!   invariants* ([`Invariant`]) and asserts them as solver-level
-//!   lemmas before BMC, pruning the search space without changing any
-//!   verdict (the lemmas are consequences of the asserted transition
-//!   relation — see DESIGN.md).
-//! * **`gila-lint`** uses [`DecodeOracle`] to discharge decode
-//!   completeness/overlap/dead questions without SAT when the domains
-//!   are conclusive, and [`analyze_port`] / [`uninit_reads`] to power
-//!   the GL014–GL017 passes.
-//! * **`--stats` / bench** report how much work the fixpoint saved.
+//! Lint is the one consumer: **`gila-lint`** uses [`DecodeOracle`] to
+//! discharge decode completeness/overlap/dead questions without SAT
+//! when the domains are conclusive, and [`analyze_port`] /
+//! [`uninit_reads`] to power the GL014–GL017 passes. [`analyze_ts`],
+//! which proves inductive [`Invariant`]s over a whole transition
+//! system, is called only by the benchmark, which still times it.
 //!
 //! Soundness rests on one contract, tested by proptest in
 //! `tests/absint_props.rs`: abstract evaluation over-approximates
 //! concrete evaluation. Everything here only ever *prunes* (skips a SAT
-//! call whose outcome is proven, or strengthens a solver query with an
-//! implied fact); inconclusive domains always fall back to the exact
-//! engines.
+//! call whose outcome is proven); inconclusive domains always fall back
+//! to the exact engines.
 
 #![warn(missing_docs)]
 

@@ -80,8 +80,8 @@ fn load_maps(flags: &[(String, String)]) -> Result<Vec<RefinementMap>, Box<dyn E
 pub fn verify(flags: &[(String, String)]) -> CmdResult {
     const KNOWN: &[&str] = &[
         "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
-        "timeout-ms", "retries", "checkpoint", "no-preprocess", "no-absint", "par-threshold",
-        "vcd", "trace", "stats",
+        "timeout-ms", "retries", "checkpoint", "no-preprocess", "par-threshold", "vcd", "trace",
+        "stats",
     ];
     if let Some((name, _)) = flags.iter().find(|(n, _)| !KNOWN.contains(&n.as_str())) {
         return Err(format!("gila verify has no flag --{name} (see `gila help`)").into());
@@ -161,7 +161,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         journal,
         preprocess: flag(flags, "no-preprocess").is_none(),
         par_threshold,
-        absint: flag(flags, "no-absint").is_none(),
         ..defaults
     };
     let report = match verify_module(&ila, &rtl, &maps, &opts) {
@@ -311,10 +310,6 @@ fn print_stats_table(report: &ModuleReport) {
         report.telemetry.inprocess_clauses_removed,
         report.telemetry.inprocess_lits_removed,
         report.telemetry.inprocess_failed_literals
-    );
-    println!(
-        "  absint: {} invariant(s) proved and asserted as step-implication lemmas",
-        report.telemetry.invariants_proved
     );
 }
 

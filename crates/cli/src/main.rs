@@ -21,7 +21,7 @@ USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
                  [--stop-at-first-cex] [--jobs N] [--conflict-budget N]
                  [--timeout-ms N] [--retries N] [--checkpoint FILE]
-                 [--no-preprocess] [--no-absint] [--par-threshold N]
+                 [--no-preprocess] [--par-threshold N]
                  [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
@@ -145,9 +145,6 @@ VERIFY OPTIONS:
                        (cone-of-influence slicing, cached simplification,
                        SAT inprocessing) for A/B comparison; preprocessing
                        is on by default and never changes verdicts
-  --no-absint          skip the abstract-interpretation fixpoint and the
-                       invariant lemmas it asserts before BMC; on by
-                       default, proven-sound, and verdict-preserving
   --par-threshold N    route a pooled run to the persistent sequential
                        engine when its estimated blast work is below N
                        (0 = always pool; default tuned from bench data)

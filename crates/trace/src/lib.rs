@@ -74,10 +74,6 @@ pub enum SpanKind {
     /// A graceful daemon drain: in-flight jobs finished, journal
     /// flushed (drained job count rides as a field).
     Drain,
-    /// One abstract-interpretation fixpoint over a port's transition
-    /// system or architectural states (invariants proved and fixpoint
-    /// iterations ride as fields).
-    Absint,
 }
 
 impl SpanKind {
@@ -101,7 +97,6 @@ impl SpanKind {
             SpanKind::CacheMiss => "cache_miss",
             SpanKind::Shed => "shed",
             SpanKind::Drain => "drain",
-            SpanKind::Absint => "absint",
         }
     }
 }
@@ -367,8 +362,9 @@ pub struct Telemetry {
     /// Instructions the verdict journal could not answer, so they were
     /// scheduled for solving (0 when the run has no journal).
     pub cache_misses: u64,
-    /// Inductive invariants proved by the abstract interpreter and
-    /// asserted as solver-level lemmas (summed over port plans).
+    /// Always 0: verification no longer asserts abstract-interpretation
+    /// invariants. Kept only because perfbench still reports it as its
+    /// `absint.invariants_proved` counter.
     pub invariants_proved: u64,
     /// Lint checks fully discharged by the abstract interpreter — the
     /// whole (port, code) verdict was decided without any SAT call.

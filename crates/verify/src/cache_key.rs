@@ -21,8 +21,8 @@
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
-//! Scheduling (`jobs`, `par_threshold`), preprocessing (`preprocess`,
-//! `absint`), and telemetry change solver effort, never answers;
+//! Scheduling (`jobs`, `par_threshold`), preprocessing (`preprocess`),
+//! and telemetry change solver effort, never answers;
 //! budgets (`budget`, `retries`) and cancellation change only
 //! *decidability*, and undecided verdicts (`unknown`, `panicked`) are
 //! never journaled. If an
@@ -51,11 +51,14 @@ use crate::refmap::RefinementMap;
 /// serialization changes — stale journal entries then miss instead of
 /// being misapplied.
 ///
-/// v2: abstract-interpretation lemmas (`gila-absint`) are asserted into
-/// the solver before BMC. The lemmas are proven consequences of the
-/// transition relation, so decided verdicts cannot change — but the
-/// bump keeps any pre-absint journal from being credited to a pipeline
+/// v2: abstract-interpretation lemmas (`gila-absint`) were asserted into
+/// the solver before BMC. The lemmas were proven consequences of the
+/// transition relation, so decided verdicts could not change — but the
+/// bump kept any pre-absint journal from being credited to a pipeline
 /// it never saw, per the policy above.
+///
+/// Still v2 after those lemmas were removed: decided verdicts did not
+/// change, so journals already written stay valid as they are.
 pub const CACHE_KEY_VERSION: u32 = 2;
 
 /// The cache key of one `(port, instruction)` verification property.

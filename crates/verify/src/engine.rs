@@ -16,7 +16,7 @@
 //! input errors before anything is solved. With a
 //! [`VerifyOptions::journal`], every property is keyed from those plans
 //! ([`crate::SliceKey`]); a port the journal answers in full is reported
-//! from its replays alone, with no slice, lemmas or estimate. The other
+//! from its replays alone, with no slice or estimate. The other
 //! ports run either sequentially or on the work-stealing pool in
 //! [`crate::scheduler`], where each worker owns a persistent unrolling
 //! and incremental solver so the blasted transition relation and
@@ -550,16 +550,6 @@ pub struct VerifyOptions {
     /// [`CheckResult::Unknown`] (`reason: cancelled`). `None` (the
     /// default) leaves cancellation to the run's internal token.
     pub cancel: Option<CancelToken>,
-    /// Abstract interpretation (on by default; `--no-absint` for A/B
-    /// comparisons): run the `gila-absint` widening fixpoint over each
-    /// port's sliced transition system and assert every proven
-    /// invariant as a step-implication lemma (`I(j-1) → I(j)`, never
-    /// `I(0)`) before BMC. The lemmas are consequences of the raw
-    /// transition relation, so they prune solver search without ever
-    /// changing a verdict. Ports whose estimated solver work is below
-    /// [`ABSINT_WORK_THRESHOLD`] skip the fixpoint — the lemmas cannot
-    /// repay their cost there (verdicts are identical either way).
-    pub absint: bool,
 }
 
 impl Default for VerifyOptions {
@@ -575,7 +565,6 @@ impl Default for VerifyOptions {
             preprocess: true,
             par_threshold: DEFAULT_PAR_THRESHOLD,
             cancel: None,
-            absint: true,
         }
     }
 }
@@ -683,8 +672,8 @@ impl<'t> RunCtx<'t> {
     /// The journal's verdicts for `port` in declaration order, when it
     /// answered every instruction of the port; cut after the first
     /// counterexample under `stop_at_first_cex`, as
-    /// [`run_port_sequential`] does. Such a port needs no slice, lemmas
-    /// or work estimate.
+    /// [`run_port_sequential`] does. Such a port needs no slice or work
+    /// estimate.
     fn replayed_port(&self, port: &PortIla, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
         self.journal?;
         let mut verdicts: Vec<InstrVerdict> = port
@@ -877,13 +866,6 @@ pub(crate) struct PortPlan<'a> {
     /// Parsed invariants, in `cond_rtl`'s context.
     pub(crate) invariants: Vec<ExprRef>,
     pub(crate) instrs: Vec<InstrPlan>,
-    /// Conjunction of every invariant the abstract interpreter proved
-    /// over the port's (sliced) transition system, interned in that
-    /// system's context — `None` until [`prepare`] runs the analysis, or
-    /// when it proves nothing.
-    pub(crate) absint_lemma: Option<ExprRef>,
-    /// How many individual invariants the lemma conjoins.
-    pub(crate) invariants_proved: u64,
     /// What slicing the port dropped — `None` until it is sliced, or
     /// with preprocessing off.
     pub(crate) coi: Option<CoiStats>,
@@ -978,8 +960,6 @@ impl<'a> PortPlan<'a> {
             cond_rtl,
             invariants,
             instrs,
-            absint_lemma: None,
-            invariants_proved: 0,
             coi: None,
         })
     }
@@ -1451,23 +1431,6 @@ fn check_instruction_inner(
         smt.assert(u.ctx(), c);
     }
 
-    // Abstract-interpretation lemmas: each proven invariant I is
-    // inductive for the raw transition relation (inputs unconstrained),
-    // so `I(j-1) → I(j)` is already a consequence of the unrolled
-    // constraints at every step — asserting it prunes solver search
-    // without removing a single model. `I(0)` is deliberately NOT
-    // asserted: the property starts from an *arbitrary* mapped state,
-    // which need not satisfy the reachable-state invariant.
-    if let Some(lemma) = plan.absint_lemma {
-        for j in 1..=bound {
-            let prev = u.map_expr(j - 1, lemma);
-            let cur = u.map_expr(j, lemma);
-            let imp = u.ctx_mut().implies(prev, cur);
-            let imp = simp(u, simplify_memo, imp);
-            smt.assert(u.ctx(), imp);
-        }
-    }
-
     let frames_to_check: Vec<(usize, Vec<ExprRef>)> = match &finish_ts {
         None => vec![(bound, Vec::new())],
         Some(cond) => {
@@ -1835,17 +1798,6 @@ pub(crate) fn coi_roots(
     roots
 }
 
-/// Minimum [`estimate_port_work`] before the invariant-lemma pass is
-/// worth running: on millisecond-scale ports the whole verification
-/// finishes in less time than the fixpoint, so the lemmas can never
-/// repay their cost. The cutoff reuses [`DEFAULT_PAR_THRESHOLD`] — the
-/// same estimate already separates the bundled control-dominated
-/// designs (≤17.5k, where solves are trivial) from the solver-bound
-/// ones (≥19k, where the lemmas showed 1.05–1.14x). Skipping is purely
-/// a scheduling decision: the lemmas are redundant consequences of the
-/// transition relation, so verdicts are identical either way.
-const ABSINT_WORK_THRESHOLD: u64 = DEFAULT_PAR_THRESHOLD;
-
 /// A port of a run, in declaration order.
 enum Stage<'a> {
     /// Answered in full by the journal: reported from its replays alone.
@@ -1857,21 +1809,16 @@ enum Stage<'a> {
 /// Prepares a port to run, and returns its sliced system and work
 /// estimate. The port's cone of influence is sliced out of the run's
 /// system `ts` (a `coi` span) and the slice's work estimated once
-/// ([`estimate_port_work`]). When that clears [`ABSINT_WORK_THRESHOLD`],
-/// the `gila-absint` widening fixpoint runs over the slice (an `absint`
-/// span); its proven invariants attach to the plan as one lemma
-/// conjunction, interned in the slice's own context so
-/// [`Unrolling::map_expr`] can instantiate it per frame.
+/// ([`estimate_port_work`]).
 fn prepare(
     plan: &mut PortPlan<'_>,
     ts: &TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
     opts: &VerifyOptions,
 ) -> (TransitionSystem, u64) {
-    let tracer = &opts.tracer;
-    let mut sliced = if opts.preprocess {
+    let sliced = if opts.preprocess {
         let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
-        tracer.record(|| {
+        opts.tracer.record(|| {
             Event::new(SpanKind::Coi)
                 .port(plan.port.name())
                 .field("states_kept", stats.states_kept as u64)
@@ -1885,29 +1832,12 @@ fn prepare(
         ts.clone()
     };
     let work = estimate_port_work(plan, &sliced);
-    if opts.absint && work >= ABSINT_WORK_THRESHOLD {
-        let t0 = Instant::now();
-        let analysis = gila_absint::analyze_ts(&mut sliced);
-        let exprs: Vec<ExprRef> = analysis.invariants.iter().map(|i| i.expr).collect();
-        if !exprs.is_empty() {
-            plan.absint_lemma = Some(sliced.ctx_mut().and_many(&exprs));
-            plan.invariants_proved = exprs.len() as u64;
-        }
-        tracer.record(|| {
-            Event::new(SpanKind::Absint)
-                .port(plan.port.name())
-                .field("invariants", exprs.len() as u64)
-                .field("iterations", analysis.iterations as u64)
-                .field("wall_ns", t0.elapsed().as_nanos() as u64)
-        });
-    }
     (sliced, work)
 }
 
 /// Folds a port's verdicts into its report — telemetry, the journal
-/// lookups and, for a port that ran, its plan's slicing counts and
-/// proven invariants — and emits the per-port summary span. Every path
-/// reports its ports here.
+/// lookups and, for a port that ran, its plan's slicing counts — and
+/// emits the per-port summary span. Every path reports its ports here.
 fn port_report(
     port: &PortIla,
     ran: Option<&PortPlan<'_>>,
@@ -1917,7 +1847,6 @@ fn port_report(
 ) -> PortReport {
     let mut telemetry = telemetry_of(&verdicts);
     if let Some(plan) = ran {
-        telemetry.invariants_proved += plan.invariants_proved;
         if let Some(s) = plan.coi {
             telemetry.coi_states_dropped += s.states_dropped as u64;
             telemetry.coi_inputs_dropped += s.inputs_dropped as u64;

@@ -1,16 +1,15 @@
 //! The absint A/B contract: the abstract-interpretation layer is a
-//! pure accelerator. With it on or off, `gila lint` reports the exact
-//! same diagnostics (byte-for-byte, human and JSON renderings) and
-//! `gila verify` reaches the exact same verdicts — on every bundled
-//! case study and the broken fixture, at any job count. The fast path
-//! may only ever *skip* SAT calls whose outcome it proved; the moment
-//! it changes an answer, these tests name the design and the diff.
+//! pure accelerator of lint, its only consumer. With it on or off,
+//! `gila lint` reports the exact same diagnostics (byte-for-byte, human
+//! and JSON renderings) on every bundled case study and the broken
+//! fixture, at any job count. The fast path may only ever *skip* SAT
+//! calls whose outcome it proved; the moment it changes an answer,
+//! these tests name the design and the diff.
 
 use gila::designs::all_case_studies;
 use gila::lang::parse_spec;
 use gila::lint::{lint_module, lint_rtl, lint_spec, LintOptions};
 use gila::trace::Tracer;
-use gila::verify::{verify_module, ModuleReport, VerifyOptions};
 
 const BROKEN: &str = include_str!("../specs/broken.ila");
 
@@ -85,69 +84,5 @@ fn absint_fast_path_is_live_on_the_registry() {
         let report = lint_module(cs.name, &cs.ila, &off, &Tracer::disabled());
         assert_eq!(report.stats.sat_calls_avoided, 0, "{}", cs.name);
         assert_eq!(report.stats.lints_discharged_static, 0, "{}", cs.name);
-    }
-}
-
-/// `(port, instruction, verdict-tag)` triples in report order. Witness
-/// *contents* are deliberately not compared: asserting redundant lemmas
-/// may steer the solver to a different (equally valid) model, but it
-/// must never flip a verdict.
-fn verdict_shape(report: &ModuleReport) -> Vec<(String, String, &'static str)> {
-    report
-        .ports
-        .iter()
-        .flat_map(|p| {
-            p.verdicts
-                .iter()
-                .map(|v| (p.port.clone(), v.instruction.clone(), v.result.tag()))
-        })
-        .collect()
-}
-
-fn verify_with(name: &str, absint: bool, jobs: usize, buggy: bool) -> ModuleReport {
-    let cs = all_case_studies()
-        .into_iter()
-        .find(|cs| cs.name == name)
-        .expect("registry design");
-    let rtl = if buggy {
-        cs.buggy_rtl.clone().expect("design has a buggy variant")
-    } else {
-        cs.rtl.clone()
-    };
-    let opts = VerifyOptions {
-        jobs: Some(jobs),
-        absint,
-        ..VerifyOptions::default()
-    };
-    verify_module(&cs.ila, &rtl, &cs.refmaps, &opts).expect("well-formed")
-}
-
-/// Verification verdicts are identical with and without the invariant
-/// lemmas, sequentially and pooled — on fixed RTL (everything holds)
-/// and on the bug-injected variants (the same instructions fail).
-#[test]
-fn verify_verdicts_identical_with_and_without_absint() {
-    for cs in all_case_studies() {
-        for jobs in [1usize, 4] {
-            let on = verify_with(cs.name, true, jobs, false);
-            let off = verify_with(cs.name, false, jobs, false);
-            assert!(on.all_hold(), "{}: {on:#?}", cs.name);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "{} (jobs={jobs}): absint changed a verdict",
-                cs.name
-            );
-        }
-        if cs.buggy_rtl.is_some() {
-            let on = verify_with(cs.name, true, 1, true);
-            let off = verify_with(cs.name, false, 1, true);
-            assert_eq!(
-                verdict_shape(&on),
-                verdict_shape(&off),
-                "{} (buggy): absint changed a verdict",
-                cs.name
-            );
-        }
     }
 }

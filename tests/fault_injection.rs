@@ -311,7 +311,6 @@ fn wholly_replayed_ports_skip_setup() {
             assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
             assert!(count(&cold_events, SpanKind::Coi) > 0, "{name}");
             assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{name}");
-            assert_eq!(count(&warm_events, SpanKind::Absint), 0, "{name}");
             assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{name}");
             for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
                 assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));

@@ -16,8 +16,8 @@ use gila::trace::{span_set, Tracer};
 use gila::verify::{verify_module, VerifyOptions};
 
 /// `(port, instructions, coi_states_dropped, coi_inputs_dropped,
-/// invariants_proved, cache_hits, cache_misses)` of one port report.
-type PortShape = (String, u64, u64, u64, u64, u64, u64);
+/// cache_hits, cache_misses)` of one port report.
+type PortShape = (String, u64, u64, u64, u64, u64);
 
 /// (port, instruction, holds) triple per verdict, one [`PortShape`] per
 /// port, and the span set of the run's telemetry trace.
@@ -48,7 +48,6 @@ fn run_shape(cs: &CaseStudy, rtl: &RtlModule, opts: VerifyOptions) -> RunShape {
                 t.instructions,
                 t.coi_states_dropped,
                 t.coi_inputs_dropped,
-                t.invariants_proved,
                 t.cache_hits,
                 t.cache_misses,
             )
