@@ -80,8 +80,7 @@ fn load_maps(flags: &[(String, String)]) -> Result<Vec<RefinementMap>, Box<dyn E
 pub fn verify(flags: &[(String, String)]) -> CmdResult {
     const KNOWN: &[&str] = &[
         "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
-        "timeout-ms", "retries", "checkpoint", "no-preprocess", "par-threshold", "vcd", "trace",
-        "stats",
+        "timeout-ms", "retries", "checkpoint", "par-threshold", "vcd", "trace", "stats",
     ];
     if let Some((name, _)) = flags.iter().find(|(n, _)| !KNOWN.contains(&n.as_str())) {
         return Err(format!("gila verify has no flag --{name} (see `gila help`)").into());
@@ -159,7 +158,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         retries,
         fault_plan,
         journal,
-        preprocess: flag(flags, "no-preprocess").is_none(),
         par_threshold,
         ..defaults
     };
@@ -303,13 +301,8 @@ fn print_stats_table(report: &ModuleReport) {
         report.telemetry.budget_spent_conflicts
     );
     println!(
-        "  preprocessing: coi dropped {} state(s) + {} input(s);   inprocessing \
-         removed {} clause(s), {} literal(s), learned {} failed literal(s)",
-        report.telemetry.coi_states_dropped,
-        report.telemetry.coi_inputs_dropped,
-        report.telemetry.inprocess_clauses_removed,
-        report.telemetry.inprocess_lits_removed,
-        report.telemetry.inprocess_failed_literals
+        "  coi: dropped {} state(s) + {} input(s)",
+        report.telemetry.coi_states_dropped, report.telemetry.coi_inputs_dropped
     );
 }
 

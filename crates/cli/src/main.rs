@@ -21,8 +21,7 @@ USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
                  [--stop-at-first-cex] [--jobs N] [--conflict-budget N]
                  [--timeout-ms N] [--retries N] [--checkpoint FILE]
-                 [--no-preprocess] [--par-threshold N]
-                 [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
+                 [--par-threshold N] [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
   gila check-inv --rtl IMPL.v --invariant EXPR [--invariant EXPR ...] [--depth K]
@@ -141,10 +140,6 @@ VERIFY OPTIONS:
                        every newly decided verdict is appended as one
                        flushed line; prints 'journal: N recovered, M
                        dropped' (torn or stale lines) to stderr
-  --no-preprocess      disable the formula preprocessing pipeline
-                       (cone-of-influence slicing, cached simplification,
-                       SAT inprocessing) for A/B comparison; preprocessing
-                       is on by default and never changes verdicts
   --par-threshold N    route a pooled run to the persistent sequential
                        engine when its estimated blast work is below N
                        (0 = always pool; default tuned from bench data)
@@ -173,7 +168,6 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
                     | "all-designs"
                     | "buggy"
                     | "no-shrink"
-                    | "no-preprocess"
                     | "no-absint"
                     | "no-cache"
                     | "shutdown"

@@ -127,6 +127,7 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
         ["--resume", "run.jsonl"].as_slice(),
         ["--parallel", "--jobs", "4"].as_slice(),
         ["--no-absint"].as_slice(),
+        ["--no-preprocess", "--stats"].as_slice(),
     ] {
         let out = gila()
             .args(["verify", "--ila", &spec, "--rtl", &rtl, "--map", &map])

@@ -37,7 +37,6 @@ mod ctx;
 mod display;
 mod eval;
 mod lower;
-mod simplify;
 mod smtlib;
 mod sort;
 mod subst;
@@ -48,7 +47,6 @@ pub use ctx::{ExprCtx, ExprNode, ExprRef, Op, SortError};
 pub use display::ExprDisplay;
 pub use eval::{eval, Env, EvalError};
 pub use lower::{Slot, TapeProgram, TapeState};
-pub use simplify::simplify_cached;
 pub use smtlib::{to_smtlib_script, to_smtlib_term};
 pub use sort::Sort;
 pub use subst::{import, import_mapped, import_renamed, substitute, substitute_cached};

@@ -422,8 +422,8 @@ impl TapeProgram {
     }
 
     /// Memory-copy site statistics: `(move-enabled operands, total
-    /// copy-or-move operands)` across [`TapeInstr::MemWriteWord`] and
-    /// [`TapeInstr::MemIte`] instructions — each non-move operand costs
+    /// copy-or-move operands)` across the tape's memory-write and
+    /// memory-`ite` instructions — each non-move operand costs
     /// an `O(entries)` map copy when its instruction (branch) executes.
     pub fn move_counts(&self) -> (usize, usize) {
         let mut moves = 0;

@@ -14,8 +14,8 @@
 //!
 //! Entry points: [`lint_spec`] for a parsed `.ila` file (maximum
 //! fidelity: spans, width notes, composition findings),
-//! [`lint_module`] for a programmatically built [`ModuleIla`], and
-//! [`lint_rtl`] for an elaborated [`RtlModule`].
+//! [`lint_module`] for a programmatically built [`ModuleIla`](gila_core::ModuleIla), and
+//! [`lint_rtl`] for an elaborated [`RtlModule`](gila_rtl::RtlModule).
 //!
 //! ```
 //! use gila_lint::{lint_spec, LintOptions};

@@ -31,7 +31,7 @@ use crate::ts::TransitionSystem;
 /// What cone-of-influence slicing kept and dropped.
 ///
 /// Surfaced through verification telemetry and `--stats` so the effect
-/// of preprocessing on each design is visible.
+/// of slicing on each design is visible.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoiStats {
     /// State variables inside the cone.

@@ -10,9 +10,7 @@
 //! Luby restarts, LBD/activity-guided learnt-clause reduction, solving
 //! under assumptions (incremental use), resource-bounded solving
 //! ([`SolveLimits`] budgets plus a shared [`CancelToken`]) that returns
-//! [`SolveResult::Unknown`] instead of hanging, and bounded
-//! inprocessing ([`Solver::inprocess`]) that shrinks the permanent
-//! clause database between solve calls without breaking incrementality.
+//! [`SolveResult::Unknown`] instead of hanging.
 //!
 //! Layout: clauses live inline in one flat arena of words, compacted in
 //! creation order once half of it is garbage; assignments are a
@@ -42,11 +40,9 @@
 
 mod dimacs;
 mod heap;
-mod inprocess;
 mod lit;
 mod solver;
 
 pub use dimacs::{parse_dimacs, solver_from_dimacs, to_dimacs, ParseDimacsError};
-pub use inprocess::{InprocessConfig, InprocessStats};
 pub use lit::{LBool, Lit, Var};
 pub use solver::{CancelToken, ResourceOut, SolveLimits, SolveResult, Solver, SolverStats};

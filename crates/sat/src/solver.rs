@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::heap::VarHeap;
-use crate::inprocess::{InprocessConfig, InprocessStats};
 use crate::lit::{LBool, Lit, Var};
 
 /// Reference to a clause: the offset of its header in the arena.
@@ -42,16 +41,15 @@ const DELETED: u32 = 2;
 /// literals inline.
 ///
 /// `list` holds the clause refs in creation order; every pass that walks
-/// the database (`reduce_db`, inprocessing, watch rebuilding) walks it,
-/// so their order is creation order whatever the offsets are. Deleted
+/// the database (`reduce_db`, activity rescaling) walks it, so their
+/// order is creation order whatever the offsets are. Deleted
 /// clauses keep their words, flagged, until [`ClauseArena::compact`]
 /// drops them.
 #[derive(Clone, Debug, Default)]
 struct ClauseArena {
     words: Vec<u32>,
     list: Vec<ClauseRef>,
-    /// Words of deleted clauses and of literals removed by
-    /// strengthening.
+    /// Words of deleted clauses.
     wasted: usize,
     /// Clauses not deleted.
     live: usize,
@@ -79,10 +77,6 @@ impl ClauseArena {
 
     fn is_deleted(&self, c: ClauseRef) -> bool {
         self.words[c.0 as usize + H_LEN] & DELETED != 0
-    }
-
-    fn set_original(&mut self, c: ClauseRef) {
-        self.words[c.0 as usize + H_LEN] &= !LEARNT;
     }
 
     fn lbd(&self, c: ClauseRef) -> u32 {
@@ -119,13 +113,6 @@ impl ClauseArena {
 
     fn lit(&self, c: ClauseRef, k: usize) -> Lit {
         Lit(self.words[c.0 as usize + HEADER + k])
-    }
-
-    /// Cuts the clause to its first `len` literals.
-    fn shrink(&mut self, c: ClauseRef, len: usize) {
-        let h = &mut self.words[c.0 as usize + H_LEN];
-        self.wasted += (*h >> FLAG_BITS) as usize - len;
-        *h = (len as u32) << FLAG_BITS | (*h & (LEARNT | DELETED));
     }
 
     fn delete(&mut self, c: ClauseRef) {
@@ -236,8 +223,15 @@ impl SolveLimits {
 /// and every solver carrying a clone aborts its in-flight call with
 /// [`SolveResult::Unknown`]`(`[`ResourceOut::Cancelled`]`)` at the next
 /// check point. The flag stays set until [`reset`](CancelToken::reset).
+///
+/// A [`child`](CancelToken::child) token has a flag of its own and also
+/// reads as cancelled while its parent is: cancelling the child stops
+/// only its holders, cancelling the parent stops both.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    parent: Option<Arc<CancelToken>>,
+}
 
 impl CancelToken {
     /// Creates a fresh, un-cancelled token.
@@ -245,19 +239,32 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Requests cancellation of every solver sharing this token.
+    /// A fresh token that is cancelled when `self` is, but whose own
+    /// [`cancel`](CancelToken::cancel) leaves `self` untouched.
+    pub fn child(&self) -> Self {
+        CancelToken {
+            flag: Arc::default(),
+            parent: Some(Arc::new(self.clone())),
+        }
+    }
+
+    /// Requests cancellation of every solver sharing this token (and
+    /// of every holder of a child token).
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// True once [`cancel`](CancelToken::cancel) has been called.
+    /// True once [`cancel`](CancelToken::cancel) has been called on
+    /// this token or on any token it is a child of.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed)
+            || self.parent.as_ref().is_some_and(|p| p.is_cancelled())
     }
 
-    /// Clears the flag so the token can be reused.
+    /// Clears this token's own flag so the token can be reused; a
+    /// cancelled parent still cancels it.
     pub fn reset(&self) {
-        self.0.store(false, Ordering::Relaxed);
+        self.flag.store(false, Ordering::Relaxed);
     }
 }
 
@@ -1069,334 +1076,6 @@ impl Solver {
         cref
     }
 
-    /// Runs one bounded inprocessing pass over the permanent clause
-    /// database; see [`InprocessConfig`] for the phases and their
-    /// budgets. Must be called between solve calls (the solver is at
-    /// decision level 0 then); a call at a deeper level is a no-op.
-    ///
-    /// Every simplification is a consequence of the permanent clauses
-    /// alone, so the result is correct under any future assumptions —
-    /// the contract incremental callers (activation-literal scopes,
-    /// `solve_with_assumptions`) rely on. The installed
-    /// [`SolveLimits::deadline`] and [`CancelToken`] are honoured: the
-    /// pass stops early (consistently — watches rebuilt, no partial
-    /// clause left behind) when either fires. Effort spent here is
-    /// *not* charged to the next solve call's budget, which snapshots
-    /// its counters at entry.
-    pub fn inprocess(&mut self, cfg: &InprocessConfig) -> InprocessStats {
-        let mut st = InprocessStats::default();
-        if !self.ok || self.decision_level() != 0 {
-            return st;
-        }
-        // Reach the level-0 propagation fixpoint on valid watches first.
-        if self.propagate().is_some() {
-            self.ok = false;
-            return st;
-        }
-        // Level-0 assignments are permanent and never re-analyzed, so
-        // their reasons can be dropped — that unlocks deleting reason
-        // clauses that are now satisfied.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        loop {
-            let mut units = self.inprocess_cleanup(&mut st);
-            if self.ok && st.subsumption_checks < cfg.subsumption_checks {
-                self.inprocess_subsume(cfg, &mut st, &mut units);
-            }
-            self.rebuild_watches();
-            if !self.ok {
-                return st;
-            }
-            let progress = !units.is_empty();
-            for u in units {
-                match self.lit_value(u) {
-                    LBool::True => {}
-                    LBool::False => {
-                        self.ok = false;
-                        return st;
-                    }
-                    LBool::Undef => self.unchecked_enqueue(u, None),
-                }
-            }
-            if self.propagate().is_some() {
-                self.ok = false;
-                return st;
-            }
-            if !progress || self.inprocess_interrupted() {
-                break;
-            }
-        }
-        self.inprocess_probe(cfg, &mut st);
-        self.stats.learnt_clauses = self.learnt_count as u64;
-        self.collect_garbage();
-        st
-    }
-
-    /// Deadline/cancellation check for the inprocessing phases.
-    fn inprocess_interrupted(&self) -> bool {
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.limits.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Marks a clause deleted without touching the watch lists (the
-    /// caller rebuilds them); adjusts the learnt count.
-    fn inprocess_delete(&mut self, cref: ClauseRef) {
-        if self.ca.is_learnt(cref) {
-            self.learnt_count -= 1;
-        }
-        self.ca.delete(cref);
-    }
-
-    /// Phase 1: delete level-0-satisfied clauses, strip level-0 false
-    /// literals, and collect clauses that became unit.
-    fn inprocess_cleanup(&mut self, st: &mut InprocessStats) -> Vec<Lit> {
-        let mut units = Vec::new();
-        for i in 0..self.ca.list.len() {
-            let cref = self.ca.list[i];
-            if self.ca.is_deleted(cref) {
-                continue;
-            }
-            let satisfied = self
-                .ca
-                .lits(cref)
-                .iter()
-                .any(|&l| self.vals[l as usize] == LBool::True);
-            if satisfied {
-                st.clauses_satisfied += 1;
-                self.inprocess_delete(cref);
-                continue;
-            }
-            let lits = self.ca.lits_mut(cref);
-            let before = lits.len();
-            let mut kept = 0;
-            for k in 0..before {
-                if self.vals[lits[k] as usize] != LBool::False {
-                    lits[kept] = lits[k];
-                    kept += 1;
-                }
-            }
-            if kept != before {
-                st.lits_removed += (before - kept) as u64;
-                self.ca.shrink(cref, kept);
-            }
-            match kept {
-                0 => {
-                    // Every literal false at level 0: the formula is
-                    // unsatisfiable.
-                    self.ok = false;
-                    return units;
-                }
-                1 => {
-                    units.push(self.ca.lit(cref, 0));
-                    self.inprocess_delete(cref);
-                }
-                _ => {}
-            }
-        }
-        units
-    }
-
-    /// Phase 2: bounded subsumption and self-subsuming resolution over
-    /// occurrence lists. Clauses are named by their position in the
-    /// creation-order list.
-    fn inprocess_subsume(
-        &mut self,
-        cfg: &InprocessConfig,
-        st: &mut InprocessStats,
-        units: &mut Vec<Lit>,
-    ) {
-        // Sorted literal lists make subset checks binary searches. The
-        // watch order of the first two literals is destroyed — fine,
-        // the caller rebuilds all watches.
-        let n_clauses = self.ca.list.len();
-        for i in 0..n_clauses {
-            let cref = self.ca.list[i];
-            if !self.ca.is_deleted(cref) {
-                self.ca.lits_mut(cref).sort_unstable();
-            }
-        }
-        let n_lit_slots = self.watches.len();
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); n_lit_slots];
-        for (i, &cref) in self.ca.list.iter().enumerate() {
-            if self.ca.is_deleted(cref) {
-                continue;
-            }
-            for &l in self.ca.lits(cref) {
-                occ[l as usize].push(i as u32);
-            }
-        }
-        let var_sig = |lits: &[u32]| -> u64 {
-            lits.iter()
-                .fold(0u64, |s, &l| s | 1u64 << (Lit(l).var().index() % 64))
-        };
-        let mut sigs: Vec<u64> = self
-            .ca
-            .list
-            .iter()
-            .map(|&c| {
-                if self.ca.is_deleted(c) {
-                    0
-                } else {
-                    var_sig(self.ca.lits(c))
-                }
-            })
-            .collect();
-        // `sub` subsumes `sup` (both sorted); with `flip = Some(p)`,
-        // checks the self-subsumption condition sub \ {p} ⊆ sup \ {¬p}
-        // by looking for ¬p in sup instead of p.
-        let subset = |sub: &[Lit], sup: &[u32], flip: Option<Lit>| -> bool {
-            sub.iter().all(|&l| {
-                let want = if Some(l) == flip { !l } else { l };
-                sup.binary_search(&want.0).is_ok()
-            })
-        };
-        let mut lits_i: Vec<Lit> = Vec::new();
-        'clauses: for i in 0..n_clauses {
-            if st.subsumption_checks >= cfg.subsumption_checks {
-                break;
-            }
-            let ci = self.ca.list[i];
-            if self.ca.is_deleted(ci) || self.ca.len(ci) > cfg.max_subsuming_len {
-                continue;
-            }
-            lits_i.clear();
-            lits_i.extend(self.ca.lits(ci).iter().map(|&l| Lit(l)));
-            let sig_i = sigs[i];
-            // Backward subsumption: scan the occurrence list of the
-            // rarest literal of C for clauses D ⊇ C.
-            let best = lits_i
-                .iter()
-                .copied()
-                .min_by_key(|l| occ[l.index()].len())
-                .expect("cleanup leaves no empty clauses");
-            for &cand in &occ[best.index()] {
-                if st.subsumption_checks >= cfg.subsumption_checks {
-                    continue 'clauses;
-                }
-                let j = cand as usize;
-                let cj = self.ca.list[j];
-                if j == i
-                    || self.ca.is_deleted(cj)
-                    || self.ca.len(cj) < lits_i.len()
-                    || sig_i & !sigs[j] != 0
-                {
-                    continue;
-                }
-                st.subsumption_checks += 1;
-                if subset(&lits_i, self.ca.lits(cj), None) {
-                    // If a learnt clause subsumes an original one, the
-                    // original's constraint must survive future
-                    // learnt-database reductions: promote the subsumer.
-                    if self.ca.is_learnt(ci) && !self.ca.is_learnt(cj) {
-                        self.ca.set_original(ci);
-                        self.learnt_count -= 1;
-                    }
-                    st.clauses_subsumed += 1;
-                    self.inprocess_delete(cj);
-                }
-            }
-            // Self-subsuming resolution: C strengthens D on p when
-            // C \ {p} ⊆ D \ {¬p}; the resolvent replaces D.
-            for &p in &lits_i {
-                for &cand in &occ[(!p).index()] {
-                    if st.subsumption_checks >= cfg.subsumption_checks {
-                        continue 'clauses;
-                    }
-                    let j = cand as usize;
-                    let cj = self.ca.list[j];
-                    if j == i
-                        || self.ca.is_deleted(cj)
-                        || self.ca.len(cj) < lits_i.len()
-                        || sig_i & !sigs[j] != 0
-                    {
-                        continue;
-                    }
-                    st.subsumption_checks += 1;
-                    if subset(&lits_i, self.ca.lits(cj), Some(p)) {
-                        let lits = self.ca.lits_mut(cj);
-                        let pos = lits.binary_search(&(!p).0).expect("subset check found ¬p");
-                        let len = lits.len();
-                        lits.copy_within(pos + 1.., pos);
-                        self.ca.shrink(cj, len - 1);
-                        st.lits_removed += 1;
-                        sigs[j] = var_sig(self.ca.lits(cj));
-                        if len - 1 == 1 {
-                            units.push(self.ca.lit(cj, 0));
-                            self.inprocess_delete(cj);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Phase 3: failed-literal probing. Each probe assumes one literal
-    /// at a fresh decision level; a propagation conflict proves its
-    /// negation as a level-0 unit.
-    fn inprocess_probe(&mut self, cfg: &InprocessConfig, st: &mut InprocessStats) {
-        if !self.ok {
-            return;
-        }
-        for vi in 0..self.num_vars() {
-            if st.probes >= cfg.probes {
-                break;
-            }
-            if st.probes.is_multiple_of(16) && self.inprocess_interrupted() {
-                break;
-            }
-            if self.var_value(vi) != LBool::Undef {
-                continue;
-            }
-            let v = Var(vi as u32);
-            for phase in [self.polarity[vi], !self.polarity[vi]] {
-                if st.probes >= cfg.probes || self.var_value(vi) != LBool::Undef {
-                    break;
-                }
-                st.probes += 1;
-                self.new_decision_level();
-                self.unchecked_enqueue(Lit::new(v, phase), None);
-                let failed = self.propagate().is_some();
-                self.cancel_until(0);
-                if failed {
-                    st.failed_literals += 1;
-                    self.unchecked_enqueue(Lit::new(v, !phase), None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Reconstructs every watch list from the (possibly mutated) clause
-    /// database. All literals of surviving clauses are unassigned at
-    /// level 0 when this is called, so watching the first two is valid.
-    fn rebuild_watches(&mut self) {
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for &cref in &self.ca.list {
-            if self.ca.is_deleted(cref) || self.ca.len(cref) < 2 {
-                continue;
-            }
-            let (l0, l1) = (self.ca.lit(cref, 0), self.ca.lit(cref, 1));
-            self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-            self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
-        }
-    }
-
     /// The value of `v` in the model of the most recent solve call.
     ///
     /// Returns `None` if that call did not answer `Sat` (so no model is
@@ -1807,6 +1486,23 @@ mod tests {
     }
 
     #[test]
+    fn child_token_cancels_downward_only() {
+        let parent = CancelToken::new();
+        let child = parent.child();
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!parent.is_cancelled(), "a child must not cancel its parent");
+        child.reset();
+        parent.cancel();
+        assert!(child.is_cancelled(), "a cancelled parent cancels its child");
+        let mut s = Solver::new();
+        let v = lits(&mut s, 2);
+        s.add_clause([v[0], v[1]]);
+        s.set_cancel(parent.child());
+        assert_eq!(s.solve(), SolveResult::Unknown(ResourceOut::Cancelled));
+    }
+
+    #[test]
     fn generous_budget_never_reports_unknown() {
         // The budget-semantics property: limits that are never hit do
         // not change verdicts.
@@ -1951,170 +1647,6 @@ mod tests {
             SolveResult::Unsat => {}
             SolveResult::Unknown(_) => panic!("no verdict after 200 budgeted calls"),
         }
-    }
-
-    #[test]
-    fn inprocess_reclaims_clauses_satisfied_by_level0_units() {
-        // The activation-literal pattern: clauses guarded by `!sel`
-        // become permanently satisfied once the unit `!sel` lands, and
-        // inprocessing must delete them all.
-        let (mut s, sel) = guarded_php(4, 3);
-        let before = s.num_clauses();
-        s.add_clause([!sel]); // retract the guarded scope
-        let st = s.inprocess(&InprocessConfig::default());
-        assert!(st.clauses_satisfied > 0, "{st:?}");
-        assert!(s.num_clauses() < before, "{before} -> {}", s.num_clauses());
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn inprocess_subsumption_deletes_supersets() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 4);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([v[0], v[1], v[2]]);
-        s.add_clause([v[0], v[1], v[3]]);
-        let st = s.inprocess(&InprocessConfig::default());
-        assert_eq!(st.clauses_subsumed, 2, "{st:?}");
-        assert_eq!(s.num_clauses(), 1);
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn inprocess_self_subsumption_strengthens() {
-        // (a ∨ b) and (¬a ∨ b ∨ c) resolve on a to (b ∨ c), which
-        // replaces the longer clause; the binary then subsumes nothing
-        // further but b∨c must behave like the resolvent.
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([!v[0], v[1], v[2]]);
-        let st = s.inprocess(&InprocessConfig::default());
-        assert!(st.lits_removed >= 1, "{st:?}");
-        // Semantics preserved: assuming ¬b forces (a from the first
-        // clause and c from the strengthened resolvent).
-        assert!(s.solve_with_assumptions(&[!v[1]]).is_sat());
-        assert_eq!(s.lit_model_value(v[2]), Some(true));
-    }
-
-    #[test]
-    fn inprocess_probing_learns_failed_literals() {
-        // ¬a propagates b and ¬b via (a ∨ b) ∧ (a ∨ ¬b): probing ¬a
-        // conflicts, so a must be learnt as a level-0 unit.
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([v[0], !v[1]]);
-        s.add_clause([v[2], v[0]]); // keep another var around
-        // Subsumption disabled so the unit can only come from probing.
-        let st = s.inprocess(&InprocessConfig {
-            subsumption_checks: 0,
-            ..Default::default()
-        });
-        assert!(st.failed_literals >= 1, "{st:?}");
-        assert!(s.solve().is_sat());
-        assert_eq!(s.lit_model_value(v[0]), Some(true));
-    }
-
-    #[test]
-    fn inprocess_preserves_verdicts_on_random_instances() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1217);
-        for round in 0..80 {
-            let n_vars = rng.gen_range(4..=8usize);
-            let n_clauses = rng.gen_range(4..=28usize);
-            let clauses: Vec<Vec<(usize, bool)>> = (0..n_clauses)
-                .map(|_| {
-                    (0..rng.gen_range(1..=3usize))
-                        .map(|_| (rng.gen_range(0..n_vars), rng.gen_bool(0.5)))
-                        .collect()
-                })
-                .collect();
-            let assumptions: Vec<(usize, bool)> = (0..rng.gen_range(0..=2usize))
-                .map(|_| (rng.gen_range(0..n_vars), rng.gen_bool(0.5)))
-                .collect();
-            let mut brute = false;
-            'outer: for m in 0u32..(1 << n_vars) {
-                for &(v, pos) in &assumptions {
-                    if ((m >> v) & 1 == 1) != pos {
-                        continue 'outer;
-                    }
-                }
-                for c in &clauses {
-                    if !c.iter().any(|&(v, pos)| ((m >> v) & 1 == 1) == pos) {
-                        continue 'outer;
-                    }
-                }
-                brute = true;
-                break;
-            }
-            let mut s = Solver::new();
-            let vars: Vec<Var> = (0..n_vars).map(|_| s.new_var()).collect();
-            let mut ok = true;
-            for c in &clauses {
-                ok &= s.add_clause(c.iter().map(|&(v, pos)| Lit::new(vars[v], pos)));
-            }
-            // Interleave: inprocess, solve, inprocess again, solve with
-            // assumptions — the verdicts must match brute force and
-            // stay consistent across passes.
-            s.inprocess(&InprocessConfig::default());
-            let lits: Vec<Lit> = assumptions
-                .iter()
-                .map(|&(v, pos)| Lit::new(vars[v], pos))
-                .collect();
-            let got = ok && s.solve_with_assumptions(&lits).is_sat();
-            assert_eq!(got, brute, "round {round}: {clauses:?} / {assumptions:?}");
-            s.inprocess(&InprocessConfig::default());
-            let again = ok && s.solve_with_assumptions(&lits).is_sat();
-            assert_eq!(again, brute, "round {round} after second pass");
-        }
-    }
-
-    #[test]
-    fn inprocess_respects_budgets_and_cancellation() {
-        let (mut s, _) = guarded_php(6, 5);
-        let cfg = InprocessConfig {
-            subsumption_checks: 3,
-            probes: 2,
-            ..Default::default()
-        };
-        let st = s.inprocess(&cfg);
-        assert!(st.subsumption_checks <= 3, "{st:?}");
-        assert!(st.probes <= 2, "{st:?}");
-        // A cancelled token stops probing but leaves the solver valid.
-        let (mut s2, sel) = guarded_php(5, 4);
-        let tok = CancelToken::new();
-        s2.set_cancel(tok.clone());
-        tok.cancel();
-        s2.inprocess(&InprocessConfig::default());
-        tok.reset();
-        assert_eq!(s2.solve_with_assumptions(&[sel]), SolveResult::Unsat);
-        assert!(s2.solve_with_assumptions(&[!sel]).is_sat());
-    }
-
-    #[test]
-    fn inprocess_detects_level0_unsat() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([v[0], !v[1]]);
-        s.add_clause([!v[0], v[1]]);
-        s.add_clause([!v[0], !v[1]]);
-        // Probing either variable fails both ways: the formula is UNSAT
-        // and inprocessing alone can prove it.
-        s.inprocess(&InprocessConfig::default());
-        assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn inprocess_is_noop_on_clean_database() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([v[1], v[2]]);
-        let st = s.inprocess(&InprocessConfig::default());
-        assert!(st.is_noop(), "{st:?}");
-        assert!(s.solve().is_sat());
     }
 
     #[test]

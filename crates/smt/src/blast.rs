@@ -199,16 +199,6 @@ impl SmtSolver {
         self.last_check_cnf
     }
 
-    /// Runs one bounded inprocessing pass on the underlying SAT solver
-    /// (see [`gila_sat::Solver::inprocess`]). Sound between
-    /// `check`/`check_assuming` calls: activation scopes keep the solver
-    /// at decision level 0, and every simplification derives from
-    /// permanent clauses only, so open scopes and future assumptions are
-    /// unaffected. Clauses guarded by popped scopes are reclaimed.
-    pub fn inprocess(&mut self, cfg: &gila_sat::InprocessConfig) -> gila_sat::InprocessStats {
-        self.solver.inprocess(cfg)
-    }
-
     fn tt(&mut self) -> Lit {
         if let Some(l) = self.true_lit {
             return l;
@@ -804,8 +794,8 @@ impl SmtSolver {
     /// Panics if no scope is open.
     pub fn pop_scope(&mut self) {
         let activation = self.scopes.pop().expect("pop_scope without open scope");
-        // The unit clause frees the solver to simplify away everything
-        // that only mattered under this scope.
+        // The unit clause permanently satisfies every clause that only
+        // mattered under this scope.
         self.add_clause(vec![!activation]);
     }
 
@@ -1663,40 +1653,6 @@ mod tests {
         assert!(smt.check_assuming(&ctx, &[is5]).is_sat());
         smt.pop_scope();
         assert!(smt.check_assuming(&ctx, &[is7]).is_sat());
-    }
-
-    #[test]
-    fn inprocess_between_scoped_checks_preserves_verdicts() {
-        // The engine's usage pattern: one persistent solver, one
-        // instruction per scope, an inprocessing pass between
-        // instructions. Verdicts and models must be unaffected.
-        let mut ctx = ExprCtx::new();
-        let x = ctx.var("x", Sort::Bv(8));
-        let y = ctx.var("y", Sort::Bv(8));
-        let sum = ctx.bvadd(x, y);
-        let mut smt = SmtSolver::new();
-        let cfg = gila_sat::InprocessConfig::default();
-        let mut reclaimed = 0;
-        for target in [5u64, 7, 200, 255] {
-            smt.push_scope();
-            let eq_t = ctx.eq_u64(sum, target);
-            smt.assert(&ctx, eq_t);
-            assert!(smt.check().is_sat(), "x + y == {target} must be SAT");
-            let model = smt.model_value(&ctx, sum).as_bv().to_u64();
-            assert_eq!(model, target);
-            let zx = ctx.eq_u64(x, 0);
-            let zy = ctx.eq_u64(y, target);
-            assert!(smt.check_assuming(&ctx, &[zx, zy]).is_sat());
-            smt.pop_scope();
-            let st = smt.inprocess(&cfg);
-            reclaimed += st.clauses_satisfied;
-        }
-        // Popped activation scopes leave satisfied clauses behind; at
-        // least one pass must have reclaimed some.
-        assert!(reclaimed > 0, "expected popped scopes to be reclaimed");
-        // The solver is still usable and still correct afterwards.
-        let contradiction = ctx.ne(sum, sum);
-        assert!(!smt.check_assuming(&ctx, &[contradiction]).is_sat());
     }
 
     #[test]

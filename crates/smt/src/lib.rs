@@ -37,6 +37,4 @@
 mod blast;
 
 pub use blast::{prove_equiv, BlastStats, SmtResult, SmtSolver};
-pub use gila_sat::{
-    CancelToken, InprocessConfig, InprocessStats, Lit, ResourceOut, SolveLimits, SolverStats,
-};
+pub use gila_sat::{CancelToken, Lit, ResourceOut, SolveLimits, SolverStats};

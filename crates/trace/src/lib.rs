@@ -50,9 +50,6 @@ pub enum SpanKind {
     /// Cone-of-influence slicing of the transition system for one port
     /// plan (states/inputs kept and dropped ride as fields).
     Coi,
-    /// One bounded SAT inprocessing pass between solve calls (clauses
-    /// reclaimed, literals removed, failed literals ride as fields).
-    Inprocess,
     /// One tape compilation of a co-simulation pair (instruction count
     /// and register-bank sizes ride as fields).
     Compile,
@@ -89,7 +86,6 @@ impl SpanKind {
             SpanKind::Panic => "panic",
             SpanKind::LintPass => "lint_pass",
             SpanKind::Coi => "coi",
-            SpanKind::Inprocess => "inprocess",
             SpanKind::Compile => "compile",
             SpanKind::Eval => "eval",
             SpanKind::Request => "request",
@@ -347,11 +343,12 @@ pub struct Telemetry {
     pub coi_states_dropped: u64,
     /// Input variables removed by cone-of-influence slicing.
     pub coi_inputs_dropped: u64,
-    /// Clauses reclaimed by inprocessing (satisfied plus subsumed).
+    /// Always 0: the SAT solver runs no inprocessing. Kept only because
+    /// perfbench still reports it as its `sat.inprocess_clauses_removed`
+    /// counter.
     pub inprocess_clauses_removed: u64,
-    /// Literals removed by inprocessing strengthening.
-    pub inprocess_lits_removed: u64,
-    /// Level-0 units learned by failed-literal probing.
+    /// Always 0, like [`Telemetry::inprocess_clauses_removed`]; perfbench
+    /// reports it as `sat.inprocess_failed_literals`.
     pub inprocess_failed_literals: u64,
     /// Distinct scheduler batches (pooled runs; 0 on the sequential
     /// path, where the notion of a batch does not exist).
@@ -398,7 +395,6 @@ impl Telemetry {
             coi_inputs_dropped: self.coi_inputs_dropped + other.coi_inputs_dropped,
             inprocess_clauses_removed: self.inprocess_clauses_removed
                 + other.inprocess_clauses_removed,
-            inprocess_lits_removed: self.inprocess_lits_removed + other.inprocess_lits_removed,
             inprocess_failed_literals: self.inprocess_failed_literals
                 + other.inprocess_failed_literals,
             batches: self.batches + other.batches,
@@ -437,10 +433,6 @@ impl Telemetry {
             (
                 "inprocess_clauses_removed".into(),
                 self.inprocess_clauses_removed.into(),
-            ),
-            (
-                "inprocess_lits_removed".into(),
-                self.inprocess_lits_removed.into(),
             ),
             (
                 "inprocess_failed_literals".into(),
@@ -643,9 +635,8 @@ mod tests {
     }
 
     #[test]
-    fn preprocessing_span_kinds_and_counters() {
+    fn coi_span_kind_and_counters() {
         assert_eq!(SpanKind::Coi.as_str(), "coi");
-        assert_eq!(SpanKind::Inprocess.as_str(), "inprocess");
         let e = Event::new(SpanKind::Coi)
             .port("p")
             .field("states_dropped", 4)
@@ -656,27 +647,18 @@ mod tests {
         );
         let a = Telemetry {
             coi_states_dropped: 4,
-            inprocess_clauses_removed: 10,
             ..Default::default()
         };
         let b = Telemetry {
             coi_states_dropped: 1,
             coi_inputs_dropped: 2,
-            inprocess_lits_removed: 3,
-            inprocess_failed_literals: 1,
             ..Default::default()
         };
         let m = a.merge(&b);
         assert_eq!(m.coi_states_dropped, 5);
         assert_eq!(m.coi_inputs_dropped, 2);
-        assert_eq!(m.inprocess_clauses_removed, 10);
-        assert_eq!(m.inprocess_lits_removed, 3);
         let j = m.to_json();
         assert_eq!(j.get("coi_states_dropped").and_then(Value::as_u64), Some(5));
-        assert_eq!(
-            j.get("inprocess_failed_literals").and_then(Value::as_u64),
-            Some(1)
-        );
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
-//! Scheduling (`jobs`, `par_threshold`), preprocessing (`preprocess`),
-//! and telemetry change solver effort, never answers;
+//! Scheduling (`jobs`, `par_threshold`) and telemetry change solver
+//! effort, never answers;
 //! budgets (`budget`, `retries`) and cancellation change only
 //! *decidability*, and undecided verdicts (`unknown`, `panicked`) are
 //! never journaled. If an

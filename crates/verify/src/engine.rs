@@ -30,12 +30,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gila_core::{Instruction, ModuleIla, PortIla};
-use gila_expr::{import, import_mapped, simplify_cached, ExprNode, ExprRef, Op, Sort, Value};
+use gila_expr::{import, import_mapped, ExprNode, ExprRef, Op, Sort, Value};
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
 use gila_smt::{
-    BlastStats, CancelToken, InprocessConfig, InprocessStats, ResourceOut, SmtResult, SmtSolver,
-    SolveLimits, SolverStats,
+    BlastStats, CancelToken, ResourceOut, SmtResult, SmtSolver, SolveLimits, SolverStats,
 };
 use gila_trace::{Event, SpanKind, Telemetry, Tracer};
 
@@ -313,10 +312,6 @@ pub struct InstrVerdict {
     /// rather than taken from the worker's own queue or the global
     /// injector. Shared by every verdict of the batch.
     pub stolen: bool,
-    /// What the inprocessing pass run after this job reclaimed from the
-    /// shared clause database (all-zero when preprocessing is off or
-    /// the pass found nothing).
-    pub inprocess: InprocessStats,
 }
 
 impl InstrVerdict {
@@ -338,7 +333,6 @@ impl InstrVerdict {
             batch_size: 0,
             queue_ns: 0,
             stolen: false,
-            inprocess: InprocessStats::default(),
         }
     }
 }
@@ -493,8 +487,7 @@ pub struct VerifyOptions {
     /// How the run executes — the one execution policy:
     ///
     /// - `None` or `Some(1)`: sequentially, in declaration order, on one
-    ///   persistent engine per port (throwaway per-instruction engines
-    ///   when `preprocess` is off);
+    ///   persistent engine per port;
     /// - `Some(0)`: a work-stealing pool of one worker per available CPU;
     /// - `Some(n)`: a pool of `n` workers.
     ///
@@ -515,9 +508,8 @@ pub struct VerifyOptions {
     /// a job that exhausts it reports [`CheckResult::Unknown`] instead
     /// of running forever.
     pub budget: SolveBudget,
-    /// Extra attempts for a budget-exhausted job, each with a 4x larger
-    /// budget ([`SolveBudget::escalated`]). Ignored when no budget is
-    /// configured.
+    /// Extra attempts for a budget-exhausted job, each with a budget 4x
+    /// larger than the last. Ignored when no budget is configured.
     pub retries: u32,
     /// Test-only fault injection: panics, forced unknowns, and delays
     /// per (port, instruction). `None` (the default) injects nothing.
@@ -529,12 +521,6 @@ pub struct VerifyOptions {
     /// verdict is journaled as it lands. Undecided outcomes are never
     /// journaled. `None` (the default) solves everything.
     pub journal: Option<Arc<ProofCache>>,
-    /// Formula preprocessing (on by default; `--no-preprocess` for A/B
-    /// comparisons): cone-of-influence slicing of the transition system
-    /// per port plan, cached expression simplification before blasting,
-    /// persistent per-port solver reuse on the sequential path, and a
-    /// bounded SAT inprocessing pass between instructions.
-    pub preprocess: bool,
     /// Adaptive sequential fallback: a pooled run whose estimated blast
     /// work falls below this threshold routes to the persistent
     /// sequential engine instead, so small designs never pay pool
@@ -562,7 +548,6 @@ impl Default for VerifyOptions {
             retries: 0,
             fault_plan: None,
             journal: None,
-            preprocess: true,
             par_threshold: DEFAULT_PAR_THRESHOLD,
             cancel: None,
         }
@@ -588,9 +573,6 @@ pub(crate) struct JobPolicy {
     pub(crate) budget: SolveBudget,
     pub(crate) retries: u32,
     pub(crate) fault: Option<Arc<FaultPlan>>,
-    /// Preprocessing on the job path: cached simplification before
-    /// blasting and an inprocessing pass after each job.
-    pub(crate) preprocess: bool,
     /// External cancellation token installed on every engine the run
     /// creates (see [`VerifyOptions::cancel`]).
     pub(crate) cancel: Option<CancelToken>,
@@ -629,7 +611,6 @@ impl<'t> RunCtx<'t> {
                 budget: opts.budget,
                 retries: opts.retries,
                 fault: opts.fault_plan.clone(),
-                preprocess: opts.preprocess,
                 cancel: opts.cancel.clone(),
             },
             tracer: &opts.tracer,
@@ -734,16 +715,6 @@ pub(crate) struct JobMeta {
 pub(crate) struct WorkerEngine {
     pub(crate) u: Unrolling,
     pub(crate) smt: SmtSolver,
-    /// Memo table for [`simplify_cached`], shared across every
-    /// instruction this engine serves: the unrolling's context only
-    /// grows (hash-consing survives rollback), so simplifications of
-    /// the common next-state logic are computed once per engine.
-    pub(crate) simplify_memo: HashMap<ExprRef, ExprRef>,
-    /// Total blasted clauses when the last inprocessing pass ran;
-    /// inprocessing is amortized against CNF growth (see
-    /// [`run_job_guarded`]), so small engines are never scanned
-    /// repeatedly for nothing.
-    pub(crate) inprocess_mark: u64,
 }
 
 impl WorkerEngine {
@@ -755,8 +726,6 @@ impl WorkerEngine {
         WorkerEngine {
             u,
             smt: SmtSolver::new(),
-            simplify_memo: HashMap::new(),
-            inprocess_mark: 0,
         }
     }
 }
@@ -866,8 +835,7 @@ pub(crate) struct PortPlan<'a> {
     /// Parsed invariants, in `cond_rtl`'s context.
     pub(crate) invariants: Vec<ExprRef>,
     pub(crate) instrs: Vec<InstrPlan>,
-    /// What slicing the port dropped — `None` until it is sliced, or
-    /// with preprocessing off.
+    /// What slicing the port dropped — `None` until it is sliced.
     pub(crate) coi: Option<CoiStats>,
 }
 
@@ -1062,16 +1030,7 @@ pub(crate) fn check_instruction_planned(
         let snap = engine.u.snapshot();
         engine.u.extend_to(plan.instrs[idx].bound);
         engine.smt.push_scope();
-        let result = check_instruction_inner(
-            plan,
-            idx,
-            instr,
-            engine,
-            tracer,
-            meta,
-            &mut solves,
-            policy.preprocess,
-        );
+        let result = check_instruction_inner(plan, idx, instr, engine, tracer, meta, &mut solves);
         engine.smt.pop_scope();
         engine.smt.set_limits(SolveLimits::default());
         match result {
@@ -1169,7 +1128,6 @@ pub(crate) fn check_instruction_planned(
         batch_size: meta.batch_size,
         queue_ns: meta.queue_ns,
         stolen: meta.stolen,
-        inprocess: InprocessStats::default(),
     })
 }
 
@@ -1197,40 +1155,7 @@ pub(crate) fn run_job_guarded(
         check_instruction_planned(plan, idx, engine, tracer, meta, policy)
     }));
     match outcome {
-        Ok(mut res) => {
-            // Inprocess between jobs, outside the job's effort window:
-            // popped activation scopes leave permanently satisfied
-            // clauses behind, and level-0 simplification of the shared
-            // database benefits every later instruction on this engine.
-            // Amortized: a pass scans the whole clause database, so it
-            // only fires once the CNF has grown enough since the last
-            // one to plausibly pay for the scan.
-            const INPROCESS_GROWTH: u64 = 4096;
-            if policy.preprocess {
-                if let (Ok(v), Some(engine)) = (&mut res, engine_slot.as_mut()) {
-                    let clauses = engine.smt.stats().clauses;
-                    if clauses >= engine.inprocess_mark + INPROCESS_GROWTH {
-                        engine.inprocess_mark = clauses;
-                        let st = engine.smt.inprocess(&InprocessConfig::default());
-                        v.inprocess = st;
-                        if !st.is_noop() {
-                            tracer.record(|| {
-                                Event::new(SpanKind::Inprocess)
-                                    .port(plan.port.name())
-                                    .instruction(&v.instruction)
-                                    .worker(meta.worker)
-                                    .field("clauses_satisfied", st.clauses_satisfied)
-                                    .field("clauses_subsumed", st.clauses_subsumed)
-                                    .field("lits_removed", st.lits_removed)
-                                    .field("failed_literals", st.failed_literals)
-                                    .field("probes", st.probes)
-                            });
-                        }
-                    }
-                }
-            }
-            res
-        }
+        Ok(res) => res,
         Err(payload) => {
             *engine_slot = None;
             let message = panic_message(payload.as_ref());
@@ -1256,7 +1181,6 @@ pub(crate) fn run_job_guarded(
                 batch_size: meta.batch_size,
                 queue_ns: meta.queue_ns,
                 stolen: meta.stolen,
-                inprocess: InprocessStats::default(),
             })
         }
     }
@@ -1275,7 +1199,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The body of [`check_instruction_planned`], run inside an open solver
 /// scope so every early return still retracts its asserts.
-#[allow(clippy::too_many_arguments)]
 fn check_instruction_inner(
     plan: &PortPlan<'_>,
     idx: usize,
@@ -1284,24 +1207,8 @@ fn check_instruction_inner(
     tracer: &Tracer,
     meta: JobMeta,
     solves: &mut u64,
-    preprocess: bool,
 ) -> Result<CheckResult, VerifyError> {
-    let WorkerEngine {
-        u,
-        smt,
-        simplify_memo,
-        ..
-    } = engine;
-    // Rewrite-simplify a conjunct before it reaches the blaster; the
-    // engine-wide memo makes repeat sub-circuits (the grafted
-    // next-state logic) free on later instructions.
-    let simp = |u: &mut Unrolling, memo: &mut HashMap<ExprRef, ExprRef>, e: ExprRef| {
-        if preprocess {
-            simplify_cached(u.ctx_mut(), e, memo)
-        } else {
-            e
-        }
-    };
+    let WorkerEngine { u, smt } = engine;
     let port = plan.port;
     let map = plan.map;
     let ip = &plan.instrs[idx];
@@ -1422,12 +1329,7 @@ fn check_instruction_inner(
     // The caller opened a scope for us: assert the per-instruction
     // conditions there (retracted on pop, CNF kept). Per-frame cases
     // then differ only in their assumption lists.
-    for &c in &start_conjuncts {
-        let c = simp(u, simplify_memo, c);
-        smt.assert(u.ctx(), c);
-    }
-    for &c in &policy_conjuncts {
-        let c = simp(u, simplify_memo, c);
+    for &c in start_conjuncts.iter().chain(&policy_conjuncts) {
         smt.assert(u.ctx(), c);
     }
 
@@ -1443,11 +1345,11 @@ fn check_instruction_inner(
                     let ck = u.map_expr(k, *cond);
                     let cb = u.ctx_mut().bv_to_bool(ck);
                     let nb = u.ctx_mut().not(cb);
-                    assumptions.push(simp(u, simplify_memo, nb));
+                    assumptions.push(nb);
                 }
                 let cj = u.map_expr(j, *cond);
                 let cb = u.ctx_mut().bv_to_bool(cj);
-                assumptions.push(simp(u, simplify_memo, cb));
+                assumptions.push(cb);
                 cases.push((j, assumptions));
             }
             cases
@@ -1477,7 +1379,6 @@ fn check_instruction_inner(
         let eqs = post_eq_at(u, frame);
         let eq_exprs: Vec<ExprRef> = eqs.iter().map(|(_, e)| *e).collect();
         let all_eq = u.ctx_mut().and_many(&eq_exprs);
-        let all_eq = simp(u, simplify_memo, all_eq);
         let viol = u.ctx_mut().not(all_eq);
         let mut assumptions = extra_assumptions;
         assumptions.push(viol);
@@ -1575,35 +1476,27 @@ fn pool_size(jobs: Option<usize>) -> Option<usize> {
     }
 }
 
-/// Runs a port's instructions in declaration order: one persistent
-/// engine for all of them when preprocessing is on, one throwaway
-/// engine per instruction when it is off (the `--no-preprocess`
-/// baseline). Jobs the journal answered are not re-run; a panicking
-/// job is isolated ([`run_job_guarded`]) and costs only a rebuild of
-/// the engine.
+/// Runs a port's instructions in declaration order on one persistent
+/// engine over the port's sliced system `ts`. Jobs the journal answered
+/// are not re-run; a panicking job is isolated ([`run_job_guarded`])
+/// and costs only a rebuild of the engine.
 fn run_port_sequential(
     plan: &PortPlan<'_>,
     ts: &TransitionSystem,
     stop_at_first_cex: bool,
     ctx: &RunCtx<'_>,
 ) -> Result<Vec<InstrVerdict>, VerifyError> {
-    let mut shared: Option<WorkerEngine> = None;
+    let mut engine: Option<WorkerEngine> = None;
     let mut verdicts = Vec::new();
     for idx in 0..plan.instrs.len() {
         let instr_name = &plan.port.instructions()[idx].name;
         let v = match ctx.replayed(plan.port.name(), instr_name) {
             Some(v) => v,
             None => {
-                let mut own = None;
-                let slot = if ctx.policy.preprocess {
-                    &mut shared
-                } else {
-                    &mut own
-                };
                 let v = run_job_guarded(
                     plan,
                     idx,
-                    slot,
+                    &mut engine,
                     || {
                         let mut e = WorkerEngine::new(ts, ctx.tracer);
                         if let Some(tok) = &ctx.policy.cancel {
@@ -1671,10 +1564,6 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
         t.cnf_clauses += v.cnf_growth.clauses;
         t.wall_ns += v.time.as_nanos() as u64;
         t.retries += v.retries as u64;
-        t.inprocess_clauses_removed +=
-            v.inprocess.clauses_satisfied + v.inprocess.clauses_subsumed;
-        t.inprocess_lits_removed += v.inprocess.lits_removed;
-        t.inprocess_failed_literals += v.inprocess.failed_literals;
         match &v.result {
             CheckResult::Unknown { budget_spent, .. } => {
                 t.unknown += 1;
@@ -1816,21 +1705,16 @@ fn prepare(
     ts_signals: &BTreeMap<String, ExprRef>,
     opts: &VerifyOptions,
 ) -> (TransitionSystem, u64) {
-    let sliced = if opts.preprocess {
-        let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
-        opts.tracer.record(|| {
-            Event::new(SpanKind::Coi)
-                .port(plan.port.name())
-                .field("states_kept", stats.states_kept as u64)
-                .field("states_dropped", stats.states_dropped as u64)
-                .field("inputs_kept", stats.inputs_kept as u64)
-                .field("inputs_dropped", stats.inputs_dropped as u64)
-        });
-        plan.coi = Some(stats);
-        sliced
-    } else {
-        ts.clone()
-    };
+    let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
+    opts.tracer.record(|| {
+        Event::new(SpanKind::Coi)
+            .port(plan.port.name())
+            .field("states_kept", stats.states_kept as u64)
+            .field("states_dropped", stats.states_dropped as u64)
+            .field("inputs_kept", stats.inputs_kept as u64)
+            .field("inputs_dropped", stats.inputs_dropped as u64)
+    });
+    plan.coi = Some(stats);
     let work = estimate_port_work(plan, &sliced);
     (sliced, work)
 }
@@ -2517,6 +2401,84 @@ endmodule
         // nop: out unchanged after 1 cycle given pending==0.
         let report = verify_port(&p, &rtl, &map, &VerifyOptions::default()).unwrap();
         assert!(report.all_hold(), "{report:#?}");
+    }
+
+    /// The counter plus a register and an input outside every cone:
+    /// `noise` is unmapped, free-running and fed only by `junk_in`.
+    fn counter_with_junk_rtl() -> RtlModule {
+        parse_verilog(
+            r#"
+module counter(clk, en_in, junk_in);
+  input clk;
+  input en_in;
+  input [3:0] junk_in;
+  reg [3:0] count;
+  reg [3:0] noise;
+  always @(posedge clk) begin
+    if (en_in) count <= count + 4'd1;
+    noise <= noise ^ junk_in;
+  end
+endmodule
+"#,
+        )
+        .unwrap()
+    }
+
+    /// Cone-of-influence slicing never changes a verdict: every
+    /// instruction gets the same verdict tag on the unsliced system as
+    /// on its slice, for the fixed and buggy counters, the counter with
+    /// logic outside its cone, and every register mutant of that one.
+    #[test]
+    fn coi_slicing_never_changes_a_verdict() {
+        let ila = counter_ila();
+        let map = counter_map();
+        let junk = counter_with_junk_rtl();
+        let mut fixtures = vec![
+            ("fixed".to_string(), counter_rtl(false)),
+            ("buggy".to_string(), counter_rtl(true)),
+            ("junk".to_string(), junk.clone()),
+        ];
+        for reg in ["count", "noise"] {
+            for m in crate::mutation::Mutation::all() {
+                let mutant = crate::mutation::mutate_register(&junk, reg, m).unwrap();
+                fixtures.push((format!("junk {reg} {m}"), mutant));
+            }
+        }
+        let tracer = Tracer::disabled();
+        let ctx = RunCtx::plain(&tracer);
+        let tags = |plan: &PortPlan<'_>, ts: &TransitionSystem| -> Vec<&'static str> {
+            run_port_sequential(plan, ts, false, &ctx)
+                .unwrap()
+                .iter()
+                .map(|v| v.result.tag())
+                .collect()
+        };
+        let mut seen = BTreeMap::new();
+        for (name, rtl) in &fixtures {
+            let Planned {
+                ts,
+                ts_signals,
+                mut plans,
+            } = Planned::new(&[(&ila, &map)], rtl).unwrap();
+            let plan = &mut plans[0];
+            let (sliced, _) = prepare(plan, &ts, &ts_signals, &VerifyOptions::default());
+            let on_slice = tags(plan, &sliced);
+            assert_eq!(tags(plan, &ts), on_slice, "{name}: slicing changed a verdict");
+            for tag in on_slice {
+                *seen.entry(tag).or_insert(0) += 1;
+            }
+            if name.starts_with("junk") {
+                let coi = plan.coi.expect("prepare slices the port");
+                assert!(
+                    coi.states_dropped >= 1 && coi.inputs_dropped >= 1,
+                    "{name}: the slice kept the unobserved logic: {coi:?}"
+                );
+            }
+        }
+        assert!(
+            seen.contains_key("holds") && seen.contains_key("cex"),
+            "the fixtures must both hold and fail: {seen:?}"
+        );
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use journal::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
 /// without depending on `gila-smt` directly.
 pub use gila_smt::ResourceOut;
 pub use property::{render_all_properties, render_property};
-pub use refmap::{FinishCondition, InputPolicy, InstructionMap, RefinementMap};
+pub use refmap::{FinishCondition, InputPolicy, InstructionMap, RefMapParseError, RefinementMap};
 pub use compiled::{cosim_differential, cosimulate_compiled, replay_compiled};
 pub use cosim::{
     cosimulate, parse_bv, parse_command_stream, parse_value, random_bv, random_value, render_bv,

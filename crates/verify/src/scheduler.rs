@@ -17,12 +17,13 @@
 //! Verdicts are reassembled into declaration order afterwards, so a
 //! pooled run reports exactly what a sequential run would.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use gila_mc::TransitionSystem;
+use gila_smt::CancelToken;
 
 use crate::engine::{
     run_job_guarded, CheckResult, InstrVerdict, JobMeta, PortPlan, RunCtx, VerifyError,
@@ -83,7 +84,9 @@ const ENGINE_CACHE: usize = 2;
 /// With `cfg.stop_at_first_cex`, the first counterexample found
 /// anywhere cancels all queued work *and* interrupts in-flight solves
 /// through the workers' [`CancelToken`]s; an interrupted job reports
-/// `Unknown(Cancelled)`.
+/// `Unknown(Cancelled)`. That stop never reaches the caller's token
+/// ([`crate::VerifyOptions::cancel`]), while a cancelled caller's token
+/// turns every job the pool has yet to decide into `Unknown(Cancelled)`.
 ///
 /// Jobs the context's journal answered are never scheduled; their
 /// replayed verdicts are merged into the result. A job
@@ -127,14 +130,19 @@ pub(crate) fn run_pool(
     let locals: Vec<Worker<Job>> = (0..workers_spawned).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<Job>> = locals.iter().map(Worker::stealer).collect();
 
-    // An externally supplied token (a serve-layer client disconnect or
-    // watchdog) doubles as the pool's internal stop token, so one
-    // cancellation path interrupts job pickup and in-flight solves alike.
+    // The run's token interrupts in-flight solves. It is local to this
+    // run, so stopping at a counterexample or a config error never
+    // cancels the caller's token; as a child of an externally supplied
+    // one (a serve-layer client disconnect or watchdog) it also reads as
+    // cancelled when that is. Only the run's own stop ends job pickup:
+    // after an external cancellation every remaining job still runs and
+    // fails fast as `Unknown(Cancelled)`, as on the sequential engine.
     let cancel = ctx
         .policy
         .cancel
-        .clone()
-        .unwrap_or_default();
+        .as_ref()
+        .map_or_else(CancelToken::new, CancelToken::child);
+    let stopped = AtomicBool::new(false);
     let engines_created = AtomicUsize::new(0);
     let t0 = Instant::now();
     type JobRecord = (
@@ -146,12 +154,12 @@ pub(crate) fn run_pool(
 
     let scope_result = crossbeam::thread::scope(|scope| {
         for (worker_id, local) in locals.into_iter().enumerate() {
-            let (injector, stealers, cancel) = (&injector, &stealers, &cancel);
+            let (injector, stealers, cancel, stopped) = (&injector, &stealers, &cancel, &stopped);
             let (engines_created, results, ctx) = (&engines_created, &results, &ctx);
             scope.spawn(move |_| {
                 // Per-port persistent engines.
                 let mut cache: Vec<(usize, WorkerEngine)> = Vec::new();
-                while !cancel.is_cancelled() {
+                while !stopped.load(Ordering::Relaxed) {
                     let Some((job, stolen)) = find_job(&local, injector, stealers) else {
                         break;
                     };
@@ -160,7 +168,7 @@ pub(crate) fn run_pool(
                     let ts = &tss[job.port];
                     let mut slot = cache_take(&mut cache, job.port);
                     for &idx in &job.instrs {
-                        if cancel.is_cancelled() {
+                        if stopped.load(Ordering::Relaxed) {
                             break;
                         }
                         let meta = JobMeta {
@@ -201,6 +209,7 @@ pub(crate) fn run_pool(
                             done_at,
                         ));
                         if abort {
+                            stopped.store(true, Ordering::Relaxed);
                             cancel.cancel();
                             break;
                         }

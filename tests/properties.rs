@@ -8,12 +8,11 @@ use std::collections::BTreeMap;
 
 use gila::core::{integrate, PortIla, PortPriorityResolver, StateKind};
 use gila::expr::{
-    eval, simplify_cached, BitVecValue, Env, ExprCtx, ExprRef, Sort, Value,
+    eval, BitVecValue, Env, ExprCtx, ExprRef, Sort, Value,
 };
 use gila::sat::{Lit, Solver, Var};
 use gila::smt::SmtSolver;
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 // ---------------------------------------------------------------------
 // BitVecValue vs u128 reference semantics
@@ -485,35 +484,6 @@ fn build_expr(ctx: &mut ExprCtx, ops: &[(RandomOp, u8, u8)], consts: &[u64]) -> 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn simplify_preserves_semantics(
-        ops in proptest::collection::vec((random_op(), any::<u8>(), any::<u8>()), 1..12),
-        consts in proptest::collection::vec(any::<u64>(), 1..4),
-        seed in any::<u64>(),
-    ) {
-        let mut ctx = ExprCtx::new();
-        let root = build_expr(&mut ctx, &ops, &consts);
-        // The verify engine shares one memo table across many roots;
-        // simplify through a shared table here too so the cached path
-        // (memo hits included) is what the property exercises.
-        let mut memo = std::collections::HashMap::new();
-        let simplified = simplify_cached(&mut ctx, root, &mut memo);
-        let x = ctx.find_var("x").expect("declared");
-        let y = ctx.find_var("y").expect("declared");
-        // Check the equivalence under several environments drawn from
-        // the co-simulator's value distribution, not just one point.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for _ in 0..8 {
-            let mut env = Env::new();
-            env.bind(x, gila::verify::random_value(&mut rng, Sort::Bv(7)));
-            env.bind(y, gila::verify::random_value(&mut rng, Sort::Bv(7)));
-            prop_assert_eq!(
-                eval(&ctx, root, &env).expect("bound"),
-                eval(&ctx, simplified, &env).expect("bound")
-            );
-        }
-    }
 
     #[test]
     fn blaster_agrees_with_evaluator(

@@ -3,17 +3,14 @@
 //! The deterministic gates run in tier-1:
 //!
 //! * a counter golden — the solver effort, CNF size and slicing counts
-//!   of one sequential run, one `preprocess: false` run and one pooled
-//!   run per design, pinned exactly in
-//!   `tests/golden/registry_counters.txt`; any change in the work the
-//!   engine does shows up as a diff there. Regenerate with
+//!   of one sequential run and one pooled run per design, pinned
+//!   exactly in `tests/golden/registry_counters.txt`; any change in the
+//!   work the engine does shows up as a diff there. Regenerate with
 //!   `GILA_REGEN_GOLDEN=1 cargo test --test registry_gates` only when a
 //!   change is meant to alter that work;
 //! * schema invariants checked on the fresh numbers (every design
-//!   holds, preprocessing never grows the CNF, the robustness counters
-//!   stay zero, lint stays clean and sub-second);
-//! * preprocessing never changes a verdict, on the fixed RTL and on
-//!   every bug-injected variant.
+//!   holds, the robustness counters stay zero, lint stays clean and
+//!   sub-second).
 //!
 //! The two wall-clock gates compare times measured in one process, so
 //! they are `#[ignore]`d and run in release builds only:
@@ -29,7 +26,6 @@ use std::time::Instant;
 
 use gila::designs::{all_case_studies, CaseStudy};
 use gila::lint::{lint_module, lint_rtl, LintOptions};
-use gila::rtl::RtlModule;
 use gila::trace::Tracer;
 use gila::verify::{cosimulate, cosimulate_compiled, verify_module, ModuleReport, VerifyOptions};
 
@@ -50,29 +46,13 @@ const COSIM_COMPILED_CYCLES: usize = 100_000;
 /// factor in geomean across designs.
 const COSIM_GATE: f64 = 100.0;
 
-fn verify(cs: &CaseStudy, rtl: &RtlModule, jobs: usize, preprocess: bool) -> ModuleReport {
+fn verify(cs: &CaseStudy, jobs: usize) -> ModuleReport {
     let opts = VerifyOptions {
         jobs: Some(jobs),
-        preprocess,
         ..Default::default()
     };
-    verify_module(&cs.ila, rtl, &cs.refmaps, &opts)
+    verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts)
         .unwrap_or_else(|e| panic!("{}: setup error {e}", cs.name))
-}
-
-/// Sorted (port, instruction, verdict tag) triples of a report.
-fn verdicts(report: &ModuleReport) -> Vec<(String, String, &'static str)> {
-    let mut out: Vec<_> = report
-        .ports
-        .iter()
-        .flat_map(|p| {
-            p.verdicts
-                .iter()
-                .map(|v| (p.port.clone(), v.instruction.clone(), v.result.tag()))
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 fn geomean(xs: &[f64]) -> f64 {
@@ -80,29 +60,17 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// One design's fixed-RTL runs: sequential, sequential without
-/// preprocessing, and pooled, plus one lint pass.
+/// One design's fixed-RTL runs, sequential and pooled, plus one lint
+/// pass.
 struct Row {
     name: &'static str,
     instructions: usize,
     sequential: ModuleReport,
-    unpreprocessed: ModuleReport,
     pooled: ModuleReport,
     lint_errors: usize,
     lint_s: f64,
     absint_s: f64,
     absint_discharged: u64,
-}
-
-impl Row {
-    /// CNF size (vars + clauses) without and with preprocessing.
-    fn cnf_pre_post(&self) -> (u64, u64) {
-        let (pre, post) = (&self.unpreprocessed.telemetry, &self.sequential.telemetry);
-        (
-            pre.cnf_vars + pre.cnf_clauses,
-            post.cnf_vars + post.cnf_clauses,
-        )
-    }
 }
 
 /// The registry's rows, computed once and shared by the tests below.
@@ -124,9 +92,8 @@ fn rows() -> &'static [Row] {
                 Row {
                     name: cs.name,
                     instructions: cs.ila.stats().instructions,
-                    sequential: verify(cs, &cs.rtl, 1, true),
-                    unpreprocessed: verify(cs, &cs.rtl, 1, false),
-                    pooled: verify(cs, &cs.rtl, POOL_JOBS, true),
+                    sequential: verify(cs, 1),
+                    pooled: verify(cs, POOL_JOBS),
                     lint_errors: lint.errors(),
                     lint_s,
                     absint_s: lint.stats.absint_ns as f64 / 1e9,
@@ -138,24 +105,21 @@ fn rows() -> &'static [Row] {
 }
 
 const COLUMNS: &str = "design\tinstructions\tsolves\tdecisions\tpropagations\tconflicts\t\
-                       cnf_vars_pre\tcnf_clauses_pre\tcnf_vars_post\tcnf_clauses_post\t\
-                       coi_dropped\tbatch_count\tabsint_discharged";
+                       cnf_vars\tcnf_clauses\tcoi_dropped\tbatch_count\tabsint_discharged";
 
 fn render(rows: &[Row]) -> String {
     let mut out = format!("# {COLUMNS}\n");
     for row in rows {
-        let (t, pre) = (&row.sequential.telemetry, &row.unpreprocessed.telemetry);
+        let t = &row.sequential.telemetry;
         writeln!(
             out,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             row.name,
             row.instructions,
             t.solves,
             t.decisions,
             t.propagations,
             t.conflicts,
-            pre.cnf_vars,
-            pre.cnf_clauses,
             t.cnf_vars,
             t.cnf_clauses,
             t.coi_states_dropped + t.coi_inputs_dropped,
@@ -196,11 +160,7 @@ fn registry_runs_satisfy_the_schema_invariants() {
     assert_eq!(rows.len(), 8, "the registry has eight designs");
     for row in rows {
         let design = row.name;
-        for (leg, report) in [
-            ("sequential", &row.sequential),
-            ("preprocess off", &row.unpreprocessed),
-            ("pooled", &row.pooled),
-        ] {
+        for (leg, report) in [("sequential", &row.sequential), ("pooled", &row.pooled)] {
             assert!(report.all_hold(), "{design} ({leg}): {report:#?}");
             // Unbounded runs must never exercise the robustness
             // machinery; any nonzero counter is a regression.
@@ -219,11 +179,6 @@ fn registry_runs_satisfy_the_schema_invariants() {
             "{design}: {solves} solves for {} instructions — every instruction issues at least one SAT check",
             row.instructions
         );
-        let (pre, post) = row.cnf_pre_post();
-        assert!(
-            post <= pre,
-            "{design}: post-preprocessing CNF ({post}) larger than unpreprocessed ({pre})"
-        );
         assert_eq!(row.lint_errors, 0, "{design}: lint reports errors");
         assert!(
             row.lint_s < 1.0,
@@ -236,55 +191,6 @@ fn registry_runs_satisfy_the_schema_invariants() {
             row.absint_s
         );
     }
-    let ratios: Vec<f64> = rows
-        .iter()
-        .map(|row| {
-            let (pre, post) = row.cnf_pre_post();
-            post.max(1) as f64 / pre.max(1) as f64
-        })
-        .collect();
-    let reduction = 1.0 - geomean(&ratios);
-    assert!(
-        reduction.is_finite() && (0.0..1.0).contains(&reduction),
-        "geomean CNF reduction = {reduction} is not a shrink in [0, 1)"
-    );
-}
-
-/// Preprocessing (COI slicing, rewriting, inprocessing) may shrink the
-/// problem but never change an answer: the same (port, instruction,
-/// verdict) triples with and without it, on the fixed RTL and on each
-/// bug-injected variant.
-#[test]
-fn preprocessing_never_changes_a_verdict() {
-    for row in rows() {
-        assert_eq!(
-            verdicts(&row.sequential),
-            verdicts(&row.unpreprocessed),
-            "{}: preprocessing changed a verdict on the fixed RTL",
-            row.name
-        );
-    }
-    let mut buggy_checked = 0;
-    for cs in all_case_studies() {
-        let Some(buggy) = &cs.buggy_rtl else { continue };
-        let on = verify(&cs, buggy, 1, true);
-        assert!(
-            !on.all_hold(),
-            "{}: the injected bug went unnoticed",
-            cs.name
-        );
-        assert_eq!(
-            verdicts(&on),
-            verdicts(&verify(&cs, buggy, 1, false)),
-            "{}: preprocessing changed a verdict on the buggy RTL",
-            cs.name
-        );
-        buggy_checked += 1;
-    }
-    assert!(
-        buggy_checked >= 3,
-        "only {buggy_checked} bug-injected variants checked"
-    );
 }
 
 /// Best-of-[`GATE_RUNS`] verification wall time after one untimed
@@ -294,7 +200,7 @@ fn best_time(cs: &CaseStudy, jobs: usize) -> f64 {
     let mut best = f64::INFINITY;
     for run in 0..=GATE_RUNS {
         let t0 = Instant::now();
-        let report = verify(cs, &cs.rtl, jobs, true);
+        let report = verify(cs, jobs);
         let s = t0.elapsed().as_secs_f64();
         assert!(report.all_hold(), "{} (jobs={jobs}): {report:#?}", cs.name);
         if run > 0 {

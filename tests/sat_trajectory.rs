@@ -3,13 +3,13 @@
 //! `registry_gates` pins the solver counters of the registry's fixed
 //! RTL, but every one of those checks is UNSAT. This golden pins the
 //! rest of the search: satisfying models, learnt-clause reduction,
-//! inprocessing between calls, budgeted `Unknown` answers, and the
-//! array-lemma re-solves that only happen on SAT answers.
+//! budgeted `Unknown` answers, and the array-lemma re-solves that only
+//! happen on SAT answers.
 //!
 //! * a seeded `gila-sat` suite: incremental random 3-SAT under
 //!   assumptions (SAT and UNSAT answers), a run long enough to reduce
-//!   the learnt-clause database, inprocessing between calls, and
-//!   conflict and propagation budgets that end in `Unknown`;
+//!   the learnt-clause database, and conflict and propagation budgets
+//!   that end in `Unknown`;
 //! * `verify_module` on the three bug-injected registry variants and on
 //!   a fixed handful of NoC Router register mutants, whose
 //!   counterexamples come from SAT answers that array lemmas refine.
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 use gila::designs::all_case_studies;
 use gila::rtl::RtlModule;
-use gila::sat::{InprocessConfig, Lit, SolveLimits, SolveResult, Solver, Var};
+use gila::sat::{Lit, SolveLimits, SolveResult, Solver, Var};
 use gila::verify::{mutate_register, verify_module, CheckResult, Mutation, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,79 +167,6 @@ fn reduce_db(out: &mut String) {
     );
 }
 
-/// Runs one default inprocessing pass and appends its golden line.
-fn inprocess_line(out: &mut String, tag: &str, s: &mut Solver) {
-    let st = s.inprocess(&InprocessConfig::default());
-    writeln!(
-        out,
-        "inprocess/{tag}\tsatisfied={}\tsubsumed={}\tlits_removed={}\tfailed={}\tprobes={}\tchecks={}\tvars={}\tclauses={}",
-        st.clauses_satisfied,
-        st.clauses_subsumed,
-        st.lits_removed,
-        st.failed_literals,
-        st.probes,
-        st.subsumption_checks,
-        s.num_vars(),
-        s.num_clauses(),
-    )
-    .unwrap();
-}
-
-/// Short random clauses over few variables, so inprocessing subsumes,
-/// strengthens and finds failed literals, both before any search and
-/// after learnt clauses join the database.
-fn inprocess_subsumption(out: &mut String) {
-    let mut rng = StdRng::seed_from_u64(0x5A7_0005);
-    let mut s = Solver::new();
-    let vars: Vec<Var> = (0..24).map(|_| s.new_var()).collect();
-    for _ in 0..70 {
-        let k = rng.gen_range(2..=4);
-        s.add_clause(random_clause(&mut rng, &vars, k));
-    }
-    inprocess_line(out, "short/initial", &mut s);
-    for call in 0..4 {
-        let assumptions = random_assumptions(&mut rng, &vars, 2);
-        solve_line(
-            out,
-            &format!("inprocess/short#{call}"),
-            &mut s,
-            &assumptions,
-        );
-        inprocess_line(out, &format!("short/after#{call}"), &mut s);
-    }
-}
-
-/// Three guarded random 3-SAT scopes sharing one solver; scopes are
-/// retracted by a unit on their selector and inprocessing runs between
-/// calls.
-fn inprocess_between_calls(out: &mut String) {
-    let mut rng = StdRng::seed_from_u64(0x5A7_0003);
-    let mut s = Solver::new();
-    let vars: Vec<Var> = (0..90).map(|_| s.new_var()).collect();
-    let selectors: Vec<Lit> = (0..3).map(|_| s.new_var().positive()).collect();
-    for &sel in &selectors {
-        for _ in 0..330 {
-            let mut c = random_clause(&mut rng, &vars, 3);
-            c.push(!sel);
-            s.add_clause(c);
-        }
-    }
-    for _ in 0..60 {
-        s.add_clause(random_clause(&mut rng, &vars, 3));
-    }
-    inprocess_line(out, "initial", &mut s);
-    for (k, &sel) in selectors.iter().enumerate() {
-        let extra = random_assumptions(&mut rng, &vars, 3);
-        let mut assumptions = vec![sel];
-        solve_line(out, &format!("inprocess/scope{k}"), &mut s, &assumptions);
-        assumptions.extend(extra);
-        solve_line(out, &format!("inprocess/scope{k}+3"), &mut s, &assumptions);
-        s.add_clause([!sel]);
-        inprocess_line(out, &format!("retract{k}"), &mut s);
-        solve_line(out, &format!("inprocess/after{k}"), &mut s, &[]);
-    }
-}
-
 /// Conflict and propagation budgets end in `Unknown`; the same solver
 /// then reaches the verdict unbounded.
 fn budgets(out: &mut String) {
@@ -355,8 +282,6 @@ fn render() -> String {
     let mut out = String::from("# case\tresult and counters (see tests/sat_trajectory.rs)\n");
     incremental_3sat(&mut out);
     reduce_db(&mut out);
-    inprocess_between_calls(&mut out);
-    inprocess_subsumption(&mut out);
     budgets(&mut out);
     buggy_variants(&mut out);
     noc_mutants(&mut out);

@@ -6,9 +6,10 @@
 use std::sync::Arc;
 
 use gila::designs::all_case_studies;
+use gila::sat::CancelToken;
 use gila::trace::Telemetry;
 use gila::verify::{
-    verify_module, CheckResult, FaultAction, FaultPlan, SolveBudget, VerifyOptions,
+    verify_module, CheckResult, FaultAction, FaultPlan, ResourceOut, SolveBudget, VerifyOptions,
 };
 
 fn with_jobs(jobs: usize) -> VerifyOptions {
@@ -153,6 +154,76 @@ fn stopped_runs_report_only_ports_that_ran() {
         }
     }
     assert_eq!(checked, 9, "three buggy designs under three configurations");
+}
+
+/// Cancellation flows from the caller into a run, never back out. A
+/// pooled run that stops at its first counterexample leaves the
+/// caller's token uncancelled, and a token the caller cancelled before
+/// the run turns every pooled verdict into `Unknown(Cancelled)`, as it
+/// does on the sequential engine.
+#[test]
+fn pooled_runs_never_cancel_the_callers_token() {
+    let mut stopped = 0;
+    for cs in all_case_studies() {
+        let Some(buggy) = &cs.buggy_rtl else {
+            continue;
+        };
+        for jobs in [1, 4] {
+            let tok = CancelToken::new();
+            let opts = VerifyOptions {
+                stop_at_first_cex: true,
+                par_threshold: 0,
+                cancel: Some(tok.clone()),
+                ..with_jobs(jobs)
+            };
+            let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+            assert!(report.counts().cex >= 1, "{} jobs={jobs}", cs.name);
+            assert!(
+                !tok.is_cancelled(),
+                "{} jobs={jobs}: stopping the run cancelled the caller's token",
+                cs.name
+            );
+            stopped += 1;
+        }
+    }
+    assert_eq!(stopped, 6, "three buggy designs, sequential and pooled");
+
+    let cs = all_case_studies()
+        .into_iter()
+        .find(|c| c.name == "AXI Slave")
+        .unwrap();
+    for jobs in [1, 4] {
+        let tok = CancelToken::new();
+        tok.cancel();
+        let opts = VerifyOptions {
+            par_threshold: 0,
+            cancel: Some(tok),
+            ..with_jobs(jobs)
+        };
+        let report = verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts).unwrap();
+        assert_eq!(
+            report.instructions_checked(),
+            cs.ila.stats().instructions,
+            "jobs={jobs}: a cancelled run must still report every instruction"
+        );
+        for p in &report.ports {
+            for v in &p.verdicts {
+                assert!(
+                    matches!(
+                        v.result,
+                        CheckResult::Unknown {
+                            reason: ResourceOut::Cancelled,
+                            ..
+                        }
+                    ),
+                    "jobs={jobs}: {}/{} is {:?}, not Unknown(cancelled)",
+                    p.port,
+                    v.instruction,
+                    v.result
+                );
+            }
+        }
+    }
 }
 
 #[test]
