@@ -304,6 +304,10 @@ fn print_stats_table(report: &ModuleReport) {
         "  coi: dropped {} state(s) + {} input(s)",
         report.telemetry.coi_states_dropped, report.telemetry.coi_inputs_dropped
     );
+    println!(
+        "  falsified: {} counterexample(s) by sampling, without SAT",
+        report.telemetry.falsified
+    );
 }
 
 fn sanitize(name: &str) -> String {

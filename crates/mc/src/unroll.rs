@@ -306,13 +306,22 @@ impl Unrolling {
         smt: &SmtSolver,
         exprs: BTreeMap<String, ExprRef>,
     ) -> BTreeMap<String, Value> {
+        self.concretize_with(|v| smt.try_model_value(&self.ctx, v), exprs)
+    }
+
+    /// Evaluates named expressions over this unrolling's variables under
+    /// an assignment: `value_of` gives a variable's value, and variables
+    /// it leaves unbound default to zero.
+    pub fn concretize_with(
+        &self,
+        value_of: impl Fn(ExprRef) -> Option<Value>,
+        exprs: BTreeMap<String, ExprRef>,
+    ) -> BTreeMap<String, Value> {
         use gila_expr::{eval, Env};
-        // Build an environment for the free variables from the model;
-        // unconstrained variables default to zero.
         let roots: Vec<ExprRef> = exprs.values().copied().collect();
         let mut env = Env::new();
         for v in self.ctx.vars_of(&roots) {
-            let value = smt.try_model_value(&self.ctx, v).unwrap_or_else(|| {
+            let value = value_of(v).unwrap_or_else(|| {
                 match self.ctx.sort_of(v) {
                     gila_expr::Sort::Bool => Value::Bool(false),
                     gila_expr::Sort::Bv(w) => Value::Bv(gila_expr::BitVecValue::zero(w)),

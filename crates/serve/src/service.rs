@@ -5,8 +5,10 @@
 //! cache to the engine as its [`VerifyOptions::journal`]. The engine
 //! keys every instruction by [`gila_verify::slice_keys`]; hits are
 //! *never scheduled*, so a fully-warm request performs zero solver
-//! work (provable from telemetry: `solves == 0`), and misses are
-//! journaled as they are decided. Undecided outcomes (`unknown`,
+//! work (its telemetry shows `solves == 0`), and misses are journaled
+//! as they are decided. The converse does not hold: a counterexample
+//! found by sampling also costs no solve, so what answered a verdict is
+//! read from its [`gila_verify::DecidedBy`], never from its solve count. Undecided outcomes (`unknown`,
 //! `panicked`) are never cached: "the budget was too small" is a
 //! property of the request, not of the design.
 //!
@@ -449,6 +451,7 @@ fn report_to_json(
         ("ports".into(), Value::Array(ports)),
         ("solves".into(), (report.telemetry.solves as f64).into()),
         ("conflicts".into(), (report.telemetry.conflicts as f64).into()),
+        ("falsified".into(), (report.telemetry.falsified as f64).into()),
         ("unknown".into(), (unknown as f64).into()),
         ("cache_hits".into(), (cache_hits as f64).into()),
         ("cache_misses".into(), (cache_misses as f64).into()),

@@ -186,6 +186,13 @@ impl SmtSolver {
         self.solver.limits()
     }
 
+    /// The resource that is already out — the cancellation token fired
+    /// or the deadline passed — before any new check starts; a check
+    /// issued now would answer [`SmtResult::Unknown`] with it.
+    pub fn resources_exhausted(&self) -> Option<ResourceOut> {
+        self.solver.resources_exhausted()
+    }
+
     /// Installs a shared cancellation token: once cancelled, in-flight
     /// and future checks return [`SmtResult::Unknown`] until it is reset.
     pub fn set_cancel(&mut self, token: CancelToken) {

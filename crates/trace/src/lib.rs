@@ -38,6 +38,10 @@ pub enum SpanKind {
     Blast,
     /// One SAT check, with the solver effort it cost.
     Solve,
+    /// Seeded candidates evaluated on one property's formula before its
+    /// SAT check (candidates drawn, passing the antecedent, and whether
+    /// one was accepted as a counterexample ride as fields).
+    Falsify,
     /// A solve attempt gave up on a resource limit (reason + effort
     /// spent ride as fields/label).
     BudgetExhausted,
@@ -81,6 +85,7 @@ impl SpanKind {
             SpanKind::Unroll => "unroll",
             SpanKind::Blast => "blast",
             SpanKind::Solve => "solve",
+            SpanKind::Falsify => "falsify",
             SpanKind::BudgetExhausted => "budget_exhausted",
             SpanKind::Retry => "retry",
             SpanKind::Panic => "panic",
@@ -359,6 +364,9 @@ pub struct Telemetry {
     /// Instructions the verdict journal could not answer, so they were
     /// scheduled for solving (0 when the run has no journal).
     pub cache_misses: u64,
+    /// Counterexamples found by evaluating seeded candidates on the
+    /// property's formula, with no SAT call.
+    pub falsified: u64,
     /// Always 0: verification no longer asserts abstract-interpretation
     /// invariants. Kept only because perfbench still reports it as its
     /// `absint.invariants_proved` counter.
@@ -400,6 +408,7 @@ impl Telemetry {
             batches: self.batches + other.batches,
             cache_hits: self.cache_hits + other.cache_hits,
             cache_misses: self.cache_misses + other.cache_misses,
+            falsified: self.falsified + other.falsified,
             invariants_proved: self.invariants_proved + other.invariants_proved,
             lints_discharged_static: self.lints_discharged_static
                 + other.lints_discharged_static,
@@ -441,6 +450,7 @@ impl Telemetry {
             ("batches".into(), self.batches.into()),
             ("cache_hits".into(), self.cache_hits.into()),
             ("cache_misses".into(), self.cache_misses.into()),
+            ("falsified".into(), self.falsified.into()),
             ("invariants_proved".into(), self.invariants_proved.into()),
             (
                 "lints_discharged_static".into(),

@@ -17,7 +17,9 @@
 //! Keying is not a separate pass. The keys are read from a run's one
 //! plan ([`Planned`]): the unsliced transition system and the
 //! [`PortPlan`]s the engine then slices and runs. [`slice_keys`] plans
-//! the same way, so a key names exactly what a run would check.
+//! the same way, so a key names exactly what a run would check. The
+//! key also seeds the candidates a run samples for the property before
+//! solving it, so equal properties draw equal candidates.
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
@@ -86,37 +88,53 @@ pub fn slice_keys(
     rtl: &RtlModule,
     maps: &[RefinementMap],
 ) -> Result<Vec<SliceKey>, VerifyError> {
-    Ok(keys_of(&Planned::module(module, rtl, maps)?))
+    let planned = Planned::module(module, rtl, maps)?;
+    Ok(keys_of(&planned.ts, &planned.ts_signals, &planned.plans))
 }
 
-/// The keys of every instruction of `planned`, in declaration order.
-pub(crate) fn keys_of(planned: &Planned<'_>) -> Vec<SliceKey> {
-    let mut keys = Vec::new();
-    for plan in &planned.plans {
-        // Memo tables survive across this port's instructions: the
-        // hash-consed contexts only grow, so shared subgraphs hash once.
-        let mut ts_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
-        let mut cond_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
-        let mut ila_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
-        for (idx, instr) in plan.port.instructions().iter().enumerate() {
-            let key = instruction_key(
+/// The keys of every instruction of `plans` over the run's unsliced
+/// system `ts`, in declaration order.
+pub(crate) fn keys_of(
+    ts: &TransitionSystem,
+    ts_signals: &BTreeMap<String, ExprRef>,
+    plans: &[PortPlan<'_>],
+) -> Vec<SliceKey> {
+    plans
+        .iter()
+        .flat_map(|plan| port_keys(plan, ts, ts_signals))
+        .collect()
+}
+
+/// The keys of every instruction of one port plan, in declaration order.
+pub(crate) fn port_keys(
+    plan: &PortPlan<'_>,
+    ts: &TransitionSystem,
+    ts_signals: &BTreeMap<String, ExprRef>,
+) -> Vec<SliceKey> {
+    // Memo tables survive across the port's instructions: the
+    // hash-consed contexts only grow, so shared subgraphs hash once.
+    let mut ts_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
+    let mut cond_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
+    let mut ila_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
+    plan.port
+        .instructions()
+        .iter()
+        .enumerate()
+        .map(|(idx, instr)| SliceKey {
+            port: plan.port.name().to_string(),
+            instruction: instr.name.clone(),
+            key: instruction_key(
                 plan,
                 idx,
                 instr,
-                &planned.ts,
-                &planned.ts_signals,
+                ts,
+                ts_signals,
                 &mut ts_memo,
                 &mut cond_memo,
                 &mut ila_memo,
-            );
-            keys.push(SliceKey {
-                port: plan.port.name().to_string(),
-                instruction: instr.name.clone(),
-                key,
-            });
-        }
-    }
-    keys
+            ),
+        })
+        .collect()
 }
 
 /// Every cone-of-influence root set verification builds for this

@@ -8,7 +8,10 @@
 //! the mapped signals again agree with the ILA state produced by the
 //! instruction's next-state functions. Each property is discharged by
 //! bit-blasting to SAT; a satisfying assignment is a counterexample
-//! trace, UNSAT is a proof for that instruction.
+//! trace, UNSAT is a proof for that instruction. Once a port has a
+//! counterexample, its later checks first evaluate seeded candidates on
+//! the same formula ([`crate::falsify`]), and a candidate that evaluates
+//! to a violation is reported without a SAT call.
 //!
 //! Every call runs one pipeline. It plans its targets once: one
 //! transition system for the RTL ([`rtl_to_ts`]) and one [`PortPlan`]
@@ -23,13 +26,13 @@
 //! learned clauses are paid once per worker. Every freshly decided
 //! verdict is journaled as it lands.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gila_core::{Instruction, ModuleIla, PortIla};
+use gila_core::{ModuleIla, PortIla};
 use gila_expr::{import, import_mapped, ExprNode, ExprRef, Op, Sort, Value};
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
@@ -38,7 +41,8 @@ use gila_smt::{
 };
 use gila_trace::{Event, SpanKind, Telemetry, Tracer};
 
-use crate::cache_key::keys_of;
+use crate::cache_key::{keys_of, port_keys};
+use crate::falsify::{falsify, Formula};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::journal::ProofCache;
 use crate::refmap::{FinishCondition, InputPolicy, RefinementMap};
@@ -263,6 +267,20 @@ impl CheckResult {
     }
 }
 
+/// What decided a verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecidedBy {
+    /// The verdict journal answered the property's content key; this
+    /// run did no work for it.
+    Journal,
+    /// The engine's SAT checks (also for verdicts they left undecided,
+    /// and for a job that panicked).
+    Sat,
+    /// A seeded candidate evaluated to a violation of the property's
+    /// formula before any SAT check (only ever a counterexample).
+    Sampling,
+}
+
 /// Per-instruction verdict with effort statistics.
 #[derive(Clone, Debug)]
 pub struct InstrVerdict {
@@ -270,6 +288,8 @@ pub struct InstrVerdict {
     pub instruction: String,
     /// The outcome.
     pub result: CheckResult,
+    /// What decided the outcome.
+    pub decided_by: DecidedBy,
     /// Wall-clock time spent on this instruction.
     pub time: Duration,
     /// CNF size of the solver that served this instruction, measured
@@ -322,6 +342,7 @@ impl InstrVerdict {
         InstrVerdict {
             instruction,
             result,
+            decided_by: DecidedBy::Journal,
             time: Duration::ZERO,
             stats: BlastStats::default(),
             cnf_growth: BlastStats::default(),
@@ -578,34 +599,60 @@ pub(crate) struct JobPolicy {
     pub(crate) cancel: Option<CancelToken>,
 }
 
-/// Shared run state: job policy, tracer, and the run's view of the
-/// verdict journal — the content key of every property and the
-/// verdicts the journal answered, both keyed by `(port, instruction)`.
+/// Shared run state: job policy, tracer, the run's view of the verdict
+/// journal — the content key of every property and the verdicts the
+/// journal answered, both keyed by `(port, instruction)` — and the
+/// ports whose checks have found a counterexample, which opens
+/// falsification for their later checks.
 pub(crate) struct RunCtx<'t> {
     pub(crate) policy: JobPolicy,
     pub(crate) tracer: &'t Tracer,
     journal: Option<&'t ProofCache>,
+    /// The run's unsliced system and its signals, which content keys
+    /// are read from.
+    ts: &'t TransitionSystem,
+    ts_signals: &'t BTreeMap<String, ExprRef>,
     keys: HashMap<(String, String), String>,
     replayed: HashMap<(String, String), InstrVerdict>,
+    /// Ports a check of this run found a counterexample for.
+    refuted: Mutex<HashSet<String>>,
+    /// Content keys by port, computed on a port's first sampled check
+    /// when the run has no journal to have keyed it.
+    port_keys: Mutex<HashMap<String, Vec<String>>>,
+}
+
+/// Locks `m`, ignoring poisoning: the guarded tables only ever grow, so
+/// a panic elsewhere cannot leave them inconsistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<'t> RunCtx<'t> {
-    /// A plain context with no budget, faults, or journal.
+    /// A plain context over `planned` with no budget, faults, or journal.
     #[cfg(test)]
-    pub(crate) fn plain(tracer: &'t Tracer) -> Self {
+    pub(crate) fn plain(tracer: &'t Tracer, planned: &'t Planned<'_>) -> Self {
         RunCtx {
             policy: JobPolicy::default(),
             tracer,
             journal: None,
+            ts: &planned.ts,
+            ts_signals: &planned.ts_signals,
             keys: HashMap::new(),
             replayed: HashMap::new(),
+            refuted: Mutex::default(),
+            port_keys: Mutex::default(),
         }
     }
 
-    /// The run context for `planned`. With a journal, every property is
-    /// keyed once from the plans and looked up, emitting one `cache_hit`
-    /// or `cache_miss` event per property.
-    fn new(opts: &'t VerifyOptions, planned: &Planned<'_>) -> Self {
+    /// The run context for the `plans` of the system `ts`. With a
+    /// journal, every property is keyed once from the plans and looked
+    /// up, emitting one `cache_hit` or `cache_miss` event per property.
+    fn new(
+        opts: &'t VerifyOptions,
+        ts: &'t TransitionSystem,
+        ts_signals: &'t BTreeMap<String, ExprRef>,
+        plans: &[PortPlan<'_>],
+    ) -> Self {
         let mut ctx = RunCtx {
             policy: JobPolicy {
                 budget: opts.budget,
@@ -615,13 +662,17 @@ impl<'t> RunCtx<'t> {
             },
             tracer: &opts.tracer,
             journal: opts.journal.as_deref(),
+            ts,
+            ts_signals,
             keys: HashMap::new(),
             replayed: HashMap::new(),
+            refuted: Mutex::default(),
+            port_keys: Mutex::default(),
         };
         let Some(journal) = ctx.journal else {
             return ctx;
         };
-        for sk in keys_of(planned) {
+        for sk in keys_of(ts, ts_signals, plans) {
             let hit = journal.lookup(&sk.key);
             ctx.tracer.record(|| {
                 let kind = if hit.is_some() {
@@ -682,6 +733,32 @@ impl<'t> RunCtx<'t> {
         if let Some(key) = self.keys.get(&(port.to_string(), verdict.instruction.clone())) {
             journal.insert(key, port, verdict);
         }
+    }
+
+    /// Whether a check of `port` has found a counterexample in this run.
+    fn refuted(&self, port: &str) -> bool {
+        lock(&self.refuted).contains(port)
+    }
+
+    /// The sampling seed of instruction `idx` of `plan`: the leading 64
+    /// bits of its content key, so the same property draws the same
+    /// candidates at every job count and under every name.
+    fn seed(&self, plan: &PortPlan<'_>, idx: usize) -> u64 {
+        let port = plan.port.name();
+        let instr = &plan.port.instructions()[idx].name;
+        let key = match self.keys.get(&(port.to_string(), instr.clone())) {
+            Some(key) => key.clone(),
+            None => lock(&self.port_keys)
+                .entry(port.to_string())
+                .or_insert_with(|| {
+                    port_keys(plan, self.ts, self.ts_signals)
+                        .into_iter()
+                        .map(|sk| sk.key)
+                        .collect()
+                })[idx]
+                .clone(),
+        };
+        u64::from_str_radix(&key[..16], 16).expect("content keys are hex")
     }
 
     /// Adds `port`'s journal lookups to its telemetry.
@@ -990,12 +1067,12 @@ pub(crate) fn check_instruction_planned(
     plan: &PortPlan<'_>,
     idx: usize,
     engine: &mut WorkerEngine,
-    tracer: &Tracer,
     meta: JobMeta,
-    policy: &JobPolicy,
+    ctx: &RunCtx<'_>,
 ) -> Result<InstrVerdict, VerifyError> {
     let t0 = Instant::now();
     let instr = &plan.port.instructions()[idx];
+    let (tracer, policy) = (ctx.tracer, &ctx.policy);
 
     // Test-only fault injection. An injected panic exercises the
     // schedulers' isolation; a forced unknown swaps this job's budget
@@ -1022,19 +1099,23 @@ pub(crate) fn check_instruction_planned(
     let sat_before = engine.smt.sat_stats();
     let mut attempt = 0u32;
     let mut solves = 0u64;
+    // Falsification runs on the first attempt only, and only once the
+    // port is known to be wrong: on fixed RTL it could never succeed.
+    let sample = ctx.refuted(plan.port.name());
     // Budget-escalation loop. Each attempt runs in its own solver scope
     // against the same persistent CNF, so learned clauses from an
     // exhausted attempt carry into the next, larger-budget one.
-    let result = loop {
+    let (result, decided_by) = loop {
         engine.smt.set_limits(budget.escalated(attempt).to_limits());
         let snap = engine.u.snapshot();
         engine.u.extend_to(plan.instrs[idx].bound);
         engine.smt.push_scope();
-        let result = check_instruction_inner(plan, idx, instr, engine, tracer, meta, &mut solves);
+        let sample = sample && attempt == 0;
+        let result = check_instruction_inner(plan, idx, engine, ctx, meta, sample, &mut solves);
         engine.smt.pop_scope();
         engine.smt.set_limits(SolveLimits::default());
         match result {
-            Ok(CheckResult::Unknown { reason, .. }) => {
+            Ok((CheckResult::Unknown { reason, .. }, _)) => {
                 let spent_so_far = engine.smt.sat_stats().since(sat_before);
                 tracer.record(|| {
                     Event::new(SpanKind::BudgetExhausted)
@@ -1058,7 +1139,7 @@ pub(crate) fn check_instruction_planned(
                     });
                     continue;
                 }
-                break CheckResult::Unknown {
+                let result = CheckResult::Unknown {
                     reason,
                     budget_spent: BudgetSpent {
                         conflicts: spent_so_far.conflicts,
@@ -1067,14 +1148,18 @@ pub(crate) fn check_instruction_planned(
                         attempts: attempt + 1,
                     },
                 };
+                break (result, DecidedBy::Sat);
             }
-            Ok(result) => break result,
+            Ok(decided) => break decided,
             Err(e) => {
                 engine.u.rollback_to(snap);
                 return Err(e);
             }
         }
     };
+    if matches!(result, CheckResult::CounterExample(_)) {
+        lock(&ctx.refuted).insert(plan.port.name().to_string());
+    }
     let stats = engine.smt.stats();
     let sat_after = engine.smt.sat_stats();
     let mut effort = sat_after.since(sat_before);
@@ -1117,6 +1202,7 @@ pub(crate) fn check_instruction_planned(
     Ok(InstrVerdict {
         instruction: instr.name.clone(),
         result,
+        decided_by,
         time,
         stats,
         cnf_growth,
@@ -1142,17 +1228,17 @@ pub(crate) fn run_job_guarded(
     idx: usize,
     engine_slot: &mut Option<WorkerEngine>,
     mk_engine: impl FnOnce() -> WorkerEngine,
-    tracer: &Tracer,
     meta: JobMeta,
-    policy: &JobPolicy,
+    ctx: &RunCtx<'_>,
 ) -> Result<InstrVerdict, VerifyError> {
     let t0 = Instant::now();
+    let tracer = ctx.tracer;
     let engine = match engine_slot {
         Some(e) => e,
         None => engine_slot.insert(mk_engine()),
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        check_instruction_planned(plan, idx, engine, tracer, meta, policy)
+        check_instruction_planned(plan, idx, engine, meta, ctx)
     }));
     match outcome {
         Ok(res) => res,
@@ -1170,6 +1256,7 @@ pub(crate) fn run_job_guarded(
             Ok(InstrVerdict {
                 instruction: instr.clone(),
                 result: CheckResult::JobPanicked { message },
+                decided_by: DecidedBy::Sat,
                 time: t0.elapsed(),
                 stats: BlastStats::default(),
                 cnf_growth: BlastStats::default(),
@@ -1197,189 +1284,315 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The body of [`check_instruction_planned`], run inside an open solver
-/// scope so every early return still retracts its asserts.
-fn check_instruction_inner(
-    plan: &PortPlan<'_>,
-    idx: usize,
-    instr: &Instruction,
-    engine: &mut WorkerEngine,
-    tracer: &Tracer,
-    meta: JobMeta,
-    solves: &mut u64,
-) -> Result<CheckResult, VerifyError> {
-    let WorkerEngine { u, smt } = engine;
-    let port = plan.port;
-    let map = plan.map;
-    let ip = &plan.instrs[idx];
-    let bound = ip.bound;
+/// One instruction's refinement property (Fig. 5) over an unrolling:
+/// the antecedent conjuncts and the ILA post-state the RTL must match.
+struct Property {
+    /// Decode, invariants and start strengthening, at frame 0.
+    start: Vec<ExprRef>,
+    /// Input-policy equalities (frames `1..bound` hold frame 0's inputs).
+    policy: Vec<ExprRef>,
+    /// ILA post-state per mapped state.
+    ila_post: BTreeMap<String, ExprRef>,
+    /// The finish condition of a `Condition` finish.
+    finish: Option<ExprRef>,
+}
 
-    // ILA variable -> frame-0 product expression.
-    let mut var_map: HashMap<ExprRef, ExprRef> = HashMap::new();
-    let adapt = |u: &mut Unrolling,
-                 ila_name: &str,
-                 ila_sort: Sort,
-                 ts_expr: ExprRef,
-                 rtl_name: &str|
-     -> Result<ExprRef, VerifyError> {
-        let mapped = u.map_expr(0, ts_expr);
-        let found = u.ctx().sort_of(mapped);
-        match (ila_sort, found) {
-            (a, b) if a == b => Ok(mapped),
-            (Sort::Bool, Sort::Bv(1)) => Ok(u.ctx_mut().bv_to_bool(mapped)),
-            (a, b) => Err(VerifyError::SortMismatch {
-                ila: ila_name.to_string(),
-                ila_sort: a,
-                rtl: rtl_name.to_string(),
-                rtl_sort: b,
-            }),
-        }
-    };
-    for (ila_state, ts_expr, ila_sort) in &plan.mapped_states {
-        let rtl_name = &map.state_map[ila_state];
-        let e = adapt(u, ila_state, *ila_sort, *ts_expr, rtl_name)?;
-        let v = port.find_state(ila_state).expect("resolved in plan").var;
-        var_map.insert(v, e);
-    }
-    for (ila_input, ts_expr, ila_sort) in &plan.mapped_inputs {
-        let rtl_name = &map.interface_map[ila_input];
-        let e = adapt(u, ila_input, *ila_sort, *ts_expr, rtl_name)?;
-        let v = port.find_input(ila_input).expect("resolved in plan").var;
-        var_map.insert(v, e);
-    }
+impl Property {
+    /// Builds instruction `idx`'s property over `u`, which must already
+    /// reach the instruction's bound.
+    fn build(plan: &PortPlan<'_>, idx: usize, u: &mut Unrolling) -> Result<Property, VerifyError> {
+        let port = plan.port;
+        let map = plan.map;
+        let instr = &port.instructions()[idx];
+        let ip = &plan.instrs[idx];
 
-    // Start condition: decode (grafted onto frame 0) + invariants +
-    // optional strengthening, all pre-parsed in the plan.
-    let mut import_memo = HashMap::new();
-    let decode0 = import_mapped(u.ctx_mut(), port.ctx(), instr.decode, &var_map, &mut import_memo)
-        .map_err(|var| VerifyError::UnmappedIlaVar {
-            var,
-            instruction: instr.name.clone(),
-        })?;
-    let mut start_conjuncts = vec![decode0];
-    let mut cond_memo = HashMap::new();
-    let graft0 = |u: &mut Unrolling, cond: ExprRef, memo: &mut HashMap<ExprRef, ExprRef>| {
-        let e = import(u.ctx_mut(), plan.cond_rtl.ctx(), cond, memo);
-        let e0 = u.map_expr(0, e);
-        u.ctx_mut().bv_to_bool(e0)
-    };
-    for &inv in &plan.invariants {
-        let eb = graft0(u, inv, &mut cond_memo);
-        start_conjuncts.push(eb);
-    }
-    if let Some(s) = ip.strengthening {
-        let eb = graft0(u, s, &mut cond_memo);
-        start_conjuncts.push(eb);
-    }
-
-    // Input policy.
-    let mut policy_conjuncts = Vec::new();
-    if ip.input_policy == InputPolicy::Hold {
-        for k in 1..bound {
-            let names: Vec<String> = u.frames()[k].inputs.keys().cloned().collect();
-            for n in names {
-                let ik = u.frames()[k].inputs[&n];
-                let i0 = u.frames()[0].inputs[&n];
-                policy_conjuncts.push(u.ctx_mut().eq(ik, i0));
-            }
-        }
-    }
-
-    // ILA post-state per mapped state.
-    let mut ila_post: BTreeMap<String, ExprRef> = BTreeMap::new();
-    for (ila_state, _, _) in &plan.mapped_states {
-        let e = match instr.updates.get(ila_state) {
-            Some(&upd) => {
-                import_mapped(u.ctx_mut(), port.ctx(), upd, &var_map, &mut import_memo)
-                    .map_err(|var| VerifyError::UnmappedIlaVar {
-                        var,
-                        instruction: instr.name.clone(),
-                    })?
-            }
-            None => {
-                let v = port.find_state(ila_state).expect("resolved").var;
-                var_map[&v]
+        // ILA variable -> frame-0 product expression.
+        let mut var_map: HashMap<ExprRef, ExprRef> = HashMap::new();
+        let adapt = |u: &mut Unrolling,
+                     ila_name: &str,
+                     ila_sort: Sort,
+                     ts_expr: ExprRef,
+                     rtl_name: &str|
+         -> Result<ExprRef, VerifyError> {
+            let mapped = u.map_expr(0, ts_expr);
+            let found = u.ctx().sort_of(mapped);
+            match (ila_sort, found) {
+                (a, b) if a == b => Ok(mapped),
+                (Sort::Bool, Sort::Bv(1)) => Ok(u.ctx_mut().bv_to_bool(mapped)),
+                (a, b) => Err(VerifyError::SortMismatch {
+                    ila: ila_name.to_string(),
+                    ila_sort: a,
+                    rtl: rtl_name.to_string(),
+                    rtl_sort: b,
+                }),
             }
         };
-        ila_post.insert(ila_state.clone(), e);
+        for (ila_state, ts_expr, ila_sort) in &plan.mapped_states {
+            let rtl_name = &map.state_map[ila_state];
+            let e = adapt(u, ila_state, *ila_sort, *ts_expr, rtl_name)?;
+            let v = port.find_state(ila_state).expect("resolved in plan").var;
+            var_map.insert(v, e);
+        }
+        for (ila_input, ts_expr, ila_sort) in &plan.mapped_inputs {
+            let rtl_name = &map.interface_map[ila_input];
+            let e = adapt(u, ila_input, *ila_sort, *ts_expr, rtl_name)?;
+            let v = port.find_input(ila_input).expect("resolved in plan").var;
+            var_map.insert(v, e);
+        }
+
+        // Start condition: decode (grafted onto frame 0) + invariants +
+        // optional strengthening, all pre-parsed in the plan.
+        let unmapped = |var| VerifyError::UnmappedIlaVar {
+            var,
+            instruction: instr.name.clone(),
+        };
+        let mut import_memo = HashMap::new();
+        let decode0 = import_mapped(
+            u.ctx_mut(),
+            port.ctx(),
+            instr.decode,
+            &var_map,
+            &mut import_memo,
+        )
+        .map_err(unmapped)?;
+        let mut start = vec![decode0];
+        let mut cond_memo = HashMap::new();
+        let graft0 = |u: &mut Unrolling, cond: ExprRef, memo: &mut HashMap<ExprRef, ExprRef>| {
+            let e = import(u.ctx_mut(), plan.cond_rtl.ctx(), cond, memo);
+            let e0 = u.map_expr(0, e);
+            u.ctx_mut().bv_to_bool(e0)
+        };
+        for &inv in &plan.invariants {
+            start.push(graft0(u, inv, &mut cond_memo));
+        }
+        if let Some(s) = ip.strengthening {
+            start.push(graft0(u, s, &mut cond_memo));
+        }
+
+        // Input policy.
+        let mut policy = Vec::new();
+        if ip.input_policy == InputPolicy::Hold {
+            for k in 1..ip.bound {
+                let names: Vec<String> = u.frames()[k].inputs.keys().cloned().collect();
+                for n in names {
+                    let ik = u.frames()[k].inputs[&n];
+                    let i0 = u.frames()[0].inputs[&n];
+                    policy.push(u.ctx_mut().eq(ik, i0));
+                }
+            }
+        }
+
+        // ILA post-state per mapped state.
+        let mut ila_post: BTreeMap<String, ExprRef> = BTreeMap::new();
+        for (ila_state, _, _) in &plan.mapped_states {
+            let e = match instr.updates.get(ila_state) {
+                Some(&upd) => {
+                    import_mapped(u.ctx_mut(), port.ctx(), upd, &var_map, &mut import_memo)
+                        .map_err(unmapped)?
+                }
+                None => {
+                    let v = port.find_state(ila_state).expect("resolved").var;
+                    var_map[&v]
+                }
+            };
+            ila_post.insert(ila_state.clone(), e);
+        }
+
+        let finish = ip
+            .finish_expr
+            .map(|e| import(u.ctx_mut(), plan.cond_rtl.ctx(), e, &mut cond_memo));
+        Ok(Property {
+            start,
+            policy,
+            ila_post,
+            finish,
+        })
     }
 
-    // The post-equivalence at a given frame (pre-state-only entries
-    // are excluded; they anchor the start correspondence only).
-    let post_eq_at = |u: &mut Unrolling, frame: usize| -> Vec<(String, ExprRef)> {
-        plan.mapped_states
+    /// The post-equalities at `frame`, one per checked mapped state
+    /// (pre-state-only entries are excluded; they anchor the start
+    /// correspondence only), and the violation: their negated
+    /// conjunction.
+    fn violation_at(
+        &self,
+        plan: &PortPlan<'_>,
+        u: &mut Unrolling,
+        frame: usize,
+    ) -> (Vec<(String, ExprRef)>, ExprRef) {
+        let eqs: Vec<(String, ExprRef)> = plan
+            .mapped_states
             .iter()
-            .filter(|(ila_state, _, _)| !map.unchecked_states.contains(ila_state))
+            .filter(|(ila_state, _, _)| !plan.map.unchecked_states.contains(ila_state))
             .map(|(ila_state, ts_expr, ila_sort)| {
                 let rtl_f = u.map_expr(frame, *ts_expr);
                 let rtl_f = match (ila_sort, u.ctx().sort_of(rtl_f)) {
                     (Sort::Bool, Sort::Bv(1)) => u.ctx_mut().bv_to_bool(rtl_f),
                     _ => rtl_f,
                 };
-                let eq = u.ctx_mut().eq(ila_post[ila_state], rtl_f);
+                let eq = u.ctx_mut().eq(self.ila_post[ila_state], rtl_f);
                 (ila_state.clone(), eq)
             })
-            .collect()
-    };
+            .collect();
+        let eq_exprs: Vec<ExprRef> = eqs.iter().map(|(_, e)| *e).collect();
+        let all_eq = u.ctx_mut().and_many(&eq_exprs);
+        let viol = u.ctx_mut().not(all_eq);
+        (eqs, viol)
+    }
 
-    let finish_ts: Option<ExprRef> = ip
-        .finish_expr
-        .map(|e| import(u.ctx_mut(), plan.cond_rtl.ctx(), e, &mut cond_memo));
+    /// For a `Condition` finish, the assumptions that the instruction
+    /// finishes first at frame `j`: the condition fails at every frame
+    /// `1..j` and holds at `j`.
+    fn finishes_at(cond: ExprRef, u: &mut Unrolling, j: usize) -> Vec<ExprRef> {
+        let mut assumptions = Vec::new();
+        for k in 1..j {
+            let ck = u.map_expr(k, cond);
+            let cb = u.ctx_mut().bv_to_bool(ck);
+            assumptions.push(u.ctx_mut().not(cb));
+        }
+        let cj = u.map_expr(j, cond);
+        assumptions.push(u.ctx_mut().bv_to_bool(cj));
+        assumptions
+    }
+
+    /// The counterexample an assignment describes, with the violation
+    /// found at `frame`: `value_of` gives each variable's value, and
+    /// unbound variables default as in [`Unrolling::concretize`].
+    fn counterexample(
+        &self,
+        u: &Unrolling,
+        frame: usize,
+        eqs: &[(String, ExprRef)],
+        value_of: &dyn Fn(ExprRef) -> Option<Value>,
+    ) -> RefinementCex {
+        // Diagnose which states mismatch.
+        let mismatched = u
+            .concretize_with(value_of, eqs.iter().cloned().collect())
+            .into_iter()
+            .filter(|(_, v)| !v.as_bool())
+            .map(|(n, _)| n)
+            .collect();
+        let rtl_inputs = (0..frame)
+            .map(|k| u.concretize_with(value_of, u.frames()[k].inputs.clone()))
+            .collect();
+        let rtl_trace: Vec<_> = (0..=frame)
+            .map(|k| u.concretize_with(value_of, u.frames()[k].states.clone()))
+            .collect();
+        RefinementCex {
+            finish_cycle: frame,
+            rtl_start_state: rtl_trace[0].clone(),
+            rtl_inputs,
+            rtl_finish_state: rtl_trace[frame].clone(),
+            rtl_trace,
+            ila_post_state: u.concretize_with(value_of, self.ila_post.clone()),
+            mismatched_states: mismatched,
+        }
+    }
+}
+
+/// The body of [`check_instruction_planned`], run inside an open solver
+/// scope so every early return still retracts its asserts. With
+/// `sample`, a `Cycles` finish first tries seeded candidates on the
+/// check's formula ([`crate::falsify`]) and reports the first violation
+/// it evaluates to without a SAT call.
+#[allow(clippy::too_many_arguments)]
+fn check_instruction_inner(
+    plan: &PortPlan<'_>,
+    idx: usize,
+    engine: &mut WorkerEngine,
+    ctx: &RunCtx<'_>,
+    meta: JobMeta,
+    sample: bool,
+    solves: &mut u64,
+) -> Result<(CheckResult, DecidedBy), VerifyError> {
+    let WorkerEngine { u, smt } = engine;
+    let port = plan.port;
+    let instr = &port.instructions()[idx];
+    let ip = &plan.instrs[idx];
+    let bound = ip.bound;
+    let tracer = ctx.tracer;
+    let prop = Property::build(plan, idx, u)?;
+
+    // A `Cycles` finish is one formula: the antecedent conjuncts plus the
+    // violation at the bound, built once for sampling and SAT alike.
+    let mut at_bound = prop
+        .finish
+        .is_none()
+        .then(|| prop.violation_at(plan, u, bound));
+    if let (Some((eqs, viol)), true) = (&at_bound, sample) {
+        // Out of time or cancelled: leave the `Unknown` to SAT.
+        if smt.resources_exhausted().is_none() {
+            let t0 = Instant::now();
+            let pre: Vec<ExprRef> = prop.start.iter().chain(&prop.policy).copied().collect();
+            let formula = Formula {
+                pre: &pre,
+                viol: *viol,
+                bound,
+                hold: ip.input_policy == InputPolicy::Hold,
+            };
+            let (witness, tally) = falsify(u, &formula, ctx.seed(plan, idx));
+            tracer.record(|| {
+                Event::new(SpanKind::Falsify)
+                    .port(port.name())
+                    .instruction(&instr.name)
+                    .worker(meta.worker)
+                    .field("drawn", tally.drawn)
+                    .field("passed_pre", tally.passed_pre)
+                    .field("accepted", witness.is_some() as u64)
+                    .field("wall_ns", t0.elapsed().as_nanos() as u64)
+            });
+            if let Some(w) = witness {
+                let cex = prop.counterexample(u, bound, eqs, &|v| w.value_of(v));
+                return Ok((
+                    CheckResult::CounterExample(Box::new(cex)),
+                    DecidedBy::Sampling,
+                ));
+            }
+        }
+    }
 
     // The caller opened a scope for us: assert the per-instruction
     // conditions there (retracted on pop, CNF kept). Per-frame cases
     // then differ only in their assumption lists.
-    for &c in start_conjuncts.iter().chain(&policy_conjuncts) {
+    for &c in prop.start.iter().chain(&prop.policy) {
         smt.assert(u.ctx(), c);
     }
 
-    let frames_to_check: Vec<(usize, Vec<ExprRef>)> = match &finish_ts {
+    let frames_to_check: Vec<(usize, Vec<ExprRef>)> = match prop.finish {
         None => vec![(bound, Vec::new())],
-        Some(cond) => {
-            // Check at the first frame where cond holds; one query per
-            // candidate frame with "not finished before" assumptions.
-            let mut cases = Vec::new();
-            for j in 1..=bound {
-                let mut assumptions = Vec::new();
-                for k in 1..j {
-                    let ck = u.map_expr(k, *cond);
-                    let cb = u.ctx_mut().bv_to_bool(ck);
-                    let nb = u.ctx_mut().not(cb);
-                    assumptions.push(nb);
-                }
-                let cj = u.map_expr(j, *cond);
-                let cb = u.ctx_mut().bv_to_bool(cj);
-                assumptions.push(cb);
-                cases.push((j, assumptions));
-            }
-            cases
-        }
+        // Check at the first frame where the condition holds; one query
+        // per candidate frame.
+        Some(cond) => (1..=bound)
+            .map(|j| (j, Property::finishes_at(cond, u, j)))
+            .collect(),
     };
 
     let mut result = CheckResult::Holds;
-    let mut finish_reachable = finish_ts.is_none();
+    let mut finish_reachable = prop.finish.is_none();
     for (frame, extra_assumptions) in frames_to_check {
         // Check that this case is reachable at all (for Condition
         // finishes); unreachable cases are skipped.
-        if finish_ts.is_some() {
+        if prop.finish.is_some() {
             let reach = smt.check_assuming(u.ctx(), &extra_assumptions);
             *solves += 1;
             record_solve(smt, tracer, meta, port.name(), &instr.name, "reach", frame, reach.is_sat());
             if let SmtResult::Unknown(reason) = reach {
-                return Ok(CheckResult::Unknown {
-                    reason,
-                    budget_spent: BudgetSpent::default(),
-                });
+                return Ok((
+                    CheckResult::Unknown {
+                        reason,
+                        budget_spent: BudgetSpent::default(),
+                    },
+                    DecidedBy::Sat,
+                ));
             }
             if !reach.is_sat() {
                 continue;
             }
             finish_reachable = true;
         }
-        let eqs = post_eq_at(u, frame);
-        let eq_exprs: Vec<ExprRef> = eqs.iter().map(|(_, e)| *e).collect();
-        let all_eq = u.ctx_mut().and_many(&eq_exprs);
-        let viol = u.ctx_mut().not(all_eq);
+        let (eqs, viol) = match at_bound.take() {
+            Some(formula) => formula,
+            None => prop.violation_at(plan, u, frame),
+        };
         let mut assumptions = extra_assumptions;
         assumptions.push(viol);
         let violation = smt.check_assuming(u.ctx(), &assumptions);
@@ -1387,45 +1600,24 @@ fn check_instruction_inner(
         let violated = violation.is_sat();
         record_solve(smt, tracer, meta, port.name(), &instr.name, "violation", frame, violated);
         if let SmtResult::Unknown(reason) = violation {
-            return Ok(CheckResult::Unknown {
-                reason,
-                budget_spent: BudgetSpent::default(),
-            });
+            return Ok((
+                CheckResult::Unknown {
+                    reason,
+                    budget_spent: BudgetSpent::default(),
+                },
+                DecidedBy::Sat,
+            ));
         }
         if violated {
-            // Diagnose which states mismatch.
-            let mismatched: Vec<String> = {
-                let vals = u.concretize(
-                    smt,
-                    eqs.iter().cloned().collect::<BTreeMap<String, ExprRef>>(),
-                );
-                vals.into_iter()
-                    .filter(|(_, v)| !v.as_bool())
-                    .map(|(n, _)| n)
-                    .collect()
-            };
-            let rtl_inputs = (0..frame)
-                .map(|k| u.concretize_inputs(smt, k))
-                .collect();
-            let rtl_trace: Vec<_> = (0..=frame)
-                .map(|k| u.concretize_states(smt, k))
-                .collect();
-            result = CheckResult::CounterExample(Box::new(RefinementCex {
-                finish_cycle: frame,
-                rtl_start_state: rtl_trace[0].clone(),
-                rtl_inputs,
-                rtl_finish_state: rtl_trace[frame].clone(),
-                rtl_trace,
-                ila_post_state: u.concretize(smt, ila_post.clone()),
-                mismatched_states: mismatched,
-            }));
+            let cex = prop.counterexample(u, frame, &eqs, &|v| smt.try_model_value(u.ctx(), v));
+            result = CheckResult::CounterExample(Box::new(cex));
             break;
         }
     }
     if !finish_reachable && result.holds() {
         result = CheckResult::FinishNotReached { max_cycles: bound };
     }
-    Ok(result)
+    Ok((result, DecidedBy::Sat))
 }
 
 /// Emits one `solve` span for a completed SAT check: its per-call
@@ -1504,9 +1696,8 @@ fn run_port_sequential(
                         }
                         e
                     },
-                    ctx.tracer,
                     JobMeta::default(),
-                    &ctx.policy,
+                    ctx,
                 )?;
                 ctx.record(plan.port.name(), &v);
                 v
@@ -1564,6 +1755,7 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
         t.cnf_clauses += v.cnf_growth.clauses;
         t.wall_ns += v.time.as_nanos() as u64;
         t.retries += v.retries as u64;
+        t.falsified += (v.decided_by == DecidedBy::Sampling) as u64;
         match &v.result {
             CheckResult::Unknown { budget_spent, .. } => {
                 t.unknown += 1;
@@ -1766,12 +1958,12 @@ fn run(
     planned: Planned<'_>,
     opts: &VerifyOptions,
 ) -> Result<(Vec<PortReport>, Option<u64>), VerifyError> {
-    let ctx = RunCtx::new(opts, &planned);
     let Planned {
         ts,
         ts_signals,
         plans,
     } = planned;
+    let ctx = RunCtx::new(opts, &ts, &ts_signals, &plans);
     let stop = opts.stop_at_first_cex;
     let mut stages = Vec::with_capacity(plans.len());
     // The ports left to run, and the sliced systems of the first
@@ -1920,6 +2112,77 @@ pub fn verify_module(
         ports,
         telemetry,
     })
+}
+
+/// Re-decides a counterexample on the property it refutes: the
+/// instruction's formula is rebuilt on a fresh engine over the unsliced
+/// RTL, the counterexample's frame-0 state and per-frame inputs are
+/// pinned, and SAT answers whether the pinned formula still violates
+/// the property at the counterexample's finish cycle. A genuine
+/// counterexample always answers `true`.
+///
+/// Exposed so tests can check counterexamples found by sampling against
+/// the solver.
+///
+/// # Errors
+///
+/// The [`VerifyError`]s of [`verify_port`] for malformed inputs, and
+/// [`VerifyError::Internal`] when the port has no such instruction.
+///
+/// # Panics
+///
+/// Panics if the counterexample names a state or input `rtl` lacks.
+#[doc(hidden)]
+pub fn confirm_counterexample(
+    port: &PortIla,
+    rtl: &RtlModule,
+    map: &RefinementMap,
+    instruction: &str,
+    cex: &RefinementCex,
+) -> Result<bool, VerifyError> {
+    let planned = Planned::new(&[(port, map)], rtl)?;
+    let plan = &planned.plans[0];
+    let idx = port
+        .instructions()
+        .iter()
+        .position(|i| i.name == instruction)
+        .ok_or_else(|| VerifyError::Internal {
+            reason: format!("port {} has no instruction {instruction:?}", port.name()),
+        })?;
+    let WorkerEngine { mut u, mut smt } = WorkerEngine::new(&planned.ts, &Tracer::disabled());
+    u.extend_to(plan.instrs[idx].bound);
+    let prop = Property::build(plan, idx, &mut u)?;
+    let frame = cex.finish_cycle;
+    let mut assumptions = match prop.finish {
+        Some(cond) => Property::finishes_at(cond, &mut u, frame),
+        None => Vec::new(),
+    };
+    assumptions.push(prop.violation_at(plan, &mut u, frame).1);
+    let frames = u.frames();
+    let pins: Vec<(ExprRef, Value)> = cex
+        .rtl_start_state
+        .iter()
+        .map(|(name, v)| (frames[0].states[name], v.clone()))
+        .chain(cex.rtl_inputs.iter().enumerate().flat_map(|(k, inputs)| {
+            inputs
+                .iter()
+                .map(move |(name, v)| (frames[k].inputs[name], v.clone()))
+        }))
+        .collect();
+    for &c in prop.start.iter().chain(&prop.policy) {
+        smt.assert(u.ctx(), c);
+    }
+    for (var, value) in pins {
+        let ctx = u.ctx_mut();
+        let pinned = match value {
+            Value::Bool(b) => ctx.bool_const(b),
+            Value::Bv(x) => ctx.bv(x),
+            Value::Mem(m) => ctx.mem_const(m),
+        };
+        let eq = ctx.eq(var, pinned);
+        smt.assert(u.ctx(), eq);
+    }
+    Ok(smt.check_assuming(u.ctx(), &assumptions).is_sat())
 }
 
 /// Counter fixtures shared by the engine and scheduler test modules.
@@ -2445,25 +2708,30 @@ endmodule
             }
         }
         let tracer = Tracer::disabled();
-        let ctx = RunCtx::plain(&tracer);
-        let tags = |plan: &PortPlan<'_>, ts: &TransitionSystem| -> Vec<&'static str> {
+        let tags = |plan: &PortPlan<'_>, ts: &TransitionSystem, planned: &Planned<'_>| {
+            let ctx = RunCtx::plain(&tracer, planned);
             run_port_sequential(plan, ts, false, &ctx)
                 .unwrap()
                 .iter()
                 .map(|v| v.result.tag())
-                .collect()
+                .collect::<Vec<_>>()
         };
         let mut seen = BTreeMap::new();
         for (name, rtl) in &fixtures {
-            let Planned {
-                ts,
-                ts_signals,
-                mut plans,
-            } = Planned::new(&[(&ila, &map)], rtl).unwrap();
-            let plan = &mut plans[0];
-            let (sliced, _) = prepare(plan, &ts, &ts_signals, &VerifyOptions::default());
-            let on_slice = tags(plan, &sliced);
-            assert_eq!(tags(plan, &ts), on_slice, "{name}: slicing changed a verdict");
+            let planned = Planned::new(&[(&ila, &map)], rtl).unwrap();
+            let mut plan = PortPlan::build(&ila, rtl, &map, &planned.ts_signals).unwrap();
+            let (sliced, _) = prepare(
+                &mut plan,
+                &planned.ts,
+                &planned.ts_signals,
+                &VerifyOptions::default(),
+            );
+            let on_slice = tags(&plan, &sliced, &planned);
+            assert_eq!(
+                tags(&plan, &planned.ts, &planned),
+                on_slice,
+                "{name}: slicing changed a verdict"
+            );
             for tag in on_slice {
                 *seen.entry(tag).or_insert(0) += 1;
             }
@@ -2479,6 +2747,56 @@ endmodule
             seen.contains_key("holds") && seen.contains_key("cex"),
             "the fixtures must both hold and fail: {seen:?}"
         );
+    }
+
+    /// With the port's gate open, the buggy counter's `inc` is refuted
+    /// by sampling, and the counterexample SAT confirms; under an
+    /// expired deadline the same gate yields `Unknown` from the SAT
+    /// path instead, and the fixed counter never samples a verdict.
+    #[test]
+    fn sampling_runs_only_with_time_left_and_never_proves() {
+        let ila = counter_ila();
+        let map = counter_map();
+        let tracer = Tracer::disabled();
+        for (buggy, timeout) in [(true, None), (true, Some(Duration::ZERO)), (false, None)] {
+            let rtl = counter_rtl(buggy);
+            let planned = Planned::new(&[(&ila, &map)], &rtl).unwrap();
+            let mut ctx = RunCtx::plain(&tracer, &planned);
+            ctx.policy.budget.timeout = timeout;
+            lock(&ctx.refuted).insert("counter".to_string());
+            let plan = &planned.plans[0];
+            let verdicts = run_port_sequential(plan, &planned.ts, false, &ctx).unwrap();
+            for v in &verdicts {
+                let what = format!("buggy={buggy} timeout={timeout:?} {}", v.instruction);
+                match (&v.result, timeout) {
+                    (CheckResult::CounterExample(cex), None) => {
+                        assert_eq!(v.decided_by, DecidedBy::Sampling, "{what}");
+                        assert_eq!(v.solves, 0, "{what}");
+                        assert!(
+                            confirm_counterexample(&ila, &rtl, &map, &v.instruction, cex).unwrap(),
+                            "{what}"
+                        );
+                    }
+                    (CheckResult::Unknown { reason, .. }, Some(_)) => {
+                        assert_eq!(*reason, ResourceOut::Deadline, "{what}");
+                        assert_eq!(v.decided_by, DecidedBy::Sat, "{what}");
+                    }
+                    (CheckResult::Holds, None) => {
+                        assert_eq!(v.decided_by, DecidedBy::Sat, "{what}")
+                    }
+                    (r, _) => panic!("{what}: unexpected {r:?}"),
+                }
+            }
+            let cex = verdicts
+                .iter()
+                .filter(|v| v.decided_by == DecidedBy::Sampling)
+                .count();
+            assert_eq!(
+                cex,
+                (buggy && timeout.is_none()) as usize,
+                "{buggy} {timeout:?}"
+            );
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ mod compiled;
 mod cosim;
 mod engine;
 mod equiv;
+mod falsify;
 mod fault;
 mod hunt;
 mod invariants;
@@ -84,8 +85,9 @@ mod vcd;
 pub use abstraction::{abstract_port_memory, abstract_rtl_memory, AbstractError};
 pub use cache_key::{coi_root_sets, slice_keys, SliceKey, CACHE_KEY_VERSION};
 pub use engine::{
-    rtl_to_ts, verify_module, verify_port, BudgetSpent, CheckResult, InstrVerdict, ModuleReport,
-    PortReport, RefinementCex, SolveBudget, VerdictCounts, VerifyError, VerifyOptions,
+    confirm_counterexample, rtl_to_ts, verify_module, verify_port, BudgetSpent, CheckResult,
+    DecidedBy, InstrVerdict, ModuleReport, PortReport, RefinementCex, SolveBudget, VerdictCounts,
+    VerifyError, VerifyOptions,
 };
 pub use fault::{FaultAction, FaultPlan, FaultPlanError, SocketFault};
 pub use journal::{CacheConfig, CacheStats, ProofCache, RecoveryStats};

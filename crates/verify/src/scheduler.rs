@@ -190,9 +190,8 @@ pub(crate) fn run_pool(
                                 e.smt.set_cancel(cancel.clone());
                                 e
                             },
-                            tracer,
                             meta,
-                            &ctx.policy,
+                            ctx,
                         );
                         let done_at = t0.elapsed();
                         let abort = match &res {
@@ -358,7 +357,7 @@ mod tests {
         let map = counter_map();
         let planned = Planned::new(&[(&port, &map)], &rtl).unwrap();
         let tracer = gila_trace::Tracer::disabled();
-        let mut ctx = RunCtx::plain(&tracer);
+        let mut ctx = RunCtx::plain(&tracer, &planned);
         ctx.policy.fault = fault.map(std::sync::Arc::new);
         run_pool(&planned.plans, std::slice::from_ref(&planned.ts), cfg, &ctx).unwrap()
     }
@@ -470,7 +469,9 @@ mod tests {
     #[test]
     fn empty_plan_set_yields_empty_outcome() {
         let tracer = gila_trace::Tracer::disabled();
-        let outcome = run_pool(&[], &[], counter_cfg(4, false), &RunCtx::plain(&tracer)).unwrap();
+        let planned = Planned::new(&[], &counter_rtl(false)).unwrap();
+        let ctx = RunCtx::plain(&tracer, &planned);
+        let outcome = run_pool(&[], &[], counter_cfg(4, false), &ctx).unwrap();
         assert!(outcome.ports.is_empty());
         assert_eq!(outcome.engines_created, 0);
     }

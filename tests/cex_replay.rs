@@ -7,7 +7,10 @@
 //! The counterexamples come from the bug-injected variants and from
 //! single-register mutants of the registers wired to a memory (its
 //! address, data and read-out registers) in the four designs that own
-//! one, so memory model extraction is exercised on every design.
+//! one, so memory model extraction is exercised on every design. They
+//! include counterexamples found by sampling before SAT, which are
+//! built from evaluated candidates rather than from a solver model; the
+//! NoC Router mutants of `tests/sat_trajectory.rs` yield dozens.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -15,7 +18,7 @@ use gila::designs::{all_case_studies, CaseStudy};
 use gila::expr::{BitVecValue, Value};
 use gila::rtl::{RtlInputMap, RtlModule, RtlSimulator};
 use gila::verify::{
-    mutate_register, verify_module, CheckResult, Mutation, RefinementCex, RefinementMap,
+    mutate_register, verify_module, CheckResult, DecidedBy, Mutation, RefinementCex, RefinementMap,
     VerifyOptions,
 };
 
@@ -118,13 +121,14 @@ fn replay(rtl: &RtlModule, map: &RefinementMap, cex: &RefinementCex, what: &str)
 }
 
 /// Verifies `rtl` against the case study and replays every
-/// counterexample; returns how many there were.
-fn replay_all(cs: &CaseStudy, rtl: &RtlModule, what: &str) -> usize {
+/// counterexample; returns how many there were, and how many of them
+/// sampling found.
+fn replay_all(cs: &CaseStudy, rtl: &RtlModule, what: &str) -> (usize, usize) {
     let report = verify_module(&cs.ila, rtl, &cs.refmaps, &VerifyOptions::default())
         .unwrap_or_else(|e| panic!("{what}: setup error {e}"));
     let maps: BTreeMap<&str, &RefinementMap> =
         cs.refmaps.iter().map(|m| (m.name.as_str(), m)).collect();
-    let mut count = 0;
+    let (mut count, mut sampled) = (0, 0);
     for port in &report.ports {
         let map = maps
             .get(port.port.as_str())
@@ -139,23 +143,46 @@ fn replay_all(cs: &CaseStudy, rtl: &RtlModule, what: &str) -> usize {
                     &format!("{what} {}/{}", port.port, v.instruction),
                 );
                 count += 1;
+                sampled += (v.decided_by == DecidedBy::Sampling) as usize;
             }
         }
     }
-    count
+    (count, sampled)
 }
 
 #[test]
 fn buggy_variant_counterexamples_replay() {
-    let mut found = 0;
+    let (mut found, mut sampled) = (0, 0);
     for cs in all_case_studies() {
         if let Some(buggy) = &cs.buggy_rtl {
-            found += replay_all(&cs, buggy, &format!("{} (buggy)", cs.name));
+            let (n, s) = replay_all(&cs, buggy, &format!("{} (buggy)", cs.name));
+            found += n;
+            sampled += s;
         }
     }
     assert!(
         found >= 3,
         "expected the three documented bugs, got {found} counterexamples"
+    );
+    assert!(sampled > 0, "no bug variant's counterexample was sampled");
+}
+
+#[test]
+fn sampled_mutant_counterexamples_replay() {
+    let cs = all_case_studies()
+        .into_iter()
+        .find(|cs| cs.name == "NoC Router")
+        .expect("NoC Router is in the registry");
+    let mut sampled = 0;
+    for reg in ["rt_rr", "buf_n", "out_rr"] {
+        for m in Mutation::all() {
+            let mutant = mutate_register(&cs.rtl, reg, m).expect("register exists");
+            sampled += replay_all(&cs, &mutant, &format!("NoC Router {reg} {m:?}")).1;
+        }
+    }
+    assert!(
+        sampled > 0,
+        "no NoC Router mutant's counterexample was sampled"
     );
 }
 
@@ -177,7 +204,7 @@ fn memory_register_mutant_counterexamples_replay() {
         for reg in &regs {
             for m in Mutation::all() {
                 let mutant = mutate_register(&cs.rtl, reg, m).expect("register exists");
-                found += replay_all(&cs, &mutant, &format!("{} {reg} {m:?}", cs.name));
+                found += replay_all(&cs, &mutant, &format!("{} {reg} {m:?}", cs.name)).0;
             }
         }
         assert!(

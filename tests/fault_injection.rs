@@ -15,9 +15,9 @@ use gila::designs::all_case_studies;
 use gila::rtl::RtlModule;
 use gila::trace::{Event, SpanKind, Tracer};
 use gila::verify::{
-    identity_refmaps, synthesize_module, verify_module, CacheConfig, CheckResult, FaultAction,
-    FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget, VerifyError,
-    VerifyOptions,
+    identity_refmaps, synthesize_module, verify_module, CacheConfig, CheckResult, DecidedBy,
+    FaultAction, FaultPlan, ModuleReport, ProofCache, RefinementMap, ResourceOut, SolveBudget,
+    VerifyError, VerifyOptions,
 };
 use proptest::prelude::*;
 
@@ -224,7 +224,7 @@ fn stale_journal_never_hides_a_bug() {
             .ports
             .iter()
             .flat_map(|p| &p.verdicts)
-            .filter(|v| v.solves == 0)
+            .filter(|v| v.decided_by == DecidedBy::Journal)
             .count() as u64;
         assert_eq!(replayed, stale.telemetry.cache_hits, "{}", cs.name);
         checked.push((cs.name, stale.counts().cex, replayed));
