@@ -165,14 +165,8 @@ fn extract_witness(port: &PortIla, ctx: &gila_expr::ExprCtx, smt: &SmtSolver) ->
     let value_of = |var: ExprRef, sort: gila_expr::Sort| -> Value {
         // Variables not mentioned in any decode were never blasted; report
         // a default value for them.
-        smt.try_model_value(ctx, var).unwrap_or(match sort {
-            gila_expr::Sort::Bool => Value::Bool(false),
-            gila_expr::Sort::Bv(w) => Value::Bv(gila_expr::BitVecValue::zero(w)),
-            gila_expr::Sort::Mem {
-                addr_width,
-                data_width,
-            } => Value::Mem(gila_expr::MemValue::zeroed(addr_width, data_width)),
-        })
+        smt.try_model_value(ctx, var)
+            .unwrap_or_else(|| Value::zero(sort))
     };
     Witness {
         inputs: port

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use gila_expr::{eval, BitVecValue, Env, EvalError, MemValue, Sort, Value};
+use gila_expr::{eval, Env, EvalError, Sort, Value};
 
 use crate::model::PortIla;
 use crate::module::ModuleIla;
@@ -87,17 +87,6 @@ impl From<EvalError> for SimError {
     }
 }
 
-fn default_value(sort: Sort) -> Value {
-    match sort {
-        Sort::Bool => Value::Bool(false),
-        Sort::Bv(w) => Value::Bv(BitVecValue::zero(w)),
-        Sort::Mem {
-            addr_width,
-            data_width,
-        } => Value::Mem(MemValue::zeroed(addr_width, data_width)),
-    }
-}
-
 /// A simulator for one port-ILA.
 ///
 /// # Examples
@@ -138,7 +127,7 @@ impl<'a> PortSimulator<'a> {
             .states()
             .iter()
             .map(|s| {
-                let v = s.init.clone().unwrap_or_else(|| default_value(s.sort));
+                let v = s.init.clone().unwrap_or_else(|| Value::zero(s.sort));
                 (s.name.clone(), v)
             })
             .collect();
@@ -289,6 +278,7 @@ impl<'a> ModuleSimulator<'a> {
 mod tests {
     use super::*;
     use crate::model::StateKind;
+    use gila_expr::BitVecValue;
 
     fn bv(x: u64, w: u32) -> Value {
         Value::Bv(BitVecValue::from_u64(x, w))

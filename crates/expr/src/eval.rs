@@ -132,21 +132,64 @@ impl std::error::Error for EvalError {}
 /// Returns [`EvalError::UnboundVar`] if a reachable variable has no
 /// binding in `env`.
 pub fn eval(ctx: &ExprCtx, root: ExprRef, env: &Env) -> Result<Value, EvalError> {
-    let order = ctx.post_order(&[root]);
+    let mut memo = eval_nodes(ctx, &[root], |e, name| {
+        env.get(e).cloned().ok_or_else(|| EvalError::UnboundVar {
+            name: name.to_string(),
+        })
+    })?;
+    Ok(memo.remove(&root).expect("root evaluated"))
+}
+
+/// Evaluates every root in one pass over their shared DAG: a
+/// sub-expression reachable from several roots is evaluated once.
+/// `value_of` gives a variable's value; a variable it leaves unbound
+/// reads as [`Value::zero`] of its sort. Returns one value per root, in
+/// order.
+///
+/// # Examples
+///
+/// ```
+/// use gila_expr::{eval_all, BitVecValue, ExprCtx, Sort, Value};
+///
+/// let mut ctx = ExprCtx::new();
+/// let x = ctx.var("x", Sort::Bv(8));
+/// let y = ctx.var("y", Sort::Bv(8));
+/// let s = ctx.bvadd(x, y);
+/// let d = ctx.bvadd(s, s);
+/// let values = eval_all(&ctx, &[s, d], |v| {
+///     (v == x).then(|| Value::Bv(BitVecValue::from_u64(7, 8)))
+/// });
+/// // y is unbound and reads as zero.
+/// assert_eq!(values[0].as_bv().to_u64(), 7);
+/// assert_eq!(values[1].as_bv().to_u64(), 14);
+/// ```
+pub fn eval_all(
+    ctx: &ExprCtx,
+    roots: &[ExprRef],
+    value_of: impl Fn(ExprRef) -> Option<Value>,
+) -> Vec<Value> {
+    let memo = eval_nodes(ctx, roots, |e, _| {
+        Ok::<_, EvalError>(value_of(e).unwrap_or_else(|| Value::zero(ctx.sort_of(e))))
+    })
+    .expect("every variable has a value");
+    roots.iter().map(|r| memo[r].clone()).collect()
+}
+
+/// The value of every node reachable from `roots`; `var` gives each
+/// variable's value from its handle and name.
+fn eval_nodes(
+    ctx: &ExprCtx,
+    roots: &[ExprRef],
+    mut var: impl FnMut(ExprRef, &str) -> Result<Value, EvalError>,
+) -> Result<HashMap<ExprRef, Value>, EvalError> {
+    let order = ctx.post_order(roots);
     let mut memo: HashMap<ExprRef, Value> = HashMap::with_capacity(order.len());
     for e in order {
         let value = match ctx.node(e) {
             ExprNode::BoolConst(b) => Value::Bool(*b),
             ExprNode::BvConst(v) => Value::Bv(v.clone()),
             ExprNode::MemConst(m) => Value::Mem(m.clone()),
-            ExprNode::Var { name, .. } => match env.get(e) {
-                Some(v) => v.clone(),
-                None => {
-                    return Err(EvalError::UnboundVar {
-                        name: name.clone(),
-                    })
-                }
-            },
+            ExprNode::Var { name, .. } => var(e, name)?,
             ExprNode::App { op, args, .. } => {
                 let a = |i: usize| &memo[&args[i]];
                 apply(*op, &(0..args.len()).map(a).collect::<Vec<_>>())
@@ -154,7 +197,7 @@ pub fn eval(ctx: &ExprCtx, root: ExprRef, env: &Env) -> Result<Value, EvalError>
         };
         memo.insert(e, value);
     }
-    Ok(memo.remove(&root).expect("root evaluated"))
+    Ok(memo)
 }
 
 /// Concrete semantics of one operator application. Shared with the
@@ -283,5 +326,95 @@ mod tests {
         let mut env = Env::new();
         env.bind_u64(&ctx, "x", 0);
         assert_eq!(eval(&ctx, e, &env).unwrap().as_bv().to_u64(), 100_000);
+    }
+
+    /// A random DAG over booleans, 8-bit words and 8x8 memories, every
+    /// node drawn over earlier ones so subterms are shared, and a random
+    /// partial assignment of its variables.
+    fn random_dag(seed: u64) -> (ExprCtx, Vec<ExprRef>, Env) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ctx = ExprCtx::new();
+        let mem = Sort::Mem {
+            addr_width: 3,
+            data_width: 8,
+        };
+        let mut bools = vec![ctx.var("p", Sort::Bool), ctx.var("q", Sort::Bool)];
+        let mut bvs = vec![
+            ctx.var("x", Sort::Bv(8)),
+            ctx.var("y", Sort::Bv(8)),
+            ctx.var("z", Sort::Bv(8)),
+            ctx.bv_u64(0x5a, 8),
+        ];
+        let mut mems = vec![ctx.var("m", mem), ctx.var("n", mem)];
+        let mut env = Env::new();
+        for var in ctx.vars_of(&[bools.clone(), bvs.clone(), mems.clone()].concat()) {
+            if rng.gen_bool(0.5) {
+                continue; // left unbound: reads as zero
+            }
+            let value = match ctx.sort_of(var) {
+                Sort::Bool => Value::Bool(rng.gen_bool(0.5)),
+                Sort::Bv(w) => Value::Bv(BitVecValue::from_u64(rng.gen_range(0..256), w)),
+                Sort::Mem { .. } => {
+                    let mut m = crate::MemValue::zeroed(3, 8);
+                    for a in 0..8 {
+                        m.write_word_mut(a, rng.gen_range(0..256));
+                    }
+                    Value::Mem(m)
+                }
+            };
+            env.bind(var, value);
+        }
+        let pick =
+            |rng: &mut rand::rngs::StdRng, pool: &[ExprRef]| pool[rng.gen_range(0..pool.len())];
+        for _ in 0..rng.gen_range(5..40) {
+            let (b, v, m) = (
+                pick(&mut rng, &bools),
+                pick(&mut rng, &bvs),
+                pick(&mut rng, &mems),
+            );
+            let (b2, v2, m2) = (
+                pick(&mut rng, &bools),
+                pick(&mut rng, &bvs),
+                pick(&mut rng, &mems),
+            );
+            let addr = ctx.extract(v2, 2, 0);
+            match rng.gen_range(0..9) {
+                0 => bools.push(ctx.and(b, b2)),
+                1 => bools.push(ctx.eq(v, v2)),
+                2 => bools.push(ctx.eq(m, m2)),
+                3 => bvs.push(ctx.bvadd(v, v2)),
+                4 => bvs.push(ctx.bvmul(v, v2)),
+                5 => bvs.push(ctx.ite(b, v, v2)),
+                6 => bvs.push(ctx.mem_read(m, addr)),
+                7 => mems.push(ctx.mem_write(m, addr, v)),
+                _ => mems.push(ctx.ite(b, m, m2)),
+            }
+        }
+        let all: Vec<ExprRef> = [bools, bvs, mems].concat();
+        let roots = (0..rng.gen_range(1..12))
+            .map(|_| pick(&mut rng, &all))
+            .collect();
+        (ctx, roots, env)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// One pass over many roots returns exactly what per-root `eval`
+        /// returns once every unbound variable is bound to zero.
+        #[test]
+        fn eval_all_matches_per_root_eval(seed in proptest::strategy::any::<u64>()) {
+            let (ctx, roots, env) = random_dag(seed);
+            let got = eval_all(&ctx, &roots, |v| env.get(v).cloned());
+            let mut full = env.clone();
+            for v in ctx.vars_of(&roots) {
+                if env.get(v).is_none() {
+                    full.bind(v, Value::zero(ctx.sort_of(v)));
+                }
+            }
+            let want: Vec<Value> = roots.iter().map(|&r| eval(&ctx, r, &full).unwrap()).collect();
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -45,7 +45,7 @@ mod value;
 pub use absval::{abs_apply, abs_eval, abs_eval_nodes, AbsBool, AbsBv, AbsEnv, AbsValue, Flat};
 pub use ctx::{ExprCtx, ExprNode, ExprRef, Op, SortError};
 pub use display::ExprDisplay;
-pub use eval::{eval, Env, EvalError};
+pub use eval::{eval, eval_all, Env, EvalError};
 pub use lower::{Slot, TapeProgram, TapeState};
 pub use smtlib::{to_smtlib_script, to_smtlib_term};
 pub use sort::Sort;

@@ -37,17 +37,41 @@ pub fn substitute(ctx: &mut ExprCtx, root: ExprRef, map: &HashMap<ExprRef, ExprR
 
 /// Like [`substitute`], but reuses a memo table across calls so that many
 /// roots sharing structure are rewritten once.
+///
+/// The walk stops at memoized sub-expressions, so a root that is already
+/// in `memo` costs one lookup, and a call rewrites only what no earlier
+/// call with the same `memo` reached. The memo must only ever have been
+/// filled by calls with this same `map`. Skipping a memoized part moves
+/// no result and no node's creation order: its rewrite exists already.
 pub fn substitute_cached(
     ctx: &mut ExprCtx,
     root: ExprRef,
     map: &HashMap<ExprRef, ExprRef>,
     memo: &mut HashMap<ExprRef, ExprRef>,
 ) -> ExprRef {
-    let order = ctx.post_order(&[root]);
-    for e in order {
+    if let Some(&r) = memo.get(&root) {
+        return r;
+    }
+    // The walk of `ExprCtx::post_order`, with memoized nodes standing for
+    // finished ones, so nodes are rewritten (and created) in its order.
+    // An entry `(e, true)` has had its children pushed; it is rewritten
+    // when it is back on top, once they are all memoized.
+    let mut stack = vec![(root, false)];
+    while let Some(&(e, expanded)) = stack.last() {
         if memo.contains_key(&e) {
+            stack.pop();
             continue;
         }
+        if !expanded {
+            stack.last_mut().expect("non-empty").1 = true;
+            for &a in ctx.args(e) {
+                if !memo.contains_key(&a) {
+                    stack.push((a, false));
+                }
+            }
+            continue;
+        }
+        stack.pop();
         let out = if let Some(&r) = map.get(&e) {
             r
         } else {

@@ -837,6 +837,19 @@ pub enum Value {
 }
 
 impl Value {
+    /// The all-zero value of `sort`: `false`, a zero bit-vector, or a
+    /// memory whose every word is zero.
+    pub fn zero(sort: crate::Sort) -> Self {
+        match sort {
+            crate::Sort::Bool => Value::Bool(false),
+            crate::Sort::Bv(w) => Value::Bv(BitVecValue::zero(w)),
+            crate::Sort::Mem {
+                addr_width,
+                data_width,
+            } => Value::Mem(MemValue::zeroed(addr_width, data_width)),
+        }
+    }
+
     /// Extracts a boolean.
     ///
     /// # Panics

@@ -99,15 +99,8 @@ pub fn liveness_to_safety(
         let shadow = out.state(shadow_name.clone(), *sort);
         // Give the shadow a deterministic init so BMC's init constraints
         // stay satisfiable; its value is irrelevant until the save.
-        let init: Value = match sort {
-            Sort::Bool => Value::Bool(false),
-            Sort::Bv(w) => Value::Bv(BitVecValue::zero(*w)),
-            Sort::Mem {
-                addr_width,
-                data_width,
-            } => Value::Mem(gila_expr::MemValue::zeroed(*addr_width, *data_width)),
-        };
-        out.set_init(&shadow_name, init).expect("declared");
+        out.set_init(&shadow_name, Value::zero(*sort))
+            .expect("declared");
         let ctx = out.ctx_mut();
         let latched = ctx.ite(save_now, *var, shadow);
         out.set_next(&shadow_name, latched).expect("declared");

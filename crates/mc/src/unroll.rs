@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use gila_expr::{substitute_cached, ExprCtx, ExprRef, Value};
+use gila_expr::{eval_all, substitute_cached, ExprCtx, ExprRef, Value};
 use gila_smt::SmtSolver;
 use gila_trace::{Event, SpanKind, Tracer};
 
@@ -18,6 +18,20 @@ pub struct Frame {
     pub inputs: BTreeMap<String, ExprRef>,
     /// The instantiated invariant constraints for this step.
     pub constraints: Vec<ExprRef>,
+}
+
+/// One frame's substitution: each transition-system variable mapped to
+/// the frame's expression for it, built once when the frame is pushed,
+/// and the memo of every rewrite made under it so far.
+///
+/// The memo stays valid for the frame's lifetime: the substitution of a
+/// frame never changes once the frame exists, and the hash-consed
+/// context only grows, so a memoized result is exactly the handle a
+/// fresh walk would find.
+#[derive(Clone, Debug, Default)]
+struct FrameSubst {
+    map: HashMap<ExprRef, ExprRef>,
+    memo: HashMap<ExprRef, ExprRef>,
 }
 
 /// A saved unrolling depth; see [`Unrolling::snapshot`].
@@ -61,6 +75,8 @@ pub struct Unrolling {
     ts_constraints: Vec<ExprRef>,
     init_assumptions: Vec<ExprRef>,
     frames: Vec<Frame>,
+    /// `substs[k]` is frame `k`'s substitution and memo.
+    substs: Vec<FrameSubst>,
     tracer: Tracer,
 }
 
@@ -93,6 +109,7 @@ impl Unrolling {
             ts_constraints: ts.constraints().to_vec(),
             init_assumptions: Vec::new(),
             frames: Vec::new(),
+            substs: Vec::new(),
             tracer: Tracer::disabled(),
         };
         // Frame 0: fresh symbolic state.
@@ -121,47 +138,44 @@ impl Unrolling {
                 }
             }
         }
-        let frame0 = u.make_frame(0, states);
-        u.frames.push(frame0);
+        u.push_frame(states);
         u
     }
 
-    fn make_frame(&mut self, step: usize, states: BTreeMap<String, ExprRef>) -> Frame {
+    /// Pushes the next frame with the given state: fresh input
+    /// variables, the frame's substitution, and the invariant
+    /// constraints instantiated under it.
+    fn push_frame(&mut self, states: BTreeMap<String, ExprRef>) {
+        let step = self.frames.len();
         let mut inputs = BTreeMap::new();
         for name in &self.input_names {
             let sort = self.ctx.sort_of(self.ts_input_vars[name]);
             let v = self.ctx.var(format!("{name}@{step}"), sort);
             inputs.insert(name.clone(), v);
         }
-        // Instantiate the invariant constraints at this step.
-        let subst = self.subst_map(&states, &inputs);
-        let mut memo = HashMap::new();
-        let constraints = self
-            .ts_constraints
-            .clone()
-            .into_iter()
-            .map(|c| substitute_cached(&mut self.ctx, c, &subst, &mut memo))
+        let map = self
+            .ts_state_vars
+            .iter()
+            .map(|(name, &var)| (var, states[name]))
+            .chain(
+                self.ts_input_vars
+                    .iter()
+                    .map(|(name, &var)| (var, inputs[name])),
+            )
             .collect();
-        Frame {
+        self.substs.push(FrameSubst {
+            map,
+            memo: HashMap::new(),
+        });
+        self.frames.push(Frame {
             states,
             inputs,
-            constraints,
-        }
-    }
-
-    fn subst_map(
-        &self,
-        states: &BTreeMap<String, ExprRef>,
-        inputs: &BTreeMap<String, ExprRef>,
-    ) -> HashMap<ExprRef, ExprRef> {
-        let mut map = HashMap::new();
-        for (name, &var) in &self.ts_state_vars {
-            map.insert(var, states[name]);
-        }
-        for (name, &var) in &self.ts_input_vars {
-            map.insert(var, inputs[name]);
-        }
-        map
+            constraints: Vec::new(),
+        });
+        let constraints = (0..self.ts_constraints.len())
+            .map(|i| self.map_expr(step, self.ts_constraints[i]))
+            .collect();
+        self.frames[step].constraints = constraints;
     }
 
     /// Attaches a telemetry tracer; extend/snapshot/rollback events are
@@ -172,18 +186,15 @@ impl Unrolling {
 
     /// Appends one frame.
     pub fn step(&mut self) {
-        let last = self.frames.last().expect("frame 0 exists");
-        let subst = self.subst_map(&last.states, &last.inputs);
-        let mut memo = HashMap::new();
+        let last = self.depth();
         let mut states = BTreeMap::new();
-        for name in self.state_names.clone() {
-            let next = self.next[&name];
-            let e = substitute_cached(&mut self.ctx, next, &subst, &mut memo);
-            states.insert(name, e);
+        for i in 0..self.state_names.len() {
+            let next = self.next[&self.state_names[i]];
+            let e = self.map_expr(last, next);
+            states.insert(self.state_names[i].clone(), e);
         }
-        let step = self.frames.len();
-        let frame = self.make_frame(step, states);
-        self.frames.push(frame);
+        self.push_frame(states);
+        let step = last + 1;
         self.tracer.record(|| {
             Event::new(SpanKind::Unroll)
                 .label("extend")
@@ -244,6 +255,7 @@ impl Unrolling {
                 .field("to", (snap.frames - 1) as u64)
         });
         self.frames.truncate(snap.frames);
+        self.substs.truncate(snap.frames);
     }
 
     /// The frames unrolled so far.
@@ -270,14 +282,17 @@ impl Unrolling {
     /// given frame: state and input variables are replaced by that
     /// frame's expressions/fresh variables.
     ///
+    /// Each frame memoizes its rewrites, so mapping an expression a
+    /// second time is one lookup, and mapping one that shares structure
+    /// with earlier ones rewrites only the new part. The result is the
+    /// handle a fresh substitution would return.
+    ///
     /// # Panics
     ///
     /// Panics if `k` is beyond the unrolled frames.
     pub fn map_expr(&mut self, k: usize, e: ExprRef) -> ExprRef {
-        let frame = &self.frames[k];
-        let subst = self.subst_map(&frame.states.clone(), &frame.inputs.clone());
-        let mut memo = HashMap::new();
-        substitute_cached(&mut self.ctx, e, &subst, &mut memo)
+        let FrameSubst { map, memo } = &mut self.substs[k];
+        substitute_cached(&mut self.ctx, e, map, memo)
     }
 
     /// All invariant-constraint instances over frames `0..=k`.
@@ -317,29 +332,9 @@ impl Unrolling {
         value_of: impl Fn(ExprRef) -> Option<Value>,
         exprs: BTreeMap<String, ExprRef>,
     ) -> BTreeMap<String, Value> {
-        use gila_expr::{eval, Env};
         let roots: Vec<ExprRef> = exprs.values().copied().collect();
-        let mut env = Env::new();
-        for v in self.ctx.vars_of(&roots) {
-            let value = value_of(v).unwrap_or_else(|| {
-                match self.ctx.sort_of(v) {
-                    gila_expr::Sort::Bool => Value::Bool(false),
-                    gila_expr::Sort::Bv(w) => Value::Bv(gila_expr::BitVecValue::zero(w)),
-                    gila_expr::Sort::Mem {
-                        addr_width,
-                        data_width,
-                    } => Value::Mem(gila_expr::MemValue::zeroed(addr_width, data_width)),
-                }
-            });
-            env.bind(v, value);
-        }
-        exprs
-            .into_iter()
-            .map(|(name, e)| {
-                let v = eval(&self.ctx, e, &env).expect("all vars bound");
-                (name, v)
-            })
-            .collect()
+        let values = eval_all(&self.ctx, &roots, value_of);
+        exprs.into_keys().zip(values).collect()
     }
 }
 
@@ -473,5 +468,328 @@ mod tests {
         assert_eq!(s1["cnt"].as_bv().to_u64(), 8);
         let i0 = u.concretize_inputs(&smt, 0);
         assert_eq!(i0["en"].as_bv().to_u64(), 1);
+    }
+
+    /// Random well-sorted expressions over a pool of terms: 4-bit words,
+    /// booleans and 2x4 memories. Every built term joins its pool, so
+    /// later terms share earlier ones.
+    struct Gen {
+        rng: rand::rngs::StdRng,
+        bvs: Vec<ExprRef>,
+        bools: Vec<ExprRef>,
+        mems: Vec<ExprRef>,
+    }
+
+    impl Gen {
+        fn pick(&mut self, pool: fn(&Gen) -> &Vec<ExprRef>) -> ExprRef {
+            use rand::Rng;
+            let n = pool(self).len();
+            let i = self.rng.gen_range(0..n);
+            pool(self)[i]
+        }
+
+        fn bv(&mut self, ctx: &mut ExprCtx, depth: u32) -> ExprRef {
+            use rand::Rng;
+            if depth == 0 || self.rng.gen_bool(0.3) {
+                return if self.rng.gen_bool(0.8) {
+                    self.pick(|g| &g.bvs)
+                } else {
+                    ctx.bv_u64(self.rng.gen_range(0..16), 4)
+                };
+            }
+            let e = match self.rng.gen_range(0..4) {
+                0 => {
+                    let (a, b) = (self.bv(ctx, depth - 1), self.bv(ctx, depth - 1));
+                    ctx.bvadd(a, b)
+                }
+                1 => {
+                    let (a, b) = (self.bv(ctx, depth - 1), self.bv(ctx, depth - 1));
+                    ctx.bvxor(a, b)
+                }
+                2 => {
+                    let c = self.bool(ctx, depth - 1);
+                    let (a, b) = (self.bv(ctx, depth - 1), self.bv(ctx, depth - 1));
+                    ctx.ite(c, a, b)
+                }
+                _ => {
+                    let m = self.mem(ctx, depth - 1);
+                    let a = self.bv(ctx, depth - 1);
+                    let a = ctx.extract(a, 1, 0);
+                    ctx.mem_read(m, a)
+                }
+            };
+            self.bvs.push(e);
+            e
+        }
+
+        fn bool(&mut self, ctx: &mut ExprCtx, depth: u32) -> ExprRef {
+            use rand::Rng;
+            if depth == 0 || self.rng.gen_bool(0.3) {
+                return self.pick(|g| &g.bools);
+            }
+            let e = match self.rng.gen_range(0..4) {
+                0 => {
+                    let (a, b) = (self.bv(ctx, depth - 1), self.bv(ctx, depth - 1));
+                    ctx.eq(a, b)
+                }
+                1 => {
+                    let (a, b) = (self.bv(ctx, depth - 1), self.bv(ctx, depth - 1));
+                    ctx.ult(a, b)
+                }
+                2 => {
+                    let (a, b) = (self.bool(ctx, depth - 1), self.bool(ctx, depth - 1));
+                    ctx.and(a, b)
+                }
+                _ => {
+                    let a = self.bool(ctx, depth - 1);
+                    ctx.not(a)
+                }
+            };
+            self.bools.push(e);
+            e
+        }
+
+        fn mem(&mut self, ctx: &mut ExprCtx, depth: u32) -> ExprRef {
+            use rand::Rng;
+            if depth == 0 || self.rng.gen_bool(0.4) {
+                return self.pick(|g| &g.mems);
+            }
+            let m = self.mem(ctx, depth - 1);
+            let a = self.bv(ctx, depth - 1);
+            let a = ctx.extract(a, 1, 0);
+            let d = self.bv(ctx, depth - 1);
+            let e = ctx.mem_write(m, a, d);
+            self.mems.push(e);
+            e
+        }
+    }
+
+    /// A random system: three words, a boolean and a memory of state,
+    /// two word inputs and a boolean one, random next-state functions,
+    /// one invariant constraint, and `queries` random expressions over
+    /// the system's variables, all built before unrolling.
+    fn random_ts(seed: u64, queries: usize) -> (TransitionSystem, Vec<ExprRef>) {
+        use rand::SeedableRng;
+        let mem = Sort::Mem {
+            addr_width: 2,
+            data_width: 4,
+        };
+        let mut ts = TransitionSystem::new("r");
+        let mut g = Gen {
+            rng: rand::rngs::StdRng::seed_from_u64(seed),
+            bvs: vec![
+                ts.state("a", Sort::Bv(4)),
+                ts.state("b", Sort::Bv(4)),
+                ts.state("c", Sort::Bv(4)),
+                ts.input("x", Sort::Bv(4)),
+                ts.input("y", Sort::Bv(4)),
+            ],
+            bools: vec![ts.state("f", Sort::Bool), ts.input("go", Sort::Bool)],
+            mems: vec![ts.state("m", mem)],
+        };
+        for name in ["a", "b", "c"] {
+            let e = g.bv(ts.ctx_mut(), 4);
+            ts.set_next(name, e).unwrap();
+        }
+        let f = g.bool(ts.ctx_mut(), 3);
+        ts.set_next("f", f).unwrap();
+        let m = g.mem(ts.ctx_mut(), 3);
+        ts.set_next("m", m).unwrap();
+        let c = g.bool(ts.ctx_mut(), 2);
+        ts.add_constraint(c);
+        let qs = (0..queries)
+            .map(|i| match i % 3 {
+                0 => g.bv(ts.ctx_mut(), 5),
+                1 => g.bool(ts.ctx_mut(), 5),
+                _ => g.mem(ts.ctx_mut(), 4),
+            })
+            .collect();
+        (ts, qs)
+    }
+
+    /// Substitution as one full `post_order` walk, the way it was done
+    /// before walks stopped at memoized subterms.
+    fn substitute_full(
+        ctx: &mut ExprCtx,
+        root: ExprRef,
+        map: &HashMap<ExprRef, ExprRef>,
+        memo: &mut HashMap<ExprRef, ExprRef>,
+    ) -> ExprRef {
+        for e in ctx.post_order(&[root]) {
+            if memo.contains_key(&e) {
+                continue;
+            }
+            let out = match (map.get(&e), ctx.node(e).clone()) {
+                (Some(&r), _) => r,
+                (None, gila_expr::ExprNode::App { op, args, .. }) => {
+                    let new_args: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
+                    if new_args == args {
+                        e
+                    } else {
+                        ctx.app(op, new_args)
+                    }
+                }
+                (None, _) => e,
+            };
+            memo.insert(e, out);
+        }
+        memo[&root]
+    }
+
+    /// The unrolling without memos: each frame's map rebuilt and every
+    /// substitution a full walk from an empty memo.
+    struct Reference {
+        ctx: ExprCtx,
+        frames: Vec<Frame>,
+    }
+
+    impl Reference {
+        fn new(ts: &TransitionSystem) -> Self {
+            let mut r = Reference {
+                ctx: ts.ctx().clone(),
+                frames: Vec::new(),
+            };
+            let states = ts
+                .states()
+                .iter()
+                .map(|v| (v.name.clone(), r.ctx.var(format!("{}@0", v.name), v.sort)))
+                .collect();
+            r.push(ts, states);
+            r
+        }
+
+        fn map(&self, ts: &TransitionSystem, k: usize) -> HashMap<ExprRef, ExprRef> {
+            let f = &self.frames[k];
+            let states = ts.states().iter().map(|v| (v.var, f.states[&v.name]));
+            states
+                .chain(ts.inputs().iter().map(|v| (v.var, f.inputs[&v.name])))
+                .collect()
+        }
+
+        fn push(&mut self, ts: &TransitionSystem, states: BTreeMap<String, ExprRef>) {
+            let step = self.frames.len();
+            let inputs = ts
+                .inputs()
+                .iter()
+                .map(|v| {
+                    (
+                        v.name.clone(),
+                        self.ctx.var(format!("{}@{step}", v.name), v.sort),
+                    )
+                })
+                .collect();
+            self.frames.push(Frame {
+                states,
+                inputs,
+                constraints: Vec::new(),
+            });
+            let map = self.map(ts, step);
+            let mut memo = HashMap::new();
+            self.frames[step].constraints = ts
+                .constraints()
+                .iter()
+                .map(|&c| substitute_full(&mut self.ctx, c, &map, &mut memo))
+                .collect();
+        }
+
+        fn extend_to(&mut self, ts: &TransitionSystem, k: usize) {
+            while self.frames.len() <= k {
+                let map = self.map(ts, self.frames.len() - 1);
+                let mut memo = HashMap::new();
+                let states = ts
+                    .states()
+                    .iter()
+                    .map(|v| {
+                        let next = ts.next_of(&v.name).unwrap();
+                        let e = substitute_full(&mut self.ctx, next, &map, &mut memo);
+                        (v.name.clone(), e)
+                    })
+                    .collect();
+                self.push(ts, states);
+            }
+        }
+
+        fn map_expr(&mut self, ts: &TransitionSystem, k: usize, e: ExprRef) -> ExprRef {
+            let map = self.map(ts, k);
+            substitute_full(&mut self.ctx, e, &map, &mut HashMap::new())
+        }
+    }
+
+    /// Same frames, same context length, and the same node behind every
+    /// handle reachable from them.
+    fn assert_same(u: &Unrolling, r: &Reference, extra: &[ExprRef]) {
+        assert_eq!(u.ctx().len(), r.ctx.len(), "node creation diverged");
+        assert_eq!(u.frames().len(), r.frames.len());
+        let mut roots = extra.to_vec();
+        for (a, b) in u.frames().iter().zip(&r.frames) {
+            assert_eq!(a.states, b.states);
+            assert_eq!(a.inputs, b.inputs);
+            assert_eq!(a.constraints, b.constraints);
+            roots.extend(a.states.values().chain(a.inputs.values()));
+            roots.extend(&a.constraints);
+        }
+        for e in u.ctx().post_order(&roots) {
+            assert_eq!(u.ctx().node(e), r.ctx.node(e));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// The per-frame memo is invisible: through extends, rollbacks
+        /// and clones, every memoized `map_expr` returns what a fresh
+        /// substitution under the frame's cached map returns, creates
+        /// the same nodes in the same order as the memo-free unrolling,
+        /// and a repeated call creates none.
+        #[test]
+        fn frame_memo_is_invisible(
+            seed in proptest::strategy::any::<u64>(),
+            ops in proptest::collection::vec((0u8..4, 0usize..6, 0usize..8), 1..24),
+        ) {
+            let (ts, qs) = random_ts(seed, 8);
+            let mut u = Unrolling::new(&ts, false);
+            let mut r = Reference::new(&ts);
+            let mut results = Vec::new();
+            for (op, a, b) in ops {
+                match op {
+                    0 => {
+                        let k = a.min(4);
+                        u.extend_to(k);
+                        r.extend_to(&ts, k);
+                    }
+                    1 => {
+                        let keep = UnrollingSnapshot { frames: 1 + a.min(u.depth()) };
+                        u.rollback_to(keep);
+                        r.frames.truncate(keep.frames);
+                    }
+                    2 => u = u.clone(),
+                    _ => {
+                        let (k, q) = (a.min(u.depth()), qs[b]);
+                        let got = u.map_expr(k, q);
+                        proptest::prop_assert_eq!(got, r.map_expr(&ts, k, q));
+                        let len = u.ctx().len();
+                        proptest::prop_assert_eq!(u.map_expr(k, q), got);
+                        proptest::prop_assert_eq!(u.ctx().len(), len);
+                        let map = u.substs[k].map.clone();
+                        let fresh = substitute_cached(u.ctx_mut(), q, &map, &mut HashMap::new());
+                        proptest::prop_assert_eq!(fresh, got);
+                        proptest::prop_assert_eq!(u.ctx().len(), len);
+                        results.push(got);
+                    }
+                }
+                assert_same(&u, &r, &results);
+            }
+            // Every query at every frame, on the final unrolling.
+            u.extend_to(3);
+            r.extend_to(&ts, 3);
+            for k in 0..=u.depth() {
+                for &q in &qs {
+                    let got = u.map_expr(k, q);
+                    proptest::prop_assert_eq!(got, r.map_expr(&ts, k, q));
+                    results.push(got);
+                }
+            }
+            assert_same(&u, &r, &results);
+        }
     }
 }

@@ -47,17 +47,6 @@ pub enum Fired {
     Multiple,
 }
 
-fn default_value(sort: Sort) -> Value {
-    match sort {
-        Sort::Bool => Value::Bool(false),
-        Sort::Bv(w) => Value::Bv(BitVecValue::zero(w)),
-        Sort::Mem {
-            addr_width,
-            data_width,
-        } => Value::Mem(MemValue::zeroed(addr_width, data_width)),
-    }
-}
-
 /// Decides per commit root whether its value may be *moved* into the
 /// state register instead of cloned: the root must be a computed memory
 /// slot (re-written by every covering run before any read), must appear
@@ -206,7 +195,7 @@ impl<'a> CompiledPortSim<'a> {
     pub fn new(port: &'a PortIla) -> Self {
         let mut sim = Self::compile(port);
         for (i, s) in port.states().iter().enumerate() {
-            let v = s.init.clone().unwrap_or_else(|| default_value(s.sort));
+            let v = s.init.clone().unwrap_or_else(|| Value::zero(s.sort));
             sim.prog.write(&mut sim.st, sim.state_slots[i], &v);
         }
         sim

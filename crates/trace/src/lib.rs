@@ -463,7 +463,14 @@ impl Telemetry {
 
 /// Keys that vary run to run (timing, scheduling) and must be stripped
 /// before a trace can be compared against a golden file.
-pub const VOLATILE_KEYS: &[&str] = &["wall_ns", "queue_ns", "worker", "steals"];
+pub const VOLATILE_KEYS: &[&str] = &[
+    "wall_ns",
+    "property_ns",
+    "cex_ns",
+    "queue_ns",
+    "worker",
+    "steals",
+];
 
 /// Canonicalize a JSONL trace for golden comparison: parse each line,
 /// drop volatile keys, re-render compactly, and sort the lines. Returns

@@ -28,7 +28,7 @@ use gila_rtl::{RtlModule, RtlSimError, RtlSimulator};
 use gila_sim_compile::{CompiledPortSim, CompiledRtlSim, Fired};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::cosim::{default_value, random_bv, random_value, CosimError, Divergence};
+use crate::cosim::{random_bv, random_value, CosimError, Divergence};
 use crate::refmap::RefinementMap;
 
 fn mask_of(w: u32) -> u64 {
@@ -266,7 +266,7 @@ impl<'a> CompiledCosim<'a> {
         self.zero_rtl_inputs();
         self.rtl.eval_signals();
         for i in 0..self.ila.port().states().len() {
-            let v = default_value(self.ila.port().states()[i].sort);
+            let v = Value::zero(self.ila.port().states()[i].sort);
             self.ila.set_state_value(i, &v);
         }
         for m_i in 0..self.mapped.len() {
@@ -652,7 +652,7 @@ pub fn cosim_differential(
             let v = start
                 .get(&s.name)
                 .cloned()
-                .unwrap_or_else(|| default_value(s.sort));
+                .unwrap_or_else(|| Value::zero(s.sort));
             (s.name.clone(), v)
         })
         .collect();

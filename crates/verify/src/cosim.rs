@@ -333,17 +333,6 @@ pub fn random_value(rng: &mut impl Rng, sort: Sort) -> Value {
     }
 }
 
-pub(crate) fn default_value(sort: Sort) -> Value {
-    match sort {
-        Sort::Bool => Value::Bool(false),
-        Sort::Bv(w) => Value::Bv(BitVecValue::zero(w)),
-        Sort::Mem {
-            addr_width,
-            data_width,
-        } => Value::Mem(MemValue::zeroed(addr_width, data_width)),
-    }
-}
-
 /// Co-simulates `port` against `rtl` for `cycles` random commands from
 /// `seed`, starting from a random (consistent) state.
 ///
@@ -407,7 +396,7 @@ pub fn cosimulate(
             let v = start
                 .get(&s.name)
                 .cloned()
-                .unwrap_or_else(|| default_value(s.sort));
+                .unwrap_or_else(|| Value::zero(s.sort));
             (s.name.clone(), v)
         })
         .collect();

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gila_core::{ModuleIla, PortIla};
-use gila_expr::{import, import_mapped, ExprNode, ExprRef, Op, Sort, Value};
+use gila_expr::{eval_all, import, import_mapped, ExprNode, ExprRef, Op, Sort, Value};
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
 use gila_smt::{
@@ -1098,7 +1098,7 @@ pub(crate) fn check_instruction_planned(
     let before = engine.smt.stats();
     let sat_before = engine.smt.sat_stats();
     let mut attempt = 0u32;
-    let mut solves = 0u64;
+    let mut tally = CheckTally::default();
     // Falsification runs on the first attempt only, and only once the
     // port is known to be wrong: on fixed RTL it could never succeed.
     let sample = ctx.refuted(plan.port.name());
@@ -1111,7 +1111,7 @@ pub(crate) fn check_instruction_planned(
         engine.u.extend_to(plan.instrs[idx].bound);
         engine.smt.push_scope();
         let sample = sample && attempt == 0;
-        let result = check_instruction_inner(plan, idx, engine, ctx, meta, sample, &mut solves);
+        let result = check_instruction_inner(plan, idx, engine, ctx, meta, sample, &mut tally);
         engine.smt.pop_scope();
         engine.smt.set_limits(SolveLimits::default());
         match result {
@@ -1182,7 +1182,7 @@ pub(crate) fn check_instruction_planned(
             .instruction(&instr.name)
             .label(result.tag())
             .worker(meta.worker)
-            .field("solves", solves)
+            .field("solves", tally.solves)
             .field("decisions", effort.decisions)
             .field("propagations", effort.propagations)
             .field("conflicts", effort.conflicts)
@@ -1190,6 +1190,8 @@ pub(crate) fn check_instruction_planned(
             .field("cnf_vars", cnf_growth.variables)
             .field("cnf_clauses", cnf_growth.clauses)
             .field("wall_ns", time.as_nanos() as u64)
+            .field("property_ns", tally.property.as_nanos() as u64)
+            .field("cex_ns", tally.cex.as_nanos() as u64)
             .field("queue_ns", meta.queue_ns)
             .field("steals", meta.stolen as u64);
         // Batch fields only exist on pooled runs, so sequential golden
@@ -1207,7 +1209,7 @@ pub(crate) fn check_instruction_planned(
         stats,
         cnf_growth,
         effort,
-        solves,
+        solves: tally.solves,
         retries: attempt,
         worker: meta.worker,
         batch_id: meta.batch_id,
@@ -1456,7 +1458,8 @@ impl Property {
 
     /// The counterexample an assignment describes, with the violation
     /// found at `frame`: `value_of` gives each variable's value, and
-    /// unbound variables default as in [`Unrolling::concretize`].
+    /// unbound variables default as in [`Unrolling::concretize`]. Every
+    /// reported value comes from one evaluation pass over all of them.
     fn counterexample(
         &self,
         u: &Unrolling,
@@ -1464,29 +1467,64 @@ impl Property {
         eqs: &[(String, ExprRef)],
         value_of: &dyn Fn(ExprRef) -> Option<Value>,
     ) -> RefinementCex {
+        let frames = &u.frames()[..=frame];
+        let roots: Vec<ExprRef> = eqs
+            .iter()
+            .map(|(_, e)| *e)
+            .chain(
+                frames[..frame]
+                    .iter()
+                    .flat_map(|f| f.inputs.values().copied()),
+            )
+            .chain(frames.iter().flat_map(|f| f.states.values().copied()))
+            .chain(self.ila_post.values().copied())
+            .collect();
+        let mut values = eval_all(u.ctx(), &roots, value_of).into_iter();
+        let mut named = |names: &mut dyn Iterator<Item = &String>| -> BTreeMap<String, Value> {
+            names.cloned().zip(values.by_ref()).collect()
+        };
         // Diagnose which states mismatch.
-        let mismatched = u
-            .concretize_with(value_of, eqs.iter().cloned().collect())
+        let mismatched = named(&mut eqs.iter().map(|(n, _)| n))
             .into_iter()
             .filter(|(_, v)| !v.as_bool())
             .map(|(n, _)| n)
             .collect();
-        let rtl_inputs = (0..frame)
-            .map(|k| u.concretize_with(value_of, u.frames()[k].inputs.clone()))
+        let rtl_inputs = frames[..frame]
+            .iter()
+            .map(|f| named(&mut f.inputs.keys()))
             .collect();
-        let rtl_trace: Vec<_> = (0..=frame)
-            .map(|k| u.concretize_with(value_of, u.frames()[k].states.clone()))
-            .collect();
+        let rtl_trace: Vec<_> = frames.iter().map(|f| named(&mut f.states.keys())).collect();
         RefinementCex {
             finish_cycle: frame,
             rtl_start_state: rtl_trace[0].clone(),
             rtl_inputs,
             rtl_finish_state: rtl_trace[frame].clone(),
             rtl_trace,
-            ila_post_state: u.concretize_with(value_of, self.ila_post.clone()),
+            ila_post_state: named(&mut self.ila_post.keys()),
             mismatched_states: mismatched,
         }
     }
+}
+
+/// What one instruction's checks spent, summed over its attempts, for
+/// its verdict and its `instruction` span.
+#[derive(Default)]
+struct CheckTally {
+    /// SAT checks run.
+    solves: u64,
+    /// Building the check's formulas: the property, and its violation
+    /// and finish-condition formulas.
+    property: Duration,
+    /// Building the counterexample, when there is one.
+    cex: Duration,
+}
+
+/// Runs `f`, adding its wall time to `spent`.
+fn timed<T>(spent: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *spent += t0.elapsed();
+    out
 }
 
 /// The body of [`check_instruction_planned`], run inside an open solver
@@ -1502,7 +1540,7 @@ fn check_instruction_inner(
     ctx: &RunCtx<'_>,
     meta: JobMeta,
     sample: bool,
-    solves: &mut u64,
+    tally: &mut CheckTally,
 ) -> Result<(CheckResult, DecidedBy), VerifyError> {
     let WorkerEngine { u, smt } = engine;
     let port = plan.port;
@@ -1510,14 +1548,15 @@ fn check_instruction_inner(
     let ip = &plan.instrs[idx];
     let bound = ip.bound;
     let tracer = ctx.tracer;
-    let prop = Property::build(plan, idx, u)?;
+    let prop = timed(&mut tally.property, || Property::build(plan, idx, u))?;
 
     // A `Cycles` finish is one formula: the antecedent conjuncts plus the
     // violation at the bound, built once for sampling and SAT alike.
-    let mut at_bound = prop
-        .finish
-        .is_none()
-        .then(|| prop.violation_at(plan, u, bound));
+    let mut at_bound = timed(&mut tally.property, || {
+        prop.finish
+            .is_none()
+            .then(|| prop.violation_at(plan, u, bound))
+    });
     if let (Some((eqs, viol)), true) = (&at_bound, sample) {
         // Out of time or cancelled: leave the `Unknown` to SAT.
         if smt.resources_exhausted().is_none() {
@@ -1529,19 +1568,21 @@ fn check_instruction_inner(
                 bound,
                 hold: ip.input_policy == InputPolicy::Hold,
             };
-            let (witness, tally) = falsify(u, &formula, ctx.seed(plan, idx));
+            let (witness, drawn) = falsify(u, &formula, ctx.seed(plan, idx));
             tracer.record(|| {
                 Event::new(SpanKind::Falsify)
                     .port(port.name())
                     .instruction(&instr.name)
                     .worker(meta.worker)
-                    .field("drawn", tally.drawn)
-                    .field("passed_pre", tally.passed_pre)
+                    .field("drawn", drawn.drawn)
+                    .field("passed_pre", drawn.passed_pre)
                     .field("accepted", witness.is_some() as u64)
                     .field("wall_ns", t0.elapsed().as_nanos() as u64)
             });
             if let Some(w) = witness {
-                let cex = prop.counterexample(u, bound, eqs, &|v| w.value_of(v));
+                let cex = timed(&mut tally.cex, || {
+                    prop.counterexample(u, bound, eqs, &|v| w.value_of(v))
+                });
                 return Ok((
                     CheckResult::CounterExample(Box::new(cex)),
                     DecidedBy::Sampling,
@@ -1561,9 +1602,11 @@ fn check_instruction_inner(
         None => vec![(bound, Vec::new())],
         // Check at the first frame where the condition holds; one query
         // per candidate frame.
-        Some(cond) => (1..=bound)
-            .map(|j| (j, Property::finishes_at(cond, u, j)))
-            .collect(),
+        Some(cond) => timed(&mut tally.property, || {
+            (1..=bound)
+                .map(|j| (j, Property::finishes_at(cond, u, j)))
+                .collect()
+        }),
     };
 
     let mut result = CheckResult::Holds;
@@ -1573,7 +1616,7 @@ fn check_instruction_inner(
         // finishes); unreachable cases are skipped.
         if prop.finish.is_some() {
             let reach = smt.check_assuming(u.ctx(), &extra_assumptions);
-            *solves += 1;
+            tally.solves += 1;
             record_solve(smt, tracer, meta, port.name(), &instr.name, "reach", frame, reach.is_sat());
             if let SmtResult::Unknown(reason) = reach {
                 return Ok((
@@ -1591,12 +1634,12 @@ fn check_instruction_inner(
         }
         let (eqs, viol) = match at_bound.take() {
             Some(formula) => formula,
-            None => prop.violation_at(plan, u, frame),
+            None => timed(&mut tally.property, || prop.violation_at(plan, u, frame)),
         };
         let mut assumptions = extra_assumptions;
         assumptions.push(viol);
         let violation = smt.check_assuming(u.ctx(), &assumptions);
-        *solves += 1;
+        tally.solves += 1;
         let violated = violation.is_sat();
         record_solve(smt, tracer, meta, port.name(), &instr.name, "violation", frame, violated);
         if let SmtResult::Unknown(reason) = violation {
@@ -1609,7 +1652,9 @@ fn check_instruction_inner(
             ));
         }
         if violated {
-            let cex = prop.counterexample(u, frame, &eqs, &|v| smt.try_model_value(u.ctx(), v));
+            let cex = timed(&mut tally.cex, || {
+                prop.counterexample(u, frame, &eqs, &|v| smt.try_model_value(u.ctx(), v))
+            });
             result = CheckResult::CounterExample(Box::new(cex));
             break;
         }

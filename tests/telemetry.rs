@@ -176,6 +176,54 @@ fn every_solve_span_carries_its_wall_time() {
     }
 }
 
+/// Every `instruction` span names two parts of its own time: building
+/// the check's formulas (`property_ns`) and building its counterexample
+/// (`cex_ns`, 0 when there is none). Both are volatile keys, so the
+/// goldens above never see them. The fixture is the first registry
+/// design with a bug-injected RTL variant, so some checks find a
+/// counterexample.
+#[test]
+fn instruction_spans_time_their_formulas_and_counterexamples() {
+    let cs = all_case_studies()
+        .into_iter()
+        .find(|c| c.buggy_rtl.is_some())
+        .expect("a bug-injected case study");
+    let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(100_000);
+    let opts = VerifyOptions {
+        jobs: Some(1),
+        tracer,
+        ..Default::default()
+    };
+    let buggy = cs.buggy_rtl.as_ref().unwrap();
+    let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+    assert!(!report.all_hold(), "{}: the buggy RTL must fail", cs.name);
+    let (mut spans, mut cexs) = (0, 0);
+    for e in ring.events() {
+        let e = gila::json::parse(&e.to_json_line()).unwrap();
+        if e.get("kind").and_then(|v| v.as_str()) != Some("instruction") {
+            continue;
+        }
+        spans += 1;
+        let field = |k: &str| {
+            e.get(k)
+                .and_then(|v| v.as_u64())
+                .unwrap_or_else(|| panic!("instruction span without {k}: {}", e.to_compact()))
+        };
+        assert!(field("property_ns") > 0, "{}", e.to_compact());
+        if e.get("label").and_then(|v| v.as_str()) == Some("cex") {
+            cexs += 1;
+            assert!(field("cex_ns") > 0, "{}", e.to_compact());
+        } else {
+            assert_eq!(field("cex_ns"), 0, "{}", e.to_compact());
+        }
+    }
+    assert_eq!(spans, report.instructions_checked());
+    assert!(cexs > 0, "{}: no counterexample span", cs.name);
+    for key in ["property_ns", "cex_ns"] {
+        assert!(gila::trace::VOLATILE_KEYS.contains(&key));
+    }
+}
+
 #[test]
 fn report_telemetry_sums_verdicts() {
     let (report, _) = traced_run("Decoder", 1);
