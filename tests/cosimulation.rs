@@ -6,9 +6,18 @@
 //! This is an independent (simulation-based) oracle for the same
 //! correspondence the SAT-based refinement check proves, so it
 //! cross-validates the engine, the simulators, and the models.
+//!
+//! The bug-hunting sweep also pins both backends' random streams: every
+//! divergence `cosimulate` (interpreted) and `cosimulate_compiled` find
+//! on the bug-injected variants is written to
+//! `tests/golden/cosim_streams.txt` with its reproducing command stream
+//! (`GILA_REGEN_GOLDEN=1` rewrites it).
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
 use gila::designs::all_case_studies;
-use gila::verify::cosimulate;
+use gila::verify::{cosimulate, cosimulate_compiled, Divergence};
 
 /// Random command streams per (case study, port) for the agreement sweep.
 const SEEDS: u64 = 16;
@@ -58,6 +67,7 @@ fn cosimulation_detects_the_injected_bugs() {
         ("L2 Cache", "PIPE1-PORT"),
         ("Store Buffer", "IN-OUT-PORT"),
     ];
+    let mut streams = String::new();
     for cs in all_case_studies() {
         let Some(buggy) = &cs.buggy_rtl else { continue };
         let (_, blamed) = expected_port
@@ -72,9 +82,16 @@ fn cosimulation_detects_the_injected_bugs() {
                 .find(|m| m.name == port.name())
                 .expect("one map per port");
             for seed in 0..BUG_SEEDS {
-                if let Some(d) = cosimulate(port, buggy, map, BUG_SEED_BASE + seed, BUG_CYCLES)
+                let seed = BUG_SEED_BASE + seed;
+                let compiled = cosimulate_compiled(port, buggy, map, seed, BUG_CYCLES)
+                    .unwrap_or_else(|e| panic!("{}/{}: {e}", cs.name, port.name()));
+                if let Some(d) = &compiled {
+                    record(&mut streams, cs.name, port.name(), seed, "compiled", d);
+                }
+                if let Some(d) = cosimulate(port, buggy, map, seed, BUG_CYCLES)
                     .unwrap_or_else(|e| panic!("{}/{}: {e}", cs.name, port.name()))
                 {
+                    record(&mut streams, cs.name, port.name(), seed, "interpreted", &d);
                     assert_eq!(
                         port.name(),
                         *blamed,
@@ -91,4 +108,51 @@ fn cosimulation_detects_the_injected_bugs() {
             cs.name
         );
     }
+    assert_matches_golden("cosim_streams.txt", &streams);
+}
+
+/// Appends one divergence record: a header naming design, port, seed,
+/// backend, cycle and state, then the reproducing command stream.
+fn record(out: &mut String, design: &str, port: &str, seed: u64, backend: &str, d: &Divergence) {
+    writeln!(
+        out,
+        "== {design} / {port} / seed {seed:#x} / {backend}: cycle {} state {}",
+        d.cycle, d.state
+    )
+    .expect("write to string");
+    out.push_str(&d.command_stream());
+}
+
+fn assert_matches_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var("GILA_REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "no golden at {}: {e} (run with GILA_REGEN_GOLDEN=1)",
+            path.display()
+        )
+    });
+    if let Some((n, (want, got))) = golden
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (g, a))| g != a)
+    {
+        panic!(
+            "{} drifted at line {} (regenerate with GILA_REGEN_GOLDEN=1)\n  golden: {want}\n  actual: {got}",
+            path.display(),
+            n + 1
+        );
+    }
+    assert_eq!(
+        golden.lines().count(),
+        actual.lines().count(),
+        "{} drifted in length (regenerate with GILA_REGEN_GOLDEN=1)",
+        path.display()
+    );
 }
