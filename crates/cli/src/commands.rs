@@ -680,37 +680,29 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
         let rtl = pick_rtl(cs, buggy)
             .ok_or_else(|| format!("{} has no bug-injected RTL variant", cs.name))?;
         let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let gila_verify::CommandStream { start, inputs } =
-            gila_verify::parse_command_stream(&text, rtl)?;
-        for port in cs.ila.ports() {
-            let Some(map) = cs.refmaps.iter().find(|m| m.name == port.name()) else {
-                continue;
-            };
-            // A stream recorded at another port may simply not decode
-            // here; that is not an error for replay.
-            if let Ok(Some(d)) = gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
-                if json {
-                    let doc = gila_json::Value::object(vec![
-                        ("design".into(), cs.name.into()),
-                        ("port".into(), port.name().into()),
-                        ("cycle".into(), (d.cycle as u64).into()),
-                        ("instruction".into(), d.instruction.clone().into()),
-                        ("state".into(), d.state.clone().into()),
-                        ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
-                        ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
-                        ("command_stream".into(), d.command_stream().into()),
-                    ]);
-                    println!("{}", doc.pretty());
-                } else {
-                    println!("[{}/{}] {d}", cs.name, port.name());
-                }
-                return Ok(1);
+        let stream = gila_verify::parse_command_stream(&text, rtl)?;
+        if let Some((port, d)) = gila_verify::replay_ports(&cs.ila, rtl, &cs.refmaps, &stream) {
+            if json {
+                let doc = gila_json::Value::object(vec![
+                    ("design".into(), cs.name.into()),
+                    ("port".into(), port.name().into()),
+                    ("cycle".into(), (d.cycle as u64).into()),
+                    ("instruction".into(), d.instruction.clone().into()),
+                    ("state".into(), d.state.clone().into()),
+                    ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
+                    ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
+                    ("command_stream".into(), d.command_stream().into()),
+                ]);
+                println!("{}", doc.pretty());
+            } else {
+                println!("[{}/{}] {d}", cs.name, port.name());
             }
+            return Ok(1);
         }
         println!(
             "replay: no divergence reproduced on {} over {} cycles",
             cs.name,
-            inputs.len()
+            stream.inputs.len()
         );
         return Ok(0);
     }

@@ -32,7 +32,7 @@ use gila_rtl::RtlModule;
 use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
 use gila_verify::{
-    verify_module, CommandStream, FaultPlan, ModuleReport, ProofCache, RefinementMap,
+    verify_module, FaultPlan, ModuleReport, ProofCache, RefinementMap,
     VerifyOptions,
 };
 
@@ -375,31 +375,23 @@ impl Service {
             &cs.rtl
         };
         let stim = req.str_field("stim").ok_or("hunt-replay needs \"stim\"")?;
-        let CommandStream { start, inputs } =
-            gila_verify::parse_command_stream(stim, rtl).map_err(|e| e.to_string())?;
-        for port in cs.ila.ports() {
-            let Some(map) = cs.refmaps.iter().find(|m| m.name == port.name()) else {
-                continue;
-            };
-            // A stream recorded at another port may simply not decode
-            // here; that is not an error for replay.
-            if let Ok(Some(d)) = gila_verify::replay_compiled(port, rtl, map, &start, &inputs) {
-                return Ok(Value::object(vec![
-                    ("reproduced".into(), Value::Bool(true)),
-                    ("design".into(), cs.name.into()),
-                    ("port".into(), port.name().into()),
-                    ("cycle".into(), (d.cycle as f64).into()),
-                    ("instruction".into(), d.instruction.clone().into()),
-                    ("state".into(), d.state.clone().into()),
-                    ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
-                    ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
-                ]));
-            }
+        let stream = gila_verify::parse_command_stream(stim, rtl).map_err(|e| e.to_string())?;
+        if let Some((port, d)) = gila_verify::replay_ports(&cs.ila, rtl, &cs.refmaps, &stream) {
+            return Ok(Value::object(vec![
+                ("reproduced".into(), Value::Bool(true)),
+                ("design".into(), cs.name.into()),
+                ("port".into(), port.name().into()),
+                ("cycle".into(), (d.cycle as f64).into()),
+                ("instruction".into(), d.instruction.clone().into()),
+                ("state".into(), d.state.clone().into()),
+                ("ila".into(), gila_verify::render_value(&d.ila_value).into()),
+                ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
+            ]));
         }
         Ok(Value::object(vec![
             ("reproduced".into(), Value::Bool(false)),
             ("design".into(), cs.name.into()),
-            ("cycles".into(), (inputs.len() as f64).into()),
+            ("cycles".into(), (stream.inputs.len() as f64).into()),
         ]))
     }
 }

@@ -28,7 +28,7 @@ use gila_rtl::RtlModule;
 use gila_trace::{Event, SpanKind, Tracer};
 
 use crate::compiled::CompiledCosim;
-use crate::cosim::{CosimError, Divergence};
+use crate::cosim::{run_random, CosimError, Divergence};
 use crate::refmap::RefinementMap;
 use crate::shrink::{shrink_with, ShrinkResult};
 
@@ -163,7 +163,7 @@ pub fn hunt(
                         });
                         cs
                     });
-                    let outcome = match cs.run_random(seed, config.cycles) {
+                    let outcome = match run_random(cs, seed, config.cycles) {
                         Ok((None, cycles)) => TaskOutcome::Clean {
                             cycles: cycles as u64,
                         },

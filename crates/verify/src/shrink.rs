@@ -24,7 +24,7 @@ use gila_expr::BitVecValue;
 use gila_rtl::RtlModule;
 
 use crate::compiled::{CompiledCosim, CycleInputs};
-use crate::cosim::{CosimError, Divergence};
+use crate::cosim::{cosim_loop, replay, CosimBackend, CosimError, Divergence, Drive};
 use crate::refmap::RefinementMap;
 
 /// The outcome of shrinking one divergence.
@@ -49,19 +49,13 @@ impl Shrinker<'_, '_> {
     /// Replays `stream`; true iff it diverges on the original state.
     fn reproduces(&mut self, stream: &[CycleInputs]) -> bool {
         self.replays += 1;
-        if self.cs.reset(&self.original.start_state).is_err() {
-            return false;
-        }
-        for (cycle, ci) in stream.iter().enumerate() {
-            match self.cs.step_stream(cycle, ci) {
-                Ok(Some(m_i)) => return self.cs.mapped_name(m_i) == self.original.state,
-                Ok(None) => continue,
-                // A pruned stream may lose decodability mid-way; that
-                // candidate simply doesn't reproduce.
-                Err(_) => return false,
-            }
-        }
-        false
+        // A pruned stream may lose decodability mid-way; that candidate
+        // simply doesn't reproduce.
+        self.cs.reset(&self.original.start_state).is_ok()
+            && matches!(
+                cosim_loop(self.cs, Drive::Stream(stream)),
+                Ok(Some((_, m))) if self.cs.mapped_name(m) == self.original.state
+            )
     }
 
     /// Delta debugging over the command list: remove progressively
@@ -124,9 +118,8 @@ impl Shrinker<'_, '_> {
     /// individual bits. Applies to word-bank pins and to wide pins (the
     /// latter only via the all-zero attempt).
     fn minimize_values(&mut self, mut stream: Vec<CycleInputs>) -> Vec<CycleInputs> {
-        let pins = self.cs.pin_widths().len();
         for cycle in 0..stream.len() {
-            for pin in 0..pins {
+            for pin in 0..stream[cycle].words.len() {
                 let word = stream[cycle].words[pin];
                 if word != 0 {
                     let mut candidate = stream.clone();
@@ -213,20 +206,13 @@ pub(crate) fn shrink_with(
     let replays = shrinker.replays;
 
     // Final replay materializes the minimized divergence.
-    cs.reset(&divergence.start_state)?;
-    let mut history: Vec<CycleInputs> = Vec::new();
-    for (cycle, ci) in stream.iter().enumerate() {
-        let diverged = cs.step_stream(cycle, ci)?;
-        history.push(ci.clone());
-        if let Some(m_i) = diverged {
-            return Ok(ShrinkResult {
-                divergence: cs.divergence(cycle, m_i, &history, divergence.start_state.clone()),
-                original_cycles,
-                replays,
-            });
-        }
-    }
-    unreachable!("minimized stream stopped reproducing")
+    let divergence = replay(cs, &divergence.start_state, &stream)?
+        .expect("minimized stream stopped reproducing");
+    Ok(ShrinkResult {
+        divergence,
+        original_cycles,
+        replays,
+    })
 }
 
 #[cfg(test)]
