@@ -22,7 +22,8 @@ use gila_verify::{
 pub(crate) type CmdResult = Result<u8, Box<dyn Error>>;
 
 /// Exit code for internal faults: a panicked verification job, a
-/// checkpoint journal that cannot be opened, or a scheduler failure.
+/// checkpoint journal that cannot be opened, a scheduler failure, or a
+/// failed write to stdout.
 /// Distinct from "property failed" so scripts can tell a refuted design
 /// from a broken run.
 pub(crate) const EXIT_INTERNAL: u8 = 4;
@@ -175,7 +176,7 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     }
     let mut vcd_count = 0usize;
     for port in &report.ports {
-        println!("port {}:", port.port);
+        outln!("port {}:", port.port);
         for v in &port.verdicts {
             let status = match &v.result {
                 CheckResult::Holds => "HOLDS".to_string(),
@@ -196,7 +197,7 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
                 ),
                 CheckResult::JobPanicked { message } => format!("PANICKED ({message})"),
             };
-            println!(
+            outln!(
                 "  {:<28} {status:<32} {:>9.2?}  {:>8} clauses",
                 v.instruction, v.time, v.stats.clauses
             );
@@ -204,14 +205,14 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
                 if let Some(prefix) = flag(flags, "vcd") {
                     let path = format!("{prefix}_{}.vcd", sanitize(&v.instruction));
                     fs::write(&path, cex_to_vcd(cex, &port.port))?;
-                    println!("    trace written to {path}");
+                    outln!("    trace written to {path}");
                     vcd_count += 1;
                 }
             }
         }
     }
     let _ = vcd_count;
-    println!(
+    outln!(
         "\n{} instructions checked in {:.2?}; peak CNF ~{:.1} MB",
         report.instructions_checked(),
         report.total_time(),
@@ -225,23 +226,23 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     // reported as a clean pass or a clean refutation.
     let counts = report.counts();
     if counts.panicked > 0 {
-        println!(
+        outln!(
             "RESULT: INTERNAL ERROR ({} job(s) panicked; other verdicts above are valid)",
             counts.panicked
         );
         Ok(EXIT_INTERNAL)
     } else if counts.cex > 0 || counts.unreached > 0 {
-        println!("RESULT: refinement FAILS");
+        outln!("RESULT: refinement FAILS");
         Ok(1)
     } else if counts.unknown > 0 {
-        println!(
+        outln!(
             "RESULT: UNDECIDED ({} instruction(s) ran out of budget; \
              raise --conflict-budget/--timeout-ms/--retries; with --checkpoint only they rerun)",
             counts.unknown
         );
         Ok(EXIT_UNKNOWN)
     } else {
-        println!("RESULT: the RTL refines the ILA (all properties hold)");
+        outln!("RESULT: the RTL refines the ILA (all properties hold)");
         Ok(0)
     }
 }
@@ -253,8 +254,8 @@ fn print_stats_table(report: &ModuleReport) {
         "{:<24} {:>7} {:>7} {:>10} {:>12} {:>9} {:>9} {:>11} {:>10}",
         "port", "instrs", "solves", "decisions", "propagation", "conflicts", "cnf vars", "cnf clauses", "wall"
     );
-    println!("\nTELEMETRY:\n  {header}");
-    println!("  {}", "-".repeat(header.len()));
+    outln!("\nTELEMETRY:\n  {header}");
+    outln!("  {}", "-".repeat(header.len()));
     let row = |name: &str, t: &gila_trace::Telemetry| {
         format!(
             "{:<24} {:>7} {:>7} {:>10} {:>12} {:>9} {:>9} {:>11} {:>10.2?}",
@@ -270,11 +271,11 @@ fn print_stats_table(report: &ModuleReport) {
         )
     };
     for p in &report.ports {
-        println!("  {}", row(&p.port, &p.telemetry));
+        outln!("  {}", row(&p.port, &p.telemetry));
     }
-    println!("  {}", "-".repeat(header.len()));
-    println!("  {}", row("TOTAL", &report.telemetry));
-    println!(
+    outln!("  {}", "-".repeat(header.len()));
+    outln!("  {}", row("TOTAL", &report.telemetry));
+    outln!(
         "  workers: {}   batches: {}   stolen batches: {}   queue wait: {:.2?}",
         report.telemetry.workers,
         report.telemetry.batches,
@@ -282,29 +283,29 @@ fn print_stats_table(report: &ModuleReport) {
         std::time::Duration::from_nanos(report.telemetry.queue_ns)
     );
     if report.telemetry.batches > 0 {
-        println!(
+        outln!(
             "  avg batch size: {:.1}",
             report.telemetry.instructions as f64 / report.telemetry.batches as f64
         );
     }
     if report.telemetry.cache_hits + report.telemetry.cache_misses > 0 {
-        println!(
+        outln!(
             "  journal: {} hit(s) replayed, {} miss(es) verified",
             report.telemetry.cache_hits, report.telemetry.cache_misses
         );
     }
-    println!(
+    outln!(
         "  unknown: {}   panicked: {}   retries: {}   conflicts spent on exhausted budgets: {}",
         report.telemetry.unknown,
         report.telemetry.panicked,
         report.telemetry.retries,
         report.telemetry.budget_spent_conflicts
     );
-    println!(
+    outln!(
         "  coi: dropped {} state(s) + {} input(s)",
         report.telemetry.coi_states_dropped, report.telemetry.coi_inputs_dropped
     );
-    println!(
+    outln!(
         "  falsified: {} counterexample(s) by sampling, without SAT",
         report.telemetry.falsified
     );
@@ -321,12 +322,12 @@ fn sanitize(name: &str) -> String {
 pub fn describe(flags: &[(String, String)]) -> CmdResult {
     let ila = load_ila(require(flags, "ila")?)?;
     if flag(flags, "format") == Some("ila") {
-        println!("{}", gila_lang::to_ila_text(&ila)?);
+        outln!("{}", gila_lang::to_ila_text(&ila)?);
         return Ok(0);
     }
-    println!("{}", ila.describe());
+    outln!("{}", ila.describe());
     let stats = ila.stats();
-    println!(
+    outln!(
         "{} port(s), {} atomic instructions, {} architectural state bits",
         stats.ports, stats.instructions, stats.arch_state_bits
     );
@@ -341,9 +342,9 @@ pub fn synth(flags: &[(String, String)]) -> CmdResult {
     match flag(flags, "o") {
         Some(path) => {
             fs::write(path, &verilog)?;
-            println!("wrote {path} ({} lines)", verilog.lines().count());
+            outln!("wrote {path} ({} lines)", verilog.lines().count());
         }
-        None => print!("{verilog}"),
+        None => out!("{verilog}"),
     }
     Ok(0)
 }
@@ -361,31 +362,31 @@ pub fn check_inv(flags: &[(String, String)]) -> CmdResult {
     let depth: usize = flag(flags, "depth").unwrap_or("3").parse()?;
     match validate_invariants(&rtl, &invariants, depth)? {
         InductionOutcome::Proved { k } => {
-            println!("PROVED: invariants are {k}-inductive");
+            outln!("PROVED: invariants are {k}-inductive");
             Ok(0)
         }
         InductionOutcome::Violated(cex) => {
-            println!(
+            outln!(
                 "REFUTED: violated {} step(s) from reset:",
                 cex.violation_step
             );
             for (i, step) in cex.steps.iter().enumerate() {
-                println!("  step {i}:");
+                outln!("  step {i}:");
                 for (name, value) in &step.states {
-                    println!("    {name:<20} = {value:?}");
+                    outln!("    {name:<20} = {value:?}");
                 }
             }
             Ok(1)
         }
         InductionOutcome::Unknown { max_k } => {
-            println!(
+            outln!(
                 "UNKNOWN: neither proved nor refuted with induction depth <= {max_k}; \
                  raise --depth or strengthen the invariants"
             );
             Ok(1)
         }
         InductionOutcome::ResourceOut { reason, at_k } => {
-            println!(
+            outln!(
                 "UNDECIDED: the solver ran out of {} at induction depth {at_k}",
                 reason.as_str()
             );
@@ -414,9 +415,9 @@ pub fn export(flags: &[(String, String)]) -> CmdResult {
     match flag(flags, "o") {
         Some(path) => {
             fs::write(path, &doc)?;
-            println!("wrote {path} ({} lines)", doc.lines().count());
+            outln!("wrote {path} ({} lines)", doc.lines().count());
         }
-        None => print!("{doc}"),
+        None => out!("{doc}"),
     }
     Ok(0)
 }
@@ -467,11 +468,11 @@ pub fn sim(flags: &[(String, String)]) -> CmdResult {
                 inputs.insert(name, gila_expr::BitVecValue::from_u64(value, width));
             }
             sim.step(&inputs).map_err(|e| e.to_string())?;
-            print!("cycle {cycle}:");
+            out!("cycle {cycle}:");
             for (name, v) in sim.state() {
-                print!(" {name}={v:?}");
+                out!(" {name}={v:?}");
             }
-            println!();
+            outln!();
         }
         return Ok(0);
     }
@@ -509,11 +510,11 @@ pub fn sim(flags: &[(String, String)]) -> CmdResult {
             inputs.insert(name, v);
         }
         let fired = sim.step(&inputs).map_err(|e| e.to_string())?;
-        print!("cycle {cycle}: [{fired}]");
+        out!("cycle {cycle}: [{fired}]");
         for (name, v) in sim.state() {
-            print!(" {name}={v:?}");
+            out!(" {name}={v:?}");
         }
-        println!();
+        outln!();
     }
     Ok(0)
 }
@@ -590,10 +591,10 @@ pub fn lint(positional: &[String], flags: &[(String, String)]) -> CmdResult {
                 ]),
             ),
         ]);
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
     } else {
         for r in &reports {
-            print!("{}", r.render_human());
+            out!("{}", r.render_human());
         }
     }
     Ok(u8::from(errors > 0 || denied > 0))
@@ -611,7 +612,7 @@ pub fn props(flags: &[(String, String)]) -> CmdResult {
         else {
             return Err(format!("no refinement map for port {:?}", port.name()).into());
         };
-        println!("{}", render_all_properties(port, map));
+        outln!("{}", render_all_properties(port, map));
     }
     Ok(0)
 }
@@ -693,13 +694,13 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
                     ("rtl".into(), gila_verify::render_value(&d.rtl_value).into()),
                     ("command_stream".into(), d.command_stream().into()),
                 ]);
-                println!("{}", doc.pretty());
+                outln!("{}", doc.pretty());
             } else {
-                println!("[{}/{}] {d}", cs.name, port.name());
+                outln!("[{}/{}] {d}", cs.name, port.name());
             }
             return Ok(1);
         }
-        println!(
+        outln!(
             "replay: no divergence reproduced on {} over {} cycles",
             cs.name,
             stream.inputs.len()
@@ -816,9 +817,9 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
             ("findings".into(), gila_json::Value::Array(findings)),
             ("errors".into(), gila_json::Value::Array(errors)),
         ]);
-        println!("{}", doc.pretty());
+        outln!("{}", doc.pretty());
     } else {
-        println!(
+        outln!(
             "hunt: {} tasks over {} targets ({} seeds x {} cycles, jobs={}), {} cycles co-simulated",
             report.tasks,
             targets.len(),
@@ -829,7 +830,7 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
         );
         for f in &report.findings {
             let d = f.shrunk.as_ref().map(|s| &s.divergence).unwrap_or(&f.divergence);
-            println!(
+            outln!(
                 "\n[{}/{} seed {}] state {:?} diverged at cycle {} after {:?}: ila = {}, rtl = {}",
                 f.design,
                 f.port,
@@ -841,19 +842,19 @@ pub fn hunt(flags: &[(String, String)]) -> CmdResult {
                 gila_verify::render_value(&d.rtl_value),
             );
             if let Some(s) = &f.shrunk {
-                println!(
+                outln!(
                     "  shrunk to {} command(s) from {} cycle(s) in {} replay(s)",
                     s.divergence.inputs.len(),
                     s.original_cycles,
                     s.replays
                 );
             }
-            print!("{}", d.command_stream());
+            out!("{}", d.command_stream());
         }
         for (design, port, seed, error) in &report.errors {
-            println!("\n[{design}/{port} seed {seed}] error: {error}");
+            outln!("\n[{design}/{port} seed {seed}] error: {error}");
         }
-        println!(
+        outln!(
             "\n{} clean, {} divergence(s), {} error(s)",
             report.clean_tasks,
             report.findings.len(),

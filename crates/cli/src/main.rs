@@ -8,10 +8,46 @@
 //! gila props     --ila SPEC.ila --map MAP.json
 //! ```
 
+use std::io::{self, Write as _};
 use std::process::ExitCode;
+
+/// `println!`, except that a failed write ends the process through
+/// [`stdout_failed`] instead of panicking.
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!`, except that a failed write ends the process through
+/// [`stdout_failed`] instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
 
 mod commands;
 mod serve_cmd;
+
+/// Writes to stdout; see [`stdout_failed`] for a write that fails.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().write_fmt(args) {
+        stdout_failed(e)
+    }
+}
+
+/// Ends the process after a failed write to stdout (a full disk, or a
+/// reader that closed its pipe): the output the run owes its caller is
+/// lost, so it exits at once with the broken-run code
+/// [`commands::EXIT_INTERNAL`] and one line on stderr.
+fn stdout_failed(e: io::Error) -> ! {
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(commands::EXIT_INTERNAL.into())
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -219,11 +255,17 @@ fn main() -> ExitCode {
             usage()
         }
     };
-    match result {
-        Ok(code) => ExitCode::from(code),
+    let code = match result {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::from(2)
+            2
         }
+    };
+    // Output still buffered (a last line without a newline) must reach
+    // stdout too.
+    if let Err(e) = io::stdout().flush() {
+        stdout_failed(e)
     }
+    ExitCode::from(code)
 }

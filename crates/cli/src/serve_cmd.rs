@@ -139,10 +139,10 @@ pub fn serve(flags: &[(String, String)]) -> CmdResult {
     // Announce bound endpoints on stdout — tests and scripts binding
     // an ephemeral port (`--listen 127.0.0.1:0`) discover it here.
     for addr in &server.tcp_addrs {
-        println!("listening on {addr}");
+        outln!("listening on {addr}");
     }
     for path in &server.unix_paths {
-        println!("listening on {}", path.display());
+        outln!("listening on {}", path.display());
     }
     use std::io::Write;
     let _ = std::io::stdout().flush();
@@ -307,12 +307,12 @@ pub fn client(flags: &[(String, String)]) -> CmdResult {
 
 fn print_response(resp: &Value, json: bool) {
     if json {
-        println!("{}", resp.to_compact());
+        outln!("{}", resp.to_compact());
         return;
     }
     match resp.get("status").and_then(Value::as_str) {
         Some("ok") => match resp.get("result") {
-            Some(Value::String(s)) => println!("{s}"),
+            Some(Value::String(s)) => outln!("{s}"),
             Some(result) => {
                 // Human mode: the headline numbers, one per line.
                 if let Some(obj) = result.as_object() {
@@ -338,20 +338,20 @@ fn print_response(resp: &Value, json: bool) {
                         })
                         .map(|(k, v)| format!("{k}={}", v.to_compact()))
                         .collect();
-                    println!("{}", line.join(" "));
+                    outln!("{}", line.join(" "));
                 } else {
-                    println!("{}", result.to_compact());
+                    outln!("{}", result.to_compact());
                 }
             }
-            None => println!("ok"),
+            None => outln!("ok"),
         },
         Some(status) => {
             let detail = resp
                 .get("error")
                 .and_then(Value::as_str)
                 .unwrap_or("");
-            println!("{status} {detail}");
+            outln!("{status} {detail}");
         }
-        None => println!("{}", resp.to_compact()),
+        None => outln!("{}", resp.to_compact()),
     }
 }

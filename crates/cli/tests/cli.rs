@@ -235,6 +235,43 @@ fn describe_and_props_print_the_model() {
     assert!(stdout.contains("X^1"));
 }
 
+/// A failed write to stdout is a broken run: exit 4 with one line on
+/// stderr, never a panic (exit 101). `/dev/full` fails every write;
+/// skipped where the device does not exist.
+#[test]
+fn describe_into_a_full_device_exits_4() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let ws = Workspace::new("full");
+    let out = gila()
+        .args(["describe", "--ila", &ws.file("c.ila", SPEC)])
+        .stdout(full)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.starts_with("error: writing to stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The `| head` case made deterministic: the pipe's reader is closed
+/// before `gila lint` writes its first byte, so that write fails.
+#[test]
+fn lint_into_a_closed_pipe_exits_4() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = gila()
+        .args(["lint", "--all-designs", "--json"])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.starts_with("error: writing to stdout:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn synth_emits_verilog_that_verifies() {
     let ws = Workspace::new("synth");

@@ -251,7 +251,7 @@ pub(crate) fn apply(op: Op, args: &[&Value]) -> Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Sort;
 
@@ -331,7 +331,7 @@ mod tests {
     /// A random DAG over booleans, 8-bit words and 8x8 memories, every
     /// node drawn over earlier ones so subterms are shared, and a random
     /// partial assignment of its variables.
-    fn random_dag(seed: u64) -> (ExprCtx, Vec<ExprRef>, Env) {
+    pub(crate) fn random_dag(seed: u64) -> (ExprCtx, Vec<ExprRef>, Env) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut ctx = ExprCtx::new();

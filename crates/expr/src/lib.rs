@@ -49,5 +49,7 @@ pub use eval::{eval, eval_all, Env, EvalError};
 pub use lower::{Slot, TapeProgram, TapeState};
 pub use smtlib::{to_smtlib_script, to_smtlib_term};
 pub use sort::Sort;
-pub use subst::{import, import_mapped, import_renamed, substitute, substitute_cached};
+pub use subst::{
+    cofactor, import, import_mapped, import_renamed, substitute, substitute_cached, Cofactor,
+};
 pub use value::{BitVecValue, MemValue, Value};

@@ -1,8 +1,9 @@
 //! Substitution, renaming, and cross-context import of expression DAGs.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
-use crate::ctx::{ExprCtx, ExprNode, ExprRef};
+use crate::ctx::{ExprCtx, ExprNode, ExprRef, Op};
 
 /// Rewrites `root`, replacing every occurrence of a key of `map` with its
 /// value. Keys are typically variables, but any sub-expression handle works.
@@ -90,6 +91,126 @@ pub fn substitute_cached(
         memo.insert(e, out);
     }
     memo[&root]
+}
+
+/// The constants a conjunction fixes, and the rewrite that folds them
+/// into other formulas; built by [`cofactor`].
+#[derive(Clone, Debug, Default)]
+pub struct Cofactor {
+    facts: Vec<ExprRef>,
+    map: HashMap<ExprRef, ExprRef>,
+    memo: HashMap<ExprRef, ExprRef>,
+}
+
+impl Cofactor {
+    /// The conjuncts that fixed a constant, in the order they were
+    /// found: each is `e == c`, `!e` or a bare boolean `e`.
+    pub fn facts(&self) -> &[ExprRef] {
+        &self.facts
+    }
+
+    /// `root` with every fixed expression replaced by its constant, and
+    /// what that replacement folds. Rewrites are memoized across calls.
+    pub fn apply(&mut self, ctx: &mut ExprCtx, root: ExprRef) -> ExprRef {
+        substitute_cached(ctx, root, &self.map, &mut self.memo)
+    }
+}
+
+/// Cofactors the conjunction of the boolean `conjuncts` by the
+/// constants it fixes, and returns the facts found with the conjuncts
+/// rewritten under them, one per conjunct.
+///
+/// Nested `And`s are flattened, and each part is read for a fact:
+/// `e == c` with `c` constant and `e` not fixes `e` to `c`, `!e` fixes
+/// `e` to false, and any other non-constant `e` but an equality fixes
+/// itself to true. The first fact about an expression wins; a later,
+/// conflicting one stays a conjunct and folds to false. The rewritten
+/// conjuncts are read again until no new fact appears, so `x@1 == x@0`
+/// becomes a fact once `x@0` is fixed.
+///
+/// Under any assignment that satisfies every fact, each rewritten
+/// conjunct, and [`Cofactor::apply`] of any formula, evaluates as the
+/// original does; the facts and the rewritten conjuncts together are
+/// equivalent to `conjuncts`. Facts follow conjunct order, so the
+/// result is deterministic.
+///
+/// # Examples
+///
+/// ```
+/// use gila_expr::{cofactor, ExprCtx, Sort};
+///
+/// let mut ctx = ExprCtx::new();
+/// let op = ctx.var("op", Sort::Bv(2));
+/// let (a, b) = (ctx.var("a", Sort::Bv(8)), ctx.var("b", Sort::Bv(8)));
+/// let decode = ctx.eq_u64(op, 0);
+/// let sum = ctx.bvadd(a, b);
+/// let diff = ctx.bvsub(a, b);
+/// let out = ctx.ite(decode, sum, diff);
+/// let (mut cof, rest) = cofactor(&mut ctx, &[decode]);
+/// assert_eq!(cof.facts(), &[decode]);
+/// assert_eq!(ctx.as_bool_const(rest[0]), Some(true));
+/// assert_eq!(cof.apply(&mut ctx, out), sum);
+/// ```
+pub fn cofactor(ctx: &mut ExprCtx, conjuncts: &[ExprRef]) -> (Cofactor, Vec<ExprRef>) {
+    let (tt, ff) = (ctx.tt(), ctx.ff());
+    let is_const = |ctx: &ExprCtx, e: ExprRef| {
+        matches!(
+            ctx.node(e),
+            ExprNode::BoolConst(_) | ExprNode::BvConst(_) | ExprNode::MemConst(_)
+        )
+    };
+    let mut cof = Cofactor::default();
+    let mut current = conjuncts.to_vec();
+    loop {
+        let known = cof.facts.len();
+        for part in flatten_and(ctx, &current) {
+            let fact = match ctx.node(part) {
+                ExprNode::BoolConst(_) => continue,
+                ExprNode::App { op: Op::Eq, args, .. }
+                    if is_const(ctx, args[0]) != is_const(ctx, args[1]) =>
+                {
+                    if is_const(ctx, args[1]) {
+                        (args[0], args[1])
+                    } else {
+                        (args[1], args[0])
+                    }
+                }
+                // An equality of two open sides waits until a rewrite
+                // fixes one of them.
+                ExprNode::App { op: Op::Eq, .. } => continue,
+                ExprNode::App { op: Op::Not, args, .. } => (args[0], ff),
+                _ => (part, tt),
+            };
+            if let Entry::Vacant(slot) = cof.map.entry(fact.0) {
+                slot.insert(fact.1);
+                cof.facts.push(part);
+            }
+        }
+        if cof.facts.len() == known {
+            return (cof, current);
+        }
+        // The memo only ever holds rewrites under the current map.
+        cof.memo.clear();
+        current = current.iter().map(|&c| cof.apply(ctx, c)).collect();
+    }
+}
+
+/// The parts of the conjunction of `roots`, nested `And`s flattened,
+/// left to right, each once.
+fn flatten_and(ctx: &ExprCtx, roots: &[ExprRef]) -> Vec<ExprRef> {
+    let mut parts = Vec::new();
+    let mut seen = HashSet::new();
+    let mut stack: Vec<ExprRef> = roots.iter().rev().copied().collect();
+    while let Some(e) = stack.pop() {
+        if !seen.insert(e) {
+            continue;
+        }
+        match ctx.node(e) {
+            ExprNode::App { op: Op::And, args, .. } => stack.extend(args.iter().rev()),
+            _ => parts.push(e),
+        }
+    }
+    parts
 }
 
 /// Imports an expression from another context into `dst`, returning the
@@ -210,7 +331,9 @@ pub fn import_mapped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eval, Env, Sort};
+    use crate::{eval, eval_all, BitVecValue, Env, MemValue, Sort, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn substitute_replaces_all_occurrences() {
@@ -293,5 +416,147 @@ mod tests {
         let vars = dst.vars_of(&[de]);
         assert_eq!(vars.len(), 1);
         assert_eq!(dst.var_name(vars[0]), Some("rtl.x"));
+    }
+
+    #[test]
+    fn cofactor_follows_held_inputs_to_a_fixpoint() {
+        let mut ctx = ExprCtx::new();
+        let in0 = ctx.var("in@0", Sort::Bv(4));
+        let in1 = ctx.var("in@1", Sort::Bv(4));
+        let y = ctx.var("y", Sort::Bv(4));
+        let hold = ctx.eq(in1, in0);
+        let decode = ctx.eq_u64(in0, 3);
+        let sel = ctx.eq_u64(in1, 3);
+        let out = ctx.ite(sel, y, in1);
+        let (mut cof, rest) = cofactor(&mut ctx, &[hold, decode]);
+        // `in@0 == 3` first, then `in@1 == 3`, read off the rewritten
+        // hold.
+        let in1_fixed = ctx.eq_u64(in1, 3);
+        assert_eq!(cof.facts(), &[decode, in1_fixed]);
+        assert!(rest.iter().all(|&c| ctx.as_bool_const(c) == Some(true)));
+        assert_eq!(cof.apply(&mut ctx, out), y);
+    }
+
+    /// `e`'s value as a constant node.
+    fn constant(ctx: &mut ExprCtx, v: &Value) -> ExprRef {
+        match v {
+            Value::Bool(b) => ctx.bool_const(*b),
+            Value::Bv(x) => ctx.bv(x.clone()),
+            Value::Mem(m) => ctx.mem_const(m.clone()),
+        }
+    }
+
+    /// A uniformly random value of `sort` (random DAGs use 8-bit words
+    /// and 8x8 memories).
+    fn random_value(rng: &mut StdRng, sort: Sort) -> Value {
+        match sort {
+            Sort::Bool => Value::Bool(rng.gen_bool(0.5)),
+            Sort::Bv(w) => Value::Bv(BitVecValue::from_u64(rng.gen(), w)),
+            Sort::Mem {
+                addr_width,
+                data_width,
+            } => {
+                let mut m = MemValue::zeroed(addr_width, data_width);
+                for a in 0..1u64 << addr_width {
+                    m.write_word_mut(a, rng.gen());
+                }
+                Value::Mem(m)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// On random DAGs, a conjunction of `e == c` (either way round),
+        /// `!e` and bare booleans, all true under the DAG's assignment
+        /// and nested in `And`s, plus a conflicting pair of equalities:
+        /// under the DAG's assignment and every random one that
+        /// satisfies the extracted facts, each rewritten conjunct and
+        /// each cofactored root evaluates as its original. A second run
+        /// on a copy of the context gives the same facts and rewrites.
+        #[test]
+        fn cofactoring_is_invisible(seed in proptest::strategy::any::<u64>()) {
+            let (mut ctx, roots, env) = crate::eval::tests::random_dag(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+            let value_of = |v: ExprRef| env.get(v).cloned();
+            let vars = ["p", "q", "x", "y", "z", "m", "n"].map(|v| ctx.find_var(v).unwrap());
+            let nodes: Vec<ExprRef> = ctx
+                .post_order(&roots)
+                .into_iter()
+                .filter(|&e| matches!(ctx.node(e), ExprNode::App { .. }))
+                .chain(vars)
+                .collect();
+            let mut parts = Vec::new();
+            for _ in 0..rng.gen_range(1..8) {
+                let e = nodes[rng.gen_range(0..nodes.len())];
+                let v = eval_all(&ctx, &[e], value_of).remove(0);
+                let part = match (&v, rng.gen_range(0..3)) {
+                    (Value::Bool(true), 0) => e,
+                    (Value::Bool(false), 0) => ctx.not(e),
+                    (_, k) => {
+                        let c = constant(&mut ctx, &v);
+                        if k == 1 { ctx.eq(e, c) } else { ctx.eq(c, e) }
+                    }
+                };
+                parts.push(part);
+            }
+            // The conflicting pair: the true equality first, so the
+            // false one cannot become a fact.
+            let bvs: Vec<ExprRef> = nodes.iter().copied().filter(|&e| ctx.sort_of(e) == Sort::Bv(8)).collect();
+            let x = bvs[rng.gen_range(0..bvs.len())];
+            let xv = eval_all(&ctx, &[x], value_of).remove(0).as_bv().to_u64();
+            let right = ctx.bv_u64(xv, 8);
+            let wrong = ctx.bv_u64(xv ^ 1, 8);
+            let at = rng.gen_range(0..=parts.len());
+            parts.insert(at, ctx.eq(x, right));
+            let after = rng.gen_range(at + 1..=parts.len());
+            parts.insert(after, ctx.eq(x, wrong));
+            // Nest runs of parts in `And`s, keeping their order.
+            let mut conjuncts = Vec::new();
+            let mut rest = &parts[..];
+            while !rest.is_empty() {
+                let n = rng.gen_range(1..=rest.len().min(3));
+                let nested = rest[1..n].iter().fold(rest[0], |acc, &p| ctx.and(acc, p));
+                conjuncts.push(nested);
+                rest = &rest[n..];
+            }
+
+            let mut again = ctx.clone();
+            let (mut cof, rewritten) = cofactor(&mut ctx, &conjuncts);
+            let cofactored: Vec<ExprRef> = roots.iter().map(|&r| cof.apply(&mut ctx, r)).collect();
+            let (mut cof2, rewritten2) = cofactor(&mut again, &conjuncts);
+            proptest::prop_assert_eq!(cof2.facts(), cof.facts());
+            proptest::prop_assert_eq!(&rewritten2, &rewritten);
+            let cofactored2: Vec<ExprRef> = roots.iter().map(|&r| cof2.apply(&mut again, r)).collect();
+            proptest::prop_assert_eq!(&cofactored2, &cofactored);
+
+            let original: Vec<ExprRef> = conjuncts.iter().chain(&roots).copied().collect();
+            let rewrites: Vec<ExprRef> = rewritten.iter().chain(&cofactored).copied().collect();
+            let vars = ctx.vars_of(&original);
+            let mut assignments = vec![env.clone()];
+            for _ in 0..16 {
+                let mut a = Env::new();
+                for &v in &vars {
+                    a.bind(v, random_value(&mut rng, ctx.sort_of(v)));
+                }
+                assignments.push(a);
+            }
+            for (i, a) in assignments.iter().enumerate() {
+                let value_of = |v: ExprRef| a.get(v).cloned();
+                let facts_hold = eval_all(&ctx, cof.facts(), value_of)
+                    .iter()
+                    .all(Value::as_bool);
+                // The DAG's own assignment makes every part but the
+                // conflicting one true, so it satisfies every fact.
+                proptest::prop_assert!(facts_hold || i > 0, "the generating assignment breaks a fact");
+                if facts_hold {
+                    proptest::prop_assert_eq!(
+                        eval_all(&ctx, &rewrites, value_of),
+                        eval_all(&ctx, &original, value_of)
+                    );
+                }
+            }
+        }
     }
 }

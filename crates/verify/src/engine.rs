@@ -6,9 +6,10 @@
 //! architectural state (plus user invariants), if the instruction's
 //! start condition holds, then after the instruction finishes in the RTL
 //! the mapped signals again agree with the ILA state produced by the
-//! instruction's next-state functions. Each property is discharged by
-//! bit-blasting to SAT; a satisfying assignment is a counterexample
-//! trace, UNSAT is a proof for that instruction. Once a port has a
+//! instruction's next-state functions. Each property is cofactored by
+//! the constants its decode fixes ([`gila_expr::cofactor`]) and
+//! discharged by bit-blasting to SAT; a satisfying assignment is a
+//! counterexample trace, UNSAT is a proof for that instruction. Once a port has a
 //! counterexample, its later checks first evaluate seeded candidates on
 //! the same formula ([`crate::falsify`]), and a candidate that evaluates
 //! to a violation is reported without a SAT call.
@@ -33,7 +34,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gila_core::{ModuleIla, PortIla};
-use gila_expr::{eval_all, import, import_mapped, ExprNode, ExprRef, Op, Sort, Value};
+use gila_expr::{
+    cofactor, eval_all, import, import_mapped, Cofactor, ExprNode, ExprRef, Op, Sort, Value,
+};
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
 use gila_smt::{
@@ -1183,6 +1186,7 @@ pub(crate) fn check_instruction_planned(
             .label(result.tag())
             .worker(meta.worker)
             .field("solves", tally.solves)
+            .field("facts", tally.facts)
             .field("decisions", effort.decisions)
             .field("propagations", effort.propagations)
             .field("conflicts", effort.conflicts)
@@ -1441,6 +1445,23 @@ impl Property {
         (eqs, viol)
     }
 
+    /// [`Property::violation_at`] rewritten by `cof`: the post-equalities
+    /// and the violation, then the plain violation.
+    fn cofactored_violation(
+        &self,
+        plan: &PortPlan<'_>,
+        u: &mut Unrolling,
+        cof: &mut Cofactor,
+        frame: usize,
+    ) -> (Vec<(String, ExprRef)>, ExprRef, ExprRef) {
+        let (eqs, plain) = self.violation_at(plan, u, frame);
+        let eqs = eqs
+            .into_iter()
+            .map(|(name, eq)| (name, cof.apply(u.ctx_mut(), eq)))
+            .collect();
+        (eqs, cof.apply(u.ctx_mut(), plain), plain)
+    }
+
     /// For a `Condition` finish, the assumptions that the instruction
     /// finishes first at frame `j`: the condition fails at every frame
     /// `1..j` and holds at `j`.
@@ -1512,6 +1533,8 @@ impl Property {
 struct CheckTally {
     /// SAT checks run.
     solves: u64,
+    /// Facts the check's formulas were cofactored by.
+    facts: u64,
     /// Building the check's formulas: the property, and its violation
     /// and finish-condition formulas.
     property: Duration,
@@ -1549,22 +1572,33 @@ fn check_instruction_inner(
     let bound = ip.bound;
     let tracer = ctx.tracer;
     let prop = timed(&mut tally.property, || Property::build(plan, idx, u))?;
+    // Every formula of the check is cofactored by the constants its
+    // antecedent fixes: the facts, then the rewritten conjuncts, make up
+    // the antecedent that sampling evaluates and SAT asserts.
+    let plain_pre: Vec<ExprRef> = prop.start.iter().chain(&prop.policy).copied().collect();
+    let (mut cof, pre) = timed(&mut tally.property, || {
+        let (cof, rewritten) = cofactor(u.ctx_mut(), &plain_pre);
+        let pre: Vec<ExprRef> = cof.facts().iter().copied().chain(rewritten).collect();
+        (cof, pre)
+    });
+    tally.facts = cof.facts().len() as u64;
 
     // A `Cycles` finish is one formula: the antecedent conjuncts plus the
     // violation at the bound, built once for sampling and SAT alike.
     let mut at_bound = timed(&mut tally.property, || {
         prop.finish
             .is_none()
-            .then(|| prop.violation_at(plan, u, bound))
+            .then(|| prop.cofactored_violation(plan, u, &mut cof, bound))
     });
-    if let (Some((eqs, viol)), true) = (&at_bound, sample) {
+    if let (Some((eqs, viol, plain_viol)), true) = (&at_bound, sample) {
         // Out of time or cancelled: leave the `Unknown` to SAT.
         if smt.resources_exhausted().is_none() {
             let t0 = Instant::now();
-            let pre: Vec<ExprRef> = prop.start.iter().chain(&prop.policy).copied().collect();
             let formula = Formula {
                 pre: &pre,
                 viol: *viol,
+                plain_pre: &plain_pre,
+                plain_viol: *plain_viol,
                 bound,
                 hold: ip.input_policy == InputPolicy::Hold,
             };
@@ -1594,7 +1628,7 @@ fn check_instruction_inner(
     // The caller opened a scope for us: assert the per-instruction
     // conditions there (retracted on pop, CNF kept). Per-frame cases
     // then differ only in their assumption lists.
-    for &c in prop.start.iter().chain(&prop.policy) {
+    for &c in &pre {
         smt.assert(u.ctx(), c);
     }
 
@@ -1604,7 +1638,10 @@ fn check_instruction_inner(
         // per candidate frame.
         Some(cond) => timed(&mut tally.property, || {
             (1..=bound)
-                .map(|j| (j, Property::finishes_at(cond, u, j)))
+                .map(|j| {
+                    let finish = Property::finishes_at(cond, u, j);
+                    (j, finish.into_iter().map(|a| cof.apply(u.ctx_mut(), a)).collect())
+                })
                 .collect()
         }),
     };
@@ -1632,9 +1669,11 @@ fn check_instruction_inner(
             }
             finish_reachable = true;
         }
-        let (eqs, viol) = match at_bound.take() {
+        let (eqs, viol, _) = match at_bound.take() {
             Some(formula) => formula,
-            None => timed(&mut tally.property, || prop.violation_at(plan, u, frame)),
+            None => timed(&mut tally.property, || {
+                prop.cofactored_violation(plan, u, &mut cof, frame)
+            }),
         };
         let mut assumptions = extra_assumptions;
         assumptions.push(viol);
@@ -2164,10 +2203,12 @@ pub fn verify_module(
 /// RTL, the counterexample's frame-0 state and per-frame inputs are
 /// pinned, and SAT answers whether the pinned formula still violates
 /// the property at the counterexample's finish cycle. A genuine
-/// counterexample always answers `true`.
+/// counterexample always answers `true`. The formula is the plain one:
+/// this re-check never cofactors ([`gila_expr::cofactor`]), so it is
+/// independent of the rewrite every check runs on.
 ///
-/// Exposed so tests can check counterexamples found by sampling against
-/// the solver.
+/// Exposed so tests can check counterexamples, sampled or SAT-decided,
+/// against the solver.
 ///
 /// # Errors
 ///

@@ -61,10 +61,15 @@ pub(crate) struct Tally {
 
 /// The check's formula over `u`: the antecedent conjuncts `pre`, the
 /// violation `viol` at frame `bound`, and whether the inputs of frames
-/// `1..bound` hold frame 0's.
+/// `1..bound` hold frame 0's. `pre` and `viol` are cofactored from
+/// `plain_pre` and `plain_viol`, and candidates are drawn as for those:
+/// for their variables, from their antecedent's constants, so the
+/// cofactoring moves no draw.
 pub(crate) struct Formula<'a> {
     pub(crate) pre: &'a [ExprRef],
     pub(crate) viol: ExprRef,
+    pub(crate) plain_pre: &'a [ExprRef],
+    pub(crate) plain_viol: ExprRef,
     pub(crate) bound: usize,
     pub(crate) hold: bool,
 }
@@ -81,7 +86,7 @@ pub(crate) fn falsify(u: &Unrolling, f: &Formula<'_>, seed: u64) -> (Option<Witn
     // The dictionary: every word-sized constant of the antecedent, by
     // width, in first-seen order.
     let mut dict: HashMap<u32, Vec<u64>> = HashMap::new();
-    for e in ctx.post_order(f.pre) {
+    for e in ctx.post_order(f.plain_pre) {
         if let ExprNode::BvConst(v) = ctx.node(e) {
             if v.width() <= 64 {
                 let words = dict.entry(v.width()).or_default();
@@ -92,6 +97,14 @@ pub(crate) fn falsify(u: &Unrolling, f: &Formula<'_>, seed: u64) -> (Option<Witn
         }
     }
 
+    // A variable of the plain formula is drawn even when the cofactored
+    // one no longer reads it (it has no slot then), so the stream of
+    // draws is the plain formula's.
+    let plain_vars: HashSet<ExprRef> = ctx
+        .vars_of(&[f.plain_pre, &[f.plain_viol]].concat())
+        .into_iter()
+        .collect();
+
     // Under `Hold`, the inputs of frames `1..bound` copy frame 0's.
     let frames = &u.frames()[..=f.bound];
     let mut copies: Vec<(Slot, Slot)> = Vec::new();
@@ -99,11 +112,12 @@ pub(crate) fn falsify(u: &Unrolling, f: &Formula<'_>, seed: u64) -> (Option<Witn
     if f.hold {
         for frame in &frames[1..f.bound] {
             for (name, &var) in &frame.inputs {
-                if let (Some(to), Some(from)) =
-                    (prog.slot_of(var), prog.slot_of(frames[0].inputs[name]))
-                {
-                    copies.push((from, to));
+                let var0 = frames[0].inputs[name];
+                if plain_vars.contains(&var) && plain_vars.contains(&var0) {
                     held.insert(var);
+                    if let (Some(to), Some(from)) = (prog.slot_of(var), prog.slot_of(var0)) {
+                        copies.push((from, to));
+                    }
                 }
             }
         }
@@ -111,19 +125,25 @@ pub(crate) fn falsify(u: &Unrolling, f: &Formula<'_>, seed: u64) -> (Option<Witn
     // The free variables: frame 0's state and every frame's inputs, in
     // the frames' name order. Words are redrawn per candidate; wider
     // vectors and memories are drawn here, once.
-    let mut words: Vec<(Slot, u32)> = Vec::new();
+    let mut words: Vec<(Option<Slot>, u32)> = Vec::new();
     let vars = frames[0]
         .states
         .values()
         .chain(frames.iter().flat_map(|fr| fr.inputs.values()));
     for &var in vars {
-        let Some(slot) = prog.slot_of(var).filter(|_| !held.contains(&var)) else {
+        if !plain_vars.contains(&var) || held.contains(&var) {
             continue;
-        };
-        match prog.slot_sort(slot) {
+        }
+        let slot = prog.slot_of(var);
+        match ctx.sort_of(var) {
             Sort::Bool => words.push((slot, 1)),
-            Sort::Bv(w) if slot.is_word() => words.push((slot, w)),
-            sort => prog.write(&mut st, slot, &random_value(&mut rng, sort)),
+            Sort::Bv(w) if w <= 64 => words.push((slot, w)),
+            sort => {
+                let v = random_value(&mut rng, sort);
+                if let Some(slot) = slot {
+                    prog.write(&mut st, slot, &v);
+                }
+            }
         }
     }
 
@@ -132,7 +152,9 @@ pub(crate) fn falsify(u: &Unrolling, f: &Formula<'_>, seed: u64) -> (Option<Witn
     for _ in 0..SAMPLES {
         for &(slot, w) in &words {
             let x = draw(&mut rng, dict.get(&w));
-            prog.write_word(&mut st, slot, x);
+            if let Some(slot) = slot {
+                prog.write_word(&mut st, slot, x);
+            }
         }
         for &(from, to) in &copies {
             prog.copy_slot(&mut st, from, to);

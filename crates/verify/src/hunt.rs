@@ -28,7 +28,7 @@ use gila_rtl::RtlModule;
 use gila_trace::{Event, SpanKind, Tracer};
 
 use crate::compiled::CompiledCosim;
-use crate::cosim::{run_random, CosimError, Divergence};
+use crate::cosim::{check_map, run_random, CosimError, Divergence};
 use crate::refmap::RefinementMap;
 use crate::shrink::{shrink_with, ShrinkResult};
 
@@ -124,10 +124,10 @@ pub fn hunt(
     config: &HuntConfig,
     tracer: &Tracer,
 ) -> Result<HuntReport, CosimError> {
-    // Validate every target once; workers can then treat compile as
-    // infallible.
+    // A compile fails only on a bad map: check every target's map once,
+    // and workers can then treat compile as infallible.
     for t in targets {
-        CompiledCosim::new(t.port, t.rtl, t.map)?;
+        check_map(t.port, t.rtl, t.map)?;
     }
 
     let seeds = config.seeds.max(1);

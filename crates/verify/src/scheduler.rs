@@ -331,6 +331,9 @@ mod tests {
     use crate::engine::testutil::{counter_ila, counter_map, counter_rtl};
     use crate::engine::{verify_port, Planned, VerifyOptions};
     use crate::fault::{FaultAction, FaultPlan};
+    use crate::RefinementMap;
+    use gila_core::{PortIla, StateKind};
+    use gila_expr::{Op, Sort};
 
     fn counter_cfg(workers: usize, stop_at_first_cex: bool) -> PoolConfig {
         PoolConfig {
@@ -419,13 +422,63 @@ mod tests {
         assert_eq!(first.stolen, second.stolen);
     }
 
+    /// A counter variant whose two instructions share frame logic that
+    /// neither decode fixes: `acc` gains or loses `a * b` as `en` says,
+    /// and the ILA writes the product `b * a`, so a proof must blast both
+    /// multipliers.
+    fn mac_pool() -> PoolOutcome {
+        let mut port = PortIla::new("mac");
+        let en = port.input("en", Sort::Bv(1));
+        let a = port.input("a", Sort::Bv(4));
+        let b = port.input("b", Sort::Bv(4));
+        let acc = port.state("acc", Sort::Bv(4), StateKind::Output);
+        let prod = port.ctx_mut().bvmul(b, a);
+        for (name, on, op) in [("add", 1, Op::BvAdd), ("sub", 0, Op::BvSub)] {
+            let d = port.ctx_mut().eq_u64(en, on);
+            let nx = port.ctx_mut().app(op, vec![acc, prod]);
+            port.instr(name).decode(d).update("acc", nx).add().unwrap();
+        }
+        let rtl = gila_rtl::parse_verilog(
+            r#"
+module mac(clk, en_in, a_in, b_in);
+  input clk;
+  input en_in;
+  input [3:0] a_in;
+  input [3:0] b_in;
+  reg [3:0] acc;
+  wire [3:0] p;
+  assign p = a_in * b_in;
+  always @(posedge clk) if (en_in) acc <= acc + p; else acc <= acc - p;
+endmodule
+"#,
+        )
+        .unwrap();
+        let mut map = RefinementMap::new("mac");
+        map.map_state("acc", "acc");
+        for (ila, sig) in [("en", "en_in"), ("a", "a_in"), ("b", "b_in")] {
+            map.map_input(ila, sig);
+        }
+        let planned = Planned::new(&[(&port, &map)], &rtl).unwrap();
+        let tracer = gila_trace::Tracer::disabled();
+        let ctx = RunCtx::plain(&tracer, &planned);
+        run_pool(
+            &planned.plans,
+            std::slice::from_ref(&planned.ts),
+            counter_cfg(1, false),
+            &ctx,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn single_worker_pool_reuses_cnf_across_instructions() {
         // On a persistent engine the second instruction re-uses the
-        // blasted transition relation: its CNF growth must collapse
-        // relative to the first instruction on the same worker.
-        let outcome = run_counter_pool(false, 1, false);
+        // blasted frame logic its decode leaves open: its CNF growth
+        // must collapse relative to the first instruction on the same
+        // worker.
+        let outcome = mac_pool();
         let verdicts = &outcome.ports[0].verdicts;
+        assert!(verdicts.iter().all(|(_, v)| v.result.holds()));
         assert_eq!(verdicts.len(), 2);
         let first = verdicts[0].1.cnf_growth;
         let second = verdicts[1].1.cnf_growth;
