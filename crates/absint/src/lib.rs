@@ -27,7 +27,7 @@ mod oracle;
 pub use fixpoint::{
     analyze_port, analyze_ts, uninit_reads, PortAnalysis, TsAnalysis, UninitRead,
 };
-pub use oracle::{assume, assume_with, DecodeOracle};
+pub use oracle::{assume, DecodeOracle};
 
 use gila_expr::ExprRef;
 

@@ -18,8 +18,9 @@
 //! Every method returns `Option<bool>`: `None` means inconclusive and
 //! the caller must fall back to SAT. The oracle never fabricates
 //! witnesses — findings that need a model (a gap command, an overlap
-//! command) always go to the solver, so diagnostics are byte-identical
-//! with the fast path on or off.
+//! command) always go to the solver. A decided answer must equal the
+//! solver's: in debug builds `gila-lint` asks SAT every question the
+//! oracle settles and asserts that the two agree.
 
 use gila_core::PortIla;
 use gila_expr::{
@@ -47,7 +48,7 @@ pub fn assume(ctx: &ExprCtx, cond: ExprRef, env: &AbsEnv) -> Option<AbsEnv> {
 }
 
 /// Like [`assume`], but under the hypothesis `cond == polarity`.
-pub fn assume_with(
+pub(crate) fn assume_with(
     ctx: &ExprCtx,
     cond: ExprRef,
     polarity: bool,
@@ -336,11 +337,6 @@ impl<'a> DecodeOracle<'a> {
         })
     }
 
-    /// True if exhaustive enumeration is available for this port.
-    pub fn exhaustive(&self) -> bool {
-        self.enum_vars.is_some()
-    }
-
     /// Checks `pred` on every assignment of the support variables;
     /// `Some(true)` iff it holds universally. `None` when the support
     /// exceeds the enumeration budget.
@@ -460,7 +456,7 @@ mod tests {
     fn oracle_decides_overlap_exactly_when_enumerable() {
         let p = two_instr_port();
         let oracle = DecodeOracle::new(&p);
-        assert!(oracle.exhaustive());
+        assert!(oracle.enum_vars.is_some());
         // cmd == 0 also satisfies cmd != 1: the pair overlaps.
         assert_eq!(oracle.pair_disjoint(0, 1), Some(false));
         // The dead decode is vacuously disjoint from everything.

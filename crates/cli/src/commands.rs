@@ -30,6 +30,60 @@ pub(crate) const EXIT_INTERNAL: u8 = 4;
 /// Exit code when at least one verdict is Unknown (budget exhausted).
 pub(crate) const EXIT_UNKNOWN: u8 = 3;
 
+/// The flags each subcommand takes, without their dashes. A flag its
+/// subcommand does not list is a usage error that names it, never
+/// silently ignored.
+const FLAGS: &[(&str, &[&str])] = &[
+    (
+        "verify",
+        &[
+            "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
+            "timeout-ms", "retries", "checkpoint", "vcd", "trace", "stats",
+        ],
+    ),
+    ("describe", &["ila", "format"]),
+    ("synth", &["ila", "o"]),
+    ("check-inv", &["rtl", "invariant", "depth"]),
+    ("props", &["ila", "map"]),
+    ("export", &["rtl", "prop", "o"]),
+    ("sim", &["rtl", "ila", "stimulus"]),
+    ("lint", &["all-designs", "rtl", "json", "deny", "jobs", "trace"]),
+    (
+        "hunt",
+        &[
+            "design", "all-designs", "buggy", "seeds", "cycles", "jobs", "seed-base",
+            "no-shrink", "out", "replay", "json", "trace",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "listen", "socket", "cache", "cache-bytes", "cache-entries", "queue-cap", "workers",
+            "jobs", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
+        ],
+    ),
+    (
+        "client",
+        &[
+            "connect", "socket", "design", "buggy", "no-cache", "deadline-ms", "retries",
+            "seed", "fault", "stim", "stats", "ping", "shutdown", "json",
+        ],
+    ),
+];
+
+/// Checks one command-line flag, as written (`--jobs`, `-o`), against
+/// the flags `cmd` takes. Commands [`FLAGS`] does not list are left to
+/// `main`.
+pub(crate) fn check_flag(cmd: &str, arg: &str) -> Result<(), String> {
+    let name = arg.strip_prefix("--").or(arg.strip_prefix('-')).unwrap_or(arg);
+    match FLAGS.iter().find(|(c, _)| *c == cmd) {
+        Some((_, known)) if !known.contains(&name) => {
+            Err(format!("gila {cmd} has no flag {arg} (see `gila help`)"))
+        }
+        _ => Ok(()),
+    }
+}
+
 pub(crate) fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
     flags
         .iter()
@@ -79,13 +133,6 @@ fn load_maps(flags: &[(String, String)]) -> Result<Vec<RefinementMap>, Box<dyn E
 /// the spec is checked against its own synthesized RTL with identity
 /// refinement maps (a self-check that exercises the whole pipeline).
 pub fn verify(flags: &[(String, String)]) -> CmdResult {
-    const KNOWN: &[&str] = &[
-        "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
-        "timeout-ms", "retries", "checkpoint", "par-threshold", "vcd", "trace", "stats",
-    ];
-    if let Some((name, _)) = flags.iter().find(|(n, _)| !KNOWN.contains(&n.as_str())) {
-        return Err(format!("gila verify has no flag --{name} (see `gila help`)").into());
-    }
     let ila_path = flag(flags, "ila")
         .or_else(|| flag(flags, "spec"))
         .ok_or("missing required flag --ila (or --spec)")?;
@@ -129,8 +176,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     let fault_plan = FaultPlan::from_env()
         .map_err(|e| format!("GILA_FAULT_PLAN: {e}"))?
         .map(Arc::new);
-    let defaults = VerifyOptions::default();
-    let par_threshold = parse_u64("par-threshold")?.unwrap_or(defaults.par_threshold);
     let journal = match flag(flags, "checkpoint") {
         Some(path) => {
             let cfg = CacheConfig {
@@ -159,8 +204,7 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         retries,
         fault_plan,
         journal,
-        par_threshold,
-        ..defaults
+        ..VerifyOptions::default()
     };
     let report = match verify_module(&ila, &rtl, &maps, &opts) {
         Ok(report) => report,
@@ -539,10 +583,7 @@ pub fn lint(positional: &[String], flags: &[(String, String)]) -> CmdResult {
             .map_err(|_| format!("--jobs expects a worker count, got {v:?}"))?,
         None => 1,
     };
-    let opts = LintOptions {
-        jobs: jobs.max(1),
-        absint: flag(flags, "no-absint").is_none(),
-    };
+    let opts = LintOptions { jobs: jobs.max(1) };
     let tracer = match flag(flags, "trace") {
         Some(path) => Tracer::jsonl_file(std::path::Path::new(path))
             .map_err(|e| format!("opening --trace {path}: {e}"))?,

@@ -57,7 +57,7 @@ USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
                  [--stop-at-first-cex] [--jobs N] [--conflict-budget N]
                  [--timeout-ms N] [--retries N] [--checkpoint FILE]
-                 [--par-threshold N] [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
+                 [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
   gila check-inv --rtl IMPL.v --invariant EXPR [--invariant EXPR ...] [--depth K]
@@ -65,7 +65,7 @@ USAGE:
   gila export    --rtl IMPL.v [--prop EXPR] [-o OUT.btor2]
   gila sim       (--rtl IMPL.v | --ila SPEC.ila) --stimulus FILE
   gila lint      (SPEC.ila | --all-designs) [--rtl IMPL.v] [--json]
-                 [--deny CODE ...] [--jobs N] [--no-absint] [--trace OUT.jsonl]
+                 [--deny CODE ...] [--jobs N] [--trace OUT.jsonl]
   gila hunt      (--design NAME ... | --all-designs) [--buggy] [--seeds N]
                  [--cycles N] [--jobs N] [--seed-base N] [--no-shrink]
                  [--out DIR] [--json] [--trace OUT.jsonl]
@@ -152,9 +152,6 @@ LINT OPTIONS:
                        it is warning-class; repeatable
   --jobs N             lint ports on N worker threads; output is
                        identical at any job count
-  --no-absint          disable the abstract-interpretation fast path that
-                       discharges decode checks without SAT calls; the
-                       reported diagnostics are identical either way
   --trace OUT          write one lint_pass telemetry span per pass per
                        target to OUT (JSONL)
 
@@ -176,9 +173,6 @@ VERIFY OPTIONS:
                        every newly decided verdict is appended as one
                        flushed line; prints 'journal: N recovered, M
                        dropped' (torn or stale lines) to stderr
-  --par-threshold N    route a pooled run to the persistent sequential
-                       engine when its estimated blast work is below N
-                       (0 = always pool; default tuned from bench data)
   --trace OUT          write a JSONL telemetry trace: one span per port,
                        instruction, SAT solve, CNF blast, and unroll event
   --stats              print a per-port solver/CNF/scheduling summary table"
@@ -186,14 +180,21 @@ VERIFY OPTIONS:
     std::process::exit(2)
 }
 
-/// Minimal flag parser: returns (positional, flags) where repeated flags
-/// accumulate.
-fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
+/// Minimal flag parser for subcommand `cmd`: returns (positional,
+/// flags) where repeated flags accumulate. A flag `cmd` does not take
+/// ends the process with exit 2 before its value is looked for.
+fn parse_args(cmd: &str, args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
+        if a.starts_with('-') {
+            if let Err(e) = commands::check_flag(cmd, a) {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
         if let Some(name) = a.strip_prefix("--") {
             // Boolean flags have no value; value flags consume the next arg.
             if matches!(
@@ -204,7 +205,6 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
                     | "all-designs"
                     | "buggy"
                     | "no-shrink"
-                    | "no-absint"
                     | "no-cache"
                     | "shutdown"
                     | "ping"
@@ -236,7 +236,7 @@ fn parse_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let (positional, flags) = parse_args(&args[1..]);
+    let (positional, flags) = parse_args(cmd, &args[1..]);
     let result = match cmd.as_str() {
         "verify" => commands::verify(&flags),
         "lint" => commands::lint(&positional, &flags),

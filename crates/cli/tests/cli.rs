@@ -128,6 +128,7 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
         ["--parallel", "--jobs", "4"].as_slice(),
         ["--no-absint"].as_slice(),
         ["--no-preprocess", "--stats"].as_slice(),
+        ["--par-threshold", "0"].as_slice(),
     ] {
         let out = gila()
             .args(["verify", "--ila", &spec, "--rtl", &rtl, "--map", &map])
@@ -146,6 +147,36 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
+    let ws = Workspace::new("unknown_flags");
+    let spec = ws.file("c.ila", SPEC);
+    let rtl = ws.file("c.v", RTL_GOOD);
+    let map = ws.file("m.json", MAP);
+    // One misspelt or removed flag per subcommand. Each is rejected by
+    // name before it can swallow the next argument as its value.
+    for (args, bad) in [
+        (vec!["lint", "--no-absint", &spec], "--no-absint"),
+        (vec!["lint", &spec, "--jbos", "4"], "--jbos"),
+        (vec!["describe", "--ila", &spec, "--colour", "red"], "--colour"),
+        (vec!["synth", "--ila", &spec, "-O", "out.v"], "-O"),
+        (vec!["check-inv", "--rtl", &rtl, "--invariant", "1", "--dept", "3"], "--dept"),
+        (vec!["props", "--ila", &spec, "--mapp", &map], "--mapp"),
+        (vec!["export", "--rtl", &rtl, "--porp", "1"], "--porp"),
+        (vec!["sim", "--rtl", &rtl, "--stim", "s.txt"], "--stim"),
+        (vec!["hunt", "--design", "Decoder", "--seedz", "2"], "--seedz"),
+        (vec!["serve", "--listn", "127.0.0.1:0"], "--listn"),
+        (vec!["client", "--conect", "127.0.0.1:1", "--ping"], "--conect"),
+    ] {
+        let out = gila().args(&args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("gila {} has no flag {bad}", args[0]);
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting {bad}");
+    }
 }
 
 #[test]

@@ -356,9 +356,10 @@ fn witness_to_json(w: &Witness) -> Json {
 }
 
 /// How much lint work the abstract-interpretation fast path settled
-/// without the SAT solver. Carried on [`LintReport`] for `--stats` and
-/// the bench harness; deliberately *not* serialized into the report's
-/// JSON, which must be byte-identical with the fast path on or off.
+/// without the SAT solver. Carried on [`LintReport`] for the bench
+/// harness and the registry counter golden; deliberately *not*
+/// serialized into the report's JSON, which reports what was found,
+/// not which engine settled it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LintStats {
     /// Lint questions (one per code per port) whose every SAT query was

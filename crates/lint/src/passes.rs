@@ -21,22 +21,11 @@ pub struct LintOptions {
     /// proofs dominate); diagnostics come back in declaration order
     /// regardless, so output is identical at any job count.
     pub jobs: usize,
-    /// Try the abstract-interpretation verdict before SAT on the decode
-    /// lints (GL001–GL003). Diagnostics are identical either way — the
-    /// fast path only skips SAT calls whose outcome it proves, and any
-    /// finding that carries a witness still goes to the solver — so
-    /// this is purely a performance knob (`--no-absint` in the CLI).
-    /// The GL014–GL017 passes are analyses, not fast paths, and run
-    /// regardless.
-    pub absint: bool,
 }
 
 impl Default for LintOptions {
     fn default() -> Self {
-        LintOptions {
-            jobs: 1,
-            absint: true,
-        }
+        LintOptions { jobs: 1 }
     }
 }
 
@@ -69,35 +58,34 @@ fn usage_of(port: &PortIla) -> Usage {
 }
 
 /// Pass 1+2: decode completeness/determinism proofs plus dead-
-/// instruction detection. With `use_absint`, each SAT query is first
-/// offered to the [`DecodeOracle`]; a conclusive abstract verdict
-/// settles the question without the solver. Verdicts that *report* a
-/// finding with a witness (a gap or an overlap) always go to SAT so
-/// the diagnostic — witness bytes included — is identical either way.
+/// instruction detection. Each SAT query is first offered to the
+/// [`DecodeOracle`]; a conclusive abstract verdict settles the question
+/// without the solver. Verdicts that *report* a finding with a witness
+/// (a gap or an overlap) always go to SAT, so every witness is the
+/// solver's. In debug builds each settled question is asked of SAT as
+/// well, and the two answers must agree.
 ///
 /// Returns the diagnostics and the declaration indices of dead
 /// instructions (consumed by the GL017 pass, which must not re-report
 /// them).
-fn decode_pass(
-    port: &PortIla,
-    use_absint: bool,
-    stats: &mut LintStats,
-) -> (Vec<Diagnostic>, Vec<usize>) {
+fn decode_pass(port: &PortIla, stats: &mut LintStats) -> (Vec<Diagnostic>, Vec<usize>) {
     let mut ds = Vec::new();
     let mut dead = Vec::new();
     if port.instructions().is_empty() {
         return (ds, dead);
     }
-    let oracle = if use_absint {
-        Some(DecodeOracle::new(port))
-    } else {
-        None
-    };
+    let oracle = DecodeOracle::new(port);
     let n = port.instructions().len();
     let mut all_dead_static = true;
     for idx in 0..n {
-        let is_dead = match oracle.as_ref().and_then(|o| o.decode_satisfiable(idx)) {
+        let is_dead = match oracle.decode_satisfiable(idx) {
             Some(sat) => {
+                debug_assert_eq!(
+                    !sat,
+                    instruction_dead(port, idx, None),
+                    "oracle and SAT disagree on whether port '{}' instruction {idx} is dead",
+                    port.name()
+                );
                 stats.sat_calls_avoided += 1;
                 !sat
             }
@@ -130,7 +118,12 @@ fn decode_pass(
     if all_dead_static {
         stats.lints_discharged_static += 1;
     }
-    if oracle.as_ref().and_then(|o| o.no_gap()) == Some(true) {
+    if oracle.no_gap() == Some(true) {
+        debug_assert!(
+            decode_gap(port, None).is_none(),
+            "oracle proved port '{}' gap-free but SAT found a gap",
+            port.name()
+        );
         stats.sat_calls_avoided += 1;
         stats.lints_discharged_static += 1;
     } else if let Some(w) = decode_gap(port, None) {
@@ -150,7 +143,13 @@ fn decode_pass(
     let mut all_pairs_static = true;
     for i in 0..n {
         for j in (i + 1)..n {
-            if oracle.as_ref().and_then(|o| o.pair_disjoint(i, j)) == Some(true) {
+            if oracle.pair_disjoint(i, j) == Some(true) {
+                debug_assert!(
+                    decode_overlap_pair(port, i, j, None).is_none(),
+                    "oracle proved port '{}' instructions {i} and {j} disjoint but SAT \
+                     found an overlap",
+                    port.name()
+                );
                 stats.sat_calls_avoided += 1;
                 continue;
             }
@@ -274,9 +273,8 @@ fn state_pass(port: &PortIla, usage: &[Usage], idx: usize) -> Vec<Diagnostic> {
 ///   isolation (not GL003-dead) yet provably false in every reachable
 ///   state.
 ///
-/// The pass is an analysis, not a fast path: it runs at any
-/// `LintOptions::absint` setting, so reports are identical with the
-/// fast path on or off.
+/// The pass is an analysis, not a fast path: every finding stands on
+/// the fixpoint alone, with no SAT query behind it.
 fn absint_pass(port: &PortIla, dead: &[usize]) -> Vec<Diagnostic> {
     let mut ds = Vec::new();
     for r in uninit_reads(port) {
@@ -433,10 +431,10 @@ struct PortDiags {
     stats: LintStats,
 }
 
-fn port_diags(port: &PortIla, usage: &[Usage], idx: usize, use_absint: bool) -> PortDiags {
+fn port_diags(port: &PortIla, usage: &[Usage], idx: usize) -> PortDiags {
     let mut stats = LintStats::default();
     let t0 = Instant::now();
-    let (decode, dead) = decode_pass(port, use_absint, &mut stats);
+    let (decode, dead) = decode_pass(port, &mut stats);
     let decode_ns = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
     let state = state_pass(port, usage, idx);
@@ -467,7 +465,7 @@ fn run_port_passes(ports: &[&PortIla], opts: &LintOptions) -> Vec<PortDiags> {
         return ports
             .iter()
             .enumerate()
-            .map(|(i, p)| port_diags(p, usage, i, opts.absint))
+            .map(|(i, p)| port_diags(p, usage, i))
             .collect();
     }
     let mut slots: Vec<Option<PortDiags>> = Vec::new();
@@ -483,7 +481,7 @@ fn run_port_passes(ports: &[&PortIla], opts: &LintOptions) -> Vec<PortDiags> {
         for shard in shards {
             scope.spawn(move || {
                 for (i, slot) in shard {
-                    *slot = Some(port_diags(ports[i], usage, i, opts.absint));
+                    *slot = Some(port_diags(ports[i], usage, i));
                 }
             });
         }

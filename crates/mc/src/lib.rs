@@ -3,8 +3,11 @@
 //! Model-checking substrate for the gila verification flow:
 //! [`TransitionSystem`]s over the shared expression language, time-frame
 //! expansion ([`Unrolling`]) with per-step fresh inputs, bounded safety
-//! checking ([`bmc_safety`]) with counterexample traces, and
-//! [`k_induction`] for unbounded proofs of inductive invariants.
+//! checking ([`bmc_safety`]) with counterexample traces,
+//! [`k_induction`] for unbounded proofs of inductive invariants,
+//! cone-of-influence slicing ([`coi_slice`]) and BTOR2 export
+//! ([`to_btor2`]). Every property here is a safety property; liveness
+//! is not checked.
 //!
 //! The refinement-check engine in `gila-verify` builds its per-instruction
 //! properties on top of [`Unrolling::map_expr`].
@@ -32,7 +35,6 @@
 mod bmc;
 mod btor2;
 mod coi;
-mod liveness;
 mod ts;
 mod unroll;
 
@@ -42,6 +44,5 @@ pub use bmc::{
 };
 pub use btor2::{to_btor2, Btor2Error};
 pub use coi::{coi_cone, coi_slice, support, CoiStats};
-pub use liveness::{check_justice, liveness_to_safety, LivenessOutcome};
 pub use ts::{TransitionSystem, TsError, TsVar};
 pub use unroll::{Frame, Unrolling, UnrollingSnapshot};

@@ -202,7 +202,6 @@ impl Service {
             designs: gila_designs::all_case_studies(),
             lint_opts: LintOptions {
                 jobs: jobs.unwrap_or(1).max(1),
-                ..LintOptions::default()
             },
             memo: Memo::new(),
         }

@@ -34,7 +34,7 @@ fn spec_report(name: &str, src: &str, jobs: usize) -> LintReport {
     lint_spec(
         &format!("specs/{name}.ila"),
         &spec,
-        &LintOptions { jobs, absint: true },
+        &LintOptions { jobs },
         &Tracer::disabled(),
     )
 }
@@ -149,7 +149,7 @@ fn registry_designs_have_no_error_class_findings() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let opts = LintOptions { jobs, absint: true };
+    let opts = LintOptions { jobs };
     for cs in all_case_studies() {
         let mut report = lint_module(cs.name, &cs.ila, &opts, &Tracer::disabled());
         report
@@ -171,7 +171,7 @@ fn registry_designs_have_no_error_class_findings() {
 fn lint_passes_emit_timing_spans() {
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(10_000);
     let spec = parse_spec(SPECS[4].1).unwrap();
-    let report = lint_spec("broken", &spec, &LintOptions { jobs: 1, absint: true }, &tracer);
+    let report = lint_spec("broken", &spec, &LintOptions { jobs: 1 }, &tracer);
     let rtl = parse_verilog(BROKEN_RTL).unwrap();
     let rtl_diags = lint_rtl("broken_rtl", &rtl, &tracer);
     let events = ring.events();
