@@ -22,8 +22,8 @@ use gila_verify::{
 pub(crate) type CmdResult = Result<u8, Box<dyn Error>>;
 
 /// Exit code for internal faults: a panicked verification job, a
-/// checkpoint journal that cannot be opened, a scheduler failure, or a
-/// failed write to stdout.
+/// checkpoint journal that cannot be opened, an internal engine error,
+/// or a failed write to stdout.
 /// Distinct from "property failed" so scripts can tell a refuted design
 /// from a broken run.
 pub(crate) const EXIT_INTERNAL: u8 = 4;
@@ -32,55 +32,61 @@ pub(crate) const EXIT_UNKNOWN: u8 = 3;
 
 /// The flags each subcommand takes, without their dashes. A flag its
 /// subcommand does not list is a usage error that names it, never
-/// silently ignored.
+/// silently ignored. A flag listed with a trailing `...` may be given
+/// more than once; any other flag given twice is a usage error too,
+/// never a second value silently dropped.
 const FLAGS: &[(&str, &[&str])] = &[
     (
         "verify",
         &[
-            "ila", "spec", "rtl", "map", "stop-at-first-cex", "jobs", "conflict-budget",
+            "ila", "spec", "rtl", "map...", "stop-at-first-cex", "conflict-budget",
             "timeout-ms", "retries", "checkpoint", "vcd", "trace", "stats",
         ],
     ),
     ("describe", &["ila", "format"]),
     ("synth", &["ila", "o"]),
-    ("check-inv", &["rtl", "invariant", "depth"]),
-    ("props", &["ila", "map"]),
+    ("check-inv", &["rtl", "invariant...", "depth"]),
+    ("props", &["ila", "map..."]),
     ("export", &["rtl", "prop", "o"]),
     ("sim", &["rtl", "ila", "stimulus"]),
-    ("lint", &["all-designs", "rtl", "json", "deny", "jobs", "trace"]),
+    ("lint", &["all-designs", "rtl", "json", "deny...", "jobs", "trace"]),
     (
         "hunt",
         &[
-            "design", "all-designs", "buggy", "seeds", "cycles", "jobs", "seed-base",
+            "design...", "all-designs", "buggy", "seeds", "cycles", "jobs", "seed-base",
             "no-shrink", "out", "replay", "json", "trace",
         ],
     ),
     (
         "serve",
         &[
-            "listen", "socket", "cache", "cache-bytes", "cache-entries", "queue-cap", "workers",
-            "jobs", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
+            "listen...", "socket...", "cache", "cache-bytes", "cache-entries", "queue-cap",
+            "workers", "jobs", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
         ],
     ),
     (
         "client",
         &[
-            "connect", "socket", "design", "buggy", "no-cache", "deadline-ms", "retries",
+            "connect", "socket", "design...", "buggy", "no-cache", "deadline-ms", "retries",
             "seed", "fault", "stim", "stats", "ping", "shutdown", "json",
         ],
     ),
 ];
 
-/// Checks one command-line flag, as written (`--jobs`, `-o`), against
-/// the flags `cmd` takes. Commands [`FLAGS`] does not list are left to
-/// `main`.
-pub(crate) fn check_flag(cmd: &str, arg: &str) -> Result<(), String> {
+/// Checks one command-line flag, as written (`--ila`, `-o`), against
+/// the flags `cmd` takes and the flags `seen` before it on the command
+/// line. Commands [`FLAGS`] does not list are left to `main`.
+pub(crate) fn check_flag(cmd: &str, arg: &str, seen: &[(String, String)]) -> Result<(), String> {
     let name = arg.strip_prefix("--").or(arg.strip_prefix('-')).unwrap_or(arg);
-    match FLAGS.iter().find(|(c, _)| *c == cmd) {
-        Some((_, known)) if !known.contains(&name) => {
-            Err(format!("gila {cmd} has no flag {arg} (see `gila help`)"))
+    let Some((_, known)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        return Ok(());
+    };
+    match known.iter().find(|k| k.trim_end_matches("...") == name) {
+        None => Err(format!("gila {cmd} has no flag {arg} (see `gila help`)")),
+        Some(k) if !k.ends_with("...") && seen.iter().any(|(n, _)| n == name) => {
+            Err(format!("gila {cmd} takes {arg} once"))
         }
-        _ => Ok(()),
+        Some(_) => Ok(()),
     }
 }
 
@@ -146,12 +152,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     } else {
         load_maps(flags)?
     };
-    let jobs = flag(flags, "jobs")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--jobs expects a worker count, got {v:?}"))
-        })
-        .transpose()?;
     let tracer = match flag(flags, "trace") {
         Some(path) => Tracer::jsonl_file(std::path::Path::new(path))
             .map_err(|e| format!("opening --trace {path}: {e}"))?,
@@ -198,7 +198,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     };
     let opts = VerifyOptions {
         stop_at_first_cex: flag(flags, "stop-at-first-cex").is_some(),
-        jobs,
         tracer,
         budget,
         retries,
@@ -319,19 +318,6 @@ fn print_stats_table(report: &ModuleReport) {
     }
     outln!("  {}", "-".repeat(header.len()));
     outln!("  {}", row("TOTAL", &report.telemetry));
-    outln!(
-        "  workers: {}   batches: {}   stolen batches: {}   queue wait: {:.2?}",
-        report.telemetry.workers,
-        report.telemetry.batches,
-        report.telemetry.steals,
-        std::time::Duration::from_nanos(report.telemetry.queue_ns)
-    );
-    if report.telemetry.batches > 0 {
-        outln!(
-            "  avg batch size: {:.1}",
-            report.telemetry.instructions as f64 / report.telemetry.batches as f64
-        );
-    }
     if report.telemetry.cache_hits + report.telemetry.cache_misses > 0 {
         outln!(
             "  journal: {} hit(s) replayed, {} miss(es) verified",

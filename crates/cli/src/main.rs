@@ -55,7 +55,7 @@ fn usage() -> ! {
 
 USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
-                 [--stop-at-first-cex] [--jobs N] [--conflict-budget N]
+                 [--stop-at-first-cex] [--conflict-budget N]
                  [--timeout-ms N] [--retries N] [--checkpoint FILE]
                  [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
@@ -85,8 +85,8 @@ EXIT CODES:
   2  usage or input error
   3  undecided: at least one verdict is UNKNOWN (solve budget exhausted)
   4  internal error (a verification job panicked, the checkpoint
-     journal could not be opened, or a scheduler failure); 4 beats 1
-     beats 3 when a run mixes outcomes
+     journal could not be opened, the engine failed internally, or a
+     stdout write failed); 4 beats 1 beats 3 when a run mixes outcomes
   5  (serve only) the drain budget expired with work still in flight;
      stragglers were cancelled, the cache journal stayed consistent
 
@@ -103,7 +103,7 @@ SERVE OPTIONS:
   --queue-cap N        admission-queue bound; requests beyond it are shed
                        immediately with an 'overloaded' + retry hint
   --workers N          request-executing worker threads (default 2)
-  --jobs N             verification pool size per request
+  --jobs N             lint ports of a request on N threads (default 1)
   --deadline-ms N      default per-request deadline; the watchdog cancels
                        requests overrunning it and recycles stuck workers
   --drain-ms N         how long a SIGTERM/SIGINT drain waits for in-flight
@@ -156,9 +156,6 @@ LINT OPTIONS:
                        target to OUT (JSONL)
 
 VERIFY OPTIONS:
-  --jobs N             check instructions on a work-stealing pool of N
-                       workers, each with a persistent incremental solver
-                       (0 = one per CPU; 1, the default, = sequential)
   --spec SPEC.ila      alias for --ila; without --rtl/--map the spec is
                        checked against its own synthesized RTL (self-check)
   --conflict-budget N  give up on a solve after N SAT conflicts and report
@@ -175,14 +172,15 @@ VERIFY OPTIONS:
                        dropped' (torn or stale lines) to stderr
   --trace OUT          write a JSONL telemetry trace: one span per port,
                        instruction, SAT solve, CNF blast, and unroll event
-  --stats              print a per-port solver/CNF/scheduling summary table"
+  --stats              print a per-port solver/CNF summary table"
     );
     std::process::exit(2)
 }
 
 /// Minimal flag parser for subcommand `cmd`: returns (positional,
-/// flags) where repeated flags accumulate. A flag `cmd` does not take
-/// ends the process with exit 2 before its value is looked for.
+/// flags) where repeatable flags accumulate. A flag `cmd` does not
+/// take, or a second use of a flag it takes once, ends the process
+/// with exit 2 before its value is looked for.
 fn parse_args(cmd: &str, args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
@@ -190,7 +188,7 @@ fn parse_args(cmd: &str, args: &[String]) -> (Vec<String>, Vec<(String, String)>
     while i < args.len() {
         let a = &args[i];
         if a.starts_with('-') {
-            if let Err(e) = commands::check_flag(cmd, a) {
+            if let Err(e) = commands::check_flag(cmd, a, &flags) {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }

@@ -93,29 +93,6 @@ fn verify_succeeds_on_correct_rtl() {
 }
 
 #[test]
-fn verify_with_jobs_pool_succeeds_on_correct_rtl() {
-    let ws = Workspace::new("jobs");
-    let out = gila()
-        .args([
-            "verify",
-            "--ila",
-            &ws.file("c.ila", SPEC),
-            "--rtl",
-            &ws.file("c.v", RTL_GOOD),
-            "--map",
-            &ws.file("m.json", MAP),
-            "--jobs",
-            "4",
-        ])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("HOLDS"));
-    assert!(stdout.contains("the RTL refines the ILA"));
-}
-
-#[test]
 fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
     let ws = Workspace::new("flags");
     let spec = ws.file("c.ila", SPEC);
@@ -129,6 +106,7 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
         ["--no-absint"].as_slice(),
         ["--no-preprocess", "--stats"].as_slice(),
         ["--par-threshold", "0"].as_slice(),
+        ["--jobs", "4"].as_slice(),
     ] {
         let out = gila()
             .args(["verify", "--ila", &spec, "--rtl", &rtl, "--map", &map])
@@ -139,10 +117,10 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("no flag {}", extra[0])), "{stderr}");
     }
-    // A malformed worker count is a usage error, not a crash.
+    // A malformed budget is a usage error, not a crash.
     let out = gila()
         .args([
-            "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--jobs", "many",
+            "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--retries", "many",
         ])
         .output()
         .expect("binary runs");
@@ -157,7 +135,8 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
     let map = ws.file("m.json", MAP);
     // One misspelt or removed flag per subcommand. Each is rejected by
     // name before it can swallow the next argument as its value.
-    for (args, bad) in [
+    let unknown = [
+        (vec!["verify", "--ila", &spec, "--jobs", "4"], "--jobs"),
         (vec!["lint", "--no-absint", &spec], "--no-absint"),
         (vec!["lint", &spec, "--jbos", "4"], "--jbos"),
         (vec!["describe", "--ila", &spec, "--colour", "red"], "--colour"),
@@ -169,13 +148,47 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
         (vec!["hunt", "--design", "Decoder", "--seedz", "2"], "--seedz"),
         (vec!["serve", "--listn", "127.0.0.1:0"], "--listn"),
         (vec!["client", "--conect", "127.0.0.1:1", "--ping"], "--conect"),
-    ] {
+    ]
+    .map(|(args, bad)| (args, format!("has no flag {bad}")));
+    // A flag a subcommand takes once is rejected on its second use,
+    // never read from its first use alone.
+    let repeated = [
+        (vec!["describe", "--ila", &spec, "--ila", &spec], "--ila"),
+        (vec!["verify", "--ila", &spec, "--map", &map, "--rtl", &rtl, "--rtl", &rtl], "--rtl"),
+        (vec!["synth", "--ila", &spec, "-o", "a.v", "-o", "b.v"], "-o"),
+        (vec!["lint", &spec, "--jobs", "1", "--jobs", "2"], "--jobs"),
+        (vec!["hunt", "--design", "Decoder", "--seeds", "1", "--seeds", "2"], "--seeds"),
+        (vec!["client", "--socket", "a.sock", "--socket", "b.sock", "--ping"], "--socket"),
+    ]
+    .map(|(args, bad)| (args, format!("takes {bad} once")));
+    for (args, want) in unknown.into_iter().chain(repeated) {
         let out = gila().args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let want = format!("gila {} has no flag {bad}", args[0]);
+        let want = format!("gila {} {want}", args[0]);
         assert!(stderr.contains(&want), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting {bad}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting it: {want}");
+    }
+}
+
+/// The flags marked repeatable take every value they are given.
+#[test]
+fn repeatable_flags_accept_every_use() {
+    let ws = Workspace::new("repeatable");
+    let spec = ws.file("c.ila", SPEC);
+    let rtl = ws.file("c.v", RTL_GOOD);
+    let map = ws.file("m.json", MAP);
+    for args in [
+        vec!["verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--map", &map],
+        vec!["props", "--ila", &spec, "--map", &map, "--map", &map],
+        vec!["check-inv", "--rtl", &rtl, "--invariant", "1", "--invariant", "1"],
+        vec!["lint", &spec, "--deny", "GL001", "--deny", "GL002"],
+        vec!["hunt", "--design", "Decoder", "--design", "AXI Slave", "--seeds", "1"],
+    ] {
+        let out = gila().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("once"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(2), "{args:?}: {stderr}");
     }
 }
 
@@ -421,28 +434,24 @@ fn verify_panicked_job_exits_4_without_aborting() {
     // An injected panic in one job must not kill the process: the other
     // instruction still gets its verdict, and the run exits 4.
     let ws = Workspace::new("panic");
-    for jobs in ["1", "4"] {
-        let out = gila()
-            .env("GILA_FAULT_PLAN", "panic:injected boom@counter/inc")
-            .args([
-                "verify",
-                "--ila",
-                &ws.file("c.ila", SPEC),
-                "--rtl",
-                &ws.file("c.v", RTL_GOOD),
-                "--map",
-                &ws.file("m.json", MAP),
-                "--jobs",
-                jobs,
-            ])
-            .output()
-            .expect("binary runs");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(4), "jobs={jobs}: {stdout}");
-        assert!(stdout.contains("PANICKED (injected fault: injected boom"), "{stdout}");
-        assert!(stdout.contains("HOLDS"), "jobs={jobs}: other job lost\n{stdout}");
-        assert!(stdout.contains("RESULT: INTERNAL ERROR"), "{stdout}");
-    }
+    let out = gila()
+        .env("GILA_FAULT_PLAN", "panic:injected boom@counter/inc")
+        .args([
+            "verify",
+            "--ila",
+            &ws.file("c.ila", SPEC),
+            "--rtl",
+            &ws.file("c.v", RTL_GOOD),
+            "--map",
+            &ws.file("m.json", MAP),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(4), "{stdout}");
+    assert!(stdout.contains("PANICKED (injected fault: injected boom"), "{stdout}");
+    assert!(stdout.contains("HOLDS"), "other job lost\n{stdout}");
+    assert!(stdout.contains("RESULT: INTERNAL ERROR"), "{stdout}");
     // A malformed plan is a usage error.
     let out = gila()
         .env("GILA_FAULT_PLAN", "explode@counter")

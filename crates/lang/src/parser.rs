@@ -243,14 +243,23 @@ impl Parser {
             return Ok(Sort::Bool);
         }
         if name == "mem" {
+            let line = self.line();
             self.eat_sym("[")?;
             let (_, aw) = self.number()?;
             self.eat_sym(",")?;
             let (_, dw) = self.number()?;
             self.eat_sym("]")?;
+            // Checked on the full literals, before they are narrowed.
+            let Some(addr_width @ 1..=32) = aw.try_to_u64() else {
+                return Err(IlaSyntaxError::new(line, "memory address width must be 1 to 32 bits"));
+            };
+            let Some(data_width @ 1..) = dw.try_to_u64().and_then(|w| u32::try_from(w).ok())
+            else {
+                return Err(IlaSyntaxError::new(line, "memory data width must be at least 1 bit"));
+            };
             return Ok(Sort::Mem {
-                addr_width: aw.to_u64() as u32,
-                data_width: dw.to_u64() as u32,
+                addr_width: addr_width as u32,
+                data_width,
             });
         }
         if let Some(w) = name.strip_prefix("bv") {
@@ -283,6 +292,25 @@ impl Parser {
             }
             Val::Lit(x) => p.ctx_mut().bv(BitVecValue::from_u64(x, width)),
         }
+    }
+
+    /// `e[hi:lo]` for literal bounds, checked against `e`'s width before
+    /// they are narrowed; an error names the select's `line`.
+    fn select(
+        &self,
+        p: &mut PortIla,
+        line: usize,
+        e: ExprRef,
+        (hi, lo): (u64, u64),
+    ) -> Result<ExprRef, IlaSyntaxError> {
+        let err = |msg: String| IlaSyntaxError::new(line, msg);
+        let Some(width) = p.ctx().sort_of(e).bv_width() else {
+            return Err(err("only a bit-vector can be selected from".into()));
+        };
+        if lo > hi || hi >= u64::from(width) {
+            return Err(err(format!("select [{hi}:{lo}] out of range for bv{width}")));
+        }
+        Ok(p.ctx_mut().extract(e, hi as u32, lo as u32))
     }
 
     fn width_of(&self, p: &PortIla, v: Val) -> Option<u32> {
@@ -528,6 +556,7 @@ impl Parser {
                 let v = self.expr(p)?;
                 self.eat_sym(")")?;
                 // Postfix constant part-select on a parenthesized value.
+                let line = self.line();
                 if self.try_sym("[") {
                     let Val::Lit(hi) = self.expr(p)? else {
                         return Err(self.err("part-select bounds must be literals"));
@@ -537,8 +566,11 @@ impl Parser {
                         return Err(self.err("part-select bounds must be literals"));
                     };
                     self.eat_sym("]")?;
-                    let e = self.resolve_val(p, v, self.width_of(p, v).unwrap_or(64));
-                    return Ok(Val::Expr(p.ctx_mut().extract(e, hi as u32, lo as u32)));
+                    let e = match v {
+                        Val::Expr(e) => e,
+                        Val::Lit(_) => self.resolve_val(p, v, 64),
+                    };
+                    return Ok(Val::Expr(self.select(p, line, e, (hi, lo))?));
                 }
                 Ok(v)
             }
@@ -586,6 +618,7 @@ impl Parser {
             }
             Token::Ident(name) => {
                 let var = self.lookup(p, &name)?;
+                let line = self.line();
                 if self.try_sym("[") {
                     // Memory read, part select, or bit select.
                     let first = self.expr(p)?;
@@ -598,7 +631,7 @@ impl Parser {
                             _ => return Err(self.err("part-select bounds must be literals")),
                         };
                         self.eat_sym("]")?;
-                        return Ok(Val::Expr(p.ctx_mut().extract(var, hi as u32, lo as u32)));
+                        return Ok(Val::Expr(self.select(p, line, var, (hi, lo))?));
                     }
                     self.eat_sym("]")?;
                     match p.ctx().sort_of(var) {
@@ -609,11 +642,7 @@ impl Parser {
                         Sort::Bv(w) => {
                             // Bit select: constant or dynamic.
                             if let Val::Lit(i) = first {
-                                return Ok(Val::Expr(p.ctx_mut().extract(
-                                    var,
-                                    i as u32,
-                                    i as u32,
-                                )));
+                                return Ok(Val::Expr(self.select(p, line, var, (i, i))?));
                             }
                             let idx = self.resolve_val(p, first, w);
                             let sh = p.ctx_mut().bvlshr(var, idx);
@@ -642,6 +671,16 @@ impl Parser {
     // Declarations and instructions
     // ------------------------------------------------------------------
 
+    /// The name of a new input or state of `p`, which no earlier
+    /// declaration of the port may use.
+    fn declared_name(&mut self, p: &PortIla) -> Result<String, IlaSyntaxError> {
+        let name = self.ident()?;
+        if p.find_input(&name).is_some() || p.find_state(&name).is_some() {
+            return Err(self.err(format!("{name:?} is already declared")));
+        }
+        Ok(name)
+    }
+
     fn port_block(&mut self, name: String) -> Result<PortIla, IlaSyntaxError> {
         self.cur_port = name.clone();
         let mut p = PortIla::new(name);
@@ -652,7 +691,7 @@ impl Parser {
             }
             let dline = self.line();
             if self.try_kw("input") {
-                let name = self.ident()?;
+                let name = self.declared_name(&p)?;
                 self.eat_sym(":")?;
                 let sort = self.sort()?;
                 p.input_at(name, sort, dline);
@@ -660,7 +699,7 @@ impl Parser {
             }
             let output = self.try_kw("output");
             if self.try_kw("state") {
-                let name = self.ident()?;
+                let name = self.declared_name(&p)?;
                 self.eat_sym(":")?;
                 let sort = self.sort()?;
                 let kind = if output {
@@ -1243,5 +1282,86 @@ module gap {
         assert!(parse_ila("port p { input x : bv0 }").is_err());
         assert!(parse_ila("port p { instr i when ghost == 1 { } }").is_err());
         assert!(parse_ila("module m { port p { } } trailing").is_err());
+    }
+
+    /// The counter port with `update` as `inc`'s right-hand side, on
+    /// line 4, the last of its line.
+    fn counter_updating(update: &str) -> Result<ModuleIla, IlaSyntaxError> {
+        parse_ila(&format!(
+            "port counter {{\n  input en : bv1\n  output state cnt : bv8\n  \
+             instr inc when en == 1 {{ cnt := {update}\n  }}\n}}"
+        ))
+    }
+
+    /// A select whose bounds leave the value's width is an error on its
+    /// line, not a panic.
+    fn assert_rejected(update: &str, want: &str) {
+        let err = counter_updating(update).unwrap_err();
+        assert_eq!(err.line, 4, "{update}: {err}");
+        assert!(err.message.contains(want), "{update}: {err}");
+    }
+
+    #[test]
+    fn bit_select_past_the_width_is_an_error() {
+        assert_rejected("{cnt[9], cnt[6:0]}", "[9:9] out of range for bv8");
+        assert!(counter_updating("{cnt[7], cnt[6:0]}").is_ok());
+    }
+
+    #[test]
+    fn part_select_with_low_above_high_is_an_error() {
+        assert_rejected("{cnt[3:5], cnt[4:0]}", "[3:5] out of range for bv8");
+    }
+
+    #[test]
+    fn part_select_of_a_parenthesized_value_past_its_width_is_an_error() {
+        assert_rejected("(cnt + 1)[99:0]", "[99:0] out of range for bv8");
+        assert_rejected("(cnt + 1)[4294967296:0]", "out of range for bv8");
+        assert!(counter_updating("(cnt + 1)[7:0]").is_ok());
+    }
+
+    /// A memory sort needs a 1- to 32-bit address and a data word of at
+    /// least one bit.
+    fn mem_sort(sort: &str) -> Result<ModuleIla, IlaSyntaxError> {
+        parse_ila(&format!("port p {{\n  state m : {sort}\n}}"))
+    }
+
+    #[test]
+    fn memory_with_a_zero_bit_address_is_an_error() {
+        let err = mem_sort("mem[0, 8]").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("address width"), "{err}");
+    }
+
+    #[test]
+    fn memory_with_an_address_over_32_bits_is_an_error() {
+        for sort in ["mem[40, 8]", "mem[33, 8]", "mem[4294967298, 8]"] {
+            let err = mem_sort(sort).unwrap_err();
+            assert_eq!(err.line, 2, "{sort}");
+            assert!(err.message.contains("address width"), "{sort}: {err}");
+        }
+        assert!(mem_sort("mem[32, 8]").is_ok());
+    }
+
+    #[test]
+    fn memory_with_a_zero_bit_word_is_an_error() {
+        let err = mem_sort("mem[8, 0]").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("data width"), "{err}");
+        assert!(mem_sort("mem[8, 1]").is_ok());
+    }
+
+    /// Found by `tests/parser_fuzz.rs`: a second declaration of a name
+    /// reached the model's clash assertion.
+    #[test]
+    fn redeclared_name_is_an_error() {
+        for src in [
+            "port p {\n  input x : bv1\n  state x : bv1\n}",
+            "port p {\n  state x : bv1\n  input x : bv1\n}",
+            "port p {\n  state x : bv1\n  state x : bv2\n}",
+        ] {
+            let err = parse_ila(src).unwrap_err();
+            assert_eq!(err.line, 3, "{src}");
+            assert!(err.message.contains("\"x\" is already declared"), "{err}");
+        }
     }
 }

@@ -63,7 +63,8 @@ fn usage_of(port: &PortIla) -> Usage {
 /// without the solver. Verdicts that *report* a finding with a witness
 /// (a gap or an overlap) always go to SAT, so every witness is the
 /// solver's. In debug builds each settled question is asked of SAT as
-/// well, and the two answers must agree.
+/// well, and the two answers must agree. The oracle's construction and
+/// queries count towards [`LintStats::absint_ns`].
 ///
 /// Returns the diagnostics and the declaration indices of dead
 /// instructions (consumed by the GL017 pass, which must not re-report
@@ -74,11 +75,11 @@ fn decode_pass(port: &PortIla, stats: &mut LintStats) -> (Vec<Diagnostic>, Vec<u
     if port.instructions().is_empty() {
         return (ds, dead);
     }
-    let oracle = DecodeOracle::new(port);
+    let oracle = absint_timed(stats, || DecodeOracle::new(port));
     let n = port.instructions().len();
     let mut all_dead_static = true;
     for idx in 0..n {
-        let is_dead = match oracle.decode_satisfiable(idx) {
+        let is_dead = match absint_timed(stats, || oracle.decode_satisfiable(idx)) {
             Some(sat) => {
                 debug_assert_eq!(
                     !sat,
@@ -118,7 +119,7 @@ fn decode_pass(port: &PortIla, stats: &mut LintStats) -> (Vec<Diagnostic>, Vec<u
     if all_dead_static {
         stats.lints_discharged_static += 1;
     }
-    if oracle.no_gap() == Some(true) {
+    if absint_timed(stats, || oracle.no_gap()) == Some(true) {
         debug_assert!(
             decode_gap(port, None).is_none(),
             "oracle proved port '{}' gap-free but SAT found a gap",
@@ -143,7 +144,7 @@ fn decode_pass(port: &PortIla, stats: &mut LintStats) -> (Vec<Diagnostic>, Vec<u
     let mut all_pairs_static = true;
     for i in 0..n {
         for j in (i + 1)..n {
-            if oracle.pair_disjoint(i, j) == Some(true) {
+            if absint_timed(stats, || oracle.pair_disjoint(i, j)) == Some(true) {
                 debug_assert!(
                     decode_overlap_pair(port, i, j, None).is_none(),
                     "oracle proved port '{}' instructions {i} and {j} disjoint but SAT \
@@ -180,6 +181,14 @@ fn decode_pass(port: &PortIla, stats: &mut LintStats) -> (Vec<Diagnostic>, Vec<u
         stats.lints_discharged_static += 1;
     }
     (ds, dead)
+}
+
+/// Runs `f`, adding its wall time to `stats.absint_ns`.
+fn absint_timed<T>(stats: &mut LintStats, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    stats.absint_ns += t0.elapsed().as_nanos() as u64;
+    out
 }
 
 /// Pass 3: unused / never-written / write-only architectural state.
@@ -442,7 +451,7 @@ fn port_diags(port: &PortIla, usage: &[Usage], idx: usize) -> PortDiags {
     let t2 = Instant::now();
     let absint = absint_pass(port, &dead);
     let absint_ns = t2.elapsed().as_nanos() as u64;
-    stats.absint_ns = absint_ns;
+    stats.absint_ns += absint_ns;
     PortDiags {
         decode,
         state,

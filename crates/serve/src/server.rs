@@ -68,7 +68,9 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Request-executing worker threads.
     pub workers: usize,
-    /// Verification pool size per request ([`gila_verify::VerifyOptions::jobs`]).
+    /// Threads a lint request fans its ports out over (default 1).
+    /// Verification always runs its checks one after another; the name
+    /// dates from when this sized a verification pool.
     pub verify_jobs: Option<usize>,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,

@@ -175,8 +175,6 @@ pub struct Service {
     /// Telemetry; `request`/`cache_hit`/`cache_miss` spans are emitted
     /// here alongside the engine's own spans.
     pub tracer: Tracer,
-    /// Verification pool size passed through to [`VerifyOptions::jobs`].
-    pub jobs: Option<usize>,
     /// Test-only fault plan, forwarded into the engine and the socket
     /// layer.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -188,20 +186,21 @@ pub struct Service {
 impl Service {
     /// Builds the service, constructing the bundled design registry
     /// once (case studies are immutable; requests borrow them).
+    /// `lint_jobs` is how many threads a lint request fans its ports
+    /// out over (default 1); verification always runs on one.
     pub fn new(
         cache: Arc<ProofCache>,
         tracer: Tracer,
-        jobs: Option<usize>,
+        lint_jobs: Option<usize>,
         fault_plan: Option<Arc<FaultPlan>>,
     ) -> Service {
         Service {
             cache,
             tracer,
-            jobs,
             fault_plan,
             designs: gila_designs::all_case_studies(),
             lint_opts: LintOptions {
-                jobs: jobs.unwrap_or(1).max(1),
+                jobs: lint_jobs.unwrap_or(1).max(1),
             },
             memo: Memo::new(),
         }
@@ -219,8 +218,9 @@ impl Service {
     }
 
     /// Executes one request to a response frame. Never panics across
-    /// this boundary: op handlers return `Result` and engine panics
-    /// are already isolated by the scheduler.
+    /// this boundary: op handlers return `Result`, malformed `.ila` or
+    /// Verilog text is an error, and the engine isolates a panicking
+    /// check into a `panicked` verdict.
     pub fn execute(&self, req: &Request, cancel: CancelToken, deadline: Option<Duration>) -> Value {
         let started = Instant::now();
         let outcome = match req.op.as_str() {
@@ -308,7 +308,6 @@ impl Service {
             .unwrap_or(false);
 
         let mut opts = VerifyOptions {
-            jobs: self.jobs,
             tracer: self.tracer.clone(),
             cancel: Some(cancel),
             journal: use_cache.then(|| Arc::clone(&self.cache)),

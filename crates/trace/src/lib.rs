@@ -1,7 +1,7 @@
 //! Structured verification telemetry.
 //!
-//! The engine's hot path — unrolling, bit-blasting, SAT solving, and the
-//! work-stealing scheduler — emits [`Event`]s through a [`Tracer`] handle.
+//! The engine's hot path — unrolling, bit-blasting, SAT solving, and each
+//! instruction's check — emits [`Event`]s through a [`Tracer`] handle.
 //! A tracer is either *disabled* (the default: one branch per call site,
 //! the event is never even constructed) or carries a shared [`TraceSink`]
 //! that decides what to do with each event:
@@ -47,7 +47,7 @@ pub enum SpanKind {
     BudgetExhausted,
     /// A job is being re-run with an escalated budget.
     Retry,
-    /// A job panicked and was isolated by the scheduler.
+    /// A job panicked and was isolated from the rest of its run.
     Panic,
     /// One static-analysis pass of `gila-lint` over one target.
     LintPass,
@@ -332,8 +332,14 @@ pub struct Telemetry {
     pub cnf_vars: u64,
     pub cnf_clauses: u64,
     pub wall_ns: u64,
+    /// Always 0: verification has no job queue. Kept only because
+    /// perfbench still reports it as its `verify.queue_s` counter.
     pub queue_ns: u64,
+    /// Always 0, like [`Telemetry::queue_ns`]; perfbench reports it as
+    /// `verify.steals`.
     pub steals: u64,
+    /// Always 1 on a verification report (0 on an empty one): checks
+    /// run one after another. Perfbench reports it as `verify.workers`.
     pub workers: u64,
     /// Jobs whose final verdict was `Unknown` (budget exhausted).
     pub unknown: u64,
@@ -355,8 +361,8 @@ pub struct Telemetry {
     /// Always 0, like [`Telemetry::inprocess_clauses_removed`]; perfbench
     /// reports it as `sat.inprocess_failed_literals`.
     pub inprocess_failed_literals: u64,
-    /// Distinct scheduler batches (pooled runs; 0 on the sequential
-    /// path, where the notion of a batch does not exist).
+    /// Always 0, like [`Telemetry::queue_ns`]; perfbench reports it as
+    /// `verify.batches`.
     pub batches: u64,
     /// Instructions answered from the verdict journal without solving
     /// (0 when the run has no journal).
@@ -461,16 +467,9 @@ impl Telemetry {
     }
 }
 
-/// Keys that vary run to run (timing, scheduling) and must be stripped
-/// before a trace can be compared against a golden file.
-pub const VOLATILE_KEYS: &[&str] = &[
-    "wall_ns",
-    "property_ns",
-    "cex_ns",
-    "queue_ns",
-    "worker",
-    "steals",
-];
+/// Keys that vary run to run (timing, hunt's worker ids) and must be
+/// stripped before a trace can be compared against a golden file.
+pub const VOLATILE_KEYS: &[&str] = &["wall_ns", "property_ns", "cex_ns", "worker"];
 
 /// Canonicalize a JSONL trace for golden comparison: parse each line,
 /// drop volatile keys, re-render compactly, and sort the lines. Returns
@@ -500,7 +499,7 @@ pub fn canonicalize_jsonl(jsonl: &str) -> Result<String, String> {
 /// The set of work-identifying spans in a JSONL trace: `(kind, port,
 /// instr, label)` for every `instruction`, `solve`, `compile`, and
 /// `eval` event. Two runs that performed the same verification (or
-/// hunt) work have equal span sets no matter how the scheduler
+/// hunt) work have equal span sets no matter how hunt's workers
 /// interleaved them — per-worker `compile` duplicates collapse because
 /// worker ids are not part of the key.
 pub fn span_set(jsonl: &str) -> Result<BTreeSet<(String, String, String, String)>, String> {
@@ -582,7 +581,7 @@ mod tests {
     fn canonicalize_strips_volatile_and_sorts() {
         let raw = concat!(
             "{\"kind\":\"solve\",\"port\":\"b\",\"wall_ns\":981,\"worker\":2}\n",
-            "{\"kind\":\"solve\",\"port\":\"a\",\"wall_ns\":12,\"queue_ns\":4,\"steals\":1}\n",
+            "{\"kind\":\"solve\",\"port\":\"a\",\"wall_ns\":12,\"cex_ns\":4}\n",
         );
         let canon = canonicalize_jsonl(raw).unwrap();
         assert_eq!(

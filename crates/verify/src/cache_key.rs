@@ -23,8 +23,7 @@
 //!
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
-//! Scheduling (`jobs`, `par_threshold`) and telemetry change solver
-//! effort, never answers;
+//! Telemetry changes no answer (and `jobs` is ignored);
 //! budgets (`budget`, `retries`) and cancellation change only
 //! *decidability*, and undecided verdicts (`unknown`, `panicked`) are
 //! never journaled. If an

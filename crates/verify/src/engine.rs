@@ -20,22 +20,22 @@
 //! input errors before anything is solved. With a
 //! [`VerifyOptions::journal`], every property is keyed from those plans
 //! ([`crate::SliceKey`]); a port the journal answers in full is reported
-//! from its replays alone, with no slice or estimate. The other
-//! ports run either sequentially or on the work-stealing pool in
-//! [`crate::scheduler`], where each worker owns a persistent unrolling
-//! and incremental solver so the blasted transition relation and
-//! learned clauses are paid once per worker. Every freshly decided
+//! from its replays alone, with no slice. The other ports run one after
+//! another in declaration order, each on one persistent unrolling and
+//! incremental solver, so the port's blasted transition relation and
+//! learned clauses are paid once per port. Every freshly decided
 //! verdict is journaled as it lands.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gila_core::{ModuleIla, PortIla};
 use gila_expr::{
-    cofactor, eval_all, import, import_mapped, Cofactor, ExprNode, ExprRef, Op, Sort, Value,
+    cofactor, eval_all, import, import_mapped, Cofactor, ExprRef, Sort, Value,
 };
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
@@ -49,7 +49,6 @@ use crate::falsify::{falsify, Formula};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::journal::ProofCache;
 use crate::refmap::{FinishCondition, InputPolicy, RefinementMap};
-use crate::scheduler::{run_pool, PoolConfig};
 
 /// An error in the verification setup (not a property failure).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,8 +93,8 @@ pub enum VerifyError {
         /// What was inconsistent.
         reason: String,
     },
-    /// An internal engine failure (e.g. the worker pool could not be
-    /// joined). These map to the CLI's "internal error" exit code.
+    /// An internal engine failure (e.g. a run that reported no result
+    /// for its port). These map to the CLI's "internal error" exit code.
     Internal {
         /// What failed.
         reason: String,
@@ -234,8 +233,8 @@ pub enum CheckResult {
         /// What the job consumed before giving up.
         budget_spent: BudgetSpent,
     },
-    /// The job panicked and was isolated by the scheduler; the rest of
-    /// the run is unaffected.
+    /// The job panicked and was isolated; the rest of the run is
+    /// unaffected.
     JobPanicked {
         /// The panic payload, when it was a string.
         message: String,
@@ -296,11 +295,11 @@ pub struct InstrVerdict {
     /// Wall-clock time spent on this instruction.
     pub time: Duration,
     /// CNF size of the solver that served this instruction, measured
-    /// when its check finished (cumulative for shared/pooled engines).
+    /// when its check finished (cumulative over the port's engine).
     pub stats: BlastStats,
-    /// How much CNF this instruction *added* to its solver. On a
-    /// persistent engine (incremental mode or a pool worker) this drops
-    /// sharply after the first instruction: the blasted transition
+    /// How much CNF this instruction *added* to its solver. On the
+    /// port's persistent engine this drops sharply after the first
+    /// instruction: the blasted transition
     /// relation is reused, so later instructions pay only for their
     /// start conditions and post-state equalities.
     pub cnf_growth: BlastStats,
@@ -314,32 +313,11 @@ pub struct InstrVerdict {
     /// first one exhausted its budget (0 when the first attempt decided
     /// the job or no budget was configured).
     pub retries: u32,
-    /// Pool worker that served this instruction (`None` when run
-    /// sequentially).
-    pub worker: Option<usize>,
-    /// Scheduler batch this instruction was dispatched in (`None` when
-    /// run sequentially). Under port batching one work item carries a
-    /// whole port (or chunk of one), so `queue_ns` and `stolen` below
-    /// describe the *batch*, not the individual instruction; the batch
-    /// id lets `--stats` queue-latency rows aggregate per dispatch
-    /// instead of multiply-counting one pickup.
-    pub batch_id: Option<u64>,
-    /// Number of instructions in this verdict's batch (0 when run
-    /// sequentially, 1 when batching is off).
-    pub batch_size: u64,
-    /// Time this verdict's *batch* spent queued before a worker picked
-    /// it up, in nanoseconds (zero when run sequentially). Shared by
-    /// every verdict of the batch.
-    pub queue_ns: u64,
-    /// Whether this verdict's *batch* was stolen from a peer's deque
-    /// rather than taken from the worker's own queue or the global
-    /// injector. Shared by every verdict of the batch.
-    pub stolen: bool,
 }
 
 impl InstrVerdict {
-    /// A verdict that cost this run nothing: every effort, size and
-    /// scheduling field is zero. This is how a journal replays a verdict
+    /// A verdict that cost this run nothing: every effort and size field
+    /// is zero. This is how a journal replays a verdict
     /// it answers by content key.
     pub(crate) fn replayed(instruction: String, result: CheckResult) -> InstrVerdict {
         InstrVerdict {
@@ -352,11 +330,6 @@ impl InstrVerdict {
             effort: SolverStats::default(),
             solves: 0,
             retries: 0,
-            worker: None,
-            batch_id: None,
-            batch_size: 0,
-            queue_ns: 0,
-            stolen: false,
         }
     }
 }
@@ -372,7 +345,7 @@ pub struct PortReport {
     pub total_time: Duration,
     /// Peak CNF size over all queries (the "memory usage" proxy).
     pub peak_stats: BlastStats,
-    /// Aggregated solver/CNF/scheduling totals over the port's verdicts
+    /// Aggregated solver/CNF/journal totals over the port's verdicts
     /// — the same numbers the CLI `--stats` table prints.
     pub telemetry: Telemetry,
 }
@@ -447,8 +420,7 @@ pub struct ModuleReport {
     pub module: String,
     /// One report per port.
     pub ports: Vec<PortReport>,
-    /// Aggregated totals across all ports (counters sum; `workers` is
-    /// the number of pool workers spawned, 1 for sequential runs).
+    /// Aggregated totals across all ports (counters sum).
     pub telemetry: Telemetry,
 }
 
@@ -502,27 +474,14 @@ impl ModuleReport {
 }
 
 /// Options controlling a verification run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct VerifyOptions {
-    /// Stop a port's run at the first counterexample (used for the
-    /// "Time (bug)" measurement). Under a worker pool (`jobs`) this
-    /// cancels outstanding work as soon as any worker finds one.
+    /// End the run at the first counterexample (used for the "Time
+    /// (bug)" measurement): later instructions and ports are not run.
     pub stop_at_first_cex: bool,
-    /// How the run executes — the one execution policy:
-    ///
-    /// - `None` or `Some(1)`: sequentially, in declaration order, on one
-    ///   persistent engine per port;
-    /// - `Some(0)`: a work-stealing pool of one worker per available CPU;
-    /// - `Some(n)`: a pool of `n` workers.
-    ///
-    /// Every policy runs the same pipeline: each port is planned once
-    /// before anything is solved, and a port the journal answers in full
-    /// is reported from its replays alone. The sequential engine slices
-    /// each remaining port just before running it; a pool slices them all
-    /// before dispatch, batches each port's instructions into contiguous
-    /// chunks, and gives every worker a persistent unrolling and
-    /// incremental solver. A pooled run whose estimated blast work is
-    /// below `par_threshold` falls back to the sequential engine.
+    /// Ignored: every run checks its instructions one after another, in
+    /// declaration order, on one persistent engine per port. Kept only
+    /// because perfbench still sets it.
     pub jobs: Option<usize>,
     /// Telemetry tracer; every unroll/blast/solve/instruction/port
     /// event of the run is emitted through it. Defaults to the
@@ -545,71 +504,33 @@ pub struct VerifyOptions {
     /// verdict is journaled as it lands. Undecided outcomes are never
     /// journaled. `None` (the default) solves everything.
     pub journal: Option<Arc<ProofCache>>,
-    /// Adaptive sequential fallback: a pooled run whose estimated blast
-    /// work falls below this threshold routes to the persistent
-    /// sequential engine instead, so small designs never pay pool
-    /// overhead. The estimate is summed over the ports left to run once
-    /// the journal has answered what it can: each port's sliced frame
-    /// logic, weighted by its clause cost, times its unroll depth and
-    /// instruction count. `0` disables the fallback (always pool when
-    /// `jobs` asks for one).
-    pub par_threshold: u64,
     /// External cancellation: when this token is cancelled (by a
     /// disconnecting client, a watchdog, or any other supervisor), every
     /// engine of the run fast-fails its remaining solves with
     /// [`CheckResult::Unknown`] (`reason: cancelled`). `None` (the
-    /// default) leaves cancellation to the run's internal token.
+    /// default): nothing outside the run cancels it.
     pub cancel: Option<CancelToken>,
 }
 
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            stop_at_first_cex: false,
-            jobs: None,
-            tracer: Tracer::default(),
-            budget: SolveBudget::default(),
-            retries: 0,
-            fault_plan: None,
-            journal: None,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
-            cancel: None,
-        }
-    }
-}
-
-/// Default for [`VerifyOptions::par_threshold`], tuned on the bundled
-/// case studies (`tests/registry_gates.rs`'s `pool_gate` holds the two
-/// slowest designs to it): designs whose estimated blast
-/// work sits below this run faster on the persistent sequential engine
-/// than on a pool, because their solve time is too small to amortize
-/// worker spawn + per-worker blast duplication. On the bundled designs
-/// the split is wide — the control-dominated modules (decoder, AXI,
-/// memory interface, L2 cache) estimate below ~17.5k weighted clause
-/// groups and lose time on the pool, while the solver-bound ones
-/// (store buffer, NoC router, datapath) estimate above ~19k and gain
-/// 1.2-1.6x from it.
-pub const DEFAULT_PAR_THRESHOLD: u64 = 18_000;
-
-/// The per-job knobs a scheduler threads through to every check.
+/// The per-job knobs a run threads through to every check.
 #[derive(Clone, Default)]
-pub(crate) struct JobPolicy {
-    pub(crate) budget: SolveBudget,
-    pub(crate) retries: u32,
-    pub(crate) fault: Option<Arc<FaultPlan>>,
+struct JobPolicy {
+    budget: SolveBudget,
+    retries: u32,
+    fault: Option<Arc<FaultPlan>>,
     /// External cancellation token installed on every engine the run
     /// creates (see [`VerifyOptions::cancel`]).
-    pub(crate) cancel: Option<CancelToken>,
+    cancel: Option<CancelToken>,
 }
 
-/// Shared run state: job policy, tracer, the run's view of the verdict
+/// A run's state: job policy, tracer, the run's view of the verdict
 /// journal — the content key of every property and the verdicts the
 /// journal answered, both keyed by `(port, instruction)` — and the
 /// ports whose checks have found a counterexample, which opens
 /// falsification for their later checks.
-pub(crate) struct RunCtx<'t> {
-    pub(crate) policy: JobPolicy,
-    pub(crate) tracer: &'t Tracer,
+struct RunCtx<'t> {
+    policy: JobPolicy,
+    tracer: &'t Tracer,
     journal: Option<&'t ProofCache>,
     /// The run's unsliced system and its signals, which content keys
     /// are read from.
@@ -618,22 +539,16 @@ pub(crate) struct RunCtx<'t> {
     keys: HashMap<(String, String), String>,
     replayed: HashMap<(String, String), InstrVerdict>,
     /// Ports a check of this run found a counterexample for.
-    refuted: Mutex<HashSet<String>>,
+    refuted: RefCell<HashSet<String>>,
     /// Content keys by port, computed on a port's first sampled check
     /// when the run has no journal to have keyed it.
-    port_keys: Mutex<HashMap<String, Vec<String>>>,
-}
-
-/// Locks `m`, ignoring poisoning: the guarded tables only ever grow, so
-/// a panic elsewhere cannot leave them inconsistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+    port_keys: RefCell<HashMap<String, Vec<String>>>,
 }
 
 impl<'t> RunCtx<'t> {
     /// A plain context over `planned` with no budget, faults, or journal.
     #[cfg(test)]
-    pub(crate) fn plain(tracer: &'t Tracer, planned: &'t Planned<'_>) -> Self {
+    fn plain(tracer: &'t Tracer, planned: &'t Planned<'_>) -> Self {
         RunCtx {
             policy: JobPolicy::default(),
             tracer,
@@ -642,8 +557,8 @@ impl<'t> RunCtx<'t> {
             ts_signals: &planned.ts_signals,
             keys: HashMap::new(),
             replayed: HashMap::new(),
-            refuted: Mutex::default(),
-            port_keys: Mutex::default(),
+            refuted: RefCell::default(),
+            port_keys: RefCell::default(),
         }
     }
 
@@ -669,8 +584,8 @@ impl<'t> RunCtx<'t> {
             ts_signals,
             keys: HashMap::new(),
             replayed: HashMap::new(),
-            refuted: Mutex::default(),
-            port_keys: Mutex::default(),
+            refuted: RefCell::default(),
+            port_keys: RefCell::default(),
         };
         let Some(journal) = ctx.journal else {
             return ctx;
@@ -698,7 +613,7 @@ impl<'t> RunCtx<'t> {
     }
 
     /// The journal's verdict for a job, if it answered the job's key.
-    pub(crate) fn replayed(&self, port: &str, instr: &str) -> Option<InstrVerdict> {
+    fn replayed(&self, port: &str, instr: &str) -> Option<InstrVerdict> {
         self.replayed
             .get(&(port.to_string(), instr.to_string()))
             .cloned()
@@ -706,9 +621,8 @@ impl<'t> RunCtx<'t> {
 
     /// The journal's verdicts for `port` in declaration order, when it
     /// answered every instruction of the port; cut after the first
-    /// counterexample under `stop_at_first_cex`, as
-    /// [`run_port_sequential`] does. Such a port needs no slice or work
-    /// estimate.
+    /// counterexample under `stop_at_first_cex`, as [`run_port`] does.
+    /// Such a port needs no slice.
     fn replayed_port(&self, port: &PortIla, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
         self.journal?;
         let mut verdicts: Vec<InstrVerdict> = port
@@ -729,7 +643,7 @@ impl<'t> RunCtx<'t> {
 
     /// Journals a freshly decided verdict under its content key (the
     /// journal ignores undecided ones).
-    pub(crate) fn record(&self, port: &str, verdict: &InstrVerdict) {
+    fn record(&self, port: &str, verdict: &InstrVerdict) {
         let Some(journal) = self.journal else {
             return;
         };
@@ -740,18 +654,20 @@ impl<'t> RunCtx<'t> {
 
     /// Whether a check of `port` has found a counterexample in this run.
     fn refuted(&self, port: &str) -> bool {
-        lock(&self.refuted).contains(port)
+        self.refuted.borrow().contains(port)
     }
 
     /// The sampling seed of instruction `idx` of `plan`: the leading 64
     /// bits of its content key, so the same property draws the same
-    /// candidates at every job count and under every name.
+    /// candidates in every run and under every name.
     fn seed(&self, plan: &PortPlan<'_>, idx: usize) -> u64 {
         let port = plan.port.name();
         let instr = &plan.port.instructions()[idx].name;
         let key = match self.keys.get(&(port.to_string(), instr.clone())) {
             Some(key) => key.clone(),
-            None => lock(&self.port_keys)
+            None => self
+                .port_keys
+                .borrow_mut()
                 .entry(port.to_string())
                 .or_insert_with(|| {
                     port_keys(plan, self.ts, self.ts_signals)
@@ -773,37 +689,24 @@ impl<'t> RunCtx<'t> {
     }
 }
 
-/// Scheduling context of one job, recorded into its verdict and its
-/// instruction span.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct JobMeta {
-    pub(crate) worker: Option<usize>,
-    pub(crate) queue_ns: u64,
-    pub(crate) stolen: bool,
-    /// Scheduler batch the job was dispatched in (pool runs only).
-    pub(crate) batch_id: Option<u64>,
-    /// Instructions in the batch (0 on the sequential path).
-    pub(crate) batch_size: u64,
-}
-
-/// One worker's persistent verification state: a single unrolling of
-/// the RTL transition system and a single incremental solver that
+/// A port's persistent verification state: a single unrolling of the
+/// port's sliced transition system and a single incremental solver that
 /// accumulates the blasted transition relation and learned clauses
-/// across every instruction the worker serves. Per-instruction
+/// across every instruction of the port. Per-instruction
 /// conditions live in solver scopes ([`SmtSolver::push_scope`]) so they
 /// retract without discarding the CNF.
-pub(crate) struct WorkerEngine {
-    pub(crate) u: Unrolling,
-    pub(crate) smt: SmtSolver,
+struct PortEngine {
+    u: Unrolling,
+    smt: SmtSolver,
 }
 
-impl WorkerEngine {
+impl PortEngine {
     /// A fresh engine over `ts` with nothing blasted yet. The tracer
     /// receives the engine's unrolling events.
-    pub(crate) fn new(ts: &TransitionSystem, tracer: &Tracer) -> Self {
+    fn new(ts: &TransitionSystem, tracer: &Tracer) -> Self {
         let mut u = Unrolling::new(ts, false);
         u.set_tracer(tracer.clone());
-        WorkerEngine {
+        PortEngine {
             u,
             smt: SmtSolver::new(),
         }
@@ -1065,12 +968,11 @@ impl<'a> Planned<'a> {
 /// after rollback is bit-identical, see [`Unrolling::rollback_to`]),
 /// and all per-instruction conditions are confined to one solver scope
 /// so they retract afterwards while the blasted CNF stays cached. On
-/// error the engine is restored, so a worker can keep serving jobs.
-pub(crate) fn check_instruction_planned(
+/// error the engine is restored, so it can serve the port's next check.
+fn check_instruction_planned(
     plan: &PortPlan<'_>,
     idx: usize,
-    engine: &mut WorkerEngine,
-    meta: JobMeta,
+    engine: &mut PortEngine,
     ctx: &RunCtx<'_>,
 ) -> Result<InstrVerdict, VerifyError> {
     let t0 = Instant::now();
@@ -1078,7 +980,7 @@ pub(crate) fn check_instruction_planned(
     let (tracer, policy) = (ctx.tracer, &ctx.policy);
 
     // Test-only fault injection. An injected panic exercises the
-    // schedulers' isolation; a forced unknown swaps this job's budget
+    // run's panic isolation; a forced unknown swaps this job's budget
     // for an already-expired deadline, so the Unknown flows through the
     // real resource-out machinery instead of being faked here.
     let mut budget = policy.budget;
@@ -1114,7 +1016,7 @@ pub(crate) fn check_instruction_planned(
         engine.u.extend_to(plan.instrs[idx].bound);
         engine.smt.push_scope();
         let sample = sample && attempt == 0;
-        let result = check_instruction_inner(plan, idx, engine, ctx, meta, sample, &mut tally);
+        let result = check_instruction_inner(plan, idx, engine, ctx, sample, &mut tally);
         engine.smt.pop_scope();
         engine.smt.set_limits(SolveLimits::default());
         match result {
@@ -1125,7 +1027,6 @@ pub(crate) fn check_instruction_planned(
                         .port(plan.port.name())
                         .instruction(&instr.name)
                         .label(reason.as_str())
-                        .worker(meta.worker)
                         .field("attempt", attempt as u64)
                         .field("conflicts", spent_so_far.conflicts)
                 });
@@ -1137,7 +1038,6 @@ pub(crate) fn check_instruction_planned(
                         Event::new(SpanKind::Retry)
                             .port(plan.port.name())
                             .instruction(&instr.name)
-                            .worker(meta.worker)
                             .field("attempt", attempt as u64)
                     });
                     continue;
@@ -1161,7 +1061,7 @@ pub(crate) fn check_instruction_planned(
         }
     };
     if matches!(result, CheckResult::CounterExample(_)) {
-        lock(&ctx.refuted).insert(plan.port.name().to_string());
+        ctx.refuted.borrow_mut().insert(plan.port.name().to_string());
     }
     let stats = engine.smt.stats();
     let sat_after = engine.smt.sat_stats();
@@ -1173,18 +1073,16 @@ pub(crate) fn check_instruction_planned(
         Event::new(SpanKind::Blast)
             .port(plan.port.name())
             .instruction(&instr.name)
-            .worker(meta.worker)
             .field("cnf_vars", cnf_growth.variables)
             .field("cnf_clauses", cnf_growth.clauses)
             .field("total_vars", stats.variables)
             .field("total_clauses", stats.clauses)
     });
     tracer.record(|| {
-        let mut ev = Event::new(SpanKind::Instruction)
+        Event::new(SpanKind::Instruction)
             .port(plan.port.name())
             .instruction(&instr.name)
             .label(result.tag())
-            .worker(meta.worker)
             .field("solves", tally.solves)
             .field("facts", tally.facts)
             .field("decisions", effort.decisions)
@@ -1196,14 +1094,6 @@ pub(crate) fn check_instruction_planned(
             .field("wall_ns", time.as_nanos() as u64)
             .field("property_ns", tally.property.as_nanos() as u64)
             .field("cex_ns", tally.cex.as_nanos() as u64)
-            .field("queue_ns", meta.queue_ns)
-            .field("steals", meta.stolen as u64);
-        // Batch fields only exist on pooled runs, so sequential golden
-        // traces are unchanged.
-        if let Some(batch) = meta.batch_id {
-            ev = ev.field("batch_id", batch).field("batch_size", meta.batch_size);
-        }
-        ev
     });
     Ok(InstrVerdict {
         instruction: instr.name.clone(),
@@ -1215,36 +1105,34 @@ pub(crate) fn check_instruction_planned(
         effort,
         solves: tally.solves,
         retries: attempt,
-        worker: meta.worker,
-        batch_id: meta.batch_id,
-        batch_size: meta.batch_size,
-        queue_ns: meta.queue_ns,
-        stolen: meta.stolen,
     })
 }
 
 /// Runs one job with panic isolation: the check is wrapped in
 /// [`catch_unwind`], and a panicking job becomes a
 /// [`CheckResult::JobPanicked`] verdict instead of tearing down the
-/// scheduler. The worker's engine is discarded on panic (its solver may
-/// have been mid-update), so `engine_slot` comes back `None` and the
-/// caller's `mk_engine` rebuilds it for the next job.
-pub(crate) fn run_job_guarded(
+/// run. The port's engine over its sliced system `ts` is built on the
+/// first job and discarded on panic (its solver may have been
+/// mid-update), so `engine_slot` comes back `None` and the next job
+/// rebuilds it.
+fn run_job_guarded(
     plan: &PortPlan<'_>,
     idx: usize,
-    engine_slot: &mut Option<WorkerEngine>,
-    mk_engine: impl FnOnce() -> WorkerEngine,
-    meta: JobMeta,
+    ts: &TransitionSystem,
+    engine_slot: &mut Option<PortEngine>,
     ctx: &RunCtx<'_>,
 ) -> Result<InstrVerdict, VerifyError> {
     let t0 = Instant::now();
     let tracer = ctx.tracer;
-    let engine = match engine_slot {
-        Some(e) => e,
-        None => engine_slot.insert(mk_engine()),
-    };
+    let engine = engine_slot.get_or_insert_with(|| {
+        let mut e = PortEngine::new(ts, tracer);
+        if let Some(tok) = &ctx.policy.cancel {
+            e.smt.set_cancel(tok.clone());
+        }
+        e
+    });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        check_instruction_planned(plan, idx, engine, meta, ctx)
+        check_instruction_planned(plan, idx, engine, ctx)
     }));
     match outcome {
         Ok(res) => res,
@@ -1257,7 +1145,6 @@ pub(crate) fn run_job_guarded(
                     .port(plan.port.name())
                     .instruction(instr)
                     .label(&message)
-                    .worker(meta.worker)
             });
             Ok(InstrVerdict {
                 instruction: instr.clone(),
@@ -1269,11 +1156,6 @@ pub(crate) fn run_job_guarded(
                 effort: SolverStats::default(),
                 solves: 0,
                 retries: 0,
-                worker: meta.worker,
-                batch_id: meta.batch_id,
-                batch_size: meta.batch_size,
-                queue_ns: meta.queue_ns,
-                stolen: meta.stolen,
             })
         }
     }
@@ -1559,13 +1441,12 @@ fn timed<T>(spent: &mut Duration, f: impl FnOnce() -> T) -> T {
 fn check_instruction_inner(
     plan: &PortPlan<'_>,
     idx: usize,
-    engine: &mut WorkerEngine,
+    engine: &mut PortEngine,
     ctx: &RunCtx<'_>,
-    meta: JobMeta,
     sample: bool,
     tally: &mut CheckTally,
 ) -> Result<(CheckResult, DecidedBy), VerifyError> {
-    let WorkerEngine { u, smt } = engine;
+    let PortEngine { u, smt } = engine;
     let port = plan.port;
     let instr = &port.instructions()[idx];
     let ip = &plan.instrs[idx];
@@ -1607,7 +1488,6 @@ fn check_instruction_inner(
                 Event::new(SpanKind::Falsify)
                     .port(port.name())
                     .instruction(&instr.name)
-                    .worker(meta.worker)
                     .field("drawn", drawn.drawn)
                     .field("passed_pre", drawn.passed_pre)
                     .field("accepted", witness.is_some() as u64)
@@ -1654,7 +1534,7 @@ fn check_instruction_inner(
         if prop.finish.is_some() {
             let reach = smt.check_assuming(u.ctx(), &extra_assumptions);
             tally.solves += 1;
-            record_solve(smt, tracer, meta, port.name(), &instr.name, "reach", frame, reach.is_sat());
+            record_solve(smt, tracer, port.name(), &instr.name, "reach", frame, reach.is_sat());
             if let SmtResult::Unknown(reason) = reach {
                 return Ok((
                     CheckResult::Unknown {
@@ -1680,7 +1560,7 @@ fn check_instruction_inner(
         let violation = smt.check_assuming(u.ctx(), &assumptions);
         tally.solves += 1;
         let violated = violation.is_sat();
-        record_solve(smt, tracer, meta, port.name(), &instr.name, "violation", frame, violated);
+        record_solve(smt, tracer, port.name(), &instr.name, "violation", frame, violated);
         if let SmtResult::Unknown(reason) = violation {
             return Ok((
                 CheckResult::Unknown {
@@ -1712,7 +1592,6 @@ fn check_instruction_inner(
 fn record_solve(
     smt: &SmtSolver,
     tracer: &Tracer,
-    meta: JobMeta,
     port: &str,
     instr: &str,
     label: &str,
@@ -1726,7 +1605,6 @@ fn record_solve(
             .port(port)
             .instruction(instr)
             .label(label)
-            .worker(meta.worker)
             .field("frame", frame as u64)
             .field("sat", sat as u64)
             .field("decisions", effort.decisions)
@@ -1738,51 +1616,24 @@ fn record_solve(
     });
 }
 
-/// The pool size [`VerifyOptions::jobs`] asks for, or `None` for the
-/// sequential engine.
-fn pool_size(jobs: Option<usize>) -> Option<usize> {
-    match jobs {
-        None | Some(1) => None,
-        Some(0) => Some(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        ),
-        Some(n) => Some(n),
-    }
-}
-
 /// Runs a port's instructions in declaration order on one persistent
 /// engine over the port's sliced system `ts`. Jobs the journal answered
 /// are not re-run; a panicking job is isolated ([`run_job_guarded`])
 /// and costs only a rebuild of the engine.
-fn run_port_sequential(
+fn run_port(
     plan: &PortPlan<'_>,
     ts: &TransitionSystem,
     stop_at_first_cex: bool,
     ctx: &RunCtx<'_>,
 ) -> Result<Vec<InstrVerdict>, VerifyError> {
-    let mut engine: Option<WorkerEngine> = None;
+    let mut engine: Option<PortEngine> = None;
     let mut verdicts = Vec::new();
     for idx in 0..plan.instrs.len() {
         let instr_name = &plan.port.instructions()[idx].name;
         let v = match ctx.replayed(plan.port.name(), instr_name) {
             Some(v) => v,
             None => {
-                let v = run_job_guarded(
-                    plan,
-                    idx,
-                    &mut engine,
-                    || {
-                        let mut e = WorkerEngine::new(ts, ctx.tracer);
-                        if let Some(tok) = &ctx.policy.cancel {
-                            e.smt.set_cancel(tok.clone());
-                        }
-                        e
-                    },
-                    JobMeta::default(),
-                    ctx,
-                )?;
+                let v = run_job_guarded(plan, idx, ts, &mut engine, ctx)?;
                 ctx.record(plan.port.name(), &v);
                 v
             }
@@ -1804,31 +1655,14 @@ fn peak_of(verdicts: &[InstrVerdict]) -> BlastStats {
     peak
 }
 
-/// Sums a verdict slice into the telemetry totals; `workers` counts the
-/// distinct pool workers that appear (1 for purely sequential runs).
+/// Sums a verdict slice into the telemetry totals. `workers` reads 1:
+/// every run has the one execution path.
 fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
-    let mut t = Telemetry::default();
-    let mut workers: Vec<usize> = Vec::new();
-    let mut batches: Vec<u64> = Vec::new();
+    let mut t = Telemetry {
+        workers: 1,
+        ..Telemetry::default()
+    };
     for v in verdicts {
-        // Under batching, queue latency and steal status describe the
-        // *batch* (every verdict of a batch carries copies); count them
-        // once per distinct batch id so the `--stats` queue-latency
-        // rows are not multiplied by the batch size.
-        let new_batch = match v.batch_id {
-            Some(b) => {
-                let first = !batches.contains(&b);
-                if first {
-                    batches.push(b);
-                }
-                first
-            }
-            None => true,
-        };
-        if new_batch {
-            t.queue_ns += v.queue_ns;
-            t.steals += v.stolen as u64;
-        }
         t.instructions += 1;
         t.solves += v.solves;
         t.decisions += v.effort.decisions;
@@ -1848,81 +1682,8 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
             CheckResult::JobPanicked { .. } => t.panicked += 1,
             _ => {}
         }
-        if let Some(w) = v.worker {
-            if !workers.contains(&w) {
-                workers.push(w);
-            }
-        }
     }
-    t.workers = (workers.len() as u64).max(1);
-    t.batches = batches.len() as u64;
     t
-}
-
-/// Rough proxy for the CNF a pooled run of `plan` over its sliced
-/// system `ts` would blast: every per-frame DAG node (next-state
-/// functions plus invariant constraints) weighted by its approximate
-/// clause contribution, times the deepest unroll any instruction
-/// needs, scaled by the instruction count (the number of solve
-/// obligations the pool could parallelize). Compared against
-/// [`VerifyOptions::par_threshold`] to route small modules to the
-/// persistent sequential engine.
-///
-/// The weights follow `gila_smt`'s encodings: linear bit-vector ops
-/// cost one clause group per output bit, multiplication and division
-/// build a width-squared shift-add/restoring network, and shifts a
-/// barrel of `w log w` muxes. Memory ops are still priced at all
-/// `2^addr_width` words, the cost of an eager memory encoding; the
-/// word-level encoding pays per read, so this over-prices memory ports.
-pub(crate) fn estimate_port_work(plan: &PortPlan<'_>, ts: &TransitionSystem) -> u64 {
-    let ctx = ts.ctx();
-    let mut roots: Vec<ExprRef> = Vec::new();
-    for s in ts.states() {
-        if let Some(e) = ts.next_of(&s.name) {
-            roots.push(e);
-        }
-    }
-    roots.extend(ts.constraints().iter().copied());
-    let bits = |e: ExprRef| -> u64 {
-        match ctx.sort_of(e) {
-            Sort::Bool => 1,
-            Sort::Bv(w) => w as u64,
-            // A memory node materializes every word.
-            Sort::Mem {
-                addr_width,
-                data_width,
-            } => (1u64 << addr_width.min(24)) * data_width as u64,
-        }
-    };
-    let mut cnf: u64 = 0;
-    for e in ctx.post_order(&roots) {
-        let ExprNode::App { op, args, .. } = ctx.node(e) else {
-            continue; // leaves blast to fresh literals, no clauses
-        };
-        // Widest involved sort: comparisons output Bool but still
-        // blast a full-width comparator chain.
-        let w = args
-            .iter()
-            .map(|&a| bits(a))
-            .chain([bits(e)])
-            .max()
-            .unwrap_or(1);
-        cnf += match op {
-            Op::BvMul | Op::BvUdiv | Op::BvUrem => w.saturating_mul(w),
-            Op::BvShl | Op::BvLshr | Op::BvAshr => {
-                w.saturating_mul(64 - w.leading_zeros() as u64)
-            }
-            _ => w,
-        };
-    }
-    let frames = plan
-        .instrs
-        .iter()
-        .map(|ip| ip.bound as u64 + 1)
-        .max()
-        .unwrap_or(1);
-    cnf.saturating_mul(frames)
-        .saturating_mul(plan.instrs.len() as u64)
 }
 
 /// Every transition-system expression the checks of `instrs` (all of a
@@ -1963,26 +1724,17 @@ pub(crate) fn coi_roots(
     roots
 }
 
-/// A port of a run, in declaration order.
-enum Stage<'a> {
-    /// Answered in full by the journal: reported from its replays alone.
-    Replayed(&'a PortIla, Vec<InstrVerdict>),
-    /// Left to run: an index into the run's ports to run.
-    Run(usize),
-}
-
-/// Prepares a port to run, and returns its sliced system and work
-/// estimate. The port's cone of influence is sliced out of the run's
-/// system `ts` (a `coi` span) and the slice's work estimated once
-/// ([`estimate_port_work`]).
+/// Slices a port's cone of influence out of the run's system `ts` (a
+/// `coi` span), records the slicing counts in the plan, and returns the
+/// slice the port's checks run on.
 fn prepare(
     plan: &mut PortPlan<'_>,
     ts: &TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
-    opts: &VerifyOptions,
-) -> (TransitionSystem, u64) {
+    tracer: &Tracer,
+) -> TransitionSystem {
     let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
-    opts.tracer.record(|| {
+    tracer.record(|| {
         Event::new(SpanKind::Coi)
             .port(plan.port.name())
             .field("states_kept", stats.states_kept as u64)
@@ -1991,8 +1743,7 @@ fn prepare(
             .field("inputs_dropped", stats.inputs_dropped as u64)
     });
     plan.coi = Some(stats);
-    let work = estimate_port_work(plan, &sliced);
-    (sliced, work)
+    sliced
 }
 
 /// Folds a port's verdicts into its report — telemetry, the journal
@@ -2033,15 +1784,13 @@ fn port_report(
 }
 
 /// The one orchestration path behind [`verify_port`] and
-/// [`verify_module`]. It keys `planned` against the journal, sets aside
-/// the ports the journal answers in full, runs the rest on the pool or
-/// the sequential engine, and reports every port the same way. Returns
-/// the port reports in declaration order, and the pool's worker count
-/// when a pool ran.
-fn run(
-    planned: Planned<'_>,
-    opts: &VerifyOptions,
-) -> Result<(Vec<PortReport>, Option<u64>), VerifyError> {
+/// [`verify_module`]. It keys `planned` against the journal and walks
+/// the ports in declaration order: a port the journal answers in full
+/// is reported from its replays alone, and any other port is sliced
+/// just before it runs, so a stopped run never slices a port it does
+/// not reach. Under `stop_at_first_cex` the run ends at the first port
+/// that reports a counterexample, replayed or solved.
+fn run(planned: Planned<'_>, opts: &VerifyOptions) -> Result<Vec<PortReport>, VerifyError> {
     let Planned {
         ts,
         ts_signals,
@@ -2049,87 +1798,25 @@ fn run(
     } = planned;
     let ctx = RunCtx::new(opts, &ts, &ts_signals, &plans);
     let stop = opts.stop_at_first_cex;
-    let mut stages = Vec::with_capacity(plans.len());
-    // The ports left to run, and the sliced systems of the first
-    // `tss.len()` of them.
-    let (mut to_run, mut tss) = (Vec::new(), Vec::new());
-    for plan in plans {
-        let Some(verdicts) = ctx.replayed_port(plan.port, stop) else {
-            stages.push(Stage::Run(to_run.len()));
-            to_run.push(plan);
-            continue;
-        };
-        // A replayed counterexample ends a stopping run, on the pool as
-        // in the sequential loop.
-        let ends_run = stop
-            && verdicts
-                .iter()
-                .any(|v| matches!(v.result, CheckResult::CounterExample(_)));
-        stages.push(Stage::Replayed(plan.port, verdicts));
-        if ends_run {
-            break;
-        }
-    }
-    let mut workers = pool_size(opts.jobs);
-    if workers.is_some() {
-        // The pool prepares every port it would run, for the estimate.
-        let mut work = 0u64;
-        for plan in &mut to_run {
-            let (sliced, port_work) = prepare(plan, &ts, &ts_signals, opts);
-            tss.push(sliced);
-            work += port_work;
-        }
-        // Adaptive fallback: too little work for the pool to win back
-        // its spawn + duplicate-blast overhead.
-        if opts.par_threshold > 0 && work < opts.par_threshold {
-            workers = None;
-        }
-    }
-    let mut pooled = workers
-        .map(|workers| {
-            let cfg = PoolConfig {
-                workers,
-                stop_at_first_cex: stop,
-            };
-            run_pool(&to_run, &tss, cfg, &ctx)
-        })
-        .transpose()?;
-    let mut reports = Vec::new();
-    for stage in stages {
-        let report = match (stage, &mut pooled) {
-            (Stage::Replayed(port, verdicts), _) => {
-                port_report(port, None, verdicts, Duration::ZERO, &ctx)
-            }
-            (Stage::Run(i), Some(outcome)) => {
-                let result = &mut outcome.ports[i];
-                let verdicts: Vec<_> = result.verdicts.drain(..).map(|(_, v)| v).collect();
-                // A port the pool stopped before it produced a verdict is
-                // left out, as the sequential loop leaves out the ports
-                // it never reaches.
-                if stop && verdicts.is_empty() && !to_run[i].instrs.is_empty() {
-                    continue;
-                }
-                port_report(to_run[i].port, Some(&to_run[i]), verdicts, result.last_done, &ctx)
-            }
-            (Stage::Run(i), None) => {
+    let mut reports = Vec::with_capacity(plans.len());
+    for mut plan in plans {
+        let report = match ctx.replayed_port(plan.port, stop) {
+            Some(verdicts) => port_report(plan.port, None, verdicts, Duration::ZERO, &ctx),
+            None => {
                 let t0 = Instant::now();
-                // Prepared just before it runs, so a stopped run never
-                // slices a port it does not reach.
-                if i == tss.len() {
-                    tss.push(prepare(&mut to_run[i], &ts, &ts_signals, opts).0);
-                }
-                let verdicts = run_port_sequential(&to_run[i], &tss[i], stop, &ctx)?;
-                port_report(to_run[i].port, Some(&to_run[i]), verdicts, t0.elapsed(), &ctx)
+                let sliced = prepare(&mut plan, &ts, &ts_signals, ctx.tracer);
+                let verdicts = run_port(&plan, &sliced, stop, &ctx)?;
+                port_report(plan.port, Some(&plan), verdicts, t0.elapsed(), &ctx)
             }
         };
-        let ends_run = stop && pooled.is_none() && report.first_counterexample().is_some();
+        let ends_run = stop && report.first_counterexample().is_some();
         reports.push(report);
         if ends_run {
             break;
         }
     }
     opts.tracer.flush();
-    Ok((reports, pooled.map(|o| o.workers_spawned as u64)))
+    Ok(reports)
 }
 
 /// The refinement map for `port`: the one with the port's name,
@@ -2160,7 +1847,7 @@ pub fn verify_port(
     map: &RefinementMap,
     opts: &VerifyOptions,
 ) -> Result<PortReport, VerifyError> {
-    let (ports, _) = run(Planned::new(&[(port, map)], rtl)?, opts)?;
+    let ports = run(Planned::new(&[(port, map)], rtl)?, opts)?;
     ports.into_iter().next().ok_or_else(|| VerifyError::Internal {
         reason: "the run reported no result for the port".to_string(),
     })
@@ -2169,10 +1856,6 @@ pub fn verify_port(
 /// Verifies a whole module-ILA: each port against the same RTL, using
 /// the refinement map with the matching name (falling back to a map
 /// named `"*"`).
-///
-/// Under a worker pool (`jobs`), all ports' instructions are flattened
-/// into one global job queue so workers stay busy across port
-/// boundaries and their cached CNF serves every port.
 ///
 /// # Errors
 ///
@@ -2184,13 +1867,10 @@ pub fn verify_module(
     maps: &[RefinementMap],
     opts: &VerifyOptions,
 ) -> Result<ModuleReport, VerifyError> {
-    let (ports, workers) = run(Planned::module(module, rtl, maps)?, opts)?;
-    let mut telemetry = ports
+    let ports = run(Planned::module(module, rtl, maps)?, opts)?;
+    let telemetry = ports
         .iter()
         .fold(Telemetry::default(), |acc, p| acc.merge(&p.telemetry));
-    if let Some(w) = workers {
-        telemetry.workers = w;
-    }
     Ok(ModuleReport {
         module: module.name().to_string(),
         ports,
@@ -2235,7 +1915,7 @@ pub fn confirm_counterexample(
         .ok_or_else(|| VerifyError::Internal {
             reason: format!("port {} has no instruction {instruction:?}", port.name()),
         })?;
-    let WorkerEngine { mut u, mut smt } = WorkerEngine::new(&planned.ts, &Tracer::disabled());
+    let PortEngine { mut u, mut smt } = PortEngine::new(&planned.ts, &Tracer::disabled());
     u.extend_to(plan.instrs[idx].bound);
     let prop = Property::build(plan, idx, &mut u)?;
     let frame = cex.finish_cycle;
@@ -2271,15 +1951,14 @@ pub fn confirm_counterexample(
     Ok(smt.check_assuming(u.ctx(), &assumptions).is_sat())
 }
 
-/// Counter fixtures shared by the engine and scheduler test modules.
 #[cfg(test)]
-pub(crate) mod testutil {
+mod tests {
     use super::*;
     use gila_core::StateKind;
     use gila_rtl::parse_verilog;
 
     /// A counter ILA and matching/buggy RTL for engine smoke tests.
-    pub(crate) fn counter_ila() -> PortIla {
+    fn counter_ila() -> PortIla {
         let mut p = PortIla::new("counter");
         let en = p.input("en", Sort::Bv(1));
         let cnt = p.state("cnt", Sort::Bv(4), StateKind::Output);
@@ -2292,7 +1971,7 @@ pub(crate) mod testutil {
         p
     }
 
-    pub(crate) fn counter_rtl(buggy: bool) -> RtlModule {
+    fn counter_rtl(buggy: bool) -> RtlModule {
         let step = if buggy { "4'd2" } else { "4'd1" };
         parse_verilog(&format!(
             r#"
@@ -2307,20 +1986,12 @@ endmodule
         .unwrap()
     }
 
-    pub(crate) fn counter_map() -> RefinementMap {
+    fn counter_map() -> RefinementMap {
         let mut m = RefinementMap::new("counter");
         m.map_state("cnt", "count");
         m.map_input("en", "en_in");
         m
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::testutil::{counter_ila, counter_map, counter_rtl};
-    use super::*;
-    use gila_core::StateKind;
-    use gila_rtl::parse_verilog;
 
     /// An 8-bit multiplier whose refinement proof needs real SAT search:
     /// the RTL computes `b * a`, the ILA `a * b`, so UNSAT amounts to
@@ -2574,7 +2245,6 @@ endmodule
             &counter_map(),
             &VerifyOptions {
                 fault_plan: Some(Arc::new(fault)),
-                jobs: Some(1),
                 ..Default::default()
             },
         )
@@ -2586,6 +2256,44 @@ endmodule
         ));
         assert!(report.verdicts[1].result.holds());
         assert_eq!(report.telemetry.panicked, 1);
+    }
+
+    /// A panic discards the port's engine, whose solver may have been
+    /// mid-update, and the next check runs on a rebuilt one: on the
+    /// buggy counter `hold` still holds, and all of its engine's CNF is
+    /// its own. Without the panic `hold` shares `inc`'s engine.
+    #[test]
+    fn panicked_job_rebuilds_the_port_engine() {
+        let fresh = SmtSolver::new().stats();
+        let hold = |fault: Option<FaultPlan>| {
+            let report = verify_port(
+                &counter_ila(),
+                &counter_rtl(true),
+                &counter_map(),
+                &VerifyOptions {
+                    fault_plan: fault.map(Arc::new),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(report.verdicts.len(), 2);
+            let hold = report.verdicts[1].clone();
+            assert_eq!(hold.instruction, "hold");
+            assert!(hold.result.holds(), "{:?}", hold.result);
+            (report.verdicts[0].result.tag(), hold)
+        };
+        let panic = FaultPlan::new().inject(
+            "counter",
+            "inc",
+            FaultAction::Panic("first job dies".into()),
+            Some(1),
+        );
+        let (inc, rebuilt) = hold(Some(panic));
+        assert_eq!(inc, "panicked");
+        assert_eq!(rebuilt.stats.since(fresh), rebuilt.cnf_growth);
+        let (inc, shared) = hold(None);
+        assert_eq!(inc, "cex");
+        assert_ne!(shared.stats.since(fresh), shared.cnf_growth);
     }
 
     #[test]
@@ -2620,7 +2328,8 @@ endmodule
             cex.ila_post_state["cnt"].as_bv().to_u64(),
             (start + 1) % 16
         );
-        // `hold` still verifies.
+        // `hold` still verifies on the engine `inc` used: `inc`'s scoped
+        // asserts (its decode, its violation) did not leak into it.
         assert!(report.verdicts.iter().any(|v| v.instruction == "hold" && v.result.holds()));
     }
 
@@ -2796,7 +2505,7 @@ endmodule
         let tracer = Tracer::disabled();
         let tags = |plan: &PortPlan<'_>, ts: &TransitionSystem, planned: &Planned<'_>| {
             let ctx = RunCtx::plain(&tracer, planned);
-            run_port_sequential(plan, ts, false, &ctx)
+            run_port(plan, ts, false, &ctx)
                 .unwrap()
                 .iter()
                 .map(|v| v.result.tag())
@@ -2806,12 +2515,7 @@ endmodule
         for (name, rtl) in &fixtures {
             let planned = Planned::new(&[(&ila, &map)], rtl).unwrap();
             let mut plan = PortPlan::build(&ila, rtl, &map, &planned.ts_signals).unwrap();
-            let (sliced, _) = prepare(
-                &mut plan,
-                &planned.ts,
-                &planned.ts_signals,
-                &VerifyOptions::default(),
-            );
+            let sliced = prepare(&mut plan, &planned.ts, &planned.ts_signals, &tracer);
             let on_slice = tags(&plan, &sliced, &planned);
             assert_eq!(
                 tags(&plan, &planned.ts, &planned),
@@ -2849,9 +2553,9 @@ endmodule
             let planned = Planned::new(&[(&ila, &map)], &rtl).unwrap();
             let mut ctx = RunCtx::plain(&tracer, &planned);
             ctx.policy.budget.timeout = timeout;
-            lock(&ctx.refuted).insert("counter".to_string());
+            ctx.refuted.borrow_mut().insert("counter".to_string());
             let plan = &planned.plans[0];
-            let verdicts = run_port_sequential(plan, &planned.ts, false, &ctx).unwrap();
+            let verdicts = run_port(plan, &planned.ts, false, &ctx).unwrap();
             for v in &verdicts {
                 let what = format!("buggy={buggy} timeout={timeout:?} {}", v.instruction);
                 match (&v.result, timeout) {

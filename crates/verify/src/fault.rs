@@ -38,7 +38,7 @@ use std::time::Duration;
 /// What an injected fault does to the job it hits.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic with this message (exercises scheduler panic isolation).
+    /// Panic with this message (exercises the engine's panic isolation).
     Panic(String),
     /// Replace the job's budget with an expired deadline, forcing a
     /// `CheckResult::Unknown` through the real resource-out path.
@@ -109,7 +109,8 @@ impl FaultRule {
     }
 }
 
-/// A set of fault rules, shared read-only across scheduler workers.
+/// A set of fault rules, shared read-only across threads (a daemon's
+/// request workers).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,

@@ -77,7 +77,6 @@ mod journal;
 mod mutation;
 mod property;
 mod refmap;
-mod scheduler;
 mod shrink;
 mod synth;
 mod vcd;

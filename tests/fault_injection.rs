@@ -3,9 +3,7 @@
 //! abort a module run — every other instruction still gets the verdict
 //! it would get in a clean run — and a run against a verdict journal
 //! must re-verify only the jobs a previous run left undecided, and
-//! never credit a journaled verdict to a changed design. Everything is
-//! exercised at both `jobs = 1` (sequential engine) and `jobs = 4`
-//! (work-stealing pool).
+//! never credit a journaled verdict to a changed design.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -58,52 +56,39 @@ fn journal(path: &Path) -> Option<Arc<ProofCache>> {
     Some(Arc::new(ProofCache::open(cfg).expect("journal opens")))
 }
 
-fn with_jobs(jobs: usize) -> VerifyOptions {
-    VerifyOptions {
-        jobs: Some(jobs),
-        ..Default::default()
-    }
-}
-
 #[test]
 fn injected_panic_never_aborts_and_other_verdicts_match() {
     let (ila, rtl, maps) = decoder();
     let port = ila.ports()[0].name().to_string();
     let instr = ila.ports()[0].instructions()[0].name.clone();
-    for jobs in [1usize, 4] {
-        let clean = verify_module(&ila, &rtl, &maps, &with_jobs(jobs)).unwrap();
-        assert!(clean.all_hold());
-        let fault = FaultPlan::new().inject(
-            &port,
-            &instr,
-            FaultAction::Panic("isolation test".into()),
-            None,
-        );
-        let faulted = verify_module(
-            &ila,
-            &rtl,
-            &maps,
-            &VerifyOptions {
-                fault_plan: Some(Arc::new(fault)),
-                ..with_jobs(jobs)
-            },
-        )
-        .unwrap();
-        // The run completed: one verdict per instruction, exactly one of
-        // them the isolated panic, all others identical to the clean run.
-        assert_eq!(
-            clean.instructions_checked(),
-            faulted.instructions_checked(),
-            "jobs={jobs}"
-        );
-        assert_eq!(faulted.counts().panicked, 1, "jobs={jobs}");
-        assert_eq!(faulted.telemetry.panicked, 1, "jobs={jobs}");
-        for (c, f) in shape(&clean).iter().zip(shape(&faulted).iter()) {
-            if f.0 == port && f.1 == instr {
-                assert_eq!(f.2, "panicked", "jobs={jobs}");
-            } else {
-                assert_eq!(c, f, "jobs={jobs}: unfaulted verdict drifted");
-            }
+    let clean = verify_module(&ila, &rtl, &maps, &VerifyOptions::default()).unwrap();
+    assert!(clean.all_hold());
+    let fault = FaultPlan::new().inject(
+        &port,
+        &instr,
+        FaultAction::Panic("isolation test".into()),
+        None,
+    );
+    let faulted = verify_module(
+        &ila,
+        &rtl,
+        &maps,
+        &VerifyOptions {
+            fault_plan: Some(Arc::new(fault)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    // The run completed: one verdict per instruction, exactly one of
+    // them the isolated panic, all others identical to the clean run.
+    assert_eq!(clean.instructions_checked(), faulted.instructions_checked());
+    assert_eq!(faulted.counts().panicked, 1);
+    assert_eq!(faulted.telemetry.panicked, 1);
+    for (c, f) in shape(&clean).iter().zip(shape(&faulted).iter()) {
+        if f.0 == port && f.1 == instr {
+            assert_eq!(f.2, "panicked");
+        } else {
+            assert_eq!(c, f, "unfaulted verdict drifted");
         }
     }
 }
@@ -113,25 +98,19 @@ fn wildcard_panic_on_every_job_still_drains_the_run() {
     // The pathological case: every single job dies. The module run must
     // still return a full report, not abort or hang.
     let (ila, rtl, maps) = decoder();
-    for jobs in [1usize, 4] {
-        let fault = FaultPlan::new().inject("*", "*", FaultAction::Panic("total loss".into()), None);
-        let report = verify_module(
-            &ila,
-            &rtl,
-            &maps,
-            &VerifyOptions {
-                fault_plan: Some(Arc::new(fault)),
-                ..with_jobs(jobs)
-            },
-        )
-        .unwrap();
-        let counts = report.counts();
-        assert_eq!(
-            counts.panicked,
-            report.instructions_checked(),
-            "jobs={jobs}: {counts:?}"
-        );
-    }
+    let fault = FaultPlan::new().inject("*", "*", FaultAction::Panic("total loss".into()), None);
+    let report = verify_module(
+        &ila,
+        &rtl,
+        &maps,
+        &VerifyOptions {
+            fault_plan: Some(Arc::new(fault)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let counts = report.counts();
+    assert_eq!(counts.panicked, report.instructions_checked(), "{counts:?}");
 }
 
 #[test]
@@ -141,48 +120,45 @@ fn resume_reverifies_only_undecided_jobs() {
     let instr = ila.ports()[0].instructions()[0].name.clone();
     let dir = std::env::temp_dir().join(format!("gila_fault_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for jobs in [1usize, 4] {
-        let ckpt = dir.join(format!("jobs{jobs}.jsonl"));
-        // First run: the target instruction is forced Unknown (once),
-        // every decided verdict streams to the journal.
-        let fault = FaultPlan::new().inject(&port, &instr, FaultAction::ForceUnknown, Some(1));
-        let first = verify_module(
-            &ila,
-            &rtl,
-            &maps,
-            &VerifyOptions {
-                fault_plan: Some(Arc::new(fault)),
-                journal: journal(&ckpt),
-                ..with_jobs(jobs)
-            },
-        )
-        .unwrap();
-        assert_eq!(first.counts().unknown, 1, "jobs={jobs}");
-        // Rerun on the reopened journal: decided verdicts replay with
-        // zero solver work, only the undecided instruction is
-        // re-verified.
-        let second = verify_module(
-            &ila,
-            &rtl,
-            &maps,
-            &VerifyOptions {
-                journal: journal(&ckpt),
-                ..with_jobs(jobs)
-            },
-        )
-        .unwrap();
-        assert!(second.all_hold(), "jobs={jobs}: {:#?}", second.counts());
-        for p in &second.ports {
-            for v in &p.verdicts {
-                if p.port == port && v.instruction == instr {
-                    assert!(v.solves > 0, "jobs={jobs}: undecided job must re-solve");
-                } else {
-                    assert_eq!(
-                        v.solves, 0,
-                        "jobs={jobs}: {}/{} was decided and must replay",
-                        p.port, v.instruction
-                    );
-                }
+    let ckpt = dir.join("resume.jsonl");
+    // First run: the target instruction is forced Unknown (once), every
+    // decided verdict streams to the journal.
+    let fault = FaultPlan::new().inject(&port, &instr, FaultAction::ForceUnknown, Some(1));
+    let first = verify_module(
+        &ila,
+        &rtl,
+        &maps,
+        &VerifyOptions {
+            fault_plan: Some(Arc::new(fault)),
+            journal: journal(&ckpt),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(first.counts().unknown, 1);
+    // Rerun on the reopened journal: decided verdicts replay with zero
+    // solver work, only the undecided instruction is re-verified.
+    let second = verify_module(
+        &ila,
+        &rtl,
+        &maps,
+        &VerifyOptions {
+            journal: journal(&ckpt),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(second.all_hold(), "{:#?}", second.counts());
+    for p in &second.ports {
+        for v in &p.verdicts {
+            if p.port == port && v.instruction == instr {
+                assert!(v.solves > 0, "undecided job must re-solve");
+            } else {
+                assert_eq!(
+                    v.solves, 0,
+                    "{}/{} was decided and must replay",
+                    p.port, v.instruction
+                );
             }
         }
     }
@@ -248,8 +224,7 @@ fn stale_journal_never_hides_a_bug() {
 /// yet the same verdicts, port spans and cache counts as the run that
 /// set every port up. Under `stop_at_first_cex` a journaled
 /// counterexample cuts the replayed list exactly where a cold run
-/// stops. Both hold on the sequential engine and on a forced pool, and
-/// a fully warm stopped run reports the same on both: it runs no job.
+/// stops, and a fully warm stopped run runs no job.
 #[test]
 fn wholly_replayed_ports_skip_setup() {
     let dir = std::env::temp_dir().join(format!("gila_fault_replayed_{}", std::process::id()));
@@ -262,85 +237,68 @@ fn wholly_replayed_ports_skip_setup() {
             .map(|e| (e.port.clone(), e.label.clone(), e.get("instructions")))
             .collect()
     };
-    let configs = [
-        ("jobs=1", with_jobs(1)),
-        (
-            "jobs=4 par_threshold=0",
-            VerifyOptions {
-                par_threshold: 0,
-                ..with_jobs(4)
-            },
-        ),
-    ];
     let mut truncated = 0;
     for cs in all_case_studies() {
         let Some(buggy) = &cs.buggy_rtl else {
             continue;
         };
-        // The cold stopped run is the sequential one: a pool's stopped
-        // run depends on which worker finds a bug first.
         let stop = VerifyOptions {
             stop_at_first_cex: true,
-            ..with_jobs(1)
+            ..Default::default()
         };
         let cold_stop = verify_module(&cs.ila, buggy, &cs.refmaps, &stop).unwrap();
         assert!(cold_stop.counts().cex >= 1, "{}", cs.name);
-        let mut warm_stops = Vec::new();
-        for (label, base) in &configs {
-            let name = format!("{} {label}", cs.name);
-            let path = dir.join(format!("{}.jsonl", name.replace([' ', '='], "_")));
-            let _ = std::fs::remove_file(&path);
-            let run = |journal, stop_at_first_cex| {
-                let (tracer, ring) = Tracer::ring(1 << 20);
-                let opts = VerifyOptions {
-                    journal,
-                    tracer,
-                    stop_at_first_cex,
-                    ..base.clone()
-                };
-                let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
-                (report, ring.events())
+        let name = cs.name;
+        let path = dir.join(format!("{}.jsonl", name.replace(' ', "_")));
+        let _ = std::fs::remove_file(&path);
+        let run = |journal, stop_at_first_cex| {
+            let (tracer, ring) = Tracer::ring(1 << 20);
+            let opts = VerifyOptions {
+                journal,
+                tracer,
+                stop_at_first_cex,
+                ..Default::default()
             };
+            let report = verify_module(&cs.ila, buggy, &cs.refmaps, &opts).unwrap();
+            (report, ring.events())
+        };
 
-            let (cold, cold_events) = run(journal(&path), false);
-            let (warm, warm_events) = run(journal(&path), false);
-            let keyed = cold.instructions_checked() as u64;
-            assert_eq!(shape(&warm), shape(&cold), "{name}");
-            assert_eq!(warm.telemetry.solves, 0, "{name}");
-            assert_eq!((cold.telemetry.cache_hits, cold.telemetry.cache_misses), (0, keyed));
-            assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
-            assert!(count(&cold_events, SpanKind::Coi) > 0, "{name}");
-            assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{name}");
-            assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{name}");
-            for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
-                assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));
-            }
-
-            let (warm_stop, stop_events) = run(journal(&path), true);
-            assert_eq!(shape(&warm_stop), shape(&cold_stop), "{name}");
-            assert_eq!(warm_stop.telemetry.solves, 0, "{name}");
-            assert_eq!(count(&stop_events, SpanKind::Coi), 0, "{name}");
-            assert_eq!(count(&stop_events, SpanKind::Instruction), 0, "{name}");
-            // A port cut short by its first counterexample.
-            truncated += warm_stop
-                .ports
-                .iter()
-                .filter(|p| {
-                    let port = cs.ila.ports().iter().find(|q| q.name() == p.port).unwrap();
-                    p.verdicts.len() < port.instructions().len()
-                })
-                .count();
-            warm_stops.push((shape(&warm_stop), warm_stop.telemetry));
+        let (cold, cold_events) = run(journal(&path), false);
+        let (warm, warm_events) = run(journal(&path), false);
+        let keyed = cold.instructions_checked() as u64;
+        assert_eq!(shape(&warm), shape(&cold), "{name}");
+        assert_eq!(warm.telemetry.solves, 0, "{name}");
+        assert_eq!((cold.telemetry.cache_hits, cold.telemetry.cache_misses), (0, keyed));
+        assert_eq!((warm.telemetry.cache_hits, warm.telemetry.cache_misses), (keyed, 0));
+        assert!(count(&cold_events, SpanKind::Coi) > 0, "{name}");
+        assert_eq!(count(&warm_events, SpanKind::Coi), 0, "{name}");
+        assert_eq!(port_spans(&warm_events), port_spans(&cold_events), "{name}");
+        for e in warm_events.iter().filter(|e| e.kind == SpanKind::Port) {
+            assert_eq!((e.get("solves"), e.get("conflicts")), (Some(0), Some(0)));
         }
-        assert_eq!(warm_stops[0], warm_stops[1], "{}: warm stopped runs differ", cs.name);
+
+        let (warm_stop, stop_events) = run(journal(&path), true);
+        assert_eq!(shape(&warm_stop), shape(&cold_stop), "{name}");
+        assert_eq!(warm_stop.telemetry.solves, 0, "{name}");
+        assert_eq!(count(&stop_events, SpanKind::Coi), 0, "{name}");
+        assert_eq!(count(&stop_events, SpanKind::Instruction), 0, "{name}");
+        // A port cut short by its first counterexample.
+        truncated += warm_stop
+            .ports
+            .iter()
+            .filter(|p| {
+                let port = cs.ila.ports().iter().find(|q| q.name() == p.port).unwrap();
+                p.verdicts.len() < port.instructions().len()
+            })
+            .count();
     }
     assert!(truncated > 0, "no replayed port was cut at a counterexample");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Malformed input errors before anything is solved, whatever the
-/// execution policy: in a two-port module whose second refinement map
-/// names an RTL signal that does not exist, the first port never runs.
+/// Malformed input errors before anything is solved, with or without a
+/// journal: in a two-port module whose second refinement map names an
+/// RTL signal that does not exist, the first port never runs.
 #[test]
 fn malformed_second_map_errors_before_any_solve() {
     let ila = gila::lang::parse_ila(include_str!("../specs/axi_slave.ila")).unwrap();
@@ -353,21 +311,19 @@ fn malformed_second_map_errors_before_any_solve() {
         signal: "ghost".to_string(),
         context: "state map".to_string(),
     };
-    for jobs in [1usize, 4] {
-        for journaled in [false, true] {
-            let (tracer, ring) = Tracer::ring(1 << 16);
-            let journal = journaled
-                .then(|| Arc::new(ProofCache::open(CacheConfig::default()).unwrap()));
-            let opts = VerifyOptions {
-                tracer,
-                journal,
-                ..with_jobs(jobs)
-            };
-            let err = verify_module(&ila, &rtl, &maps, &opts).unwrap_err();
-            assert_eq!(err, expected, "jobs={jobs} journaled={journaled}");
-            let solves = ring.events().iter().filter(|e| e.kind == SpanKind::Solve).count();
-            assert_eq!(solves, 0, "jobs={jobs} journaled={journaled}");
-        }
+    for journaled in [false, true] {
+        let (tracer, ring) = Tracer::ring(1 << 16);
+        let journal =
+            journaled.then(|| Arc::new(ProofCache::open(CacheConfig::default()).unwrap()));
+        let opts = VerifyOptions {
+            tracer,
+            journal,
+            ..Default::default()
+        };
+        let err = verify_module(&ila, &rtl, &maps, &opts).unwrap_err();
+        assert_eq!(err, expected, "journaled={journaled}");
+        let solves = ring.events().iter().filter(|e| e.kind == SpanKind::Solve).count();
+        assert_eq!(solves, 0, "journaled={journaled}");
     }
 }
 

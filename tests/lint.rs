@@ -145,11 +145,7 @@ fn lint_output_is_job_count_invariant() {
 /// diagnostics (their warnings document real abstraction choices).
 #[test]
 fn registry_designs_have_no_error_class_findings() {
-    let jobs: usize = std::env::var("GILA_TEST_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let opts = LintOptions { jobs };
+    let opts = LintOptions::default();
     for cs in all_case_studies() {
         let mut report = lint_module(cs.name, &cs.ila, &opts, &Tracer::disabled());
         report
@@ -210,6 +206,29 @@ fn lint_passes_emit_timing_spans() {
         .filter_map(|s| s.get("diags").and_then(|v| v.as_u64()))
         .sum();
     assert_eq!(rtl_total as usize, rtl_diags.len());
+}
+
+/// `LintStats::absint_ns` covers all abstract-interpretation work: the
+/// decode oracle as well as the GL014-GL017 pass, whose span alone
+/// times the latter. So on every registry design it exceeds that span.
+#[test]
+fn absint_time_covers_the_decode_oracle() {
+    for cs in all_case_studies() {
+        let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(10_000);
+        let report = lint_module(cs.name, &cs.ila, &LintOptions::default(), &tracer);
+        let pass_ns: u64 = ring
+            .events()
+            .iter()
+            .filter(|e| e.label == "absint")
+            .filter_map(|e| e.get("wall_ns"))
+            .sum();
+        assert!(
+            report.stats.absint_ns > pass_ns,
+            "{}: absint_ns {} does not exceed the absint pass's {pass_ns} ns",
+            cs.name,
+            report.stats.absint_ns
+        );
+    }
 }
 
 /// The four shipped specs stay free of error-class findings; the broken

@@ -1,11 +1,23 @@
+//! Fuzzing of both frontends.
+//!
 //! Grammar-driven fuzzing of the Verilog frontend: generate random
 //! well-formed modules as source text, then require that (a) they parse
 //! and elaborate, (b) they simulate without errors, and (c) the
 //! emit -> reparse round trip is behaviour-preserving under random
 //! stimulus.
+//!
+//! Mutation fuzzing of the `.ila` frontend: edit the bundled specs at
+//! random and require that parsing never panics, and that lint never
+//! panics on what the parser accepts. Malformed input is an error with
+//! a line, never a crash.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use gila::expr::BitVecValue;
+use gila::lang::parse_spec;
+use gila::lint::{lint_module, lint_spec, LintOptions};
 use gila::rtl::{parse_verilog, RtlSimulator};
+use gila::trace::Tracer;
 use proptest::prelude::*;
 
 /// A small expression grammar over the declared signals.
@@ -144,5 +156,93 @@ proptest! {
                 cycle, src, emitted
             );
         }
+    }
+}
+
+/// The bundled specs, the seeds the `.ila` mutation fuzzer edits.
+const SPECS: &[&str] = &[
+    include_str!("../specs/counter.ila"),
+    include_str!("../specs/decoder.ila"),
+    include_str!("../specs/axi_slave.ila"),
+    include_str!("../specs/mem_iface.ila"),
+    include_str!("../specs/broken.ila"),
+];
+
+/// Text the mutation fuzzer splices in: selects and sorts at and past
+/// their limits, and the keywords and punctuation of every construct.
+const SPLICES: &[&str] = &[
+    "[0]", "[7]", "[9]", "[3:5]", "[7:0]", "[99:0]", "[4294967296:0]", "[0:4294967296]",
+    "[18446744073709551615]", "(cnt + 1)[99:0]", "(1)[3:0]", "mem[0, 8]", "mem[33, 8]",
+    "mem[40, 8]", "mem[8, 0]", "mem[4294967296, 8]", "bv0", "bool", "bv4294967296", "(", ")",
+    "[", "]", "{", "}", ":", ",", ":=", "==", "!=", "+", "-", "*", "/", "%", "<<", ">>", "&",
+    "|", "^", "~", "!", "&&", "||", "<", ">=", "?", "store(", "init 0", "init 99", "instr",
+    "sub", "when", "of", "port", "module", "integrate", "input", "output state", "state",
+    "cnt", "en", "x", "8'hff", "0'h0", "4'd99", "1'b1", "{cnt, cnt}", "{}",
+];
+
+/// Numbers a digit run of a spec is replaced by.
+const NUMBERS: &[&str] = &[
+    "0", "1", "2", "7", "8", "9", "31", "32", "33", "63", "64", "65", "99", "4294967296",
+    "18446744073709551615", "99999999999999999999",
+];
+
+/// An edit: its kind, its position as a fraction of the text's length,
+/// the characters it covers, and which splice or number it writes.
+fn any_edit() -> impl Strategy<Value = (u8, u32, u8, u8)> {
+    (any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>())
+}
+
+/// One edit of a spec's text, at a position given as a fraction of its
+/// length.
+fn mutate(text: &mut String, (op, at, len, pick): (u8, u32, u8, u8)) {
+    let mut pos = (at as usize * text.len()) / (u32::MAX as usize + 1);
+    while !text.is_char_boundary(pos) {
+        pos -= 1;
+    }
+    let end = text[pos..]
+        .char_indices()
+        .nth(len as usize % 8)
+        .map_or(text.len(), |(i, _)| pos + i);
+    match op % 4 {
+        0 => text.replace_range(pos..end, ""),
+        1 => text.insert_str(pos, SPLICES[pick as usize % SPLICES.len()]),
+        2 => text.replace_range(pos..end, SPLICES[pick as usize % SPLICES.len()]),
+        _ => {
+            // Replace the digit run at or after `pos`.
+            let rest = &text[pos..];
+            if let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+                let start = pos + start;
+                let stop = text[start..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .map_or(text.len(), |i| start + i);
+                text.replace_range(start..stop, NUMBERS[pick as usize % NUMBERS.len()]);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn mutated_specs_never_panic_the_parser_or_lint(
+        spec in 0usize..5,
+        edits in proptest::collection::vec(any_edit(), 1..5),
+    ) {
+        let mut text = SPECS[spec].to_string();
+        for edit in edits {
+            mutate(&mut text, edit);
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(parsed) = parse_spec(&text) else {
+                return;
+            };
+            let (opts, tracer) = (LintOptions::default(), Tracer::disabled());
+            lint_spec("fuzzed", &parsed, &opts, &tracer);
+            if let Some(module) = &parsed.module {
+                lint_module("fuzzed", module, &opts, &tracer);
+            }
+        }));
+        prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
     }
 }

@@ -3,8 +3,8 @@
 //! The deterministic gates run in tier-1:
 //!
 //! * a counter golden — the solver effort, CNF size and slicing counts
-//!   of one sequential run and one pooled run per design, pinned
-//!   exactly in `tests/golden/registry_counters.txt`; any change in the
+//!   of one run per design, pinned exactly in
+//!   `tests/golden/registry_counters.txt`; any change in the
 //!   work the engine does shows up as a diff there. Regenerate with
 //!   `GILA_REGEN_GOLDEN=1 cargo test --test registry_gates` only when a
 //!   change is meant to alter that work;
@@ -12,8 +12,8 @@
 //!   holds, the robustness counters stay zero, lint stays clean and
 //!   sub-second).
 //!
-//! The two wall-clock gates compare times measured in one process, so
-//! they are `#[ignore]`d and run in release builds only:
+//! The wall-clock co-simulation gate compares throughputs measured in
+//! one process, so it is `#[ignore]`d and runs in release builds only:
 //!
 //! ```text
 //! cargo test --release --test registry_gates -- --ignored --test-threads=1
@@ -29,14 +29,8 @@ use gila::lint::{lint_module, lint_rtl, LintOptions};
 use gila::trace::Tracer;
 use gila::verify::{cosimulate, cosimulate_compiled, verify_module, ModuleReport, VerifyOptions};
 
-/// Worker count of the pooled runs.
-const POOL_JOBS: usize = 4;
-/// Timed runs per configuration in the wall-clock gates; the best is
-/// kept, after one untimed warm-up.
+/// Timed runs per backend in the co-simulation gate; the best is kept.
 const GATE_RUNS: usize = 3;
-/// The two slowest-sequential designs must not lose time on the pool
-/// beyond this factor (`pooled_s <= tolerance * sequential_s`).
-const POOL_GATE_TOLERANCE: f64 = 1.05;
 /// Cycles per port for the co-simulation throughput legs. The
 /// interpreter re-walks the DAG per cycle, so it gets a short leash;
 /// the compiled tape gets enough cycles to amortize timer noise.
@@ -46,12 +40,8 @@ const COSIM_COMPILED_CYCLES: usize = 100_000;
 /// factor in geomean across designs.
 const COSIM_GATE: f64 = 100.0;
 
-fn verify(cs: &CaseStudy, jobs: usize) -> ModuleReport {
-    let opts = VerifyOptions {
-        jobs: Some(jobs),
-        ..Default::default()
-    };
-    verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &opts)
+fn verify(cs: &CaseStudy) -> ModuleReport {
+    verify_module(&cs.ila, &cs.rtl, &cs.refmaps, &VerifyOptions::default())
         .unwrap_or_else(|e| panic!("{}: setup error {e}", cs.name))
 }
 
@@ -60,13 +50,11 @@ fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// One design's fixed-RTL runs, sequential and pooled, plus one lint
-/// pass.
+/// One design's fixed-RTL run, plus one lint pass.
 struct Row {
     name: &'static str,
     instructions: usize,
-    sequential: ModuleReport,
-    pooled: ModuleReport,
+    report: ModuleReport,
     lint_errors: usize,
     lint_s: f64,
     absint_s: f64,
@@ -92,8 +80,7 @@ fn rows() -> &'static [Row] {
                 Row {
                     name: cs.name,
                     instructions: cs.ila.stats().instructions,
-                    sequential: verify(cs, 1),
-                    pooled: verify(cs, POOL_JOBS),
+                    report: verify(cs),
                     lint_errors: lint.errors(),
                     lint_s,
                     absint_s: lint.stats.absint_ns as f64 / 1e9,
@@ -105,15 +92,15 @@ fn rows() -> &'static [Row] {
 }
 
 const COLUMNS: &str = "design\tinstructions\tsolves\tdecisions\tpropagations\tconflicts\t\
-                       cnf_vars\tcnf_clauses\tcoi_dropped\tbatch_count\tabsint_discharged";
+                       cnf_vars\tcnf_clauses\tcoi_dropped\tabsint_discharged";
 
 fn render(rows: &[Row]) -> String {
     let mut out = format!("# {COLUMNS}\n");
     for row in rows {
-        let t = &row.sequential.telemetry;
+        let t = &row.report.telemetry;
         writeln!(
             out,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             row.name,
             row.instructions,
             t.solves,
@@ -123,7 +110,6 @@ fn render(rows: &[Row]) -> String {
             t.cnf_vars,
             t.cnf_clauses,
             t.coi_states_dropped + t.coi_inputs_dropped,
-            row.pooled.telemetry.batches,
             row.absint_discharged,
         )
         .unwrap();
@@ -160,20 +146,19 @@ fn registry_runs_satisfy_the_schema_invariants() {
     assert_eq!(rows.len(), 8, "the registry has eight designs");
     for row in rows {
         let design = row.name;
-        for (leg, report) in [("sequential", &row.sequential), ("pooled", &row.pooled)] {
-            assert!(report.all_hold(), "{design} ({leg}): {report:#?}");
-            // Unbounded runs must never exercise the robustness
-            // machinery; any nonzero counter is a regression.
-            let t = &report.telemetry;
-            for (key, v) in [
-                ("unknown", t.unknown),
-                ("panicked", t.panicked),
-                ("retries", t.retries),
-            ] {
-                assert_eq!(v, 0, "{design} ({leg}): {key} = {v} on an unbounded run");
-            }
+        let report = &row.report;
+        assert!(report.all_hold(), "{design}: {report:#?}");
+        // Unbounded runs must never exercise the robustness machinery;
+        // any nonzero counter is a regression.
+        let t = &report.telemetry;
+        for (key, v) in [
+            ("unknown", t.unknown),
+            ("panicked", t.panicked),
+            ("retries", t.retries),
+        ] {
+            assert_eq!(v, 0, "{design}: {key} = {v} on an unbounded run");
         }
-        let solves = row.sequential.telemetry.solves;
+        let solves = t.solves;
         assert!(
             solves >= row.instructions as u64,
             "{design}: {solves} solves for {} instructions — every instruction issues at least one SAT check",
@@ -189,50 +174,6 @@ fn registry_runs_satisfy_the_schema_invariants() {
             (0.0..1.0).contains(&row.absint_s),
             "{design}: absint_s = {} is not a sub-second time",
             row.absint_s
-        );
-    }
-}
-
-/// Best-of-[`GATE_RUNS`] verification wall time after one untimed
-/// warm-up run, which pays the one-off costs (thread pool spin-up,
-/// allocator growth, cold caches).
-fn best_time(cs: &CaseStudy, jobs: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for run in 0..=GATE_RUNS {
-        let t0 = Instant::now();
-        let report = verify(cs, jobs);
-        let s = t0.elapsed().as_secs_f64();
-        assert!(report.all_hold(), "{} (jobs={jobs}): {report:#?}", cs.name);
-        if run > 0 {
-            best = best.min(s);
-        }
-    }
-    best
-}
-
-/// The pool must pay for itself where it matters: on the two
-/// slowest-sequential designs, pooled wall time may not exceed
-/// sequential by more than the tolerance. Small designs are exempt
-/// (the adaptive threshold routes them to the sequential engine, so
-/// their ratio is ~1.0 by construction and any gap is noise).
-#[test]
-#[ignore = "wall-clock gate; run in release with --ignored --test-threads=1"]
-fn pool_gate() {
-    let designs = all_case_studies();
-    let mut by_seq: Vec<(&CaseStudy, f64)> =
-        designs.iter().map(|cs| (cs, best_time(cs, 1))).collect();
-    by_seq.sort_by(|a, b| b.1.total_cmp(&a.1));
-    for &(cs, sequential_s) in by_seq.iter().take(2) {
-        let pooled_s = best_time(cs, POOL_JOBS);
-        eprintln!(
-            "{}: sequential {sequential_s:.4} s, pooled {pooled_s:.4} s",
-            cs.name
-        );
-        assert!(
-            pooled_s <= POOL_GATE_TOLERANCE * sequential_s,
-            "{}: pooled_s = {pooled_s:.4} loses to sequential_s = {sequential_s:.4} beyond the \
-             {POOL_GATE_TOLERANCE}x gate — the pool no longer pays on a design it must win",
-            cs.name
         );
     }
 }

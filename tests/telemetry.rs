@@ -1,17 +1,10 @@
 //! Golden-trace tests for the telemetry layer.
 //!
-//! A single-threaded (`jobs = 1`) verification run is fully
-//! deterministic: the CDCL solver branches deterministically, ports and
-//! instructions run in declaration order, and every span's counters
-//! depend only on the formula. So after stripping the volatile keys
-//! (wall time, queue latency, worker id, steal flags) and sorting, the
-//! trace is a stable artifact we can diff against a checked-in golden.
-//!
-//! A pooled run (`jobs = 4`) interleaves nondeterministically and its
-//! per-worker CNF deltas differ (each persistent engine pays the
-//! transition relation once), but the *set of work performed* — which
-//! (port, instruction) jobs ran and which SAT checks they issued — must
-//! be identical to the sequential run. That is the span-set test.
+//! A verification run is fully deterministic: the CDCL solver branches
+//! deterministically, ports and instructions run in declaration order,
+//! and every span's counters depend only on the formula. So after
+//! stripping the volatile keys (wall times) and sorting, the trace is a
+//! stable artifact we can diff against a checked-in golden.
 //!
 //! Regenerate goldens with `GILA_REGEN_GOLDEN=1 cargo test --test
 //! telemetry` after an intentional engine change, and review the diff.
@@ -20,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gila::designs::all_case_studies;
-use gila::trace::{canonicalize_jsonl, span_set, RingSink, Tracer};
+use gila::trace::{canonicalize_jsonl, RingSink, Tracer};
 use gila::verify::{
     identity_refmaps, synthesize_module, verify_module, ModuleReport, RefinementMap,
     SolveBudget, VerifyOptions,
@@ -35,12 +28,11 @@ fn counter_fixture() -> (gila::core::ModuleIla, gila::rtl::RtlModule, Vec<Refine
     (ila, rtl, maps)
 }
 
-/// Runs `name`'s verification with `jobs` workers and a ring tracer,
-/// returning the report and the raw JSONL trace.
-fn traced_run(name: &str, jobs: usize) -> (ModuleReport, String) {
+/// Runs `name`'s verification with a ring tracer, returning the report
+/// and the raw JSONL trace.
+fn traced_run(name: &str) -> (ModuleReport, String) {
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(100_000);
     let opts = VerifyOptions {
-        jobs: Some(jobs),
         tracer,
         ..Default::default()
     };
@@ -72,10 +64,10 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.trace"))
 }
 
-/// Diffs a canonicalized `jobs = 1` trace against the checked-in
-/// golden; set `GILA_REGEN_GOLDEN=1` to rewrite it instead.
+/// Diffs a canonicalized trace against the checked-in golden; set
+/// `GILA_REGEN_GOLDEN=1` to rewrite it instead.
 fn assert_matches_golden(name: &str) {
-    let (report, jsonl) = traced_run(name, 1);
+    let (report, jsonl) = traced_run(name);
     assert!(report.all_hold(), "{name}: {report:#?}");
     let canon = canonicalize_jsonl(&jsonl).unwrap();
     let path = golden_path(name);
@@ -106,22 +98,8 @@ fn decoder_trace_matches_golden() {
 }
 
 #[test]
-fn pooled_trace_performs_the_same_work_as_sequential() {
-    for name in ["counter", "Decoder"] {
-        let (seq_report, seq) = traced_run(name, 1);
-        let (pool_report, pool) = traced_run(name, 4);
-        assert!(seq_report.all_hold() && pool_report.all_hold(), "{name}");
-        assert_eq!(
-            span_set(&seq).unwrap(),
-            span_set(&pool).unwrap(),
-            "{name}: jobs=4 must issue exactly the jobs=1 span set"
-        );
-    }
-}
-
-#[test]
 fn every_instruction_gets_a_span_with_counters() {
-    let (report, jsonl) = traced_run("Decoder", 1);
+    let (report, jsonl) = traced_run("Decoder");
     for port in &report.ports {
         for v in &port.verdicts {
             let span = jsonl
@@ -155,7 +133,7 @@ fn every_instruction_gets_a_span_with_counters() {
 #[test]
 fn every_solve_span_carries_its_wall_time() {
     for name in ["counter", "Decoder", "Store Buffer"] {
-        let (report, jsonl) = traced_run(name, 1);
+        let (report, jsonl) = traced_run(name);
         let mut solves = 0;
         for line in jsonl.lines() {
             let e = gila::json::parse(line).unwrap();
@@ -190,7 +168,6 @@ fn instruction_spans_time_their_formulas_and_counterexamples() {
         .expect("a bug-injected case study");
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(100_000);
     let opts = VerifyOptions {
-        jobs: Some(1),
         tracer,
         ..Default::default()
     };
@@ -226,7 +203,7 @@ fn instruction_spans_time_their_formulas_and_counterexamples() {
 
 #[test]
 fn report_telemetry_sums_verdicts() {
-    let (report, _) = traced_run("Decoder", 1);
+    let (report, _) = traced_run("Decoder");
     let t = &report.telemetry;
     assert_eq!(t.instructions as usize, report.instructions_checked());
     assert!(t.solves >= t.instructions);
@@ -244,7 +221,7 @@ fn report_telemetry_sums_verdicts() {
 #[test]
 fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
     // Default run: no robustness spans anywhere in the trace.
-    let (_, clean) = traced_run("counter", 1);
+    let (_, clean) = traced_run("counter");
     for kind in ["budget_exhausted", "retry", "panic"] {
         assert!(
             !clean.contains(&format!("\"kind\":\"{kind}\"")),
@@ -256,7 +233,6 @@ fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(100_000);
     let (ila, rtl, maps) = counter_fixture();
     let opts = VerifyOptions {
-        jobs: Some(1),
         tracer,
         budget: SolveBudget {
             conflicts: None,
@@ -285,19 +261,4 @@ fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
     assert_eq!(count("retry"), instrs, "{jsonl}");
     assert_eq!(report.telemetry.unknown, instrs as u64);
     assert_eq!(report.telemetry.retries, instrs as u64);
-}
-
-/// CI matrix hook: `GILA_TEST_JOBS` picks the pool size this suite
-/// exercises (defaults to 1), so the same test binary covers both the
-/// sequential and the pooled scheduler in separate CI legs.
-#[test]
-fn verification_holds_at_env_selected_job_count() {
-    let jobs: usize = std::env::var("GILA_TEST_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let (report, jsonl) = traced_run("Decoder", jobs);
-    assert!(report.all_hold(), "jobs={jobs}");
-    assert!(report.telemetry.workers >= 1);
-    assert!(span_set(&jsonl).unwrap().len() >= report.instructions_checked());
 }
