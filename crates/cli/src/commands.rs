@@ -415,13 +415,6 @@ pub fn check_inv(flags: &[(String, String)]) -> CmdResult {
             );
             Ok(1)
         }
-        InductionOutcome::ResourceOut { reason, at_k } => {
-            outln!(
-                "UNDECIDED: the solver ran out of {} at induction depth {at_k}",
-                reason.as_str()
-            );
-            Ok(EXIT_UNKNOWN)
-        }
     }
 }
 

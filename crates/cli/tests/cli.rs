@@ -368,6 +368,32 @@ fn check_inv_proves_and_refutes() {
 }
 
 #[test]
+fn check_inv_on_the_bundled_broken_rtl() {
+    let rtl = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/broken.v");
+    let check_inv = |invariant: &str| {
+        gila()
+            .args(["check-inv", "--rtl", rtl, "--invariant", invariant])
+            .output()
+            .expect("binary runs")
+    };
+    let out = check_inv("1");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("PROVED"));
+    // `live` has no reset value, so it can be nonzero from the start.
+    let out = check_inv("live == 8'h00");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.starts_with("REFUTED"), "{stdout}");
+    assert!(
+        stdout.contains("step 0:") && stdout.contains("live "),
+        "{stdout}"
+    );
+    let out = check_inv("nosuch == 8'h00");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("undeclared identifier \"nosuch\""));
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let out = gila().args(["verify"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));

@@ -21,9 +21,6 @@ use gila_verify::RefinementMap;
 
 use crate::registry::CaseStudy;
 
-/// The six NoC message types PIPE2 accepts.
-pub const PIPE2_MSGS: [&str; 6] = ["REQ_RD", "REQ_WR", "ACK_DT", "ACK_INV", "WB_REQ", "WB_ACK"];
-
 /// Builds the PIPE1-port-ILA (L1.5-side misses).
 pub fn pipe1_port() -> PortIla {
     let mut p = PortIla::new("PIPE1-PORT");

@@ -931,11 +931,6 @@ impl ExprCtx {
             .filter(|&e| matches!(self.node(e), ExprNode::Var { .. }))
             .collect()
     }
-
-    /// Number of DAG nodes reachable from `roots`.
-    pub fn dag_size(&self, roots: &[ExprRef]) -> usize {
-        self.post_order(roots).len()
-    }
 }
 
 #[cfg(test)]

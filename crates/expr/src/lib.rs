@@ -37,7 +37,6 @@ mod ctx;
 mod display;
 mod eval;
 mod lower;
-mod smtlib;
 mod sort;
 mod subst;
 mod value;
@@ -47,7 +46,6 @@ pub use ctx::{ExprCtx, ExprNode, ExprRef, Op, SortError};
 pub use display::ExprDisplay;
 pub use eval::{eval, eval_all, Env, EvalError};
 pub use lower::{Slot, TapeProgram, TapeState};
-pub use smtlib::{to_smtlib_script, to_smtlib_term};
 pub use sort::Sort;
 pub use subst::{
     cofactor, import, import_mapped, import_renamed, substitute, substitute_cached, Cofactor,

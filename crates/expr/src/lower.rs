@@ -400,50 +400,6 @@ impl TapeProgram {
         }
     }
 
-    /// Instruction-kind histogram (diagnostics): `(kind, count)` pairs
-    /// in descending count order.
-    pub fn op_counts(&self) -> Vec<(&'static str, usize)> {
-        let mut h: std::collections::BTreeMap<&'static str, usize> = Default::default();
-        for ins in &self.code {
-            let k = match ins {
-                TapeInstr::Un { .. } => "un",
-                TapeInstr::Bin { .. } => "bin",
-                TapeInstr::Ite { .. } => "ite",
-                TapeInstr::MemReadWord { .. } => "mem_read",
-                TapeInstr::MemWriteWord { .. } => "mem_write",
-                TapeInstr::MemIte { .. } => "mem_ite",
-                TapeInstr::Slow { .. } => "slow",
-            };
-            *h.entry(k).or_default() += 1;
-        }
-        let mut v: Vec<_> = h.into_iter().collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v
-    }
-
-    /// Memory-copy site statistics: `(move-enabled operands, total
-    /// copy-or-move operands)` across the tape's memory-write and
-    /// memory-`ite` instructions — each non-move operand costs
-    /// an `O(entries)` map copy when its instruction (branch) executes.
-    pub fn move_counts(&self) -> (usize, usize) {
-        let mut moves = 0;
-        let mut total = 0;
-        for ins in &self.code {
-            match ins {
-                TapeInstr::MemWriteWord { take, .. } => {
-                    total += 1;
-                    moves += *take as usize;
-                }
-                TapeInstr::MemIte { take_t, take_e, .. } => {
-                    total += 2;
-                    moves += *take_t as usize + *take_e as usize;
-                }
-                _ => {}
-            }
-        }
-        (moves, total)
-    }
-
     /// Opt-in move-out of *variable* memory registers: a variable's
     /// final reader may steal it (swap instead of clone) when every
     /// read of that variable sits in `final_start..`, the tape's last
@@ -673,37 +629,6 @@ impl TapeProgram {
     /// True if the tape has no instructions (all roots are leaves).
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
-    }
-
-    /// Number of instructions on the generic (interpreter-semantics)
-    /// fallback path — the tape's slow lane.
-    pub fn slow_len(&self) -> usize {
-        self.code
-            .iter()
-            .filter(|i| matches!(i, TapeInstr::Slow { .. }))
-            .count()
-    }
-
-    /// Debug summaries (`"op @ sort"`) of every slow-lane instruction.
-    pub fn slow_ops(&self) -> Vec<String> {
-        self.code
-            .iter()
-            .filter_map(|i| match i {
-                TapeInstr::Slow { op, dst, .. } => {
-                    Some(format!("{op:?} @ {:?}", self.slot_sort(*dst)))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Register-bank sizes as `(words, wides, mems)`.
-    pub fn bank_sizes(&self) -> (usize, usize, usize) {
-        (
-            self.word_init.len(),
-            self.wide_init.len(),
-            self.mem_init.len(),
-        )
     }
 
     /// The slot assigned to a compiled node (variables included), if the
@@ -994,18 +919,6 @@ impl TapeProgram {
             }
             TapeInstr::Slow { dst, .. } => dst == slot,
         })
-    }
-
-    /// Moves a memory slot's value out, leaving a trivial placeholder.
-    /// Only sound for computed ([`TapeProgram::slot_is_computed`]) slots,
-    /// which the next covering run overwrites before any read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not in the memory bank.
-    pub fn take_mem(&self, st: &mut TapeState, slot: Slot) -> MemValue {
-        assert_eq!(slot.tag(), TAG_MEM, "slot {slot:?} is not a memory");
-        std::mem::replace(&mut st.mems[slot.idx()], MemValue::zeroed(1, 1))
     }
 
     /// Writes a memory value into a slot by move (no clone).

@@ -45,7 +45,7 @@ use gila_json::Value as Json;
 mod passes;
 mod rtl;
 
-pub use passes::{lint_module, lint_ports, lint_spec, LintOptions};
+pub use passes::{lint_module, lint_spec, LintOptions};
 pub use rtl::lint_rtl;
 
 /// How serious a diagnostic is.

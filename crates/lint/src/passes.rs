@@ -540,14 +540,6 @@ fn collect_port_passes(
     span(tracer, &report.target, "absint", absint_n, absint_ns);
 }
 
-/// Lints a set of ports (decode proofs + state usage) and returns the
-/// findings in declaration order.
-pub fn lint_ports(ports: &[&PortIla], opts: &LintOptions) -> Vec<Diagnostic> {
-    let mut report = LintReport::new("");
-    collect_port_passes(&mut report, ports, opts, &Tracer::disabled());
-    report.diagnostics
-}
-
 /// Pass 4: surfaces the implicit width adjustments the elaborator
 /// recorded while parsing.
 fn width_pass(report: &mut LintReport, notes: &[ElabNote]) {

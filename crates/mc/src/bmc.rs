@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use gila_expr::{ExprRef, Value};
-use gila_smt::{BlastStats, ResourceOut, SmtResult, SmtSolver, SolveLimits};
+use gila_smt::{SmtResult, SmtSolver};
 
 use crate::ts::TransitionSystem;
 use crate::unroll::Unrolling;
@@ -26,38 +26,6 @@ pub struct Counterexample {
     pub steps: Vec<TraceStep>,
 }
 
-/// The outcome of a bounded safety check.
-#[derive(Clone, Debug)]
-pub enum BmcOutcome {
-    /// No violation within the bound.
-    HoldsUpTo(
-        /// The bound checked (inclusive).
-        usize,
-    ),
-    /// A violation was found.
-    Violated(
-        /// The witnessing trace.
-        Box<Counterexample>,
-    ),
-    /// The check gave up at some step: a solve limit fired or the run
-    /// was cancelled (see [`bmc_safety_bounded`]). Steps before
-    /// `at_step` were verified violation-free.
-    Unknown {
-        /// Why the solver gave up.
-        reason: ResourceOut,
-        /// The step whose check was abandoned.
-        at_step: usize,
-    },
-}
-
-impl BmcOutcome {
-    /// True if no violation was found *within the full bound* (an
-    /// [`BmcOutcome::Unknown`] outcome does not count as holding).
-    pub fn holds(&self) -> bool {
-        matches!(self, BmcOutcome::HoldsUpTo(_))
-    }
-}
-
 /// The outcome of a k-induction proof attempt.
 #[derive(Clone, Debug)]
 pub enum InductionOutcome {
@@ -76,26 +44,57 @@ pub enum InductionOutcome {
         /// The maximum depth tried.
         max_k: usize,
     },
-    /// A solve limit fired before depth `max_k` was reached (see
-    /// [`k_induction_bounded`]); the proof attempt is inconclusive.
-    ResourceOut {
-        /// Why the solver gave up.
-        reason: ResourceOut,
-        /// The depth at which it gave up.
-        at_k: usize,
-    },
 }
 
 /// Checks the boolean property `prop` (over the system's state and input
 /// variables) at every step `0..=bound`, starting from the declared
-/// initial values.
+/// initial values. Returns the first violation, or `None` if the
+/// property holds within the bound.
+pub(crate) fn bmc(
+    ts: &TransitionSystem,
+    prop: ExprRef,
+    bound: usize,
+) -> Option<Box<Counterexample>> {
+    let mut u = Unrolling::new(ts, true);
+    u.extend_to(bound);
+    for k in 0..=bound {
+        let mut smt = SmtSolver::new();
+        for &a in u.init_assumptions() {
+            smt.assert(u.ctx(), a);
+        }
+        for c in u.constraints_up_to(k) {
+            smt.assert(u.ctx(), c);
+        }
+        let p_k = u.map_expr(k, prop);
+        let viol = u.ctx_mut().not(p_k);
+        smt.assert(u.ctx(), viol);
+        if smt.check() == SmtResult::Sat {
+            let steps = (0..=k)
+                .map(|j| TraceStep {
+                    states: u.concretize_states(&smt, j),
+                    inputs: u.concretize_inputs(&smt, j),
+                })
+                .collect();
+            return Some(Box::new(Counterexample {
+                violation_step: k,
+                steps,
+            }));
+        }
+    }
+    None
+}
+
+/// Attempts to prove `prop` invariant by k-induction, increasing `k` up
+/// to `max_k`:
 ///
-/// Returns statistics of the final solver alongside the outcome.
+/// * base case: `prop` holds for the first `k` steps from init (BMC);
+/// * inductive step: from *any* state, `k` consecutive steps satisfying
+///   `prop` imply `prop` at step `k+1`.
 ///
 /// # Examples
 ///
 /// ```
-/// use gila_mc::{bmc_safety, TransitionSystem};
+/// use gila_mc::{k_induction, InductionOutcome, TransitionSystem};
 /// use gila_expr::{BitVecValue, Sort};
 ///
 /// let mut ts = TransitionSystem::new("c");
@@ -106,104 +105,22 @@ pub enum InductionOutcome {
 /// ts.set_init("cnt", BitVecValue::from_u64(0, 8))?;
 /// let lim = ts.ctx_mut().bv_u64(5, 8);
 /// let prop = ts.ctx_mut().ult(cnt, lim);
-/// let (outcome, _stats) = bmc_safety(&ts, prop, 10);
-/// assert!(!outcome.holds()); // cnt reaches 5 at step 5
+/// let InductionOutcome::Violated(cex) = k_induction(&ts, prop, 10) else {
+///     panic!("cnt reaches 5 at step 5");
+/// };
+/// assert_eq!(cex.violation_step, 5);
 /// # Ok::<(), gila_mc::TsError>(())
 /// ```
-pub fn bmc_safety(
-    ts: &TransitionSystem,
-    prop: ExprRef,
-    bound: usize,
-) -> (BmcOutcome, BlastStats) {
-    bmc_safety_bounded(ts, prop, bound, SolveLimits::default())
-}
-
-/// Like [`bmc_safety`], but every per-step SAT query runs under the
-/// given [`SolveLimits`]. A query that exceeds them makes the whole
-/// check return [`BmcOutcome::Unknown`] with the offending step, so a
-/// pathological depth cannot hang the caller.
-pub fn bmc_safety_bounded(
-    ts: &TransitionSystem,
-    prop: ExprRef,
-    bound: usize,
-    limits: SolveLimits,
-) -> (BmcOutcome, BlastStats) {
-    let mut u = Unrolling::new(ts, true);
-    u.extend_to(bound);
-    let mut last_stats = BlastStats::default();
-    for k in 0..=bound {
-        let mut smt = SmtSolver::new();
-        smt.set_limits(limits);
-        for &a in u.init_assumptions() {
-            smt.assert(u.ctx(), a);
-        }
-        for c in u.constraints_up_to(k) {
-            smt.assert(u.ctx(), c);
-        }
-        let p_k = u.map_expr(k, prop);
-        let viol = u.ctx_mut().not(p_k);
-        smt.assert(u.ctx(), viol);
-        let result = smt.check();
-        last_stats = smt.stats();
-        match result {
-            SmtResult::Sat => {
-                let steps = (0..=k)
-                    .map(|j| TraceStep {
-                        states: u.concretize_states(&smt, j),
-                        inputs: u.concretize_inputs(&smt, j),
-                    })
-                    .collect();
-                return (
-                    BmcOutcome::Violated(Box::new(Counterexample {
-                        violation_step: k,
-                        steps,
-                    })),
-                    last_stats,
-                );
-            }
-            SmtResult::Unsat => {}
-            SmtResult::Unknown(reason) => {
-                return (BmcOutcome::Unknown { reason, at_step: k }, last_stats)
-            }
-        }
-    }
-    (BmcOutcome::HoldsUpTo(bound), last_stats)
-}
-
-/// Attempts to prove `prop` invariant by k-induction, increasing `k` up
-/// to `max_k`:
-///
-/// * base case: `prop` holds for the first `k` steps from init (BMC);
-/// * inductive step: from *any* state, `k` consecutive steps satisfying
-///   `prop` imply `prop` at step `k+1`.
 pub fn k_induction(ts: &TransitionSystem, prop: ExprRef, max_k: usize) -> InductionOutcome {
-    k_induction_bounded(ts, prop, max_k, SolveLimits::default())
-}
-
-/// Like [`k_induction`], but every SAT query runs under the given
-/// [`SolveLimits`]; exhausting them returns
-/// [`InductionOutcome::ResourceOut`] instead of looping deeper.
-pub fn k_induction_bounded(
-    ts: &TransitionSystem,
-    prop: ExprRef,
-    max_k: usize,
-    limits: SolveLimits,
-) -> InductionOutcome {
     for k in 0..=max_k {
         // Base case.
-        let (base, _) = bmc_safety_bounded(ts, prop, k, limits);
-        match base {
-            BmcOutcome::Violated(cex) => return InductionOutcome::Violated(cex),
-            BmcOutcome::Unknown { reason, .. } => {
-                return InductionOutcome::ResourceOut { reason, at_k: k }
-            }
-            BmcOutcome::HoldsUpTo(_) => {}
+        if let Some(cex) = bmc(ts, prop, k) {
+            return InductionOutcome::Violated(cex);
         }
         // Inductive step: symbolic start, frames 0..=k+1.
         let mut u = Unrolling::new(ts, false);
         u.extend_to(k + 1);
         let mut smt = SmtSolver::new();
-        smt.set_limits(limits);
         for c in u.constraints_up_to(k + 1) {
             smt.assert(u.ctx(), c);
         }
@@ -214,12 +131,8 @@ pub fn k_induction_bounded(
         let p_last = u.map_expr(k + 1, prop);
         let viol = u.ctx_mut().not(p_last);
         smt.assert(u.ctx(), viol);
-        match smt.check() {
-            SmtResult::Unsat => return InductionOutcome::Proved { k },
-            SmtResult::Sat => {}
-            SmtResult::Unknown(reason) => {
-                return InductionOutcome::ResourceOut { reason, at_k: k }
-            }
+        if smt.check() == SmtResult::Unsat {
+            return InductionOutcome::Proved { k };
         }
     }
     InductionOutcome::Unknown { max_k }
@@ -250,16 +163,11 @@ mod tests {
         let cnt = ts.ctx().find_var("cnt").unwrap();
         let five = ts.ctx_mut().bv_u64(5, 8);
         let prop = ts.ctx_mut().ult(cnt, five);
-        let (outcome, _) = bmc_safety(&ts, prop, 10);
-        match outcome {
-            BmcOutcome::Violated(cex) => {
-                assert_eq!(cex.violation_step, 5);
-                assert_eq!(cex.steps.len(), 6);
-                assert_eq!(cex.steps[5].states["cnt"].as_bv().to_u64(), 5);
-                assert_eq!(cex.steps[0].states["cnt"].as_bv().to_u64(), 0);
-            }
-            other => panic!("expected violation, got {other:?}"),
-        }
+        let cex = bmc(&ts, prop, 10).expect("violation");
+        assert_eq!(cex.violation_step, 5);
+        assert_eq!(cex.steps.len(), 6);
+        assert_eq!(cex.steps[5].states["cnt"].as_bv().to_u64(), 5);
+        assert_eq!(cex.steps[0].states["cnt"].as_bv().to_u64(), 0);
     }
 
     #[test]
@@ -268,9 +176,7 @@ mod tests {
         let cnt = ts.ctx().find_var("cnt").unwrap();
         let lim = ts.ctx_mut().bv_u64(100, 8);
         let prop = ts.ctx_mut().ult(cnt, lim);
-        let (outcome, stats) = bmc_safety(&ts, prop, 8);
-        assert!(outcome.holds());
-        assert!(stats.clauses > 0);
+        assert!(bmc(&ts, prop, 8).is_none());
     }
 
     #[test]
@@ -318,67 +224,6 @@ mod tests {
         }
     }
 
-    /// A counter gated by a free input: queries beyond step 0 have free
-    /// variables, so they reach the SAT search (a closed system would be
-    /// fully decided by level-0 propagation and never consult limits).
-    fn enabled_counter() -> TransitionSystem {
-        let mut ts = TransitionSystem::new("en_cnt");
-        let en = ts.input("en", Sort::Bv(1));
-        let cnt = ts.state("cnt", Sort::Bv(8));
-        let one = ts.ctx_mut().bv_u64(1, 8);
-        let inc = ts.ctx_mut().bvadd(cnt, one);
-        let c = ts.ctx_mut().eq_u64(en, 1);
-        let next = ts.ctx_mut().ite(c, inc, cnt);
-        ts.set_next("cnt", next).unwrap();
-        ts.set_init("cnt", BitVecValue::from_u64(0, 8)).unwrap();
-        ts
-    }
-
-    #[test]
-    fn bounded_bmc_reports_unknown_with_step() {
-        // An already-expired deadline trips before the very first
-        // query: the solver fast-fails ahead of encoding (so external
-        // cancellation acts between properties, not only mid-search).
-        // Loosening it recovers the ordinary verdict.
-        let mut ts = enabled_counter();
-        let cnt = ts.ctx().find_var("cnt").unwrap();
-        let lim = ts.ctx_mut().bv_u64(100, 8);
-        let prop = ts.ctx_mut().ult(cnt, lim);
-        let limits = SolveLimits {
-            deadline: Some(std::time::Instant::now()),
-            ..Default::default()
-        };
-        let (outcome, _) = bmc_safety_bounded(&ts, prop, 8, limits);
-        match outcome {
-            BmcOutcome::Unknown { reason, at_step } => {
-                assert_eq!(reason, ResourceOut::Deadline);
-                assert_eq!(at_step, 0);
-            }
-            other => panic!("expected unknown, got {other:?}"),
-        }
-        assert!(!outcome.holds());
-        let (outcome, _) = bmc_safety_bounded(&ts, prop, 8, SolveLimits::default());
-        assert!(outcome.holds());
-    }
-
-    #[test]
-    fn bounded_k_induction_reports_resource_out() {
-        let mut ts = enabled_counter();
-        let cnt = ts.ctx().find_var("cnt").unwrap();
-        let lim = ts.ctx_mut().bv_u64(100, 8);
-        let prop = ts.ctx_mut().ult(cnt, lim);
-        let limits = SolveLimits {
-            deadline: Some(std::time::Instant::now()),
-            ..Default::default()
-        };
-        match k_induction_bounded(&ts, prop, 3, limits) {
-            InductionOutcome::ResourceOut { reason, .. } => {
-                assert_eq!(reason, ResourceOut::Deadline);
-            }
-            other => panic!("expected resource-out, got {other:?}"),
-        }
-    }
-
     #[test]
     fn constraints_restrict_inputs() {
         // Counter with enable; constrain en == 1 and check progress.
@@ -397,10 +242,7 @@ mod tests {
         // step 3, so "cnt != 3" is violated at step 3.
         let three = ts.ctx_mut().bv_u64(3, 8);
         let prop = ts.ctx_mut().ne(cnt, three);
-        let (outcome, _) = bmc_safety(&ts, prop, 5);
-        match outcome {
-            BmcOutcome::Violated(cex) => assert_eq!(cex.violation_step, 3),
-            other => panic!("expected violation, got {other:?}"),
-        }
+        let cex = bmc(&ts, prop, 5).expect("violation");
+        assert_eq!(cex.violation_step, 3);
     }
 }

@@ -140,7 +140,8 @@ pub fn coi_slice(ts: &TransitionSystem, roots: &[ExprRef]) -> (TransitionSystem,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bmc_safety, Unrolling};
+    use crate::bmc::bmc;
+    use crate::Unrolling;
     use gila_expr::{BitVecValue, Sort};
 
     /// Two independent counters plus an unused input; a property over
@@ -226,9 +227,9 @@ mod tests {
         let (sliced, _) = coi_slice(&ts, &[prop]);
         // Same bound, same outcome, on both a holding and a failing bound.
         for bound in [3, 8] {
-            let (full, _) = bmc_safety(&ts, prop, bound);
-            let (cut, _) = bmc_safety(&sliced, prop, bound);
-            assert_eq!(full.holds(), cut.holds(), "bound {bound}");
+            let full = bmc(&ts, prop, bound).map(|c| c.violation_step);
+            let cut = bmc(&sliced, prop, bound).map(|c| c.violation_step);
+            assert_eq!(full, cut, "bound {bound}");
         }
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Model-checking substrate for the gila verification flow:
 //! [`TransitionSystem`]s over the shared expression language, time-frame
-//! expansion ([`Unrolling`]) with per-step fresh inputs, bounded safety
-//! checking ([`bmc_safety`]) with counterexample traces,
-//! [`k_induction`] for unbounded proofs of inductive invariants,
+//! expansion ([`Unrolling`]) with per-step fresh inputs, [`k_induction`]
+//! for proofs of inductive invariants (its base case is bounded model
+//! checking from the initial state, with counterexample traces),
 //! cone-of-influence slicing ([`coi_slice`]) and BTOR2 export
 //! ([`to_btor2`]). Every property here is a safety property; liveness
 //! is not checked.
@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use gila_mc::{bmc_safety, TransitionSystem};
+//! use gila_mc::{k_induction, InductionOutcome, TransitionSystem};
 //! use gila_expr::{BitVecValue, Sort};
 //!
 //! let mut ts = TransitionSystem::new("toggler");
@@ -25,8 +25,8 @@
 //! ts.set_init("t", BitVecValue::from_u64(0, 1))?;
 //! let one = ts.ctx_mut().bv_u64(1, 1);
 //! let prop = ts.ctx_mut().ne(t, one); // fails at odd steps
-//! let (outcome, _) = bmc_safety(&ts, prop, 4);
-//! assert!(!outcome.holds());
+//! let outcome = k_induction(&ts, prop, 4);
+//! assert!(matches!(outcome, InductionOutcome::Violated(cex) if cex.violation_step == 1));
 //! # Ok::<(), gila_mc::TsError>(())
 //! ```
 
@@ -38,10 +38,7 @@ mod coi;
 mod ts;
 mod unroll;
 
-pub use bmc::{
-    bmc_safety, bmc_safety_bounded, k_induction, k_induction_bounded, BmcOutcome,
-    Counterexample, InductionOutcome, TraceStep,
-};
+pub use bmc::{k_induction, Counterexample, InductionOutcome, TraceStep};
 pub use btor2::{to_btor2, Btor2Error};
 pub use coi::{coi_cone, coi_slice, support, CoiStats};
 pub use ts::{TransitionSystem, TsError, TsVar};

@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use gila_expr::ExprRef;
 
 use crate::ir::RtlModule;
-use crate::lexer::VerilogError;
-use crate::parser::{parse_module, BinOp, Decl, Expr, ModuleAst, Stmt, Target, UnOp};
+use crate::lexer::{VerilogError, MAX_WIDTH};
+use crate::parser::{literal_text, parse_module, BinOp, Decl, Expr, ModuleAst, Stmt, Target, UnOp};
 
 /// Elaborates Verilog source text into an [`RtlModule`].
 ///
@@ -374,10 +374,11 @@ impl Elaborator<'_> {
                 let base = self.ident(name)?;
                 let w = self.width_of(base);
                 if let Expr::Literal { value, .. } = idx.as_ref() {
-                    let i = value.to_u64() as u32;
-                    if i >= w {
+                    let Some(i) = value.try_to_u64().filter(|&i| i < u64::from(w)) else {
+                        let i = literal_text(value);
                         return Err(sem_err(format!("bit index {i} out of range for {name:?}")));
-                    }
+                    };
+                    let i = i as u32;
                     return Ok(self.m.ctx_mut().extract(base, i, i));
                 }
                 let idx = self.expr(idx)?;
@@ -408,6 +409,12 @@ impl Elaborator<'_> {
             }
             Expr::Repeat(n, inner) => {
                 let e = self.expr(inner)?;
+                let w = u64::from(*n) * u64::from(self.width_of(e));
+                if w > u64::from(MAX_WIDTH) {
+                    return Err(sem_err(format!(
+                        "replication {{{n}{{..}}}} is {w} bits wide, over {MAX_WIDTH}"
+                    )));
+                }
                 let mut acc = e;
                 for _ in 1..*n {
                     acc = self.m.ctx_mut().concat(acc, e);

@@ -4,6 +4,10 @@ use std::fmt;
 
 use gila_expr::BitVecValue;
 
+/// The widest vector the subset accepts, in bits: the bound on sized
+/// literals, declared ranges, part selects and replications alike.
+pub(crate) const MAX_WIDTH: u32 = 4096;
+
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Token {
@@ -146,8 +150,11 @@ pub fn lex(src: &str) -> Result<Vec<SpannedToken>, VerilogError> {
                 let width: u32 = dec
                     .parse()
                     .map_err(|_| VerilogError::new(line, format!("bad literal width {dec:?}")))?;
-                if width == 0 || width > 4096 {
-                    return Err(VerilogError::new(line, format!("unsupported width {width}")));
+                if width == 0 || width > MAX_WIDTH {
+                    return Err(VerilogError::new(
+                        line,
+                        format!("unsupported width {width}"),
+                    ));
                 }
                 i += 1;
                 let base = chars

@@ -8,7 +8,7 @@
 
 use gila_expr::BitVecValue;
 
-use crate::lexer::{lex, SpannedToken, Token, VerilogError};
+use crate::lexer::{lex, SpannedToken, Token, VerilogError, MAX_WIDTH};
 
 /// Unary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,15 +219,36 @@ pub struct ModuleAst {
     pub source_lines: usize,
 }
 
+/// A literal as an error message shows it: decimal when it fits in 64
+/// bits, `width'hex` otherwise.
+pub(crate) fn literal_text(value: &BitVecValue) -> String {
+    value
+        .try_to_u64()
+        .map_or(value.to_string(), |i| i.to_string())
+}
+
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
     /// `parameter`/`localparam` constants, usable in widths, ranges,
     /// and expressions.
     params: std::collections::HashMap<String, u64>,
+    /// Memories declared so far in the current module: a literal index
+    /// into one of these is an address, not a bit position. `None` for a
+    /// standalone expression, whose names the elaborator resolves.
+    mems: Option<std::collections::HashSet<String>>,
 }
 
 impl Parser {
+    fn new(tokens: Vec<SpannedToken>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            params: Default::default(),
+            mems: Some(Default::default()),
+        }
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
@@ -301,7 +322,9 @@ impl Parser {
     /// arithmetic over them).
     fn const_eval(&self, e: &Expr) -> Result<u64, VerilogError> {
         match e {
-            Expr::Literal { value, .. } => Ok(value.to_u64()),
+            Expr::Literal { value, .. } => value
+                .try_to_u64()
+                .ok_or_else(|| self.err(format!("constant {value} does not fit in 64 bits"))),
             Expr::Ident(name) => self.params.get(name).copied().ok_or_else(|| {
                 self.err(format!("{name:?} is not a parameter; constants required here"))
             }),
@@ -315,8 +338,8 @@ impl Parser {
                     BinOp::Mul => a.wrapping_mul(b),
                     BinOp::Div => a.checked_div(b).unwrap_or(u64::MAX),
                     BinOp::Mod => a.checked_rem(b).unwrap_or(a),
-                    BinOp::Shl => a.checked_shl(b as u32).unwrap_or(0),
-                    BinOp::Shr => a.checked_shr(b as u32).unwrap_or(0),
+                    BinOp::Shl => u32::try_from(b).map_or(0, |b| a.checked_shl(b).unwrap_or(0)),
+                    BinOp::Shr => u32::try_from(b).map_or(0, |b| a.checked_shr(b).unwrap_or(0)),
                     BinOp::And => a & b,
                     BinOp::Or => a | b,
                     BinOp::Xor => a ^ b,
@@ -340,11 +363,16 @@ impl Parser {
             let hi = self.const_u64()?;
             self.eat_sym(":")?;
             let lo = self.const_u64()?;
-            self.eat_sym("]")?;
             if lo != 0 {
                 return Err(self.err("only [N:0] ranges are supported in declarations"));
             }
-            Ok((hi + 1) as u32)
+            if hi >= u64::from(MAX_WIDTH) {
+                return Err(self.err(format!(
+                    "declared range [{hi}:0] is wider than {MAX_WIDTH} bits"
+                )));
+            }
+            self.eat_sym("]")?;
+            Ok(hi as u32 + 1)
         } else {
             Ok(1)
         }
@@ -475,14 +503,22 @@ impl Parser {
                     // Could be name[expr] or name[hi:lo].
                     let first = self.expr()?;
                     if self.try_sym(":") {
-                        let hi = self.const_eval(&first)? as u32;
-                        let lo = self.const_u64()? as u32;
-                        self.eat_sym("]")?;
-                        if hi < lo {
+                        let hi = self.const_eval(&first)?;
+                        let lo = self.const_u64()?;
+                        if hi < lo || hi >= u64::from(MAX_WIDTH) {
                             return Err(self.err(format!("invalid part select [{hi}:{lo}]")));
                         }
-                        Ok(Expr::Range(name, hi, lo))
+                        self.eat_sym("]")?;
+                        Ok(Expr::Range(name, hi as u32, lo as u32))
                     } else {
+                        if let (Expr::Literal { value, .. }, Some(mems)) = (&first, &self.mems) {
+                            let bit = value.try_to_u64().is_some_and(|i| i < u64::from(MAX_WIDTH));
+                            if !bit && !mems.contains(&name) {
+                                let i = literal_text(value);
+                                let msg = format!("bit index {i} out of range for {name:?}");
+                                return Err(self.err(msg));
+                            }
+                        }
                         self.eat_sym("]")?;
                         Ok(Expr::Index(name, Box::new(first)))
                     }
@@ -499,10 +535,13 @@ impl Parser {
                 // Concat {a, b, ...} or replication {n{e}}.
                 let first = self.expr()?;
                 if self.try_sym("{") {
-                    let n = self.const_eval(&first)? as u32;
-                    if n == 0 {
-                        return Err(self.err("replication count must be positive"));
+                    let n = self.const_eval(&first)?;
+                    if n == 0 || n > u64::from(MAX_WIDTH) {
+                        return Err(
+                            self.err(format!("replication count {n} is not in 1..={MAX_WIDTH}"))
+                        );
                     }
+                    let n = n as u32;
                     let inner = self.expr()?;
                     self.eat_sym("}")?;
                     self.eat_sym("}")?;
@@ -681,15 +720,19 @@ impl Parser {
                         let lo = self.const_u64()?;
                         self.eat_sym(":")?;
                         let hi = self.const_u64()?;
-                        self.eat_sym("]")?;
                         if lo != 0 {
                             return Err(self.err("memories must be declared [0:N]"));
                         }
-                        let depth = hi + 1;
-                        if !depth.is_power_of_two() {
+                        // Between 2 and 2^32 words: a 1- to 32-bit address.
+                        let depth = hi.checked_add(1).filter(|d| (2..=1 << 32).contains(d));
+                        let Some(depth) = depth.filter(|d| d.is_power_of_two()) else {
                             return Err(self.err(format!(
-                                "memory depth {depth} must be a power of two"
+                                "memory [0:{hi}] must hold a power of two from 2 to 2^32 words"
                             )));
+                        };
+                        self.eat_sym("]")?;
+                        if let Some(mems) = &mut self.mems {
+                            mems.insert(name.clone());
                         }
                         ast.decls.push(Decl::Mem {
                             name,
@@ -801,7 +844,10 @@ impl Parser {
 /// Returns a [`VerilogError`] on malformed input or trailing tokens.
 pub fn parse_expr_ast(src: &str) -> Result<Expr, VerilogError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, params: Default::default() };
+    let mut p = Parser {
+        mems: None,
+        ..Parser::new(tokens)
+    };
     let e = p.expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
@@ -817,10 +863,11 @@ pub fn parse_expr_ast(src: &str) -> Result<Expr, VerilogError> {
 /// the supported subset.
 pub fn parse_modules(src: &str) -> Result<Vec<ModuleAst>, VerilogError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, params: Default::default() };
+    let mut p = Parser::new(tokens);
     let mut out = Vec::new();
     while p.pos != p.tokens.len() {
         p.params.clear();
+        p.mems = Some(Default::default());
         let mut ast = p.module()?;
         ast.source_lines = 0; // per-module counts are filled by callers
         out.push(ast);
@@ -839,7 +886,7 @@ pub fn parse_modules(src: &str) -> Result<Vec<ModuleAst>, VerilogError> {
 /// the supported subset.
 pub fn parse_module(src: &str) -> Result<ModuleAst, VerilogError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0, params: Default::default() };
+    let mut p = Parser::new(tokens);
     let mut ast = p.module()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after endmodule"));
@@ -1015,5 +1062,112 @@ endmodule
             panic!()
         };
         assert!(matches!(&else_stmts[0], Stmt::If { .. }));
+    }
+
+    /// Parses and elaborates a module whose line 4 declares `decl` and
+    /// whose line 5 assigns `rhs` to `r`; the error it must give.
+    fn rejected(decl: &str, rhs: &str) -> VerilogError {
+        let src = format!(
+            "module t(clk, a);\n  input clk;\n  input [7:0] a;\n  {decl}\n  \
+             always @(posedge clk) r <= {rhs};\nendmodule\n"
+        );
+        crate::parse_verilog(&src).expect_err("out-of-range constant accepted")
+    }
+
+    #[test]
+    fn declared_width_of_2_to_the_32_is_rejected() {
+        let e = rejected("reg [4294967295:0] r;", "r");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("wider than 4096 bits"), "{e}");
+    }
+
+    #[test]
+    fn declared_range_at_u64_max_is_rejected_without_overflow() {
+        let e = rejected("reg [18446744073709551615:0] r;", "r");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("wider than 4096 bits"), "{e}");
+    }
+
+    #[test]
+    fn declared_width_past_2_to_the_32_is_not_narrowed() {
+        let e = rejected("reg [4294967296:0] r;", "r");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("[4294967296:0]"), "{e}");
+    }
+
+    #[test]
+    fn part_select_past_u32_is_not_narrowed() {
+        let e = rejected("reg [1:0] r;", "a[4294967297:4294967296]");
+        assert_eq!(e.line, 5);
+        assert!(
+            e.message
+                .contains("invalid part select [4294967297:4294967296]"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn literal_bit_index_past_u32_is_not_narrowed() {
+        let e = rejected("reg r;", "a[4294967296]");
+        assert_eq!(e.line, 5);
+        assert!(
+            e.message.contains("bit index 4294967296 out of range"),
+            "{e}"
+        );
+        // Within the width limit but past the vector, the elaborator
+        // rejects it.
+        let e = rejected("reg r;", "a[8]");
+        assert!(e.message.contains("bit index 8 out of range"), "{e}");
+    }
+
+    #[test]
+    fn replication_count_past_u32_is_not_narrowed() {
+        let e = rejected("reg [7:0] r;", "{4294967297{a}}");
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("replication count 4294967297"), "{e}");
+    }
+
+    #[test]
+    fn replication_count_near_2_to_the_32_is_rejected_at_once() {
+        let e = rejected("reg [7:0] r;", "{4294967295{a}}");
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("replication count 4294967295"), "{e}");
+        // A count within the limit still may not build a wider value.
+        let e = rejected("reg [7:0] r;", "{4096{a}}");
+        assert!(e.message.contains("32768 bits wide"), "{e}");
+    }
+
+    #[test]
+    fn memory_depth_outside_2_to_2_to_the_32_is_rejected() {
+        for decl in [
+            "reg [7:0] m [0:0]; reg [7:0] r;",
+            "reg [7:0] m [0:18446744073709551615]; reg [7:0] r;",
+            "reg [7:0] m [0:8589934591]; reg [7:0] r;",
+        ] {
+            let e = rejected(decl, "m[0]");
+            assert_eq!(e.line, 4, "{decl}");
+            assert!(e.message.contains("power of two from 2 to 2^32"), "{e}");
+        }
+    }
+
+    #[test]
+    fn shift_by_2_to_the_32_shifts_everything_out() {
+        // `1 << 4294967296` is 0, not `1 << 0`: the range is [0:0].
+        let src = "module m(a);\n  parameter P = 1 << 4294967296;\n  input [P:0] a;\nendmodule\n";
+        let ast = parse_module(src).unwrap();
+        assert_eq!(
+            ast.decls[0],
+            Decl::Input {
+                name: "a".into(),
+                width: 1
+            }
+        );
+    }
+
+    #[test]
+    fn constant_wider_than_64_bits_is_not_truncated() {
+        let e = rejected("reg [65'h1_0000_0000_0000_0001:0] r;", "r");
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("does not fit in 64 bits"), "{e}");
     }
 }

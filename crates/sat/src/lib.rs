@@ -38,11 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dimacs;
 mod heap;
 mod lit;
 mod solver;
 
-pub use dimacs::{parse_dimacs, solver_from_dimacs, to_dimacs, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use solver::{CancelToken, ResourceOut, SolveLimits, SolveResult, Solver, SolverStats};

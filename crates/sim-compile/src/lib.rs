@@ -336,11 +336,6 @@ impl<'a> CompiledPortSim<'a> {
         self.prog.write_word(&mut self.st, self.state_slots[idx], bits);
     }
 
-    /// True if state `idx` lives in the word bank (bool or width `<= 64`).
-    pub fn state_is_word(&self, idx: usize) -> bool {
-        self.state_slots[idx].is_word()
-    }
-
     /// Overwrites memory-typed state `idx` in place from `src`, reusing
     /// the destination map's allocations (the hot path of co-simulation
     /// re-anchoring, where an unchecked memory is re-seeded every cycle).

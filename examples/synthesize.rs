@@ -1,14 +1,12 @@
 //! Specification-to-implementation synthesis: generate Verilog directly
 //! from a module-ILA, then prove the generated RTL correct with the
-//! same refinement engine (and export the spec as SMT-LIB for external
-//! cross-checking).
+//! same refinement engine.
 //!
 //! ```text
 //! cargo run --release --example synthesize
 //! ```
 
 use gila::designs::i8051::mem_iface;
-use gila::expr::to_smtlib_script;
 use gila::verify::{identity_refmaps, synthesize_module, verify_module, VerifyOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,16 +39,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total_time()
     );
 
-    // Export one decode condition as SMT-LIB for external solvers.
-    let port = &ila.ports()[0];
-    let instr = &port.instructions()[0];
-    let mut ctx = port.ctx().clone();
-    let decode = instr.decode;
-    let _ = &mut ctx;
-    let script = to_smtlib_script(&ctx, &[decode]);
-    println!(
-        "\nSMT-LIB export of {:?}'s decode condition:\n{script}",
-        instr.name
-    );
     Ok(())
 }

@@ -6,16 +6,19 @@
 //! emit -> reparse round trip is behaviour-preserving under random
 //! stimulus.
 //!
-//! Mutation fuzzing of the `.ila` frontend: edit the bundled specs at
-//! random and require that parsing never panics, and that lint never
-//! panics on what the parser accepts. Malformed input is an error with
-//! a line, never a crash.
+//! Mutation fuzzing of both frontends: edit the bundled specs, the
+//! bundled RTL and every case study's emitted Verilog at random and
+//! require that parsing never panics, and that lint never panics on
+//! what the parser accepts. Malformed input is an error with a line,
+//! never a crash.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
+use gila::designs::all_case_studies;
 use gila::expr::BitVecValue;
 use gila::lang::parse_spec;
-use gila::lint::{lint_module, lint_spec, LintOptions};
+use gila::lint::{lint_module, lint_rtl, lint_spec, LintOptions};
 use gila::rtl::{parse_verilog, RtlSimulator};
 use gila::trace::Tracer;
 use proptest::prelude::*;
@@ -168,8 +171,8 @@ const SPECS: &[&str] = &[
     include_str!("../specs/broken.ila"),
 ];
 
-/// Text the mutation fuzzer splices in: selects and sorts at and past
-/// their limits, and the keywords and punctuation of every construct.
+/// Text the `.ila` mutation fuzzer splices in: selects and sorts at and
+/// past their limits, and the keywords and punctuation of every construct.
 const SPLICES: &[&str] = &[
     "[0]", "[7]", "[9]", "[3:5]", "[7:0]", "[99:0]", "[4294967296:0]", "[0:4294967296]",
     "[18446744073709551615]", "(cnt + 1)[99:0]", "(1)[3:0]", "mem[0, 8]", "mem[33, 8]",
@@ -178,6 +181,20 @@ const SPLICES: &[&str] = &[
     "|", "^", "~", "!", "&&", "||", "<", ">=", "?", "store(", "init 0", "init 99", "instr",
     "sub", "when", "of", "port", "module", "integrate", "input", "output state", "state",
     "cnt", "en", "x", "8'hff", "0'h0", "4'd99", "1'b1", "{cnt, cnt}", "{}",
+];
+
+/// Text the Verilog mutation fuzzer splices in: ranges, selects,
+/// replications and memories at and past their limits, and the keywords
+/// and punctuation of every construct.
+const VERILOG_SPLICES: &[&str] = &[
+    "[4294967295:0]", "[4294967296:0]", "[18446744073709551615:0]", "[0:18446744073709551615]",
+    "[4294967297:4294967296]", "[4294967296]", "{4294967297{", "{4294967295{", "{4096{", "{0{",
+    "[4095:0]", "[4096:0]", "[0:0]", "[0:1]", "[0:3]", "[3:5]", "[7:0]", "[0]", "[9]", "[P]",
+    "65'h1_0000_0000_0000_0000", "parameter P = 4294967296;", "(1 << 4294967296)", "reg",
+    "wire", "input", "output", "output reg", "assign", "always @(posedge clk)", "begin", "end",
+    "if (", "else", "case (", "endcase", "default:", "initial", "module", "endmodule", "(", ")",
+    "[", "]", "{", "}", ":", ";", ",", "?", "=", "<=", "==", "+", "-", "*", "/", "%", "<<", ">>",
+    "&", "|", "^", "~", "!", "&&", "||", "8'hff", "0'h0", "4'd99", "1'b1", "clk",
 ];
 
 /// Numbers a digit run of a spec is replaced by.
@@ -192,9 +209,9 @@ fn any_edit() -> impl Strategy<Value = (u8, u32, u8, u8)> {
     (any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>())
 }
 
-/// One edit of a spec's text, at a position given as a fraction of its
-/// length.
-fn mutate(text: &mut String, (op, at, len, pick): (u8, u32, u8, u8)) {
+/// One edit of a source text, at a position given as a fraction of its
+/// length, splicing from `splices`.
+fn mutate(text: &mut String, splices: &[&str], (op, at, len, pick): (u8, u32, u8, u8)) {
     let mut pos = (at as usize * text.len()) / (u32::MAX as usize + 1);
     while !text.is_char_boundary(pos) {
         pos -= 1;
@@ -205,8 +222,8 @@ fn mutate(text: &mut String, (op, at, len, pick): (u8, u32, u8, u8)) {
         .map_or(text.len(), |(i, _)| pos + i);
     match op % 4 {
         0 => text.replace_range(pos..end, ""),
-        1 => text.insert_str(pos, SPLICES[pick as usize % SPLICES.len()]),
-        2 => text.replace_range(pos..end, SPLICES[pick as usize % SPLICES.len()]),
+        1 => text.insert_str(pos, splices[pick as usize % splices.len()]),
+        2 => text.replace_range(pos..end, splices[pick as usize % splices.len()]),
         _ => {
             // Replace the digit run at or after `pos`.
             let rest = &text[pos..];
@@ -231,7 +248,7 @@ proptest! {
     ) {
         let mut text = SPECS[spec].to_string();
         for edit in edits {
-            mutate(&mut text, edit);
+            mutate(&mut text, SPLICES, edit);
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let Ok(parsed) = parse_spec(&text) else {
@@ -241,6 +258,41 @@ proptest! {
             lint_spec("fuzzed", &parsed, &opts, &tracer);
             if let Some(module) = &parsed.module {
                 lint_module("fuzzed", module, &opts, &tracer);
+            }
+        }));
+        prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
+    }
+}
+
+/// The Verilog seeds: the bundled broken RTL, then every case study's
+/// emitted RTL.
+fn verilog_seeds() -> &'static [String] {
+    static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let mut seeds = vec![include_str!("../specs/broken.v").to_string()];
+        for cs in all_case_studies() {
+            seeds.push(cs.rtl.to_verilog().expect("emittable"));
+        }
+        seeds
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    fn mutated_verilog_never_panics_the_parser_or_lint(
+        seed in any::<u8>(),
+        edits in proptest::collection::vec(any_edit(), 1..5),
+    ) {
+        let seeds = verilog_seeds();
+        let mut text = seeds[seed as usize % seeds.len()].clone();
+        for edit in edits {
+            mutate(&mut text, VERILOG_SPLICES, edit);
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(rtl) = parse_verilog(&text) {
+                lint_rtl("fuzzed", &rtl, &Tracer::disabled());
             }
         }));
         prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
