@@ -40,7 +40,7 @@ const FLAGS: &[(&str, &[&str])] = &[
         "verify",
         &[
             "ila", "spec", "rtl", "map...", "stop-at-first-cex", "conflict-budget",
-            "timeout-ms", "retries", "checkpoint", "vcd", "trace", "stats",
+            "timeout-ms", "checkpoint", "vcd", "trace", "stats",
         ],
     ),
     ("describe", &["ila", "format"]),
@@ -49,7 +49,7 @@ const FLAGS: &[(&str, &[&str])] = &[
     ("props", &["ila", "map..."]),
     ("export", &["rtl", "prop", "o"]),
     ("sim", &["rtl", "ila", "stimulus"]),
-    ("lint", &["all-designs", "rtl", "json", "deny...", "jobs", "trace"]),
+    ("lint", &["all-designs", "rtl", "json", "deny...", "trace"]),
     (
         "hunt",
         &[
@@ -61,7 +61,7 @@ const FLAGS: &[(&str, &[&str])] = &[
         "serve",
         &[
             "listen...", "socket...", "cache", "cache-bytes", "cache-entries", "queue-cap",
-            "workers", "jobs", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
+            "workers", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
         ],
     ),
     (
@@ -169,8 +169,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         conflicts: parse_u64("conflict-budget")?,
         timeout: parse_u64("timeout-ms")?.map(Duration::from_millis),
     };
-    let retries = parse_u64("retries")?.unwrap_or(0);
-    let retries = u32::try_from(retries).map_err(|_| "--retries is out of range")?;
     // Fault injection is test-only and env-driven: the library never
     // reads the environment, the CLI forwards it explicitly.
     let fault_plan = FaultPlan::from_env()
@@ -200,7 +198,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         stop_at_first_cex: flag(flags, "stop-at-first-cex").is_some(),
         tracer,
         budget,
-        retries,
         fault_plan,
         journal,
         ..VerifyOptions::default()
@@ -233,10 +230,9 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
                     reason,
                     budget_spent,
                 } => format!(
-                    "UNKNOWN ({} budget exhausted after {} conflicts, {} attempt(s))",
+                    "UNKNOWN ({} budget exhausted after {} conflicts)",
                     reason.as_str(),
-                    budget_spent.conflicts,
-                    budget_spent.attempts
+                    budget_spent.conflicts
                 ),
                 CheckResult::JobPanicked { message } => format!("PANICKED ({message})"),
             };
@@ -280,7 +276,7 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     } else if counts.unknown > 0 {
         outln!(
             "RESULT: UNDECIDED ({} instruction(s) ran out of budget; \
-             raise --conflict-budget/--timeout-ms/--retries; with --checkpoint only they rerun)",
+             raise --conflict-budget/--timeout-ms; with --checkpoint only they rerun)",
             counts.unknown
         );
         Ok(EXIT_UNKNOWN)
@@ -325,10 +321,9 @@ fn print_stats_table(report: &ModuleReport) {
         );
     }
     outln!(
-        "  unknown: {}   panicked: {}   retries: {}   conflicts spent on exhausted budgets: {}",
+        "  unknown: {}   panicked: {}   conflicts spent on exhausted budgets: {}",
         report.telemetry.unknown,
         report.telemetry.panicked,
-        report.telemetry.retries,
         report.telemetry.budget_spent_conflicts
     );
     outln!(
@@ -556,13 +551,7 @@ pub fn lint(positional: &[String], flags: &[(String, String)]) -> CmdResult {
             Code::parse(d).ok_or_else(|| format!("--deny expects a GL0xx code, got {d:?}"))?,
         );
     }
-    let jobs = match flag(flags, "jobs") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("--jobs expects a worker count, got {v:?}"))?,
-        None => 1,
-    };
-    let opts = LintOptions { jobs: jobs.max(1) };
+    let opts = LintOptions::default();
     let tracer = match flag(flags, "trace") {
         Some(path) => Tracer::jsonl_file(std::path::Path::new(path))
             .map_err(|e| format!("opening --trace {path}: {e}"))?,

@@ -56,7 +56,7 @@ fn usage() -> ! {
 USAGE:
   gila verify    --ila SPEC.ila --rtl IMPL.v --map MAP.json [--map MAP2.json ...]
                  [--stop-at-first-cex] [--conflict-budget N]
-                 [--timeout-ms N] [--retries N] [--checkpoint FILE]
+                 [--timeout-ms N] [--checkpoint FILE]
                  [--vcd PREFIX] [--trace OUT.jsonl] [--stats]
   gila describe  --ila SPEC.ila [--format ila]
   gila synth     --ila SPEC.ila [-o OUT.v]
@@ -65,14 +65,14 @@ USAGE:
   gila export    --rtl IMPL.v [--prop EXPR] [-o OUT.btor2]
   gila sim       (--rtl IMPL.v | --ila SPEC.ila) --stimulus FILE
   gila lint      (SPEC.ila | --all-designs) [--rtl IMPL.v] [--json]
-                 [--deny CODE ...] [--jobs N] [--trace OUT.jsonl]
+                 [--deny CODE ...] [--trace OUT.jsonl]
   gila hunt      (--design NAME ... | --all-designs) [--buggy] [--seeds N]
                  [--cycles N] [--jobs N] [--seed-base N] [--no-shrink]
                  [--out DIR] [--json] [--trace OUT.jsonl]
   gila hunt      --replay FILE --design NAME [--buggy] [--json]
   gila serve     (--listen HOST:PORT ... | --socket PATH ...) [--cache FILE]
                  [--cache-bytes N] [--cache-entries N] [--queue-cap N]
-                 [--workers N] [--jobs N] [--deadline-ms N]
+                 [--workers N] [--deadline-ms N]
                  [--watchdog-factor N] [--drain-ms N] [--trace OUT.jsonl]
   gila client    (--connect HOST:PORT | --socket PATH) [--design NAME ...]
                  [--buggy] [--no-cache] [--deadline-ms N] [--retries N]
@@ -103,7 +103,6 @@ SERVE OPTIONS:
   --queue-cap N        admission-queue bound; requests beyond it are shed
                        immediately with an 'overloaded' + retry hint
   --workers N          request-executing worker threads (default 2)
-  --jobs N             lint ports of a request on N threads (default 1)
   --deadline-ms N      default per-request deadline; the watchdog cancels
                        requests overrunning it and recycles stuck workers
   --drain-ms N         how long a SIGTERM/SIGINT drain waits for in-flight
@@ -150,8 +149,6 @@ LINT OPTIONS:
   --json               emit a machine-readable report on stdout
   --deny CODE          exit 1 if CODE (e.g. GL001) was reported, even if
                        it is warning-class; repeatable
-  --jobs N             lint ports on N worker threads; output is
-                       identical at any job count
   --trace OUT          write one lint_pass telemetry span per pass per
                        target to OUT (JSONL)
 
@@ -160,9 +157,7 @@ VERIFY OPTIONS:
                        checked against its own synthesized RTL (self-check)
   --conflict-budget N  give up on a solve after N SAT conflicts and report
                        the instruction UNKNOWN instead of running forever
-  --timeout-ms N       wall-clock budget per solve attempt, milliseconds
-  --retries N          re-attempt exhausted instructions up to N times,
-                       quadrupling the budget each attempt (default 0)
+  --timeout-ms N       wall-clock budget per instruction check, milliseconds
   --checkpoint FILE    journal verdicts in FILE, the proof-cache format:
                        properties FILE already answers (matched by
                        content hash, so an edited spec or RTL never

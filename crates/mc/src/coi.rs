@@ -2,8 +2,7 @@
 //!
 //! A property over a transition system can only observe the state and
 //! input variables in its *cone of influence*: the transitive support
-//! of the property expression (and of every invariant constraint)
-//! under the next-state relation. Variables outside the cone cannot
+//! of the property expression under the next-state relation. Variables outside the cone cannot
 //! change the property's truth value in any execution, so dropping
 //! them — together with their next-state functions and initial values
 //! — yields a smaller system with an identical verdict for that
@@ -11,16 +10,13 @@
 //! sliced system plus a [`CoiStats`] report.
 //!
 //! Soundness sketch: seed the cone with the free variables of every
-//! root expression and every constraint, then close under
-//! "state in cone ⇒ support of its next-state expression in cone".
-//! Any execution of the sliced system extends to an execution of the
-//! full system (assign dropped states/inputs arbitrarily per their
-//! own next-state functions; no kept next-state expression or
-//! constraint reads them), and restriction works in the other
-//! direction, so the two systems agree on every property whose free
-//! variables were passed as roots. Constraints are seeded too because
-//! an assumption over otherwise-irrelevant variables can still be
-//! unsatisfiable and make a property hold vacuously.
+//! root expression, then close under "state in cone ⇒ support of its
+//! next-state expression in cone". Any execution of the sliced system
+//! extends to an execution of the full system (assign dropped
+//! states/inputs arbitrarily per their own next-state functions; no
+//! kept next-state expression reads them), and restriction works in
+//! the other direction, so the two systems agree on every property
+//! whose free variables were passed as roots.
 
 use std::collections::BTreeSet;
 
@@ -87,7 +83,7 @@ pub fn support(ctx: &ExprCtx, roots: &[ExprRef]) -> BTreeSet<String> {
 /// input names.
 ///
 /// One walk over the expression DAG with one `seen` bitmap: the walk
-/// starts at `roots` and every constraint, and a state's next-state
+/// starts at `roots`, and a state's next-state
 /// expression joins it when the state first enters the cone. Each node
 /// is visited at most once, so the cost is linear in the cone's DAG
 /// rather than one support computation per state.
@@ -95,7 +91,6 @@ pub fn coi_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
     let ctx = ts.ctx();
     let mut seen = vec![false; ctx.len()];
     let mut stack: Vec<ExprRef> = roots.to_vec();
-    stack.extend(ts.constraints().iter().copied());
     let mut cone = BTreeSet::new();
     while let Some(e) = stack.pop() {
         if std::mem::replace(&mut seen[e.index()], true) {
@@ -119,8 +114,8 @@ pub fn coi_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
 /// `roots` must contain every expression the caller will later
 /// instantiate over the sliced system (properties, assumptions,
 /// strengthening facts): a variable that is neither a root's free
-/// variable, reachable from one through next-state functions, nor
-/// mentioned by a constraint is removed. The expression context is
+/// variable nor reachable from one through next-state functions is
+/// removed. The expression context is
 /// shared unchanged, so `ExprRef` handles into `ts.ctx()` stay valid
 /// for the sliced system.
 pub fn coi_slice(ts: &TransitionSystem, roots: &[ExprRef]) -> (TransitionSystem, CoiStats) {
@@ -209,19 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn constraints_anchor_their_variables() {
-        let (mut ts, prop) = two_counters();
-        // An environment assumption about the otherwise-unused input
-        // must keep it (and can never be silently dropped).
-        let unused = ts.ctx().find_var("unused").unwrap();
-        let c = ts.ctx_mut().eq_u64(unused, 3);
-        ts.add_constraint(c);
-        let (sliced, _) = coi_slice(&ts, &[prop]);
-        assert!(sliced.inputs().iter().any(|v| v.name == "unused"));
-        assert_eq!(sliced.constraints().len(), 1);
-    }
-
-    #[test]
     fn sliced_system_has_identical_verdicts() {
         let (ts, prop) = two_counters();
         let (sliced, _) = coi_slice(&ts, &[prop]);
@@ -250,15 +232,13 @@ mod tests {
     }
 
     /// The per-state support fixpoint `coi_slice` used before
-    /// [`coi_cone`]: seed with the support of the roots and the
-    /// constraints, then add the support of each cone state's
+    /// [`coi_cone`]: seed with the support of the roots, then add the
+    /// support of each cone state's
     /// next-state expression until nothing changes. Kept as the
     /// reference the one-pass walk must agree with.
     fn reference_cone(ts: &TransitionSystem, roots: &[ExprRef]) -> BTreeSet<String> {
         let ctx = ts.ctx();
-        let mut seeds: Vec<ExprRef> = roots.to_vec();
-        seeds.extend(ts.constraints().iter().copied());
-        let mut cone = support(ctx, &seeds);
+        let mut cone = support(ctx, roots);
         let mut worklist: Vec<String> = cone.iter().cloned().collect();
         while let Some(name) = worklist.pop() {
             let Some(next) = ts.next_of(&name) else {
@@ -302,7 +282,7 @@ mod tests {
 
     /// A seeded random transition system: states whose next is the
     /// hold default, explicit self-loops, states nothing reads, and
-    /// constraints over inputs no next-state function reads.
+    /// inputs no next-state function reads.
     fn random_ts(seed: u64) -> (TransitionSystem, Vec<ExprRef>) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -332,11 +312,6 @@ mod tests {
                 }
             }
         }
-        for _ in 0..rng.gen_range(0..3usize) {
-            let i = inputs[rng.gen_range(0..inputs.len())];
-            let c = ts.ctx_mut().eq_u64(i, rng.gen_range(0..16u64));
-            ts.add_constraint(c);
-        }
         let mut all = states;
         all.extend(inputs);
         (ts, all)
@@ -364,15 +339,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn empty_roots_keep_only_constraint_cone() {
-        let (ts, _) = two_counters();
-        let (sliced, stats) = coi_slice(&ts, &[]);
-        assert!(sliced.states().is_empty());
-        assert!(sliced.inputs().is_empty());
-        assert_eq!(stats.states_dropped, 2);
-        assert_eq!(stats.inputs_dropped, 2);
     }
 }

@@ -13,7 +13,7 @@ pub enum TsError {
         /// The offending name.
         name: String,
     },
-    /// A next-state or constraint expression has the wrong sort.
+    /// A next-state expression or initial value has the wrong sort.
     SortMismatch {
         /// Where the mismatch occurred.
         context: String,
@@ -57,8 +57,7 @@ pub struct TsVar {
 }
 
 /// A symbolic transition system: state variables with next-state
-/// expressions, input variables, initial values, and invariant
-/// constraints assumed at every step.
+/// expressions, input variables, and initial values.
 ///
 /// # Examples
 ///
@@ -84,7 +83,6 @@ pub struct TransitionSystem {
     inputs: Vec<TsVar>,
     next: BTreeMap<String, ExprRef>,
     init: BTreeMap<String, Value>,
-    constraints: Vec<ExprRef>,
 }
 
 impl TransitionSystem {
@@ -97,7 +95,6 @@ impl TransitionSystem {
             inputs: Vec::new(),
             next: BTreeMap::new(),
             init: BTreeMap::new(),
-            constraints: Vec::new(),
         }
     }
 
@@ -197,21 +194,6 @@ impl TransitionSystem {
         Ok(())
     }
 
-    /// Adds an invariant constraint assumed at every step (e.g. an
-    /// environment assumption on inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not boolean.
-    pub fn add_constraint(&mut self, c: ExprRef) {
-        assert!(
-            self.ctx.sort_of(c).is_bool(),
-            "constraints must be boolean, got {}",
-            self.ctx.sort_of(c)
-        );
-        self.constraints.push(c);
-    }
-
     /// Declared states.
     pub fn states(&self) -> &[TsVar] {
         &self.states
@@ -232,15 +214,10 @@ impl TransitionSystem {
         self.init.get(name)
     }
 
-    /// Invariant constraints.
-    pub fn constraints(&self) -> &[ExprRef] {
-        &self.constraints
-    }
-
     /// Drops every state and input whose name is not in `keep`, along
     /// with the associated next-state expressions and initial values.
-    /// Constraints and the expression context are untouched, so handles
-    /// into [`Self::ctx`] remain valid.
+    /// The expression context is untouched, so handles into
+    /// [`Self::ctx`] remain valid.
     pub(crate) fn retain_vars(&mut self, keep: &std::collections::BTreeSet<String>) {
         self.states.retain(|v| keep.contains(&v.name));
         self.inputs.retain(|v| keep.contains(&v.name));

@@ -16,8 +16,6 @@ pub struct Frame {
     pub states: BTreeMap<String, ExprRef>,
     /// Input name -> the fresh variable for this step.
     pub inputs: BTreeMap<String, ExprRef>,
-    /// The instantiated invariant constraints for this step.
-    pub constraints: Vec<ExprRef>,
 }
 
 /// One frame's substitution: each transition-system variable mapped to
@@ -72,7 +70,6 @@ pub struct Unrolling {
     next: BTreeMap<String, ExprRef>,
     ts_state_vars: BTreeMap<String, ExprRef>,
     ts_input_vars: BTreeMap<String, ExprRef>,
-    ts_constraints: Vec<ExprRef>,
     init_assumptions: Vec<ExprRef>,
     frames: Vec<Frame>,
     /// `substs[k]` is frame `k`'s substitution and memo.
@@ -106,7 +103,6 @@ impl Unrolling {
                 .collect(),
             ts_state_vars: ts.states().iter().map(|v| (v.name.clone(), v.var)).collect(),
             ts_input_vars: ts.inputs().iter().map(|v| (v.name.clone(), v.var)).collect(),
-            ts_constraints: ts.constraints().to_vec(),
             init_assumptions: Vec::new(),
             frames: Vec::new(),
             substs: Vec::new(),
@@ -143,8 +139,7 @@ impl Unrolling {
     }
 
     /// Pushes the next frame with the given state: fresh input
-    /// variables, the frame's substitution, and the invariant
-    /// constraints instantiated under it.
+    /// variables and the frame's substitution.
     fn push_frame(&mut self, states: BTreeMap<String, ExprRef>) {
         let step = self.frames.len();
         let mut inputs = BTreeMap::new();
@@ -167,15 +162,7 @@ impl Unrolling {
             map,
             memo: HashMap::new(),
         });
-        self.frames.push(Frame {
-            states,
-            inputs,
-            constraints: Vec::new(),
-        });
-        let constraints = (0..self.ts_constraints.len())
-            .map(|i| self.map_expr(step, self.ts_constraints[i]))
-            .collect();
-        self.frames[step].constraints = constraints;
+        self.frames.push(Frame { states, inputs });
     }
 
     /// Attaches a telemetry tracer; extend/snapshot/rollback events are
@@ -293,14 +280,6 @@ impl Unrolling {
     pub fn map_expr(&mut self, k: usize, e: ExprRef) -> ExprRef {
         let FrameSubst { map, memo } = &mut self.substs[k];
         substitute_cached(&mut self.ctx, e, map, memo)
-    }
-
-    /// All invariant-constraint instances over frames `0..=k`.
-    pub fn constraints_up_to(&self, k: usize) -> Vec<ExprRef> {
-        self.frames[..=k]
-            .iter()
-            .flat_map(|f| f.constraints.iter().copied())
-            .collect()
     }
 
     /// Reads the concrete state at frame `k` from a satisfying model.
@@ -566,8 +545,8 @@ mod tests {
 
     /// A random system: three words, a boolean and a memory of state,
     /// two word inputs and a boolean one, random next-state functions,
-    /// one invariant constraint, and `queries` random expressions over
-    /// the system's variables, all built before unrolling.
+    /// and `queries` random expressions over the system's variables,
+    /// all built before unrolling.
     fn random_ts(seed: u64, queries: usize) -> (TransitionSystem, Vec<ExprRef>) {
         use rand::SeedableRng;
         let mem = Sort::Mem {
@@ -595,8 +574,6 @@ mod tests {
         ts.set_next("f", f).unwrap();
         let m = g.mem(ts.ctx_mut(), 3);
         ts.set_next("m", m).unwrap();
-        let c = g.bool(ts.ctx_mut(), 2);
-        ts.add_constraint(c);
         let qs = (0..queries)
             .map(|i| match i % 3 {
                 0 => g.bv(ts.ctx_mut(), 5),
@@ -678,18 +655,7 @@ mod tests {
                     )
                 })
                 .collect();
-            self.frames.push(Frame {
-                states,
-                inputs,
-                constraints: Vec::new(),
-            });
-            let map = self.map(ts, step);
-            let mut memo = HashMap::new();
-            self.frames[step].constraints = ts
-                .constraints()
-                .iter()
-                .map(|&c| substitute_full(&mut self.ctx, c, &map, &mut memo))
-                .collect();
+            self.frames.push(Frame { states, inputs });
         }
 
         fn extend_to(&mut self, ts: &TransitionSystem, k: usize) {
@@ -724,9 +690,7 @@ mod tests {
         for (a, b) in u.frames().iter().zip(&r.frames) {
             assert_eq!(a.states, b.states);
             assert_eq!(a.inputs, b.inputs);
-            assert_eq!(a.constraints, b.constraints);
             roots.extend(a.states.values().chain(a.inputs.values()));
-            roots.extend(&a.constraints);
         }
         for e in u.ctx().post_order(&roots) {
             assert_eq!(u.ctx().node(e), r.ctx.node(e));

@@ -300,6 +300,21 @@ impl Elaborator<'_> {
         })
     }
 
+    /// The address of a word of memory `name`: a literal must lie below
+    /// 2^`aw`, as a literal bit index must lie below the width; a
+    /// dynamic index is adapted to the address width.
+    fn mem_addr(&mut self, name: &str, idx: &Expr, aw: u32) -> Result<ExprRef, VerilogError> {
+        if let Expr::Literal { value, .. } = idx {
+            if value.try_to_u64().is_none_or(|a| a >> aw != 0) {
+                let a = literal_text(value);
+                return Err(sem_err(format!(
+                    "address {a} out of range for memory {name:?} (address width {aw})"
+                )));
+            }
+        }
+        self.expr_with_width(idx, Some(aw))
+    }
+
     fn expr(&mut self, e: &Expr) -> Result<ExprRef, VerilogError> {
         match e {
             Expr::Ident(name) => self.ident(name),
@@ -367,8 +382,7 @@ impl Elaborator<'_> {
                 // Memory word read, or dynamic bit select on a vector.
                 if let Some(mm) = self.m.find_mem(name) {
                     let (var, aw) = (mm.var, mm.addr_width);
-                    let idx = self.expr(idx)?;
-                    let idx = self.adapt(idx, aw);
+                    let idx = self.mem_addr(name, idx, aw)?;
                     return Ok(self.m.ctx_mut().mem_read(var, idx));
                 }
                 let base = self.ident(name)?;
@@ -513,7 +527,7 @@ impl Elaborator<'_> {
                             sem_err(format!("indexed assign to non-memory {name:?}"))
                         })?;
                         let (var, aw, dw) = (mm.var, mm.addr_width, mm.data_width);
-                        let addr = self.expr_with_width(addr, Some(aw))?;
+                        let addr = self.mem_addr(name, addr, aw)?;
                         let rhs = self.expr_with_width(rhs, Some(dw))?;
                         let cur = *acc.get(name).unwrap_or(&var);
                         let written = self.m.ctx_mut().mem_write(cur, addr, rhs);
@@ -679,6 +693,36 @@ endmodule
         assert_eq!(m.state_bits(), 128);
         assert_eq!(m.mems().len(), 1);
         assert_eq!(m.mems()[0].addr_width, 4);
+    }
+
+    /// A 16-word memory whose always block is `body`.
+    fn mem16(body: &str) -> Result<RtlModule, VerilogError> {
+        parse_verilog(&format!(
+            "module m(clk);\n  input clk;\n  reg [7:0] m [0:15];\n  reg [7:0] r;\n  \
+             always @(posedge clk) begin {body} end\nendmodule\n"
+        ))
+    }
+
+    #[test]
+    fn literal_memory_read_past_the_depth_rejected() {
+        assert!(mem16("r <= m[15];").is_ok());
+        let err = mem16("r <= m[16];").unwrap_err();
+        assert!(
+            err.message.contains("address 16 out of range"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn literal_memory_write_past_the_depth_rejected() {
+        assert!(mem16("m[15] <= 8'd5;").is_ok());
+        let err = mem16("m[16] <= 8'd5;").unwrap_err();
+        assert!(
+            err.message.contains("address 16 out of range"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

@@ -68,9 +68,8 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Request-executing worker threads.
     pub workers: usize,
-    /// Threads a lint request fans its ports out over (default 1).
-    /// Verification always runs its checks one after another; the name
-    /// dates from when this sized a verification pool.
+    /// Ignored: lint and verification requests each run on one thread.
+    /// Kept only because perfbench still sets it.
     pub verify_jobs: Option<usize>,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline: Option<Duration>,
@@ -502,7 +501,6 @@ impl Server {
         let service = Service::new(
             Arc::clone(&cache),
             cfg.tracer.clone(),
-            cfg.verify_jobs,
             cfg.fault_plan.clone(),
         );
         let inner = Arc::new(ServerInner {

@@ -179,19 +179,15 @@ pub struct Service {
     /// layer.
     pub fault_plan: Option<Arc<FaultPlan>>,
     designs: Vec<CaseStudy>,
-    lint_opts: LintOptions,
     memo: Memo,
 }
 
 impl Service {
     /// Builds the service, constructing the bundled design registry
     /// once (case studies are immutable; requests borrow them).
-    /// `lint_jobs` is how many threads a lint request fans its ports
-    /// out over (default 1); verification always runs on one.
     pub fn new(
         cache: Arc<ProofCache>,
         tracer: Tracer,
-        lint_jobs: Option<usize>,
         fault_plan: Option<Arc<FaultPlan>>,
     ) -> Service {
         Service {
@@ -199,9 +195,6 @@ impl Service {
             tracer,
             fault_plan,
             designs: gila_designs::all_case_studies(),
-            lint_opts: LintOptions {
-                jobs: lint_jobs.unwrap_or(1).max(1),
-            },
             memo: Memo::new(),
         }
     }
@@ -340,7 +333,7 @@ impl Service {
     fn op_lint(&self, req: &Request) -> Result<Value, String> {
         if let Some(name) = req.str_field("design") {
             let cs = self.find_design(name)?;
-            let mut report = lint_module(cs.name, &cs.ila, &self.lint_opts, &self.tracer);
+            let mut report = lint_module(cs.name, &cs.ila, &LintOptions::default(), &self.tracer);
             report.diagnostics.extend(lint_rtl(cs.name, &cs.rtl, &self.tracer));
             return Ok(report.to_json());
         }
@@ -353,7 +346,7 @@ impl Service {
         };
         let mut report = entry
             .lint
-            .get_or_init(|| lint_module("inline", module, &self.lint_opts, &self.tracer))
+            .get_or_init(|| lint_module("inline", module, &LintOptions::default(), &self.tracer))
             .clone();
         if let Some(rtl) = &rtl {
             report.diagnostics.extend(lint_rtl("inline", rtl, &self.tracer));

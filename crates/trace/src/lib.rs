@@ -45,8 +45,6 @@ pub enum SpanKind {
     /// A solve attempt gave up on a resource limit (reason + effort
     /// spent ride as fields/label).
     BudgetExhausted,
-    /// A job is being re-run with an escalated budget.
-    Retry,
     /// A job panicked and was isolated from the rest of its run.
     Panic,
     /// One static-analysis pass of `gila-lint` over one target.
@@ -87,7 +85,6 @@ impl SpanKind {
             SpanKind::Solve => "solve",
             SpanKind::Falsify => "falsify",
             SpanKind::BudgetExhausted => "budget_exhausted",
-            SpanKind::Retry => "retry",
             SpanKind::Panic => "panic",
             SpanKind::LintPass => "lint_pass",
             SpanKind::Coi => "coi",
@@ -345,7 +342,8 @@ pub struct Telemetry {
     pub unknown: u64,
     /// Jobs that panicked and were isolated.
     pub panicked: u64,
-    /// Budget-escalation re-runs across all jobs.
+    /// Always 0: a job runs one attempt. Kept only because perfbench
+    /// still reports it as its `verify.retries` counter.
     pub retries: u64,
     /// Conflicts burned by solve attempts that ended in `Unknown`.
     pub budget_spent_conflicts: u64,
@@ -607,16 +605,15 @@ mod tests {
     #[test]
     fn robustness_span_kinds_have_stable_names() {
         assert_eq!(SpanKind::BudgetExhausted.as_str(), "budget_exhausted");
-        assert_eq!(SpanKind::Retry.as_str(), "retry");
         assert_eq!(SpanKind::Panic.as_str(), "panic");
-        let e = Event::new(SpanKind::Retry)
+        let e = Event::new(SpanKind::BudgetExhausted)
             .port("p")
             .instruction("i")
-            .field("attempt", 2)
-            .field("conflict_budget", 4000);
+            .label("conflicts")
+            .field("conflicts", 4000);
         assert_eq!(
             e.to_json_line(),
-            r#"{"kind":"retry","port":"p","instr":"i","attempt":2,"conflict_budget":4000}"#
+            r#"{"kind":"budget_exhausted","port":"p","instr":"i","label":"conflicts","conflicts":4000}"#
         );
     }
 

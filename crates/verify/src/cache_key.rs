@@ -24,9 +24,8 @@
 //! What the key deliberately does **not** cover is `VerifyOptions`:
 //! every current option is verdict-preserving on *decided* verdicts.
 //! Telemetry changes no answer (and `jobs` is ignored);
-//! budgets (`budget`, `retries`) and cancellation change only
-//! *decidability*, and undecided verdicts (`unknown`, `panicked`) are
-//! never journaled. If an
+//! the budget and cancellation change only *decidability*, and
+//! undecided verdicts (`unknown`, `panicked`) are never journaled. If an
 //! option that can change a decided verdict is ever added (say, an
 //! approximation mode), it must be folded into [`CACHE_KEY_VERSION`]'s
 //! material — see the "Serving" section of DESIGN.md.
@@ -286,9 +285,8 @@ fn instruction_key(
 
     // 1. The transition system restricted to the cone: what
     // `coi_slice` would keep, read from the unsliced system (so
-    // ts_memo stays valid) with every constraint, since slicing keeps
-    // them all. States sorted by name; the sorted-name iteration makes
-    // the serialization canonical.
+    // ts_memo stays valid). States sorted by name; the sorted-name
+    // iteration makes the serialization canonical.
     let ts_ctx = ts.ctx();
     let mut state_names: Vec<&str> = ts
         .states()
@@ -325,16 +323,9 @@ fn instruction_key(
             f.write_str(&ts_ctx.sort_of(var).to_string());
         }
     }
-    let mut constraint_hashes: Vec<(u64, u64)> = ts
-        .constraints()
-        .iter()
-        .map(|&c| expr_hash(ts_ctx, c, ts_memo))
-        .collect();
-    constraint_hashes.sort_unstable();
-    f.write_u64(constraint_hashes.len() as u64);
-    for h in constraint_hashes {
-        f.write_hash(h);
-    }
+    // The length of the constraint list transition systems once had;
+    // always empty, it is written as 0 so every key stays byte-identical.
+    f.write_u64(0);
 
     // 2. The ILA instruction semantics: decode plus updates, in the
     // port's context (updates are a BTreeMap — already name-sorted).

@@ -65,7 +65,7 @@ impl Divergence {
 
 /// Renders a bit-vector as `0xHEX` (values fitting in 64 bits) or
 /// `0bBITS` (msb first). Inverse of [`parse_bv`].
-pub fn render_bv(v: &BitVecValue) -> String {
+pub(crate) fn render_bv(v: &BitVecValue) -> String {
     match v.try_to_u64() {
         Some(x) => format!("0x{x:x}"),
         None => {
@@ -81,8 +81,8 @@ pub fn render_bv(v: &BitVecValue) -> String {
 }
 
 /// Renders a [`Value`] in the command-stream format: booleans and
-/// bit-vectors via [`render_bv`], memories as
-/// `@DEFAULT{ADDR:DATA,...}`. Inverse of [`parse_value`].
+/// bit-vectors as `0xHEX` or `0bBITS`, memories as
+/// `@DEFAULT{ADDR:DATA,...}`.
 pub fn render_value(v: &Value) -> String {
     match v {
         Value::Bool(b) => format!("0x{}", u32::from(*b)),
@@ -99,7 +99,7 @@ pub fn render_value(v: &Value) -> String {
 
 /// Parses a [`render_bv`]-formatted literal to `width` bits (excess high
 /// bits are truncated; missing high bits are zero).
-pub fn parse_bv(s: &str, width: u32) -> Option<BitVecValue> {
+pub(crate) fn parse_bv(s: &str, width: u32) -> Option<BitVecValue> {
     let v = if let Some(hex) = s.strip_prefix("0x") {
         BitVecValue::parse_hex(hex)?
     } else if let Some(bin) = s.strip_prefix("0b") {
@@ -116,7 +116,7 @@ pub fn parse_bv(s: &str, width: u32) -> Option<BitVecValue> {
 
 /// Parses a [`render_value`]-formatted literal against an expected
 /// sort. Inverse of [`render_value`].
-pub fn parse_value(s: &str, sort: Sort) -> Option<Value> {
+pub(crate) fn parse_value(s: &str, sort: Sort) -> Option<Value> {
     match sort {
         Sort::Bool => Some(Value::Bool(!parse_bv(s, 1)?.is_zero())),
         Sort::Bv(w) => Some(Value::Bv(parse_bv(s, w)?)),
@@ -290,7 +290,7 @@ impl std::error::Error for CosimError {}
 /// draw in eight lands on a boundary value — zero, all-ones, one, or
 /// the sign bit alone — so narrow corner cases (carry out, sign
 /// flips, wrap-around) appear at realistic rates even for wide vectors.
-pub fn random_bv(rng: &mut impl Rng, width: u32) -> BitVecValue {
+pub(crate) fn random_bv(rng: &mut impl Rng, width: u32) -> BitVecValue {
     if rng.gen_range(0..8u32) == 0 {
         match rng.gen_range(0..4u32) {
             0 => BitVecValue::zero(width),
@@ -307,7 +307,7 @@ pub fn random_bv(rng: &mut impl Rng, width: u32) -> BitVecValue {
     }
 }
 
-/// A random [`Value`] of `sort`, boundary-biased via [`random_bv`].
+/// A random [`Value`] of `sort`, boundary-biased like `random_bv`.
 /// Memories get eight writes over a zeroed array, always including the
 /// lowest (`0`) and highest (`2^w - 1`) addresses so edge-of-address-
 /// space behaviour is exercised. Shared with the randomized property

@@ -157,13 +157,13 @@ pub struct RefinementCex {
 }
 
 /// Per-job resource budget. Applies to every SAT query a job issues;
-/// the wall-clock allowance is armed when the job's attempt starts.
+/// the wall-clock allowance is armed when the job's check starts.
 /// `Default` is unbounded (today's behavior).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Maximum SAT conflicts per query before the query gives up.
     pub conflicts: Option<u64>,
-    /// Wall-clock allowance per job attempt.
+    /// Wall-clock allowance per job.
     pub timeout: Option<Duration>,
 }
 
@@ -171,18 +171,6 @@ impl SolveBudget {
     /// True if no limit is configured.
     pub fn is_unbounded(&self) -> bool {
         self.conflicts.is_none() && self.timeout.is_none()
-    }
-
-    /// The budget for retry attempt `attempt` (0 = the first try):
-    /// every limit grows geometrically, 4x per retry, so a handful of
-    /// retries spans orders of magnitude. A zero timeout stays zero —
-    /// it means "give up immediately", not "escalate from nothing".
-    pub(crate) fn escalated(&self, attempt: u32) -> SolveBudget {
-        let factor = 4u64.saturating_pow(attempt);
-        SolveBudget {
-            conflicts: self.conflicts.map(|c| c.saturating_mul(factor)),
-            timeout: self.timeout.map(|t| t.saturating_mul(factor.min(u32::MAX as u64) as u32)),
-        }
     }
 
     /// Converts to solver limits, arming the deadline now.
@@ -195,17 +183,15 @@ impl SolveBudget {
     }
 }
 
-/// What a job that gave up actually consumed, across all its attempts.
+/// What a job that gave up actually consumed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BudgetSpent {
-    /// SAT conflicts over all attempts.
+    /// SAT conflicts.
     pub conflicts: u64,
-    /// SAT propagations over all attempts.
+    /// SAT propagations.
     pub propagations: u64,
-    /// Wall-clock time over all attempts.
+    /// Wall-clock time.
     pub wall: Duration,
-    /// How many attempts ran (1 = no retries).
-    pub attempts: u32,
 }
 
 /// Result of checking one instruction.
@@ -224,11 +210,11 @@ pub enum CheckResult {
         /// The bound that was exhausted.
         max_cycles: usize,
     },
-    /// The job gave up: every attempt exhausted its solve budget (or
-    /// the run was cancelled mid-solve). Neither a proof nor a
-    /// counterexample — rerun with a larger budget to decide it.
+    /// The job gave up: it exhausted its solve budget (or the run was
+    /// cancelled mid-solve). Neither a proof nor a counterexample —
+    /// rerun with a larger budget to decide it.
     Unknown {
-        /// Which resource ran out on the final attempt.
+        /// Which resource ran out.
         reason: ResourceOut,
         /// What the job consumed before giving up.
         budget_spent: BudgetSpent,
@@ -309,10 +295,6 @@ pub struct InstrVerdict {
     pub effort: SolverStats,
     /// Number of SAT checks issued for this instruction.
     pub solves: u64,
-    /// How many extra attempts the budget-escalation loop ran after the
-    /// first one exhausted its budget (0 when the first attempt decided
-    /// the job or no budget was configured).
-    pub retries: u32,
 }
 
 impl InstrVerdict {
@@ -329,7 +311,6 @@ impl InstrVerdict {
             cnf_growth: BlastStats::default(),
             effort: SolverStats::default(),
             solves: 0,
-            retries: 0,
         }
     }
 }
@@ -491,9 +472,6 @@ pub struct VerifyOptions {
     /// a job that exhausts it reports [`CheckResult::Unknown`] instead
     /// of running forever.
     pub budget: SolveBudget,
-    /// Extra attempts for a budget-exhausted job, each with a budget 4x
-    /// larger than the last. Ignored when no budget is configured.
-    pub retries: u32,
     /// Test-only fault injection: panics, forced unknowns, and delays
     /// per (port, instruction). `None` (the default) injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -516,7 +494,6 @@ pub struct VerifyOptions {
 #[derive(Clone, Default)]
 struct JobPolicy {
     budget: SolveBudget,
-    retries: u32,
     fault: Option<Arc<FaultPlan>>,
     /// External cancellation token installed on every engine the run
     /// creates (see [`VerifyOptions::cancel`]).
@@ -574,7 +551,6 @@ impl<'t> RunCtx<'t> {
         let mut ctx = RunCtx {
             policy: JobPolicy {
                 budget: opts.budget,
-                retries: opts.retries,
                 fault: opts.fault_plan.clone(),
                 cancel: opts.cancel.clone(),
             },
@@ -984,7 +960,6 @@ fn check_instruction_planned(
     // for an already-expired deadline, so the Unknown flows through the
     // real resource-out machinery instead of being faked here.
     let mut budget = policy.budget;
-    let mut retries = policy.retries;
     if let Some(fault) = policy.fault.as_deref() {
         match fault.fire(plan.port.name(), &instr.name) {
             Some(FaultAction::Panic(msg)) => panic!("injected fault: {msg}"),
@@ -994,7 +969,6 @@ fn check_instruction_planned(
                     conflicts: None,
                     timeout: Some(Duration::ZERO),
                 };
-                retries = 0;
             }
             None => {}
         }
@@ -1002,62 +976,41 @@ fn check_instruction_planned(
 
     let before = engine.smt.stats();
     let sat_before = engine.smt.sat_stats();
-    let mut attempt = 0u32;
     let mut tally = CheckTally::default();
-    // Falsification runs on the first attempt only, and only once the
-    // port is known to be wrong: on fixed RTL it could never succeed.
+    // Falsification runs only once the port is known to be wrong: on
+    // fixed RTL it could never succeed.
     let sample = ctx.refuted(plan.port.name());
-    // Budget-escalation loop. Each attempt runs in its own solver scope
-    // against the same persistent CNF, so learned clauses from an
-    // exhausted attempt carry into the next, larger-budget one.
-    let (result, decided_by) = loop {
-        engine.smt.set_limits(budget.escalated(attempt).to_limits());
-        let snap = engine.u.snapshot();
-        engine.u.extend_to(plan.instrs[idx].bound);
-        engine.smt.push_scope();
-        let sample = sample && attempt == 0;
-        let result = check_instruction_inner(plan, idx, engine, ctx, sample, &mut tally);
-        engine.smt.pop_scope();
-        engine.smt.set_limits(SolveLimits::default());
-        match result {
-            Ok((CheckResult::Unknown { reason, .. }, _)) => {
-                let spent_so_far = engine.smt.sat_stats().since(sat_before);
-                tracer.record(|| {
-                    Event::new(SpanKind::BudgetExhausted)
-                        .port(plan.port.name())
-                        .instruction(&instr.name)
-                        .label(reason.as_str())
-                        .field("attempt", attempt as u64)
-                        .field("conflicts", spent_so_far.conflicts)
-                });
-                // Cancellation is a run-level abort, not a too-small
-                // budget: retrying would only be cancelled again.
-                if attempt < retries && reason != ResourceOut::Cancelled {
-                    attempt += 1;
-                    tracer.record(|| {
-                        Event::new(SpanKind::Retry)
-                            .port(plan.port.name())
-                            .instruction(&instr.name)
-                            .field("attempt", attempt as u64)
-                    });
-                    continue;
-                }
-                let result = CheckResult::Unknown {
-                    reason,
-                    budget_spent: BudgetSpent {
-                        conflicts: spent_so_far.conflicts,
-                        propagations: spent_so_far.propagations,
-                        wall: t0.elapsed(),
-                        attempts: attempt + 1,
-                    },
-                };
-                break (result, DecidedBy::Sat);
-            }
-            Ok(decided) => break decided,
-            Err(e) => {
-                engine.u.rollback_to(snap);
-                return Err(e);
-            }
+    engine.smt.set_limits(budget.to_limits());
+    let snap = engine.u.snapshot();
+    engine.u.extend_to(plan.instrs[idx].bound);
+    engine.smt.push_scope();
+    let result = check_instruction_inner(plan, idx, engine, ctx, sample, &mut tally);
+    engine.smt.pop_scope();
+    engine.smt.set_limits(SolveLimits::default());
+    let (result, decided_by) = match result {
+        Ok((CheckResult::Unknown { reason, .. }, _)) => {
+            let spent = engine.smt.sat_stats().since(sat_before);
+            tracer.record(|| {
+                Event::new(SpanKind::BudgetExhausted)
+                    .port(plan.port.name())
+                    .instruction(&instr.name)
+                    .label(reason.as_str())
+                    .field("conflicts", spent.conflicts)
+            });
+            let result = CheckResult::Unknown {
+                reason,
+                budget_spent: BudgetSpent {
+                    conflicts: spent.conflicts,
+                    propagations: spent.propagations,
+                    wall: t0.elapsed(),
+                },
+            };
+            (result, DecidedBy::Sat)
+        }
+        Ok(decided) => decided,
+        Err(e) => {
+            engine.u.rollback_to(snap);
+            return Err(e);
         }
     };
     if matches!(result, CheckResult::CounterExample(_)) {
@@ -1104,7 +1057,6 @@ fn check_instruction_planned(
         cnf_growth,
         effort,
         solves: tally.solves,
-        retries: attempt,
     })
 }
 
@@ -1155,7 +1107,6 @@ fn run_job_guarded(
                 cnf_growth: BlastStats::default(),
                 effort: SolverStats::default(),
                 solves: 0,
-                retries: 0,
             })
         }
     }
@@ -1409,8 +1360,8 @@ impl Property {
     }
 }
 
-/// What one instruction's checks spent, summed over its attempts, for
-/// its verdict and its `instruction` span.
+/// What one instruction's checks spent, for its verdict and its
+/// `instruction` span.
 #[derive(Default)]
 struct CheckTally {
     /// SAT checks run.
@@ -1672,7 +1623,6 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
         t.cnf_vars += v.cnf_growth.variables;
         t.cnf_clauses += v.cnf_growth.clauses;
         t.wall_ns += v.time.as_nanos() as u64;
-        t.retries += v.retries as u64;
         t.falsified += (v.decided_by == DecidedBy::Sampling) as u64;
         match &v.result {
             CheckResult::Unknown { budget_spent, .. } => {
@@ -2057,37 +2007,9 @@ endmodule
         assert_eq!(*reason, ResourceOut::Conflicts);
         // "spent > max" semantics: giving up means the limit was passed.
         assert!(budget_spent.conflicts > 1, "{budget_spent:?}");
-        assert_eq!(budget_spent.attempts, 1);
-        assert_eq!(v.retries, 0);
         assert_eq!(report.telemetry.unknown, 1);
         assert!(report.telemetry.budget_spent_conflicts > 1);
         assert_eq!(report.counts().unknown, 1);
-    }
-
-    #[test]
-    fn retry_escalation_converges_to_unbounded_verdict() {
-        let baseline =
-            verify_port(&mul_ila(), &mul_rtl(), &mul_map(), &VerifyOptions::default()).unwrap();
-        assert!(baseline.all_hold(), "commutativity proof should close");
-        let budgeted = verify_port(
-            &mul_ila(),
-            &mul_rtl(),
-            &mul_map(),
-            &VerifyOptions {
-                budget: SolveBudget {
-                    conflicts: Some(1),
-                    timeout: None,
-                },
-                retries: 16,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(budgeted.all_hold(), "{:?}", budgeted.verdicts[0].result);
-        let v = &budgeted.verdicts[0];
-        assert!(v.retries > 0, "a 1-conflict budget cannot decide this in one try");
-        assert_eq!(budgeted.telemetry.retries, v.retries as u64);
-        assert_eq!(budgeted.telemetry.unknown, 0);
     }
 
     #[test]
@@ -2101,7 +2023,6 @@ endmodule
                     conflicts: None,
                     timeout: Some(Duration::ZERO),
                 },
-                retries: 2, // a zero timeout never escalates: all 3 attempts expire
                 ..Default::default()
             },
         )
@@ -2110,8 +2031,8 @@ endmodule
             panic!("expected Unknown, got {:?}", report.verdicts[0].result);
         };
         assert_eq!(*reason, ResourceOut::Deadline);
-        assert_eq!(budget_spent.attempts, 3);
-        assert_eq!(report.verdicts[0].retries, 2);
+        assert!(budget_spent.wall > Duration::ZERO, "{budget_spent:?}");
+        assert_eq!(report.telemetry.unknown, 1);
     }
 
     #[test]

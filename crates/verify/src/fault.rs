@@ -5,7 +5,7 @@
 //! fires its action — panic the job, force an `Unknown` verdict (by
 //! swapping the job's budget for an already-expired deadline), or sleep
 //! — a bounded number of times, then goes inert. This is how the
-//! robustness machinery (panic isolation, budget escalation,
+//! robustness machinery (panic isolation, budget exhaustion,
 //! checkpoint/resume) is exercised deterministically in tests and CI
 //! without needing a genuinely hard SAT instance.
 //!

@@ -99,12 +99,12 @@ pub use property::{render_all_properties, render_property};
 pub use refmap::{FinishCondition, InputPolicy, InstructionMap, RefMapParseError, RefinementMap};
 pub use compiled::{cosim_differential, cosimulate_compiled, replay_compiled, replay_ports};
 pub use cosim::{
-    cosimulate, parse_bv, parse_command_stream, parse_value, random_bv, random_value, render_bv,
-    render_value, CommandStream, CosimError, Divergence, StreamError,
+    cosimulate, parse_command_stream, random_value, render_value, CommandStream, CosimError,
+    Divergence, StreamError,
 };
 pub use hunt::{hunt, HuntConfig, HuntFinding, HuntReport, HuntTarget};
 pub use shrink::{shrink_divergence, ShrinkResult};
 pub use invariants::validate_invariants;
 pub use mutation::{mutate_register, MutateError, Mutation, MutationReport};
-pub use synth::{identity_refmap, identity_refmaps, synthesize_module, synthesize_port, SynthError};
+pub use synth::{identity_refmaps, synthesize_module, SynthError};
 pub use vcd::cex_to_vcd;

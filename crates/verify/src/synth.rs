@@ -55,88 +55,10 @@ impl fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// Synthesizes an RTL module implementing `port`: one register (or
-/// memory) per architectural state, driven by the decode-selected
-/// next-state function; instructions are prioritized in declaration
-/// order (irrelevant when the decodes are disjoint, which
-/// [`gila_core::decode_overlaps`] can confirm).
-///
-/// State and input names carry over unchanged, so
-/// [`identity_refmap`] connects the two for refinement checking.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn synthesize_port(port: &PortIla) -> Result<RtlModule, SynthError> {
-    let mut rtl = RtlModule::new(format!("{}_synth", port.name()));
-    // Declare pins and state elements with the ILA's names.
-    for i in port.inputs() {
-        match i.sort {
-            Sort::Bv(w) => {
-                rtl.input(i.name.clone(), w);
-            }
-            Sort::Bool => {
-                return Err(SynthError::BoolNotRepresentable {
-                    name: i.name.clone(),
-                })
-            }
-            Sort::Mem { .. } => {
-                return Err(SynthError::MemInput {
-                    name: i.name.clone(),
-                })
-            }
-        }
-    }
-    for s in port.states() {
-        match s.sort {
-            Sort::Bv(w) => {
-                let init = s.init.as_ref().map(|v| v.as_bv().to_u64());
-                rtl.reg(s.name.clone(), w, init);
-            }
-            Sort::Mem {
-                addr_width,
-                data_width,
-            } => {
-                rtl.mem(s.name.clone(), addr_width, data_width);
-            }
-            Sort::Bool => {
-                return Err(SynthError::BoolNotRepresentable {
-                    name: s.name.clone(),
-                })
-            }
-        }
-    }
-    // Import all decodes once (shared memo keeps the DAG shared).
-    let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
-    let decodes: Vec<ExprRef> = port
-        .instructions()
-        .iter()
-        .map(|i| import(rtl.ctx_mut(), port.ctx(), i.decode, &mut memo))
-        .collect();
-    // Per state: fold instructions (last = lowest priority) into an
-    // if-then-else chain over the decodes.
-    for s in port.states() {
-        let hold = rtl
-            .ctx()
-            .find_var(&s.name)
-            .expect("state declared above");
-        let mut next = hold;
-        for (idx, instr) in port.instructions().iter().enumerate().rev() {
-            if let Some(&upd) = instr.updates.get(&s.name) {
-                let upd = import(rtl.ctx_mut(), port.ctx(), upd, &mut memo);
-                next = rtl.ctx_mut().ite(decodes[idx], upd, next);
-            }
-        }
-        rtl.set_next(&s.name, next).expect("sorts carry over");
-    }
-    rtl.validate().expect("synthesized module is closed");
-    Ok(rtl)
-}
-
 /// The identity refinement map for a synthesized module: every ILA
 /// state and input maps to the RTL element of the same name, and every
 /// instruction finishes in one cycle.
-pub fn identity_refmap(port: &PortIla) -> RefinementMap {
+pub(crate) fn identity_refmap(port: &PortIla) -> RefinementMap {
     let mut m = RefinementMap::new(port.name());
     for s in port.states() {
         m.map_state(s.name.clone(), s.name.clone());
@@ -147,11 +69,12 @@ pub fn identity_refmap(port: &PortIla) -> RefinementMap {
     m
 }
 
-/// Identity refinement maps for a whole synthesized module: like
-/// [`identity_refmap`] per port, but states a port merely *reads* while
-/// another port drives them (read-only sharing) are marked as
-/// pre-state-only — simultaneous traffic on the owning port may
-/// legitimately change them during this port's instruction.
+/// Identity refinement maps for a whole synthesized module: every ILA
+/// state and input maps to the RTL element of the same name, but
+/// states a port merely *reads* while another port drives them
+/// (read-only sharing) are marked as pre-state-only — simultaneous
+/// traffic on the owning port may legitimately change them during
+/// this port's instruction.
 pub fn identity_refmaps(module: &ModuleIla) -> Vec<RefinementMap> {
     module
         .ports()
@@ -181,7 +104,13 @@ pub fn identity_refmaps(module: &ModuleIla) -> Vec<RefinementMap> {
         .collect()
 }
 
-/// Synthesizes every port of a module-ILA into one RTL module.
+/// Synthesizes every port of a module-ILA into one RTL module: one
+/// register (or memory) per architectural state, driven by the
+/// decode-selected next-state function; instructions are prioritized
+/// in declaration order (irrelevant when the decodes are disjoint,
+/// which [`gila_core::decode_overlaps`] can confirm). State and input
+/// names carry over unchanged, so [`identity_refmaps`] connects the
+/// two for refinement checking.
 ///
 /// Shared (read-only) states across ports are declared once; the
 /// declaring port's next-state chain drives them.
@@ -273,6 +202,11 @@ mod tests {
     use crate::engine::{verify_port, VerifyOptions};
     use gila_core::StateKind;
     use gila_rtl::RtlSimulator;
+
+    /// The synthesized RTL of `port` alone.
+    fn synthesize_port(port: &PortIla) -> Result<RtlModule, SynthError> {
+        synthesize_module(&ModuleIla::single_port(port.clone()))
+    }
 
     fn counter_port() -> PortIla {
         let mut p = PortIla::new("counter");

@@ -2,10 +2,8 @@
 //!
 //! Lint output is deterministic by construction: ports are analyzed in
 //! declaration order, passes run in pipeline order within a port, and
-//! file-level findings come last. The job count only changes *where*
-//! the per-port work runs, never the order results are assembled in —
-//! so the same goldens must hold at `jobs = 1` and `jobs = 4`, and the
-//! human and JSON renderings are stable artifacts we can diff.
+//! file-level findings come last, so the human and JSON renderings are
+//! stable artifacts we can diff.
 //!
 //! Regenerate goldens with `GILA_REGEN_GOLDEN=1 cargo test --test lint`
 //! after an intentional lint change, and review the diff.
@@ -29,18 +27,17 @@ const SPECS: [(&str, &str); 5] = [
 
 const BROKEN_RTL: &str = include_str!("../specs/broken.v");
 
-fn spec_report(name: &str, src: &str, jobs: usize) -> LintReport {
+fn spec_report(name: &str, src: &str) -> LintReport {
     let spec = parse_spec(src).unwrap_or_else(|e| panic!("{name}: {e}"));
     lint_spec(
         &format!("specs/{name}.ila"),
         &spec,
-        &LintOptions { jobs },
+        &LintOptions::default(),
         &Tracer::disabled(),
     )
 }
 
-fn rtl_report(jobs: usize) -> LintReport {
-    let _ = jobs; // the RTL passes are not parallelized
+fn rtl_report() -> LintReport {
     let rtl = parse_verilog(BROKEN_RTL).unwrap();
     let mut report = LintReport::new("specs/broken.v");
     report.diagnostics = lint_rtl("specs/broken.v", &rtl, &Tracer::disabled());
@@ -77,7 +74,7 @@ fn assert_matches_golden(file: &str, actual: &str) {
 #[test]
 fn spec_lint_matches_goldens_human_and_json() {
     for (name, src) in SPECS {
-        let report = spec_report(name, src, 1);
+        let report = spec_report(name, src);
         assert_matches_golden(&format!("{name}.lint"), &report.render_human());
         let mut json = report.to_json().pretty();
         json.push('\n');
@@ -87,7 +84,7 @@ fn spec_lint_matches_goldens_human_and_json() {
 
 #[test]
 fn rtl_lint_matches_goldens_human_and_json() {
-    let report = rtl_report(1);
+    let report = rtl_report();
     assert_matches_golden("broken_rtl.lint", &report.render_human());
     let mut json = report.to_json().pretty();
     json.push('\n');
@@ -98,8 +95,8 @@ fn rtl_lint_matches_goldens_human_and_json() {
 /// code, each finding carrying a span or a concrete witness.
 #[test]
 fn broken_fixtures_cover_every_code() {
-    let spec = spec_report("broken", SPECS[4].1, 1);
-    let rtl = rtl_report(1);
+    let spec = spec_report("broken", SPECS[4].1);
+    let rtl = rtl_report();
     let all: Vec<_> = spec
         .diagnostics
         .iter()
@@ -122,22 +119,6 @@ fn broken_fixtures_cover_every_code() {
             d.line.is_some() || d.witness.is_some(),
             "spec finding without span or witness: {d:?}"
         );
-    }
-}
-
-/// Output must be identical at any job count (declaration-order
-/// assembly, not completion order).
-#[test]
-fn lint_output_is_job_count_invariant() {
-    for (name, src) in SPECS {
-        let seq = spec_report(name, src, 1);
-        let par = spec_report(name, src, 4);
-        assert_eq!(
-            seq.render_human(),
-            par.render_human(),
-            "{name}: jobs=4 diverged from jobs=1"
-        );
-        assert_eq!(seq.to_json().pretty(), par.to_json().pretty(), "{name}");
     }
 }
 
@@ -167,7 +148,7 @@ fn registry_designs_have_no_error_class_findings() {
 fn lint_passes_emit_timing_spans() {
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(10_000);
     let spec = parse_spec(SPECS[4].1).unwrap();
-    let report = lint_spec("broken", &spec, &LintOptions { jobs: 1 }, &tracer);
+    let report = lint_spec("broken", &spec, &LintOptions::default(), &tracer);
     let rtl = parse_verilog(BROKEN_RTL).unwrap();
     let rtl_diags = lint_rtl("broken_rtl", &rtl, &tracer);
     let events = ring.events();
@@ -236,10 +217,10 @@ fn absint_time_covers_the_decode_oracle() {
 #[test]
 fn severity_classes_land_where_documented() {
     for (name, src) in &SPECS[..4] {
-        let report = spec_report(name, src, 1);
+        let report = spec_report(name, src);
         assert_eq!(report.errors(), 0, "{name}: {}", report.render_human());
     }
-    let broken = spec_report("broken", SPECS[4].1, 1);
+    let broken = spec_report("broken", SPECS[4].1);
     for code in [
         Code::DecodeOverlap,
         Code::DeadInstruction,

@@ -153,7 +153,6 @@ fn budgets_disabled_pool_matches_pr2_behavior() {
     assert_eq!((c.unknown, c.panicked), (0, 0));
     assert_eq!(report.telemetry.retries, 0);
     assert_eq!(report.telemetry.budget_spent_conflicts, 0);
-    assert!(report.ports.iter().flat_map(|p| &p.verdicts).all(|v| v.retries == 0));
 }
 
 #[test]

@@ -215,21 +215,22 @@ fn report_telemetry_sums_verdicts() {
     assert_eq!(t.solves, summed);
 }
 
-/// Budget-exhausted runs emit the new `budget_exhausted`/`retry` span
-/// kinds — and ONLY such runs do, which is why the checked-in goldens
-/// (recorded without budgets) stay valid without regeneration.
+/// Budget-exhausted runs emit the `budget_exhausted` span kind — and
+/// ONLY such runs do, which is why the checked-in goldens (recorded
+/// without budgets) stay valid without regeneration.
 #[test]
 fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
     // Default run: no robustness spans anywhere in the trace.
     let (_, clean) = traced_run("counter");
-    for kind in ["budget_exhausted", "retry", "panic"] {
+    for kind in ["budget_exhausted", "panic"] {
         assert!(
             !clean.contains(&format!("\"kind\":\"{kind}\"")),
             "default run leaked a {kind} span — goldens would break"
         );
     }
-    // Budgeted run with a zero deadline: every attempt exhausts, each
-    // retry is announced, and the report telemetry agrees.
+    // Budgeted run with a zero deadline: every check exhausts its
+    // budget, each exhaustion is announced, and the report telemetry
+    // agrees.
     let (tracer, ring): (Tracer, Arc<RingSink>) = Tracer::ring(100_000);
     let (ila, rtl, maps) = counter_fixture();
     let opts = VerifyOptions {
@@ -238,7 +239,6 @@ fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
             conflicts: None,
             timeout: Some(std::time::Duration::ZERO),
         },
-        retries: 1,
         ..Default::default()
     };
     let report = verify_module(&ila, &rtl, &maps, &opts).unwrap();
@@ -256,9 +256,6 @@ fn exhausted_budgets_emit_spans_only_on_the_budgeted_path() {
     };
     let instrs = report.instructions_checked();
     assert_eq!(report.counts().unknown, instrs);
-    // Two attempts per instruction (initial + 1 retry), each exhausted.
-    assert_eq!(count("budget_exhausted"), instrs * 2, "{jsonl}");
-    assert_eq!(count("retry"), instrs, "{jsonl}");
+    assert_eq!(count("budget_exhausted"), instrs, "{jsonl}");
     assert_eq!(report.telemetry.unknown, instrs as u64);
-    assert_eq!(report.telemetry.retries, instrs as u64);
 }
