@@ -61,14 +61,14 @@ const FLAGS: &[(&str, &[&str])] = &[
         "serve",
         &[
             "listen...", "socket...", "cache", "cache-bytes", "cache-entries", "queue-cap",
-            "workers", "deadline-ms", "watchdog-factor", "drain-ms", "trace", "fault",
+            "workers", "deadline-ms", "watchdog-factor", "drain-ms", "trace",
         ],
     ),
     (
         "client",
         &[
             "connect", "socket", "design...", "buggy", "no-cache", "deadline-ms", "retries",
-            "seed", "fault", "stim", "stats", "ping", "shutdown", "json",
+            "stim", "stats", "ping", "shutdown", "json",
         ],
     ),
 ];
@@ -214,7 +214,6 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
     if let Some(path) = flag(flags, "trace") {
         eprintln!("telemetry trace written to {path}");
     }
-    let mut vcd_count = 0usize;
     for port in &report.ports {
         outln!("port {}:", port.port);
         for v in &port.verdicts {
@@ -245,12 +244,10 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
                     let path = format!("{prefix}_{}.vcd", sanitize(&v.instruction));
                     fs::write(&path, cex_to_vcd(cex, &port.port))?;
                     outln!("    trace written to {path}");
-                    vcd_count += 1;
                 }
             }
         }
     }
-    let _ = vcd_count;
     outln!(
         "\n{} instructions checked in {:.2?}; peak CNF ~{:.1} MB",
         report.instructions_checked(),

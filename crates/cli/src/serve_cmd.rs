@@ -17,7 +17,6 @@
 //! 3 undecided, 4 daemon-side error.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 use gila_json::Value;
@@ -25,7 +24,6 @@ use gila_serve::{
     CacheConfig, Client, ClientConfig, DrainOutcome, Endpoint, Listen, ServeConfig, Server,
 };
 use gila_trace::Tracer;
-use gila_verify::FaultPlan;
 
 use crate::commands::{flag, flag_all, CmdResult, EXIT_INTERNAL, EXIT_UNKNOWN};
 
@@ -97,17 +95,10 @@ pub fn serve(flags: &[(String, String)]) -> CmdResult {
             .map_err(|e| format!("opening --trace {path}: {e}"))?,
         None => Tracer::disabled(),
     };
-    let fault_plan = match flag(flags, "fault") {
-        Some(spec) => Some(Arc::new(
-            FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?,
-        )),
-        None => None,
-    };
     let mut cfg = ServeConfig {
         listeners,
         cache,
         tracer,
-        fault_plan,
         ..ServeConfig::default()
     };
     if let Some(n) = parse_u64(flags, "queue-cap")? {
@@ -184,17 +175,8 @@ pub fn client(flags: &[(String, String)]) -> CmdResult {
     if let Some(n) = parse_u64(flags, "retries")? {
         cfg.retries = n as u32;
     }
-    // Vary jitter across concurrent invocations, deterministically
-    // overridable for tests.
-    cfg.seed = match parse_u64(flags, "seed")? {
-        Some(s) => s,
-        None => std::process::id() as u64,
-    };
-    if let Some(spec) = flag(flags, "fault") {
-        cfg.fault_plan = Some(Arc::new(
-            FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?,
-        ));
-    }
+    // Vary jitter across concurrent invocations.
+    cfg.seed = std::process::id() as u64;
     let json = flag(flags, "json").is_some();
     let mut client = Client::connect(cfg);
 

@@ -150,7 +150,10 @@ fn every_subcommand_rejects_unknown_flags_with_exit_code_2() {
         (vec!["hunt", "--design", "Decoder", "--seedz", "2"], "--seedz"),
         (vec!["serve", "--listn", "127.0.0.1:0"], "--listn"),
         (vec!["serve", "--jobs", "2"], "--jobs"),
+        (vec!["serve", "--fault", "panic@*/*"], "--fault"),
         (vec!["client", "--conect", "127.0.0.1:1", "--ping"], "--conect"),
+        (vec!["client", "--fault", "disconnect@0*1", "--ping"], "--fault"),
+        (vec!["client", "--seed", "7", "--ping"], "--seed"),
     ]
     .map(|(args, bad)| (args, format!("has no flag {bad}")));
     // A flag a subcommand takes once is rejected on its second use,

@@ -87,28 +87,27 @@ pub fn slice_keys(
     maps: &[RefinementMap],
 ) -> Result<Vec<SliceKey>, VerifyError> {
     let planned = Planned::module(module, rtl, maps)?;
-    Ok(keys_of(&planned.ts, &planned.ts_signals, &planned.plans))
+    let mut keys = Vec::new();
+    for plan in &planned.plans {
+        let port_keys = port_keys(plan, &planned.ts, &planned.ts_signals);
+        keys.extend(plan.port.instructions().iter().zip(port_keys).map(|(instr, key)| {
+            SliceKey {
+                port: plan.port.name().to_string(),
+                instruction: instr.name.clone(),
+                key,
+            }
+        }));
+    }
+    Ok(keys)
 }
 
-/// The keys of every instruction of `plans` over the run's unsliced
-/// system `ts`, in declaration order.
-pub(crate) fn keys_of(
-    ts: &TransitionSystem,
-    ts_signals: &BTreeMap<String, ExprRef>,
-    plans: &[PortPlan<'_>],
-) -> Vec<SliceKey> {
-    plans
-        .iter()
-        .flat_map(|plan| port_keys(plan, ts, ts_signals))
-        .collect()
-}
-
-/// The keys of every instruction of one port plan, in declaration order.
+/// The key of every instruction of one port plan over the run's
+/// unsliced system `ts`, in declaration order.
 pub(crate) fn port_keys(
     plan: &PortPlan<'_>,
     ts: &TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
-) -> Vec<SliceKey> {
+) -> Vec<String> {
     // Memo tables survive across the port's instructions: the
     // hash-consed contexts only grow, so shared subgraphs hash once.
     let mut ts_memo: HashMap<ExprRef, (u64, u64)> = HashMap::new();
@@ -118,10 +117,8 @@ pub(crate) fn port_keys(
         .instructions()
         .iter()
         .enumerate()
-        .map(|(idx, instr)| SliceKey {
-            port: plan.port.name().to_string(),
-            instruction: instr.name.clone(),
-            key: instruction_key(
+        .map(|(idx, instr)| {
+            instruction_key(
                 plan,
                 idx,
                 instr,
@@ -130,7 +127,7 @@ pub(crate) fn port_keys(
                 &mut ts_memo,
                 &mut cond_memo,
                 &mut ila_memo,
-            ),
+            )
         })
         .collect()
 }

@@ -26,8 +26,7 @@
 //! learned clauses are paid once per port. Every freshly decided
 //! verdict is journaled as it lands.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -44,7 +43,7 @@ use gila_smt::{
 };
 use gila_trace::{Event, SpanKind, Telemetry, Tracer};
 
-use crate::cache_key::{keys_of, port_keys};
+use crate::cache_key::port_keys;
 use crate::falsify::{falsify, Formula};
 use crate::fault::{FaultAction, FaultPlan};
 use crate::journal::ProofCache;
@@ -156,14 +155,15 @@ pub struct RefinementCex {
     pub mismatched_states: Vec<String>,
 }
 
-/// Per-job resource budget. Applies to every SAT query a job issues;
-/// the wall-clock allowance is armed when the job's check starts.
+/// Per-check resource budget. Applies to every SAT query an
+/// instruction's check issues; the wall-clock allowance is armed when
+/// the check starts.
 /// `Default` is unbounded (today's behavior).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Maximum SAT conflicts per query before the query gives up.
     pub conflicts: Option<u64>,
-    /// Wall-clock allowance per job.
+    /// Wall-clock allowance per check.
     pub timeout: Option<Duration>,
 }
 
@@ -183,7 +183,7 @@ impl SolveBudget {
     }
 }
 
-/// What a job that gave up actually consumed.
+/// What a check that gave up actually consumed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BudgetSpent {
     /// SAT conflicts.
@@ -210,16 +210,16 @@ pub enum CheckResult {
         /// The bound that was exhausted.
         max_cycles: usize,
     },
-    /// The job gave up: it exhausted its solve budget (or the run was
+    /// The check gave up: it exhausted its solve budget (or the run was
     /// cancelled mid-solve). Neither a proof nor a counterexample —
     /// rerun with a larger budget to decide it.
     Unknown {
         /// Which resource ran out.
         reason: ResourceOut,
-        /// What the job consumed before giving up.
+        /// What the check consumed before giving up.
         budget_spent: BudgetSpent,
     },
-    /// The job panicked and was isolated; the rest of the run is
+    /// The check panicked and was isolated; the rest of the run is
     /// unaffected.
     JobPanicked {
         /// The panic payload, when it was a string.
@@ -262,7 +262,7 @@ pub enum DecidedBy {
     /// run did no work for it.
     Journal,
     /// The engine's SAT checks (also for verdicts they left undecided,
-    /// and for a job that panicked).
+    /// and for a check that panicked).
     Sat,
     /// A seeded candidate evaluated to a violation of the property's
     /// formula before any SAT check (only ever a counterexample).
@@ -340,9 +340,9 @@ pub struct VerdictCounts {
     pub cex: usize,
     /// Vacuous checks (finish condition never reached).
     pub unreached: usize,
-    /// Jobs that exhausted their budget (or were cancelled).
+    /// Checks that exhausted their budget (or were cancelled).
     pub unknown: usize,
-    /// Jobs that panicked and were isolated.
+    /// Checks that panicked and were isolated.
     pub panicked: usize,
 }
 
@@ -468,8 +468,8 @@ pub struct VerifyOptions {
     /// event of the run is emitted through it. Defaults to the
     /// disabled (no-op) tracer, which costs one branch per event site.
     pub tracer: Tracer,
-    /// Per-job resource budget. Unbounded by default; with a limit set,
-    /// a job that exhausts it reports [`CheckResult::Unknown`] instead
+    /// Per-check resource budget. Unbounded by default; with a limit
+    /// set, a check that exhausts it reports [`CheckResult::Unknown`] instead
     /// of running forever.
     pub budget: SolveBudget,
     /// Test-only fault injection: panics, forced unknowns, and delays
@@ -490,122 +490,81 @@ pub struct VerifyOptions {
     pub cancel: Option<CancelToken>,
 }
 
-/// The per-job knobs a run threads through to every check.
-#[derive(Clone, Default)]
-struct JobPolicy {
-    budget: SolveBudget,
-    fault: Option<Arc<FaultPlan>>,
-    /// External cancellation token installed on every engine the run
-    /// creates (see [`VerifyOptions::cancel`]).
-    cancel: Option<CancelToken>,
-}
-
-/// A run's state: job policy, tracer, the run's view of the verdict
-/// journal — the content key of every property and the verdicts the
-/// journal answered, both keyed by `(port, instruction)` — and the
-/// ports whose checks have found a counterexample, which opens
-/// falsification for their later checks.
+/// What every check of a run reads: its options, and its plans, whose
+/// unsliced system content keys are read from.
 struct RunCtx<'t> {
-    policy: JobPolicy,
-    tracer: &'t Tracer,
-    journal: Option<&'t ProofCache>,
-    /// The run's unsliced system and its signals, which content keys
-    /// are read from.
-    ts: &'t TransitionSystem,
-    ts_signals: &'t BTreeMap<String, ExprRef>,
-    keys: HashMap<(String, String), String>,
-    replayed: HashMap<(String, String), InstrVerdict>,
-    /// Ports a check of this run found a counterexample for.
-    refuted: RefCell<HashSet<String>>,
-    /// Content keys by port, computed on a port's first sampled check
-    /// when the run has no journal to have keyed it.
-    port_keys: RefCell<HashMap<String, Vec<String>>>,
+    opts: &'t VerifyOptions,
+    planned: &'t Planned<'t>,
 }
 
 impl<'t> RunCtx<'t> {
-    /// A plain context over `planned` with no budget, faults, or journal.
-    #[cfg(test)]
-    fn plain(tracer: &'t Tracer, planned: &'t Planned<'_>) -> Self {
-        RunCtx {
-            policy: JobPolicy::default(),
-            tracer,
-            journal: None,
-            ts: &planned.ts,
-            ts_signals: &planned.ts_signals,
-            keys: HashMap::new(),
-            replayed: HashMap::new(),
-            refuted: RefCell::default(),
-            port_keys: RefCell::default(),
-        }
+    fn new(opts: &'t VerifyOptions, planned: &'t Planned<'t>) -> Self {
+        RunCtx { opts, planned }
     }
 
-    /// The run context for the `plans` of the system `ts`. With a
-    /// journal, every property is keyed once from the plans and looked
-    /// up, emitting one `cache_hit` or `cache_miss` event per property.
-    fn new(
-        opts: &'t VerifyOptions,
-        ts: &'t TransitionSystem,
-        ts_signals: &'t BTreeMap<String, ExprRef>,
-        plans: &[PortPlan<'_>],
-    ) -> Self {
-        let mut ctx = RunCtx {
-            policy: JobPolicy {
-                budget: opts.budget,
-                fault: opts.fault_plan.clone(),
-                cancel: opts.cancel.clone(),
-            },
-            tracer: &opts.tracer,
-            journal: opts.journal.as_deref(),
-            ts,
-            ts_signals,
-            keys: HashMap::new(),
-            replayed: HashMap::new(),
-            refuted: RefCell::default(),
-            port_keys: RefCell::default(),
+    /// The content key of every instruction of `plan`, in declaration
+    /// order.
+    fn keys(&self, plan: &PortPlan<'_>) -> Vec<String> {
+        port_keys(plan, &self.planned.ts, &self.planned.ts_signals)
+    }
+}
+
+/// One port's state in a run, indexed like its plan's instructions.
+#[derive(Default)]
+struct PortState {
+    /// The content key of every instruction: filled when the run starts
+    /// with a journal, else on the port's first sampled check.
+    keys: Vec<String>,
+    /// With a journal, its verdict for every instruction it answered.
+    replayed: Option<Vec<Option<InstrVerdict>>>,
+    /// Whether a check of this run found a counterexample for the port,
+    /// which opens falsification for its later checks.
+    refuted: bool,
+}
+
+impl PortState {
+    /// `plan`'s state at the start of a run. With a journal, every
+    /// property of the port is keyed and looked up, emitting one
+    /// `cache_hit` or `cache_miss` event per property.
+    fn new(plan: &PortPlan<'_>, ctx: &RunCtx<'_>) -> PortState {
+        let Some(journal) = ctx.opts.journal.as_deref() else {
+            return PortState::default();
         };
-        let Some(journal) = ctx.journal else {
-            return ctx;
-        };
-        for sk in keys_of(ts, ts_signals, plans) {
-            let hit = journal.lookup(&sk.key);
-            ctx.tracer.record(|| {
-                let kind = if hit.is_some() {
-                    SpanKind::CacheHit
-                } else {
-                    SpanKind::CacheMiss
-                };
-                Event::new(kind).port(&sk.port).instruction(&sk.instruction)
-            });
-            let pair = (sk.port, sk.instruction);
-            if let Some((_, v)) = hit {
-                // The key is semantic: a verdict journaled under another
-                // name answers this instruction too.
-                let v = InstrVerdict::replayed(pair.1.clone(), v.result);
-                ctx.replayed.insert(pair.clone(), v);
-            }
-            ctx.keys.insert(pair, sk.key);
-        }
-        ctx
-    }
-
-    /// The journal's verdict for a job, if it answered the job's key.
-    fn replayed(&self, port: &str, instr: &str) -> Option<InstrVerdict> {
-        self.replayed
-            .get(&(port.to_string(), instr.to_string()))
-            .cloned()
-    }
-
-    /// The journal's verdicts for `port` in declaration order, when it
-    /// answered every instruction of the port; cut after the first
-    /// counterexample under `stop_at_first_cex`, as [`run_port`] does.
-    /// Such a port needs no slice.
-    fn replayed_port(&self, port: &PortIla, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
-        self.journal?;
-        let mut verdicts: Vec<InstrVerdict> = port
+        let keys = ctx.keys(plan);
+        let replayed = plan
+            .port
             .instructions()
             .iter()
-            .map(|instr| self.replayed(port.name(), &instr.name))
-            .collect::<Option<_>>()?;
+            .zip(&keys)
+            .map(|(instr, key)| {
+                let hit = journal.lookup(key);
+                ctx.opts.tracer.record(|| {
+                    let kind = if hit.is_some() {
+                        SpanKind::CacheHit
+                    } else {
+                        SpanKind::CacheMiss
+                    };
+                    Event::new(kind).port(plan.port.name()).instruction(&instr.name)
+                });
+                // The key is semantic: a verdict journaled under another
+                // name answers this instruction too.
+                hit.map(|(_, v)| InstrVerdict::replayed(instr.name.clone(), v.result))
+            })
+            .collect();
+        PortState {
+            keys,
+            replayed: Some(replayed),
+            refuted: false,
+        }
+    }
+
+    /// The journal's verdicts for the port in declaration order, when it
+    /// answered every instruction; cut after the first counterexample
+    /// under `stop_at_first_cex`, as [`run_port`] does. Such a port needs
+    /// no slice.
+    fn replayed_port(&self, stop_at_first_cex: bool) -> Option<Vec<InstrVerdict>> {
+        let mut verdicts: Vec<InstrVerdict> =
+            self.replayed.as_ref()?.iter().cloned().collect::<Option<_>>()?;
         if stop_at_first_cex {
             let first_cex = verdicts
                 .iter()
@@ -617,51 +576,23 @@ impl<'t> RunCtx<'t> {
         Some(verdicts)
     }
 
-    /// Journals a freshly decided verdict under its content key (the
-    /// journal ignores undecided ones).
-    fn record(&self, port: &str, verdict: &InstrVerdict) {
-        let Some(journal) = self.journal else {
-            return;
-        };
-        if let Some(key) = self.keys.get(&(port.to_string(), verdict.instruction.clone())) {
-            journal.insert(key, port, verdict);
-        }
-    }
-
-    /// Whether a check of `port` has found a counterexample in this run.
-    fn refuted(&self, port: &str) -> bool {
-        self.refuted.borrow().contains(port)
-    }
-
     /// The sampling seed of instruction `idx` of `plan`: the leading 64
     /// bits of its content key, so the same property draws the same
     /// candidates in every run and under every name.
-    fn seed(&self, plan: &PortPlan<'_>, idx: usize) -> u64 {
-        let port = plan.port.name();
-        let instr = &plan.port.instructions()[idx].name;
-        let key = match self.keys.get(&(port.to_string(), instr.clone())) {
-            Some(key) => key.clone(),
-            None => self
-                .port_keys
-                .borrow_mut()
-                .entry(port.to_string())
-                .or_insert_with(|| {
-                    port_keys(plan, self.ts, self.ts_signals)
-                        .into_iter()
-                        .map(|sk| sk.key)
-                        .collect()
-                })[idx]
-                .clone(),
-        };
-        u64::from_str_radix(&key[..16], 16).expect("content keys are hex")
+    fn seed(&mut self, plan: &PortPlan<'_>, idx: usize, ctx: &RunCtx<'_>) -> u64 {
+        if self.keys.is_empty() {
+            self.keys = ctx.keys(plan);
+        }
+        u64::from_str_radix(&self.keys[idx][..16], 16).expect("content keys are hex")
     }
 
-    /// Adds `port`'s journal lookups to its telemetry.
-    fn add_cache_telemetry(&self, port: &str, t: &mut Telemetry) {
-        let keyed = self.keys.keys().filter(|(p, _)| p == port).count() as u64;
-        let hits = self.replayed.keys().filter(|(p, _)| p == port).count() as u64;
-        t.cache_hits += hits;
-        t.cache_misses += keyed - hits;
+    /// Adds the port's journal lookups to its telemetry.
+    fn add_cache_telemetry(&self, t: &mut Telemetry) {
+        if let Some(replayed) = &self.replayed {
+            let hits = replayed.iter().flatten().count() as u64;
+            t.cache_hits += hits;
+            t.cache_misses += replayed.len() as u64 - hits;
+        }
     }
 }
 
@@ -678,14 +609,16 @@ struct PortEngine {
 
 impl PortEngine {
     /// A fresh engine over `ts` with nothing blasted yet. The tracer
-    /// receives the engine's unrolling events.
-    fn new(ts: &TransitionSystem, tracer: &Tracer) -> Self {
+    /// receives the engine's unrolling events, and a cancelled `cancel`
+    /// ends the engine's solves undecided.
+    fn new(ts: &TransitionSystem, tracer: &Tracer, cancel: Option<&CancelToken>) -> Self {
         let mut u = Unrolling::new(ts, false);
         u.set_tracer(tracer.clone());
-        PortEngine {
-            u,
-            smt: SmtSolver::new(),
+        let mut smt = SmtSolver::new();
+        if let Some(token) = cancel {
+            smt.set_cancel(token.clone());
         }
+        PortEngine { u, smt }
     }
 }
 
@@ -794,8 +727,6 @@ pub(crate) struct PortPlan<'a> {
     /// Parsed invariants, in `cond_rtl`'s context.
     pub(crate) invariants: Vec<ExprRef>,
     pub(crate) instrs: Vec<InstrPlan>,
-    /// What slicing the port dropped — `None` until it is sliced.
-    pub(crate) coi: Option<CoiStats>,
 }
 
 impl<'a> PortPlan<'a> {
@@ -887,7 +818,6 @@ impl<'a> PortPlan<'a> {
             cond_rtl,
             invariants,
             instrs,
-            coi: None,
         })
     }
 }
@@ -937,7 +867,8 @@ impl<'a> Planned<'a> {
     }
 }
 
-/// Checks one planned instruction on the given engine.
+/// Checks one planned instruction on the given engine; `t0` is when
+/// the check started.
 ///
 /// The engine's unrolling is extended to the instruction's bound (a
 /// no-op if a previous instruction already went deeper — re-extension
@@ -949,18 +880,20 @@ fn check_instruction_planned(
     plan: &PortPlan<'_>,
     idx: usize,
     engine: &mut PortEngine,
+    state: &mut PortState,
     ctx: &RunCtx<'_>,
+    t0: Instant,
 ) -> Result<InstrVerdict, VerifyError> {
-    let t0 = Instant::now();
     let instr = &plan.port.instructions()[idx];
-    let (tracer, policy) = (ctx.tracer, &ctx.policy);
+    let opts = ctx.opts;
+    let tracer = &opts.tracer;
 
     // Test-only fault injection. An injected panic exercises the
-    // run's panic isolation; a forced unknown swaps this job's budget
+    // run's panic isolation; a forced unknown swaps this check's budget
     // for an already-expired deadline, so the Unknown flows through the
     // real resource-out machinery instead of being faked here.
-    let mut budget = policy.budget;
-    if let Some(fault) = policy.fault.as_deref() {
+    let mut budget = opts.budget;
+    if let Some(fault) = opts.fault_plan.as_deref() {
         match fault.fire(plan.port.name(), &instr.name) {
             Some(FaultAction::Panic(msg)) => panic!("injected fault: {msg}"),
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
@@ -977,18 +910,24 @@ fn check_instruction_planned(
     let before = engine.smt.stats();
     let sat_before = engine.smt.sat_stats();
     let mut tally = CheckTally::default();
-    // Falsification runs only once the port is known to be wrong: on
-    // fixed RTL it could never succeed.
-    let sample = ctx.refuted(plan.port.name());
     engine.smt.set_limits(budget.to_limits());
     let snap = engine.u.snapshot();
     engine.u.extend_to(plan.instrs[idx].bound);
+    let prop = match timed(&mut tally.property, || Property::build(plan, idx, &mut engine.u)) {
+        Ok(prop) => prop,
+        Err(e) => {
+            engine.smt.set_limits(SolveLimits::default());
+            engine.u.rollback_to(snap);
+            return Err(e);
+        }
+    };
     engine.smt.push_scope();
-    let result = check_instruction_inner(plan, idx, engine, ctx, sample, &mut tally);
+    let checked = check_instruction_inner(plan, idx, &prop, engine, state, ctx, &mut tally);
     engine.smt.pop_scope();
     engine.smt.set_limits(SolveLimits::default());
-    let (result, decided_by) = match result {
-        Ok((CheckResult::Unknown { reason, .. }, _)) => {
+    let (result, decided_by) = match checked {
+        Ok(decided) => decided,
+        Err(reason) => {
             let spent = engine.smt.sat_stats().since(sat_before);
             tracer.record(|| {
                 Event::new(SpanKind::BudgetExhausted)
@@ -1007,14 +946,9 @@ fn check_instruction_planned(
             };
             (result, DecidedBy::Sat)
         }
-        Ok(decided) => decided,
-        Err(e) => {
-            engine.u.rollback_to(snap);
-            return Err(e);
-        }
     };
     if matches!(result, CheckResult::CounterExample(_)) {
-        ctx.refuted.borrow_mut().insert(plan.port.name().to_string());
+        state.refuted = true;
     }
     let stats = engine.smt.stats();
     let sat_after = engine.smt.sat_stats();
@@ -1060,31 +994,27 @@ fn check_instruction_planned(
     })
 }
 
-/// Runs one job with panic isolation: the check is wrapped in
-/// [`catch_unwind`], and a panicking job becomes a
+/// Checks instruction `idx` of `plan` with panic isolation: the check
+/// is wrapped in [`catch_unwind`], and a panicking check becomes a
 /// [`CheckResult::JobPanicked`] verdict instead of tearing down the
 /// run. The port's engine over its sliced system `ts` is built on the
-/// first job and discarded on panic (its solver may have been
-/// mid-update), so `engine_slot` comes back `None` and the next job
+/// port's first check and discarded on panic (its solver may have been
+/// mid-update), so `engine_slot` comes back `None` and the next check
 /// rebuilds it.
-fn run_job_guarded(
+fn check_guarded(
     plan: &PortPlan<'_>,
     idx: usize,
     ts: &TransitionSystem,
     engine_slot: &mut Option<PortEngine>,
+    state: &mut PortState,
     ctx: &RunCtx<'_>,
 ) -> Result<InstrVerdict, VerifyError> {
+    let tracer = &ctx.opts.tracer;
+    let engine = engine_slot
+        .get_or_insert_with(|| PortEngine::new(ts, tracer, ctx.opts.cancel.as_ref()));
     let t0 = Instant::now();
-    let tracer = ctx.tracer;
-    let engine = engine_slot.get_or_insert_with(|| {
-        let mut e = PortEngine::new(ts, tracer);
-        if let Some(tok) = &ctx.policy.cancel {
-            e.smt.set_cancel(tok.clone());
-        }
-        e
-    });
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        check_instruction_planned(plan, idx, engine, ctx)
+        check_instruction_planned(plan, idx, engine, state, ctx, t0)
     }));
     match outcome {
         Ok(res) => res,
@@ -1383,27 +1313,28 @@ fn timed<T>(spent: &mut Duration, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The body of [`check_instruction_planned`], run inside an open solver
-/// scope so every early return still retracts its asserts. With
-/// `sample`, a `Cycles` finish first tries seeded candidates on the
-/// check's formula ([`crate::falsify`]) and reports the first violation
-/// it evaluates to without a SAT call.
-#[allow(clippy::too_many_arguments)]
+/// The body of [`check_instruction_planned`], deciding the property
+/// `prop` of instruction `idx`. It runs inside an open solver scope, so
+/// every early return still retracts its asserts; `Err` is the resource
+/// a SAT check ran out of. Once the port is refuted, a `Cycles` finish
+/// first tries seeded candidates on the check's formula
+/// ([`crate::falsify`]) and reports the first violation it evaluates to
+/// without a SAT call.
 fn check_instruction_inner(
     plan: &PortPlan<'_>,
     idx: usize,
+    prop: &Property,
     engine: &mut PortEngine,
+    state: &mut PortState,
     ctx: &RunCtx<'_>,
-    sample: bool,
     tally: &mut CheckTally,
-) -> Result<(CheckResult, DecidedBy), VerifyError> {
+) -> Result<(CheckResult, DecidedBy), ResourceOut> {
     let PortEngine { u, smt } = engine;
     let port = plan.port;
     let instr = &port.instructions()[idx];
     let ip = &plan.instrs[idx];
     let bound = ip.bound;
-    let tracer = ctx.tracer;
-    let prop = timed(&mut tally.property, || Property::build(plan, idx, u))?;
+    let tracer = &ctx.opts.tracer;
     // Every formula of the check is cofactored by the constants its
     // antecedent fixes: the facts, then the rewritten conjuncts, make up
     // the antecedent that sampling evaluates and SAT asserts.
@@ -1422,7 +1353,9 @@ fn check_instruction_inner(
             .is_none()
             .then(|| prop.cofactored_violation(plan, u, &mut cof, bound))
     });
-    if let (Some((eqs, viol, plain_viol)), true) = (&at_bound, sample) {
+    // Falsification runs only once the port is known to be wrong: on
+    // fixed RTL it could never succeed.
+    if let (Some((eqs, viol, plain_viol)), true) = (&at_bound, state.refuted) {
         // Out of time or cancelled: leave the `Unknown` to SAT.
         if smt.resources_exhausted().is_none() {
             let t0 = Instant::now();
@@ -1434,7 +1367,7 @@ fn check_instruction_inner(
                 bound,
                 hold: ip.input_policy == InputPolicy::Hold,
             };
-            let (witness, drawn) = falsify(u, &formula, ctx.seed(plan, idx));
+            let (witness, drawn) = falsify(u, &formula, state.seed(plan, idx, ctx));
             tracer.record(|| {
                 Event::new(SpanKind::Falsify)
                     .port(port.name())
@@ -1477,25 +1410,29 @@ fn check_instruction_inner(
         }),
     };
 
+    // One SAT check, counted and traced: whether it found a model, or
+    // the resource it ran out of.
+    let solve = |smt: &mut SmtSolver,
+                 u: &Unrolling,
+                 solves: &mut u64,
+                 label: &str,
+                 frame: usize,
+                 assumptions: &[ExprRef]| {
+        let r = smt.check_assuming(u.ctx(), assumptions);
+        *solves += 1;
+        record_solve(smt, tracer, port.name(), &instr.name, label, frame, r.is_sat());
+        match r {
+            SmtResult::Unknown(reason) => Err(reason),
+            r => Ok(r.is_sat()),
+        }
+    };
     let mut result = CheckResult::Holds;
     let mut finish_reachable = prop.finish.is_none();
     for (frame, extra_assumptions) in frames_to_check {
         // Check that this case is reachable at all (for Condition
         // finishes); unreachable cases are skipped.
         if prop.finish.is_some() {
-            let reach = smt.check_assuming(u.ctx(), &extra_assumptions);
-            tally.solves += 1;
-            record_solve(smt, tracer, port.name(), &instr.name, "reach", frame, reach.is_sat());
-            if let SmtResult::Unknown(reason) = reach {
-                return Ok((
-                    CheckResult::Unknown {
-                        reason,
-                        budget_spent: BudgetSpent::default(),
-                    },
-                    DecidedBy::Sat,
-                ));
-            }
-            if !reach.is_sat() {
+            if !solve(smt, u, &mut tally.solves, "reach", frame, &extra_assumptions)? {
                 continue;
             }
             finish_reachable = true;
@@ -1508,20 +1445,7 @@ fn check_instruction_inner(
         };
         let mut assumptions = extra_assumptions;
         assumptions.push(viol);
-        let violation = smt.check_assuming(u.ctx(), &assumptions);
-        tally.solves += 1;
-        let violated = violation.is_sat();
-        record_solve(smt, tracer, port.name(), &instr.name, "violation", frame, violated);
-        if let SmtResult::Unknown(reason) = violation {
-            return Ok((
-                CheckResult::Unknown {
-                    reason,
-                    budget_spent: BudgetSpent::default(),
-                },
-                DecidedBy::Sat,
-            ));
-        }
-        if violated {
+        if solve(smt, u, &mut tally.solves, "violation", frame, &assumptions)? {
             let cex = timed(&mut tally.cex, || {
                 prop.counterexample(u, frame, &eqs, &|v| smt.try_model_value(u.ctx(), v))
             });
@@ -1568,30 +1492,34 @@ fn record_solve(
 }
 
 /// Runs a port's instructions in declaration order on one persistent
-/// engine over the port's sliced system `ts`. Jobs the journal answered
-/// are not re-run; a panicking job is isolated ([`run_job_guarded`])
-/// and costs only a rebuild of the engine.
+/// engine over the port's sliced system `ts`. Instructions the journal
+/// answered are not re-run, and every fresh verdict is journaled under
+/// its content key (the journal ignores undecided ones); a panicking
+/// check is isolated ([`check_guarded`]) and costs only a rebuild of
+/// the engine.
 fn run_port(
     plan: &PortPlan<'_>,
     ts: &TransitionSystem,
-    stop_at_first_cex: bool,
+    state: &mut PortState,
     ctx: &RunCtx<'_>,
 ) -> Result<Vec<InstrVerdict>, VerifyError> {
     let mut engine: Option<PortEngine> = None;
     let mut verdicts = Vec::new();
     for idx in 0..plan.instrs.len() {
-        let instr_name = &plan.port.instructions()[idx].name;
-        let v = match ctx.replayed(plan.port.name(), instr_name) {
+        let replayed = state.replayed.as_ref().and_then(|r| r[idx].clone());
+        let v = match replayed {
             Some(v) => v,
             None => {
-                let v = run_job_guarded(plan, idx, ts, &mut engine, ctx)?;
-                ctx.record(plan.port.name(), &v);
+                let v = check_guarded(plan, idx, ts, &mut engine, state, ctx)?;
+                if let Some(journal) = ctx.opts.journal.as_deref() {
+                    journal.insert(&state.keys[idx], plan.port.name(), &v);
+                }
                 v
             }
         };
         let is_cex = matches!(v.result, CheckResult::CounterExample(_));
         verdicts.push(v);
-        if is_cex && stop_at_first_cex {
+        if is_cex && ctx.opts.stop_at_first_cex {
             break;
         }
     }
@@ -1675,14 +1603,14 @@ pub(crate) fn coi_roots(
 }
 
 /// Slices a port's cone of influence out of the run's system `ts` (a
-/// `coi` span), records the slicing counts in the plan, and returns the
-/// slice the port's checks run on.
+/// `coi` span), and returns the slice the port's checks run on with
+/// what slicing dropped.
 fn prepare(
-    plan: &mut PortPlan<'_>,
+    plan: &PortPlan<'_>,
     ts: &TransitionSystem,
     ts_signals: &BTreeMap<String, ExprRef>,
     tracer: &Tracer,
-) -> TransitionSystem {
+) -> (TransitionSystem, CoiStats) {
     let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
     tracer.record(|| {
         Event::new(SpanKind::Coi)
@@ -1692,28 +1620,26 @@ fn prepare(
             .field("inputs_kept", stats.inputs_kept as u64)
             .field("inputs_dropped", stats.inputs_dropped as u64)
     });
-    plan.coi = Some(stats);
-    sliced
+    (sliced, stats)
 }
 
 /// Folds a port's verdicts into its report — telemetry, the journal
-/// lookups and, for a port that ran, its plan's slicing counts — and
+/// lookups and, for a port that ran, its slicing counts `coi` — and
 /// emits the per-port summary span. Every path reports its ports here.
 fn port_report(
     port: &PortIla,
-    ran: Option<&PortPlan<'_>>,
     verdicts: Vec<InstrVerdict>,
     total_time: Duration,
-    ctx: &RunCtx<'_>,
+    coi: Option<CoiStats>,
+    state: &PortState,
+    tracer: &Tracer,
 ) -> PortReport {
     let mut telemetry = telemetry_of(&verdicts);
-    if let Some(plan) = ran {
-        if let Some(s) = plan.coi {
-            telemetry.coi_states_dropped += s.states_dropped as u64;
-            telemetry.coi_inputs_dropped += s.inputs_dropped as u64;
-        }
+    if let Some(s) = coi {
+        telemetry.coi_states_dropped += s.states_dropped as u64;
+        telemetry.coi_inputs_dropped += s.inputs_dropped as u64;
     }
-    ctx.add_cache_telemetry(port.name(), &mut telemetry);
+    state.add_cache_telemetry(&mut telemetry);
     let report = PortReport {
         port: port.name().to_string(),
         peak_stats: peak_of(&verdicts),
@@ -1721,7 +1647,7 @@ fn port_report(
         verdicts,
         total_time,
     };
-    ctx.tracer.record(|| {
+    tracer.record(|| {
         Event::new(SpanKind::Port)
             .port(&report.port)
             .label(if report.all_hold() { "holds" } else { "fails" })
@@ -1740,23 +1666,28 @@ fn port_report(
 /// just before it runs, so a stopped run never slices a port it does
 /// not reach. Under `stop_at_first_cex` the run ends at the first port
 /// that reports a counterexample, replayed or solved.
-fn run(planned: Planned<'_>, opts: &VerifyOptions) -> Result<Vec<PortReport>, VerifyError> {
-    let Planned {
-        ts,
-        ts_signals,
-        plans,
-    } = planned;
-    let ctx = RunCtx::new(opts, &ts, &ts_signals, &plans);
+fn run(planned: &Planned<'_>, opts: &VerifyOptions) -> Result<Vec<PortReport>, VerifyError> {
+    let ctx = RunCtx::new(opts, planned);
+    // Every property is looked up before any port runs, so what one
+    // port journals never answers a lookup later in the same run.
+    let states: Vec<PortState> = planned
+        .plans
+        .iter()
+        .map(|plan| PortState::new(plan, &ctx))
+        .collect();
     let stop = opts.stop_at_first_cex;
-    let mut reports = Vec::with_capacity(plans.len());
-    for mut plan in plans {
-        let report = match ctx.replayed_port(plan.port, stop) {
-            Some(verdicts) => port_report(plan.port, None, verdicts, Duration::ZERO, &ctx),
+    let tracer = &opts.tracer;
+    let mut reports = Vec::with_capacity(planned.plans.len());
+    for (plan, mut state) in planned.plans.iter().zip(states) {
+        let report = match state.replayed_port(stop) {
+            Some(verdicts) => {
+                port_report(plan.port, verdicts, Duration::ZERO, None, &state, tracer)
+            }
             None => {
                 let t0 = Instant::now();
-                let sliced = prepare(&mut plan, &ts, &ts_signals, ctx.tracer);
-                let verdicts = run_port(&plan, &sliced, stop, &ctx)?;
-                port_report(plan.port, Some(&plan), verdicts, t0.elapsed(), &ctx)
+                let (sliced, coi) = prepare(plan, &planned.ts, &planned.ts_signals, tracer);
+                let verdicts = run_port(plan, &sliced, &mut state, &ctx)?;
+                port_report(plan.port, verdicts, t0.elapsed(), Some(coi), &state, tracer)
             }
         };
         let ends_run = stop && report.first_counterexample().is_some();
@@ -1765,7 +1696,7 @@ fn run(planned: Planned<'_>, opts: &VerifyOptions) -> Result<Vec<PortReport>, Ve
             break;
         }
     }
-    opts.tracer.flush();
+    tracer.flush();
     Ok(reports)
 }
 
@@ -1797,7 +1728,7 @@ pub fn verify_port(
     map: &RefinementMap,
     opts: &VerifyOptions,
 ) -> Result<PortReport, VerifyError> {
-    let ports = run(Planned::new(&[(port, map)], rtl)?, opts)?;
+    let ports = run(&Planned::new(&[(port, map)], rtl)?, opts)?;
     ports.into_iter().next().ok_or_else(|| VerifyError::Internal {
         reason: "the run reported no result for the port".to_string(),
     })
@@ -1817,7 +1748,7 @@ pub fn verify_module(
     maps: &[RefinementMap],
     opts: &VerifyOptions,
 ) -> Result<ModuleReport, VerifyError> {
-    let ports = run(Planned::module(module, rtl, maps)?, opts)?;
+    let ports = run(&Planned::module(module, rtl, maps)?, opts)?;
     let telemetry = ports
         .iter()
         .fold(Telemetry::default(), |acc, p| acc.merge(&p.telemetry));
@@ -1865,7 +1796,7 @@ pub fn confirm_counterexample(
         .ok_or_else(|| VerifyError::Internal {
             reason: format!("port {} has no instruction {instruction:?}", port.name()),
         })?;
-    let PortEngine { mut u, mut smt } = PortEngine::new(&planned.ts, &Tracer::disabled());
+    let PortEngine { mut u, mut smt } = PortEngine::new(&planned.ts, &Tracer::disabled(), None);
     u.extend_to(plan.instrs[idx].bound);
     let prop = Property::build(plan, idx, &mut u)?;
     let frame = cex.finish_cycle;
@@ -2423,10 +2354,10 @@ endmodule
                 fixtures.push((format!("junk {reg} {m}"), mutant));
             }
         }
-        let tracer = Tracer::disabled();
-        let tags = |plan: &PortPlan<'_>, ts: &TransitionSystem, planned: &Planned<'_>| {
-            let ctx = RunCtx::plain(&tracer, planned);
-            run_port(plan, ts, false, &ctx)
+        let opts = VerifyOptions::default();
+        let tags = |ts: &TransitionSystem, planned: &Planned<'_>| {
+            let ctx = RunCtx::new(&opts, planned);
+            run_port(&planned.plans[0], ts, &mut PortState::default(), &ctx)
                 .unwrap()
                 .iter()
                 .map(|v| v.result.tag())
@@ -2435,11 +2366,11 @@ endmodule
         let mut seen = BTreeMap::new();
         for (name, rtl) in &fixtures {
             let planned = Planned::new(&[(&ila, &map)], rtl).unwrap();
-            let mut plan = PortPlan::build(&ila, rtl, &map, &planned.ts_signals).unwrap();
-            let sliced = prepare(&mut plan, &planned.ts, &planned.ts_signals, &tracer);
-            let on_slice = tags(&plan, &sliced, &planned);
+            let (sliced, coi) =
+                prepare(&planned.plans[0], &planned.ts, &planned.ts_signals, &opts.tracer);
+            let on_slice = tags(&sliced, &planned);
             assert_eq!(
-                tags(&plan, &planned.ts, &planned),
+                tags(&planned.ts, &planned),
                 on_slice,
                 "{name}: slicing changed a verdict"
             );
@@ -2447,7 +2378,6 @@ endmodule
                 *seen.entry(tag).or_insert(0) += 1;
             }
             if name.starts_with("junk") {
-                let coi = plan.coi.expect("prepare slices the port");
                 assert!(
                     coi.states_dropped >= 1 && coi.inputs_dropped >= 1,
                     "{name}: the slice kept the unobserved logic: {coi:?}"
@@ -2468,15 +2398,22 @@ endmodule
     fn sampling_runs_only_with_time_left_and_never_proves() {
         let ila = counter_ila();
         let map = counter_map();
-        let tracer = Tracer::disabled();
         for (buggy, timeout) in [(true, None), (true, Some(Duration::ZERO)), (false, None)] {
             let rtl = counter_rtl(buggy);
             let planned = Planned::new(&[(&ila, &map)], &rtl).unwrap();
-            let mut ctx = RunCtx::plain(&tracer, &planned);
-            ctx.policy.budget.timeout = timeout;
-            ctx.refuted.borrow_mut().insert("counter".to_string());
-            let plan = &planned.plans[0];
-            let verdicts = run_port(plan, &planned.ts, false, &ctx).unwrap();
+            let opts = VerifyOptions {
+                budget: SolveBudget {
+                    conflicts: None,
+                    timeout,
+                },
+                ..Default::default()
+            };
+            let ctx = RunCtx::new(&opts, &planned);
+            let mut state = PortState {
+                refuted: true,
+                ..PortState::default()
+            };
+            let verdicts = run_port(&planned.plans[0], &planned.ts, &mut state, &ctx).unwrap();
             for v in &verdicts {
                 let what = format!("buggy={buggy} timeout={timeout:?} {}", v.instruction);
                 match (&v.result, timeout) {

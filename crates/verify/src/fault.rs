@@ -1,9 +1,9 @@
 //! Test-only fault injection for the verification engine.
 //!
-//! A [`FaultPlan`] is a list of rules matched against each job's
+//! A [`FaultPlan`] is a list of rules matched against each check's
 //! `(port, instruction)` pair just before it runs. A matching rule
-//! fires its action — panic the job, force an `Unknown` verdict (by
-//! swapping the job's budget for an already-expired deadline), or sleep
+//! fires its action — panic the check, force an `Unknown` verdict (by
+//! swapping the check's budget for an already-expired deadline), or sleep
 //! — a bounded number of times, then goes inert. This is how the
 //! robustness machinery (panic isolation, budget exhaustion,
 //! checkpoint/resume) is exercised deterministically in tests and CI
@@ -15,7 +15,7 @@
 //! environment, so an exported variable cannot corrupt library users.
 //!
 //! The spec grammar is semicolon-separated rules of two families —
-//! job faults (target has a `/`) and socket faults (target is a frame
+//! check faults (target has a `/`) and socket faults (target is a frame
 //! index), the latter exercised by the `gila serve` daemon and client:
 //!
 //! ```text
@@ -35,15 +35,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// What an injected fault does to the job it hits.
+/// What an injected fault does to the check it hits.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Panic with this message (exercises the engine's panic isolation).
     Panic(String),
-    /// Replace the job's budget with an expired deadline, forcing a
+    /// Replace the check's budget with an expired deadline, forcing a
     /// `CheckResult::Unknown` through the real resource-out path.
     ForceUnknown,
-    /// Sleep before running the job (exercises timing-dependent paths).
+    /// Sleep before running the check (exercises timing-dependent paths).
     Delay(Duration),
 }
 
@@ -123,7 +123,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Adds a rule: `action` fires for jobs matching `port`/`instr`
+    /// Adds a rule: `action` fires for checks matching `port`/`instr`
     /// (either may be `"*"`) at most `count` times (`None` = unlimited).
     pub fn inject(
         mut self,
@@ -238,7 +238,7 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The action to apply to this job, if a rule matches and still has
+    /// The action to apply to this check, if a rule matches and still has
     /// fires left. The first matching rule (in declaration order) with
     /// remaining fires wins, and one fire is consumed.
     pub fn fire(&self, port: &str, instr: &str) -> Option<FaultAction> {
