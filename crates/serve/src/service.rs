@@ -3,8 +3,9 @@
 //!
 //! The cache seam is one field: a `verify` request hands the proof
 //! cache to the engine as its [`VerifyOptions::journal`]. The engine
-//! keys every instruction by [`gila_verify::slice_keys`]; hits are
-//! *never scheduled*, so a fully-warm request performs zero solver
+//! keys every instruction through the run's plan (`port_keys`);
+//! [`gila_verify::slice_keys`] is the public view of the same keys.
+//! Hits are *never scheduled*, so a fully-warm request performs zero solver
 //! work (its telemetry shows `solves == 0`), and misses are journaled
 //! as they are decided. The converse does not hold: a counterexample
 //! found by sampling also costs no solve, so what answered a verdict is

@@ -6,6 +6,12 @@
 //! golden lists `slice_keys` for all eight designs on the fixed RTL and
 //! on each bug-injected variant; any drift fails here first.
 //!
+//! A second golden fingerprints the keys of every single-register
+//! mutant of every design, the edits a `gila serve` session re-keys.
+//! In every registry port all instructions share one cone, so a small
+//! hand-built port whose instructions' cones differ checks that
+//! sharing cones between instructions never leaks into a key.
+//!
 //! Regenerate with `GILA_REGEN_GOLDEN=1 cargo test --test slice_keys`
 //! only together with a `CACHE_KEY_VERSION` bump.
 
@@ -15,8 +21,12 @@ use std::path::PathBuf;
 
 use gila::designs::all_case_studies;
 use gila::expr::ExprRef;
+use gila::lang::parse_ila;
 use gila::mc::{coi_cone, support, TransitionSystem};
-use gila::verify::{coi_root_sets, slice_keys, CACHE_KEY_VERSION};
+use gila::rtl::parse_verilog;
+use gila::verify::{
+    coi_root_sets, mutate_register, slice_keys, Mutation, RefinementMap, CACHE_KEY_VERSION,
+};
 
 fn render() -> String {
     let mut out = format!("# CACHE_KEY_VERSION {CACHE_KEY_VERSION}\n");
@@ -39,12 +49,41 @@ fn render() -> String {
     out
 }
 
-#[test]
-fn registry_slice_keys_match_golden() {
-    let actual = render();
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/slice_keys.txt");
+/// One line per design: how many keys its register mutants have, and
+/// a 64-bit FNV-1a of their `register/mutation/port/instruction/key`
+/// lines.
+fn render_mutants() -> String {
+    let mut out = format!("# CACHE_KEY_VERSION {CACHE_KEY_VERSION}\n");
+    for cs in all_case_studies() {
+        let (mut count, mut fnv) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+        for reg in cs.rtl.regs() {
+            for mutation in Mutation::all() {
+                let mutant = mutate_register(&cs.rtl, &reg.name, mutation).expect("known reg");
+                let keys = slice_keys(&cs.ila, &mutant, &cs.refmaps)
+                    .unwrap_or_else(|e| panic!("{} {}/{mutation}: {e}", cs.name, reg.name));
+                for k in keys {
+                    let line = format!(
+                        "{}/{mutation}/{}/{}/{}\n",
+                        reg.name, k.port, k.instruction, k.key
+                    );
+                    for byte in line.bytes() {
+                        fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                    count += 1;
+                }
+            }
+        }
+        writeln!(out, "{}\t{count}\t{fnv:016x}", cs.name).unwrap();
+    }
+    out
+}
+
+/// Compares `actual` with the golden file `name`, or rewrites the
+/// golden under `GILA_REGEN_GOLDEN`.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
     if std::env::var("GILA_REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &actual).expect("write golden");
+        std::fs::write(&path, actual).expect("write golden");
         return;
     }
     let golden = std::fs::read_to_string(&path)
@@ -60,6 +99,57 @@ fn registry_slice_keys_match_golden() {
         actual.lines().count(),
         "slice key count drifted"
     );
+}
+
+#[test]
+fn registry_slice_keys_match_golden() {
+    check_golden("slice_keys.txt", &render());
+}
+
+#[test]
+fn register_mutant_slice_keys_match_golden() {
+    check_golden("slice_keys_mutants.txt", &render_mutants());
+}
+
+/// An instruction's key is its property's alone: it is the same whether
+/// the instruction shares its port or stands alone. `hold`'s start
+/// strengthening reads `aux`, a register outside the mapped cone, so
+/// the port's two instructions have different cones.
+#[test]
+fn a_key_does_not_depend_on_its_siblings() {
+    let instrs = [
+        ("inc", "instr inc when en == 1 { cnt := cnt + 1 }"),
+        ("hold", "instr hold when en == 0 { }"),
+    ];
+    let spec = |body: &str| {
+        let text = format!(
+            "port counter {{\n input en : bv1\n output state cnt : bv8 init 0\n {body}\n}}\n"
+        );
+        parse_ila(&text).expect("valid spec")
+    };
+    let rtl = parse_verilog(
+        "module counter(clk, en_in);\n input clk; input en_in;\n reg [7:0] count; reg [7:0] aux;\n \
+         always @(posedge clk) begin if (en_in) count <= count + 8'd1; aux <= aux + 8'd1; end\n\
+         endmodule\n",
+    )
+    .expect("valid Verilog");
+    let maps = [RefinementMap::from_json(
+        r#"{"name": "counter", "state_map": {"cnt": "count"}, "interface_map": {"en": "en_in"},
+            "instruction_maps": [{"instruction": "hold", "start_strengthening": "aux == 8'd0"}]}"#,
+    )
+    .expect("valid map")];
+
+    let both = spec(&format!("{}\n {}", instrs[0].1, instrs[1].1));
+    let together = slice_keys(&both, &rtl, &maps).expect("keys");
+    assert_eq!(together.len(), 2);
+    assert_ne!(together[0].key, together[1].key);
+    for ((name, body), key) in instrs.iter().zip(&together) {
+        let alone = slice_keys(&spec(body), &rtl, &maps).expect("keys");
+        assert_eq!((alone.len(), &key.instruction), (1, &name.to_string()));
+        assert_eq!(alone[0].key, key.key, "{name}'s key depends on its sibling");
+    }
+    let (ts, sets) = coi_root_sets(&both, &rtl, &maps).expect("root sets");
+    assert_ne!(coi_cone(&ts, &sets[1]), coi_cone(&ts, &sets[2]), "the cones must differ");
 }
 
 /// The cone as a per-state support fixpoint: seed with the support of
