@@ -170,10 +170,15 @@ pub fn verify(flags: &[(String, String)]) -> CmdResult {
         timeout: parse_u64("timeout-ms")?.map(Duration::from_millis),
     };
     // Fault injection is test-only and env-driven: the library never
-    // reads the environment, the CLI forwards it explicitly.
-    let fault_plan = FaultPlan::from_env()
-        .map_err(|e| format!("GILA_FAULT_PLAN: {e}"))?
-        .map(Arc::new);
+    // reads the environment, and only a debug build of the CLI forwards
+    // it, so an exported variable cannot fail a release binary's checks.
+    let fault_plan = if cfg!(debug_assertions) {
+        FaultPlan::from_env()
+            .map_err(|e| format!("GILA_FAULT_PLAN: {e}"))?
+            .map(Arc::new)
+    } else {
+        None
+    };
     let journal = match flag(flags, "checkpoint") {
         Some(path) => {
             let cfg = CacheConfig {

@@ -6,10 +6,14 @@
 //! is cheap and sharing is maximal. Constant operands are folded at
 //! construction time.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
-use crate::value::{BitVecValue, MemValue};
+use crate::eval::apply;
+use crate::hash::ExprHasher;
+use crate::value::{BitVecValue, MemValue, Value};
 use crate::Sort;
 
 /// A handle to an interned expression inside an [`ExprCtx`].
@@ -167,7 +171,32 @@ impl fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
+/// One slot of the hash-consing table: a node's handle and the high
+/// half of its hash, or [`EMPTY`].
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    tag: u32,
+    handle: u32,
+}
+
+/// The handle of an empty [`Slot`].
+const EMPTY: u32 = u32::MAX;
+
+/// The slot a `tag` probes first in a table of `len` slots: its high
+/// bits scaled to the table.
+fn home(tag: u32, len: usize) -> usize {
+    ((u64::from(tag) * len as u64) >> 32) as usize
+}
+
 /// A hash-consing arena of expressions.
+///
+/// Each node is stored once, in `nodes`. The table that finds a node's
+/// handle is open-addressed and holds only `(tag, handle)` slots: a
+/// lookup probes by the node's hash and compares against `nodes`. A
+/// leaf's constant or name comes from input text, so leaves hash with
+/// keyed SipHash, and crafted constants cannot share one probe run; an
+/// application hashes its operator and the handles the arena assigned,
+/// with the cheap [`ExprHasher`].
 ///
 /// # Examples
 ///
@@ -184,7 +213,11 @@ impl std::error::Error for SortError {}
 #[derive(Clone, Debug, Default)]
 pub struct ExprCtx {
     nodes: Vec<ExprNode>,
-    interner: HashMap<ExprNode, ExprRef>,
+    /// Linear-probing table over `nodes`; its length is zero or a power
+    /// of two, at most half full.
+    table: Vec<Slot>,
+    /// The keys of the leaves' hash; a clone keeps them.
+    leaf_keys: RandomState,
     vars_by_name: HashMap<String, ExprRef>,
 }
 
@@ -223,14 +256,80 @@ impl ExprCtx {
         }
     }
 
+    /// The handle of a leaf node, created if new.
     fn intern(&mut self, node: ExprNode) -> ExprRef {
-        if let Some(&r) = self.interner.get(&node) {
-            return r;
+        let hash = self.leaf_keys.hash_one(&node);
+        self.intern_with(hash, |n| *n == node, || node.clone())
+    }
+
+    /// The handle of `op(args)` of sort `sort`, created if new; `args`
+    /// is copied only then.
+    fn intern_app(&mut self, op: Op, args: &[ExprRef], sort: Sort) -> ExprRef {
+        let same = |n: &ExprNode| match n {
+            ExprNode::App {
+                op: o,
+                args: a,
+                sort: s,
+            } => *o == op && a == args && *s == sort,
+            _ => false,
+        };
+        let make = || ExprNode::App {
+            op,
+            args: args.to_vec(),
+            sort,
+        };
+        let mut h = ExprHasher::default();
+        (op, args, sort).hash(&mut h);
+        self.intern_with(h.finish(), same, make)
+    }
+
+    /// Probes the table for a node with this `hash` that is `same`, and
+    /// pushes `make()` as a new node if there is none.
+    fn intern_with(
+        &mut self,
+        hash: u64,
+        same: impl Fn(&ExprNode) -> bool,
+        make: impl FnOnce() -> ExprNode,
+    ) -> ExprRef {
+        if 2 * (self.nodes.len() + 1) > self.table.len() {
+            self.grow();
+        }
+        let tag = (hash >> 32) as u32;
+        let mask = self.table.len() - 1;
+        let mut i = home(tag, self.table.len());
+        loop {
+            let slot = self.table[i];
+            if slot.handle == EMPTY {
+                break;
+            }
+            if slot.tag == tag && same(&self.nodes[slot.handle as usize]) {
+                return ExprRef(slot.handle);
+            }
+            i = (i + 1) & mask;
         }
         let r = ExprRef(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.interner.insert(node, r);
+        self.table[i] = Slot { tag, handle: r.0 };
+        self.nodes.push(make());
         r
+    }
+
+    /// Doubles the table (to 16 slots at first), placing every slot by
+    /// its tag alone: no node is hashed again.
+    fn grow(&mut self) {
+        let len = (2 * self.table.len()).max(16);
+        let empty = Slot {
+            tag: 0,
+            handle: EMPTY,
+        };
+        let mut table = vec![empty; len];
+        for &slot in self.table.iter().filter(|s| s.handle != EMPTY) {
+            let mut i = home(slot.tag, len);
+            while table[i].handle != EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            table[i] = slot;
+        }
+        self.table = table;
     }
 
     // ------------------------------------------------------------------
@@ -533,11 +632,16 @@ impl ExprCtx {
     /// Returns a [`SortError`] if the arguments have the wrong arity or
     /// sorts for `op`.
     pub fn try_app(&mut self, op: Op, args: Vec<ExprRef>) -> Result<ExprRef, SortError> {
-        let sort = self.result_sort(op, &args)?;
-        if let Some(folded) = self.fold(op, &args) {
+        self.try_app_of(op, &args)
+    }
+
+    /// [`ExprCtx::try_app`] over borrowed arguments.
+    fn try_app_of(&mut self, op: Op, args: &[ExprRef]) -> Result<ExprRef, SortError> {
+        let sort = self.result_sort(op, args)?;
+        if let Some(folded) = self.fold(op, args) {
             return Ok(folded);
         }
-        Ok(self.intern(ExprNode::App { op, args, sort }))
+        Ok(self.intern_app(op, args, sort))
     }
 
     /// Constructs `op(args)`, panicking on sort errors.
@@ -547,7 +651,12 @@ impl ExprCtx {
     /// Panics if the arguments are ill-sorted; prefer [`ExprCtx::try_app`]
     /// when handling untrusted input.
     pub fn app(&mut self, op: Op, args: Vec<ExprRef>) -> ExprRef {
-        match self.try_app(op, args) {
+        self.app_of(op, &args)
+    }
+
+    /// [`ExprCtx::app`] over borrowed arguments.
+    pub(crate) fn app_of(&mut self, op: Op, args: &[ExprRef]) -> ExprRef {
+        match self.try_app_of(op, args) {
             Ok(e) => e,
             Err(err) => panic!("{err}"),
         }
@@ -564,9 +673,7 @@ impl ExprCtx {
             )
         });
         if all_const {
-            if let Some(r) = self.fold_const(op, args) {
-                return Some(r);
-            }
+            return Some(self.fold_const(op, args));
         }
         // A few identity rules that keep generated formulas small without a
         // full rewriting pass.
@@ -640,22 +747,24 @@ impl ExprCtx {
         }
     }
 
-    fn fold_const(&mut self, op: Op, args: &[ExprRef]) -> Option<ExprRef> {
-        use crate::eval::{eval, Env};
-        // Re-use the evaluator on the constant sub-expression.
-        let sort = self.result_sort(op, args).ok()?;
-        let node = ExprNode::App {
-            op,
-            args: args.to_vec(),
-            sort,
-        };
-        let tmp = self.intern(node);
-        let env = Env::new();
-        match eval(self, tmp, &env) {
-            Ok(crate::Value::Bool(b)) => Some(self.bool_const(b)),
-            Ok(crate::Value::Bv(v)) => Some(self.bv(v)),
-            Ok(crate::Value::Mem(m)) => Some(self.mem_const(m)),
-            Err(_) => None,
+    /// Folds a well-sorted application of `op` to constants (at most
+    /// three) through [`apply`], the semantics `eval` and the tape share;
+    /// only the result is interned.
+    fn fold_const(&mut self, op: Op, args: &[ExprRef]) -> ExprRef {
+        let mut values = [Value::Bool(false), Value::Bool(false), Value::Bool(false)];
+        for (value, &a) in values.iter_mut().zip(args) {
+            *value = match self.node(a) {
+                ExprNode::BoolConst(b) => Value::Bool(*b),
+                ExprNode::BvConst(v) => Value::Bv(v.clone()),
+                ExprNode::MemConst(m) => Value::Mem(m.clone()),
+                ExprNode::Var { .. } | ExprNode::App { .. } => unreachable!("constant arguments"),
+            };
+        }
+        let [a, b, c] = &values;
+        match apply(op, &[a, b, c][..args.len()]) {
+            Value::Bool(b) => self.bool_const(b),
+            Value::Bv(v) => self.bv(v),
+            Value::Mem(m) => self.mem_const(m),
         }
     }
 
@@ -665,42 +774,42 @@ impl ExprCtx {
 
     /// Boolean negation.
     pub fn not(&mut self, a: ExprRef) -> ExprRef {
-        self.app(Op::Not, vec![a])
+        self.app_of(Op::Not, &[a])
     }
 
     /// Boolean conjunction.
     pub fn and(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::And, vec![a, b])
+        self.app_of(Op::And, &[a, b])
     }
 
     /// Boolean disjunction.
     pub fn or(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::Or, vec![a, b])
+        self.app_of(Op::Or, &[a, b])
     }
 
     /// Boolean exclusive or.
     pub fn xor(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::Xor, vec![a, b])
+        self.app_of(Op::Xor, &[a, b])
     }
 
     /// Boolean implication.
     pub fn implies(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::Implies, vec![a, b])
+        self.app_of(Op::Implies, &[a, b])
     }
 
     /// Boolean equivalence.
     pub fn iff(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::Iff, vec![a, b])
+        self.app_of(Op::Iff, &[a, b])
     }
 
     /// If-then-else over any sort.
     pub fn ite(&mut self, c: ExprRef, t: ExprRef, e: ExprRef) -> ExprRef {
-        self.app(Op::Ite, vec![c, t, e])
+        self.app_of(Op::Ite, &[c, t, e])
     }
 
     /// Polymorphic equality.
     pub fn eq(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::Eq, vec![a, b])
+        self.app_of(Op::Eq, &[a, b])
     }
 
     /// Polymorphic disequality.
@@ -729,77 +838,77 @@ impl ExprCtx {
 
     /// Bitwise complement.
     pub fn bvnot(&mut self, a: ExprRef) -> ExprRef {
-        self.app(Op::BvNot, vec![a])
+        self.app_of(Op::BvNot, &[a])
     }
 
     /// Two's-complement negation.
     pub fn bvneg(&mut self, a: ExprRef) -> ExprRef {
-        self.app(Op::BvNeg, vec![a])
+        self.app_of(Op::BvNeg, &[a])
     }
 
     /// Bitwise and.
     pub fn bvand(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvAnd, vec![a, b])
+        self.app_of(Op::BvAnd, &[a, b])
     }
 
     /// Bitwise or.
     pub fn bvor(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvOr, vec![a, b])
+        self.app_of(Op::BvOr, &[a, b])
     }
 
     /// Bitwise xor.
     pub fn bvxor(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvXor, vec![a, b])
+        self.app_of(Op::BvXor, &[a, b])
     }
 
     /// Wrapping addition.
     pub fn bvadd(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvAdd, vec![a, b])
+        self.app_of(Op::BvAdd, &[a, b])
     }
 
     /// Wrapping subtraction.
     pub fn bvsub(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvSub, vec![a, b])
+        self.app_of(Op::BvSub, &[a, b])
     }
 
     /// Wrapping multiplication.
     pub fn bvmul(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvMul, vec![a, b])
+        self.app_of(Op::BvMul, &[a, b])
     }
 
     /// Unsigned division.
     pub fn bvudiv(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUdiv, vec![a, b])
+        self.app_of(Op::BvUdiv, &[a, b])
     }
 
     /// Unsigned remainder.
     pub fn bvurem(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUrem, vec![a, b])
+        self.app_of(Op::BvUrem, &[a, b])
     }
 
     /// Logical shift left.
     pub fn bvshl(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvShl, vec![a, b])
+        self.app_of(Op::BvShl, &[a, b])
     }
 
     /// Logical shift right.
     pub fn bvlshr(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvLshr, vec![a, b])
+        self.app_of(Op::BvLshr, &[a, b])
     }
 
     /// Arithmetic shift right.
     pub fn bvashr(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvAshr, vec![a, b])
+        self.app_of(Op::BvAshr, &[a, b])
     }
 
     /// Concatenation (`a` high, `b` low).
     pub fn concat(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvConcat, vec![a, b])
+        self.app_of(Op::BvConcat, &[a, b])
     }
 
     /// Extraction of bits `[hi:lo]` inclusive.
     pub fn extract(&mut self, a: ExprRef, hi: u32, lo: u32) -> ExprRef {
-        self.app(Op::BvExtract { hi, lo }, vec![a])
+        self.app_of(Op::BvExtract { hi, lo }, &[a])
     }
 
     /// Zero extension.
@@ -807,7 +916,7 @@ impl ExprCtx {
         if self.sort_of(a).bv_width() == Some(to) {
             return a;
         }
-        self.app(Op::BvZext { to }, vec![a])
+        self.app_of(Op::BvZext { to }, &[a])
     }
 
     /// Sign extension.
@@ -815,52 +924,52 @@ impl ExprCtx {
         if self.sort_of(a).bv_width() == Some(to) {
             return a;
         }
-        self.app(Op::BvSext { to }, vec![a])
+        self.app_of(Op::BvSext { to }, &[a])
     }
 
     /// Unsigned less-than.
     pub fn ult(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUlt, vec![a, b])
+        self.app_of(Op::BvUlt, &[a, b])
     }
 
     /// Unsigned less-or-equal.
     pub fn ule(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUle, vec![a, b])
+        self.app_of(Op::BvUle, &[a, b])
     }
 
     /// Unsigned greater-than.
     pub fn ugt(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUlt, vec![b, a])
+        self.app_of(Op::BvUlt, &[b, a])
     }
 
     /// Unsigned greater-or-equal.
     pub fn uge(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvUle, vec![b, a])
+        self.app_of(Op::BvUle, &[b, a])
     }
 
     /// Signed less-than.
     pub fn slt(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvSlt, vec![a, b])
+        self.app_of(Op::BvSlt, &[a, b])
     }
 
     /// Signed less-or-equal.
     pub fn sle(&mut self, a: ExprRef, b: ExprRef) -> ExprRef {
-        self.app(Op::BvSle, vec![a, b])
+        self.app_of(Op::BvSle, &[a, b])
     }
 
     /// Memory read.
     pub fn mem_read(&mut self, mem: ExprRef, addr: ExprRef) -> ExprRef {
-        self.app(Op::MemRead, vec![mem, addr])
+        self.app_of(Op::MemRead, &[mem, addr])
     }
 
     /// Memory write (functional: returns the updated memory).
     pub fn mem_write(&mut self, mem: ExprRef, addr: ExprRef, data: ExprRef) -> ExprRef {
-        self.app(Op::MemWrite, vec![mem, addr, data])
+        self.app_of(Op::MemWrite, &[mem, addr, data])
     }
 
     /// Boolean to 1-bit vector conversion.
     pub fn bool_to_bv(&mut self, a: ExprRef) -> ExprRef {
-        self.app(Op::BoolToBv, vec![a])
+        self.app_of(Op::BoolToBv, &[a])
     }
 
     /// 1-bit (or wider) vector to boolean: true iff nonzero.
@@ -1059,5 +1168,251 @@ mod tests {
         let w = ctx.mem_write(m, a, d);
         assert_eq!(ctx.sort_of(w), ctx.sort_of(m));
         assert!(ctx.try_app(Op::MemRead, vec![m, d]).is_err());
+    }
+
+    /// Every operator, each applied to arguments drawn from `pick` (one
+    /// per argument sort): booleans, 8-bit words, 70-bit words (two
+    /// limbs) and memories of eight 8-bit words.
+    fn every_op(
+        ctx: &mut ExprCtx,
+        mut pick: impl FnMut(usize) -> ExprRef,
+    ) -> Vec<(Op, Vec<ExprRef>)> {
+        use Op::*;
+        let (b, v, w, m) = (0, 1, 2, 3);
+        let addr = ctx.extract(pick(v), 2, 0);
+        let bit = ctx.extract(pick(v), 0, 0);
+        let mut apps = Vec::new();
+        for op in [Not, BvNot, BvNeg] {
+            let arg = if op == Not { pick(b) } else { pick(v) };
+            apps.push((op, vec![arg]));
+        }
+        for op in [And, Or, Xor, Implies, Iff] {
+            apps.push((op, vec![pick(b), pick(b)]));
+        }
+        for op in [
+            BvAnd, BvOr, BvXor, BvAdd, BvSub, BvMul, BvUdiv, BvUrem, BvShl, BvLshr, BvAshr, BvUlt,
+            BvUle, BvSlt, BvSle, Eq,
+        ] {
+            let sort = [v, w][apps.len() % 2];
+            apps.push((op, vec![pick(sort), pick(sort)]));
+        }
+        apps.push((Eq, vec![pick(m), pick(m)]));
+        apps.push((Eq, vec![pick(b), pick(b)]));
+        for sort in [b, v, w, m] {
+            apps.push((Ite, vec![pick(b), pick(sort), pick(sort)]));
+        }
+        apps.push((BvConcat, vec![pick(v), pick(w)]));
+        apps.push((BvExtract { hi: 69, lo: 3 }, vec![pick(w)]));
+        apps.push((BvZext { to: 70 }, vec![pick(v)]));
+        apps.push((BvSext { to: 70 }, vec![pick(v)]));
+        apps.push((BvSext { to: 9 }, vec![bit]));
+        apps.push((MemRead, vec![pick(m), addr]));
+        apps.push((MemWrite, vec![pick(m), addr, pick(v)]));
+        apps.push((BoolToBv, vec![pick(b)]));
+        apps
+    }
+
+    fn random_value(rng: &mut rand::rngs::StdRng, sort: usize) -> Value {
+        use rand::Rng;
+        match sort {
+            0 => Value::Bool(rng.gen_bool(0.5)),
+            1 => Value::Bv(BitVecValue::from_u64(rng.gen_range(0..256), 8)),
+            2 => Value::Bv(
+                BitVecValue::from_u64(rng.gen_range(0..64), 6)
+                    .concat(&BitVecValue::from_u64(rng.gen(), 64)),
+            ),
+            _ => {
+                let mut mem = MemValue::zeroed(3, 8);
+                for a in 0..rng.gen_range(0..8) {
+                    mem.write_word_mut(a, rng.gen_range(0..256));
+                }
+                Value::Mem(mem)
+            }
+        }
+    }
+
+    fn constant(ctx: &mut ExprCtx, v: Value) -> ExprRef {
+        match v {
+            Value::Bool(b) => ctx.bool_const(b),
+            Value::Bv(x) => ctx.bv(x),
+            Value::Mem(m) => ctx.mem_const(m),
+        }
+    }
+
+    fn is_const(ctx: &ExprCtx, e: ExprRef) -> bool {
+        matches!(
+            ctx.node(e),
+            ExprNode::BoolConst(_) | ExprNode::BvConst(_) | ExprNode::MemConst(_)
+        )
+    }
+
+    /// On random DAGs that apply every operator, substituting random
+    /// constants for the variables folds each root to a constant equal
+    /// to what `eval` gives the unfolded root under the same values.
+    #[test]
+    fn folding_agrees_with_eval_on_every_op() {
+        use crate::{eval, substitute, Env};
+        use rand::{Rng, SeedableRng};
+        let mut covered = std::collections::HashSet::new();
+        for seed in 0..64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut ctx = ExprCtx::new();
+            let mem = Sort::Mem {
+                addr_width: 3,
+                data_width: 8,
+            };
+            let sorts = [Sort::Bool, Sort::Bv(8), Sort::Bv(70), mem];
+            let mut pools: Vec<Vec<ExprRef>> = (0..4)
+                .map(|s| {
+                    (0..3)
+                        .map(|i| ctx.var(format!("v{s}_{i}"), sorts[s]))
+                        .collect()
+                })
+                .collect();
+            let (mut env, mut map) = (Env::new(), HashMap::new());
+            for v in pools.concat() {
+                let value = random_value(
+                    &mut rng,
+                    sorts.iter().position(|&s| s == ctx.sort_of(v)).unwrap(),
+                );
+                env.bind(v, value.clone());
+                let c = constant(&mut ctx, value);
+                map.insert(v, c);
+            }
+            // A few rounds, each over the previous rounds' results.
+            for _ in 0..3 {
+                let mut picks = pools.clone();
+                for (op, args) in every_op(&mut ctx, |s| picks[s][rng.gen_range(0..picks[s].len())])
+                {
+                    let e = ctx.app(op, args);
+                    if let ExprNode::App { op, .. } = ctx.node(e) {
+                        covered.insert(std::mem::discriminant(op));
+                    }
+                    let s = sorts.iter().position(|&s| s == ctx.sort_of(e));
+                    if let Some(s) = s {
+                        picks[s].push(e);
+                    }
+                }
+                pools = picks;
+            }
+            for root in pools.concat() {
+                let folded = substitute(&mut ctx, root, &map);
+                assert!(is_const(&ctx, folded), "seed {seed}: {root:?} did not fold");
+                let want = eval(&ctx, root, &env).unwrap();
+                let got = eval(&ctx, folded, &Env::new()).unwrap();
+                match (&got, &want) {
+                    (Value::Mem(g), Value::Mem(w)) => assert!(g.same_contents(w), "seed {seed}"),
+                    _ => assert_eq!(got, want, "seed {seed}: {root:?}"),
+                }
+            }
+        }
+        assert_eq!(covered.len(), 32, "every operator is covered");
+    }
+
+    /// Folding an application of constants interns its result and
+    /// nothing else.
+    #[test]
+    fn folding_creates_no_dead_node() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut ctx = ExprCtx::new();
+        let consts: Vec<Vec<ExprRef>> = (0..4)
+            .map(|s| {
+                (0..2)
+                    .map(|_| {
+                        let v = random_value(&mut rng, s);
+                        constant(&mut ctx, v)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut i = 0;
+        let apps = every_op(&mut ctx, |s| {
+            i += 1;
+            consts[s][i % 2]
+        });
+        for (op, args) in apps {
+            let before = ctx.len();
+            let e = ctx.app(op, args);
+            assert!(is_const(&ctx, e), "{op:?} did not fold");
+            assert!(ctx.len() <= before + 1, "{op:?} left a dead node");
+        }
+    }
+
+    /// Past three table growths, every node re-interns to its own
+    /// handle, building a node twice gives one handle, and a clone of
+    /// the context interns exactly as the original does.
+    #[test]
+    fn interner_finds_every_node_after_growth() {
+        let build = |ctx: &mut ExprCtx, n: u64| {
+            let x = ctx.var("x", Sort::Bv(16));
+            let mut e = x;
+            for i in 0..n {
+                let c = ctx.bv_u64(i % 97, 16);
+                e = if i % 3 == 0 {
+                    ctx.bvadd(e, c)
+                } else {
+                    ctx.bvxor(x, e)
+                };
+                let p = ctx.ult(e, c);
+                ctx.ite(p, e, x);
+            }
+            e
+        };
+        let mut ctx = ExprCtx::new();
+        let root = build(&mut ctx, 400);
+        assert!(ctx.table.len() >= 16 << 3, "{} slots", ctx.table.len());
+        let len = ctx.len();
+        assert_eq!(build(&mut ctx, 400), root);
+        assert_eq!(ctx.len(), len);
+        for i in 0..len {
+            let e = ExprRef(i as u32);
+            let again = match ctx.node(e).clone() {
+                ExprNode::BoolConst(b) => ctx.bool_const(b),
+                ExprNode::BvConst(v) => ctx.bv(v),
+                ExprNode::MemConst(m) => ctx.mem_const(m),
+                ExprNode::Var { name, sort } => ctx.var(name, sort),
+                ExprNode::App { op, args, .. } => ctx.app(op, args),
+            };
+            assert_eq!(again, e);
+        }
+        assert_eq!(ctx.len(), len);
+        let mut copy = ctx.clone();
+        assert_eq!(build(&mut copy, 500), build(&mut ctx, 500));
+        assert_eq!(copy.len(), ctx.len());
+        assert_eq!(copy.nodes, ctx.nodes);
+    }
+
+    /// Constants crafted so that their [`ExprHasher`] hashes share the
+    /// high half still get distinct tags: leaves hash with keyed
+    /// SipHash, so they do not pile into one probe run.
+    #[test]
+    fn crafted_constants_do_not_share_a_tag() {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut inverse: u64 = 1;
+        for _ in 0..6 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(inverse)));
+        }
+        // The hasher state before a 64-bit constant's one limb: the
+        // variant, the width and the limb count.
+        let add = |s: u64, w: u64| (s.rotate_left(5) ^ w).wrapping_mul(K);
+        let before = add(add(add(0, 1), 64), 1);
+        let mut ctx = ExprCtx::new();
+        let n: u64 = 2000;
+        for j in 0..n {
+            let limb = before.rotate_left(5) ^ ((0xdead_beef << 32) | j).wrapping_mul(inverse);
+            let node = ExprNode::BvConst(BitVecValue::from_u64(limb, 64));
+            let mut h = ExprHasher::default();
+            node.hash(&mut h);
+            assert_eq!(h.finish() >> 32, 0xdead_beef);
+            ctx.intern(node);
+        }
+        let tags: std::collections::HashSet<u32> = ctx
+            .table
+            .iter()
+            .filter(|s| s.handle != EMPTY)
+            .map(|s| s.tag)
+            .collect();
+        assert!(tags.len() > n as usize - 10, "{} tags", tags.len());
     }
 }

@@ -1,9 +1,9 @@
 //! Concrete evaluation of expressions under a variable assignment.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ctx::{ExprCtx, ExprNode, ExprRef, Op};
+use crate::hash::ExprMap;
 use crate::value::{BitVecValue, Value};
 
 /// A variable assignment for evaluation.
@@ -23,7 +23,7 @@ use crate::value::{BitVecValue, Value};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Env {
-    bindings: HashMap<ExprRef, Value>,
+    bindings: ExprMap<Value>,
 }
 
 impl Env {
@@ -181,9 +181,9 @@ fn eval_nodes(
     ctx: &ExprCtx,
     roots: &[ExprRef],
     mut var: impl FnMut(ExprRef, &str) -> Result<Value, EvalError>,
-) -> Result<HashMap<ExprRef, Value>, EvalError> {
+) -> Result<ExprMap<Value>, EvalError> {
     let order = ctx.post_order(roots);
-    let mut memo: HashMap<ExprRef, Value> = HashMap::with_capacity(order.len());
+    let mut memo = ExprMap::with_capacity_and_hasher(order.len(), Default::default());
     for e in order {
         let value = match ctx.node(e) {
             ExprNode::BoolConst(b) => Value::Bool(*b),
@@ -191,8 +191,11 @@ fn eval_nodes(
             ExprNode::MemConst(m) => Value::Mem(m.clone()),
             ExprNode::Var { name, .. } => var(e, name)?,
             ExprNode::App { op, args, .. } => {
-                let a = |i: usize| &memo[&args[i]];
-                apply(*op, &(0..args.len()).map(a).collect::<Vec<_>>())
+                let mut values = [&memo[&args[0]]; 3];
+                for (value, a) in values.iter_mut().zip(args) {
+                    *value = &memo[a];
+                }
+                apply(*op, &values[..args.len()])
             }
         };
         memo.insert(e, value);

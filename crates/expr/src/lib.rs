@@ -36,6 +36,7 @@ mod absval;
 mod ctx;
 mod display;
 mod eval;
+mod hash;
 mod lower;
 mod sort;
 mod subst;
@@ -45,6 +46,7 @@ pub use absval::{abs_apply, abs_eval, abs_eval_nodes, AbsBool, AbsBv, AbsEnv, Ab
 pub use ctx::{ExprCtx, ExprNode, ExprRef, Op, SortError};
 pub use display::ExprDisplay;
 pub use eval::{eval, eval_all, Env, EvalError};
+pub use hash::{ExprHasher, ExprMap};
 pub use lower::{Slot, TapeProgram, TapeState};
 pub use sort::Sort;
 pub use subst::{

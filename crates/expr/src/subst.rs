@@ -2,8 +2,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 use crate::ctx::{ExprCtx, ExprNode, ExprRef, Op};
+use crate::hash::ExprMap;
 
 /// Rewrites `root`, replacing every occurrence of a key of `map` with its
 /// value. Keys are typically variables, but any sub-expression handle works.
@@ -31,9 +33,12 @@ use crate::ctx::{ExprCtx, ExprNode, ExprRef, Op};
 /// # Panics
 ///
 /// Panics if a substitution makes an application ill-sorted.
-pub fn substitute(ctx: &mut ExprCtx, root: ExprRef, map: &HashMap<ExprRef, ExprRef>) -> ExprRef {
-    let mut memo: HashMap<ExprRef, ExprRef> = HashMap::new();
-    substitute_cached(ctx, root, map, &mut memo)
+pub fn substitute<S: BuildHasher>(
+    ctx: &mut ExprCtx,
+    root: ExprRef,
+    map: &HashMap<ExprRef, ExprRef, S>,
+) -> ExprRef {
+    substitute_cached(ctx, root, map, &mut ExprMap::default())
 }
 
 /// Like [`substitute`], but reuses a memo table across calls so that many
@@ -44,11 +49,13 @@ pub fn substitute(ctx: &mut ExprCtx, root: ExprRef, map: &HashMap<ExprRef, ExprR
 /// call with the same `memo` reached. The memo must only ever have been
 /// filled by calls with this same `map`. Skipping a memoized part moves
 /// no result and no node's creation order: its rewrite exists already.
-pub fn substitute_cached(
+/// A node is read in place, and a new argument list is built only for
+/// an application some argument of which changed.
+pub fn substitute_cached<S: BuildHasher, M: BuildHasher>(
     ctx: &mut ExprCtx,
     root: ExprRef,
-    map: &HashMap<ExprRef, ExprRef>,
-    memo: &mut HashMap<ExprRef, ExprRef>,
+    map: &HashMap<ExprRef, ExprRef, S>,
+    memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> ExprRef {
     if let Some(&r) = memo.get(&root) {
         return r;
@@ -73,24 +80,34 @@ pub fn substitute_cached(
             continue;
         }
         stack.pop();
-        let out = if let Some(&r) = map.get(&e) {
-            r
-        } else {
-            match ctx.node(e).clone() {
-                ExprNode::App { op, args, .. } => {
-                    let new_args: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
-                    if new_args == args {
-                        e
-                    } else {
-                        ctx.app(op, new_args)
-                    }
+        let out = match (map.get(&e), ctx.node(e)) {
+            (Some(&r), _) => r,
+            (None, ExprNode::App { op, args, .. }) => {
+                let (op, (images, n)) = (*op, images(args, memo));
+                if images[..n] == args[..] {
+                    e
+                } else {
+                    ctx.app_of(op, &images[..n])
                 }
-                _ => e,
             }
+            (None, _) => e,
         };
         memo.insert(e, out);
     }
     memo[&root]
+}
+
+/// The images of an application's `args` under `memo`, in a buffer (no
+/// operator takes more than three arguments), and their number.
+fn images<M: BuildHasher>(
+    args: &[ExprRef],
+    memo: &HashMap<ExprRef, ExprRef, M>,
+) -> ([ExprRef; 3], usize) {
+    let mut out = [args[0]; 3];
+    for (image, a) in out.iter_mut().zip(args) {
+        *image = memo[a];
+    }
+    (out, args.len())
 }
 
 /// The constants a conjunction fixes, and the rewrite that folds them
@@ -98,8 +115,8 @@ pub fn substitute_cached(
 #[derive(Clone, Debug, Default)]
 pub struct Cofactor {
     facts: Vec<ExprRef>,
-    map: HashMap<ExprRef, ExprRef>,
-    memo: HashMap<ExprRef, ExprRef>,
+    map: ExprMap<ExprRef>,
+    memo: ExprMap<ExprRef>,
 }
 
 impl Cofactor {
@@ -224,11 +241,11 @@ fn flatten_and(ctx: &ExprCtx, roots: &[ExprRef]) -> Vec<ExprRef> {
 /// # Panics
 ///
 /// Panics if `dst` already has a same-named variable of a different sort.
-pub fn import(
+pub fn import<M: BuildHasher>(
     dst: &mut ExprCtx,
     src: &ExprCtx,
     root: ExprRef,
-    memo: &mut HashMap<ExprRef, ExprRef>,
+    memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> ExprRef {
     let order = src.post_order(&[root]);
     for e in order {
@@ -241,8 +258,8 @@ pub fn import(
             ExprNode::MemConst(m) => dst.mem_const(m.clone()),
             ExprNode::Var { name, sort } => dst.var(name.clone(), *sort),
             ExprNode::App { op, args, .. } => {
-                let new_args: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
-                dst.app(*op, new_args)
+                let (images, n) = images(args, memo);
+                dst.app_of(*op, &images[..n])
             }
         };
         memo.insert(e, out);
@@ -255,12 +272,12 @@ pub fn import(
 ///
 /// Useful for unrolling transition systems (`x` at step `k` becomes
 /// `x@k`) and for building product models without name clashes.
-pub fn import_renamed(
+pub fn import_renamed<M: BuildHasher>(
     dst: &mut ExprCtx,
     src: &ExprCtx,
     root: ExprRef,
     rename: &dyn Fn(&str) -> String,
-    memo: &mut HashMap<ExprRef, ExprRef>,
+    memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> ExprRef {
     let order = src.post_order(&[root]);
     for e in order {
@@ -273,8 +290,8 @@ pub fn import_renamed(
             ExprNode::MemConst(m) => dst.mem_const(m.clone()),
             ExprNode::Var { name, sort } => dst.var(rename(name), *sort),
             ExprNode::App { op, args, .. } => {
-                let new_args: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
-                dst.app(*op, new_args)
+                let (images, n) = images(args, memo);
+                dst.app_of(*op, &images[..n])
             }
         };
         memo.insert(e, out);
@@ -298,12 +315,12 @@ pub fn import_renamed(
 ///
 /// Panics if a mapped expression's sort mismatches (the rebuilt
 /// application will fail sort checking).
-pub fn import_mapped(
+pub fn import_mapped<S: BuildHasher, M: BuildHasher>(
     dst: &mut ExprCtx,
     src: &ExprCtx,
     root: ExprRef,
-    var_map: &HashMap<ExprRef, ExprRef>,
-    memo: &mut HashMap<ExprRef, ExprRef>,
+    var_map: &HashMap<ExprRef, ExprRef, S>,
+    memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> Result<ExprRef, String> {
     let order = src.post_order(&[root]);
     for e in order {
@@ -319,8 +336,8 @@ pub fn import_mapped(
                 None => return Err(name.clone()),
             },
             ExprNode::App { op, args, .. } => {
-                let new_args: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
-                dst.app(*op, new_args)
+                let (images, n) = images(args, memo);
+                dst.app_of(*op, &images[..n])
             }
         };
         memo.insert(e, out);

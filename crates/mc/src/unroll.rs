@@ -1,8 +1,8 @@
 //! Time-frame expansion (unrolling) of transition systems.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use gila_expr::{eval_all, substitute_cached, ExprCtx, ExprRef, Value};
+use gila_expr::{eval_all, substitute_cached, ExprCtx, ExprMap, ExprRef, Value};
 use gila_smt::SmtSolver;
 use gila_trace::{Event, SpanKind, Tracer};
 
@@ -28,8 +28,8 @@ pub struct Frame {
 /// fresh walk would find.
 #[derive(Clone, Debug, Default)]
 struct FrameSubst {
-    map: HashMap<ExprRef, ExprRef>,
-    memo: HashMap<ExprRef, ExprRef>,
+    map: ExprMap<ExprRef>,
+    memo: ExprMap<ExprRef>,
 }
 
 /// A saved unrolling depth; see [`Unrolling::snapshot`].
@@ -160,7 +160,7 @@ impl Unrolling {
             .collect();
         self.substs.push(FrameSubst {
             map,
-            memo: HashMap::new(),
+            memo: ExprMap::default(),
         });
         self.frames.push(Frame { states, inputs });
     }
@@ -321,6 +321,7 @@ impl Unrolling {
 mod tests {
     use super::*;
     use gila_expr::{BitVecValue, Sort};
+    use std::collections::HashMap;
 
     fn counter_ts() -> TransitionSystem {
         let mut ts = TransitionSystem::new("c");

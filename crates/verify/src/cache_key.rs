@@ -37,7 +37,7 @@
 //! deterministic across processes (a persisted journal must hash the
 //! same on every restart, which rules out `DefaultHasher`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::Write;
 
 use gila_core::ModuleIla;
@@ -90,7 +90,7 @@ pub fn slice_keys(
     let planned = Planned::module(module, rtl, maps)?;
     let mut keys = Vec::new();
     for plan in &planned.plans {
-        let port_keys = port_keys(plan, &planned.ts, &planned.ts_signals);
+        let port_keys = port_keys(&planned, plan);
         keys.extend(plan.port.instructions().iter().zip(port_keys).map(|(instr, key)| {
             SliceKey {
                 port: plan.port.name().to_string(),
@@ -110,16 +110,13 @@ pub fn slice_keys(
 /// section), whose hasher each key copies and continues; the
 /// correspondence bytes are serialized once per port. Every key still
 /// hashes exactly the byte stream it would on its own.
-pub(crate) fn port_keys(
-    plan: &PortPlan<'_>,
-    ts: &TransitionSystem,
-    ts_signals: &BTreeMap<String, ExprRef>,
-) -> Vec<String> {
+pub(crate) fn port_keys(planned: &Planned<'_>, plan: &PortPlan<'_>) -> Vec<String> {
+    let ts = &planned.ts;
     // Memo tables survive across the port's instructions, so shared
     // subgraphs hash once.
     let mut ts_dag = DagHasher::new(ts.ctx());
     let mut ila_dag = DagHasher::new(plan.port.ctx());
-    let mut cond_dag = DagHasher::new(plan.cond_rtl.ctx());
+    let mut cond_dag = DagHasher::new(planned.cond_rtl.ctx());
 
     // 3. The refinement correspondence (ILA state/input to RTL expression,
     // pre-state-only flags): the same for every instruction.
@@ -146,7 +143,7 @@ pub(crate) fn port_keys(
         // Root set: what *this instruction's* check can observe of the
         // RTL — the mapped correspondence plus the support of the
         // conditions it uses (invariants apply to every instruction).
-        let roots = coi_roots(plan, std::slice::from_ref(ip), ts, ts_signals);
+        let roots = coi_roots(planned, plan, std::slice::from_ref(ip));
         let mut f = match prefixes.iter().find(|(r, _)| *r == roots) {
             Some(&(_, prefix)) => prefix,
             None => {
@@ -208,19 +205,15 @@ pub fn coi_root_sets(
     rtl: &RtlModule,
     maps: &[RefinementMap],
 ) -> Result<(TransitionSystem, Vec<Vec<ExprRef>>), VerifyError> {
-    let Planned {
-        ts,
-        ts_signals,
-        plans,
-    } = Planned::module(module, rtl, maps)?;
+    let planned = Planned::module(module, rtl, maps)?;
     let mut sets = Vec::new();
-    for plan in &plans {
-        sets.push(coi_roots(plan, &plan.instrs, &ts, &ts_signals));
+    for plan in &planned.plans {
+        sets.push(coi_roots(&planned, plan, &plan.instrs));
         for ip in &plan.instrs {
-            sets.push(coi_roots(plan, std::slice::from_ref(ip), &ts, &ts_signals));
+            sets.push(coi_roots(&planned, plan, std::slice::from_ref(ip)));
         }
     }
-    Ok((ts, sets))
+    Ok((planned.ts, sets))
 }
 
 /// Key material as the bytes a hasher is fed, in a reused buffer.

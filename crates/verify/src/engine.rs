@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use gila_core::{ModuleIla, PortIla};
 use gila_expr::{
-    cofactor, eval_all, import, import_mapped, Cofactor, ExprRef, Sort, Value,
+    cofactor, eval_all, import, import_mapped, Cofactor, ExprCtx, ExprMap, ExprRef, Sort, Value,
 };
 use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
@@ -505,7 +505,7 @@ impl<'t> RunCtx<'t> {
     /// The content key of every instruction of `plan`, in declaration
     /// order.
     fn keys(&self, plan: &PortPlan<'_>) -> Vec<String> {
-        port_keys(plan, &self.planned.ts, &self.planned.ts_signals)
+        port_keys(self.planned, plan)
     }
 }
 
@@ -702,9 +702,9 @@ pub fn rtl_to_ts(
 pub(crate) struct InstrPlan {
     /// Unrolling depth (the finish cycle, or the `Condition` bound).
     pub(crate) bound: usize,
-    /// Parsed finish condition, in the plan's scratch-RTL context.
+    /// Parsed finish condition, in [`Planned::cond_rtl`]'s context.
     pub(crate) finish_expr: Option<ExprRef>,
-    /// Parsed start strengthening, in the plan's scratch-RTL context.
+    /// Parsed start strengthening, in [`Planned::cond_rtl`]'s context.
     pub(crate) strengthening: Option<ExprRef>,
     pub(crate) input_policy: InputPolicy,
 }
@@ -712,10 +712,8 @@ pub(crate) struct InstrPlan {
 /// A port's verification work, planned once and then executed by any
 /// number of engines: mapped signals resolved against the transition
 /// system, and every Verilog condition string (invariants,
-/// strengthenings, finish conditions) parsed exactly once into a single
-/// scratch copy of the RTL — instead of re-cloning and re-parsing the
-/// whole module per instruction. A port without condition strings
-/// copies no RTL at all.
+/// strengthenings, finish conditions) parsed exactly once into the
+/// scratch RTL its [`Planned`] shares between all its ports.
 pub(crate) struct PortPlan<'a> {
     pub(crate) port: &'a PortIla,
     pub(crate) map: &'a RefinementMap,
@@ -723,23 +721,21 @@ pub(crate) struct PortPlan<'a> {
     pub(crate) mapped_states: Vec<(String, ExprRef, Sort)>,
     /// `(ila input, ts expr, ila sort)` per interface-map entry.
     pub(crate) mapped_inputs: Vec<(String, ExprRef, Sort)>,
-    /// Scratch RTL whose context owns all parsed condition expressions:
-    /// a copy of the RTL, or an empty module when the map has no
-    /// condition string.
-    pub(crate) cond_rtl: RtlModule,
-    /// Parsed invariants, in `cond_rtl`'s context.
+    /// Parsed invariants, in [`Planned::cond_rtl`]'s context.
     pub(crate) invariants: Vec<ExprRef>,
     pub(crate) instrs: Vec<InstrPlan>,
 }
 
 impl<'a> PortPlan<'a> {
     /// Resolves the refinement map against `ts_signals` (from
-    /// [`rtl_to_ts`]) and parses all condition strings.
-    pub(crate) fn build(
+    /// [`rtl_to_ts`]) and parses all condition strings into `cond`, a
+    /// copy of `rtl` made at the first condition string of any port.
+    fn build(
         port: &'a PortIla,
         rtl: &RtlModule,
         map: &'a RefinementMap,
         ts_signals: &BTreeMap<String, ExprRef>,
+        cond: &mut Option<RtlModule>,
     ) -> Result<Self, VerifyError> {
         let lookup_signal = |name: &str, context: &str| -> Result<ExprRef, VerifyError> {
             ts_signals
@@ -774,10 +770,8 @@ impl<'a> PortPlan<'a> {
             mapped_inputs.push((ila_input.clone(), e, iv.sort));
         }
 
-        // Parse every condition string once, all into one scratch RTL
-        // (parsing needs &mut for expression interning), copied from the
-        // RTL at the first condition string.
-        let mut cond: Option<RtlModule> = None;
+        // Parse every condition string once (parsing needs &mut for
+        // expression interning).
         let mut invariants = Vec::new();
         for inv in &map.invariants {
             invariants.push(parse_rtl_expr(cond.get_or_insert_with(|| rtl.clone()), inv)?);
@@ -819,22 +813,26 @@ impl<'a> PortPlan<'a> {
             map,
             mapped_states,
             mapped_inputs,
-            cond_rtl: cond.unwrap_or_else(|| RtlModule::new(rtl.name())),
             invariants,
             instrs,
         })
     }
 }
 
-/// Every target of a call, planned once: the RTL's one transition system
-/// and one [`PortPlan`] per `(port, map)` target, in declaration order.
-/// Journal keys, slices and dispatch all read these; nothing else on
-/// the verification path builds a transition system or a plan.
+/// Every target of a call, planned once: the RTL's one transition
+/// system, one scratch RTL for the parsed condition strings, and one
+/// [`PortPlan`] per `(port, map)` target, in declaration order. Journal
+/// keys, slices and dispatch all read these; nothing else on the
+/// verification path builds a transition system or a plan.
 pub(crate) struct Planned<'a> {
     /// The unsliced system of the RTL ([`rtl_to_ts`]).
     pub(crate) ts: TransitionSystem,
     /// Every named RTL signal's expression in `ts`.
     pub(crate) ts_signals: BTreeMap<String, ExprRef>,
+    /// Scratch RTL whose context owns every plan's parsed conditions:
+    /// one copy of the RTL, or an empty module when no map has a
+    /// condition string.
+    pub(crate) cond_rtl: RtlModule,
     pub(crate) plans: Vec<PortPlan<'a>>,
 }
 
@@ -845,13 +843,15 @@ impl<'a> Planned<'a> {
         rtl: &RtlModule,
     ) -> Result<Self, VerifyError> {
         let (ts, ts_signals) = rtl_to_ts(rtl)?;
+        let mut cond = None;
         let plans = targets
             .iter()
-            .map(|&(port, map)| PortPlan::build(port, rtl, map, &ts_signals))
+            .map(|&(port, map)| PortPlan::build(port, rtl, map, &ts_signals, &mut cond))
             .collect::<Result<_, _>>()?;
         Ok(Planned {
             ts,
             ts_signals,
+            cond_rtl: cond.unwrap_or_else(|| RtlModule::new(rtl.name())),
             plans,
         })
     }
@@ -917,7 +917,9 @@ fn check_instruction_planned(
     engine.smt.set_limits(budget.to_limits());
     let snap = engine.u.snapshot();
     engine.u.extend_to(plan.instrs[idx].bound);
-    let prop = match timed(&mut tally.property, || Property::build(plan, idx, &mut engine.u)) {
+    let prop = match timed(&mut tally.property, || {
+        Property::build(plan, ctx.planned.cond_rtl.ctx(), idx, &mut engine.u)
+    }) {
         Ok(prop) => prop,
         Err(e) => {
             engine.smt.set_limits(SolveLimits::default());
@@ -1072,15 +1074,21 @@ struct Property {
 
 impl Property {
     /// Builds instruction `idx`'s property over `u`, which must already
-    /// reach the instruction's bound.
-    fn build(plan: &PortPlan<'_>, idx: usize, u: &mut Unrolling) -> Result<Property, VerifyError> {
+    /// reach the instruction's bound; `cond` holds the plan's parsed
+    /// conditions.
+    fn build(
+        plan: &PortPlan<'_>,
+        cond: &ExprCtx,
+        idx: usize,
+        u: &mut Unrolling,
+    ) -> Result<Property, VerifyError> {
         let port = plan.port;
         let map = plan.map;
         let instr = &port.instructions()[idx];
         let ip = &plan.instrs[idx];
 
         // ILA variable -> frame-0 product expression.
-        let mut var_map: HashMap<ExprRef, ExprRef> = HashMap::new();
+        let mut var_map = ExprMap::default();
         let adapt = |u: &mut Unrolling,
                      ila_name: &str,
                      ila_sort: Sort,
@@ -1119,7 +1127,7 @@ impl Property {
             var,
             instruction: instr.name.clone(),
         };
-        let mut import_memo = HashMap::new();
+        let mut import_memo = ExprMap::default();
         let decode0 = import_mapped(
             u.ctx_mut(),
             port.ctx(),
@@ -1129,9 +1137,9 @@ impl Property {
         )
         .map_err(unmapped)?;
         let mut start = vec![decode0];
-        let mut cond_memo = HashMap::new();
-        let graft0 = |u: &mut Unrolling, cond: ExprRef, memo: &mut HashMap<ExprRef, ExprRef>| {
-            let e = import(u.ctx_mut(), plan.cond_rtl.ctx(), cond, memo);
+        let mut cond_memo = ExprMap::default();
+        let graft0 = |u: &mut Unrolling, c: ExprRef, memo: &mut ExprMap<ExprRef>| {
+            let e = import(u.ctx_mut(), cond, c, memo);
             let e0 = u.map_expr(0, e);
             u.ctx_mut().bv_to_bool(e0)
         };
@@ -1173,7 +1181,7 @@ impl Property {
 
         let finish = ip
             .finish_expr
-            .map(|e| import(u.ctx_mut(), plan.cond_rtl.ctx(), e, &mut cond_memo));
+            .map(|e| import(u.ctx_mut(), cond, e, &mut cond_memo));
         Ok(Property {
             start,
             policy,
@@ -1574,15 +1582,14 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
 ///
 /// Mapped state/input expressions are roots directly. Conditions
 /// (invariants, strengthenings, finish conditions) are parsed in the
-/// plan's scratch RTL, so their support is resolved back to
+/// run's scratch RTL, so their support is resolved back to
 /// transition-system expressions by signal name; a name that resolves
 /// to a wire contributes that wire's defining expression, which keeps
 /// the whole cone of the condition.
 pub(crate) fn coi_roots(
+    planned: &Planned<'_>,
     plan: &PortPlan<'_>,
     instrs: &[InstrPlan],
-    ts: &TransitionSystem,
-    ts_signals: &BTreeMap<String, ExprRef>,
 ) -> Vec<ExprRef> {
     let mut roots: Vec<ExprRef> = Vec::new();
     for (_, e, _) in &plan.mapped_states {
@@ -1596,26 +1603,26 @@ pub(crate) fn coi_roots(
         cond_exprs.extend(ip.finish_expr);
         cond_exprs.extend(ip.strengthening);
     }
-    for name in support(plan.cond_rtl.ctx(), &cond_exprs) {
-        if let Some(&e) = ts_signals.get(&name) {
+    for name in support(planned.cond_rtl.ctx(), &cond_exprs) {
+        if let Some(&e) = planned.ts_signals.get(&name) {
             roots.push(e);
-        } else if let Some(e) = ts.ctx().find_var(&name) {
+        } else if let Some(e) = planned.ts.ctx().find_var(&name) {
             roots.push(e);
         }
     }
     roots
 }
 
-/// Slices a port's cone of influence out of the run's system `ts` (a
-/// `coi` span), and returns the slice the port's checks run on with
-/// what slicing dropped.
+/// Slices a port's cone of influence out of the run's system (a `coi`
+/// span), and returns the slice the port's checks run on with what
+/// slicing dropped.
 fn prepare(
+    planned: &Planned<'_>,
     plan: &PortPlan<'_>,
-    ts: &TransitionSystem,
-    ts_signals: &BTreeMap<String, ExprRef>,
     tracer: &Tracer,
 ) -> (TransitionSystem, CoiStats) {
-    let (sliced, stats) = coi_slice(ts, &coi_roots(plan, &plan.instrs, ts, ts_signals));
+    let roots = coi_roots(planned, plan, &plan.instrs);
+    let (sliced, stats) = coi_slice(&planned.ts, &roots);
     tracer.record(|| {
         Event::new(SpanKind::Coi)
             .port(plan.port.name())
@@ -1689,7 +1696,7 @@ fn run(planned: &Planned<'_>, opts: &VerifyOptions) -> Result<Vec<PortReport>, V
             }
             None => {
                 let t0 = Instant::now();
-                let (sliced, coi) = prepare(plan, &planned.ts, &planned.ts_signals, tracer);
+                let (sliced, coi) = prepare(planned, plan, tracer);
                 let verdicts = run_port(plan, &sliced, &mut state, &ctx)?;
                 port_report(plan.port, verdicts, t0.elapsed(), Some(coi), &state, tracer)
             }
@@ -1802,7 +1809,7 @@ pub fn confirm_counterexample(
         })?;
     let PortEngine { mut u, mut smt } = PortEngine::new(&planned.ts, &Tracer::disabled(), None);
     u.extend_to(plan.instrs[idx].bound);
-    let prop = Property::build(plan, idx, &mut u)?;
+    let prop = Property::build(plan, planned.cond_rtl.ctx(), idx, &mut u)?;
     let frame = cex.finish_cycle;
     let mut assumptions = match prop.finish {
         Some(cond) => Property::finishes_at(cond, &mut u, frame),
@@ -2370,8 +2377,7 @@ endmodule
         let mut seen = BTreeMap::new();
         for (name, rtl) in &fixtures {
             let planned = Planned::new(&[(&ila, &map)], rtl).unwrap();
-            let (sliced, coi) =
-                prepare(&planned.plans[0], &planned.ts, &planned.ts_signals, &opts.tracer);
+            let (sliced, coi) = prepare(&planned, &planned.plans[0], &opts.tracer);
             let on_slice = tags(&sliced, &planned);
             assert_eq!(
                 tags(&planned.ts, &planned),
