@@ -175,8 +175,6 @@ pub fn client(flags: &[(String, String)]) -> CmdResult {
     if let Some(n) = parse_u64(flags, "retries")? {
         cfg.retries = n as u32;
     }
-    // Vary jitter across concurrent invocations.
-    cfg.seed = std::process::id() as u64;
     let json = flag(flags, "json").is_some();
     let mut client = Client::connect(cfg);
 

@@ -495,11 +495,6 @@ impl PortIla {
     pub fn arch_state_bits(&self) -> u64 {
         self.states.iter().map(|s| s.sort.bit_count()).sum()
     }
-
-    /// Total input bits.
-    pub fn input_bits(&self) -> u64 {
-        self.inputs.iter().map(|i| i.sort.bit_count()).sum()
-    }
 }
 
 /// Fluent builder for one instruction; created by [`PortIla::instr`] or
@@ -573,7 +568,7 @@ mod tests {
         assert_eq!(p.name(), "counter");
         assert_eq!(p.instructions().len(), 2);
         assert_eq!(p.arch_state_bits(), 8);
-        assert_eq!(p.input_bits(), 1);
+        assert_eq!(p.inputs().len(), 1);
         assert!(p.find_state("cnt").is_some());
         assert!(p.find_instruction("inc").is_some());
         assert!(p.find_instruction("dec").is_none());

@@ -99,15 +99,6 @@ impl LBool {
         }
     }
 
-    /// The complement (`Undef` stays `Undef`).
-    pub fn negate(self) -> Self {
-        match self {
-            LBool::True => LBool::False,
-            LBool::False => LBool::True,
-            LBool::Undef => LBool::Undef,
-        }
-    }
-
     /// Converts to a boolean if assigned.
     pub fn to_bool(self) -> Option<bool> {
         match self {
@@ -139,8 +130,6 @@ mod tests {
     #[test]
     fn lbool_ops() {
         assert_eq!(LBool::from_bool(true), LBool::True);
-        assert_eq!(LBool::True.negate(), LBool::False);
-        assert_eq!(LBool::Undef.negate(), LBool::Undef);
         assert_eq!(LBool::False.to_bool(), Some(false));
         assert_eq!(LBool::Undef.to_bool(), None);
     }

@@ -7,22 +7,21 @@
 //! delivered verdict re-requested is wasted solver work and a
 //! delivered *error* is terminal by contract.
 //!
-//! Backoff is exponential with full jitter from a deterministic
-//! xorshift PRNG (seedable for tests), capped, and respects the
-//! server's `retry_after_ms` hint as a floor when shedding.
+//! Backoff is exponential with full jitter from an xorshift PRNG
+//! seeded by the process id (so concurrent clients spread out),
+//! capped, and respects the server's `retry_after_ms` hint as a floor
+//! when shedding.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 use gila_json::Value;
-use gila_verify::FaultPlan;
 
-use crate::protocol::{parse_frame, read_frame, write_frame, FrameCounter, Stream};
+use crate::protocol::{parse_frame, read_frame, write_frame, Stream};
 
 /// Where to connect.
 #[derive(Clone, Debug)]
@@ -44,10 +43,6 @@ pub struct ClientConfig {
     pub base_delay: Duration,
     /// Backoff ceiling.
     pub max_delay: Duration,
-    /// PRNG seed for jitter (tests pin it; the CLI varies it by pid).
-    pub seed: u64,
-    /// Test-only socket-fault injection on *writes from this client*.
-    pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl ClientConfig {
@@ -58,8 +53,6 @@ impl ClientConfig {
             retries: 5,
             base_delay: Duration::from_millis(50),
             max_delay: Duration::from_secs(2),
-            seed: 0x9e37_79b9_7f4a_7c15,
-            fault_plan: None,
         }
     }
 }
@@ -106,17 +99,16 @@ pub struct Client {
     cfg: ClientConfig,
     next_id: u64,
     rng: u64,
-    conn: Option<(BufReader<Stream>, Stream, FrameCounter)>,
+    conn: Option<(BufReader<Stream>, Stream)>,
 }
 
 impl Client {
     /// Creates a client; no connection is made until the first request.
     pub fn connect(cfg: ClientConfig) -> Client {
-        let rng = cfg.seed | 1;
         Client {
             cfg,
             next_id: 1,
-            rng,
+            rng: u64::from(std::process::id()) | 1,
             conn: None,
         }
     }
@@ -165,7 +157,7 @@ impl Client {
             }
         };
         let write_half = stream.try_clone().map_err(|e| e.to_string())?;
-        self.conn = Some((BufReader::new(stream), write_half, FrameCounter::new()));
+        self.conn = Some((BufReader::new(stream), write_half));
         Ok(())
     }
 
@@ -176,8 +168,7 @@ impl Client {
     fn attempt(&mut self, frame: &Value, id: u64) -> Result<Value, String> {
         self.ensure_conn()?;
         let mut conn = self.conn.take().expect("ensure_conn established one");
-        let plan = self.cfg.fault_plan.clone();
-        match Self::attempt_on(&mut conn, frame, id, plan.as_ref()) {
+        match Self::attempt_on(&mut conn, frame, id) {
             Ok(v) => {
                 self.conn = Some(conn);
                 Ok(v)
@@ -190,13 +181,12 @@ impl Client {
     }
 
     fn attempt_on(
-        conn: &mut (BufReader<Stream>, Stream, FrameCounter),
+        conn: &mut (BufReader<Stream>, Stream),
         frame: &Value,
         id: u64,
-        plan: Option<&Arc<FaultPlan>>,
     ) -> Result<Value, String> {
-        let (reader, writer, frames) = conn;
-        write_frame(writer, frame, plan, frames).map_err(|e| format!("send: {e}"))?;
+        let (reader, writer) = conn;
+        write_frame(writer, frame).map_err(|e| format!("send: {e}"))?;
         loop {
             let line = match read_frame(reader).map_err(|e| format!("recv: {e}"))? {
                 Some(line) => line,

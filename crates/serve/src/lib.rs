@@ -14,8 +14,7 @@
 //!
 //! The crate is organized as the daemon's robustness envelope:
 //!
-//! - [`protocol`] — byte- and depth-capped framing; socket-level
-//!   fault injection for tests rides the same write path.
+//! - [`protocol`] — byte- and depth-capped framing.
 //! - the proof cache, [`ProofCache`] — `gila-verify`'s verdict journal
 //!   (append-only JSONL, torn-tail-tolerant recovery, LRU + byte budget
 //!   eviction, crash-safe compaction), re-exported here; the daemon and

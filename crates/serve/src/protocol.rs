@@ -14,12 +14,9 @@
 //! on both sides so the schema can grow.
 
 use std::io::{self, BufRead, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use gila_json::{parse_with_limits, ParseLimits, Value};
-use gila_verify::{FaultPlan, SocketFault};
 
 /// Protocol version stamped into every request (`"gila": 1`).
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -87,71 +84,10 @@ pub fn parse_frame(line: &str) -> Result<Value, String> {
     .map_err(|e| e.to_string())
 }
 
-/// Counts frames written on one connection so [`FaultPlan`] socket
-/// rules (`disconnect@FRAME`, `io-error@FRAME`, `slow-client:MS@FRAME`)
-/// can target the Nth write.
-#[derive(Default)]
-pub struct FrameCounter(AtomicU64);
-
-impl FrameCounter {
-    /// A counter starting at frame 0.
-    pub fn new() -> FrameCounter {
-        FrameCounter::default()
-    }
-
-    fn next(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed)
-    }
-}
-
-/// Serializes `value` as one frame and writes it, applying any
-/// matching socket fault from `plan` first:
-///
-/// - `disconnect` — writes *half* the frame (a torn frame on the
-///   peer's side) and reports a broken pipe, as if the kernel reset
-///   the connection mid-write;
-/// - `io-error` — writes nothing and reports a generic I/O error;
-/// - `slow-client:MS` — sleeps MS, then writes normally (exercises
-///   peers' patience / deadline paths without tc(8)).
-pub fn write_frame(
-    writer: &mut impl Write,
-    value: &Value,
-    plan: Option<&Arc<FaultPlan>>,
-    counter: &FrameCounter,
-) -> io::Result<()> {
-    let frame = counter.next();
+/// Serializes `value` as one frame and writes it.
+pub fn write_frame(writer: &mut impl Write, value: &Value) -> io::Result<()> {
     let mut bytes = value.to_compact().into_bytes();
     bytes.push(b'\n');
-    if let Some(fault) = plan.and_then(|p| p.socket_fault(frame)) {
-        match fault {
-            SocketFault::Disconnect => {
-                let half = bytes.len() / 2;
-                writer.write_all(&bytes[..half])?;
-                writer.flush()?;
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    format!("fault injection: disconnect at frame {frame}"),
-                ));
-            }
-            SocketFault::IoError => {
-                return Err(io::Error::other(format!(
-                    "fault injection: io-error at frame {frame}"
-                )));
-            }
-            SocketFault::SlowClient(delay) => {
-                // Dribble the frame out in two halves around the stall
-                // so the peer sees a genuinely slow writer, not just a
-                // late complete frame.
-                let half = bytes.len() / 2;
-                writer.write_all(&bytes[..half])?;
-                writer.flush()?;
-                std::thread::sleep(delay);
-                writer.write_all(&bytes[half..])?;
-                writer.flush()?;
-                return Ok(());
-            }
-        }
-    }
     writer.write_all(&bytes)?;
     writer.flush()
 }
@@ -324,7 +260,7 @@ mod tests {
             ("op".into(), "ping".into()),
         ]);
         let mut buf = Vec::new();
-        write_frame(&mut buf, &v, None, &FrameCounter::new()).unwrap();
+        write_frame(&mut buf, &v).unwrap();
         let mut r = BufReader::new(&buf[..]);
         let line = read_frame(&mut r).unwrap().unwrap();
         let back = parse_frame(&line).unwrap();
@@ -360,22 +296,5 @@ mod tests {
         let ok = parse_frame("{\"gila\":1,\"id\":1,\"op\":\"verify\",\"deadline_ms\":250}").unwrap();
         let req = parse_request(ok).unwrap();
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-    }
-
-    #[test]
-    fn socket_faults_fire_on_the_indexed_frame() {
-        let plan = Arc::new(FaultPlan::parse("disconnect@1").unwrap());
-        let counter = FrameCounter::new();
-        let v = Value::object(vec![("id".into(), 1.0.into())]);
-        let mut buf = Vec::new();
-        // Frame 0 passes, frame 1 tears mid-write.
-        write_frame(&mut buf, &v, Some(&plan), &counter).unwrap();
-        let before = buf.len();
-        let err = write_frame(&mut buf, &v, Some(&plan), &counter).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(buf.len() > before, "disconnect writes a torn half-frame");
-        assert!(buf.len() < before * 2, "but not the whole frame");
-        // Frame 2: the rule's count is spent, writes pass again.
-        write_frame(&mut buf, &v, Some(&plan), &counter).unwrap();
     }
 }

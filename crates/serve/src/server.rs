@@ -39,12 +39,11 @@ use std::time::{Duration, Instant};
 use gila_json::Value;
 use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
-use gila_verify::FaultPlan;
 
 use gila_verify::{CacheConfig, ProofCache};
 use crate::protocol::{
     parse_frame, parse_request, read_frame, response_error, response_ok, response_overloaded,
-    response_shutting_down, write_frame, FrameCounter, Request, Stream,
+    response_shutting_down, write_frame, Request, Stream,
 };
 use crate::service::Service;
 
@@ -80,8 +79,6 @@ pub struct ServeConfig {
     pub watchdog_poll: Duration,
     /// How long a drain waits for in-flight work before giving up.
     pub drain_budget: Duration,
-    /// Test-only fault plan (solver and socket faults).
-    pub fault_plan: Option<Arc<FaultPlan>>,
     /// Telemetry tracer.
     pub tracer: Tracer,
 }
@@ -98,7 +95,6 @@ impl Default for ServeConfig {
             watchdog_factor: 4,
             watchdog_poll: Duration::from_millis(25),
             drain_budget: Duration::from_secs(30),
-            fault_plan: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -119,7 +115,6 @@ pub enum DrainOutcome {
 /// reader thread interleave at frame granularity under the mutex.
 struct Conn {
     writer: Mutex<Stream>,
-    frames: FrameCounter,
     alive: AtomicBool,
     /// Cancel tokens of this connection's outstanding requests, keyed
     /// by job sequence number; cancelled en masse when the reader sees
@@ -128,12 +123,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn send(&self, plan: Option<&Arc<FaultPlan>>, value: &Value) {
+    fn send(&self, value: &Value) {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
         let mut w = self.writer.lock().unwrap();
-        if write_frame(&mut *w, value, plan, &self.frames).is_err() {
+        if write_frame(&mut *w, value).is_err() {
             self.alive.store(false, Ordering::Relaxed);
         }
     }
@@ -276,22 +271,21 @@ impl ServerInner {
     /// The reader thread calls this for each parsed request.
     fn dispatch(self: &Arc<Self>, req: Request, conn: &Arc<Conn>) {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let plan = self.cfg.fault_plan.as_ref();
         match req.op.as_str() {
             // Control-plane ops answer inline on the reader thread:
             // they are cheap and must work even when the queue is full.
             "ping" => {
-                conn.send(plan, &response_ok(req.id, Value::String("pong".into())));
+                conn.send(&response_ok(req.id, Value::String("pong".into())));
                 self.counters.responses.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             "stats" => {
-                conn.send(plan, &response_ok(req.id, self.stats()));
+                conn.send(&response_ok(req.id, self.stats()));
                 self.counters.responses.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             "shutdown" => {
-                conn.send(plan, &response_ok(req.id, Value::String("draining".into())));
+                conn.send(&response_ok(req.id, Value::String("draining".into())));
                 self.counters.responses.fetch_add(1, Ordering::Relaxed);
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.queue_signal.notify_all();
@@ -301,7 +295,7 @@ impl ServerInner {
         }
         if self.shutdown.load(Ordering::SeqCst) {
             self.counters.rejected_draining.fetch_add(1, Ordering::Relaxed);
-            conn.send(plan, &response_shutting_down(req.id));
+            conn.send(&response_shutting_down(req.id));
             return;
         }
         let mut queue = self.queue.lock().unwrap();
@@ -317,7 +311,7 @@ impl ServerInner {
                     .field("id", req.id)
                     .field("retry_after_ms", retry_ms)
             });
-            conn.send(plan, &response_overloaded(req.id, retry_ms));
+            conn.send(&response_overloaded(req.id, retry_ms));
             return;
         }
         let seq = self.next_job.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +352,6 @@ impl ServerInner {
                     queue = q;
                 }
             };
-            let plan = self.cfg.fault_plan.as_ref();
             if job.cancel.is_cancelled() {
                 // Client disconnected while the job sat queued: all
                 // its solver work is saved.
@@ -390,7 +383,7 @@ impl ServerInner {
                 // Nobody is listening; don't write into a dead socket.
                 self.counters.disconnect_cancelled.fetch_add(1, Ordering::Relaxed);
             } else {
-                job.conn.send(plan, &response);
+                job.conn.send(&response);
                 self.counters.responses.fetch_add(1, Ordering::Relaxed);
             }
             if zombie.load(Ordering::SeqCst) {
@@ -462,12 +455,10 @@ impl ServerInner {
         };
         let conn = Arc::new(Conn {
             writer: Mutex::new(write_half),
-            frames: FrameCounter::new(),
             alive: AtomicBool::new(true),
             tokens: Mutex::new(Vec::new()),
         });
         let mut reader = BufReader::new(stream);
-        let plan = self.cfg.fault_plan.as_ref();
         loop {
             match read_frame(&mut reader) {
                 Ok(Some(line)) => {
@@ -477,7 +468,7 @@ impl ServerInner {
                         Err(e) => {
                             // Envelope errors are answerable (id 0 =
                             // "couldn't read yours"); stay connected.
-                            conn.send(plan, &response_error(0, &format!("bad request: {e}")));
+                            conn.send(&response_error(0, &format!("bad request: {e}")));
                         }
                     }
                 }
@@ -498,11 +489,7 @@ impl Server {
     /// watchdog, and returns the running daemon.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let cache = Arc::new(ProofCache::open(cfg.cache.clone())?);
-        let service = Service::new(
-            Arc::clone(&cache),
-            cfg.tracer.clone(),
-            cfg.fault_plan.clone(),
-        );
+        let service = Service::new(Arc::clone(&cache), cfg.tracer.clone());
         let inner = Arc::new(ServerInner {
             service,
             cfg: cfg.clone(),
@@ -594,13 +581,12 @@ impl Server {
         // answer instead of a hang.
         {
             let mut queue = self.inner.queue.lock().unwrap();
-            let plan = self.inner.cfg.fault_plan.as_ref();
             for job in queue.drain(..) {
                 self.inner
                     .counters
                     .rejected_draining
                     .fetch_add(1, Ordering::Relaxed);
-                job.conn.send(plan, &response_shutting_down(job.req.id));
+                job.conn.send(&response_shutting_down(job.req.id));
             }
         }
         let mut outcome = DrainOutcome::Clean;

@@ -33,8 +33,7 @@ use gila_rtl::RtlModule;
 use gila_smt::CancelToken;
 use gila_trace::{Event, SpanKind, Tracer};
 use gila_verify::{
-    verify_module, FaultPlan, ModuleReport, ProofCache, RefinementMap,
-    VerifyOptions,
+    verify_module, ModuleReport, ProofCache, RefinementMap, VerifyOptions,
 };
 
 use crate::protocol::{response_error, response_ok, Request};
@@ -176,9 +175,6 @@ pub struct Service {
     /// Telemetry; `request`/`cache_hit`/`cache_miss` spans are emitted
     /// here alongside the engine's own spans.
     pub tracer: Tracer,
-    /// Test-only fault plan, forwarded into the engine and the socket
-    /// layer.
-    pub fault_plan: Option<Arc<FaultPlan>>,
     designs: Vec<CaseStudy>,
     memo: Memo,
 }
@@ -186,15 +182,10 @@ pub struct Service {
 impl Service {
     /// Builds the service, constructing the bundled design registry
     /// once (case studies are immutable; requests borrow them).
-    pub fn new(
-        cache: Arc<ProofCache>,
-        tracer: Tracer,
-        fault_plan: Option<Arc<FaultPlan>>,
-    ) -> Service {
+    pub fn new(cache: Arc<ProofCache>, tracer: Tracer) -> Service {
         Service {
             cache,
             tracer,
-            fault_plan,
             designs: gila_designs::all_case_studies(),
             memo: Memo::new(),
         }
@@ -305,7 +296,6 @@ impl Service {
             tracer: self.tracer.clone(),
             cancel: Some(cancel),
             journal: use_cache.then(|| Arc::clone(&self.cache)),
-            fault_plan: self.fault_plan.clone(),
             ..VerifyOptions::default()
         };
         // The request deadline caps each solve attempt; the CDCL loop

@@ -139,7 +139,7 @@ fn warm_journal(path: &std::path::Path) -> (Vec<String>, Vec<String>) {
         })
         .unwrap(),
     );
-    let service = Service::new(Arc::clone(&cache), Tracer::disabled(), None);
+    let service = Service::new(Arc::clone(&cache), Tracer::disabled());
     let resp = service.execute(&inline_verify_request(1), CancelToken::new(), None);
     assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
     cache.flush_and_compact().unwrap();
@@ -305,7 +305,7 @@ fn warm_verify_does_zero_solver_work_and_edits_reprove_only_changed_slices() {
         })
         .unwrap(),
     );
-    let service = Service::new(Arc::clone(&cache), Tracer::disabled(), None);
+    let service = Service::new(Arc::clone(&cache), Tracer::disabled());
 
     let field = |resp: &Value, name: &str| -> u64 {
         resp.get("result").unwrap().get(name).unwrap().as_u64().unwrap()
@@ -416,7 +416,7 @@ fn verify_module_journal_warms_a_service_on_the_same_file() {
     let cache = Arc::new(reopen(&path));
     assert_eq!(cache.recovery().recovered, 2);
     assert_eq!(cache.recovery().dropped, 0);
-    let service = Service::new(Arc::clone(&cache), Tracer::disabled(), None);
+    let service = Service::new(Arc::clone(&cache), Tracer::disabled());
     let resp = service.execute(&inline_verify_request(1), CancelToken::new(), None);
     let result = resp.get("result").unwrap();
     let field = |name: &str| result.get(name).and_then(Value::as_u64).unwrap();
@@ -430,7 +430,7 @@ fn verify_module_journal_warms_a_service_on_the_same_file() {
 #[test]
 fn cancelled_request_reports_unknown_not_wrong_answers() {
     let cache = Arc::new(ProofCache::open(CacheConfig::default()).unwrap());
-    let service = Service::new(Arc::clone(&cache), Tracer::disabled(), None);
+    let service = Service::new(Arc::clone(&cache), Tracer::disabled());
     let cancel = CancelToken::new();
     cancel.cancel();
     let resp = service.execute(&inline_verify_request(9), cancel, Some(Duration::from_secs(5)));
@@ -450,7 +450,7 @@ fn cancelled_request_reports_unknown_not_wrong_answers() {
 
 fn fresh_service() -> Service {
     let cache = Arc::new(ProofCache::open(CacheConfig::default()).unwrap());
-    Service::new(cache, Tracer::disabled(), None)
+    Service::new(cache, Tracer::disabled())
 }
 
 fn lint_request(ila: &str, rtl: &str) -> gila_serve::Request {

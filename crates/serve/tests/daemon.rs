@@ -1,13 +1,17 @@
 //! Daemon robustness: cold→warm over the wire, load shedding,
 //! disconnect cancellation, deadline watchdog, graceful drain, and
-//! client retry behavior under injected socket faults.
+//! client retry behavior against torn, failed and slow connections.
 //!
 //! Every test runs a real [`Server`] on an ephemeral TCP port (plus
 //! one Unix-socket case) inside the test process, so assertions can
-//! inspect server counters directly instead of scraping output.
+//! inspect server counters directly instead of scraping output. The
+//! abuse comes from test-side peers: raw sockets that tear or dribble
+//! frames, a fake daemon that hangs up before answering, and a trace
+//! sink that stalls the worker running a request.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +19,7 @@ use gila_json::Value;
 use gila_serve::{
     CacheConfig, Client, ClientConfig, DrainOutcome, Endpoint, Listen, ServeConfig, Server,
 };
-use gila_verify::FaultPlan;
+use gila_trace::{Event, SpanKind, TraceSink, Tracer};
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -43,8 +47,48 @@ fn client_for(addr: &str) -> Client {
     let mut cfg = ClientConfig::new(Endpoint::Tcp(addr.to_string()));
     cfg.retries = 8;
     cfg.base_delay = Duration::from_millis(20);
-    cfg.seed = 7;
     Client::connect(cfg)
+}
+
+/// A trace sink that sleeps once, on the first `cache_miss`. The engine
+/// emits it on the worker running the request, before any check, so
+/// the stall pins that worker the way a slow proof would. Serve-layer
+/// events (`shed`, `drain`, `request`) never sleep.
+struct StallFirstMiss {
+    stall: Duration,
+    fired: AtomicBool,
+}
+
+impl TraceSink for StallFirstMiss {
+    fn record(&self, event: Event) {
+        if event.kind == SpanKind::CacheMiss && !self.fired.swap(true, Ordering::SeqCst) {
+            std::thread::sleep(self.stall);
+        }
+    }
+}
+
+fn stall_first_miss(ms: u64) -> Tracer {
+    Tracer::with_sink(Arc::new(StallFirstMiss {
+        stall: Duration::from_millis(ms),
+        fired: AtomicBool::new(false),
+    }))
+}
+
+/// A fake daemon's side of one connection: answers every frame with
+/// `pong` under the frame's id until EOF, and returns how many it
+/// answered.
+fn answer_frames(stream: impl Read + Write) -> u64 {
+    let mut reader = BufReader::new(stream);
+    let mut answered = 0;
+    let mut line = String::new();
+    while reader.read_line(&mut line).unwrap_or(0) > 0 {
+        let id = gila_json::parse(&line).unwrap().get("id").and_then(Value::as_u64).unwrap();
+        let reply = format!("{{\"id\":{id},\"status\":\"ok\",\"result\":\"pong\"}}\n");
+        reader.get_mut().write_all(reply.as_bytes()).unwrap();
+        answered += 1;
+        line.clear();
+    }
+    answered
 }
 
 fn verify_fields(design: &str) -> Vec<(String, Value)> {
@@ -109,9 +153,9 @@ fn full_queue_sheds_immediately_and_backoff_recovers() {
     let mut cfg = base_cfg();
     cfg.workers = 1;
     cfg.queue_cap = 1;
-    // Every job of the first request sleeps, pinning the one worker
-    // long enough for the flood behind it to hit a full queue.
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("delay:300@*/**1").unwrap()));
+    // The first request's stall pins the one worker long enough for
+    // the flood behind it to hit a full queue.
+    cfg.tracer = stall_first_miss(300);
     let (server, addr) = start(cfg);
     let handle = server.handle();
 
@@ -158,14 +202,14 @@ fn disconnecting_client_cancels_its_outstanding_work() {
     let mut cfg = base_cfg();
     cfg.workers = 1;
     cfg.queue_cap = 8;
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("delay:400@*/**1").unwrap()));
+    cfg.tracer = stall_first_miss(400);
     let (server, addr) = start(cfg);
     let handle = server.handle();
 
     {
         let mut stream = TcpStream::connect(&addr).unwrap();
-        // One request occupies the worker (sleeping in the fault
-        // delay), one sits queued behind it.
+        // One request occupies the worker (stalled in the trace
+        // sink), one sits queued behind it.
         raw_send(&mut stream, 1, "verify", ",\"design\":\"Decoder\"");
         raw_send(&mut stream, 2, "verify", ",\"design\":\"Decoder\"");
         std::thread::sleep(Duration::from_millis(100));
@@ -284,7 +328,7 @@ fn watchdog_cancels_requests_overrunning_their_deadline() {
     cfg.watchdog_poll = Duration::from_millis(10);
     // The job sleeps 500ms *outside* any solver loop while its request
     // deadline is 50ms: only the watchdog can notice the overrun.
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("delay:500@*/**1").unwrap()));
+    cfg.tracer = stall_first_miss(500);
     let (server, addr) = start(cfg);
     let handle = server.handle();
     let mut client = client_for(&addr);
@@ -309,7 +353,7 @@ fn watchdog_cancels_requests_overrunning_their_deadline() {
 fn drain_finishes_inflight_work_and_refuses_new_requests() {
     let mut cfg = base_cfg();
     cfg.workers = 1;
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("delay:300@*/**1").unwrap()));
+    cfg.tracer = stall_first_miss(300);
     let (server, addr) = start(cfg);
     let handle = server.handle();
 
@@ -358,52 +402,80 @@ fn client_retries_torn_writes_but_never_a_delivered_response() {
     let (server, addr) = start(base_cfg());
     let handle = server.handle();
 
-    // The client's first write tears mid-frame (disconnect@0*1): the
-    // server drops the unsyncable connection, the client reconnects
-    // and retries — legal, because no response was ever received.
-    let mut cfg = ClientConfig::new(Endpoint::Tcp(addr.clone()));
+    // A peer writes half a verify frame and hangs up. The daemon cannot
+    // resynchronize a torn frame: it hangs up too, without answering
+    // and without turning the fragment into a request.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let frame = b"{\"gila\":1,\"id\":1,\"op\":\"verify\",\"design\":\"Decoder\"}\n";
+    stream.write_all(&frame[..frame.len() / 2]).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut answer = Vec::new();
+    stream.read_to_end(&mut answer).unwrap();
+    assert!(answer.is_empty(), "a torn frame gets no answer");
+    assert_eq!(handle.stats().get("requests").and_then(Value::as_u64), Some(0));
+    handle.shutdown();
+    assert_eq!(server.shutdown_and_wait(), DrainOutcome::Clean);
+
+    // A daemon that drops the first connection before answering: the
+    // client reconnects and retries (legal, because no response was
+    // read), and once the retry is answered it never asks again.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (first, _) = listener.accept().unwrap();
+        let mut line = String::new();
+        BufReader::new(first).read_line(&mut line).unwrap();
+        assert!(line.contains("\"op\":\"ping\""), "first attempt arrives whole");
+        let (second, _) = listener.accept().unwrap();
+        answer_frames(second)
+    });
+    let mut cfg = ClientConfig::new(Endpoint::Tcp(fake));
     cfg.retries = 4;
     cfg.base_delay = Duration::from_millis(10);
-    cfg.seed = 3;
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("disconnect@0*1").unwrap()));
-    let mut client = Client::connect(cfg);
-    let resp = client.request("verify", verify_fields("Decoder")).unwrap();
-    assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
-
-    // Exactly one verify reached a worker: the retry did not duplicate
-    // an already-answered request (the torn first attempt never
-    // parsed). The responses counter is bumped by the worker after the
-    // reply hits the wire, so give it a moment to settle.
-    let settle = Instant::now() + Duration::from_secs(2);
-    while handle.stats().get("responses").and_then(Value::as_u64) != Some(1) {
-        assert!(Instant::now() < settle, "responses counter never reached 1");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(handle.stats().get("requests").and_then(Value::as_u64), Some(1));
-
-    // An injected io-error before any bytes move is equally retryable.
-    let mut cfg = ClientConfig::new(Endpoint::Tcp(addr.clone()));
-    cfg.retries = 4;
-    cfg.base_delay = Duration::from_millis(10);
-    cfg.seed = 5;
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("io-error@0*1").unwrap()));
     let mut client = Client::connect(cfg);
     let resp = client.request("ping", vec![]).unwrap();
     assert_eq!(resp.get("result").and_then(Value::as_str), Some("pong"));
+    drop(client);
+    assert_eq!(peer.join().unwrap(), 1, "exactly one frame answered");
 
-    handle.shutdown();
-    assert_eq!(server.shutdown_and_wait(), DrainOutcome::Clean);
+    // A connect that fails before any byte moves is equally retryable:
+    // the socket appears only after the client's first attempt.
+    #[cfg(unix)]
+    {
+        let sock = tmp_path("late.sock");
+        let path = sock.clone();
+        let peer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+            answer_frames(listener.accept().unwrap().0)
+        });
+        let mut cfg = ClientConfig::new(Endpoint::Unix(sock.clone()));
+        cfg.retries = 8;
+        cfg.base_delay = Duration::from_millis(20);
+        let mut client = Client::connect(cfg);
+        let resp = client.request("ping", vec![]).unwrap();
+        assert_eq!(resp.get("result").and_then(Value::as_str), Some("pong"));
+        drop(client);
+        assert_eq!(peer.join().unwrap(), 1);
+        let _ = std::fs::remove_file(&sock);
+    }
 }
 
 #[test]
 fn slow_client_frames_are_tolerated() {
     let (server, addr) = start(base_cfg());
-    let mut cfg = ClientConfig::new(Endpoint::Tcp(addr));
-    // Every write from this client stalls 100ms mid-frame; the daemon
-    // must reassemble the dribbled frame rather than time out or tear.
-    cfg.fault_plan = Some(Arc::new(FaultPlan::parse("slow-client:100@*").unwrap()));
-    let mut client = Client::connect(cfg);
-    let resp = client.request("verify", verify_fields("Decoder")).unwrap();
+    // The frame dribbles in two halves 100ms apart; the daemon must
+    // reassemble it rather than time out or tear.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let frame = b"{\"gila\":1,\"id\":1,\"op\":\"verify\",\"design\":\"Decoder\"}\n";
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stream.write_all(head).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(tail).unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    let resp = gila_json::parse(&line).unwrap();
     assert_eq!(resp.get("status").and_then(Value::as_str), Some("ok"));
     server.handle().shutdown();
     assert_eq!(server.shutdown_and_wait(), DrainOutcome::Clean);

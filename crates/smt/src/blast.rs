@@ -806,11 +806,6 @@ impl SmtSolver {
         self.add_clause(vec![!activation]);
     }
 
-    /// Number of currently open assertion scopes.
-    pub fn scope_depth(&self) -> usize {
-        self.scopes.len()
-    }
-
     /// Checks satisfiability of all assertions so far.
     pub fn check(&mut self) -> SmtResult {
         let before = self.stats;
@@ -1572,15 +1567,15 @@ mod tests {
         let lo = ctx.ult(x, c10);
         let mut smt = SmtSolver::new();
         smt.assert(&ctx, hi);
-        assert_eq!(smt.scope_depth(), 0);
         assert_eq!(smt.push_scope(), 1);
         smt.assert(&ctx, lo);
         // x > 200 && x < 10 is contradictory...
         assert!(!smt.check().is_sat());
         smt.pop_scope();
-        assert_eq!(smt.scope_depth(), 0);
-        // ...but only the scoped half is retracted by the pop.
+        // ...but only the scoped half is retracted by the pop, which
+        // closed the only open scope.
         assert!(smt.check().is_sat());
+        assert_eq!(smt.push_scope(), 1);
         assert!(smt.model_value(&ctx, x).as_bv().to_u64() > 200);
     }
 

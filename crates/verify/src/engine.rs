@@ -472,8 +472,8 @@ pub struct VerifyOptions {
     /// set, a check that exhausts it reports [`CheckResult::Unknown`] instead
     /// of running forever.
     pub budget: SolveBudget,
-    /// Test-only fault injection: panics, forced unknowns, and delays
-    /// per (port, instruction). `None` (the default) injects nothing.
+    /// Test-only fault injection: panics and forced unknowns per
+    /// (port, instruction). `None` (the default) injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// The verdict journal ([`ProofCache`]). Every property is keyed by
     /// its content ([`crate::slice_keys`]); properties the journal
@@ -900,7 +900,6 @@ fn check_instruction_planned(
     if let Some(fault) = opts.fault_plan.as_deref() {
         match fault.fire(plan.port.name(), &instr.name) {
             Some(FaultAction::Panic(msg)) => panic!("injected fault: {msg}"),
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             Some(FaultAction::ForceUnknown) => {
                 budget = SolveBudget {
                     conflicts: None,
@@ -2313,7 +2312,7 @@ endmodule
         map.map_input("go", "go");
         map.map_input("data", "data");
         map.add_invariant("pending == 1'b0");
-        map.add_instruction_map(crate::refmap::InstructionMap {
+        map.instruction_maps.push(crate::refmap::InstructionMap {
             instruction: "write".into(),
             start_strengthening: None,
             finish: FinishCondition::Cycles(2),
@@ -2492,7 +2491,7 @@ endmodule
         map.map_state("out", "out_r");
         map.map_input("go", "go");
         map.map_input("data", "data");
-        map.add_instruction_map(crate::refmap::InstructionMap {
+        map.instruction_maps.push(crate::refmap::InstructionMap {
             instruction: "write".into(),
             start_strengthening: None,
             finish: FinishCondition::Condition {

@@ -90,7 +90,7 @@ pub use engine::{
     DecidedBy, InstrVerdict, ModuleReport, PortReport, RefinementCex, SolveBudget, VerdictCounts,
     VerifyError, VerifyOptions,
 };
-pub use fault::{FaultAction, FaultPlan, FaultPlanError, SocketFault};
+pub use fault::{FaultAction, FaultPlan, FaultPlanError};
 pub use journal::{CacheConfig, CacheStats, ProofCache, RecoveryStats};
 /// Re-exported so budget consumers can name the resource that ran out
 /// without depending on `gila-smt` directly.

@@ -152,11 +152,6 @@ impl RefinementMap {
         self.unchecked_states.push(ila_state.into());
     }
 
-    /// Adds a per-instruction directive.
-    pub fn add_instruction_map(&mut self, m: InstructionMap) {
-        self.instruction_maps.push(m);
-    }
-
     /// The directive for an instruction: its own entry, else the `"*"`
     /// entry, else the single-cycle default.
     pub fn instruction_map_for(&self, instruction: &str) -> InstructionMap {
@@ -371,7 +366,7 @@ mod tests {
         m.map_input("wait", "wait_data");
         m.map_input("word_in", "op_in");
         m.add_invariant("status <= 2'd3");
-        m.add_instruction_map(InstructionMap {
+        m.instruction_maps.push(InstructionMap {
             instruction: "process_s1".into(),
             start_strengthening: Some("status == 2'd1".into()),
             finish: FinishCondition::Cycles(1),
@@ -401,7 +396,7 @@ mod tests {
         let d = m.instruction_map_for("stall");
         assert_eq!(d.finish, FinishCondition::Cycles(1));
         // wildcard overrides fallback
-        m.add_instruction_map(InstructionMap {
+        m.instruction_maps.push(InstructionMap {
             instruction: "*".into(),
             start_strengthening: None,
             finish: FinishCondition::Cycles(2),
@@ -413,7 +408,7 @@ mod tests {
     #[test]
     fn condition_finish_serializes() {
         let mut m = RefinementMap::new("x");
-        m.add_instruction_map(InstructionMap {
+        m.instruction_maps.push(InstructionMap {
             instruction: "req".into(),
             start_strengthening: None,
             finish: FinishCondition::Condition {

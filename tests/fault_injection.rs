@@ -327,29 +327,6 @@ fn malformed_second_map_errors_before_any_solve() {
     }
 }
 
-#[test]
-fn delay_faults_only_slow_the_run_down() {
-    let (ila, rtl, maps) = counter();
-    let fault = FaultPlan::new().inject(
-        "*",
-        "*",
-        FaultAction::Delay(std::time::Duration::from_millis(5)),
-        None,
-    );
-    let report = verify_module(
-        &ila,
-        &rtl,
-        &maps,
-        &VerifyOptions {
-            fault_plan: Some(Arc::new(fault)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(report.all_hold());
-    assert!(report.total_time() >= std::time::Duration::from_millis(10));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
