@@ -418,19 +418,18 @@ pub fn check_inv(flags: &[(String, String)]) -> CmdResult {
 /// `gila export`: serialize an RTL module as a BTOR2 model-checking
 /// problem (with an optional safety property) for external checkers.
 pub fn export(flags: &[(String, String)]) -> CmdResult {
-    let rtl = load_rtl(require(flags, "rtl")?)?;
-    let mut rtl_scratch = rtl.clone();
-    let (mut ts, _signals) = gila_verify::rtl_to_ts(&rtl)?;
+    let mut rtl = load_rtl(require(flags, "rtl")?)?;
+    // The property is parsed into the RTL, so it is an expression of
+    // the system the RTL becomes.
     let prop = match flag(flags, "prop") {
         Some(expr) => {
-            let e = gila_rtl::parse_rtl_expr(&mut rtl_scratch, expr)
+            let e = gila_rtl::parse_rtl_expr(&mut rtl, expr)
                 .map_err(|e| format!("--prop: {e}"))?;
-            let mut memo = std::collections::HashMap::new();
-            let e = gila_expr::import(ts.ctx_mut(), rtl_scratch.ctx(), e, &mut memo);
-            ts.ctx_mut().bv_to_bool(e)
+            rtl.ctx_mut().bv_to_bool(e)
         }
-        None => ts.ctx_mut().tt(),
+        None => rtl.ctx_mut().tt(),
     };
+    let (ts, _signals) = gila_verify::rtl_to_ts(&rtl)?;
     let doc = gila_mc::to_btor2(&ts, prop)?;
     match flag(flags, "o") {
         Some(path) => {

@@ -457,10 +457,31 @@ fn export_produces_btor2() {
         .expect("binary runs");
     assert!(out.status.success());
     let doc = std::fs::read_to_string(&out_path).expect("file written");
-    assert!(doc.contains("sort bitvec 8"));
-    assert!(doc.contains(" next "));
-    assert!(doc.contains(" bad "));
+    assert_eq!(doc, EXPORTED_BTOR2);
 }
+
+/// `gila export --rtl` of [`RTL_GOOD`] with `--prop "count < 8'd255"`,
+/// byte for byte: the property is the negated `ult` over the same
+/// `count` state the next-state function reads.
+const EXPORTED_BTOR2: &str = "\
+; btor2 export of transition system counter
+1 sort bitvec 1
+2 input 1 clk
+3 input 1 en_in
+4 sort bitvec 8
+5 state 4 count
+6 constd 4 1
+7 add 4 5 6
+8 constd 1 0
+9 eq 1 3 8
+10 not 1 9
+11 ite 4 10 7 5
+12 next 4 5 11
+13 constd 4 255
+14 ult 1 5 13
+15 not 1 14
+16 bad 15
+";
 
 #[test]
 fn verify_undecided_exits_3() {

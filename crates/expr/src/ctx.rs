@@ -1251,7 +1251,7 @@ mod tests {
     /// to what `eval` gives the unfolded root under the same values.
     #[test]
     fn folding_agrees_with_eval_on_every_op() {
-        use crate::{eval, substitute, Env};
+        use crate::{eval, substitute_cached, Env, ExprMap};
         use rand::{Rng, SeedableRng};
         let mut covered = std::collections::HashSet::new();
         for seed in 0..64 {
@@ -1296,7 +1296,7 @@ mod tests {
                 pools = picks;
             }
             for root in pools.concat() {
-                let folded = substitute(&mut ctx, root, &map);
+                let folded = substitute_cached(&mut ctx, root, &map, &mut ExprMap::default());
                 assert!(is_const(&ctx, folded), "seed {seed}: {root:?} did not fold");
                 let want = eval(&ctx, root, &env).unwrap();
                 let got = eval(&ctx, folded, &Env::new()).unwrap();

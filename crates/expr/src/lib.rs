@@ -49,7 +49,5 @@ pub use eval::{eval, eval_all, Env, EvalError};
 pub use hash::{ExprHasher, ExprMap};
 pub use lower::{Slot, TapeProgram, TapeState};
 pub use sort::Sort;
-pub use subst::{
-    cofactor, import, import_mapped, import_renamed, substitute, substitute_cached, Cofactor,
-};
+pub use subst::{cofactor, import, import_mapped, substitute_cached, Cofactor};
 pub use value::{BitVecValue, MemValue, Value};

@@ -1,4 +1,4 @@
-//! Substitution, renaming, and cross-context import of expression DAGs.
+//! Substitution and cross-context import of expression DAGs.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -6,43 +6,12 @@ use std::hash::BuildHasher;
 
 use crate::ctx::{ExprCtx, ExprNode, ExprRef, Op};
 use crate::hash::ExprMap;
+use crate::sort::Sort;
 
 /// Rewrites `root`, replacing every occurrence of a key of `map` with its
-/// value. Keys are typically variables, but any sub-expression handle works.
-///
-/// The replacement must have the same sort as the replaced expression
-/// (enforced when the surrounding applications are rebuilt).
-///
-/// # Examples
-///
-/// ```
-/// use std::collections::HashMap;
-/// use gila_expr::{substitute, ExprCtx, Sort};
-///
-/// let mut ctx = ExprCtx::new();
-/// let x = ctx.var("x", Sort::Bv(8));
-/// let one = ctx.bv_u64(1, 8);
-/// let e = ctx.bvadd(x, one);
-/// let y = ctx.var("y", Sort::Bv(8));
-/// let map = HashMap::from([(x, y)]);
-/// let e2 = substitute(&mut ctx, e, &map);
-/// let expected = ctx.bvadd(y, one);
-/// assert_eq!(e2, expected);
-/// ```
-///
-/// # Panics
-///
-/// Panics if a substitution makes an application ill-sorted.
-pub fn substitute<S: BuildHasher>(
-    ctx: &mut ExprCtx,
-    root: ExprRef,
-    map: &HashMap<ExprRef, ExprRef, S>,
-) -> ExprRef {
-    substitute_cached(ctx, root, map, &mut ExprMap::default())
-}
-
-/// Like [`substitute`], but reuses a memo table across calls so that many
-/// roots sharing structure are rewritten once.
+/// value. Keys are typically variables, but any sub-expression handle
+/// works. `memo` may be reused across calls, so that many roots sharing
+/// structure are rewritten once.
 ///
 /// The walk stops at memoized sub-expressions, so a root that is already
 /// in `memo` costs one lookup, and a call rewrites only what no earlier
@@ -51,6 +20,30 @@ pub fn substitute<S: BuildHasher>(
 /// no result and no node's creation order: its rewrite exists already.
 /// A node is read in place, and a new argument list is built only for
 /// an application some argument of which changed.
+///
+/// The replacement must have the same sort as the replaced expression
+/// (enforced when the surrounding applications are rebuilt).
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::HashMap;
+/// use gila_expr::{substitute_cached, ExprCtx, Sort};
+///
+/// let mut ctx = ExprCtx::new();
+/// let x = ctx.var("x", Sort::Bv(8));
+/// let one = ctx.bv_u64(1, 8);
+/// let e = ctx.bvadd(x, one);
+/// let y = ctx.var("y", Sort::Bv(8));
+/// let map = HashMap::from([(x, y)]);
+/// let e2 = substitute_cached(&mut ctx, e, &map, &mut HashMap::new());
+/// let expected = ctx.bvadd(y, one);
+/// assert_eq!(e2, expected);
+/// ```
+///
+/// # Panics
+///
+/// Panics if a substitution makes an application ill-sorted.
 pub fn substitute_cached<S: BuildHasher, M: BuildHasher>(
     ctx: &mut ExprCtx,
     root: ExprRef,
@@ -247,56 +240,8 @@ pub fn import<M: BuildHasher>(
     root: ExprRef,
     memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> ExprRef {
-    let order = src.post_order(&[root]);
-    for e in order {
-        if memo.contains_key(&e) {
-            continue;
-        }
-        let out = match src.node(e) {
-            ExprNode::BoolConst(b) => dst.bool_const(*b),
-            ExprNode::BvConst(v) => dst.bv(v.clone()),
-            ExprNode::MemConst(m) => dst.mem_const(m.clone()),
-            ExprNode::Var { name, sort } => dst.var(name.clone(), *sort),
-            ExprNode::App { op, args, .. } => {
-                let (images, n) = images(args, memo);
-                dst.app_of(*op, &images[..n])
-            }
-        };
-        memo.insert(e, out);
-    }
-    memo[&root]
-}
-
-/// Imports an expression while renaming variables: each variable named `n`
-/// in `src` becomes a variable named `rename(n)` in `dst`.
-///
-/// Useful for unrolling transition systems (`x` at step `k` becomes
-/// `x@k`) and for building product models without name clashes.
-pub fn import_renamed<M: BuildHasher>(
-    dst: &mut ExprCtx,
-    src: &ExprCtx,
-    root: ExprRef,
-    rename: &dyn Fn(&str) -> String,
-    memo: &mut HashMap<ExprRef, ExprRef, M>,
-) -> ExprRef {
-    let order = src.post_order(&[root]);
-    for e in order {
-        if memo.contains_key(&e) {
-            continue;
-        }
-        let out = match src.node(e) {
-            ExprNode::BoolConst(b) => dst.bool_const(*b),
-            ExprNode::BvConst(v) => dst.bv(v.clone()),
-            ExprNode::MemConst(m) => dst.mem_const(m.clone()),
-            ExprNode::Var { name, sort } => dst.var(rename(name), *sort),
-            ExprNode::App { op, args, .. } => {
-                let (images, n) = images(args, memo);
-                dst.app_of(*op, &images[..n])
-            }
-        };
-        memo.insert(e, out);
-    }
-    memo[&root]
+    import_with(dst, src, root, memo, |dst, _, name, sort| Some(dst.var(name, sort)))
+        .expect("every variable imports by name")
 }
 
 /// Imports an expression from `src` into `dst` while *replacing its
@@ -322,19 +267,47 @@ pub fn import_mapped<S: BuildHasher, M: BuildHasher>(
     var_map: &HashMap<ExprRef, ExprRef, S>,
     memo: &mut HashMap<ExprRef, ExprRef, M>,
 ) -> Result<ExprRef, String> {
-    let order = src.post_order(&[root]);
-    for e in order {
+    import_with(dst, src, root, memo, |_, e, _, _| var_map.get(&e).copied())
+}
+
+/// The walk behind [`import`] and [`import_mapped`]: `var` gives each
+/// variable's image in `dst` (from `dst`, the variable, its name and
+/// sort), or `None`, which ends the import with the variable's name.
+///
+/// It walks as [`substitute_cached`] does, so a memoized root costs one
+/// lookup, memoized nodes are never descended into, and new nodes are
+/// created in the order of `src`'s post-order from `root`.
+fn import_with<M: BuildHasher>(
+    dst: &mut ExprCtx,
+    src: &ExprCtx,
+    root: ExprRef,
+    memo: &mut HashMap<ExprRef, ExprRef, M>,
+    mut var: impl FnMut(&mut ExprCtx, ExprRef, &str, Sort) -> Option<ExprRef>,
+) -> Result<ExprRef, String> {
+    if let Some(&r) = memo.get(&root) {
+        return Ok(r);
+    }
+    let mut stack = vec![(root, false)];
+    while let Some(&(e, expanded)) = stack.last() {
         if memo.contains_key(&e) {
+            stack.pop();
             continue;
         }
+        if !expanded {
+            stack.last_mut().expect("non-empty").1 = true;
+            for &a in src.args(e) {
+                if !memo.contains_key(&a) {
+                    stack.push((a, false));
+                }
+            }
+            continue;
+        }
+        stack.pop();
         let out = match src.node(e) {
             ExprNode::BoolConst(b) => dst.bool_const(*b),
             ExprNode::BvConst(v) => dst.bv(v.clone()),
             ExprNode::MemConst(m) => dst.mem_const(m.clone()),
-            ExprNode::Var { name, .. } => match var_map.get(&e) {
-                Some(&r) => r,
-                None => return Err(name.clone()),
-            },
+            ExprNode::Var { name, sort } => var(dst, e, name, *sort).ok_or_else(|| name.clone())?,
             ExprNode::App { op, args, .. } => {
                 let (images, n) = images(args, memo);
                 dst.app_of(*op, &images[..n])
@@ -360,7 +333,7 @@ mod tests {
         let e = ctx.bvmul(e0, x);
         let c = ctx.bv_u64(3, 8);
         let map = HashMap::from([(x, c)]);
-        let r = substitute(&mut ctx, e, &map);
+        let r = substitute_cached(&mut ctx, e, &map, &mut ExprMap::default());
         // (3+3)*3 = 18, fully folded
         assert_eq!(ctx.as_bv_const(r).unwrap().to_u64(), 18);
     }
@@ -374,7 +347,7 @@ mod tests {
         let z = ctx.var("z", Sort::Bv(8));
         let w = ctx.var("w", Sort::Bv(8));
         let map = HashMap::from([(z, w)]);
-        assert_eq!(substitute(&mut ctx, e, &map), e);
+        assert_eq!(substitute_cached(&mut ctx, e, &map, &mut ExprMap::default()), e);
     }
 
     #[test]
@@ -420,19 +393,6 @@ mod tests {
             import_mapped(&mut dst, &src, e2, &map, &mut memo).unwrap_err(),
             "y"
         );
-    }
-
-    #[test]
-    fn import_renamed_prefixes() {
-        let mut src = ExprCtx::new();
-        let x = src.var("x", Sort::Bv(8));
-        let e = src.bvadd(x, x);
-        let mut dst = ExprCtx::new();
-        let mut memo = HashMap::new();
-        let de = import_renamed(&mut dst, &src, e, &|n| format!("rtl.{n}"), &mut memo);
-        let vars = dst.vars_of(&[de]);
-        assert_eq!(vars.len(), 1);
-        assert_eq!(dst.var_name(vars[0]), Some("rtl.x"));
     }
 
     #[test]
@@ -574,6 +534,61 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Import as a whole post-order of `root` per call, skipping the
+    /// memoized nodes: the reference order [`import`] must create nodes
+    /// in.
+    fn import_by_post_order(
+        dst: &mut ExprCtx,
+        src: &ExprCtx,
+        root: ExprRef,
+        memo: &mut ExprMap<ExprRef>,
+    ) -> ExprRef {
+        for e in src.post_order(&[root]) {
+            if memo.contains_key(&e) {
+                continue;
+            }
+            let out = match src.node(e) {
+                ExprNode::BoolConst(b) => dst.bool_const(*b),
+                ExprNode::BvConst(v) => dst.bv(v.clone()),
+                ExprNode::MemConst(m) => dst.mem_const(m.clone()),
+                ExprNode::Var { name, sort } => dst.var(name.clone(), *sort),
+                ExprNode::App { op, args, .. } => {
+                    let images: Vec<ExprRef> = args.iter().map(|a| memo[a]).collect();
+                    dst.app_of(*op, &images)
+                }
+            };
+            memo.insert(e, out);
+        }
+        memo[&root]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// On random DAGs, importing every root in turn through one memo
+        /// gives each node the handle the post-order reference gives it,
+        /// so both create the same nodes in the same order; importing a
+        /// root again creates nothing.
+        #[test]
+        fn import_creates_nodes_in_post_order(seed in proptest::strategy::any::<u64>()) {
+            let (src, roots, _) = crate::eval::tests::random_dag(seed);
+            let (mut dst, mut memo) = (ExprCtx::new(), ExprMap::default());
+            let (mut reference, mut reference_memo) = (ExprCtx::new(), ExprMap::default());
+            for &root in roots.iter().rev() {
+                let image = import(&mut dst, &src, root, &mut memo);
+                let want = import_by_post_order(&mut reference, &src, root, &mut reference_memo);
+                proptest::prop_assert_eq!(image, want);
+            }
+            proptest::prop_assert_eq!(&memo, &reference_memo);
+            proptest::prop_assert_eq!(dst.len(), reference.len());
+            let len = dst.len();
+            for &root in &roots {
+                import(&mut dst, &src, root, &mut memo);
+            }
+            proptest::prop_assert_eq!(dst.len(), len);
         }
     }
 }

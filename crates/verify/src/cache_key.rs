@@ -116,7 +116,6 @@ pub(crate) fn port_keys(planned: &Planned<'_>, plan: &PortPlan<'_>) -> Vec<Strin
     // subgraphs hash once.
     let mut ts_dag = DagHasher::new(ts.ctx());
     let mut ila_dag = DagHasher::new(plan.port.ctx());
-    let mut cond_dag = DagHasher::new(planned.cond_rtl.ctx());
 
     // 3. The refinement correspondence (ILA state/input to RTL expression,
     // pre-state-only flags): the same for every instruction.
@@ -141,9 +140,9 @@ pub(crate) fn port_keys(planned: &Planned<'_>, plan: &PortPlan<'_>) -> Vec<Strin
     let mut keys = Vec::with_capacity(plan.instrs.len());
     for (instr, ip) in plan.port.instructions().iter().zip(&plan.instrs) {
         // Root set: what *this instruction's* check can observe of the
-        // RTL — the mapped correspondence plus the support of the
-        // conditions it uses (invariants apply to every instruction).
-        let roots = coi_roots(planned, plan, std::slice::from_ref(ip));
+        // RTL — the mapped correspondence plus the conditions it uses
+        // (invariants apply to every instruction).
+        let roots = coi_roots(plan, std::slice::from_ref(ip));
         let mut f = match prefixes.iter().find(|(r, _)| *r == roots) {
             Some(&(_, prefix)) => prefix,
             None => {
@@ -166,19 +165,18 @@ pub(crate) fn port_keys(planned: &Planned<'_>, plan: &PortPlan<'_>) -> Vec<Strin
         bytes.0.extend_from_slice(&correspondence.0);
 
         // 4. Per-instruction directives, with conditions hashed as
-        // parsed expressions (whitespace-insensitive) in the plan's
-        // scratch RTL.
+        // parsed expressions (whitespace-insensitive) of the system.
         bytes.write_u64(ip.bound as u64);
         for cond in [ip.finish_expr, ip.strengthening] {
             match cond {
-                Some(e) => bytes.write_hash(cond_dag.hash(e)),
+                Some(e) => bytes.write_hash(ts_dag.hash(e)),
                 None => bytes.write_str("-"),
             }
         }
         bytes.write_text(format_args!("{:?}", ip.input_policy));
         bytes.write_u64(plan.invariants.len() as u64);
         for &inv in &plan.invariants {
-            bytes.write_hash(cond_dag.hash(inv));
+            bytes.write_hash(ts_dag.hash(inv));
         }
 
         f.write(&bytes.0);
@@ -208,9 +206,9 @@ pub fn coi_root_sets(
     let planned = Planned::module(module, rtl, maps)?;
     let mut sets = Vec::new();
     for plan in &planned.plans {
-        sets.push(coi_roots(&planned, plan, &plan.instrs));
+        sets.push(coi_roots(plan, &plan.instrs));
         for ip in &plan.instrs {
-            sets.push(coi_roots(&planned, plan, std::slice::from_ref(ip)));
+            sets.push(coi_roots(plan, std::slice::from_ref(ip)));
         }
     }
     Ok((planned.ts, sets))

@@ -14,10 +14,11 @@
 //! the same formula ([`crate::falsify`]), and a candidate that evaluates
 //! to a violation is reported without a SAT call.
 //!
-//! Every call runs one pipeline. It plans its targets once: one
-//! transition system for the RTL ([`rtl_to_ts`]) and one [`PortPlan`]
-//! per port (signal resolution and condition parsing), so malformed
-//! input errors before anything is solved. With a
+//! Every call runs one pipeline. It plans its targets once, on one copy
+//! of the RTL: one [`PortPlan`] per port (signal resolution and
+//! condition parsing into the copy), then the copy becomes the call's
+//! one transition system ([`rtl_to_ts`]), so malformed input errors
+//! before anything is solved. With a
 //! [`VerifyOptions::journal`], every property is keyed from those plans
 //! ([`crate::SliceKey`]); a port the journal answers in full is reported
 //! from its replays alone, with no slice. The other ports run one after
@@ -26,17 +27,15 @@
 //! learned clauses are paid once per port. Every freshly decided
 //! verdict is journaled as it lands.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gila_core::{ModuleIla, PortIla};
-use gila_expr::{
-    cofactor, eval_all, import, import_mapped, Cofactor, ExprCtx, ExprMap, ExprRef, Sort, Value,
-};
-use gila_mc::{coi_slice, support, CoiStats, TransitionSystem, Unrolling};
+use gila_expr::{cofactor, eval_all, import_mapped, Cofactor, ExprMap, ExprRef, Sort, Value};
+use gila_mc::{coi_slice, CoiStats, TransitionSystem, Unrolling};
 use gila_rtl::{parse_rtl_expr, RtlModule, VerilogError};
 use gila_smt::{
     BlastStats, CancelToken, ResourceOut, SmtResult, SmtSolver, SolveLimits, SolverStats,
@@ -626,8 +625,14 @@ impl PortEngine {
 /// names) plus a map from every named signal (inputs, registers,
 /// memories, wires) to its expression in the system's context.
 ///
-/// Useful beyond refinement checking: BMC, k-induction, and liveness
-/// checking of RTL modules all go through this conversion.
+/// The system's context is a copy of the module's, taken as it is: the
+/// states and inputs are the module's own variables, and next-state
+/// functions and signals keep their handles. So an expression over
+/// `rtl`, such as a condition [`parse_rtl_expr`] parsed into it, is an
+/// expression of the system too.
+///
+/// Useful beyond refinement checking: BMC, k-induction and BTOR2 export
+/// of RTL modules all go through this conversion.
 ///
 /// # Errors
 ///
@@ -637,10 +642,25 @@ impl PortEngine {
 pub fn rtl_to_ts(
     rtl: &RtlModule,
 ) -> Result<(TransitionSystem, BTreeMap<String, ExprRef>), VerifyError> {
+    let signals = rtl
+        .inputs()
+        .iter()
+        .map(|i| (i.name.clone(), i.var))
+        .chain(rtl.regs().iter().map(|r| (r.name.clone(), r.var)))
+        .chain(rtl.mems().iter().map(|m| (m.name.clone(), m.var)))
+        .chain(rtl.signals().iter().map(|s| (s.name.clone(), s.expr)))
+        .collect();
+    Ok((into_ts(rtl.clone())?, signals))
+}
+
+/// The transition system of `rtl`, which takes over the module's
+/// expression context ([`rtl_to_ts`]).
+pub(crate) fn into_ts(mut rtl: RtlModule) -> Result<TransitionSystem, VerifyError> {
     let malformed = |what: &str, name: &str, e: &dyn fmt::Display| VerifyError::MalformedRtl {
         reason: format!("{what} of {name:?}: {e}"),
     };
     let mut ts = TransitionSystem::new(rtl.name());
+    *ts.ctx_mut() = std::mem::take(rtl.ctx_mut());
     for i in rtl.inputs() {
         ts.input(i.name.clone(), Sort::Bv(i.width));
     }
@@ -664,37 +684,12 @@ pub fn rtl_to_ts(
                 .map_err(|e| malformed("init value", &m.name, &e))?;
         }
     }
-    let mut memo = HashMap::new();
-    for r in rtl.regs() {
-        let next = import(ts.ctx_mut(), rtl.ctx(), r.next, &mut memo);
-        ts.set_next(&r.name, next)
-            .map_err(|e| malformed("next-state function", &r.name, &e))?;
+    let nexts = rtl.regs().iter().map(|r| (&r.name, r.next));
+    for (name, next) in nexts.chain(rtl.mems().iter().map(|m| (&m.name, m.next))) {
+        ts.set_next(name, next)
+            .map_err(|e| malformed("next-state function", name, &e))?;
     }
-    for m in rtl.mems() {
-        let next = import(ts.ctx_mut(), rtl.ctx(), m.next, &mut memo);
-        ts.set_next(&m.name, next)
-            .map_err(|e| malformed("next-state function", &m.name, &e))?;
-    }
-    let mut signals = BTreeMap::new();
-    let lookup = |ts: &TransitionSystem, name: &str| {
-        ts.ctx().find_var(name).ok_or_else(|| VerifyError::MalformedRtl {
-            reason: format!("signal {name:?} vanished after declaration"),
-        })
-    };
-    for i in rtl.inputs() {
-        signals.insert(i.name.clone(), lookup(&ts, &i.name)?);
-    }
-    for r in rtl.regs() {
-        signals.insert(r.name.clone(), lookup(&ts, &r.name)?);
-    }
-    for m in rtl.mems() {
-        signals.insert(m.name.clone(), lookup(&ts, &m.name)?);
-    }
-    for s in rtl.signals() {
-        let e = import(ts.ctx_mut(), rtl.ctx(), s.expr, &mut memo);
-        signals.insert(s.name.clone(), e);
-    }
-    Ok((ts, signals))
+    Ok(ts)
 }
 
 /// Everything about one instruction that can be computed before any
@@ -702,18 +697,17 @@ pub fn rtl_to_ts(
 pub(crate) struct InstrPlan {
     /// Unrolling depth (the finish cycle, or the `Condition` bound).
     pub(crate) bound: usize,
-    /// Parsed finish condition, in [`Planned::cond_rtl`]'s context.
+    /// Parsed finish condition, an expression of [`Planned::ts`].
     pub(crate) finish_expr: Option<ExprRef>,
-    /// Parsed start strengthening, in [`Planned::cond_rtl`]'s context.
+    /// Parsed start strengthening, an expression of [`Planned::ts`].
     pub(crate) strengthening: Option<ExprRef>,
     pub(crate) input_policy: InputPolicy,
 }
 
 /// A port's verification work, planned once and then executed by any
-/// number of engines: mapped signals resolved against the transition
-/// system, and every Verilog condition string (invariants,
-/// strengthenings, finish conditions) parsed exactly once into the
-/// scratch RTL its [`Planned`] shares between all its ports.
+/// number of engines: mapped signals resolved, and every Verilog
+/// condition string (invariants, strengthenings, finish conditions)
+/// parsed exactly once, all as expressions of its [`Planned::ts`].
 pub(crate) struct PortPlan<'a> {
     pub(crate) port: &'a PortIla,
     pub(crate) map: &'a RefinementMap,
@@ -721,30 +715,25 @@ pub(crate) struct PortPlan<'a> {
     pub(crate) mapped_states: Vec<(String, ExprRef, Sort)>,
     /// `(ila input, ts expr, ila sort)` per interface-map entry.
     pub(crate) mapped_inputs: Vec<(String, ExprRef, Sort)>,
-    /// Parsed invariants, in [`Planned::cond_rtl`]'s context.
+    /// Parsed invariants.
     pub(crate) invariants: Vec<ExprRef>,
     pub(crate) instrs: Vec<InstrPlan>,
 }
 
 impl<'a> PortPlan<'a> {
-    /// Resolves the refinement map against `ts_signals` (from
-    /// [`rtl_to_ts`]) and parses all condition strings into `cond`, a
-    /// copy of `rtl` made at the first condition string of any port.
+    /// Resolves the refinement map against `rtl`'s declarations and
+    /// parses all its condition strings into `rtl`, the copy of the RTL
+    /// that becomes the [`Planned::ts`].
     fn build(
         port: &'a PortIla,
-        rtl: &RtlModule,
+        rtl: &mut RtlModule,
         map: &'a RefinementMap,
-        ts_signals: &BTreeMap<String, ExprRef>,
-        cond: &mut Option<RtlModule>,
     ) -> Result<Self, VerifyError> {
-        let lookup_signal = |name: &str, context: &str| -> Result<ExprRef, VerifyError> {
-            ts_signals
-                .get(name)
-                .copied()
-                .ok_or_else(|| VerifyError::UnknownRtlSignal {
-                    signal: name.to_string(),
-                    context: context.to_string(),
-                })
+        let lookup_signal = |rtl: &RtlModule, name: &str, context: &str| {
+            rtl.signal_expr(name).ok_or_else(|| VerifyError::UnknownRtlSignal {
+                signal: name.to_string(),
+                context: context.to_string(),
+            })
         };
 
         let mut mapped_states: Vec<(String, ExprRef, Sort)> = Vec::new();
@@ -755,7 +744,7 @@ impl<'a> PortPlan<'a> {
                     context: format!("state map of {}: no such ILA state", map.name),
                 }
             })?;
-            let e = lookup_signal(rtl_name, "state map")?;
+            let e = lookup_signal(rtl, rtl_name, "state map")?;
             mapped_states.push((ila_state.clone(), e, sv.sort));
         }
         let mut mapped_inputs: Vec<(String, ExprRef, Sort)> = Vec::new();
@@ -766,16 +755,17 @@ impl<'a> PortPlan<'a> {
                     context: format!("interface map of {}: no such ILA input", map.name),
                 }
             })?;
-            let e = lookup_signal(rtl_name, "interface map")?;
+            let e = lookup_signal(rtl, rtl_name, "interface map")?;
             mapped_inputs.push((ila_input.clone(), e, iv.sort));
         }
 
         // Parse every condition string once (parsing needs &mut for
         // expression interning).
-        let mut invariants = Vec::new();
-        for inv in &map.invariants {
-            invariants.push(parse_rtl_expr(cond.get_or_insert_with(|| rtl.clone()), inv)?);
-        }
+        let invariants = map
+            .invariants
+            .iter()
+            .map(|inv| parse_rtl_expr(rtl, inv))
+            .collect::<Result<_, _>>()?;
         let mut instrs = Vec::new();
         for instr in port.instructions() {
             let imap = map.instruction_map_for(&instr.name);
@@ -790,17 +780,15 @@ impl<'a> PortPlan<'a> {
                     if *max_cycles == 0 {
                         return Err(VerifyError::BadBound);
                     }
-                    (*max_cycles, Some(expr.clone()))
+                    (*max_cycles, Some(expr))
                 }
             };
-            let finish_expr = match &finish_src {
-                Some(s) => Some(parse_rtl_expr(cond.get_or_insert_with(|| rtl.clone()), s)?),
-                None => None,
-            };
-            let strengthening = match &imap.start_strengthening {
-                Some(s) => Some(parse_rtl_expr(cond.get_or_insert_with(|| rtl.clone()), s)?),
-                None => None,
-            };
+            let finish_expr = finish_src.map(|s| parse_rtl_expr(rtl, s)).transpose()?;
+            let strengthening = imap
+                .start_strengthening
+                .as_ref()
+                .map(|s| parse_rtl_expr(rtl, s))
+                .transpose()?;
             instrs.push(InstrPlan {
                 bound,
                 finish_expr,
@@ -819,20 +807,16 @@ impl<'a> PortPlan<'a> {
     }
 }
 
-/// Every target of a call, planned once: the RTL's one transition
-/// system, one scratch RTL for the parsed condition strings, and one
-/// [`PortPlan`] per `(port, map)` target, in declaration order. Journal
-/// keys, slices and dispatch all read these; nothing else on the
-/// verification path builds a transition system or a plan.
+/// Every target of a call, planned once on one copy of the RTL: the
+/// map's conditions are parsed into the copy, which then becomes the
+/// call's one transition system, and one [`PortPlan`] per `(port, map)`
+/// target, in declaration order. Journal keys, slices and dispatch all
+/// read these; nothing else on the verification path builds a
+/// transition system or a plan.
 pub(crate) struct Planned<'a> {
-    /// The unsliced system of the RTL ([`rtl_to_ts`]).
+    /// The unsliced system of the RTL ([`rtl_to_ts`]), whose context
+    /// holds every plan's parsed conditions.
     pub(crate) ts: TransitionSystem,
-    /// Every named RTL signal's expression in `ts`.
-    pub(crate) ts_signals: BTreeMap<String, ExprRef>,
-    /// Scratch RTL whose context owns every plan's parsed conditions:
-    /// one copy of the RTL, or an empty module when no map has a
-    /// condition string.
-    pub(crate) cond_rtl: RtlModule,
     pub(crate) plans: Vec<PortPlan<'a>>,
 }
 
@@ -842,16 +826,13 @@ impl<'a> Planned<'a> {
         targets: &[(&'a PortIla, &'a RefinementMap)],
         rtl: &RtlModule,
     ) -> Result<Self, VerifyError> {
-        let (ts, ts_signals) = rtl_to_ts(rtl)?;
-        let mut cond = None;
+        let mut rtl = rtl.clone();
         let plans = targets
             .iter()
-            .map(|&(port, map)| PortPlan::build(port, rtl, map, &ts_signals, &mut cond))
+            .map(|&(port, map)| PortPlan::build(port, &mut rtl, map))
             .collect::<Result<_, _>>()?;
         Ok(Planned {
-            ts,
-            ts_signals,
-            cond_rtl: cond.unwrap_or_else(|| RtlModule::new(rtl.name())),
+            ts: into_ts(rtl)?,
             plans,
         })
     }
@@ -917,7 +898,7 @@ fn check_instruction_planned(
     let snap = engine.u.snapshot();
     engine.u.extend_to(plan.instrs[idx].bound);
     let prop = match timed(&mut tally.property, || {
-        Property::build(plan, ctx.planned.cond_rtl.ctx(), idx, &mut engine.u)
+        Property::build(plan, idx, &mut engine.u)
     }) {
         Ok(prop) => prop,
         Err(e) => {
@@ -1073,14 +1054,8 @@ struct Property {
 
 impl Property {
     /// Builds instruction `idx`'s property over `u`, which must already
-    /// reach the instruction's bound; `cond` holds the plan's parsed
-    /// conditions.
-    fn build(
-        plan: &PortPlan<'_>,
-        cond: &ExprCtx,
-        idx: usize,
-        u: &mut Unrolling,
-    ) -> Result<Property, VerifyError> {
+    /// reach the instruction's bound.
+    fn build(plan: &PortPlan<'_>, idx: usize, u: &mut Unrolling) -> Result<Property, VerifyError> {
         let port = plan.port;
         let map = plan.map;
         let instr = &port.instructions()[idx];
@@ -1136,17 +1111,9 @@ impl Property {
         )
         .map_err(unmapped)?;
         let mut start = vec![decode0];
-        let mut cond_memo = ExprMap::default();
-        let graft0 = |u: &mut Unrolling, c: ExprRef, memo: &mut ExprMap<ExprRef>| {
-            let e = import(u.ctx_mut(), cond, c, memo);
-            let e0 = u.map_expr(0, e);
-            u.ctx_mut().bv_to_bool(e0)
-        };
-        for &inv in &plan.invariants {
-            start.push(graft0(u, inv, &mut cond_memo));
-        }
-        if let Some(s) = ip.strengthening {
-            start.push(graft0(u, s, &mut cond_memo));
+        for &c in plan.invariants.iter().chain(&ip.strengthening) {
+            let c0 = u.map_expr(0, c);
+            start.push(u.ctx_mut().bv_to_bool(c0));
         }
 
         // Input policy.
@@ -1178,14 +1145,11 @@ impl Property {
             ila_post.insert(ila_state.clone(), e);
         }
 
-        let finish = ip
-            .finish_expr
-            .map(|e| import(u.ctx_mut(), cond, e, &mut cond_memo));
         Ok(Property {
             start,
             policy,
             ila_post,
-            finish,
+            finish: ip.finish_expr,
         })
     }
 
@@ -1579,35 +1543,16 @@ fn telemetry_of(verdicts: &[InstrVerdict]) -> Telemetry {
 /// port plan's instructions, or one of them) will instantiate over the
 /// unrolling — the root set for cone-of-influence slicing.
 ///
-/// Mapped state/input expressions are roots directly. Conditions
-/// (invariants, strengthenings, finish conditions) are parsed in the
-/// run's scratch RTL, so their support is resolved back to
-/// transition-system expressions by signal name; a name that resolves
-/// to a wire contributes that wire's defining expression, which keeps
-/// the whole cone of the condition.
-pub(crate) fn coi_roots(
-    planned: &Planned<'_>,
-    plan: &PortPlan<'_>,
-    instrs: &[InstrPlan],
-) -> Vec<ExprRef> {
-    let mut roots: Vec<ExprRef> = Vec::new();
-    for (_, e, _) in &plan.mapped_states {
-        roots.push(*e);
-    }
-    for (_, e, _) in &plan.mapped_inputs {
-        roots.push(*e);
-    }
-    let mut cond_exprs: Vec<ExprRef> = plan.invariants.clone();
+/// The mapped state/input expressions and the parsed conditions
+/// (invariants, strengthenings, finish conditions) are all expressions
+/// of the system, so each is a root as it is.
+pub(crate) fn coi_roots(plan: &PortPlan<'_>, instrs: &[InstrPlan]) -> Vec<ExprRef> {
+    let mapped = plan.mapped_states.iter().chain(&plan.mapped_inputs);
+    let mut roots: Vec<ExprRef> = mapped.map(|(_, e, _)| *e).collect();
+    roots.extend(&plan.invariants);
     for ip in instrs {
-        cond_exprs.extend(ip.finish_expr);
-        cond_exprs.extend(ip.strengthening);
-    }
-    for name in support(planned.cond_rtl.ctx(), &cond_exprs) {
-        if let Some(&e) = planned.ts_signals.get(&name) {
-            roots.push(e);
-        } else if let Some(e) = planned.ts.ctx().find_var(&name) {
-            roots.push(e);
-        }
+        roots.extend(ip.finish_expr);
+        roots.extend(ip.strengthening);
     }
     roots
 }
@@ -1620,7 +1565,7 @@ fn prepare(
     plan: &PortPlan<'_>,
     tracer: &Tracer,
 ) -> (TransitionSystem, CoiStats) {
-    let roots = coi_roots(planned, plan, &plan.instrs);
+    let roots = coi_roots(plan, &plan.instrs);
     let (sliced, stats) = coi_slice(&planned.ts, &roots);
     tracer.record(|| {
         Event::new(SpanKind::Coi)
@@ -1808,7 +1753,7 @@ pub fn confirm_counterexample(
         })?;
     let PortEngine { mut u, mut smt } = PortEngine::new(&planned.ts, &Tracer::disabled(), None);
     u.extend_to(plan.instrs[idx].bound);
-    let prop = Property::build(plan, planned.cond_rtl.ctx(), idx, &mut u)?;
+    let prop = Property::build(plan, idx, &mut u)?;
     let frame = cex.finish_cycle;
     let mut assumptions = match prop.finish {
         Some(cond) => Property::finishes_at(cond, &mut u, frame),

@@ -6,11 +6,10 @@
 //! this module closes that gap by proving them with k-induction (or
 //! refuting them with a BMC trace from reset).
 
-use gila_expr::import;
 use gila_mc::{k_induction, InductionOutcome};
 use gila_rtl::{parse_rtl_expr, RtlModule};
 
-use crate::engine::VerifyError;
+use crate::engine::{into_ts, VerifyError};
 
 /// Attempts to prove the conjunction of the given Verilog-expression
 /// invariants as an inductive invariant of the RTL (from its declared
@@ -53,18 +52,14 @@ pub fn validate_invariants(
     invariants: &[String],
     max_k: usize,
 ) -> Result<InductionOutcome, VerifyError> {
-    let mut rtl_scratch = rtl.clone();
-    let (mut ts, _signals) = crate::engine::rtl_to_ts(rtl)?;
-    let mut memo = std::collections::HashMap::new();
+    let mut rtl = rtl.clone();
     let mut conjuncts = Vec::new();
     for inv in invariants {
-        let e = parse_rtl_expr(&mut rtl_scratch, inv)?;
-        let e = import(ts.ctx_mut(), rtl_scratch.ctx(), e, &mut memo);
-        let b = ts.ctx_mut().bv_to_bool(e);
-        conjuncts.push(b);
+        let e = parse_rtl_expr(&mut rtl, inv)?;
+        conjuncts.push(rtl.ctx_mut().bv_to_bool(e));
     }
-    let prop = ts.ctx_mut().and_many(&conjuncts);
-    Ok(k_induction(&ts, prop, max_k))
+    let prop = rtl.ctx_mut().and_many(&conjuncts);
+    Ok(k_induction(&into_ts(rtl)?, prop, max_k))
 }
 
 #[cfg(test)]

@@ -4,9 +4,12 @@
 //! front end interns: the `.ila` text parsed back from `to_ila_text`
 //! (summed over ports), and for the fixed and the buggy RTL the Verilog
 //! parsed back from `to_verilog` and the transition system `rtl_to_ts`
-//! builds from it. Wall time on a shared host cannot resolve a small
-//! move in the arena; these counts move only when the arena stores
-//! more or fewer nodes, so a diff to the golden is the review.
+//! builds from it. The system takes over the RTL's context as it is,
+//! so its `ts` count equals the `verilog` count: a conversion that
+//! interned nodes of its own would show here. Wall time on a shared
+//! host cannot resolve a small move in the arena; these counts move
+//! only when the arena stores more or fewer nodes, so a diff to the
+//! golden is the review.
 //!
 //! Regenerate with `GILA_REGEN_GOLDEN=1 cargo test --test expr_nodes`.
 

@@ -12,6 +12,12 @@
 //! hand-built port whose instructions' cones differ checks that
 //! sharing cones between instructions never leaks into a key.
 //!
+//! The registry's only condition strings are NoC Router's invariants,
+//! so a second small module pins the keys of all three kinds: an
+//! invariant, a start strengthening and a `Condition` finish, one of
+//! them naming a wire. The same module checks that a condition naming
+//! an undeclared signal is an error before anything is solved.
+//!
 //! Regenerate with `GILA_REGEN_GOLDEN=1 cargo test --test slice_keys`
 //! only together with a `CACHE_KEY_VERSION` bump.
 
@@ -19,13 +25,16 @@ use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::path::PathBuf;
 
+use gila::core::ModuleIla;
 use gila::designs::all_case_studies;
 use gila::expr::ExprRef;
 use gila::lang::parse_ila;
 use gila::mc::{coi_cone, support, TransitionSystem};
-use gila::rtl::parse_verilog;
+use gila::rtl::{parse_verilog, RtlModule};
+use gila::trace::{SpanKind, Tracer};
 use gila::verify::{
-    coi_root_sets, mutate_register, slice_keys, Mutation, RefinementMap, CACHE_KEY_VERSION,
+    coi_root_sets, mutate_register, slice_keys, verify_module, verify_port, FinishCondition,
+    InstructionMap, Mutation, RefinementMap, VerifyError, VerifyOptions, CACHE_KEY_VERSION,
 };
 
 fn render() -> String {
@@ -191,4 +200,119 @@ fn registry_cones_match_support_fixpoint() {
     }
     assert!(checked > 100, "only {checked} root sets checked");
     assert!(closed > 0, "no root set needed the next-state closure");
+}
+
+/// A counter whose increment takes two cycles: `inc` raises `phase`,
+/// and the cycle after it bumps `count` and drops `phase` again, so
+/// the wire `idle` reads true once `inc` has finished.
+fn two_phase_counter() -> (ModuleIla, RtlModule) {
+    let ila = parse_ila(
+        "port counter {\n input en : bv1\n output state cnt : bv8 init 0\n \
+         instr inc when en == 1 { cnt := cnt + 1 }\n instr hold when en == 0 { }\n}\n",
+    )
+    .expect("valid spec");
+    let rtl = parse_verilog(
+        "module counter(clk, en_in);\n input clk; input en_in;\n \
+         reg [7:0] count; reg [1:0] phase;\n wire idle;\n assign idle = phase == 2'd0;\n \
+         always @(posedge clk) begin\n \
+           if (idle && en_in) phase <= 2'd1;\n \
+           else if (phase == 2'd1) begin count <= count + 8'd1; phase <= 2'd0; end\n \
+         end\nendmodule\n",
+    )
+    .expect("valid Verilog");
+    (ila, rtl)
+}
+
+/// The two-phase counter's map: an invariant over a register, a start
+/// strengthening on both instructions, and `inc` finishing when
+/// `finish` holds, within three cycles.
+fn two_phase_map(invariant: &str, strengthening: &str, finish: &str) -> RefinementMap {
+    let mut map = RefinementMap::new("counter");
+    map.map_state("cnt", "count");
+    map.map_input("en", "en_in");
+    map.add_invariant(invariant);
+    let mut inc = InstructionMap::single_cycle("inc");
+    inc.start_strengthening = Some(strengthening.to_string());
+    inc.finish = FinishCondition::Condition {
+        expr: finish.to_string(),
+        max_cycles: 3,
+    };
+    let mut hold = InstructionMap::single_cycle("hold");
+    hold.start_strengthening = Some(strengthening.to_string());
+    map.instruction_maps = vec![inc, hold];
+    map
+}
+
+/// The two-phase counter's keys, as `port/instruction/key` lines.
+fn two_phase_keys(map: RefinementMap) -> Vec<String> {
+    let (ila, rtl) = two_phase_counter();
+    slice_keys(&ila, &rtl, &[map])
+        .expect("keys")
+        .into_iter()
+        .map(|k| format!("{}/{}/{}", k.port, k.instruction, k.key))
+        .collect()
+}
+
+/// Keys of a property with every kind of condition string are pinned,
+/// and a condition that names the wire `idle` keys and verifies as the
+/// same condition with the wire's expression written out.
+#[test]
+fn condition_keys_are_pinned_and_see_through_wires() {
+    let wire = two_phase_map("phase <= 2'd1", "phase == 2'd0", "idle");
+    let written_out = two_phase_map("phase <= 2'd1", "phase == 2'd0", "phase == 2'd0");
+    let keys = two_phase_keys(wire.clone());
+    assert_eq!(
+        keys,
+        [
+            "counter/inc/44bb5562ff487e3c390d837728b14e88",
+            "counter/hold/aa25bb8a4c9462aba2628ebc4a03d209",
+        ]
+    );
+    assert_eq!(two_phase_keys(written_out.clone()), keys);
+
+    let (ila, rtl) = two_phase_counter();
+    let verdicts = |map: RefinementMap| {
+        let report = verify_module(&ila, &rtl, &[map], &VerifyOptions::default()).expect("runs");
+        assert!(report.all_hold(), "{report:#?}");
+        report.ports[0]
+            .verdicts
+            .iter()
+            .map(|v| (v.instruction.clone(), v.result.tag()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(verdicts(wire), verdicts(written_out));
+}
+
+/// An invariant, a start strengthening or a finish condition that names
+/// an undeclared signal is a `Verilog` error from planning, from both
+/// verification and keying, and no solve starts. A map that also names
+/// an undeclared register reports that first.
+#[test]
+fn a_malformed_condition_fails_before_any_solve() {
+    let (ila, rtl) = two_phase_counter();
+    let port = &ila.ports()[0];
+    let good = ("phase <= 2'd1", "phase == 2'd0", "idle");
+    let maps = [
+        two_phase_map("ghost <= 2'd1", good.1, good.2),
+        two_phase_map(good.0, "ghost == 2'd0", good.2),
+        two_phase_map(good.0, good.1, "ghost"),
+    ];
+    for map in maps {
+        let (tracer, ring) = Tracer::ring(1_000);
+        let opts = VerifyOptions {
+            tracer,
+            ..Default::default()
+        };
+        let verified = verify_port(port, &rtl, &map, &opts);
+        assert!(matches!(verified, Err(VerifyError::Verilog(_))), "{map:?}: {verified:?}");
+        let keyed = slice_keys(&ila, &rtl, std::slice::from_ref(&map));
+        assert!(matches!(keyed, Err(VerifyError::Verilog(_))), "{map:?}: {keyed:?}");
+        let solves = ring.events().iter().filter(|e| e.kind == SpanKind::Solve).count();
+        assert_eq!(solves, 0, "{map:?}");
+    }
+    // A map's names resolve before its conditions parse.
+    let mut map = two_phase_map("ghost <= 2'd1", good.1, good.2);
+    map.map_state("cnt", "no_such_reg");
+    let verified = verify_port(port, &rtl, &map, &VerifyOptions::default());
+    assert!(matches!(verified, Err(VerifyError::UnknownRtlSignal { .. })), "{verified:?}");
 }
